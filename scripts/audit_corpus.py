@@ -6,15 +6,9 @@ category, the fibration check, the transfer-lemma agreements, and (when a
 weak-reversibility witness exists) the main-theorem soundness run.
 """
 
-import os
-import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-
-from conftest import gpow_witness, invertible_arrow_witness  # noqa: E402
-
-from fibcat import (  # noqa: E402
+from fibcat import (
     check_ei_lemma,
     check_fi_type,
     check_gray_pullbacks,
@@ -26,7 +20,7 @@ from fibcat import (  # noqa: E402
     is_fibration,
     verify_main_theorem,
 )
-from fibcat.generators import (  # noqa: E402
+from fibcat.generators import (
     block_perm_indexed,
     chain_poset,
     delta_const,
@@ -36,7 +30,7 @@ from fibcat.generators import (  # noqa: E402
     square_poset,
     terminal_category,
 )
-from fibcat.groups import (  # noqa: E402
+from fibcat.groups import (
     cyclic_group,
     inversion_action,
     strict_twisted,
@@ -45,6 +39,7 @@ from fibcat.groups import (  # noqa: E402
     twisted_to_indexed,
     validate_group_hom,
 )
+from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
 
 def corpus():

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .core import CategoryError
-from .fitype import TRUNCATION_CAVEAT, check_fi_type
+from .fitype import CONDITIONS, TRUNCATION_CAVEAT, check_fi_type
 from .functors import functor_properties
 from .generators import (
     block_perm_indexed,
@@ -46,6 +46,7 @@ from .ioformats import (
     digest_file,
     group_to_json,
     indexed_to_json,
+    read_json,
     stable_dumps,
 )
 from .theorem import TERMINOLOGY_NOTE, verify_main_theorem
@@ -86,8 +87,7 @@ def _report_skeleton(command: str, path=None, digest=None) -> dict:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 def _loader_for(path: str) -> Loader:
@@ -96,15 +96,7 @@ def _loader_for(path: str) -> Loader:
 
 def _verdict_lines(report):
     lines = []
-    for name in (
-        "locally_finite",
-        "all_mono",
-        "ei",
-        "transitive",
-        "increasing",
-        "has_pullbacks",
-        "has_weak_pushouts",
-    ):
+    for name in CONDITIONS:
         c = getattr(report, name)
         mark = "ok" if c.holds else "FAIL"
         extra = ""
@@ -276,7 +268,16 @@ def cmd_theorem(args, out: _Output) -> int:
     return EXIT_OK if ok and not verdict.alarm else EXIT_CHECK_FAILED
 
 
+def _require_keys(data, keys, what: str) -> None:
+    if not isinstance(data, dict):
+        raise InputFormatError("%s file is not a JSON object" % what)
+    for key in keys:
+        if key not in data:
+            raise InputFormatError("%s file has no %r key" % (what, key))
+
+
 def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
+    _require_keys(data, ("acting", "acted", "act", "phi"), "twisted-action")
     acting = loader.group(data["acting"])
     acted = loader.group(data["acted"])
     act = {g: dict(m) for g, m in data["act"].items()}
@@ -290,6 +291,7 @@ def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
 
 
 def _surjection_from_file(loader: Loader, data: dict):
+    _require_keys(data, ("total", "target", "proj"), "surjection")
     total = loader.group(data["total"])
     target = loader.group(data["target"])
     proj = validate_group_hom(total, target, data["proj"])

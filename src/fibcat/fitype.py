@@ -45,6 +45,18 @@ TRUNCATION_CAVEAT = (
 )
 
 
+# The seven conditions, in report order; each names a FiTypeReport field.
+CONDITIONS = (
+    "locally_finite",
+    "all_mono",
+    "ei",
+    "transitive",
+    "increasing",
+    "has_pullbacks",
+    "has_weak_pushouts",
+)
+
+
 @dataclass(frozen=True)
 class FiTypeReport:
     locally_finite: Check
@@ -57,30 +69,11 @@ class FiTypeReport:
 
     @property
     def holds(self) -> bool:
-        return all(
-            c.holds
-            for c in (
-                self.locally_finite,
-                self.all_mono,
-                self.ei,
-                self.transitive,
-                self.increasing,
-                self.has_pullbacks,
-                self.has_weak_pushouts,
-            )
-        )
+        return all(getattr(self, name).holds for name in CONDITIONS)
 
     def as_dict(self) -> dict:
         out = {}
-        for name in (
-            "locally_finite",
-            "all_mono",
-            "ei",
-            "transitive",
-            "increasing",
-            "has_pullbacks",
-            "has_weak_pushouts",
-        ):
+        for name in CONDITIONS:
             c = getattr(self, name)
             out[name] = {
                 "holds": c.holds,
@@ -91,18 +84,21 @@ class FiTypeReport:
         return out
 
 
+def _all_mono(C: FinCat) -> Check:
+    """Every morphism is mono; the counterexample is (f, mono_witness(f))."""
+    for f in C.morphisms:
+        w = mono_witness(C, f)
+        if w is not None:
+            return Check(False, (f, w))
+    return Check(True)
+
+
 def check_fi_type(C: FinCat) -> FiTypeReport:
     """Run all seven audits; every verdict is an exhaustive check."""
     max_hom = max((len(v) for v in C.homs.values()), default=0)
     locally_finite = Check(True, info={"max_hom_size": max_hom})
 
-    all_mono = Check(True)
-    for f in C.morphisms:
-        w = mono_witness(C, f)
-        if w is not None:
-            all_mono = Check(False, (f, w))
-            break
-
+    all_mono = _all_mono(C)
     ei = is_ei(C)
     transitive = is_transitive(C)
 
@@ -188,19 +184,11 @@ class TransferReport:
 def check_mono_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """All-mono transfers: total all-mono iff every fiber is all-mono."""
     gr = _groth(M, gr)
-
-    def all_mono(C):
-        for f in C.morphisms:
-            w = mono_witness(C, f)
-            if w is not None:
-                return Check(False, (f, w))
-        return Check(True)
-
-    base_mono = all_mono(M.base)
-    total = all_mono(gr.total)
+    base_mono = _all_mono(M.base)
+    total = _all_mono(gr.total)
     fibers = Check(True)
     for x in M.base.objects:
-        c = all_mono(M.fiber_at(x))
+        c = _all_mono(M.fiber_at(x))
         if not c:
             fibers = Check(False, (x, c.counterexample))
             break

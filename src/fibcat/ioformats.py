@@ -23,6 +23,16 @@ class InputFormatError(CategoryError):
     pass
 
 
+def read_json(path: str):
+    """Parse a JSON file; bytes that are not UTF-8 are an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    return json.loads(text)
+
+
 def stable_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -133,9 +143,7 @@ class Loader:
 
     def _resolve(self, ref, parser):
         if isinstance(ref, str):
-            path = os.path.join(self.root, ref)
-            with open(path, "r", encoding="utf-8") as fh:
-                return parser(json.load(fh))
+            return parser(read_json(os.path.join(self.root, ref)))
         if isinstance(ref, dict):
             return parser(ref)
         raise InputFormatError("expected a path or an inline object")

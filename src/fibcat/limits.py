@@ -6,6 +6,15 @@ all pullback squares on the same span.  Both searches enumerate every
 candidate and verify mediator existence and uniqueness against every
 competitor, so a positive answer is a certificate.
 
+Terminality is checked object by object.  A competitor of (f1, f2) is a
+commuting (q, u, v); a candidate (p, u0, v0) sends each w: q→p to the
+competitor (q, w;u0, w;v0), so it is terminal exactly when that map is a
+bijection from hom(q, p) onto the competitors at q, for every q.  The
+candidates are still tried in competitor order and the first terminal one
+is kept, so the chosen representative and its mediator table are the ones
+a mediator scan per competitor finds.  Initiality of a weak-pushout
+candidate indexes hom(d, z) by the pair of composites once per target z.
+
 Results are cached on the category instance (keyed by the cospan or span),
 which keeps whole-category audits tractable.
 """
@@ -108,16 +117,49 @@ def check_square(C: FinCat, sq: Square) -> None:
 def _competitors(C: FinCat, f1: str, f2: str) -> list:
     """All (q, u, v) with f1∘u = f2∘v, in construction (lexicographic) order."""
     c1, c2 = C.src[f1], C.src[f2]
-    table = C.table
+    table, homs = C.table, C.homs
     out = []
     for q in C.objects:
+        us = homs.get((q, c1))
+        if us is None:
+            continue
         by_comp = {}
-        for v in C.hom(q, c2):
+        for v in homs.get((q, c2), ()):
             by_comp.setdefault(table[(v, f2)], []).append(v)
-        for u in C.hom(q, c1):
+        for u in us:
             for v in by_comp.get(table[(u, f1)], ()):
                 out.append((q, u, v))
     return out
+
+
+def _competitor_counts(comps: list) -> list:
+    """(q, number of competitors at q) for every apex q, highest q first."""
+    counts = {}
+    for (q, _, _) in comps:
+        counts[q] = counts.get(q, 0) + 1
+    return list(reversed(counts.items()))
+
+
+def _terminal_mediators(C: FinCat, p: str, u0: str, v0: str, counts: list, total: int):
+    """Mediator table of the competitor (p, u0, v0), or None if not terminal.
+
+    Each w: q→p gives the competitor (q, w;u0, w;v0), so the candidate is
+    terminal exactly when, for every q, w ↦ (w;u0, w;v0) is a bijection from
+    hom(q, p) onto the competitors at q: equal sizes, and no two w with one
+    image.  An object with no competitor has no map into p either, so only
+    the apexes in ``counts`` are visited, sizes first and highest q first
+    (the competitors least likely to mediate).
+    """
+    homs = C.homs
+    for q, n in counts:
+        if len(homs.get((q, p), ())) != n:
+            return None
+    table = C.table
+    mediators = {}
+    for q, _ in counts:
+        for w in homs[(q, p)]:
+            mediators[(q, table[(w, u0)], table[(w, v0)])] = w
+    return mediators if len(mediators) == total else None
 
 
 def _pullback_of(C: FinCat, f1: str, f2: str):
@@ -127,27 +169,11 @@ def _pullback_of(C: FinCat, f1: str, f2: str):
     if key in cache:
         return cache[key]
     comps = _competitors(C, f1, f2)
-    # Verification order: competitors least likely to mediate first.
-    verify = sorted(comps, key=lambda t: t[0], reverse=True)
-    table = C.table
+    counts = _competitor_counts(comps)
     result = None
     for (p, u0, v0) in comps:
-        mediators = {}
-        ok = True
-        for (q, u, v) in verify:
-            found = None
-            for w in C.hom(q, p):
-                if table[(w, u0)] == u and table[(w, v0)] == v:
-                    if found is not None:
-                        found = None
-                        ok = False
-                        break
-                    found = w
-            if not ok or found is None:
-                ok = False
-                break
-            mediators[(q, u, v)] = found
-        if ok:
+        mediators = _terminal_mediators(C, p, u0, v0, counts, len(comps))
+        if mediators is not None:
             result = Pullback(p, u0, v0, mediators)
             break
     cache[key] = result
@@ -168,24 +194,27 @@ def as_pullback(C: FinCat, cospan: Cospan, leg1: str, leg2: str):
     """Package a chosen competitor as a pullback, or None if not terminal.
 
     Unlike ``pullback`` this lets the caller pick a non-canonical
-    representative; the mediator table is rebuilt for that choice.
+    representative; the mediator table is rebuilt for that choice.  Legs
+    that do not form a commuting square over the cospan give None.
     """
     check_cospan(C, cospan)
     comps = _competitors(C, cospan.f1, cospan.f2)
-    table = C.table
     p = C.src[leg1]
-    mediators = {}
-    for (q, u, v) in comps:
-        found = None
-        for w in C.hom(q, p):
-            if table[(w, leg1)] == u and table[(w, leg2)] == v:
-                if found is not None:
-                    return None
-                found = w
-        if found is None:
-            return None
-        mediators[(q, u, v)] = found
-    return Pullback(p, leg1, leg2, mediators)
+    if (p, leg1, leg2) not in comps:
+        return None
+    mediators = _terminal_mediators(C, p, leg1, leg2, _competitor_counts(comps), len(comps))
+    return None if mediators is None else Pullback(p, leg1, leg2, mediators)
+
+
+def _is_pullback(C: FinCat, top: str, left: str, right: str, bottom: str) -> bool:
+    """``is_pullback_square`` for a square already known to commute."""
+    pb = _pullback_of(C, right, bottom)
+    if pb is None:
+        return False
+    w = pb.mediators.get((C.src[top], top, left))
+    if w is None:  # commuting squares are always competitors
+        raise CategoryError("internal error: competitor not indexed")
+    return w in C.inverses
 
 
 def is_pullback_square(C: FinCat, sq: Square) -> bool:
@@ -195,33 +224,33 @@ def is_pullback_square(C: FinCat, sq: Square) -> bool:
     when its unique mediator into the chosen pullback is an isomorphism.
     """
     check_square(C, sq)
-    pb = _pullback_of(C, sq.right, sq.bottom)
-    if pb is None:
-        return False
-    w = pb.mediators.get((C.src[sq.top], sq.top, sq.left))
-    if w is None:  # commuting squares are always competitors
-        raise CategoryError("internal error: competitor not indexed")
-    return w in C.inverses
+    return _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom)
 
 
 def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
-    """All pullback-square completions of the span (g1, g2), cached."""
+    """All pullback-square completions of the span (g1, g2), cached.
+
+    The squares built here commute by construction, so they skip
+    ``check_square``.
+    """
     cache = C.cache("span_completions")
     key = (g1, g2)
     if key in cache:
         return cache[key]
     c1, c2 = C.tgt[g1], C.tgt[g2]
-    table = C.table
+    table, homs = C.table, C.homs
     out = []
     for d in C.objects:
+        f1s = homs.get((c1, d))
+        if f1s is None:
+            continue
         by_comp = {}
-        for f2 in C.hom(c2, d):
+        for f2 in homs.get((c2, d), ()):
             by_comp.setdefault(table[(g2, f2)], []).append(f2)
-        for f1 in C.hom(c1, d):
+        for f1 in f1s:
             for f2 in by_comp.get(table[(g1, f1)], ()):
-                sq = Square(g1, g2, f1, f2)
-                if is_pullback_square(C, sq):
-                    out.append(sq)
+                if _is_pullback(C, g1, g2, f1, f2):
+                    out.append(Square(g1, g2, f1, f2))
     cache[key] = out
     return out
 
@@ -229,24 +258,27 @@ def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
 def _initial_mediators(C: FinCat, sq: Square, completions: list):
     """Unique mediators from ``sq`` to every pullback-square completion.
 
-    Returns (mediators, failure); failure is (square, "no_mediator") or
-    (square, "non_unique") so the two ways initiality can break stay
-    distinguishable.
+    hom(d, z) is indexed once per target z by (right;h, bottom;h), so each
+    completion costs one lookup.  Returns (mediators, failure); failure is
+    (square, "no_mediator") or (square, "non_unique") for the first
+    completion that breaks initiality, so the two ways stay distinguishable.
     """
     table = C.table
-    d = C.tgt[sq.right]
+    right, bottom = sq.right, sq.bottom
+    d = C.tgt[right]
+    by_target = {}
     mediators = {}
     for other in completions:
         z = C.tgt[other.right]
-        found = None
-        for h in C.hom(d, z):
-            if table[(sq.right, h)] == other.right and table[(sq.bottom, h)] == other.bottom:
-                if found is not None:
-                    return None, (other, "non_unique")
-                found = h
-        if found is None:
-            return None, (other, "no_mediator")
-        mediators[other] = found
+        index = by_target.get(z)
+        if index is None:
+            index = by_target[z] = {}
+            for h in C.hom(d, z):
+                index.setdefault((table[(right, h)], table[(bottom, h)]), []).append(h)
+        found = index.get((other.right, other.bottom), ())
+        if len(found) != 1:
+            return None, (other, "non_unique" if found else "no_mediator")
+        mediators[other] = found[0]
     return mediators, None
 
 
@@ -275,7 +307,7 @@ def weak_pushout(C: FinCat, span: Span):
 def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
     """Full universal check of a single candidate square."""
     check_square(C, sq)
-    if not is_pullback_square(C, sq):
+    if not _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom):
         return Check(False, (sq, "not_a_pullback_square"))
     completions = _pullback_completions(C, sq.top, sq.left)
     _, failure = _initial_mediators(C, sq, completions)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .core import Check, CategoryError
 from .functors import FinFunctor, compose_functors, validate_functor, validate_nat_trans
 from .fitype import FiTypeReport, check_fi_type, endomorphism_invertibility
+from .generators import parse_inj
 from .groth import GrothResult, fiber_inclusion, grothendieck
 from .indexed import IndexedCat
 from .limits import Span, Square, is_weak_pushout_square, preserves_pullbacks, preserves_weak_pushouts, weak_pushout
@@ -60,6 +61,42 @@ class WeakReversibilityWitness:
 
     pushforwards: dict
     units: dict
+
+
+def gpow_witness(G, M: IndexedCat) -> WeakReversibilityWitness:
+    """Witness for ``generators.indexed_gpow(G, N)``: extend tuples by the unit."""
+    pushforwards, units = {}, {}
+    for f in M.base.morphisms:
+        m, n, imgs = parse_inj(f)
+        fx, fy = M.fiber_at(str(m)), M.fiber_at(str(n))
+        on_m = {}
+        for t in itertools.product(G.elements, repeat=m):
+            w = [G.unit] * n
+            for i, img in enumerate(imgs):
+                w[img] = t[i]
+            on_m["(%s)" % ",".join(t)] = "(%s)" % ",".join(w)
+        pushforwards[f] = validate_functor(fx, fy, {"*": "*"}, on_m)
+        units[f] = {"*": fx.id_of("*")}
+    return WeakReversibilityWitness(pushforwards, units)
+
+
+def invertible_arrow_witness(M: IndexedCat) -> WeakReversibilityWitness:
+    """When every arrow functor is invertible, push forward along the inverse.
+
+    Covers constant indexed categories (identity arrows), one-object
+    groupoid fibers (automorphism arrows), and group actions on fibers.
+    Raises ValueError when some arrow functor is not invertible.
+    """
+    pushforwards, units = {}, {}
+    for f in M.base.morphisms:
+        F = M.arrow_at(f)
+        ob = {v: k for k, v in F.on_objects.items()}
+        mor = {v: k for k, v in F.on_morphisms.items()}
+        if len(ob) != len(F.on_objects) or len(mor) != len(F.on_morphisms):
+            raise ValueError("arrow functor not invertible at %r" % f)
+        pushforwards[f] = validate_functor(F.target, F.source, ob, mor)
+        units[f] = {a: F.target.id_of(a) for a in F.target.objects}
+    return WeakReversibilityWitness(pushforwards, units)
 
 
 def validate_witness(M: IndexedCat, witness: WeakReversibilityWitness) -> None:

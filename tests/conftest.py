@@ -4,12 +4,9 @@ Session scope matters: pullback and weak-pushout caches live on category
 instances, so reusing them keeps whole-corpus audits fast.
 """
 
-import itertools
-
 import pytest
 
 from fibcat import (
-    WeakReversibilityWitness,
     grothendieck,
     identity_functor,
     validate_category,
@@ -23,7 +20,6 @@ from fibcat.generators import (
     discrete_category,
     fi_truncated,
     indexed_gpow,
-    parse_inj,
     slice_indexed,
     square_poset,
     terminal_category,
@@ -39,6 +35,7 @@ from fibcat.groups import (
     twisted_to_indexed,
     validate_group_hom,
 )
+from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
 
 @pytest.fixture(scope="session")
@@ -121,41 +118,6 @@ def swap_indexed(z2):
         fib, fib, {"a0": "a1", "a1": "a0"}, {"id_a0": "id_a1", "id_a1": "id_a0"}
     )
     return validate_indexed(base, {"*": fib}, {"0": identity_functor(fib), "1": swap})
-
-
-def gpow_witness(G, M):
-    """Pushforward for the group-power instance: extend tuples by the unit."""
-    pushforwards, units = {}, {}
-    for f in M.base.morphisms:
-        m, n, imgs = parse_inj(f)
-        fx, fy = M.fiber_at(str(m)), M.fiber_at(str(n))
-        on_m = {}
-        for t in itertools.product(G.elements, repeat=m):
-            w = [G.unit] * n
-            for i, img in enumerate(imgs):
-                w[img] = t[i]
-            on_m["(%s)" % ",".join(t)] = "(%s)" % ",".join(w)
-        pushforwards[f] = validate_functor(fx, fy, {"*": "*"}, on_m)
-        units[f] = {"*": fx.id_of("*")}
-    return WeakReversibilityWitness(pushforwards, units)
-
-
-def invertible_arrow_witness(M):
-    """When every arrow functor is invertible, push forward along the inverse.
-
-    Covers constant indexed categories (identity arrows), one-object
-    groupoid fibers (automorphism arrows), and the swap instance.
-    """
-    pushforwards, units = {}, {}
-    for f in M.base.morphisms:
-        F = M.arrow_at(f)
-        ob = {v: k for k, v in F.on_objects.items()}
-        mor = {v: k for k, v in F.on_morphisms.items()}
-        if len(ob) != len(F.on_objects) or len(mor) != len(F.on_morphisms):
-            raise ValueError("arrow functor not invertible at %r" % f)
-        pushforwards[f] = validate_functor(F.target, F.source, ob, mor)
-        units[f] = {a: F.target.id_of(a) for a in F.target.objects}
-    return WeakReversibilityWitness(pushforwards, units)
 
 
 @pytest.fixture(scope="session")

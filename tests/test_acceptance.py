@@ -61,7 +61,7 @@ from fibcat.groups import (
 from fibcat.indexed import IndexedError, validate_indexed
 from fibcat.limits import Cospan, all_cospans
 from fibcat.functors import validate_functor
-from conftest import gpow_witness, invertible_arrow_witness
+from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
 
 def _report(n, ok, detail=""):

@@ -12,6 +12,7 @@ from fibcat.ioformats import (
     group_to_json,
     stable_dumps,
 )
+from fibcat.theorem import gpow_witness
 
 
 @pytest.fixture()
@@ -100,11 +101,9 @@ def test_functor_command(workdir, capsys):
 
 
 def test_theorem_command_with_witness(workdir, capsys, z2):
-    import conftest
-
     run(capsys, "gen", "fig", "--group", "z2", "--max", "2", "-o", "fig.json")
     M = indexed_gpow(z2, 2)
-    w = conftest.gpow_witness(z2, M)
+    w = gpow_witness(z2, M)
     from fibcat.ioformats import witness_to_json
 
     open("w.json", "w").write(stable_dumps(witness_to_json(w)))
@@ -197,3 +196,22 @@ def test_theorem_search_flag(workdir, capsys):
     code, out, _ = run(capsys, "theorem", "d.json", "--search", "--budget", "50000")
     assert code == 0
     assert "h4 weakly reversible:             True" in out
+
+
+def test_non_utf8_file_is_input_error(workdir, capsys):
+    open("bad.json", "wb").write(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", "bad.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "mode, key, others",
+    [("twist", "total", ("target", "proj")), ("ext", "acting", ("acted", "act", "phi"))],
+)
+def test_group_file_missing_key_is_input_error(workdir, capsys, z2, mode, key, others):
+    open("g.json", "w").write(stable_dumps({k: group_to_json(z2) for k in others}))
+    code, out, err = run(capsys, "group", mode, "g.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and repr(key) in err

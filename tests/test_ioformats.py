@@ -65,7 +65,7 @@ def test_indexed_round_trip_slice():
 
 
 def test_witness_round_trip(z2):
-    from conftest import gpow_witness
+    from fibcat.theorem import gpow_witness
     from fibcat.theorem import validate_witness
 
     M = indexed_gpow(z2, 2)

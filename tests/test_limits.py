@@ -16,6 +16,7 @@ from fibcat import (
     preserves_pullbacks,
     preserves_weak_pushouts,
     pullback,
+    validate_category,
     validate_functor,
     weak_pushout,
 )
@@ -123,6 +124,11 @@ def test_as_pullback_accepts_iso_twists_only(fi3):
     assert bad is None
 
 
+def test_as_pullback_rejects_non_commuting_legs(parallel_pair):
+    # f1 and f2 have no competitor at all; (ix, ix) does not commute over them
+    assert as_pullback(parallel_pair, Cospan("f1", "f2"), "ix", "ix") is None
+
+
 def test_identity_functor_preserves(fi2):
     F = identity_functor(fi2)
     assert preserves_pullbacks(F).holds
@@ -189,12 +195,10 @@ def test_random_fi_weak_pushouts_match_size_oracle(fi4, data):
     assert int(wp.apex) == n1 + n2 - m1
 
 
-def test_mediator_failure_modes_are_distinguished():
-    # two parallel maps u1, u2 agreeing after s, plus an idempotent e fixing
-    # them: the square over (u1, u2) mediates to itself in two ways
-    from fibcat import validate_category
-
-    C = validate_category(
+def mediator_failure_category():
+    """Two parallel maps u1, u2 agreeing after s, plus an idempotent e fixing
+    them: the square over (u1, u2) mediates to itself in two ways."""
+    return validate_category(
         ["a", "d", "z"],
         [
             ("ia", "a", "a"),
@@ -216,6 +220,10 @@ def test_mediator_failure_modes_are_distinguished():
             ("e", "e"): "e",
         },
     )
+
+
+def test_mediator_failure_modes_are_distinguished():
+    C = mediator_failure_category()
     sq = Square("s", "s", "u1", "u2")
     assert is_pullback_square(C, sq)
     verdict = is_weak_pushout_square(C, sq)

@@ -26,7 +26,7 @@ from fibcat.generators import (
     square_poset,
     terminal_category,
 )
-from conftest import gpow_witness, invertible_arrow_witness
+from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
 
 def test_hypotheses_hold_for_gpow(gr_zpow2_3, z2):
