@@ -4,6 +4,7 @@
 Every file round-trips through the validators when read back by the CLI.
 """
 
+import os
 import sys
 
 from fibcat.cli import main as cli
@@ -12,7 +13,9 @@ from fibcat.ioformats import category_to_json, stable_dumps
 
 
 def main(outdir="corpus"):
-    with open("square_poset.json", "w", encoding="utf-8") as fh:
+    os.makedirs(outdir, exist_ok=True)
+    square = os.path.join(outdir, "square_poset.json")
+    with open(square, "w", encoding="utf-8") as fh:
         fh.write(stable_dumps(category_to_json(square_poset())))
     jobs = [
         ["gen", "fi", "--max", "2"],
@@ -23,7 +26,7 @@ def main(outdir="corpus"):
         ["gen", "fig", "--group", "z3", "--max", "2"],
         ["gen", "direct", "--group", "z2", "--max", "3"],
         ["gen", "blocks", "--max", "2", "--inner", "1"],
-        ["gen", "slice", "--base", "square_poset.json"],
+        ["gen", "slice", "--base", square],
     ]
     for job in jobs:
         code = cli(["--seed-corpus", outdir, "--quiet"] + job)

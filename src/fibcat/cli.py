@@ -9,7 +9,7 @@ verdicts.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import os
 import sys
 
@@ -44,8 +44,10 @@ from .ioformats import (
     category_to_json,
     digest_bytes,
     digest_file,
+    functor_to_json,
     group_to_json,
     indexed_to_json,
+    malformed,
     read_json,
     stable_dumps,
 )
@@ -168,10 +170,7 @@ def cmd_groth(args, out: _Output) -> int:
     gr = grothendieck(M)
     payload = {
         "total": category_to_json(gr.total),
-        "projection": {
-            "on_objects": dict(sorted(gr.proj.on_objects.items())),
-            "on_morphisms": dict(sorted(gr.proj.on_morphisms.items())),
-        },
+        "projection": functor_to_json(gr.proj, inline=False),
     }
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -268,35 +267,30 @@ def cmd_theorem(args, out: _Output) -> int:
     return EXIT_OK if ok and not verdict.alarm else EXIT_CHECK_FAILED
 
 
-def _require_keys(data, keys, what: str) -> None:
-    if not isinstance(data, dict):
-        raise InputFormatError("%s file is not a JSON object" % what)
-    for key in keys:
-        if key not in data:
-            raise InputFormatError("%s file has no %r key" % (what, key))
-
-
+@malformed("twisted-action")
 def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
-    _require_keys(data, ("acting", "acted", "act", "phi"), "twisted-action")
     acting = loader.group(data["acting"])
     acted = loader.group(data["acted"])
-    act = {g: dict(m) for g, m in data["act"].items()}
+    act = {g: {h: str(v) for h, v in dict(m).items()} for g, m in data["act"].items()}
     phi = {}
     for key, val in data["phi"].items():
         if key.count("|") != 1:
             raise InputFormatError("bad phi key %r" % key)
         a, b = key.split("|")
-        phi[(a, b)] = val
+        phi[(a, b)] = str(val)
+    for a, b in itertools.product(acting.elements, repeat=2):
+        if phi.get((a, b)) not in acted.elements:
+            raise InputFormatError("phi(%s|%s) is missing or not in the acted group" % (a, b))
     return TwistedAction(acting, acted, act, phi)
 
 
+@malformed("surjection")
 def _surjection_from_file(loader: Loader, data: dict):
-    _require_keys(data, ("total", "target", "proj"), "surjection")
     total = loader.group(data["total"])
     target = loader.group(data["target"])
     proj = validate_group_hom(total, target, data["proj"])
     section = data.get("section")
-    return proj, section
+    return proj, None if section is None else dict(section)
 
 
 def cmd_group(args, out: _Output) -> int:
@@ -530,7 +524,7 @@ def main(argv=None) -> int:
     out = _Output(args)
     try:
         return args.func(args, out)
-    except (OSError, json.JSONDecodeError, InputFormatError) as exc:
+    except (OSError, InputFormatError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
     except CategoryError as exc:

@@ -63,6 +63,16 @@ class Check:
         return self.holds
 
 
+def first_failure(items, check) -> Check:
+    """``Check(False, (x, counterexample))`` for the first x in ``items``
+    whose ``check(x)`` fails, else ``Check(True)``."""
+    for x in items:
+        c = check(x)
+        if not c:
+            return Check(False, (x, c.counterexample))
+    return Check(True)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class FinCat:
     """A finite category given by identifier sets and lookup tables.
@@ -218,20 +228,19 @@ def _check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
     """
     code = {m: i for i, m in enumerate(mors)}
     nmor = len(mors)
-    hom_ids = {k: v for k, v in homs.items()}
-    loc = {}  # (x, y) -> int32 array mapping global code -> local hom index
+    loc = {}  # (x, y) -> int64 array mapping global code -> local hom index
 
     def glob2loc(x, y):
         a = loc.get((x, y))
         if a is None:
             a = np.full(nmor, -1, dtype=np.int64)
-            for i, m in enumerate(hom_ids.get((x, y), ())):
+            for i, m in enumerate(homs.get((x, y), ())):
                 a[code[m]] = i
             loc[(x, y)] = a
         return a
 
     outs = {}
-    for (x, y) in hom_ids:
+    for (x, y) in homs:
         outs.setdefault(x, []).append(y)
     for x in outs:
         outs[x].sort()
@@ -242,8 +251,8 @@ def _check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
         got = pair_tabs.get((a, b, c))
         if got is not None:
             return got
-        h1 = hom_ids[(a, b)]
-        h2 = hom_ids[(b, c)]
+        h1 = homs[(a, b)]
+        h2 = homs[(b, c)]
         g2l = glob2loc(a, c)
         p = np.empty((len(h1), len(h2)), dtype=np.int64)
         for i, f in enumerate(h1):
@@ -261,12 +270,12 @@ def _check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
         return p, l
 
     # Totality and endpoints over every composable pair.
-    for (a, b) in sorted(hom_ids):
+    for (a, b) in sorted(homs):
         for c in outs.get(b, ()):
             pair_tab(a, b, c)
 
     # Associativity over every composable triple.
-    for (a, b) in sorted(hom_ids):
+    for (a, b) in sorted(homs):
         for c in outs.get(b, ()):
             _, l_abc = pair_tab(a, b, c)
             for d in outs.get(c, ()):
@@ -286,9 +295,9 @@ def _check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
                         i, j, k = map(int, np.argwhere(left != right)[0])
                         raise AssociativityViolation(
                             (
-                                hom_ids[(a, b)][i0 + i],
-                                hom_ids[(b, c)][j],
-                                hom_ids[(c, d)][k],
+                                homs[(a, b)][i0 + i],
+                                homs[(b, c)][j],
+                                homs[(c, d)][k],
                             )
                         )
 

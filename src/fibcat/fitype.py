@@ -24,6 +24,7 @@ from .core import (
     Check,
     FinCat,
     below_set,
+    first_failure,
     is_ei,
     is_transitive,
     iso_classes,
@@ -31,10 +32,10 @@ from .core import (
 )
 from .groth import GrothResult, grothendieck
 from .indexed import IndexedCat
-from .limits import (
-    all_cospans,
+from .limits import (  # noqa: F401  (pullback is re-exported)
     all_spans,
     has_pullback_square_completion,
+    has_pullbacks,
     pullback,
     weak_pushout,
 )
@@ -111,15 +112,7 @@ def check_fi_type(C: FinCat) -> FiTypeReport:
         },
     )
 
-    has_pb = Check(True)
-    n_cospans = 0
-    for cospan in all_cospans(C):
-        n_cospans += 1
-        if pullback(C, cospan) is None:
-            has_pb = Check(False, cospan)
-            break
-    if has_pb.holds:
-        has_pb = Check(True, info={"cospans": n_cospans})
+    has_pb = has_pullbacks(C)
 
     has_wp = Check(True)
     n_spans = vacuous = 0
@@ -186,12 +179,7 @@ def check_mono_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     gr = _groth(M, gr)
     base_mono = _all_mono(M.base)
     total = _all_mono(gr.total)
-    fibers = Check(True)
-    for x in M.base.objects:
-        c = _all_mono(M.fiber_at(x))
-        if not c:
-            fibers = Check(False, (x, c.counterexample))
-            break
+    fibers = first_failure(M.base.objects, lambda x: _all_mono(M.fiber_at(x)))
     return TransferReport(
         total, fibers, total.holds == fibers.holds, {"base_all_mono": base_mono.holds}
     )
@@ -222,12 +210,7 @@ def check_ei_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """EI transfers: total EI iff fibers EI and endo-maps are invertible."""
     gr = _groth(M, gr)
     total = is_ei(gr.total)
-    fibers = Check(True)
-    for x in M.base.objects:
-        c = is_ei(M.fiber_at(x))
-        if not c:
-            fibers = Check(False, (x, c.counterexample))
-            break
+    fibers = first_failure(M.base.objects, lambda x: is_ei(M.fiber_at(x)))
     endo = endomorphism_invertibility(M)
     fiber_side = Check(fibers.holds and endo.holds, fibers.counterexample or endo.counterexample)
     return TransferReport(
@@ -326,12 +309,7 @@ def check_transitivity_lemma(M: IndexedCat, gr: GrothResult = None, all_g: bool 
     """Transitivity transfers: total transitive iff fibers transitive + ell."""
     gr = _groth(M, gr)
     total = is_transitive(gr.total)
-    fibers = Check(True)
-    for x in M.base.objects:
-        c = is_transitive(M.fiber_at(x))
-        if not c:
-            fibers = Check(False, (x, c.counterexample))
-            break
+    fibers = first_failure(M.base.objects, lambda x: is_transitive(M.fiber_at(x)))
     ell = transitivity_ell_condition(M, all_g=all_g)
     fiber_side = Check(fibers.holds and ell.holds, fibers.counterexample or ell.counterexample)
     return TransferReport(

@@ -38,6 +38,31 @@ class MissingPullback(CategoryError):
     pass
 
 
+def _assemble(identities: dict, blocks: dict, mid, compose) -> FinCat:
+    """Validate the category whose hom-sets are ``blocks`` of payloads.
+
+    ``identities`` maps each object to the payload of its identity,
+    ``blocks`` maps (x, y) to the payloads of the morphisms x→y,
+    ``mid(x, y, p)`` formats a morphism id and ``compose(x, p, q)`` is the
+    payload of p: x→y followed by q: y→z.  Morphisms and composites are
+    listed in block order, so the table's insertion order is fixed by it.
+    """
+    ids = {(x, y): [mid(x, y, p) for p in ps] for (x, y), ps in blocks.items()}
+    out = {}
+    for (y, z), qs in blocks.items():
+        out.setdefault(y, []).append((z, list(zip(qs, ids[(y, z)]))))
+    mors, comp = [], {}
+    for (x, y), ps in blocks.items():
+        pids = ids[(x, y)]
+        mors.extend((pid, x, y) for pid in pids)
+        for z, qs in out.get(y, ()):
+            for p, pid in zip(ps, pids):
+                for q, qid in qs:
+                    comp[(pid, qid)] = mid(x, z, compose(x, p, q))
+    identity = {x: mid(x, x, e) for x, e in identities.items()}
+    return validate_category(identities, mors, identity, comp)
+
+
 # ---------------------------------------------------------------------------
 # Small generic categories
 # ---------------------------------------------------------------------------
@@ -114,8 +139,8 @@ def injections(m: int, n: int) -> tuple:
     return tuple(itertools.permutations(range(n), m))
 
 
-def inj_id(m: int, n: int, imgs) -> str:
-    return "%d>%d:%s" % (m, n, ",".join(map(str, imgs)))
+def inj_id(m, n, imgs) -> str:
+    return "%s>%s:%s" % (m, n, ",".join(map(str, imgs)))
 
 
 def parse_inj(mid: str):
@@ -127,26 +152,16 @@ def parse_inj(mid: str):
 
 def fi_truncated(N: int) -> FinCat:
     """Finite sets 0..N and injections, composition by function composition."""
-    objects = [str(n) for n in range(N + 1)]
-    mors = []
-    by_pair = {}
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            for imgs in injections(m, n):
-                mors.append((inj_id(m, n, imgs), str(m), str(n)))
-            by_pair[(m, n)] = injections(m, n)
-    comp = {}
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            for p in range(n, N + 1):
-                for f in by_pair[(m, n)]:
-                    fid = inj_id(m, n, f)
-                    for g in by_pair[(n, p)]:
-                        comp[(fid, inj_id(n, p, g))] = inj_id(
-                            m, p, tuple(g[i] for i in f)
-                        )
-    identity = {str(n): inj_id(n, n, tuple(range(n))) for n in range(N + 1)}
-    return validate_category(objects, mors, identity, comp)
+    return _assemble(
+        {str(n): tuple(range(n)) for n in range(N + 1)},
+        {
+            (str(m), str(n)): injections(m, n)
+            for m in range(N + 1)
+            for n in range(m, N + 1)
+        },
+        inj_id,
+        lambda x, f, g: tuple(g[i] for i in f),
+    )
 
 
 def _check_element_ids(G: GroupTable) -> None:
@@ -155,8 +170,8 @@ def _check_element_ids(G: GroupTable) -> None:
             raise CategoryError("group element id %r clashes with the id scheme" % e)
 
 
-def dec_id(m: int, n: int, imgs, decs) -> str:
-    return "%d>%d:%s:%s" % (m, n, ",".join(map(str, imgs)), ",".join(decs))
+def dec_id(m, n, imgs, decs) -> str:
+    return "%s>%s:%s:%s" % (m, n, ",".join(map(str, imgs)), ",".join(decs))
 
 
 def parse_dec(mid: str):
@@ -177,38 +192,20 @@ def decorated_composite(G: GroupTable, f_imgs, f_decs, g_imgs, g_decs):
 def fi_g_direct(G: GroupTable, N: int) -> FinCat:
     """Injections decorated with one group element per source point."""
     _check_element_ids(G)
-    objects = [str(n) for n in range(N + 1)]
-    data = {}
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            pairs = [
+    return _assemble(
+        {str(n): (tuple(range(n)), (G.unit,) * n) for n in range(N + 1)},
+        {
+            (str(m), str(n)): [
                 (imgs, decs)
                 for imgs in injections(m, n)
                 for decs in itertools.product(G.elements, repeat=m)
             ]
-            data[(m, n)] = pairs
-    mors = [
-        (dec_id(m, n, imgs, decs), str(m), str(n))
-        for (m, n), pairs in sorted(data.items())
-        for imgs, decs in pairs
-    ]
-    comp = {}
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            for p in range(n, N + 1):
-                for f_imgs, f_decs in data[(m, n)]:
-                    fid = dec_id(m, n, f_imgs, f_decs)
-                    for g_imgs, g_decs in data[(n, p)]:
-                        imgs, decs = decorated_composite(
-                            G, f_imgs, f_decs, g_imgs, g_decs
-                        )
-                        comp[(fid, dec_id(n, p, g_imgs, g_decs))] = dec_id(
-                            m, p, imgs, decs
-                        )
-    identity = {
-        str(n): dec_id(n, n, tuple(range(n)), (G.unit,) * n) for n in range(N + 1)
-    }
-    return validate_category(objects, mors, identity, comp)
+            for m in range(N + 1)
+            for n in range(m, N + 1)
+        },
+        lambda x, y, p: dec_id(x, y, *p),
+        lambda x, f, g: decorated_composite(G, *f, *g),
+    )
 
 
 def _tuple_id(parts) -> str:
@@ -217,16 +214,12 @@ def _tuple_id(parts) -> str:
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     """The one-object groupoid G^n; morphisms are n-tuples of elements."""
-    tuples = list(itertools.product(G.elements, repeat=n))
-    mors = [(_tuple_id(t), "*", "*") for t in tuples]
-    comp = {}
-    for u in tuples:
-        uid = _tuple_id(u)
-        for v in tuples:
-            comp[(uid, _tuple_id(v))] = _tuple_id(
-                tuple(G.mul(b, a) for a, b in zip(u, v))
-            )
-    return validate_category(["*"], mors, {"*": _tuple_id((G.unit,) * n)}, comp)
+    return _assemble(
+        {"*": (G.unit,) * n},
+        {("*", "*"): list(itertools.product(G.elements, repeat=n))},
+        lambda x, y, t: _tuple_id(t),
+        lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v)),
+    )
 
 
 def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
@@ -422,18 +415,12 @@ def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
 
 
 def disjoint_union_groupoid(G: GroupTable, H: GroupTable) -> FinCat:
-    mors = [("A:%s" % g, "A", "A") for g in G.elements] + [
-        ("B:%s" % h, "B", "B") for h in H.elements
-    ]
-    comp = {}
-    for a in G.elements:
-        for b in G.elements:
-            comp[("A:%s" % a, "A:%s" % b)] = "A:%s" % G.mul(b, a)
-    for a in H.elements:
-        for b in H.elements:
-            comp[("B:%s" % a, "B:%s" % b)] = "B:%s" % H.mul(b, a)
-    return validate_category(
-        ["A", "B"], mors, {"A": "A:%s" % G.unit, "B": "B:%s" % H.unit}, comp
+    groups = {"A": G, "B": H}
+    return _assemble(
+        {x: K.unit for x, K in groups.items()},
+        {(x, x): K.elements for x, K in groups.items()},
+        lambda x, y, g: "%s:%s" % (x, g),
+        lambda x, a, b: groups[x].mul(b, a),
     )
 
 
@@ -473,45 +460,26 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
                 out.append((tuple(imgs), decs))
         return out
 
-    mid = lambda s, t, imgs, decs: "%s>%s:%s:%s" % (
-        s,
-        t,
-        ",".join(map(str, imgs)),
-        ",".join(decs),
-    )
-    data = {}
-    mors = []
+    def compose(s, f, g):
+        (f_imgs, f_decs), (g_imgs, g_decs) = f, g
+        imgs = tuple(g_imgs[i] for i in f_imgs)
+        decs = tuple(
+            color_groups[s[k]].mul(d, g_decs[f_imgs[k]]) for k, d in enumerate(f_decs)
+        )
+        return imgs, decs
+
+    blocks = {}
     for s in objects:
         for t in objects:
             arr = arrows_between(s, t)
             if arr:
-                data[(s, t)] = arr
-                for imgs, decs in arr:
-                    mors.append((mid(s, t, imgs, decs), s, t))
-    comp = {}
-    for (s, t), arr1 in data.items():
-        for (t2, u), arr2 in data.items():
-            if t2 != t:
-                continue
-            for f_imgs, f_decs in arr1:
-                fid = mid(s, t, f_imgs, f_decs)
-                for g_imgs, g_decs in arr2:
-                    imgs = tuple(g_imgs[i] for i in f_imgs)
-                    decs = tuple(
-                        color_groups[s[k]].mul(d, g_decs[f_imgs[k]])
-                        for k, d in enumerate(f_decs)
-                    )
-                    comp[(fid, mid(t, u, g_imgs, g_decs))] = mid(s, u, imgs, decs)
-    identity = {
-        s: mid(
-            s,
-            s,
-            tuple(range(len(s))),
-            tuple(color_groups[ch].unit for ch in s),
-        )
-        for s in objects
-    }
-    return validate_category(objects, mors, identity, comp)
+                blocks[(s, t)] = arr
+    return _assemble(
+        {s: (tuple(range(len(s))), tuple(color_groups[ch].unit for ch in s)) for s in objects},
+        blocks,
+        lambda s, t, p: dec_id(s, t, *p),
+        compose,
+    )
 
 
 @dataclass(frozen=True)
@@ -539,12 +507,7 @@ def fi_gh_comparison(G: GroupTable, H: GroupTable, N: int) -> GhComparison:
         decs = decs1 + decs2
         s = "a" * m1 + "b" * m2
         t = "a" * n1 + "b" * n2
-        on_morphisms[p] = "%s>%s:%s:%s" % (
-            s,
-            t,
-            ",".join(map(str, imgs)),
-            ",".join(decs),
-        )
+        on_morphisms[p] = dec_id(s, t, imgs, decs)
     F = validate_functor(left, right, on_objects, on_morphisms)
     return GhComparison(F, functor_properties(F), left, right)
 
@@ -565,26 +528,18 @@ def slice_category(C: FinCat, x: str) -> FinCat:
     """Objects are morphisms into x; maps are commuting triangles."""
     C.require_object(x)
     objs = [f for f in C.morphisms if C.tgt[f] == x]
-    mors = []
-    comp = {}
     tris = {}
     for f in objs:
         for g in objs:
             for h in C.hom(C.src[f], C.src[g]):
                 if C.comp(h, g) == f:
-                    mors.append((_slice_mid(f, h, g), f, g))
                     tris.setdefault((f, g), []).append(h)
-    for (f, g), hs in tris.items():
-        for (g2, e), hs2 in tris.items():
-            if g2 != g:
-                continue
-            for h in hs:
-                for h2 in hs2:
-                    comp[(_slice_mid(f, h, g), _slice_mid(g, h2, e))] = _slice_mid(
-                        f, C.comp(h, h2), e
-                    )
-    identity = {f: _slice_mid(f, C.id_of(C.src[f]), f) for f in objs}
-    return validate_category(objs, mors, identity, comp)
+    return _assemble(
+        {f: C.id_of(C.src[f]) for f in objs},
+        tris,
+        lambda f, g, h: _slice_mid(f, h, g),
+        lambda f, h, h2: C.comp(h, h2),
+    )
 
 
 def _chosen_pullback(C: FinCat, j: str, f: str, choose=None):
@@ -657,28 +612,20 @@ def _arrow_mid(f: str, u: str, v: str, g: str) -> str:
 
 def arrow_category(C: FinCat) -> FinCat:
     """Morphisms of C as objects, commuting squares as morphisms."""
-    objs = list(C.morphisms)
-    mors = []
-    comp = {}
+    objs = C.morphisms
     sqs = {}
     for f in objs:
         for g in objs:
             for u in C.hom(C.src[f], C.src[g]):
                 for v in C.hom(C.tgt[f], C.tgt[g]):
                     if C.comp(u, g) == C.comp(f, v):
-                        mors.append((_arrow_mid(f, u, v, g), f, g))
                         sqs.setdefault((f, g), []).append((u, v))
-    for (f, g), ps in sqs.items():
-        for (g2, e), ps2 in sqs.items():
-            if g2 != g:
-                continue
-            for u, v in ps:
-                for u2, v2 in ps2:
-                    comp[(_arrow_mid(f, u, v, g), _arrow_mid(g, u2, v2, e))] = _arrow_mid(
-                        f, C.comp(u, u2), C.comp(v, v2), e
-                    )
-    identity = {f: _arrow_mid(f, C.id_of(C.src[f]), C.id_of(C.tgt[f]), f) for f in objs}
-    return validate_category(objs, mors, identity, comp)
+    return _assemble(
+        {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in objs},
+        sqs,
+        lambda f, g, sq: _arrow_mid(f, *sq, g),
+        lambda f, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1])),
+    )
 
 
 @dataclass(frozen=True)

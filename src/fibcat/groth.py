@@ -50,9 +50,6 @@ class GrothResult:
     obj_id: dict  # (x, a) -> total object id
     mor_id: dict  # (f, k) -> total morphism id
 
-    def __iter__(self):
-        return iter((self.total, self.proj))
-
 
 def _enc(a: str, b: str) -> str:
     return "(%s@%s)" % (a, b)
@@ -156,25 +153,13 @@ def is_cartesian(P: FinFunctor, phi: str) -> bool:
         return cache[phi]
     f = P.mor(phi)
     b = A.tgt[phi]
-    a = A.src[phi]
     over = _over_map(P)
-    result = True
-    for g in X.morphisms:
-        if X.tgt[g] != X.src[f]:
-            continue
-        fg = X.comp(g, f)
-        for theta in over.get((fg, b), ()):
-            n = 0
-            for psi in A.hom(A.src[theta], a):
-                if P.mor(psi) == g and A.comp(psi, phi) == theta:
-                    n += 1
-                    if n > 1:
-                        break
-            if n != 1:
-                result = False
-                break
-        if not result:
-            break
+    result = all(
+        cartesian_factor(P, phi, g, theta) is not None
+        for g in X.morphisms
+        if X.tgt[g] == X.src[f]
+        for theta in over.get((X.comp(g, f), b), ())
+    )
     cache[phi] = result
     return result
 
@@ -191,8 +176,9 @@ def fiber(P: FinFunctor, x: str) -> FinCat:
         return cache[x]
     A = P.source
     obs = fiber_objects(P, x)
+    obset = set(obs)
     idx = P.target.id_of(x)
-    mors = [m for m in A.morphisms if P.mor(m) == idx and A.src[m] in set(obs)]
+    mors = [m for m in A.morphisms if P.mor(m) == idx and A.src[m] in obset]
     fib = validate_category(
         obs,
         [(m, A.src[m], A.tgt[m]) for m in mors],
@@ -267,7 +253,8 @@ def choose_cleaving(P: FinFunctor) -> Cleaving:
 
 
 def cartesian_factor(P: FinFunctor, phi: str, g: str, theta: str):
-    """The unique psi over g with phi∘psi = theta; None when absent."""
+    """The unique psi over g with phi∘psi = theta; None when there is no
+    such psi or more than one."""
     A = P.source
     found = None
     for psi in A.hom(A.src[theta], A.src[phi]):
@@ -295,12 +282,6 @@ def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
             raise NotAFibration((f, b2))
         on_morphisms[psi] = w
     return validate_functor(fib_y, fib_x, on_objects, on_morphisms)
-
-
-def invert_total(gr: GrothResult, phi: str):
-    """Two-sided inverse of a total morphism, from the exhaustive iso scan."""
-    gr.total.require_morphism(phi)
-    return gr.total.inverses.get(phi)
 
 
 def canonical_lift(gr: GrothResult, f: str, b: str) -> str:

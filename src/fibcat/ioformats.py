@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 
 from .core import FinCat, CategoryError, validate_category
 from .functors import FinFunctor, validate_functor
@@ -23,14 +24,31 @@ class InputFormatError(CategoryError):
     pass
 
 
+@contextmanager
+def malformed(what: str):
+    """Report a JSON value of the wrong shape or type as ``InputFormatError``.
+
+    Parsers index into input values as if they had the expected shape; a
+    missing key, a list where an object belongs or a scalar where a table
+    belongs raises one of these built-in errors instead.
+    """
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise InputFormatError("malformed %s file: %r" % (what, exc)) from exc
+
+
 def read_json(path: str):
-    """Parse a JSON file; bytes that are not UTF-8 are an input error."""
+    """Parse a JSON file; bytes that are not UTF-8 JSON are an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputFormatError("%s is not UTF-8 text: %s" % (path, exc)) from exc
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError("%s is not JSON: %s" % (path, exc)) from exc
 
 
 def stable_dumps(payload) -> str:
@@ -62,18 +80,14 @@ def category_to_json(C: FinCat) -> dict:
     }
 
 
+@malformed("category")
 def category_from_json(data: dict) -> FinCat:
-    try:
-        morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
-        composition = {
-            (entry["first"], entry["then"]): entry["equals"]
-            for entry in data.get("composition", [])
-        }
-        return validate_category(
-            data["objects"], morphisms, data["identities"], composition
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError("malformed category file: %r" % (exc,)) from exc
+    morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
+    composition = {
+        (entry["first"], entry["then"]): entry["equals"]
+        for entry in data.get("composition", [])
+    }
+    return validate_category(data["objects"], morphisms, data["identities"], composition)
 
 
 def functor_to_json(F: FinFunctor, inline: bool = True) -> dict:
@@ -96,16 +110,14 @@ def group_to_json(G: GroupTable) -> dict:
     }
 
 
+@malformed("group")
 def group_from_json(data: dict) -> GroupTable:
-    try:
-        els = [str(e) for e in data["elements"]]
-        mult = {}
-        for i, a in enumerate(els):
-            for j, b in enumerate(els):
-                mult[(a, b)] = str(data["mult"][i][j])
-        return validate_group(els, mult, data.get("unit"))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputFormatError("malformed group file: %r" % (exc,)) from exc
+    els = [str(e) for e in data["elements"]]
+    mult = {}
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            mult[(a, b)] = str(data["mult"][i][j])
+    return validate_group(els, mult, data.get("unit"))
 
 
 def indexed_to_json(M: IndexedCat) -> dict:
@@ -118,13 +130,7 @@ def indexed_to_json(M: IndexedCat) -> dict:
     return {
         "base": category_to_json(M.base),
         "fibers": {x: category_to_json(M.fiber_at(x)) for x in M.base.objects},
-        "arrows": {
-            f: {
-                "on_objects": dict(sorted(M.arrow_at(f).on_objects.items())),
-                "on_morphisms": dict(sorted(M.arrow_at(f).on_morphisms.items())),
-            }
-            for f in M.base.morphisms
-        },
+        "arrows": {f: functor_to_json(M.arrow_at(f), inline=False) for f in M.base.morphisms},
         "compositors": {
             "%s|%s" % (f, g): dict(sorted(M.mu(f, g).components.items()))
             for (f, g) in sorted(M.compositors)
@@ -154,66 +160,54 @@ class Loader:
     def group(self, ref) -> GroupTable:
         return self._resolve(ref, group_from_json)
 
+    @malformed("functor")
     def functor(self, data: dict) -> FinFunctor:
-        try:
-            source = self.category(data["source"])
-            target = self.category(data["target"])
-            return validate_functor(
-                source, target, data["on_objects"], data["on_morphisms"]
-            )
-        except KeyError as exc:
-            raise InputFormatError("malformed functor file: %r" % (exc,)) from exc
+        source = self.category(data["source"])
+        target = self.category(data["target"])
+        return validate_functor(source, target, data["on_objects"], data["on_morphisms"])
 
+    @malformed("indexed")
     def indexed(self, data: dict) -> IndexedCat:
-        try:
-            base = self.category(data["base"])
-            fibers = {x: self.category(ref) for x, ref in data["fibers"].items()}
-            arrows = {}
-            for f, tab in data["arrows"].items():
-                if f not in base.src:
-                    raise InputFormatError("arrow for unknown morphism %r" % f)
-                src_fib = fibers[base.tgt[f]]
-                tgt_fib = fibers[base.src[f]]
-                arrows[f] = validate_functor(
-                    src_fib, tgt_fib, tab["on_objects"], tab["on_morphisms"]
-                )
-            compositors = None
-            if "compositors" in data:
-                compositors = {}
-                for key, comps in data["compositors"].items():
-                    if key.count("|") != 1:
-                        raise InputFormatError("bad compositor key %r" % key)
-                    f, g = key.split("|")
-                    compositors[(f, g)] = dict(comps)
-            unitors = data.get("unitors")
-            return validate_indexed(base, fibers, arrows, compositors, unitors)
-        except KeyError as exc:
-            raise InputFormatError("malformed indexed file: %r" % (exc,)) from exc
+        base = self.category(data["base"])
+        fibers = {x: self.category(ref) for x, ref in data["fibers"].items()}
+        arrows = {}
+        for f, tab in data["arrows"].items():
+            if f not in base.src:
+                raise InputFormatError("arrow for unknown morphism %r" % f)
+            src_fib = fibers[base.tgt[f]]
+            tgt_fib = fibers[base.src[f]]
+            arrows[f] = validate_functor(
+                src_fib, tgt_fib, tab["on_objects"], tab["on_morphisms"]
+            )
+        compositors = None
+        if "compositors" in data:
+            compositors = {}
+            for key, comps in data["compositors"].items():
+                if key.count("|") != 1:
+                    raise InputFormatError("bad compositor key %r" % key)
+                f, g = key.split("|")
+                compositors[(f, g)] = dict(comps)
+        unitors = data.get("unitors")
+        return validate_indexed(base, fibers, arrows, compositors, unitors)
 
+    @malformed("witness")
     def witness(self, M: IndexedCat, data: dict) -> WeakReversibilityWitness:
-        try:
-            pushforwards = {}
-            for f, tab in data["pushforwards"].items():
-                if f not in M.base.src:
-                    raise InputFormatError("pushforward for unknown morphism %r" % f)
-                x, y = M.base.src[f], M.base.tgt[f]
-                pushforwards[f] = validate_functor(
-                    M.fiber_at(x), M.fiber_at(y), tab["on_objects"], tab["on_morphisms"]
-                )
-            units = {f: dict(comps) for f, comps in data["units"].items()}
-            return WeakReversibilityWitness(pushforwards, units)
-        except KeyError as exc:
-            raise InputFormatError("malformed witness file: %r" % (exc,)) from exc
+        pushforwards = {}
+        for f, tab in data["pushforwards"].items():
+            if f not in M.base.src:
+                raise InputFormatError("pushforward for unknown morphism %r" % f)
+            x, y = M.base.src[f], M.base.tgt[f]
+            pushforwards[f] = validate_functor(
+                M.fiber_at(x), M.fiber_at(y), tab["on_objects"], tab["on_morphisms"]
+            )
+        units = {f: dict(comps) for f, comps in data["units"].items()}
+        return WeakReversibilityWitness(pushforwards, units)
 
 
 def witness_to_json(w: WeakReversibilityWitness) -> dict:
     return {
         "pushforwards": {
-            f: {
-                "on_objects": dict(sorted(F.on_objects.items())),
-                "on_morphisms": dict(sorted(F.on_morphisms.items())),
-            }
-            for f, F in sorted(w.pushforwards.items())
+            f: functor_to_json(F, inline=False) for f, F in sorted(w.pushforwards.items())
         },
         "units": {f: dict(sorted(c.items())) for f, c in sorted(w.units.items())},
     }

@@ -329,6 +329,17 @@ def all_cospans(C: FinCat):
                 yield Cospan(f1, f2)
 
 
+def has_pullbacks(C: FinCat) -> Check:
+    """Every cospan has a pullback; the counterexample is the first that has
+    none, and a passing check counts the cospans."""
+    n = 0
+    for cospan in all_cospans(C):
+        n += 1
+        if pullback(C, cospan) is None:
+            return Check(False, cospan)
+    return Check(True, info={"cospans": n})
+
+
 def all_spans(C: FinCat):
     for p in C.objects:
         outbound = [f for y in C.objects for f in C.hom(p, y)]

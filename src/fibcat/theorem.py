@@ -24,13 +24,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Check, CategoryError
-from .functors import FinFunctor, compose_functors, validate_functor, validate_nat_trans
+from .core import Check, CategoryError, first_failure
+from .functors import (
+    FinFunctor,
+    compose_functors,
+    identity_functor,
+    validate_functor,
+    validate_nat_trans,
+)
 from .fitype import FiTypeReport, check_fi_type, endomorphism_invertibility
 from .generators import parse_inj
-from .groth import GrothResult, fiber_inclusion, grothendieck
+from .groth import GrothResult, fiber, fiber_inclusion, grothendieck
 from .indexed import IndexedCat
-from .limits import Span, Square, is_weak_pushout_square, preserves_pullbacks, preserves_weak_pushouts, weak_pushout
+from .limits import (
+    Cospan,
+    Span,
+    Square,
+    has_pullbacks,
+    preserves_pullbacks,
+    preserves_weak_pushouts,
+    weak_pushout,
+)
 
 
 TERMINOLOGY_NOTE = (
@@ -125,16 +139,7 @@ def validate_witness(M: IndexedCat, witness: WeakReversibilityWitness) -> None:
         if comps is None:
             raise WitnessInvalid(("missing unit", f))
         try:
-            validate_nat_trans(
-                validate_functor(
-                    M.fiber_at(x),
-                    M.fiber_at(x),
-                    {a: a for a in M.fiber_at(x).objects},
-                    {m: m for m in M.fiber_at(x).morphisms},
-                ),
-                compose_functors(push, Mf),
-                comps,
-            )
+            validate_nat_trans(identity_functor(M.fiber_at(x)), compose_functors(push, Mf), comps)
         except CategoryError as exc:
             raise WitnessInvalid(("unit not natural", f, exc.args)) from exc
 
@@ -159,6 +164,7 @@ def _search_pushforward(M: IndexedCat, f: str, budget: list):
     x, y = base.src[f], base.tgt[f]
     fib_x, fib_y = M.fiber_at(x), M.fiber_at(y)
     Mf = M.arrow_at(f)
+    id_x = identity_functor(fib_x)
     forced = {}
     for b in fib_y.objects:
         a = Mf.ob(b)
@@ -189,16 +195,7 @@ def _search_pushforward(M: IndexedCat, f: str, budget: list):
             for unit in itertools.product(*unit_choices):
                 comps = dict(zip(fib_x.objects, unit))
                 try:
-                    validate_nat_trans(
-                        validate_functor(
-                            fib_x,
-                            fib_x,
-                            {a: a for a in fib_x.objects},
-                            {m: m for m in fib_x.morphisms},
-                        ),
-                        comp,
-                        comps,
-                    )
+                    validate_nat_trans(id_x, comp, comps)
                 except CategoryError:
                     continue
                 return push, comps
@@ -231,12 +228,9 @@ def check_hypotheses(
 
     h2 = endomorphism_invertibility(M)
 
-    h3 = Check(True)
-    for x in M.base.objects:
-        c = preserves_pullbacks(fiber_inclusion(gr.proj, x))
-        if not c:
-            h3 = Check(False, (x, c.counterexample))
-            break
+    h3 = first_failure(
+        M.base.objects, lambda x: preserves_pullbacks(fiber_inclusion(gr.proj, x))
+    )
 
     notes = (TERMINOLOGY_NOTE,)
     if witness is None and search:
@@ -381,28 +375,15 @@ def check_gray_pullbacks(P: FinFunctor) -> GrayReport:
     (fibers have pullbacks and the inclusions preserve them) must agree with
     (the total category has pullbacks and P preserves them).
     """
-    from .groth import fiber
-    from .limits import all_cospans, pullback
-
-    fibers_have = Check(True)
-    inclusions = Check(True)
-    for x in P.target.objects:
-        fib = fiber(P, x)
-        for cospan in all_cospans(fib):
-            if pullback(fib, cospan) is None:
-                fibers_have = Check(False, (x, cospan))
-                break
-        if not fibers_have.holds:
-            break
-        c = preserves_pullbacks(fiber_inclusion(P, x))
-        if not c:
-            inclusions = Check(False, (x, c.counterexample))
-            break
-
-    total_has = Check(True)
-    for cospan in all_cospans(P.source):
-        if pullback(P.source, cospan) is None:
-            total_has = Check(False, cospan)
-            break
-    proj_pb = preserves_pullbacks(P)
-    return GrayReport(fibers_have, inclusions, total_has, proj_pb)
+    # One scan that stops at the first fiber lacking a pullback or whose
+    # inclusion does not preserve them; a Cospan counterexample is the former.
+    first = first_failure(
+        P.target.objects,
+        lambda x: has_pullbacks(fiber(P, x)) and preserves_pullbacks(fiber_inclusion(P, x)),
+    )
+    lacks = not first and isinstance(first.counterexample[1], Cospan)
+    fibers_have = first if lacks else Check(True)
+    inclusions = Check(True) if lacks else first
+    total = has_pullbacks(P.source)
+    total_has = Check(total.holds, total.counterexample)  # without the count
+    return GrayReport(fibers_have, inclusions, total_has, preserves_pullbacks(P))

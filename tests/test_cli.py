@@ -4,12 +4,14 @@ import os
 import pytest
 
 from fibcat.cli import main
-from fibcat.generators import fi_truncated, indexed_gpow
+from fibcat.generators import delta_const, fi_truncated, indexed_gpow, terminal_category
+from fibcat.groups import cyclic_group
 from fibcat.ioformats import (
     Loader,
     category_from_json,
     category_to_json,
     group_to_json,
+    indexed_to_json,
     stable_dumps,
 )
 from fibcat.theorem import gpow_witness
@@ -215,3 +217,51 @@ def test_group_file_missing_key_is_input_error(workdir, capsys, z2, mode, key, o
     code, out, err = run(capsys, "group", mode, "g.json")
     assert code == 2 and out == ""
     assert err.startswith("input error:") and repr(key) in err
+
+
+def _tiny_indexed(**replace):
+    data = indexed_to_json(delta_const(terminal_category(), terminal_category()))
+    data.update(replace)
+    return data
+
+
+_TINY = _tiny_indexed()
+_Z2 = group_to_json(cyclic_group(2))
+_ID2 = {"0": "0", "1": "1"}
+_MALFORMED = {
+    **{
+        "%s-list" % cmd: ([cmd, "in.json"], {"in.json": []})
+        for cmd in ("validate", "functor", "fitype", "groth", "fibration", "cleaving", "theorem")
+    },
+    **{
+        "%s-%s" % (cmd, name): ([cmd, "in.json"], {"in.json": payload})
+        for cmd in ("groth", "theorem")
+        for name, payload in (
+            ("fibers-list", _tiny_indexed(fibers=list(_TINY["fibers"].values()))),
+            ("arrows-list", _tiny_indexed(arrows=list(_TINY["arrows"].values()))),
+            ("arrow-table-list", _tiny_indexed(arrows={"id": []})),
+        )
+    },
+    "theorem-witness-list": (
+        ["theorem", "in.json", "--witness", "w.json"],
+        {"in.json": _TINY, "w.json": []},
+    ),
+    "group-ext-phi-missing": (
+        ["group", "ext", "in.json"],
+        {"in.json": {"acting": _Z2, "acted": _Z2, "act": {"0": _ID2, "1": _ID2}, "phi": {}}},
+    ),
+    "group-twist-section-list": (
+        ["group", "twist", "in.json"],
+        {"in.json": {"total": _Z2, "target": _Z2, "proj": _ID2, "section": ["0", "1"]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_wrong_json_shape_is_input_error(workdir, capsys, case):
+    argv, files = _MALFORMED[case]
+    for name, payload in files.items():
+        open(name, "w").write(stable_dumps(payload))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1

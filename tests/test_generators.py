@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from fibcat.generators import (
     codomain_check,
     colored_strings,
     delta_const,
+    fi_colored,
     fi_g_comparison,
     fi_g_direct,
     fi_gh_comparison,
@@ -26,6 +28,7 @@ from fibcat.generators import (
     injections,
     parse_inj,
     product_check,
+    slice_category,
     slice_indexed,
     span_poset,
     square_poset,
@@ -218,6 +221,33 @@ def test_generators_deterministic(z2):
     c = stable_dumps(indexed_to_json(indexed_gpow(z2, 2)))
     d = stable_dumps(indexed_to_json(indexed_gpow(z2, 2)))
     assert c == d
+
+
+# sha256 of the stable JSON of small generated categories, recorded before the
+# generators shared one composition-table assembler; ids, composites and
+# their order must not move.
+GENERATOR_BYTES = {
+    "fi_truncated(3)": "fad775647a6301bd02efde71770fca9163932d3b56bff03f187eb8be1dfbc52b",
+    "fi_g_direct(Z2, 2)": "6405dded84a4715677df72c95a47ee6a05264993c5d140d58553a19e6af6e683",
+    "fi_colored({a: Z2, b: Z2}, 1)": "b46b1b3f9d4fed910ea577e7f276d235e7ac40ccd6ac0d3410357836501a4aae",
+    "slice_category(FI_2, '2')": "fa794ddf718bd2d343ad96b4a0585cf7fe1aeed66aa75c02f68177fd1cf18fd3",
+    "arrow_category(FI_2)": "261dfe44e9a14d8256bc0c0cf7d827e6f5fba40e794398f67e406715198e60ca",
+}
+
+
+def test_generator_bytes_are_pinned(z2, fi2):
+    built = {
+        "fi_truncated(3)": fi_truncated(3),
+        "fi_g_direct(Z2, 2)": fi_g_direct(z2, 2),
+        "fi_colored({a: Z2, b: Z2}, 1)": fi_colored({"a": z2, "b": z2}, 1),
+        "slice_category(FI_2, '2')": slice_category(fi2, "2"),
+        "arrow_category(FI_2)": arrow_category(fi2),
+    }
+    digests = {
+        name: hashlib.sha256(stable_dumps(category_to_json(C)).encode("utf-8")).hexdigest()
+        for name, C in built.items()
+    }
+    assert digests == GENERATOR_BYTES
 
 
 def test_parse_roundtrip():

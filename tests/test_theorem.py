@@ -3,7 +3,10 @@ import pytest
 from fibcat import (
     HypothesesNotVerified,
     SearchBudgetExceeded,
+    Check,
+    Cospan,
     Span,
+    Square,
     WeakReversibilityWitness,
     WitnessInvalid,
     check_gray_pullbacks,
@@ -13,6 +16,7 @@ from fibcat import (
     identity_functor,
     is_weak_pushout_square,
     search_witness,
+    validate_functor,
     validate_indexed,
     validate_witness,
     verify_main_theorem,
@@ -20,11 +24,13 @@ from fibcat import (
 )
 from fibcat.generators import (
     chain_poset,
+    codiscrete_category,
     cospan_poset,
     delta_const,
     inj_id,
     square_poset,
     terminal_category,
+    thin_category,
 )
 from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
@@ -182,3 +188,30 @@ def test_gray_mutation_flips_both_sides():
     rep = check_gray_pullbacks(gr.proj)
     assert not rep.left_side and not rep.right_side
     assert rep.biconditional_holds
+
+
+@pytest.mark.parametrize("inclusion_first", [True, False])
+def test_gray_scan_stops_at_the_first_failing_fiber(inclusion_first):
+    # In the fiber {a, b, c, d} the meet of b, c is a, but in the total
+    # category it is e, so that inclusion does not preserve pullbacks; the
+    # fiber {p, q, r} has no pullback of p -> r <- q.  The fiber scan stops
+    # at whichever of the two comes first.
+    order = {"a": "abcde", "b": "bd", "c": "cd", "d": "d", "e": "ebcd", "p": "pr", "q": "qr", "r": "r"}
+    A = thin_category(order, lambda x, y: y in order[x])
+    Y = codiscrete_category("abc")
+    incl, lack = ("a", "b") if inclusion_first else ("b", "a")
+    ob = {x: incl for x in "abcd"} | {"e": "c"} | {x: lack for x in "pqr"}
+    P = validate_functor(
+        A, Y, ob, {f: Y.hom(ob[A.src[f]], ob[A.tgt[f]])[0] for f in A.morphisms}
+    )
+    rep = check_gray_pullbacks(P)
+    square = Square("a_to_b", "a_to_c", "b_to_d", "c_to_d")
+    cospan = Cospan("p_to_r", "q_to_r")
+    if inclusion_first:
+        assert rep.fibers_have_pullbacks == Check(True)
+        assert rep.inclusions_preserve == Check(False, (incl, square))
+    else:
+        assert rep.fibers_have_pullbacks == Check(False, (lack, cospan))
+        assert rep.inclusions_preserve == Check(True)
+    assert rep.total_has_pullbacks == Check(False, cospan)
+    assert not rep.left_side and not rep.right_side
