@@ -2,7 +2,9 @@
 
 Objects and morphisms are plain string identifiers.  A category carries its
 identity table and its full composition table; ``validate_category`` checks
-the axioms exhaustively, so everything downstream can rely on them.  All
+the axioms exhaustively, so everything downstream can rely on them.  Every
+category the library builds enters through ``assemble``, which lays out the
+tables from hom-set blocks before validating them.  All
 values are immutable after validation and every predicate is a deterministic
 exhaustive search over sorted identifiers.
 """
@@ -217,6 +219,49 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
         homs=homs,
         inverses=inverses,
         identity_morphisms=id_mors,
+    )
+
+
+def assemble(identities: dict, blocks: dict, compose) -> FinCat:
+    """Validate the category whose hom-sets are ``blocks``.
+
+    ``blocks`` maps (x, y) to ``{payload: morphism id}`` for the morphisms
+    x→y, ``identities`` maps each object to the payload of its identity and
+    ``compose(x, p, q)`` is the payload of p: x→y followed by q: y→z.  Each
+    composite is looked up in the block (x, z), so every table entry is the
+    id string of the morphism list; a payload missing there raises
+    ``MissingComposite``.  Morphisms and composites are listed in block
+    order, so the table's insertion order is fixed by it.
+    """
+    out = {}
+    for (y, z), qs in blocks.items():
+        out.setdefault(y, []).append((z, qs))
+    mors, comp = [], {}
+    for (x, y), ps in blocks.items():
+        mors.extend((pid, x, y) for pid in ps.values())
+        for z, qs in out.get(y, ()):
+            block = blocks.get((x, z), {})
+            for p, pid in ps.items():
+                for q, qid in qs.items():
+                    r = compose(x, p, q)
+                    h = block.get(r)
+                    if h is None:
+                        raise MissingComposite((pid, qid, r))
+                    comp[(pid, qid)] = h
+    identity = {
+        x: blocks[(x, x)][e] for x, e in identities.items() if e in blocks.get((x, x), ())
+    }
+    return validate_category(identities, mors, identity, comp)
+
+
+def subcategory(C: FinCat, objects, morphisms) -> FinCat:
+    """The subcategory of ``C`` on ``objects`` and ``morphisms``, which must
+    hold the identities of ``objects`` and be closed under composition."""
+    blocks = {}
+    for m in morphisms:
+        blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m
+    return assemble(
+        {x: C.id_of(x) for x in objects}, blocks, lambda x, f, g: C.table[(f, g)]
     )
 
 

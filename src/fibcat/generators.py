@@ -10,8 +10,9 @@ are deterministic bit for bit:
   product pairs         "(left@right)"
   slice morphisms       "obj~underlying~obj"
 
-Every builder routes its output through the validators; generation never
-bypasses validation.
+Every category here is laid out as hom-set blocks ``{(x, y): {payload:
+id}}`` with a composition of payloads and built by ``core.assemble``, which
+validates it; generation never bypasses validation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError, validate_category
+from .core import FinCat, CategoryError, assemble
 from .functors import (
     FinFunctor,
     FunctorProperties,
@@ -28,7 +29,7 @@ from .functors import (
     identity_functor,
     validate_functor,
 )
-from .groth import GrothResult, grothendieck
+from .groth import GrothResult, grothendieck, pair_id
 from .groups import GroupTable
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, Square, pullback, is_pullback_square
@@ -38,72 +39,40 @@ class MissingPullback(CategoryError):
     pass
 
 
-def _assemble(identities: dict, blocks: dict, mid, compose) -> FinCat:
-    """Validate the category whose hom-sets are ``blocks`` of payloads.
-
-    ``identities`` maps each object to the payload of its identity,
-    ``blocks`` maps (x, y) to the payloads of the morphisms x→y,
-    ``mid(x, y, p)`` formats a morphism id and ``compose(x, p, q)`` is the
-    payload of p: x→y followed by q: y→z.  Morphisms and composites are
-    listed in block order, so the table's insertion order is fixed by it.
-    """
-    ids = {(x, y): [mid(x, y, p) for p in ps] for (x, y), ps in blocks.items()}
-    out = {}
-    for (y, z), qs in blocks.items():
-        out.setdefault(y, []).append((z, list(zip(qs, ids[(y, z)]))))
-    mors, comp = [], {}
-    for (x, y), ps in blocks.items():
-        pids = ids[(x, y)]
-        mors.extend((pid, x, y) for pid in pids)
-        for z, qs in out.get(y, ()):
-            for p, pid in zip(ps, pids):
-                for q, qid in qs:
-                    comp[(pid, qid)] = mid(x, z, compose(x, p, q))
-    identity = {x: mid(x, x, e) for x, e in identities.items()}
-    return validate_category(identities, mors, identity, comp)
-
-
 # ---------------------------------------------------------------------------
 # Small generic categories
 # ---------------------------------------------------------------------------
 
 
+def _relation_category(names, related, mid) -> FinCat:
+    """One morphism ``mid(x, y)`` from x to y for each related pair; ``related``
+    must be reflexive and transitive."""
+    names = sorted(str(n) for n in names)
+    if len(set(names)) != len(names):
+        raise CategoryError("duplicate object identifiers")
+    return assemble(
+        {x: () for x in names},
+        {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)},
+        lambda x, p, q: (),
+    )
+
+
 def terminal_category() -> FinCat:
-    return validate_category(["*"], [("id", "*", "*")], {"*": "id"}, {})
+    return _relation_category(["*"], lambda x, y: True, lambda x, y: "id")
 
 
 def discrete_category(names) -> FinCat:
-    names = sorted(str(n) for n in names)
-    return validate_category(
-        names, [("id_%s" % n, n, n) for n in names], {n: "id_%s" % n for n in names}, {}
-    )
+    return _relation_category(names, lambda x, y: x == y, lambda x, y: "id_%s" % x)
 
 
 def codiscrete_category(names) -> FinCat:
     """Exactly one morphism between every ordered pair of objects."""
-    names = sorted(str(n) for n in names)
-    mid = lambda x, y: "%s_%s" % (x, y)
-    mors = [(mid(x, y), x, y) for x in names for y in names]
-    comp = {
-        (mid(x, y), mid(y, z)): mid(x, z) for x in names for y in names for z in names
-    }
-    return validate_category(names, mors, {x: mid(x, x) for x in names}, comp)
+    return _relation_category(names, lambda x, y: True, lambda x, y: "%s_%s" % (x, y))
 
 
 def thin_category(names, leq) -> FinCat:
     """Poset as a category; ``leq(x, y)`` decides x ≤ y (must be a partial order)."""
-    names = sorted(str(n) for n in names)
-    mid = lambda x, y: "%s_to_%s" % (x, y)
-    mors = [(mid(x, y), x, y) for x in names for y in names if leq(x, y)]
-    comp = {}
-    for x in names:
-        for y in names:
-            if not leq(x, y):
-                continue
-            for z in names:
-                if leq(y, z):
-                    comp[(mid(x, y), mid(y, z))] = mid(x, z)
-    return validate_category(names, mors, {x: mid(x, x) for x in names}, comp)
+    return _relation_category(names, leq, lambda x, y: "%s_to_%s" % (x, y))
 
 
 def chain_poset(n: int) -> FinCat:
@@ -152,14 +121,13 @@ def parse_inj(mid: str):
 
 def fi_truncated(N: int) -> FinCat:
     """Finite sets 0..N and injections, composition by function composition."""
-    return _assemble(
+    return assemble(
         {str(n): tuple(range(n)) for n in range(N + 1)},
         {
-            (str(m), str(n)): injections(m, n)
+            (str(m), str(n)): {imgs: inj_id(m, n, imgs) for imgs in injections(m, n)}
             for m in range(N + 1)
             for n in range(m, N + 1)
         },
-        inj_id,
         lambda x, f, g: tuple(g[i] for i in f),
     )
 
@@ -192,18 +160,17 @@ def decorated_composite(G: GroupTable, f_imgs, f_decs, g_imgs, g_decs):
 def fi_g_direct(G: GroupTable, N: int) -> FinCat:
     """Injections decorated with one group element per source point."""
     _check_element_ids(G)
-    return _assemble(
+    return assemble(
         {str(n): (tuple(range(n)), (G.unit,) * n) for n in range(N + 1)},
         {
-            (str(m), str(n)): [
-                (imgs, decs)
+            (str(m), str(n)): {
+                (imgs, decs): dec_id(m, n, imgs, decs)
                 for imgs in injections(m, n)
                 for decs in itertools.product(G.elements, repeat=m)
-            ]
+            }
             for m in range(N + 1)
             for n in range(m, N + 1)
         },
-        lambda x, y, p: dec_id(x, y, *p),
         lambda x, f, g: decorated_composite(G, *f, *g),
     )
 
@@ -214,10 +181,9 @@ def _tuple_id(parts) -> str:
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     """The one-object groupoid G^n; morphisms are n-tuples of elements."""
-    return _assemble(
+    return assemble(
         {"*": (G.unit,) * n},
-        {("*", "*"): list(itertools.product(G.elements, repeat=n))},
-        lambda x, y, t: _tuple_id(t),
+        {("*", "*"): {t: _tuple_id(t) for t in itertools.product(G.elements, repeat=n)}},
         lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v)),
     )
 
@@ -267,27 +233,29 @@ def delta_const(X: FinCat, Y: FinCat) -> IndexedCat:
     return validate_indexed(X, {x: Y for x in X.objects}, {f: idf for f in X.morphisms})
 
 
-def _pair_id(a: str, b: str) -> str:
-    return "(%s@%s)" % (a, b)
+def _product(factors, ob_id, mor_id) -> FinCat:
+    """Product of the categories ``factors``; ``ob_id`` and ``mor_id`` name
+    tuples of objects and of morphisms, one entry per factor."""
+    tuples = list(itertools.product(*(C.objects for C in factors)))
+    obs = {ob_id(t): t for t in tuples}
+    if len(obs) != len(tuples):
+        raise CategoryError("product object id collision")
+    blocks = {}
+    for s, ss in obs.items():
+        for t, ts in obs.items():
+            homs = (C.hom(a, b) for C, a, b in zip(factors, ss, ts))
+            block = {m: mor_id(m) for m in itertools.product(*homs)}
+            if block:
+                blocks[(s, t)] = block
+    return assemble(
+        {o: tuple(C.id_of(x) for C, x in zip(factors, t)) for o, t in obs.items()},
+        blocks,
+        lambda x, p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q)),
+    )
 
 
 def product_category(X: FinCat, Y: FinCat) -> FinCat:
-    objects = {_pair_id(x, y): (x, y) for x in X.objects for y in Y.objects}
-    mors = [
-        (_pair_id(f, g), _pair_id(X.src[f], Y.src[g]), _pair_id(X.tgt[f], Y.tgt[g]))
-        for f in X.morphisms
-        for g in Y.morphisms
-    ]
-    comp = {}
-    for (f1, g1), h1 in X.table.items():
-        for (f2, g2), h2 in Y.table.items():
-            comp[(_pair_id(f1, f2), _pair_id(g1, g2))] = _pair_id(h1, h2)
-    identity = {
-        _pair_id(x, y): _pair_id(X.id_of(x), Y.id_of(y))
-        for x in X.objects
-        for y in Y.objects
-    }
-    return validate_category(objects, mors, identity, comp)
+    return _product((X, Y), lambda t: pair_id(*t), lambda t: pair_id(*t))
 
 
 @dataclass(frozen=True)
@@ -304,15 +272,15 @@ def product_check(X: FinCat, Y: FinCat, gr: GrothResult = None) -> ProductCheck:
     iso = validate_functor(
         gr.total,
         P,
-        {t: _pair_id(*xa) for t, xa in gr.obj_of.items()},
-        {t: _pair_id(tm.base_part, tm.fiber_part) for t, tm in gr.mor_of.items()},
+        {t: pair_id(*xa) for t, xa in gr.obj_of.items()},
+        {t: pair_id(tm.base_part, tm.fiber_part) for t, tm in gr.mor_of.items()},
     )
     props = functor_properties(iso)
     first = validate_functor(
         P,
         X,
-        {_pair_id(x, y): x for x in X.objects for y in Y.objects},
-        {_pair_id(f, g): f for f in X.morphisms for g in Y.morphisms},
+        {pair_id(x, y): x for x in X.objects for y in Y.objects},
+        {pair_id(f, g): f for f in X.morphisms for g in Y.morphisms},
     )
     from .functors import compose_functors
 
@@ -327,29 +295,11 @@ def product_check(X: FinCat, Y: FinCat, gr: GrothResult = None) -> ProductCheck:
 
 def _power_fiber(inner: FinCat, n: int) -> FinCat:
     """n-fold product of a category with itself; tuples joined with ';'."""
-    obs = {
-        "(%s)" % ",".join(t): t for t in itertools.product(inner.objects, repeat=n)
-    }
-    mid = lambda t: "(%s)" % ";".join(t)
-    mors = [
-        (
-            mid(t),
-            "(%s)" % ",".join(inner.src[m] for m in t),
-            "(%s)" % ",".join(inner.tgt[m] for m in t),
-        )
-        for t in itertools.product(inner.morphisms, repeat=n)
-    ]
-    comp = {}
-    for t1 in itertools.product(inner.morphisms, repeat=n):
-        for t2 in itertools.product(inner.morphisms, repeat=n):
-            if all(inner.tgt[a] == inner.src[b] for a, b in zip(t1, t2)):
-                comp[(mid(t1), mid(t2))] = mid(
-                    tuple(inner.comp(a, b) for a, b in zip(t1, t2))
-                )
-    identity = {
-        o: mid(tuple(inner.id_of(x) for x in t)) for o, t in obs.items()
-    }
-    return validate_category(obs, mors, identity, comp)
+    return _product(
+        (inner,) * n,
+        lambda t: "(%s)" % ",".join(t),
+        lambda t: "(%s)" % ";".join(t),
+    )
 
 
 def block_perm_indexed(N: int, Q: int) -> IndexedCat:
@@ -416,10 +366,9 @@ def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
 
 def disjoint_union_groupoid(G: GroupTable, H: GroupTable) -> FinCat:
     groups = {"A": G, "B": H}
-    return _assemble(
+    return assemble(
         {x: K.unit for x, K in groups.items()},
-        {(x, x): K.elements for x, K in groups.items()},
-        lambda x, y, g: "%s:%s" % (x, g),
+        {(x, x): {g: "%s:%s" % (x, g) for g in K.elements} for x, K in groups.items()},
         lambda x, a, b: groups[x].mul(b, a),
     )
 
@@ -473,11 +422,10 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
         for t in objects:
             arr = arrows_between(s, t)
             if arr:
-                blocks[(s, t)] = arr
-    return _assemble(
+                blocks[(s, t)] = {p: dec_id(s, t, *p) for p in arr}
+    return assemble(
         {s: (tuple(range(len(s))), tuple(color_groups[ch].unit for ch in s)) for s in objects},
         blocks,
-        lambda s, t, p: dec_id(s, t, *p),
         compose,
     )
 
@@ -533,11 +481,10 @@ def slice_category(C: FinCat, x: str) -> FinCat:
         for g in objs:
             for h in C.hom(C.src[f], C.src[g]):
                 if C.comp(h, g) == f:
-                    tris.setdefault((f, g), []).append(h)
-    return _assemble(
+                    tris.setdefault((f, g), {})[h] = _slice_mid(f, h, g)
+    return assemble(
         {f: C.id_of(C.src[f]) for f in objs},
         tris,
-        lambda f, g, h: _slice_mid(f, h, g),
         lambda f, h, h2: C.comp(h, h2),
     )
 
@@ -619,11 +566,10 @@ def arrow_category(C: FinCat) -> FinCat:
             for u in C.hom(C.src[f], C.src[g]):
                 for v in C.hom(C.tgt[f], C.tgt[g]):
                     if C.comp(u, g) == C.comp(f, v):
-                        sqs.setdefault((f, g), []).append((u, v))
-    return _assemble(
+                        sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, u, v, g)
+    return assemble(
         {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in objs},
         sqs,
-        lambda f, g, sq: _arrow_mid(f, *sq, g),
         lambda f, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1])),
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Check, FinCat, CategoryError, UnknownMorphism, validate_category
+from .core import Check, FinCat, CategoryError, UnknownMorphism, assemble, subcategory
 from .functors import FinFunctor, NatTrans, compose_functors, validate_functor, validate_nat_trans
 from .indexed import IndexedCat
 
@@ -48,10 +48,14 @@ class GrothResult:
     obj_of: dict  # total object id -> (x, a)
     mor_of: dict  # total morphism id -> TotalMor
     obj_id: dict  # (x, a) -> total object id
-    mor_id: dict  # (f, k) -> total morphism id
+    mor_id: dict  # (f, k, b) -> total morphism id
 
 
-def _enc(a: str, b: str) -> str:
+def pair_id(a: str, b: str) -> str:
+    """Id of the pair (a, b): a total-category object, and an object or a
+    morphism of ``generators.product_category``, which shares the format so
+    that the total category of a constant indexed category is the product
+    on the nose."""
     return "(%s@%s)" % (a, b)
 
 
@@ -63,57 +67,49 @@ def _enc_mor(f: str, k: str, b: str) -> str:
 
 def grothendieck(M: IndexedCat) -> GrothResult:
     """Build and fully validate the total category and its projection."""
-    base = M.base
+    base, fibers, arrows, mus = M.base, M.fibers, M.arrows, M.compositors
     obj_id, obj_of = {}, {}
     for x in base.objects:
-        for a in M.fiber_at(x).objects:
-            t = _enc(x, a)
+        for a in fibers[x].objects:
+            t = pair_id(x, a)
             obj_id[(x, a)] = t
             obj_of[t] = (x, a)
     if len(obj_of) != len(obj_id):
         raise CategoryError("total object id collision")
 
-    mor_id, mor_of, mor_rec = {}, {}, []
+    # A morphism (f, k): (x, a) → (y, b) has payload (f, k, b).
+    mor_id, blocks = {}, {}
     for f in base.morphisms:
         x, y = base.src[f], base.tgt[f]
-        fib_x, Mf = M.fiber_at(x), M.arrow_at(f)
-        for b in M.fiber_at(y).objects:
+        fib_x, Mf = fibers[x], arrows[f]
+        for b in fibers[y].objects:
             mfb = Mf.ob(b)
             for a in fib_x.objects:
-                for k in fib_x.hom(a, mfb):
-                    t = _enc_mor(f, k, b)
-                    mor_id[(f, k, b)] = t
-                    mor_of[t] = TotalMor(f, k)
-                    mor_rec.append((t, obj_id[(x, a)], obj_id[(y, b)]))
+                ks = fib_x.hom(a, mfb)
+                if ks:
+                    block = blocks.setdefault((obj_id[(x, a)], obj_id[(y, b)]), {})
+                    for k in ks:
+                        block[(f, k, b)] = mor_id[(f, k, b)] = _enc_mor(f, k, b)
+    mor_of = {t: TotalMor(f, k) for (f, k, _), t in mor_id.items()}
     if len(mor_of) != len(mor_id):
         raise CategoryError("total morphism id collision")
 
-    by_src = {}
-    tgt_obj = {}
-    for t, s, o in mor_rec:
-        by_src.setdefault(s, []).append(t)
-        tgt_obj[t] = o
+    def compose(s, p, q):
+        # second projection of g applied to l, then the compositor at c
+        (f, k, _), (g, l, c) = p, q
+        fib = fibers[base.src[f]].table
+        return (
+            base.table[(f, g)],
+            fib[(fib[(k, arrows[f].on_morphisms[l])], mus[(f, g)].components[c])],
+            c,
+        )
 
-    identity = {}
-    for x in base.objects:
-        eta = M.eta(x)
-        for a in M.fiber_at(x).objects:
-            identity[obj_id[(x, a)]] = mor_id[(base.id_of(x), eta.at(a), a)]
-
-    table = {}
-    for t1, _, mid in mor_rec:
-        f, k = mor_of[t1].base_part, mor_of[t1].fiber_part
-        x = base.src[f]
-        fib_x, Mf = M.fiber_at(x), M.arrow_at(f)
-        for t2 in by_src.get(mid, ()):
-            g, l = mor_of[t2].base_part, mor_of[t2].fiber_part
-            gf = base.comp(f, g)
-            c = obj_of[tgt_obj[t2]][1]
-            # second projection of g applied to l, then the compositor at c
-            fib = fib_x.comp(fib_x.comp(k, Mf.mor(l)), M.mu(f, g).at(c))
-            table[(t1, t2)] = mor_id[(gf, fib, c)]
-
-    total = validate_category(obj_of, mor_rec, identity, table)
+    identities = {
+        obj_id[(x, a)]: (base.id_of(x), M.eta(x).at(a), a)
+        for x in base.objects
+        for a in fibers[x].objects
+    }
+    total = assemble(identities, blocks, compose)
     proj = validate_functor(
         total,
         base,
@@ -175,21 +171,8 @@ def fiber(P: FinFunctor, x: str) -> FinCat:
     if x in cache:
         return cache[x]
     A = P.source
-    obs = fiber_objects(P, x)
-    obset = set(obs)
     idx = P.target.id_of(x)
-    mors = [m for m in A.morphisms if P.mor(m) == idx and A.src[m] in obset]
-    fib = validate_category(
-        obs,
-        [(m, A.src[m], A.tgt[m]) for m in mors],
-        {o: A.id_of(o) for o in obs},
-        {
-            (m1, m2): A.comp(m1, m2)
-            for m1 in mors
-            for m2 in mors
-            if A.tgt[m1] == A.src[m2]
-        },
-    )
+    fib = subcategory(A, fiber_objects(P, x), [m for m in A.morphisms if P.mor(m) == idx])
     cache[x] = fib
     return fib
 

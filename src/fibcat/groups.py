@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError, automorphisms, validate_category
+from .core import FinCat, CategoryError, assemble, automorphisms
 
 
 class GroupError(CategoryError):
@@ -145,9 +145,8 @@ def symmetric_group(n: int) -> GroupTable:
 
 def group_as_category(G: GroupTable, obj: str = "*") -> FinCat:
     """The one-object groupoid whose morphisms are the group elements."""
-    comp = {(b, a): G.mul(a, b) for a in G.elements for b in G.elements}
-    return validate_category(
-        [obj], [(e, obj, obj) for e in G.elements], {obj: G.unit}, comp
+    return assemble(
+        {obj: G.unit}, {(obj, obj): {e: e for e in G.elements}}, lambda x, a, b: G.mul(b, a)
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError
+from .core import FinCat, CategoryError, automorphisms, subcategory
 from .functors import (
     FinFunctor,
     NatTrans,
@@ -206,17 +206,8 @@ def strict_functoriality_check(M: IndexedCat):
 
 def restrict_to_aut(M: IndexedCat, x: str) -> IndexedCat:
     """Restrict to the one-object subcategory of automorphisms of ``x``."""
-    from .core import automorphisms, validate_category
-
-    M.base.require_object(x)
     auts = automorphisms(M.base, x)
-    aset = set(auts)
-    base_r = validate_category(
-        [x],
-        [(f, x, x) for f in auts],
-        {x: M.base.id_of(x)},
-        {(f, g): M.base.comp(f, g) for f in auts for g in auts},
-    )
+    base_r = subcategory(M.base, [x], auts)
     return validate_indexed(
         base_r,
         {x: M.fiber_at(x)},

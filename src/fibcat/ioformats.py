@@ -38,6 +38,14 @@ def malformed(what: str):
         raise InputFormatError("malformed %s file: %r" % (what, exc)) from exc
 
 
+def _json_list(value, what: str) -> list:
+    """``value``, which must be a JSON list: iterating a string or an object
+    where a list belongs would silently read its characters or keys."""
+    if not isinstance(value, list):
+        raise TypeError("%s is not a list" % what)
+    return value
+
+
 def read_json(path: str):
     """Parse a JSON file; bytes that are not UTF-8 JSON are an input error."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -82,12 +90,15 @@ def category_to_json(C: FinCat) -> dict:
 
 @malformed("category")
 def category_from_json(data: dict) -> FinCat:
-    morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
+    morphisms = [
+        (m["id"], m["src"], m["tgt"]) for m in _json_list(data["morphisms"], "morphisms")
+    ]
     composition = {
         (entry["first"], entry["then"]): entry["equals"]
-        for entry in data.get("composition", [])
+        for entry in _json_list(data.get("composition", []), "composition")
     }
-    return validate_category(data["objects"], morphisms, data["identities"], composition)
+    objects = _json_list(data["objects"], "objects")
+    return validate_category(objects, morphisms, data["identities"], composition)
 
 
 def functor_to_json(F: FinFunctor, inline: bool = True) -> dict:
@@ -112,11 +123,13 @@ def group_to_json(G: GroupTable) -> dict:
 
 @malformed("group")
 def group_from_json(data: dict) -> GroupTable:
-    els = [str(e) for e in data["elements"]]
+    els = [str(e) for e in _json_list(data["elements"], "elements")]
+    rows = _json_list(data["mult"], "mult")
     mult = {}
     for i, a in enumerate(els):
+        row = _json_list(rows[i], "mult row %d" % i)
         for j, b in enumerate(els):
-            mult[(a, b)] = str(data["mult"][i][j])
+            mult[(a, b)] = str(row[j])
     return validate_group(els, mult, data.get("unit"))
 
 

@@ -4,7 +4,13 @@ import os
 import pytest
 
 from fibcat.cli import main
-from fibcat.generators import delta_const, fi_truncated, indexed_gpow, terminal_category
+from fibcat.generators import (
+    delta_const,
+    discrete_category,
+    fi_truncated,
+    indexed_gpow,
+    terminal_category,
+)
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import (
     Loader,
@@ -228,6 +234,7 @@ def _tiny_indexed(**replace):
 _TINY = _tiny_indexed()
 _Z2 = group_to_json(cyclic_group(2))
 _ID2 = {"0": "0", "1": "1"}
+_AB = category_to_json(discrete_category("ab"))
 _MALFORMED = {
     **{
         "%s-list" % cmd: ([cmd, "in.json"], {"in.json": []})
@@ -240,6 +247,27 @@ _MALFORMED = {
             ("fibers-list", _tiny_indexed(fibers=list(_TINY["fibers"].values()))),
             ("arrows-list", _tiny_indexed(arrows=list(_TINY["arrows"].values()))),
             ("arrow-table-list", _tiny_indexed(arrows={"id": []})),
+        )
+    },
+    # a string or an object where a list belongs must not be iterated
+    **{
+        "validate-%s" % name: (["validate", "in.json"], {"in.json": {**_AB, key: value}})
+        for name, key, value in (
+            ("objects-string", "objects", "ab"),
+            ("objects-object", "objects", {"a": 0, "b": 0}),
+            ("morphisms-string", "morphisms", ""),
+            ("composition-string", "composition", ""),
+            ("composition-object", "composition", {}),
+        )
+    },
+    **{
+        "group-split-%s" % name: (
+            ["group", "split", "in.json"],
+            {"in.json": {"total": {**_Z2, key: value}, "target": _Z2, "proj": _ID2}},
+        )
+        for name, key, value in (
+            ("elements-string", "elements", "01"),
+            ("mult-rows-string", "mult", ["01", "10"]),
         )
     },
     "theorem-witness-list": (

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from fibcat import (
+    CategoryError,
     check_fi_type,
     functor_properties,
     grothendieck,
@@ -15,9 +16,12 @@ from fibcat.generators import (
     arrow_category,
     block_counting_functor,
     block_perm_indexed,
+    chain_poset,
+    codiscrete_category,
     codomain_check,
     colored_strings,
     delta_const,
+    discrete_category,
     fi_colored,
     fi_g_comparison,
     fi_g_direct,
@@ -27,14 +31,18 @@ from fibcat.generators import (
     inj_id,
     injections,
     parse_inj,
+    product_category,
     product_check,
     slice_category,
     slice_indexed,
     span_poset,
     square_poset,
     terminal_category,
+    thin_category,
 )
-from fibcat.groups import cyclic_group, symmetric_group, trivial_group
+from fibcat.groth import fiber
+from fibcat.groups import cyclic_group, group_as_category, symmetric_group, trivial_group
+from fibcat.indexed import restrict_to_aut
 from fibcat.ioformats import category_to_json, indexed_to_json, stable_dumps
 from fibcat.limits import Cospan, as_pullback
 
@@ -223,31 +231,75 @@ def test_generators_deterministic(z2):
     assert c == d
 
 
-# sha256 of the stable JSON of small generated categories, recorded before the
-# generators shared one composition-table assembler; ids, composites and
-# their order must not move.
+# sha256 of the stable JSON of small library-built categories, recorded
+# while each constructor still wrote its own composition table; ids, composites
+# and their order must not move.
 GENERATOR_BYTES = {
     "fi_truncated(3)": "fad775647a6301bd02efde71770fca9163932d3b56bff03f187eb8be1dfbc52b",
     "fi_g_direct(Z2, 2)": "6405dded84a4715677df72c95a47ee6a05264993c5d140d58553a19e6af6e683",
     "fi_colored({a: Z2, b: Z2}, 1)": "b46b1b3f9d4fed910ea577e7f276d235e7ac40ccd6ac0d3410357836501a4aae",
     "slice_category(FI_2, '2')": "fa794ddf718bd2d343ad96b4a0585cf7fe1aeed66aa75c02f68177fd1cf18fd3",
     "arrow_category(FI_2)": "261dfe44e9a14d8256bc0c0cf7d827e6f5fba40e794398f67e406715198e60ca",
+    "product_category(chain3, chain3)": "6f6fee4bc28e1a71f27e720695d4ad6df98afeb7a09124e5df3ca5a560955568",
+    "square_poset()": "83080d2bc2c0e5a4bf9388b54a5e2da7157e1054ebcf5c140e7ab8a5d0f00f2a",
+    "codiscrete_category('abc')": "54c2c79cc2cb3239713bbecfc4302e49c35007251e7f44e5f6cdf48365aeae47",
+    "discrete_category('xyz')": "31483ed0aa64524699057ee1893e3aaf85bf9a0d623aa9c08132cd5885586af2",
+    "terminal_category()": "370e017c5f7f05031936ede2d267c933f380b55f78035ad14fcb1ecfda0a893a",
+    "group_as_category(S3)": "a0fe7f0fa1cdc5f44c9e6610c111b34a607527ffc040013e161023d2c53b0fb5",
+    "block_perm_indexed(2, 1) fiber '2'": "47f52bd501444428a428267a80fb0e63dce3947af3dfc93dfb554e5641a9b013",
+    "grothendieck(indexed_gpow(Z2, 2)).total": "8145f6d409ec4eee54f1cfd8ea1adef556fe73730e3267fdc59cdecaf10f246f",
+    "fiber(proj, '1')": "0ac45bb029ee1f54cfe99d3e4fbce85f68f3c3c603880188aa4d302ae8b502d8",
+    "restrict_to_aut(indexed_gpow(Z2, 2), '2').base": "66ed3e1c9e77481283b6f224405dd768232e33d0a3bfd4e962e9c9ae60113551",
 }
 
 
-def test_generator_bytes_are_pinned(z2, fi2):
+def test_generator_bytes_are_pinned(z2, s3, fi2):
+    gpow = indexed_gpow(z2, 2)
+    gr = grothendieck(gpow)
     built = {
         "fi_truncated(3)": fi_truncated(3),
         "fi_g_direct(Z2, 2)": fi_g_direct(z2, 2),
         "fi_colored({a: Z2, b: Z2}, 1)": fi_colored({"a": z2, "b": z2}, 1),
         "slice_category(FI_2, '2')": slice_category(fi2, "2"),
         "arrow_category(FI_2)": arrow_category(fi2),
+        "product_category(chain3, chain3)": product_category(chain_poset(3), chain_poset(3)),
+        "square_poset()": square_poset(),
+        "codiscrete_category('abc')": codiscrete_category("abc"),
+        "discrete_category('xyz')": discrete_category("xyz"),
+        "terminal_category()": terminal_category(),
+        "group_as_category(S3)": group_as_category(s3),
+        "block_perm_indexed(2, 1) fiber '2'": block_perm_indexed(2, 1).fiber_at("2"),
+        "grothendieck(indexed_gpow(Z2, 2)).total": gr.total,
+        "fiber(proj, '1')": fiber(gr.proj, "1"),
+        "restrict_to_aut(indexed_gpow(Z2, 2), '2').base": restrict_to_aut(gpow, "2").base,
     }
     digests = {
         name: hashlib.sha256(stable_dumps(category_to_json(C)).encode("utf-8")).hexdigest()
         for name, C in built.items()
     }
     assert digests == GENERATOR_BYTES
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names: thin_category(names, lambda x, y: x <= y),
+        codiscrete_category,
+        discrete_category,
+    ],
+    ids=["thin", "codiscrete", "discrete"],
+)
+def test_duplicate_object_names_are_rejected(build):
+    # the blocks are keyed by object, so a repeated name would otherwise
+    # collapse into one object silently
+    with pytest.raises(CategoryError, match="duplicate object identifiers"):
+        build(["a", "b", "a"])
+
+
+def test_product_object_id_collision_is_rejected():
+    # ("a@b", "c") and ("a", "b@c") both encode as "(a@b@c)"
+    with pytest.raises(CategoryError, match="product object id collision"):
+        product_category(discrete_category(["a@b", "a"]), discrete_category(["c", "b@c"]))
 
 
 def test_parse_roundtrip():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fibcat import (
+    CategoryError,
     NotAFibration,
     canonical_lift,
     check_fibred_functor,
@@ -28,6 +29,7 @@ from fibcat.generators import (
     delta_const,
     indexed_gpow,
     slice_indexed,
+    terminal_category,
 )
 from fibcat.groups import (
     hom_as_functor,
@@ -322,6 +324,20 @@ def test_fiber_of_constant_projection_is_the_fiber_category(fi2):
         iso = fiber_iso_to_indexed_fiber(gr, x)
         assert functor_properties(iso).equivalence
         assert len(iso.target.morphisms) == len(fi2.morphisms)
+
+
+def test_total_morphism_id_collision_is_rejected():
+    # (id, "u@v") into "w" and (id, "u") into "v@w" both encode as
+    # "(id@u@v@w)"
+    fib = validate_category(
+        ["a", "w", "v@w"],
+        [("ia", "a", "a"), ("iw", "w", "w"), ("ivw", "v@w", "v@w"),
+         ("u@v", "a", "w"), ("u", "a", "v@w")],
+        {"a": "ia", "w": "iw", "v@w": "ivw"},
+        {},
+    )
+    with pytest.raises(CategoryError, match="total morphism id collision"):
+        grothendieck(delta_const(terminal_category(), fib))
 
 
 def test_total_iso_classes_at_small_truncation(z2):

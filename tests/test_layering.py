@@ -1,0 +1,60 @@
+"""Structural checks on the library source, read with ``ast``.
+
+Every category the library builds enters through ``core.assemble``; only
+that seam and the JSON reader call ``validate_category`` directly.  The
+library never depends on test helpers.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fibcat"
+
+
+def _modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_library_imports_no_test_helpers():
+    bad = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module or ""]
+            else:
+                continue
+            bad += [(name, t) for t in targets if t.split(".")[0] in ("tests", "conftest")]
+    assert bad == []
+
+
+def _references(tree, target):
+    """Qualified names of the functions whose bodies mention ``target``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        mentions = (isinstance(node, ast.Name) and node.id == target) or (
+            isinstance(node, ast.Attribute) and node.attr == target
+        )
+        if mentions:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_validate_category_has_exactly_two_callers():
+    callers = sorted(
+        "%s.%s" % (name, where)
+        for name, tree in _modules()
+        for where in _references(tree, "validate_category")
+    )
+    assert callers == ["core.assemble", "ioformats.category_from_json"]
