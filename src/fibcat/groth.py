@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Check, FinCat, CategoryError, UnknownMorphism, assemble, subcategory
-from .functors import FinFunctor, NatTrans, compose_functors, validate_functor, validate_nat_trans
+from .functors import FinFunctor, NatTrans, validate_functor
 from .indexed import IndexedCat
 
 

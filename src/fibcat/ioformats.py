@@ -38,11 +38,14 @@ def malformed(what: str):
         raise InputFormatError("malformed %s file: %r" % (what, exc)) from exc
 
 
-def _json_list(value, what: str) -> list:
-    """``value``, which must be a JSON list: iterating a string or an object
-    where a list belongs would silently read its characters or keys."""
+def _json_list(value, what: str, length=None) -> list:
+    """``value``, which must be a JSON list (of ``length`` items, if given):
+    iterating a string or an object where a list belongs would silently read
+    its characters or keys, and reading a prefix would ignore the rest."""
     if not isinstance(value, list):
         raise TypeError("%s is not a list" % what)
+    if length is not None and len(value) != length:
+        raise ValueError("%s has %d entries, expected %d" % (what, len(value), length))
     return value
 
 
@@ -124,10 +127,10 @@ def group_to_json(G: GroupTable) -> dict:
 @malformed("group")
 def group_from_json(data: dict) -> GroupTable:
     els = [str(e) for e in _json_list(data["elements"], "elements")]
-    rows = _json_list(data["mult"], "mult")
+    rows = _json_list(data["mult"], "mult", len(els))
     mult = {}
     for i, a in enumerate(els):
-        row = _json_list(rows[i], "mult row %d" % i)
+        row = _json_list(rows[i], "mult row %d" % i, len(els))
         for j, b in enumerate(els):
             mult[(a, b)] = str(row[j])
     return validate_group(els, mult, data.get("unit"))

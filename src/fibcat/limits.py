@@ -10,13 +10,30 @@ Terminality is checked object by object.  A competitor of (f1, f2) is a
 commuting (q, u, v); a candidate (p, u0, v0) sends each w: q→p to the
 competitor (q, w;u0, w;v0), so it is terminal exactly when that map is a
 bijection from hom(q, p) onto the competitors at q, for every q.  The
-candidates are still tried in competitor order and the first terminal one
-is kept, so the chosen representative and its mediator table are the ones
-a mediator scan per competitor finds.  Initiality of a weak-pushout
-candidate indexes hom(d, z) by the pair of composites once per target z.
+candidates are tried in competitor order and the first terminal one is
+kept, so the chosen representative and its mediator table are the ones a
+mediator scan per competitor finds.
 
-Results are cached on the category instance (keyed by the cospan or span),
-which keeps whole-category audits tractable.
+Two symmetries share that work without changing any answer or its order.
+
+* Pullbacks.  For an isomorphism a out of d = tgt(f1), u;f1;a = v;f2;a
+  exactly when u;f1 = v;f2, so the cospan (f1;a, f2;a) has the very same
+  competitor list, in the same order, and hence the same chosen pullback
+  and mediator table.  One search stores its ``Pullback`` under every such
+  cospan.
+* Completions.  A commuting square over the span (g1, g2) and the cospan
+  (f1, f2) is a pullback square exactly when (g1, g2) = (w;u0, w;v0) for an
+  isomorphism w into the apex of the chosen pullback (P, u0, v0) of
+  (f1, f2).  So the spans completed by (f1, f2) form one class, the iso
+  orbit of (u0, v0), and every span of a class has the same completion
+  cospans.  One pass over ``all_cospans`` appends each cospan to its class;
+  that is the order (d, f1, f2) in which a per-span scan lists completions,
+  so the lists need no sorting, and a span in no class is vacuous without
+  any square being tested.  Initiality of a completion reads only the
+  cospans, never the span, so it too is computed once per class.
+
+Results are cached on the category instance, which keeps whole-category
+audits tractable.
 """
 
 from __future__ import annotations
@@ -162,8 +179,21 @@ def _terminal_mediators(C: FinCat, p: str, u0: str, v0: str, counts: list, total
     return mediators if len(mediators) == total else None
 
 
+def _isos_out(C: FinCat) -> dict:
+    """Object -> the isomorphisms out of it (identity included), cached."""
+    cache = C.cache("isos_out")
+    if not cache:
+        for a in C.inverses:
+            cache.setdefault(C.src[a], []).append(a)
+    return cache
+
+
 def _pullback_of(C: FinCat, f1: str, f2: str):
-    """Cached terminal competitor of the cospan (f1, f2), or None."""
+    """Cached terminal competitor of the cospan (f1, f2), or None.
+
+    The answer is stored under (f1;a, f2;a) for every iso a out of the
+    target too: those cospans have the same competitors in the same order.
+    """
     cache = C.cache("pullbacks")
     key = (f1, f2)
     if key in cache:
@@ -176,7 +206,9 @@ def _pullback_of(C: FinCat, f1: str, f2: str):
         if mediators is not None:
             result = Pullback(p, u0, v0, mediators)
             break
-    cache[key] = result
+    table = C.table
+    for a in _isos_out(C)[C.tgt[f1]]:
+        cache[(table[(f1, a)], table[(f2, a)])] = result
     return result
 
 
@@ -227,81 +259,96 @@ def is_pullback_square(C: FinCat, sq: Square) -> bool:
     return _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom)
 
 
-def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
-    """All pullback-square completions of the span (g1, g2), cached.
+class _CompletionClass:
+    """The cospans completed by one iso orbit of spans, in ``all_cospans``
+    order, and the memoised initiality of each completion."""
 
-    The squares built here commute by construction, so they skip
-    ``check_square``.
-    """
-    cache = C.cache("span_completions")
-    key = (g1, g2)
-    if key in cache:
-        return cache[key]
-    c1, c2 = C.tgt[g1], C.tgt[g2]
-    table, homs = C.table, C.homs
-    out = []
-    for d in C.objects:
-        f1s = homs.get((c1, d))
-        if f1s is None:
+    __slots__ = ("cospans", "initiality")
+
+    def __init__(self):
+        self.cospans = []
+        self.initiality = {}
+
+
+def _completion_index(C: FinCat) -> dict:
+    """Span (g1, g2) -> its ``_CompletionClass``, built in one pass over
+    ``all_cospans``; a span with no pullback-square completion is absent."""
+    index = C.cache("completions")
+    if index:  # every identity span has a completion, so built means non-empty
+        return index
+    table, inverses, isos_out = C.table, C.inverses, _isos_out(C)
+    for cospan in all_cospans(C):
+        pb = _pullback_of(C, cospan.f1, cospan.f2)
+        if pb is None:
             continue
-        by_comp = {}
-        for f2 in homs.get((c2, d), ()):
-            by_comp.setdefault(table[(g2, f2)], []).append(f2)
-        for f1 in f1s:
-            for f2 in by_comp.get(table[(g1, f1)], ()):
-                if _is_pullback(C, g1, g2, f1, f2):
-                    out.append(Square(g1, g2, f1, f2))
-    cache[key] = out
-    return out
+        cls = index.get((pb.leg1, pb.leg2))
+        if cls is None:
+            cls = _CompletionClass()
+            for a in isos_out[pb.apex]:
+                w = inverses[a]
+                index[(table[(w, pb.leg1)], table[(w, pb.leg2)])] = cls
+        cls.cospans.append((cospan.f1, cospan.f2))
+    return index
 
 
-def _initial_mediators(C: FinCat, sq: Square, completions: list):
-    """Unique mediators from ``sq`` to every pullback-square completion.
+def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
+    """All pullback-square completions of the span (g1, g2), in (d, f1, f2)
+    order.  The squares commute by construction, so they skip
+    ``check_square``."""
+    cls = _completion_index(C).get((g1, g2))
+    return [] if cls is None else [Square(g1, g2, f1, f2) for (f1, f2) in cls.cospans]
+
+
+def _initiality(C: FinCat, cls: _CompletionClass, right: str, bottom: str):
+    """Unique mediators from the completion (right, bottom) to every
+    completion of its class, memoised on the class.
 
     hom(d, z) is indexed once per target z by (right;h, bottom;h), so each
-    completion costs one lookup.  Returns (mediators, failure); failure is
-    (square, "no_mediator") or (square, "non_unique") for the first
-    completion that breaks initiality, so the two ways stay distinguishable.
+    completion costs one lookup.  Returns (mediators, failure): mediators
+    lists one h per class cospan; failure is (position, "no_mediator") or
+    (position, "non_unique") for the first cospan that breaks initiality,
+    so the two ways stay distinguishable.
     """
+    key = (right, bottom)
+    if key in cls.initiality:
+        return cls.initiality[key]
     table = C.table
-    right, bottom = sq.right, sq.bottom
     d = C.tgt[right]
     by_target = {}
-    mediators = {}
-    for other in completions:
-        z = C.tgt[other.right]
+    mediators, failure = [], None
+    for j, (f1, f2) in enumerate(cls.cospans):
+        z = C.tgt[f1]
         index = by_target.get(z)
         if index is None:
             index = by_target[z] = {}
             for h in C.hom(d, z):
                 index.setdefault((table[(right, h)], table[(bottom, h)]), []).append(h)
-        found = index.get((other.right, other.bottom), ())
+        found = index.get((f1, f2), ())
         if len(found) != 1:
-            return None, (other, "non_unique" if found else "no_mediator")
-        mediators[other] = found[0]
-    return mediators, None
+            mediators, failure = None, (j, "non_unique" if found else "no_mediator")
+            break
+        mediators.append(found[0])
+    result = cls.initiality[key] = (mediators, failure)
+    return result
 
 
 def weak_pushout(C: FinCat, span: Span):
     """The chosen weak pushout of a span, or None.
 
     A weak pushout is a pullback-square completion of the span through which
-    every other pullback-square completion factors uniquely.
+    every other pullback-square completion factors uniquely; the first one
+    in completion order is chosen.
     """
     check_span(C, span)
-    cache = C.cache("weak_pushouts")
-    key = (span.g1, span.g2)
-    if key in cache:
-        return cache[key]
-    completions = _pullback_completions(C, span.g1, span.g2)
-    result = None
-    for sq in completions:
-        mediators, failure = _initial_mediators(C, sq, completions)
+    cls = _completion_index(C).get((span.g1, span.g2))
+    if cls is None:
+        return None
+    for i, (right, bottom) in enumerate(cls.cospans):
+        mediators, failure = _initiality(C, cls, right, bottom)
         if failure is None:
-            result = WeakPushout(C.tgt[sq.right], sq, mediators)
-            break
-    cache[key] = result
-    return result
+            squares = _pullback_completions(C, span.g1, span.g2)
+            return WeakPushout(C.tgt[right], squares[i], dict(zip(squares, mediators)))
+    return None
 
 
 def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
@@ -309,16 +356,17 @@ def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
     check_square(C, sq)
     if not _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom):
         return Check(False, (sq, "not_a_pullback_square"))
-    completions = _pullback_completions(C, sq.top, sq.left)
-    _, failure = _initial_mediators(C, sq, completions)
+    cls = _completion_index(C)[(sq.top, sq.left)]
+    _, failure = _initiality(C, cls, sq.right, sq.bottom)
     if failure is not None:
-        return Check(False, failure)
+        j, reason = failure
+        return Check(False, (Square(sq.top, sq.left, *cls.cospans[j]), reason))
     return Check(True)
 
 
 def has_pullback_square_completion(C: FinCat, span: Span) -> bool:
     check_span(C, span)
-    return bool(_pullback_completions(C, span.g1, span.g2))
+    return (span.g1, span.g2) in _completion_index(C)
 
 
 def all_cospans(C: FinCat):

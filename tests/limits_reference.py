@@ -1,11 +1,14 @@
 """Reference pullback and weak-pushout search: the per-competitor mediator scan.
 
 This is the search ``fibcat.limits`` ran before terminality became a
-per-object bijection test and initiality an indexed lookup.  It is kept only
-as the oracle for ``test_limits_reference.py``.  The searches are the old
-ones; their caches live under ``reference_*`` keys so they never share
-results with the library (``weak_pushout`` is not cached at all), and the
-squares they test go through the reference ``is_pullback_square``.
+per-object bijection test, initiality an indexed lookup, and completions an
+index of iso classes of spans built from the cospans: every cospan gets its
+own pullback search and every span its own scan of commuting squares.  It is
+kept only as the oracle for ``test_limits_reference.py`` and imports nothing
+private from ``fibcat``, so it shares no search code with the library.  Its
+caches live under ``reference_*`` keys so they never share results with the
+library (``weak_pushout`` is not cached at all), and the squares it tests go
+through the reference ``is_pullback_square``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,28 @@ from fibcat.limits import (
     Span,
     Square,
     WeakPushout,
-    _competitors,
     check_cospan,
     check_span,
     check_square,
 )
+
+
+def _competitors(C: FinCat, f1: str, f2: str) -> list:
+    """All (q, u, v) with f1∘u = f2∘v, in construction (lexicographic) order."""
+    c1, c2 = C.src[f1], C.src[f2]
+    table, homs = C.table, C.homs
+    out = []
+    for q in C.objects:
+        us = homs.get((q, c1))
+        if us is None:
+            continue
+        by_comp = {}
+        for v in homs.get((q, c2), ()):
+            by_comp.setdefault(table[(v, f2)], []).append(v)
+        for u in us:
+            for v in by_comp.get(table[(u, f1)], ()):
+                out.append((q, u, v))
+    return out
 
 
 def _pullback_of(C: FinCat, f1: str, f2: str):

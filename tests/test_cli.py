@@ -268,6 +268,10 @@ _MALFORMED = {
         for name, key, value in (
             ("elements-string", "elements", "01"),
             ("mult-rows-string", "mult", ["01", "10"]),
+            # a table of the wrong size must not be read as its prefix
+            ("mult-extra-column", "mult", [["0", "1", "0"], ["1", "0", "1"]]),
+            ("mult-extra-row", "mult", [["0", "1"], ["1", "0"], ["0", "1"]]),
+            ("mult-short-row", "mult", [["0", "1"], ["1"]]),
         )
     },
     "theorem-witness-list": (

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 from fibcat import (
@@ -14,11 +15,15 @@ from fibcat import (
 )
 from fibcat.generators import (
     block_perm_indexed,
+    chain_poset,
     delta_const,
     fi_truncated,
     injections,
+    product_category,
 )
 from fibcat.groups import cyclic_group, group_as_category, symmetric_group
+from fibcat.ioformats import stable_dumps
+from test_limits import mediator_failure_category
 
 
 def test_fi4_audit(fi4):
@@ -191,3 +196,36 @@ def test_ell_condition_failure_detected():
     assert not rep.fiber_side.holds
     assert rep.agrees
     assert not transitivity_ell_condition(M).holds
+
+
+# sha256 of ``stable_dumps(check_fi_type(C).as_dict())``, recorded while every
+# span still scanned its own commuting squares and every cospan ran its own
+# pullback search: verdicts, counterexamples and the ``cospans`` and
+# ``vacuous_spans`` counts must not move.
+AUDIT_BYTES = {
+    "fi_truncated(4)": "b462d3efbeadd64fa7a2cc2280d8dd286bebee7169ef18dab20548303f1c1f29",
+    "grothendieck(indexed_gpow(Z2, 3)).total": "8aeafddef8c1ec8950c49357ad2cc0a201dca268273cd0e55ae919819680d79e",
+    "grothendieck(block_perm_indexed(3, 1)).total": "51a936914a6796997a9aa399cb63d92ef8c3b9617888e11a1c01833b15df76d9",
+    "product_category(chain6, chain6)": "10d1150977d031b6170c735397b75fa25ab3e9dee02a7d2dddc2c7157601154a",
+    "idempotent_monoid": "1c19d0e8432773c9fafaa0ba2a29cb16bccecdd2286d542756d2e330e646bd7e",
+    "parallel_pair": "8e7f4818e5c1aeca20d3f2637d22b584ea91978a0c02fe76d1845cadc4e1a804",
+    "mediator_failure_category()": "8fcf94646e84c08a476c10fb38ebf68c8da0d5380d426cab96728b1365dcc538",
+}
+
+
+def test_audit_bytes_are_pinned(fi4, gr_zpow2_3, idempotent_monoid, parallel_pair):
+    chain6 = chain_poset(6)
+    audited = {
+        "fi_truncated(4)": fi4,
+        "grothendieck(indexed_gpow(Z2, 3)).total": gr_zpow2_3[1].total,
+        "grothendieck(block_perm_indexed(3, 1)).total": grothendieck(block_perm_indexed(3, 1)).total,
+        "product_category(chain6, chain6)": product_category(chain6, chain6),
+        "idempotent_monoid": idempotent_monoid,
+        "parallel_pair": parallel_pair,
+        "mediator_failure_category()": mediator_failure_category(),
+    }
+    digests = {
+        name: hashlib.sha256(stable_dumps(check_fi_type(C).as_dict()).encode()).hexdigest()
+        for name, C in audited.items()
+    }
+    assert digests == AUDIT_BYTES

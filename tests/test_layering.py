@@ -2,13 +2,15 @@
 
 Every category the library builds enters through ``core.assemble``; only
 that seam and the JSON reader call ``validate_category`` directly.  The
-library never depends on test helpers.
+library never depends on test helpers, and the limits oracle never depends
+on the library's private search code.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fibcat"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fibcat"
 
 
 def _modules():
@@ -58,3 +60,18 @@ def test_validate_category_has_exactly_two_callers():
         for where in _references(tree, "validate_category")
     )
     assert callers == ["core.assemble", "ioformats.category_from_json"]
+
+
+def test_limits_oracle_uses_no_private_library_name():
+    """The oracle imports no underscore name and reads no underscore
+    attribute, so it cannot reach into the search code it checks."""
+    path = TESTS / "limits_reference.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for a in node.names for part in a.name.split(".")]
+            private += [n for n in names if n.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            private.append(node.attr)
+    assert private == []

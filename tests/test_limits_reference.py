@@ -1,16 +1,18 @@
 """Differential check of ``fibcat.limits`` against the per-competitor scan.
 
 On every cospan and every span of a handful of small categories, the
-bijection-based terminality test and the indexed initiality test must give
-exactly what ``limits_reference`` gives: the same chosen representatives,
-the same mediator tables, the same completion lists in the same order and
-the same first failure with the same reason.
+bijection-based terminality test, the pullbacks shared along isomorphisms,
+the completion index built from the cospans and the initiality shared per
+completion class must give exactly what ``limits_reference`` gives: the
+same chosen representatives, the same mediator tables, the same completion
+lists in the same order and the same first failure with the same reason.
 """
 
 import pytest
 
 import limits_reference as ref
-from fibcat import generators, limits
+from fibcat import generators, grothendieck, limits
+from fibcat.groups import cyclic_group
 from test_limits import mediator_failure_category
 
 
@@ -18,6 +20,35 @@ from test_limits import mediator_failure_category
 def chain3_squared():
     chain3 = generators.chain_poset(3)
     return generators.product_category(chain3, chain3)
+
+
+@pytest.fixture(scope="module")
+def chain4_squared():
+    """Every automorphism group is trivial: no orbit is shared."""
+    chain4 = generators.chain_poset(4)
+    return generators.product_category(chain4, chain4)
+
+
+@pytest.fixture(scope="module")
+def fi_z2_2_total():
+    """Aut(d) is non-trivial and is not a symmetric group on a set."""
+    return grothendieck(generators.indexed_gpow(cyclic_group(2), 2)).total
+
+
+@pytest.fixture(scope="module")
+def late_failure_poset():
+    """p below c1, c2, which lie below a, b and x, with x ≤ a: the square
+    through x mediates to the first completion (through a) but not to the
+    second (through b), so initiality fails at a later position."""
+    order = {
+        "p": {"p", "c1", "c2", "a", "b", "x"},
+        "c1": {"c1", "a", "b", "x"},
+        "c2": {"c2", "a", "b", "x"},
+        "a": {"a"},
+        "b": {"b"},
+        "x": {"x", "a"},
+    }
+    return generators.thin_category(order, lambda x, y: y in order[x])
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +60,12 @@ CATEGORIES = [
     "fi3",
     "fi4",
     "chain3_squared",
+    "chain4_squared",
+    "fi_z2_2_total",
     "idempotent_monoid",
     "parallel_pair",
     "mediator_failure",
+    "late_failure_poset",
 ]
 
 
