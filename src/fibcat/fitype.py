@@ -10,6 +10,7 @@ Conditions audited for a finite category C:
   6. every cospan has a pullback
   7. every span that admits a pullback-square completion has a weak pushout
 
+Conditions 6 and 7 are ``limits.has_pullbacks`` and ``limits.has_weak_pushouts``.
 Condition 7 is audited within the truncation: a span whose would-be apex
 lies beyond the object bound admits no pullback-square completion at all and
 is counted as vacuous rather than as a failure.  The report keeps the count
@@ -33,11 +34,9 @@ from .core import (
 from .groth import GrothResult, grothendieck
 from .indexed import IndexedCat
 from .limits import (  # noqa: F401  (pullback is re-exported)
-    all_spans,
-    has_pullback_square_completion,
     has_pullbacks,
+    has_weak_pushouts,
     pullback,
-    weak_pushout,
 )
 
 TRUNCATION_CAVEAT = (
@@ -112,22 +111,15 @@ def check_fi_type(C: FinCat) -> FiTypeReport:
         },
     )
 
-    has_pb = has_pullbacks(C)
-
-    has_wp = Check(True)
-    n_spans = vacuous = 0
-    for span in all_spans(C):
-        n_spans += 1
-        if not has_pullback_square_completion(C, span):
-            vacuous += 1
-            continue
-        if weak_pushout(C, span) is None:
-            has_wp = Check(False, span)
-            break
-    if has_wp.holds:
-        has_wp = Check(True, info={"spans": n_spans, "vacuous_spans": vacuous})
-
-    return FiTypeReport(locally_finite, all_mono, ei, transitive, increasing, has_pb, has_wp)
+    return FiTypeReport(
+        locally_finite,
+        all_mono,
+        ei,
+        transitive,
+        increasing,
+        has_pullbacks(C),
+        has_weak_pushouts(C),
+    )
 
 
 # ---------------------------------------------------------------------------

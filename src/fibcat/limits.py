@@ -14,7 +14,8 @@ candidates are tried in competitor order and the first terminal one is
 kept, so the chosen representative and its mediator table are the ones a
 mediator scan per competitor finds.
 
-Two symmetries share that work without changing any answer or its order.
+Two symmetries share that work without changing any answer or its order;
+the third point below follows from the second.
 
 * Pullbacks.  For an isomorphism a out of d = tgt(f1), u;f1;a = v;f2;a
   exactly when u;f1 = v;f2, so the cospan (f1;a, f2;a) has the very same
@@ -31,6 +32,11 @@ Two symmetries share that work without changing any answer or its order.
   so the lists need no sorting, and a span in no class is vacuous without
   any square being tested.  Initiality of a completion reads only the
   cospans, never the span, so it too is computed once per class.
+* Weak pushouts.  Whether a span has a weak pushout, and which completion
+  is chosen, is therefore a property of its class: ``_chosen`` finds the
+  first initial completion once per class, and ``has_weak_pushouts`` asks
+  it once per span.  The ``Square`` keys of ``WeakPushout.mediators`` are
+  built only when a caller asks ``weak_pushout`` for a ``WeakPushout``.
 
 Results are cached on the category instance, which keeps whole-category
 audits tractable.
@@ -259,15 +265,20 @@ def is_pullback_square(C: FinCat, sq: Square) -> bool:
     return _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom)
 
 
+_UNDECIDED = object()
+
+
 class _CompletionClass:
     """The cospans completed by one iso orbit of spans, in ``all_cospans``
-    order, and the memoised initiality of each completion."""
+    order, the memoised initiality of each completion and the position of
+    the chosen (first initial) one."""
 
-    __slots__ = ("cospans", "initiality")
+    __slots__ = ("cospans", "initiality", "chosen")
 
     def __init__(self):
         self.cospans = []
         self.initiality = {}
+        self.chosen = _UNDECIDED
 
 
 def _completion_index(C: FinCat) -> dict:
@@ -332,6 +343,21 @@ def _initiality(C: FinCat, cls: _CompletionClass, right: str, bottom: str):
     return result
 
 
+def _chosen(C: FinCat, cls: _CompletionClass):
+    """Position of the first initial completion of the class, or None when
+    its spans have no weak pushout; memoised on the class."""
+    if cls.chosen is _UNDECIDED:
+        cls.chosen = next(
+            (
+                i
+                for i, (right, bottom) in enumerate(cls.cospans)
+                if _initiality(C, cls, right, bottom)[1] is None
+            ),
+            None,
+        )
+    return cls.chosen
+
+
 def weak_pushout(C: FinCat, span: Span):
     """The chosen weak pushout of a span, or None.
 
@@ -341,14 +367,13 @@ def weak_pushout(C: FinCat, span: Span):
     """
     check_span(C, span)
     cls = _completion_index(C).get((span.g1, span.g2))
-    if cls is None:
+    i = None if cls is None else _chosen(C, cls)
+    if i is None:
         return None
-    for i, (right, bottom) in enumerate(cls.cospans):
-        mediators, failure = _initiality(C, cls, right, bottom)
-        if failure is None:
-            squares = _pullback_completions(C, span.g1, span.g2)
-            return WeakPushout(C.tgt[right], squares[i], dict(zip(squares, mediators)))
-    return None
+    right, bottom = cls.cospans[i]
+    mediators, _ = _initiality(C, cls, right, bottom)
+    squares = _pullback_completions(C, span.g1, span.g2)
+    return WeakPushout(C.tgt[right], squares[i], dict(zip(squares, mediators)))
 
 
 def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
@@ -396,6 +421,22 @@ def all_spans(C: FinCat):
                 yield Span(g1, g2)
 
 
+def has_weak_pushouts(C: FinCat) -> Check:
+    """Every span with a pullback-square completion has a weak pushout; the
+    counterexample is the first span that has none, and a passing check
+    counts the spans and the vacuous ones (those with no completion)."""
+    index = _completion_index(C)
+    n = vacuous = 0
+    for span in all_spans(C):
+        n += 1
+        cls = index.get((span.g1, span.g2))
+        if cls is None:
+            vacuous += 1
+        elif _chosen(C, cls) is None:
+            return Check(False, span)
+    return Check(True, info={"spans": n, "vacuous_spans": vacuous})
+
+
 def _image_square(F: FinFunctor, sq: Square) -> Square:
     return Square(F.mor(sq.top), F.mor(sq.left), F.mor(sq.right), F.mor(sq.bottom))
 
@@ -420,13 +461,17 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
 
 def preserves_weak_pushouts(F: FinFunctor) -> Check:
     """Image of every chosen weak pushout square passes the universal check."""
+    C = F.source
+    index = _completion_index(C)
     n = 0
-    for span in all_spans(F.source):
-        wp = weak_pushout(F.source, span)
-        if wp is None:
+    for span in all_spans(C):
+        cls = index.get((span.g1, span.g2))
+        i = None if cls is None else _chosen(C, cls)
+        if i is None:
             continue
         n += 1
-        verdict = is_weak_pushout_square(F.target, _image_square(F, wp.square))
+        sq = Square(span.g1, span.g2, *cls.cospans[i])
+        verdict = is_weak_pushout_square(F.target, _image_square(F, sq))
         if not verdict:
-            return Check(False, (wp.square, verdict.counterexample))
+            return Check(False, (sq, verdict.counterexample))
     return Check(True, info={"weak_pushout_squares_checked": n})

@@ -2,8 +2,9 @@
 
 Every category the library builds enters through ``core.assemble``; only
 that seam and the JSON reader call ``validate_category`` directly.  The
-library never depends on test helpers, and the limits oracle never depends
-on the library's private search code.
+library never depends on test helpers, the limits oracle never depends on
+the library's private search code, and no module imports a name it does not
+use.
 """
 
 import ast
@@ -75,3 +76,27 @@ def test_limits_oracle_uses_no_private_library_name():
         elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             private.append(node.attr)
     assert private == []
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_unused_imports():
+    """``__init__`` re-exports the public API; elsewhere the only import kept
+    without a use is ``fitype.pullback``, which the benchmark tracer reads."""
+    unused = sorted(
+        "%s.%s" % (name, imported)
+        for name, tree in _modules()
+        if name != "__init__"
+        for imported in _unused_imports(tree)
+    )
+    assert unused == ["fitype.pullback"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcat import (
+    Check,
     Cospan,
     NonCommuting,
     NotACospan,
@@ -153,6 +154,26 @@ def test_collapse_functor_preserves(fi2):
     assert preserves_weak_pushouts(F).holds
 
 
+def test_fold_functor_breaks_weak_pushouts(fi2):
+    """FI_2 → FI_1 on objects 0, 1 ↦ 0 and 2 ↦ 1 (unique on morphisms, as
+    FI_1's hom-sets have at most one element).  The disjoint-union square
+    1 ⊔ 1 = 2 over 0 is sent to the square (id_0, id_0; 0→1, 0→1), which is
+    not initial: the identity square on 0 is another completion of its
+    span, and there is no map 1 → 0 to mediate."""
+    T = fi_truncated(1)
+    ob = {"0": "0", "1": "0", "2": "1"}
+    F = validate_functor(
+        fi2, T, ob, {m: T.hom(ob[fi2.src[m]], ob[fi2.tgt[m]])[0] for m in fi2.morphisms}
+    )
+    assert preserves_weak_pushouts(F) == Check(
+        False,
+        (
+            Square("0>1:", "0>1:", "1>2:0", "1>2:1"),
+            (Square("0>0:", "0>0:", "0>0:", "0>0:"), "no_mediator"),
+        ),
+    )
+
+
 def test_pullbacks_unique_up_to_iso(fi3):
     # any two terminal competitors are linked by an iso commuting with legs
     from fibcat.limits import _competitors
@@ -230,7 +251,8 @@ def test_mediator_failure_modes_are_distinguished():
     assert not verdict.holds
     _, reason = verdict.counterexample
     assert reason == "non_unique"
-    # and a span with no pullback-square completion reports differently
+    # so the span (s, s), whose only completions are that square and its
+    # mirror, has no weak pushout
     assert weak_pushout(C, Span("s", "s")) is None
 
 

@@ -11,7 +11,7 @@ lists in the same order and the same first failure with the same reason.
 import pytest
 
 import limits_reference as ref
-from fibcat import generators, grothendieck, limits
+from fibcat import Check, Span, Square, generators, grothendieck, limits
 from fibcat.groups import cyclic_group
 from test_limits import mediator_failure_category
 
@@ -87,3 +87,33 @@ def test_weak_pushouts_match_reference(request, name):
         assert limits.weak_pushout(C, span) == ref.weak_pushout(C, span), span
         for sq in completions:
             assert limits.is_weak_pushout_square(C, sq) == ref.is_weak_pushout_square(C, sq)
+
+
+def _reference_condition_seven(C):
+    """Condition 7 by a per-span loop over the reference search, and the
+    chosen square of each non-vacuous span the loop passed."""
+    chosen = {}
+    n = vacuous = 0
+    for span in limits.all_spans(C):
+        n += 1
+        if not ref._pullback_completions(C, span.g1, span.g2):
+            vacuous += 1
+            continue
+        wp = ref.weak_pushout(C, span)
+        if wp is None:
+            return Check(False, span), chosen
+        chosen[span] = wp.square
+    return Check(True, info={"spans": n, "vacuous_spans": vacuous}), chosen
+
+
+@pytest.mark.parametrize("name", CATEGORIES)
+def test_condition_seven_matches_reference(request, name):
+    C = request.getfixturevalue(name)
+    expected, chosen = _reference_condition_seven(C)
+    assert limits.has_weak_pushouts(C) == expected
+    index = limits._completion_index(C)
+    for span, square in chosen.items():
+        cls = index[(span.g1, span.g2)]
+        assert Square(span.g1, span.g2, *cls.cospans[limits._chosen(C, cls)]) == square, span
+    if name == "mediator_failure":
+        assert expected == Check(False, Span("s", "s"))
