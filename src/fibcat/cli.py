@@ -25,7 +25,7 @@ from .generators import (
     indexed_gpow,
     slice_indexed,
 )
-from .groth import choose_cleaving, grothendieck, is_fibration
+from .groth import NotAFibration, choose_cleaving, grothendieck, is_fibration
 from .groups import (
     cyclic_group,
     extension_from_twisted,
@@ -206,13 +206,13 @@ def cmd_fibration(args, out: _Output) -> int:
 
 def cmd_cleaving(args, out: _Output) -> int:
     F = _loader_for(args.path).functor(_load_json(args.path))
-    verdict = is_fibration(F)
     rep = _report_skeleton("cleaving", args.path, digest_file(args.path))
-    if not verdict.holds:
+    try:
+        cleaving = choose_cleaving(F)
+    except NotAFibration as exc:
         rep["verdict"] = {"fibration": False}
-        out.emit(rep, ["not a fibration: %r" % (verdict.counterexample,)])
+        out.emit(rep, ["not a fibration: %r" % (exc.args[0],)])
         return EXIT_CHECK_FAILED
-    cleaving = choose_cleaving(F)
     entries = {"%s -> %s" % (f, b): lift for (f, b), lift in sorted(cleaving.entries.items())}
     rep["verdict"] = {"fibration": True, "entries": entries}
     out.emit(
@@ -228,9 +228,7 @@ def cmd_theorem(args, out: _Output) -> int:
     M = loader.indexed(_load_json(args.path))
     witness = None
     if args.witness:
-        witness = Loader(os.path.dirname(os.path.abspath(args.witness))).witness(
-            M, _load_json(args.witness)
-        )
+        witness = _loader_for(args.witness).witness(M, _load_json(args.witness))
     verdict = verify_main_theorem(M, witness, search=args.search, budget=args.budget)
     hyp = verdict.hypotheses
     rep = _report_skeleton("theorem", args.path, digest_file(args.path))
@@ -355,10 +353,10 @@ def cmd_group(args, out: _Output) -> int:
     raise InputFormatError("unknown group mode %r" % args.mode)
 
 
-def _resolve_group(spec: str, loader_root: str = "."):
+def _resolve_group(spec: str):
     if spec in _GROUPS:
         return _GROUPS[spec]()
-    return Loader(loader_root).group(spec)
+    return Loader(".").group(spec)
 
 
 def _write_generated(args, out: _Output, name: str, payload: dict, summary: str) -> int:

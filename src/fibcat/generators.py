@@ -24,12 +24,13 @@ from .core import FinCat, CategoryError, assemble
 from .functors import (
     FinFunctor,
     FunctorProperties,
+    compose_functors,
     functor_properties,
     functors_equal,
     identity_functor,
     validate_functor,
 )
-from .groth import GrothResult, grothendieck, pair_id
+from .groth import GrothResult, choose_cleaving, grothendieck, is_fibration, pair_id
 from .groups import GroupTable
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, Square, pullback, is_pullback_square
@@ -282,8 +283,6 @@ def product_check(X: FinCat, Y: FinCat, gr: GrothResult = None) -> ProductCheck:
         {pair_id(x, y): x for x in X.objects for y in Y.objects},
         {pair_id(f, g): f for f in X.morphisms for g in Y.morphisms},
     )
-    from .functors import compose_functors
-
     agrees = functors_equal(compose_functors(iso, first), gr.proj)
     return ProductCheck(iso, props, agrees)
 
@@ -360,17 +359,8 @@ def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
 
 
 # ---------------------------------------------------------------------------
-# Disjoint unions of groups and two-colour FI
+# Two-colour FI
 # ---------------------------------------------------------------------------
-
-
-def disjoint_union_groupoid(G: GroupTable, H: GroupTable) -> FinCat:
-    groups = {"A": G, "B": H}
-    return assemble(
-        {x: K.unit for x, K in groups.items()},
-        {(x, x): {g: "%s:%s" % (x, g) for g in K.elements} for x, K in groups.items()},
-        lambda x, a, b: groups[x].mul(b, a),
-    )
 
 
 def colored_strings(colors: str, N: int) -> list:
@@ -585,8 +575,6 @@ class CodomainReport:
 def codomain_check(C: FinCat, gr: GrothResult = None) -> CodomainReport:
     """Total category of the slices vs the arrow category, plus the fibration
     whose cartesian lifts are pullback squares."""
-    from .groth import choose_cleaving, is_fibration
-
     M = slice_indexed(C)
     gr = gr if gr is not None else grothendieck(M)
     A = arrow_category(C)

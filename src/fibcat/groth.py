@@ -9,10 +9,16 @@ functors and the compositor:
 
 Identities are (id_x, eta_x(a)), which is (id_x, id_a) whenever the unitors
 are identities.
+
+For any functor P, phi: a→b over f: x→y is cartesian when, for every object
+t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
+(g: P(t)→x, theta: t→b) with P(theta) = g;f: each hom-square is a pullback
+of sets, the per-object form ``limits`` uses for pullback terminality.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Check, FinCat, CategoryError, UnknownMorphism, assemble, subcategory
@@ -126,37 +132,32 @@ def grothendieck(M: IndexedCat) -> GrothResult:
 
 def _over_map(P: FinFunctor) -> dict:
     """Total morphisms grouped by (base image, total target), cached."""
-    cache = P.cache("over")
-    if "map" not in cache:
-        m = {}
+    over = P.cache("over")
+    if not over:
         for phi in P.source.morphisms:
-            m.setdefault((P.mor(phi), P.source.tgt[phi]), []).append(phi)
-        cache["map"] = m
-    return cache["map"]
+            over.setdefault((P.mor(phi), P.source.tgt[phi]), []).append(phi)
+    return over
 
 
 def is_cartesian(P: FinFunctor, phi: str) -> bool:
-    """Full universal property: every compatible morphism factors uniquely.
-
-    For every g composable with P(phi) and every theta over P(phi)∘g into
-    tgt(phi) there must be exactly one psi over g with phi∘psi = theta.
-    """
+    """Full universal property: the hom-set bijection of the module
+    docstring at every t, as equal sizes and no two psi with one image.  An
+    object with no map into b has no pair and no map into a either."""
     A, X = P.source, P.target
     if phi not in A.src:
         raise UnknownMorphism(phi)
     cache = P.cache("cartesian")
     if phi in cache:
         return cache[phi]
-    f = P.mor(phi)
-    b = A.tgt[phi]
-    over = _over_map(P)
-    result = all(
-        cartesian_factor(P, phi, g, theta) is not None
-        for g in X.morphisms
-        if X.tgt[g] == X.src[f]
-        for theta in over.get((X.comp(g, f), b), ())
-    )
-    cache[phi] = result
+    a, b, f = A.src[phi], A.tgt[phi], P.mor(phi)
+
+    def bijective(t):
+        psis = A.hom(t, a)
+        over_f = Counter(X.table[(g, f)] for g in X.hom(P.ob(t), X.src[f]))
+        pairs = sum(over_f[P.mor(theta)] for theta in A.hom(t, b))
+        return len(psis) == pairs == len({(P.mor(psi), A.table[(psi, phi)]) for psi in psis})
+
+    cache[phi] = result = all(bijective(t) for t in A.objects if A.hom(t, b))
     return result
 
 
@@ -187,16 +188,27 @@ def fiber_inclusion(P: FinFunctor, x: str) -> FinFunctor:
     )
 
 
+def _least_lifts(P: FinFunctor):
+    """The least cartesian lift of each (f, b), identities for identities,
+    with f in base order and b in fiber order, and the first (f, b) that has
+    no cartesian lift (None when every one has)."""
+    X, A = P.target, P.source
+    over = _over_map(P)
+    lifts = {}
+    for f in X.morphisms:
+        for b in fiber_objects(P, X.tgt[f]):
+            candidates = (A.id_of(b),) if X.is_identity(f) else over.get((f, b), ())
+            phi = next((phi for phi in candidates if is_cartesian(P, phi)), None)
+            if phi is None:
+                return lifts, (f, b)
+            lifts[(f, b)] = phi
+    return lifts, None
+
+
 def is_fibration(P: FinFunctor) -> Check:
     """Every base morphism has a cartesian lift to every object over its target."""
-    X = P.target
-    for f in X.morphisms:
-        y = X.tgt[f]
-        for b in fiber_objects(P, y):
-            lifts = _over_map(P).get((f, b), ())
-            if not any(is_cartesian(P, phi) for phi in lifts):
-                return Check(False, (f, b))
-    return Check(True)
+    _, missing = _least_lifts(P)
+    return Check(True) if missing is None else Check(False, missing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,26 +225,10 @@ class Cleaving:
 
 def choose_cleaving(P: FinFunctor) -> Cleaving:
     """Deterministic cleaving: the least cartesian lift, identities for identities."""
-    X = P.target
-    A = P.source
-    entries = {}
-    over = _over_map(P)
-    for f in X.morphisms:
-        y = X.tgt[f]
-        for b in fiber_objects(P, y):
-            if X.is_identity(f):
-                entries[(f, b)] = A.id_of(b)
-                continue
-            for phi in over.get((f, b), ()):  # hom lists are sorted
-                if is_cartesian(P, phi):
-                    entries[(f, b)] = phi
-                    break
-            else:
-                raise NotAFibration((f, b))
-    for (f, b), phi in entries.items():
-        if not is_cartesian(P, phi):
-            raise NotAFibration((f, b))
-    return Cleaving(P, entries)
+    lifts, missing = _least_lifts(P)
+    if missing is not None:
+        raise NotAFibration(missing)
+    return Cleaving(P, lifts)
 
 
 def cartesian_factor(P: FinFunctor, phi: str, g: str, theta: str):

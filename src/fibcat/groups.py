@@ -12,6 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .core import FinCat, CategoryError, assemble, automorphisms
+from .functors import validate_functor
+from .groth import grothendieck
+from .indexed import validate_indexed
 
 
 class GroupError(CategoryError):
@@ -216,8 +219,6 @@ def kernel_subgroup(h: GroupHom) -> GroupTable:
 
 
 def hom_as_functor(h: GroupHom, src_obj: str = "*", tgt_obj: str = "*"):
-    from .functors import validate_functor
-
     return validate_functor(
         group_as_category(h.source, src_obj),
         group_as_category(h.target, tgt_obj),
@@ -458,9 +459,6 @@ def twisted_indexed_data(T: TwistedAction):
 
 
 def twisted_to_indexed(T: TwistedAction):
-    from .functors import validate_functor
-    from .indexed import validate_indexed
-
     require_twisted_action(T)
     base, fiber, arrows, compositors = twisted_indexed_data(T)
     arrow_functors = {
@@ -480,8 +478,6 @@ class Extension:
 
 def extension_from_twisted(T: TwistedAction) -> Extension:
     """Total group of the one-object Grothendieck construction of T."""
-    from .groth import grothendieck
-
     gr = grothendieck(twisted_to_indexed(T))
     E = category_as_group(gr.total)
     proj = validate_group_hom(

@@ -22,6 +22,7 @@ from .functors import (
     NatTrans,
     NotNatural,
     compose_functors,
+    functors_equal,
     identity_functor,
     validate_nat_trans,
 )
@@ -193,8 +194,6 @@ def strict_functoriality_check(M: IndexedCat):
     nose: arrows at identities are identity functors and the arrow at g∘f is
     the composite of the arrows at g and f.
     """
-    from .functors import functors_equal
-
     for x in M.base.objects:
         if not functors_equal(M.arrow_at(M.base.id_of(x)), identity_functor(M.fiber_at(x))):
             return False

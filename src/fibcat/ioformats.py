@@ -96,10 +96,16 @@ def category_from_json(data: dict) -> FinCat:
     morphisms = [
         (m["id"], m["src"], m["tgt"]) for m in _json_list(data["morphisms"], "morphisms")
     ]
-    composition = {
-        (entry["first"], entry["then"]): entry["equals"]
-        for entry in _json_list(data.get("composition", []), "composition")
-    }
+    composition, seen = {}, set()
+    for entry in _json_list(data.get("composition", []), "composition"):
+        pair = (entry["first"], entry["then"])
+        composition[pair] = entry["equals"]
+        # keeping either of two entries would make the verdict depend on
+        # their order; ids are read with str(), so 1 and "1" are one id
+        key = (str(pair[0]), str(pair[1]))
+        if key in seen:
+            raise ValueError("composition lists %r twice" % (key,))
+        seen.add(key)
     objects = _json_list(data["objects"], "objects")
     return validate_category(objects, morphisms, data["identities"], composition)
 

@@ -235,6 +235,9 @@ _TINY = _tiny_indexed()
 _Z2 = group_to_json(cyclic_group(2))
 _ID2 = {"0": "0", "1": "1"}
 _AB = category_to_json(discrete_category("ab"))
+_FI2 = category_to_json(fi_truncated(2))
+# FI_2 lists 1>2:0 ; 2>2:1,0 = 1>2:1; a second, wrong entry for that pair
+_WRONG = {"first": "1>2:0", "then": "2>2:1,0", "equals": "1>2:0"}
 _MALFORMED = {
     **{
         "%s-list" % cmd: ([cmd, "in.json"], {"in.json": []})
@@ -258,6 +261,17 @@ _MALFORMED = {
             ("morphisms-string", "morphisms", ""),
             ("composition-string", "composition", ""),
             ("composition-object", "composition", {}),
+        )
+    },
+    # a pair listed twice is malformed whichever entry comes first
+    **{
+        "validate-repeated-pair-%s" % where: (
+            ["validate", "in.json"],
+            {"in.json": {**_FI2, "composition": composition}},
+        )
+        for where, composition in (
+            ("first", [_WRONG] + _FI2["composition"]),
+            ("last", _FI2["composition"] + [_WRONG]),
         )
     },
     **{

@@ -254,9 +254,10 @@ def test_fibred_functor_identity(gr_zpow2_3):
     assert check_fibred_functor(H, gr.proj, gr.proj).holds
 
 
-def test_fibred_functor_failure_six_morphisms():
-    # B has a two-object fiber over x; H collapses the cartesian lift of A
-    # onto the non-cartesian theta0
+def six_morphism_functors():
+    """P: A → X and Q: B → X over the arrow f: x → y.  B has six morphisms
+    and a two-object fiber over x; theta1 is cartesian, theta0 = v;theta1
+    is not."""
     X = validate_category(
         ["x", "y"],
         [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")],
@@ -289,6 +290,13 @@ def test_fibred_functor_failure_six_morphisms():
         {"a0": "x", "a1": "x", "bp": "y"},
         {"i0": "ix", "i1": "ix", "v": "ix", "ibp": "iy", "theta0": "f", "theta1": "f"},
     )
+    return P, Q
+
+
+def test_fibred_functor_failure_six_morphisms():
+    # H collapses the cartesian lift of A onto the non-cartesian theta0
+    P, Q = six_morphism_functors()
+    A, B = P.source, Q.source
     assert is_cartesian(Q, "theta1")
     assert not is_cartesian(Q, "theta0")
     H = validate_functor(A, B, {"a": "a0", "b": "bp"}, {"ia": "i0", "ib": "ibp", "phi": "theta0"})

@@ -2,9 +2,9 @@
 
 Every category the library builds enters through ``core.assemble``; only
 that seam and the JSON reader call ``validate_category`` directly.  The
-library never depends on test helpers, the limits oracle never depends on
-the library's private search code, and no module imports a name it does not
-use.
+library never depends on test helpers, the limits and groth oracles never
+depend on the library's private search code, no function imports a sibling
+module, and no module imports a name it does not use.
 """
 
 import ast
@@ -63,10 +63,9 @@ def test_validate_category_has_exactly_two_callers():
     assert callers == ["core.assemble", "ioformats.category_from_json"]
 
 
-def test_limits_oracle_uses_no_private_library_name():
-    """The oracle imports no underscore name and reads no underscore
-    attribute, so it cannot reach into the search code it checks."""
-    path = TESTS / "limits_reference.py"
+def _private_names(oracle):
+    """Underscore names an oracle imports or reads as attributes."""
+    path = TESTS / oracle
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     private = []
     for node in ast.walk(tree):
@@ -75,7 +74,39 @@ def test_limits_oracle_uses_no_private_library_name():
             private += [n for n in names if n.startswith("_")]
         elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             private.append(node.attr)
-    assert private == []
+    return private
+
+
+def test_limits_oracle_uses_no_private_library_name():
+    """The oracle imports no underscore name and reads no underscore
+    attribute, so it cannot reach into the search code it checks."""
+    assert _private_names("limits_reference.py") == []
+
+
+def test_groth_oracle_uses_no_private_library_name():
+    """Likewise the cartesian-morphism oracle and the lift scan it checks."""
+    assert _private_names("groth_reference.py") == []
+
+
+def test_no_function_imports_a_sibling_module():
+    """Every library import sits at module top: none breaks an import cycle,
+    and a function-local one hides a module's dependencies."""
+    local = []
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom) and (
+                        node.level > 0 or (node.module or "").split(".")[0] == "fibcat"
+                    ):
+                        local.append((name, fn.name, node.module))
+                    elif isinstance(node, ast.Import):
+                        local += [
+                            (name, fn.name, a.name)
+                            for a in node.names
+                            if a.name.split(".")[0] == "fibcat"
+                        ]
+    assert local == []
 
 
 def _unused_imports(tree):

@@ -1,0 +1,67 @@
+"""The corpus scripts run end to end: ``make_corpus.py`` writes every file
+and ``audit_corpus.py`` prints the pinned verdict table.  Each runs as its
+own process, as a user would run it, in under a second."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The ``fibr`` column runs ``is_fibration`` on every corpus projection.
+AUDIT_TABLE = """\
+instance                 obj   mor     fibr  fi-type   lemmas     gray  theorem
+-------------------------------------------------------------------------------
+delta_fi2_fi2              9    64       ok       ok       ok       ok       ok
+delta_chain3_square       12    54       ok       ok       ok       ok       ok
+delta_fi2_terminal         3     8       ok       ok       ok       ok       ok
+gpow_trivial_3             4    24       ok       ok       ok       ok       ok
+gpow_z2_3                  4    96       ok       ok       ok       ok       ok
+gpow_z3_2                  3    30       ok       ok       ok       ok       ok
+blocks_2_1                 7    40       ok     FAIL       ok       ok  no-wtns
+slice_square_poset         9    36       ok       ok       ok       ok  no-wtns
+slice_fi2                  8    57       ok     FAIL       ok       ok  no-wtns
+twisted_z4_over_z2         1     4       ok       ok       ok       ok       ok
+semidirect_z2_on_z3        1     6       ok       ok       ok       ok       ok
+"""
+
+
+def _run(script, *args, cwd):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_make_corpus_writes_every_file(tmp_path):
+    out = tmp_path / "corpus"
+    done = _run("make_corpus.py", out, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "corpus written to %s/\n" % out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "blocks_2_1.json",
+        "fi2.json",
+        "fi3.json",
+        "fi4.json",
+        "fi_z2_3_direct.json",
+        "fig_trivial_3.json",
+        "fig_z2_3.json",
+        "fig_z3_2.json",
+        "slice.json",
+        "square_poset.json",
+    ]
+
+
+def test_audit_corpus_verdict_table(tmp_path):
+    done = _run("audit_corpus.py", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    table, total = done.stdout.rsplit("total ", 1)
+    assert table == AUDIT_TABLE
+    assert total.endswith("s\n")
