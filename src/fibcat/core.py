@@ -7,12 +7,20 @@ category the library builds enters through ``assemble``, which lays out the
 tables from hom-set blocks before validating them.  All
 values are immutable after validation and every predicate is a deterministic
 exhaustive search over sorted identifiers.
+
+The axiom check codes each composite as an ``int32``, its position in its
+hom-set, and checks associativity with one numpy sweep per composable triple
+of objects (a, b, c) over every d at once.  Its errors come in a fixed order:
+totality and endpoints first, hom-block by hom-block, where a missing
+composite comes before a composite in the wrong hom-set; then the first
+non-associative triple in the order (a, b), c, d, (f, g, h).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -199,7 +207,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
         homs.setdefault((src[f], tgt[f]), []).append(f)
     homs = {k: tuple(sorted(v)) for k, v in homs.items()}
 
-    _check_completeness_and_associativity(obs, mors, src, tgt, table, homs)
+    _check_completeness_and_associativity(table, homs)
 
     inverses = {}
     for f in mors:
@@ -265,86 +273,107 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     )
 
 
-def _check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
+_SWEEP_CELLS = 1 << 20  # composable triples compared per numpy round
+
+
+def _check_completeness_and_associativity(table, homs):
     """Exhaustive totality, endpoint and associativity checks.
 
-    Vectorised with small integer tables: the largest generated categories
-    have ~10^8 composable triples, far beyond what pure-Python loops handle.
+    The largest generated categories have ~10^8 composable triples, far
+    beyond what pure-Python loops handle, so the check works on ``int32``
+    local codes: a morphism's code is its position in its hom-set.  The
+    morphisms out of b are laid out by target, then by code, and
+    ``rows[(a, b)]`` holds at row i and the column of g the code of f_i;g in
+    hom(a, tgt g); its columns for c form the block L[a, b, c].
+
+    Totality and endpoints are checked first, block by block: (a, b) sorted,
+    then c.  Within a block a ``MissingComposite`` comes before a
+    ``CompositeEndpointViolation``; each names its first pair in row-major
+    order.  Associativity is then one sweep per (a, b, c) over every d at
+    once: (f;g);h, read from ``rows[(a, c)]`` at the rows L[a, b, c] gives,
+    must equal f;(g;h), read from ``rows[(a, b)]`` at the columns of the
+    composites g;h.  An (a, b, c) that fails is rescanned d by d, so the
+    reported ``AssociativityViolation`` is the first triple in the order
+    (a, b), c, d, then (f, g, h) by position.
     """
-    code = {m: i for i, m in enumerate(mors)}
-    nmor = len(mors)
-    loc = {}  # (x, y) -> int64 array mapping global code -> local hom index
-
-    def glob2loc(x, y):
-        a = loc.get((x, y))
-        if a is None:
-            a = np.full(nmor, -1, dtype=np.int64)
-            for i, m in enumerate(homs.get((x, y), ())):
-                a[code[m]] = i
-            loc[(x, y)] = a
-        return a
-
     outs = {}
     for (x, y) in homs:
         outs.setdefault(x, []).append(y)
     for x in outs:
         outs[x].sort()
+    offset, width = {}, {}  # (b, d) -> first column of hom(b, d); b -> columns
+    for b, ds in outs.items():
+        w = 0
+        for d in ds:
+            offset[(b, d)] = w
+            w += len(homs[(b, d)])
+        width[b] = w
 
-    pair_tabs = {}  # (a, b, c) -> (P global codes, L local codes)
-
-    def pair_tab(a, b, c):
-        got = pair_tabs.get((a, b, c))
-        if got is not None:
-            return got
+    code = {xy: {m: i for i, m in enumerate(ms)} for xy, ms in homs.items()}
+    rows = {}
+    for (a, b) in sorted(homs):
         h1 = homs[(a, b)]
-        h2 = homs[(b, c)]
-        g2l = glob2loc(a, c)
-        p = np.empty((len(h1), len(h2)), dtype=np.int64)
-        for i, f in enumerate(h1):
-            row = p[i]
-            for j, g in enumerate(h2):
-                h = table.get((f, g))
-                if h is None:
-                    raise MissingComposite((f, g))
-                row[j] = code[h]
-        l = g2l[p]
-        if (l < 0).any():
-            i, j = map(int, np.argwhere(l < 0)[0])
-            raise CompositeEndpointViolation((h1[i], h2[j], mors[p[i, j]]))
-        pair_tabs[(a, b, c)] = (p, l)
-        return p, l
-
-    # Totality and endpoints over every composable pair.
-    for (a, b) in sorted(homs):
+        r = rows[(a, b)] = np.empty((len(h1), width.get(b, 0)), dtype=np.int32)
         for c in outs.get(b, ()):
-            pair_tab(a, b, c)
+            h2 = homs[(b, c)]
+            comps = list(map(table.get, product(h1, h2)))
+            if None in comps:
+                i, j = divmod(comps.index(None), len(h2))
+                raise MissingComposite((h1[i], h2[j]))
+            codes = list(map(code.get((a, c), {}).get, comps))
+            if None in codes:
+                n = codes.index(None)
+                i, j = divmod(n, len(h2))
+                raise CompositeEndpointViolation((h1[i], h2[j], comps[n]))
+            o = offset[(b, c)]
+            r[:, o : o + len(h2)] = np.array(codes, dtype=np.int32).reshape(len(h1), len(h2))
 
-    # Associativity over every composable triple.
+    # rows[(b, c)] with each code of g;h in hom(b, d) moved to its column
+    # among the morphisms out of b, so it indexes the columns of rows[(a, b)].
+    shifted = {}
     for (a, b) in sorted(homs):
+        r_ab = rows[(a, b)]
+        n1 = len(r_ab)
         for c in outs.get(b, ()):
-            _, l_abc = pair_tab(a, b, c)
-            for d in outs.get(c, ()):
-                p_acd, _ = pair_tab(a, c, d)
-                p_abd, _ = pair_tab(a, b, d)
-                _, l_bcd = pair_tab(b, c, d)
-                n1, n2 = l_abc.shape
-                n3 = l_bcd.shape[1]
-                chunk = max(1, 2_000_000 // max(1, n2 * n3))
-                for i0 in range(0, n1, chunk):
-                    i1 = min(n1, i0 + chunk)
-                    left = p_acd[l_abc[i0:i1]]  # (i, n2, n3)
-                    right = p_abd[
-                        np.arange(i0, i1)[:, None, None], l_bcd[None, :, :]
-                    ]
-                    if not np.array_equal(left, right):
-                        i, j, k = map(int, np.argwhere(left != right)[0])
-                        raise AssociativityViolation(
-                            (
-                                homs[(a, b)][i0 + i],
-                                homs[(b, c)][j],
-                                homs[(c, d)][k],
-                            )
-                        )
+            r_ac = rows[(a, c)]
+            w = r_ac.shape[1]
+            if w == 0:
+                continue
+            s = shifted.get((b, c))
+            if s is None:
+                shift = np.concatenate(
+                    [np.full(len(homs[(c, d)]), offset[(b, d)], np.int32) for d in outs[c]]
+                )
+                s = shifted[(b, c)] = (rows[(b, c)] + shift).ravel()
+            o, n2 = offset[(b, c)], len(homs[(b, c)])
+            l_abc = r_ab[:, o : o + n2]
+            chunk = max(1, _SWEEP_CELLS // (n2 * w))
+            for i0 in range(0, n1, chunk):
+                i1 = min(n1, i0 + chunk)
+                left = np.take(r_ac, l_abc[i0:i1], axis=0).reshape(i1 - i0, -1)
+                right = np.take(r_ab[i0:i1], s, axis=1)
+                if not np.array_equal(left, right):
+                    _raise_first_violation(homs, outs, offset, rows, a, b, c)
+
+
+def _raise_first_violation(homs, outs, offset, rows, a, b, c):
+    """Rescan a failing (a, b, c) one d at a time and raise the first
+    ``AssociativityViolation`` in (d, f, g, h) order."""
+    h1, h2 = homs[(a, b)], homs[(b, c)]
+    r_ab, r_ac, r_bc = rows[(a, b)], rows[(a, c)], rows[(b, c)]
+    o = offset[(b, c)]
+    l_abc = r_ab[:, o : o + len(h2)]
+    for d in outs[c]:
+        h3 = homs[(c, d)]
+        ocd, obd = offset[(c, d)], offset[(b, d)]
+        l_acd = r_ac[:, ocd : ocd + len(h3)]
+        l_bcd = r_bc[:, ocd : ocd + len(h3)]
+        l_abd = r_ab[:, obd : obd + len(homs[(b, d)])]
+        for i in range(len(h1)):
+            bad = l_acd[l_abc[i]] != l_abd[i][l_bcd]
+            if bad.any():
+                j, k = map(int, np.argwhere(bad)[0])
+                raise AssociativityViolation((h1[i], h2[j], h3[k]))
 
 
 # ---------------------------------------------------------------------------

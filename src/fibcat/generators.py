@@ -30,7 +30,7 @@ from .functors import (
     identity_functor,
     validate_functor,
 )
-from .groth import GrothResult, choose_cleaving, grothendieck, is_fibration, pair_id
+from .groth import GrothResult, NotAFibration, choose_cleaving, grothendieck, pair_id
 from .groups import GroupTable
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, Square, pullback, is_pullback_square
@@ -590,24 +590,23 @@ def codomain_check(C: FinCat, gr: GrothResult = None) -> CodomainReport:
     F = validate_functor(gr.total, A, on_objects, on_morphisms)
     props = functor_properties(F)
 
-    fib = is_fibration(gr.proj)
-    lifts_ok = True
-    if fib:
+    try:
         cleaving = choose_cleaving(gr.proj)
-        for (k, b), lift in sorted(cleaving.entries.items()):
-            if gr.proj.target.is_identity(k):
-                continue
-            _, g = gr.obj_of[b]
-            fprime = gr.obj_of[gr.total.src[lift]][1]
-            h_u = gr.mor_of[lift].fiber_part.split("~")[1]
-            pb = _chosen_pullback(C, k, g)
-            sq = Square(
-                top=C.comp(h_u, pb.leg2),
-                left=fprime,
-                right=g,
-                bottom=k,
-            )
-            if not is_pullback_square(C, sq):
-                lifts_ok = False
-                break
-    return CodomainReport(F, props, bool(fib), lifts_ok)
+    except NotAFibration:
+        return CodomainReport(F, props, False, True)
+    for (k, b), lift in sorted(cleaving.entries.items()):
+        if gr.proj.target.is_identity(k):
+            continue
+        _, g = gr.obj_of[b]
+        fprime = gr.obj_of[gr.total.src[lift]][1]
+        h_u = gr.mor_of[lift].fiber_part.split("~")[1]
+        pb = _chosen_pullback(C, k, g)
+        sq = Square(
+            top=C.comp(h_u, pb.leg2),
+            left=fprime,
+            right=g,
+            bottom=k,
+        )
+        if not is_pullback_square(C, sq):
+            return CodomainReport(F, props, True, False)
+    return CodomainReport(F, props, True, True)

@@ -49,17 +49,31 @@ def _json_list(value, what: str, length=None) -> list:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict.  A key given twice is malformed: keeping
+    either value would make the verdict depend on the order of entries."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise InputFormatError("key %r repeated in one object" % repeated)
+    return obj
+
+
 def read_json(path: str):
-    """Parse a JSON file; bytes that are not UTF-8 JSON are an input error."""
+    """Parse a JSON file; bytes that are not UTF-8 JSON, and an object that
+    repeats a key, are input errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputFormatError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputFormatError("%s is not JSON: %s" % (path, exc)) from exc
+    except InputFormatError as exc:
+        raise InputFormatError("%s: %s" % (path, exc)) from None
 
 
 def stable_dumps(payload) -> str:

@@ -311,3 +311,31 @@ def test_wrong_json_shape_is_input_error(workdir, capsys, case):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# One object a with endomorphisms e and ia, e;e = e: with e as the identity
+# ia;ia is missing, with ia as the identity the table is a monoid.  A JSON
+# reader that keeps one of the two values of "a" would give either verdict.
+_IDEMPOTENT = (
+    '{"objects": ["a"], "morphisms": [{"id": "e", "src": "a", "tgt": "a"}, '
+    '{"id": "ia", "src": "a", "tgt": "a"}], "identities": {"a": "%s", "a": "%s"}, '
+    '"composition": [{"first": "e", "then": "e", "equals": "e"}]}'
+)
+_REPEATED_KEY = {
+    "identities-e-then-ia": (["validate", "in.json"], _IDEMPOTENT % ("e", "ia")),
+    "identities-ia-then-e": (["validate", "in.json"], _IDEMPOTENT % ("ia", "e")),
+    "functor-on-objects": (
+        ["functor", "in.json"],
+        '{"source": %s, "target": %s, "on_objects": {"a": "b", "a": "a", "b": "b"}, '
+        '"on_morphisms": {"id_a": "id_a", "id_b": "id_b"}}' % (json.dumps(_AB), json.dumps(_AB)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_KEY))
+def test_repeated_json_key_is_input_error(workdir, capsys, case):
+    argv, text = _REPEATED_KEY[case]
+    open("in.json", "w").write(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "input error: in.json: key 'a' repeated in one object\n"

@@ -2,7 +2,7 @@
 
 Every category the library builds enters through ``core.assemble``; only
 that seam and the JSON reader call ``validate_category`` directly.  The
-library never depends on test helpers, the limits and groth oracles never
+library never depends on test helpers, the limits, groth and core oracles never
 depend on the library's private search code, no function imports a sibling
 module, and no module imports a name it does not use.
 """
@@ -86,6 +86,11 @@ def test_limits_oracle_uses_no_private_library_name():
 def test_groth_oracle_uses_no_private_library_name():
     """Likewise the cartesian-morphism oracle and the lift scan it checks."""
     assert _private_names("groth_reference.py") == []
+
+
+def test_core_oracle_uses_no_private_library_name():
+    """Likewise the axiom-check oracle and the local-code sweep it checks."""
+    assert _private_names("core_reference.py") == []
 
 
 def test_no_function_imports_a_sibling_module():
