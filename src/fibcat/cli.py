@@ -380,6 +380,10 @@ def _write_generated(args, out: _Output, name: str, payload: dict, summary: str)
 
 
 def cmd_gen(args, out: _Output) -> int:
+    for flag in ("max", "inner"):
+        n = getattr(args, flag, 0)
+        if n < 0:
+            raise InputFormatError("--%s must not be negative, got %d" % (flag, n))
     if args.what == "fi":
         C = fi_truncated(args.max)
         return _write_generated(

@@ -1,26 +1,27 @@
 """Finite categories as explicit composition tables.
 
 Objects and morphisms are plain string identifiers.  A category carries its
-identity table and its full composition table; ``validate_category`` checks
-the axioms exhaustively, so everything downstream can rely on them.  Every
-category the library builds enters through ``assemble``, which lays out the
-tables from hom-set blocks before validating them.  All
-values are immutable after validation and every predicate is a deterministic
+identity table and full composition table, checked exhaustively when it is
+built and immutable afterwards; every predicate is a deterministic
 exhaustive search over sorted identifiers.
 
-The axiom check codes each composite as an ``int32``, its position in its
-hom-set, and checks associativity with one numpy sweep per composable triple
-of objects (a, b, c) over every d at once.  Its errors come in a fixed order:
-totality and endpoints first, hom-block by hom-block, where a missing
-composite comes before a composite in the wrong hom-set; then the first
-non-associative triple in the order (a, b), c, d, (f, g, h).
+One path builds every category: ``assemble``, the only constructor of
+``FinCat``, lays out hom-set blocks ``{payload: id}`` and checks the axioms
+once, coding each composite as an ``int32``, its position in its hom-set,
+for a numpy associativity sweep per composable triple of objects (a, b, c).
+Library builders call it directly; ``validate_category`` vets raw ids (JSON
+files, tests) and hands them on as blocks ``{id: id}``.  Errors come in a
+fixed order.  On raw ids: duplicate objects, the morphisms in input order,
+the identities, the composition entries in input order, the unit laws.  Then
+in ``assemble``, per pair of blocks, a missing composite before one outside
+its hom-set; the identities and unit laws; and the first non-associative
+triple in the order (a, b), c, d, (f, g, h).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -138,27 +139,24 @@ class FinCat:
         return self._caches.setdefault(key, {})
 
 
-def _intern(s: str) -> str:
-    return sys.intern(str(s))
-
-
 def validate_category(objects, morphisms, identity, composition) -> FinCat:
-    """Check the category axioms exhaustively and return a ``FinCat``.
+    """Vet a category given by raw ids, then build it with ``assemble``.
 
     ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
     maps objects to morphism ids, ``composition`` maps composable pairs
-    ``(first, then)`` to composite ids.  Composites with an identity on
-    either side may be omitted; they are forced by the unit laws and are
-    filled in here.
+    ``(first, then)`` to composite ids; composites with an identity on either
+    side may be omitted, the unit laws force them.  Ids are read with
+    ``str()``, each object and morphism id interned once.  These checks come
+    first in the error order; the table follows block order, not input order.
     """
-    obs = tuple(sorted(_intern(x) for x in objects))
+    obs = tuple(sorted(sys.intern(str(x)) for x in objects))
     if len(set(obs)) != len(obs):
         raise CategoryError("duplicate object identifiers")
     obset = set(obs)
 
     src, tgt = {}, {}
     for mid, s, t in morphisms:
-        mid, s, t = _intern(mid), _intern(s), _intern(t)
+        mid, s, t = (sys.intern(str(v)) for v in (mid, s, t))
         if mid in src:
             raise CategoryError("duplicate morphism identifier %r" % mid)
         if s not in obset:
@@ -172,7 +170,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     for x in obs:
         if x not in identity:
             raise MissingIdentity("object %r has no identity morphism" % x)
-        i = _intern(identity[x])
+        i = sys.intern(str(identity[x]))
         if i not in src:
             raise MissingIdentity("identity %r of %r is not a morphism" % (i, x))
         if src[i] != x or tgt[i] != x:
@@ -180,11 +178,13 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
                 "identity %r of %r has endpoints (%r, %r)" % (i, x, src[i], tgt[i])
             )
         ident[x] = i
-    id_mors = frozenset(ident.values())
+    for x in identity:
+        if x not in obset:
+            raise UnknownObject("identity given for unknown object %r" % (x,))
 
     table = {}
-    for (f, g), h in dict(composition).items():
-        f, g, h = _intern(f), _intern(g), _intern(h)
+    for (f, g), h in composition.items():
+        f, g, h = str(f), str(g), str(h)
         for m in (f, g, h):
             if m not in src:
                 raise UnknownMorphism("composition table mentions %r" % m)
@@ -192,8 +192,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
             raise NonComposablePairInTable((f, g))
         table[(f, g)] = h
 
-    # Unit laws force the identity composites; fill them in and reject
-    # conflicting entries.
+    # The unit laws force the identity composites.
     for f in mors:
         for pair, forced in (((ident[src[f]], f), f), ((f, ident[tgt[f]]), f)):
             have = table.get(pair)
@@ -202,64 +201,97 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
             elif have != forced:
                 raise UnitViolation((pair[0], pair[1], have))
 
-    homs = {}
+    blocks = {}
     for f in mors:
-        homs.setdefault((src[f], tgt[f]), []).append(f)
-    homs = {k: tuple(sorted(v)) for k, v in homs.items()}
+        blocks.setdefault((src[f], tgt[f]), {})[f] = f
+    return assemble(ident, dict(sorted(blocks.items())), lambda x, f, g: table.get((f, g)))
 
-    _check_completeness_and_associativity(table, homs)
+
+def assemble(identities: dict, blocks: dict, compose) -> FinCat:
+    """Lay out and check the category whose hom-sets are ``blocks``.
+
+    ``blocks`` maps (x, y) to ``{payload: morphism id}``, ``identities`` maps
+    each object to the payload of its identity, and ``compose(x, p, q)`` is
+    the payload of p: x→y then q: y→z, or None if missing (None is never a
+    payload).  Pairs of blocks are composed once, in block order, which fixes
+    the table's order; each composite is at once coded by its position in
+    hom(x, z), which gives its table entry and its cell in ``rows``.  After
+    an unknown endpoint or a repeated id, errors per pair of blocks are
+    ``MissingComposite((f, g))``, else ``CompositeEndpointViolation((f, g,
+    payload))``; then ``MissingIdentity``, ``UnitViolation`` and
+    ``AssociativityViolation``.
+    """
+    blocks = {xy: block for xy, block in blocks.items() if block}
+    src, tgt = {}, {}
+    for (x, y), block in blocks.items():
+        if x not in identities or y not in identities:
+            raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
+        for m in block.values():
+            if m in src:
+                raise CategoryError("duplicate morphism identifier %r" % m)
+            src[m], tgt[m] = x, y
+    homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
+
+    # The morphisms out of b are laid out by target d, then code: hom(b, d)
+    # starts at column offset[(b, d)] of width[b].  rows[(a, b)] holds at row
+    # i and the column of g the code of f_i;g in hom(a, tgt g).
+    outs, offset, width = {}, {}, {}
+    for (b, d) in sorted(homs):
+        outs.setdefault(b, []).append(d)
+        offset[(b, d)] = width.get(b, 0)
+        width[b] = offset[(b, d)] + len(homs[(b, d)])
+    code, order, later = {}, {}, {}  # later[y]: the blocks out of y, in block order
+    for (y, z), qs in blocks.items():
+        pos = {m: i for i, m in enumerate(homs[(y, z)])}
+        code[(y, z)] = {p: pos[m] for p, m in qs.items()}
+        order[(y, z)] = np.fromiter(code[(y, z)].values(), np.intp, len(qs))
+        later.setdefault(y, []).append((z, list(qs.items()), offset[(y, z)] + order[(y, z)]))
+
+    table, rows = {}, {}
+    for (x, y), ps in blocks.items():
+        r = rows[(x, y)] = np.empty((len(ps), width.get(y, 0)), np.int32)
+        for z, qs, cols in later.get(y, ()):
+            ids, codes = homs.get((x, z), ()), code.get((x, z), {})
+            flat, wrong = [], None
+            for p, pid in ps.items():
+                for q, qid in qs:
+                    h = compose(x, p, q)
+                    c = codes.get(h)
+                    if c is None:
+                        if h is None:
+                            raise MissingComposite((pid, qid))
+                        wrong = wrong or (pid, qid, h)
+                        c = 0
+                    else:
+                        table[(pid, qid)] = ids[c]
+                    flat.append(c)
+            if wrong:
+                raise CompositeEndpointViolation(wrong)
+            r[np.ix_(order[(x, y)], cols)] = np.reshape(flat, (len(ps), len(qs)))
+
+    identity = {}
+    for x in sorted(identities):
+        identity[x] = blocks.get((x, x), {}).get(identities[x])
+        if identity[x] is None:
+            raise MissingIdentity("object %r has no identity morphism" % x)
+    mors = tuple(sorted(src))
+    for f in mors:
+        for pair in ((identity[src[f]], f), (f, identity[tgt[f]])):
+            if table[pair] != f:
+                raise UnitViolation((*pair, table[pair]))
+
+    _check_associativity(homs, outs, offset, rows)
 
     inverses = {}
     for f in mors:
         x, y = src[f], tgt[f]
         for g in homs.get((y, x), ()):
-            if table[(f, g)] == ident[x] and table[(g, f)] == ident[y]:
+            if table[(f, g)] == identity[x] and table[(g, f)] == identity[y]:
                 inverses[f] = g
                 break
 
-    return FinCat(
-        objects=obs,
-        morphisms=mors,
-        src=src,
-        tgt=tgt,
-        identity=ident,
-        table=table,
-        homs=homs,
-        inverses=inverses,
-        identity_morphisms=id_mors,
-    )
-
-
-def assemble(identities: dict, blocks: dict, compose) -> FinCat:
-    """Validate the category whose hom-sets are ``blocks``.
-
-    ``blocks`` maps (x, y) to ``{payload: morphism id}`` for the morphisms
-    x→y, ``identities`` maps each object to the payload of its identity and
-    ``compose(x, p, q)`` is the payload of p: x→y followed by q: y→z.  Each
-    composite is looked up in the block (x, z), so every table entry is the
-    id string of the morphism list; a payload missing there raises
-    ``MissingComposite``.  Morphisms and composites are listed in block
-    order, so the table's insertion order is fixed by it.
-    """
-    out = {}
-    for (y, z), qs in blocks.items():
-        out.setdefault(y, []).append((z, qs))
-    mors, comp = [], {}
-    for (x, y), ps in blocks.items():
-        mors.extend((pid, x, y) for pid in ps.values())
-        for z, qs in out.get(y, ()):
-            block = blocks.get((x, z), {})
-            for p, pid in ps.items():
-                for q, qid in qs.items():
-                    r = compose(x, p, q)
-                    h = block.get(r)
-                    if h is None:
-                        raise MissingComposite((pid, qid, r))
-                    comp[(pid, qid)] = h
-    identity = {
-        x: blocks[(x, x)][e] for x, e in identities.items() if e in blocks.get((x, x), ())
-    }
-    return validate_category(identities, mors, identity, comp)
+    objects, id_mors = tuple(identity), frozenset(identity.values())
+    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors)
 
 
 def subcategory(C: FinCat, objects, morphisms) -> FinCat:
@@ -276,58 +308,16 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
 _SWEEP_CELLS = 1 << 20  # composable triples compared per numpy round
 
 
-def _check_completeness_and_associativity(table, homs):
-    """Exhaustive totality, endpoint and associativity checks.
+def _check_associativity(homs, outs, offset, rows):
+    """Exhaustive associativity check on the ``int32`` codes of ``rows``.
 
-    The largest generated categories have ~10^8 composable triples, far
-    beyond what pure-Python loops handle, so the check works on ``int32``
-    local codes: a morphism's code is its position in its hom-set.  The
-    morphisms out of b are laid out by target, then by code, and
-    ``rows[(a, b)]`` holds at row i and the column of g the code of f_i;g in
-    hom(a, tgt g); its columns for c form the block L[a, b, c].
-
-    Totality and endpoints are checked first, block by block: (a, b) sorted,
-    then c.  Within a block a ``MissingComposite`` comes before a
-    ``CompositeEndpointViolation``; each names its first pair in row-major
-    order.  Associativity is then one sweep per (a, b, c) over every d at
-    once: (f;g);h, read from ``rows[(a, c)]`` at the rows L[a, b, c] gives,
-    must equal f;(g;h), read from ``rows[(a, b)]`` at the columns of the
-    composites g;h.  An (a, b, c) that fails is rescanned d by d, so the
-    reported ``AssociativityViolation`` is the first triple in the order
-    (a, b), c, d, then (f, g, h) by position.
+    One sweep per (a, b, c), (a, b) sorted, then c, covers every d at once:
+    (f;g);h, read from ``rows[(a, c)]`` at the rows that L[a, b, c] (the
+    columns for c of ``rows[(a, b)]``) gives, must equal f;(g;h), read from
+    ``rows[(a, b)]`` at the columns of the composites g;h.  A failing
+    (a, b, c) is rescanned d by d, so the ``AssociativityViolation`` names
+    the first triple in the order (a, b), c, d, (f, g, h).
     """
-    outs = {}
-    for (x, y) in homs:
-        outs.setdefault(x, []).append(y)
-    for x in outs:
-        outs[x].sort()
-    offset, width = {}, {}  # (b, d) -> first column of hom(b, d); b -> columns
-    for b, ds in outs.items():
-        w = 0
-        for d in ds:
-            offset[(b, d)] = w
-            w += len(homs[(b, d)])
-        width[b] = w
-
-    code = {xy: {m: i for i, m in enumerate(ms)} for xy, ms in homs.items()}
-    rows = {}
-    for (a, b) in sorted(homs):
-        h1 = homs[(a, b)]
-        r = rows[(a, b)] = np.empty((len(h1), width.get(b, 0)), dtype=np.int32)
-        for c in outs.get(b, ()):
-            h2 = homs[(b, c)]
-            comps = list(map(table.get, product(h1, h2)))
-            if None in comps:
-                i, j = divmod(comps.index(None), len(h2))
-                raise MissingComposite((h1[i], h2[j]))
-            codes = list(map(code.get((a, c), {}).get, comps))
-            if None in codes:
-                n = codes.index(None)
-                i, j = divmod(n, len(h2))
-                raise CompositeEndpointViolation((h1[i], h2[j], comps[n]))
-            o = offset[(b, c)]
-            r[:, o : o + len(h2)] = np.array(codes, dtype=np.int32).reshape(len(h1), len(h2))
-
     # rows[(b, c)] with each code of g;h in hom(b, d) moved to its column
     # among the morphisms out of b, so it indexes the columns of rows[(a, b)].
     shifted = {}

@@ -110,16 +110,14 @@ def category_from_json(data: dict) -> FinCat:
     morphisms = [
         (m["id"], m["src"], m["tgt"]) for m in _json_list(data["morphisms"], "morphisms")
     ]
-    composition, seen = {}, set()
+    composition = {}
     for entry in _json_list(data.get("composition", []), "composition"):
-        pair = (entry["first"], entry["then"])
-        composition[pair] = entry["equals"]
         # keeping either of two entries would make the verdict depend on
         # their order; ids are read with str(), so 1 and "1" are one id
-        key = (str(pair[0]), str(pair[1]))
-        if key in seen:
-            raise ValueError("composition lists %r twice" % (key,))
-        seen.add(key)
+        pair = (str(entry["first"]), str(entry["then"]))
+        if pair in composition:
+            raise ValueError("composition lists %r twice" % (pair,))
+        composition[pair] = entry["equals"]
     objects = _json_list(data["objects"], "objects")
     return validate_category(objects, morphisms, data["identities"], composition)
 

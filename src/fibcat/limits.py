@@ -404,13 +404,16 @@ def all_cospans(C: FinCat):
 
 def has_pullbacks(C: FinCat) -> Check:
     """Every cospan has a pullback; the counterexample is the first that has
-    none, and a passing check counts the cospans."""
-    n = 0
-    for cospan in all_cospans(C):
-        n += 1
-        if pullback(C, cospan) is None:
-            return Check(False, cospan)
-    return Check(True, info={"cospans": n})
+    none, and a passing check counts the cospans.  The answer is cached."""
+    memo = C.cache("has_pullbacks")
+    if not memo:
+        n = 0
+        for n, cospan in enumerate(all_cospans(C), 1):
+            if pullback(C, cospan) is None:
+                memo["check"] = Check(False, cospan)
+                return memo["check"]
+        memo["check"] = Check(True, info={"cospans": n})
+    return memo["check"]
 
 
 def all_spans(C: FinCat):

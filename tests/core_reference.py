@@ -1,22 +1,160 @@
-"""Reference validation: the per-(a, b, c, d) associativity sweep.
+"""Reference construction: ``validate_category`` and ``assemble`` as they
+were before ``assemble`` became the one constructor, over the
+per-(a, b, c, d) associativity sweep.
 
-This is the check ``fibcat.core`` ran before it moved to ``int32`` local
-codes and one sweep per (a, b, c): global-code composition blocks ``P``
-beside local-code blocks ``L``, an ``nmor``-long global-to-local array per
-hom-set, and a broadcast comparison for every composable (a, b, c, d).  It is
-kept only as the oracle for ``test_core_reference.py`` and imports nothing
-private from ``fibcat``, so it shares no code with the check it tests.
+``assemble`` composed every pair of blocks into a string table and handed it
+to ``validate_category``, which interned the three ids of each entry, rebuilt
+the table and checked it with ``check_completeness_and_associativity``: the
+sweep ``fibcat.core`` ran before it moved to ``int32`` local codes and one
+sweep per (a, b, c), with global-code composition blocks ``P`` beside
+local-code blocks ``L``, an ``nmor``-long global-to-local array per hom-set,
+and a broadcast comparison for every composable (a, b, c, d).  It is kept
+only as the oracle for ``test_core_reference.py`` and imports nothing
+private from ``fibcat``, so it shares no code with the construction it tests.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
 from fibcat.core import (
     AssociativityViolation,
+    CategoryError,
     CompositeEndpointViolation,
+    FinCat,
     MissingComposite,
+    MissingIdentity,
+    NonComposablePairInTable,
+    UnitViolation,
+    UnknownMorphism,
+    UnknownObject,
 )
+
+
+def intern_id(s: str) -> str:
+    return sys.intern(str(s))
+
+
+def validate_category(objects, morphisms, identity, composition) -> FinCat:
+    """Check the category axioms exhaustively and return a ``FinCat``.
+
+    ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
+    maps objects to morphism ids, ``composition`` maps composable pairs
+    ``(first, then)`` to composite ids.  Composites with an identity on
+    either side may be omitted; they are forced by the unit laws and are
+    filled in here.
+    """
+    obs = tuple(sorted(intern_id(x) for x in objects))
+    if len(set(obs)) != len(obs):
+        raise CategoryError("duplicate object identifiers")
+    obset = set(obs)
+
+    src, tgt = {}, {}
+    for mid, s, t in morphisms:
+        mid, s, t = intern_id(mid), intern_id(s), intern_id(t)
+        if mid in src:
+            raise CategoryError("duplicate morphism identifier %r" % mid)
+        if s not in obset:
+            raise UnknownObject("morphism %r has unknown source %r" % (mid, s))
+        if t not in obset:
+            raise UnknownObject("morphism %r has unknown target %r" % (mid, t))
+        src[mid], tgt[mid] = s, t
+    mors = tuple(sorted(src))
+
+    ident = {}
+    for x in obs:
+        if x not in identity:
+            raise MissingIdentity("object %r has no identity morphism" % x)
+        i = intern_id(identity[x])
+        if i not in src:
+            raise MissingIdentity("identity %r of %r is not a morphism" % (i, x))
+        if src[i] != x or tgt[i] != x:
+            raise MissingIdentity(
+                "identity %r of %r has endpoints (%r, %r)" % (i, x, src[i], tgt[i])
+            )
+        ident[x] = i
+    id_mors = frozenset(ident.values())
+
+    table = {}
+    for (f, g), h in dict(composition).items():
+        f, g, h = intern_id(f), intern_id(g), intern_id(h)
+        for m in (f, g, h):
+            if m not in src:
+                raise UnknownMorphism("composition table mentions %r" % m)
+        if tgt[f] != src[g]:
+            raise NonComposablePairInTable((f, g))
+        table[(f, g)] = h
+
+    # Unit laws force the identity composites; fill them in and reject
+    # conflicting entries.
+    for f in mors:
+        for pair, forced in (((ident[src[f]], f), f), ((f, ident[tgt[f]]), f)):
+            have = table.get(pair)
+            if have is None:
+                table[pair] = forced
+            elif have != forced:
+                raise UnitViolation((pair[0], pair[1], have))
+
+    homs = {}
+    for f in mors:
+        homs.setdefault((src[f], tgt[f]), []).append(f)
+    homs = {k: tuple(sorted(v)) for k, v in homs.items()}
+
+    check_completeness_and_associativity(obs, mors, src, tgt, table, homs)
+
+    inverses = {}
+    for f in mors:
+        x, y = src[f], tgt[f]
+        for g in homs.get((y, x), ()):
+            if table[(f, g)] == ident[x] and table[(g, f)] == ident[y]:
+                inverses[f] = g
+                break
+
+    return FinCat(
+        objects=obs,
+        morphisms=mors,
+        src=src,
+        tgt=tgt,
+        identity=ident,
+        table=table,
+        homs=homs,
+        inverses=inverses,
+        identity_morphisms=id_mors,
+    )
+
+
+def assemble(identities: dict, blocks: dict, compose) -> FinCat:
+    """Validate the category whose hom-sets are ``blocks``.
+
+    ``blocks`` maps (x, y) to ``{payload: morphism id}`` for the morphisms
+    x→y, ``identities`` maps each object to the payload of its identity and
+    ``compose(x, p, q)`` is the payload of p: x→y followed by q: y→z.  Each
+    composite is looked up in the block (x, z), so every table entry is the
+    id string of the morphism list; a payload missing there raises
+    ``MissingComposite``.  Morphisms and composites are listed in block
+    order, so the table's insertion order is fixed by it.
+    """
+    out = {}
+    for (y, z), qs in blocks.items():
+        out.setdefault(y, []).append((z, qs))
+    mors, comp = [], {}
+    for (x, y), ps in blocks.items():
+        mors.extend((pid, x, y) for pid in ps.values())
+        for z, qs in out.get(y, ()):
+            block = blocks.get((x, z), {})
+            for p, pid in ps.items():
+                for q, qid in qs.items():
+                    r = compose(x, p, q)
+                    h = block.get(r)
+                    if h is None:
+                        raise MissingComposite((pid, qid, r))
+                    comp[(pid, qid)] = h
+    identity = {
+        x: blocks[(x, x)][e] for x, e in identities.items() if e in blocks.get((x, x), ())
+    }
+    return validate_category(identities, mors, identity, comp)
 
 
 def check_completeness_and_associativity(obs, mors, src, tgt, table, homs):

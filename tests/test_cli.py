@@ -339,3 +339,48 @@ def test_repeated_json_key_is_input_error(workdir, capsys, case):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "input error: in.json: key 'a' repeated in one object\n"
+
+
+def test_identity_of_unknown_object_is_rejected(workdir, capsys):
+    payload = {
+        "objects": ["a"],
+        "morphisms": [{"id": "ia", "src": "a", "tgt": "a"}],
+        "identities": {"a": "ia", "zz": "ia"},
+    }
+    open("in.json", "w").write(stable_dumps(payload))
+    code, out, _ = run(capsys, "validate", "in.json")
+    assert code == 1 and "UnknownObject" in out and "'zz'" in out
+    code, out, err = run(capsys, "fitype", "in.json")
+    assert code == 2 and out == "" and err.startswith("input error: UnknownObject")
+
+
+@pytest.mark.parametrize("argv", [["fi", "--max", "-1"], ["blocks", "--max", "2", "--inner", "-1"]])
+def test_gen_negative_size_is_input_error(workdir, capsys, argv):
+    code, out, err = run(capsys, "gen", *argv, "-o", "out.json")
+    assert code == 2 and out == "" and not os.path.exists("out.json")
+    assert err.startswith("input error:") and err.count("\n") == 1 and argv[-2] in err
+
+
+def test_json_table_does_not_depend_on_composition_order(workdir, capsys):
+    """A category read from JSON lays its table out in block order, so the
+    first composite a functor breaks is the same whatever the file order."""
+    fi2 = category_to_json(fi_truncated(2))
+    backwards = {**fi2, "composition": fi2["composition"][::-1]}
+    assert list(category_from_json(fi2).table.items()) == list(
+        category_from_json(backwards).table.items()
+    )
+    # sending the swap of 2 to the identity breaks f;swap for both f: 1→2
+    on_morphisms = {m["id"]: m["id"] for m in fi2["morphisms"]} | {"2>2:1,0": "2>2:0,1"}
+    details = []
+    for source in (fi2, backwards):
+        functor = {
+            "source": source,
+            "target": fi2,
+            "on_objects": {x: x for x in fi2["objects"]},
+            "on_morphisms": on_morphisms,
+        }
+        open("f.json", "w").write(stable_dumps(functor))
+        code, out, _ = run(capsys, "--json", "functor", "f.json")
+        assert code == 1
+        details.append(json.loads(out)["verdict"]["detail"])
+    assert details[0] == details[1]

@@ -56,7 +56,7 @@ def test_non_composable_pair_rejected():
 def test_assemble_rejects_a_composite_outside_the_target_block():
     # payloads are integers mod 3, but the block of x holds only 0 and 1
     blocks = {("x", "x"): {0: "e", 1: "a"}}
-    with pytest.raises(MissingComposite, match="'a', 'a', 2"):
+    with pytest.raises(CompositeEndpointViolation, match="'a', 'a', 2"):
         assemble({"x": 0}, blocks, lambda x, p, q: (p + q) % 3)
     C = assemble({"x": 0}, blocks, lambda x, p, q: (p + q) % 2)
     assert C.comp("a", "a") == "e" and C.identity == {"x": "e"}

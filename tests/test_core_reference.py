@@ -1,11 +1,19 @@
-"""Differential check of the axiom check in ``fibcat.core`` against
-``core_reference``, the per-(a, b, c, d) sweep it replaced.
+"""Differential check of ``validate_category`` and ``assemble`` in
+``fibcat.core`` against ``core_reference``, the construction they replaced:
+a string table per category, re-interned and re-checked by the
+per-(a, b, c, d) sweep.
 
-On a corpus of valid categories, on seeded single-entry mutations of each
-(a wrong composite in the right hom-set, a composite in the wrong hom-set, a
-deleted pair) and on hand-built tables whose first error a batched sweep
-could misreport, both checks must give the same outcome: ``None``, or the
-same exception class with the same args.
+Through ``validate_category``: on a corpus of valid categories, on seeded
+single-entry mutations of each (a wrong composite in the right hom-set, a
+composite in the wrong hom-set, a deleted pair) and on hand-built tables
+whose first error a batched sweep could misreport, both give the same
+outcome: the same ``FinCat`` fields, or the same exception class with the
+same args.  The table is compared as a dict: a table read from raw ids
+follows block order, not input order.
+
+Through ``assemble``: every library build below also runs the reference
+``assemble`` on the same blocks and must give the same fields, the table's
+insertion order included.
 """
 
 import random
@@ -13,30 +21,54 @@ import random
 import pytest
 
 import core_reference as ref
-from fibcat import CategoryError, core, generators, grothendieck
+from fibcat import CategoryError, core, generators, groth, groups, grothendieck
 from fibcat.core import (
     AssociativityViolation,
     CompositeEndpointViolation,
     MissingComposite,
+    validate_category,
 )
-from fibcat.groups import cyclic_group
+from fibcat.groups import cyclic_group, group_as_category, symmetric_group
+from fibcat.indexed import restrict_to_aut
+
+FIELDS = (
+    "objects",
+    "morphisms",
+    "src",
+    "tgt",
+    "identity",
+    "homs",
+    "inverses",
+    "identity_morphisms",
+    "table",
+)
 
 
-def outcome(check, *args):
+def fields(C, ordered):
+    """The fields of ``C``; with ``ordered``, also the table's key order."""
+    got = tuple(getattr(C, name) for name in FIELDS)
+    return got + (list(C.table),) if ordered else got
+
+
+def outcome(build, *args, ordered=False):
     try:
-        check(*args)
+        return fields(build(*args), ordered)
     except CategoryError as exc:
         return (type(exc), exc.args)
-    return None
+
+
+def raw(C, table):
+    """``validate_category`` arguments: the ids of ``C`` with ``table``."""
+    morphisms = [(m, C.src[m], C.tgt[m]) for m in C.morphisms]
+    return C.objects, morphisms, dict(C.identity), table
 
 
 def library(C, table):
-    return outcome(core._check_completeness_and_associativity, table, C.homs)
+    return outcome(validate_category, *raw(C, table))
 
 
 def oracle(C, table):
-    args = (C.objects, C.morphisms, C.src, C.tgt, table, C.homs)
-    return outcome(ref.check_completeness_and_associativity, *args)
+    return outcome(ref.validate_category, *raw(C, table))
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +135,7 @@ def mutations(C, seed):
 @pytest.mark.parametrize("name", CATEGORIES)
 def test_valid_categories_match_reference(request, name):
     C = request.getfixturevalue(name)
-    assert library(C, C.table) is None
-    assert oracle(C, C.table) is None
+    assert library(C, C.table) == oracle(C, C.table) == fields(C, False)
 
 
 @pytest.mark.parametrize("name", CATEGORIES)
@@ -115,31 +146,15 @@ def test_mutations_match_reference(request, name):
 
 
 def test_mutations_reach_every_error(fi3):
-    seen = {library(fi3, table) for _, table in mutations(fi3, 0)}
-    assert {MissingComposite, CompositeEndpointViolation, AssociativityViolation} <= {
-        got[0] for got in seen if got is not None
-    }
-
-
-class Raw:
-    """The inputs of the check, built from morphisms and composites alone."""
-
-    def __init__(self, morphisms, table):
-        self.src = {m: s for m, s, _ in morphisms}
-        self.tgt = {m: t for m, _, t in morphisms}
-        self.objects = tuple(sorted(set(self.src.values()) | set(self.tgt.values())))
-        self.morphisms = tuple(sorted(self.src))
-        homs = {}
-        for m in self.morphisms:
-            homs.setdefault((self.src[m], self.tgt[m]), []).append(m)
-        self.homs = {k: tuple(v) for k, v in homs.items()}
-        self.table = table
+    seen = {library(fi3, table)[0] for _, table in mutations(fi3, 0)}
+    assert {MissingComposite, CompositeEndpointViolation, AssociativityViolation} <= seen
 
 
 def two_targets():
     """f0, f1: a→b, g: b→c, h: c→d, k: c→e and their composites, all
     associative: f_i;g = u_i, g;h = v, g;k = w, u_i;h = f_i;v = x_i,
-    u_i;k = f_i;w = y_i."""
+    u_i;k = f_i;w = y_i; each object x has the identity ix.  Returns the
+    ``validate_category`` arguments."""
     morphisms = [
         tuple(m.split())
         for m in (
@@ -147,49 +162,123 @@ def two_targets():
             "v b d", "w b e", "x0 a d", "x1 a d", "y0 a e", "y1 a e",
         )
     ]
+    objects = "abcde"
+    morphisms += [("i" + x, x, x) for x in objects]
     table = {("g", "h"): "v", ("g", "k"): "w"}
     for i in "01":
         table[("f" + i, "g")] = "u" + i
         table[("u" + i, "h")] = table[("f" + i, "v")] = "x" + i
         table[("u" + i, "k")] = table[("f" + i, "w")] = "y" + i
-    return morphisms, table
+    return objects, morphisms, {x: "i" + x for x in objects}, table
+
+
+def both(objects, morphisms, identity, table):
+    """The library's outcome, once the reference agrees with it."""
+    got = outcome(validate_category, objects, morphisms, identity, table)
+    assert outcome(ref.validate_category, objects, morphisms, identity, table) == got
+    return got
 
 
 def test_two_targets_is_associative():
-    C = Raw(*two_targets())
-    assert library(C, C.table) is None
-    assert oracle(C, C.table) is None
+    assert both(*two_targets())[0] == tuple(sorted("abcde"))
 
 
 def test_missing_pair_after_endpoint_violation_wins():
     """In the block (a, b, c), f0;g lands in the wrong hom-set and the later
     pair (f1, g) is missing: the missing pair is reported."""
-    morphisms, table = two_targets()
+    objects, morphisms, identity, table = two_targets()
     table[("f0", "g")] = "x0"
     del table[("f1", "g")]
-    C = Raw(morphisms, table)
-    assert library(C, table) == (MissingComposite, (("f1", "g"),))
-    assert oracle(C, table) == library(C, table)
+    assert both(objects, morphisms, identity, table) == (MissingComposite, (("f1", "g"),))
 
 
 def test_endpoint_violation_in_earlier_block_wins():
     """The block (a, b, c) comes before (b, c, d): its endpoint violation
     is reported, not the later block's missing pair."""
-    morphisms, table = two_targets()
+    objects, morphisms, identity, table = two_targets()
     table[("f1", "g")] = "x0"
     del table[("g", "h")]
-    C = Raw(morphisms, table)
-    assert library(C, table) == (CompositeEndpointViolation, (("f1", "g", "x0"),))
-    assert oracle(C, table) == library(C, table)
+    assert both(objects, morphisms, identity, table) == (
+        CompositeEndpointViolation,
+        (("f1", "g", "x0"),),
+    )
 
 
 def test_first_violation_is_at_the_earlier_target():
     """Associativity fails at d for f1 and at e for f0.  The first failure is
     the one at d, although the one at e has the smaller f: a sweep over all
     targets at once that reports its first mismatch would name (f0, g, k)."""
-    morphisms, table = two_targets()
+    objects, morphisms, identity, table = two_targets()
     table[("f1", "v")] = "x0"
     table[("f0", "w")] = "y1"
-    C = Raw(morphisms, table)
-    assert library(C, table) == (AssociativityViolation, (("f1", "g", "h"),))
-    assert oracle(C, table) == library(C, table)
+    assert both(objects, morphisms, identity, table) == (
+        AssociativityViolation,
+        (("f1", "g", "h"),),
+    )
+
+
+@pytest.fixture()
+def checked_assemble(monkeypatch):
+    """Make every ``assemble`` a builder calls also run the reference on the
+    same arguments; the fields, table order included, must agree.  Returns
+    the table sizes of the categories built, in build order."""
+    real, calls = core.assemble, []
+
+    def checked(identities, blocks, compose):
+        C = real(identities, blocks, compose)
+        assert fields(C, True) == fields(ref.assemble(identities, blocks, compose), True)
+        calls.append(len(C.table))
+        return C
+
+    for module in (core, generators, groth, groups):
+        monkeypatch.setattr(module, "assemble", checked)
+    return calls
+
+
+BUILDERS = {
+    "fi_truncated(3)": lambda: generators.fi_truncated(3),
+    "fi_g_direct(Z2, 2)": lambda: generators.fi_g_direct(cyclic_group(2), 2),
+    "fi_colored({a: Z2, b: Z2}, 1)": lambda: generators.fi_colored(
+        {"a": cyclic_group(2), "b": cyclic_group(2)}, 1
+    ),
+    "slice_category(FI_2, '2')": lambda: generators.slice_category(
+        generators.fi_truncated(2), "2"
+    ),
+    "arrow_category(FI_2)": lambda: generators.arrow_category(generators.fi_truncated(2)),
+    "product_category(chain3, chain3)": lambda: generators.product_category(
+        generators.chain_poset(3), generators.chain_poset(3)
+    ),
+    "square_poset()": generators.square_poset,
+    "codiscrete_category('abc')": lambda: generators.codiscrete_category("abc"),
+    "discrete_category('xyz')": lambda: generators.discrete_category("xyz"),
+    "terminal_category()": generators.terminal_category,
+    "group_as_category(S3)": lambda: group_as_category(symmetric_group(3)),
+    "block_perm_indexed(2, 1)": lambda: generators.block_perm_indexed(2, 1),
+    "fiber(grothendieck(indexed_gpow(Z2, 2)).proj, '1')": lambda: groth.fiber(
+        grothendieck(generators.indexed_gpow(cyclic_group(2), 2)).proj, "1"
+    ),
+    "restrict_to_aut(indexed_gpow(Z2, 2), '2')": lambda: restrict_to_aut(
+        generators.indexed_gpow(cyclic_group(2), 2), "2"
+    ),
+    "fi_colored({a: Z2, b: Z2}, 2)": lambda: generators.fi_colored(
+        {"a": cyclic_group(2), "b": cyclic_group(2)}, 2
+    ),
+    "grothendieck(indexed_gpow(Z2, 4))": lambda: grothendieck(
+        generators.indexed_gpow(cyclic_group(2), 4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_match_reference_assemble(checked_assemble, name):
+    BUILDERS[name]()
+    assert checked_assemble
+
+
+def test_assemble_differs_only_on_a_payload_outside_its_block():
+    """The reference reports a payload outside its target block as missing,
+    ``assemble`` as a composite in the wrong hom-set."""
+    blocks = {("x", "x"): {0: "e", 1: "a"}}
+    args = ({"x": 0}, blocks, lambda x, p, q: (p + q) % 3)
+    assert outcome(ref.assemble, *args) == (MissingComposite, (("a", "a", 2),))
+    assert outcome(core.assemble, *args) == (CompositeEndpointViolation, (("a", "a", 2),))

@@ -1,10 +1,12 @@
 """Structural checks on the library source, read with ``ast``.
 
-Every category the library builds enters through ``core.assemble``; only
-that seam and the JSON reader call ``validate_category`` directly.  The
-library never depends on test helpers, the limits, groth and core oracles never
-depend on the library's private search code, no function imports a sibling
-module, and no module imports a name it does not use.
+``core.assemble`` is the one constructor of ``FinCat``: every category,
+built by the library or read from raw ids, is laid out and checked there
+once, and in the library only the JSON reader calls ``validate_category``,
+which vets raw ids and hands them to ``assemble``.  The library never
+depends on test helpers, the limits, groth and core oracles never depend on
+the library's private search code, no function imports a sibling module,
+and no module imports a name it does not use.
 """
 
 import ast
@@ -35,17 +37,24 @@ def test_library_imports_no_test_helpers():
     assert bad == []
 
 
-def _references(tree, target):
-    """Qualified names of the functions whose bodies mention ``target``."""
+def _references(tree, target, calls=False):
+    """Qualified names of the functions whose bodies mention ``target``, or
+    with ``calls`` only those that call it."""
     found = []
+
+    def named(node):
+        return (isinstance(node, ast.Name) and node.id == target) or (
+            isinstance(node, ast.Attribute) and node.attr == target
+        )
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        mentions = (isinstance(node, ast.Name) and node.id == target) or (
-            isinstance(node, ast.Attribute) and node.attr == target
-        )
-        if mentions:
+        if calls:
+            hit = isinstance(node, ast.Call) and named(node.func)
+        else:
+            hit = named(node)
+        if hit:
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -55,12 +64,19 @@ def _references(tree, target):
 
 
 def test_validate_category_has_exactly_two_callers():
-    callers = sorted(
-        "%s.%s" % (name, where)
-        for name, tree in _modules()
-        for where in _references(tree, "validate_category")
-    )
-    assert callers == ["core.assemble", "ioformats.category_from_json"]
+    """The two seams of the one path: ``core.assemble`` alone calls the
+    ``FinCat`` constructor, and ``ioformats.category_from_json`` alone
+    mentions ``validate_category``."""
+
+    def callers(target, calls):
+        return sorted(
+            "%s.%s" % (name, where)
+            for name, tree in _modules()
+            for where in _references(tree, target, calls)
+        )
+
+    assert callers("FinCat", True) == ["core.assemble"]
+    assert callers("validate_category", False) == ["ioformats.category_from_json"]
 
 
 def _private_names(oracle):

@@ -21,6 +21,7 @@ from fibcat import (
     validate_functor,
     weak_pushout,
 )
+from fibcat import limits
 from fibcat.generators import fi_truncated, inj_id, parse_inj, span_poset
 from fibcat.limits import all_cospans, all_spans, as_pullback
 
@@ -259,3 +260,19 @@ def test_mediator_failure_modes_are_distinguished():
 def test_disjoint_image_square_is_pullback(fi2):
     sq = Square(inj_id(0, 1, ()), inj_id(0, 1, ()), inj_id(1, 2, (0,)), inj_id(1, 2, (1,)))
     assert is_pullback_square(fi2, sq)
+
+
+def test_has_pullbacks_is_cached(monkeypatch):
+    """A second ``has_pullbacks`` on the same category searches no cospan."""
+    C = fi_truncated(2)
+    calls = []
+
+    def counted(C, cospan):
+        calls.append(cospan)
+        return pullback(C, cospan)
+
+    monkeypatch.setattr(limits, "pullback", counted)
+    first = limits.has_pullbacks(C)
+    n = len(calls)
+    assert first.holds and n == first.info["cospans"] > 0
+    assert limits.has_pullbacks(C) is first and len(calls) == n
