@@ -9,17 +9,27 @@ One path builds every category: ``assemble``, the only constructor of
 ``FinCat``, lays out hom-set blocks ``{payload: id}`` and checks the axioms
 once, coding each composite as an ``int32``, its position in its hom-set,
 for a numpy associativity sweep per composable triple of objects (a, b, c).
-Library builders call it directly; ``validate_category`` vets raw ids (JSON
-files, tests) and hands them on as blocks ``{id: id}``.  Errors come in a
-fixed order.  On raw ids: duplicate objects, the morphisms in input order,
-the identities, the composition entries in input order, the unit laws.  Then
-in ``assemble``, per pair of blocks, a missing composite before one outside
-its hom-set; the identities and unit laws; and the first non-associative
-triple in the order (a, b), c, d, (f, g, h).
+Its composer composes a whole pair of blocks at once: ``compose(x, y, z)``
+is an integer array whose entry (i, j) is the position, in the insertion
+order of block (x, z), of the i-th payload of (x, y) followed by the j-th of
+(y, z).  The injection builders of ``generators`` compute these arrays with
+numpy; every other builder writes a per-composite ``compose(x, p, q)`` and
+wraps it in ``per_composite``, and ``validate_category`` vets raw ids (JSON
+files, tests) and hands them on as blocks ``{id: id}`` the same way.
+
+Errors come in a fixed order.  On raw ids: duplicate objects, the morphisms
+in input order, the identities, the composition entries in input order, the
+unit laws.  Then in ``assemble``, per pair of blocks in block order: from
+``per_composite``, the first missing composite (``MissingComposite``), else
+the first payload outside its hom-set (``CompositeEndpointViolation``); from
+any composer, the first position outside the target block
+(``CompositeEndpointViolation``).  Then the identities and unit laws, and the
+first non-associative triple in the order (a, b), c, d, (f, g, h).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -185,9 +195,9 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     table = {}
     for (f, g), h in composition.items():
         f, g, h = str(f), str(g), str(h)
-        for m in (f, g, h):
-            if m not in src:
-                raise UnknownMorphism("composition table mentions %r" % m)
+        if f not in src or g not in src or h not in src:
+            m = next(m for m in (f, g, h) if m not in src)
+            raise UnknownMorphism("composition table mentions %r" % m)
         if tgt[f] != src[g]:
             raise NonComposablePairInTable((f, g))
         table[(f, g)] = h
@@ -204,21 +214,25 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     blocks = {}
     for f in mors:
         blocks.setdefault((src[f], tgt[f]), {})[f] = f
-    return assemble(ident, dict(sorted(blocks.items())), lambda x, f, g: table.get((f, g)))
+    blocks = dict(sorted(blocks.items()))
+    return assemble(ident, blocks, per_composite(blocks, lambda x, f, g: table.get((f, g))))
 
 
 def assemble(identities: dict, blocks: dict, compose) -> FinCat:
     """Lay out and check the category whose hom-sets are ``blocks``.
 
-    ``blocks`` maps (x, y) to ``{payload: morphism id}``, ``identities`` maps
-    each object to the payload of its identity, and ``compose(x, p, q)`` is
-    the payload of p: x→y then q: y→z, or None if missing (None is never a
-    payload).  Pairs of blocks are composed once, in block order, which fixes
-    the table's order; each composite is at once coded by its position in
-    hom(x, z), which gives its table entry and its cell in ``rows``.  After
-    an unknown endpoint or a repeated id, errors per pair of blocks are
-    ``MissingComposite((f, g))``, else ``CompositeEndpointViolation((f, g,
-    payload))``; then ``MissingIdentity``, ``UnitViolation`` and
+    ``blocks`` maps (x, y) to ``{payload: morphism id}`` and ``identities``
+    maps each object to the payload of its identity.  ``compose(x, y, z)``
+    composes the blocks (x, y) and (y, z): an integer array of shape
+    (|blocks[(x, y)]|, |blocks[(y, z)]|) whose entry (i, j) is the position,
+    in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
+    (x, y) followed by the j-th of (y, z).  Pairs of blocks are composed
+    once, in block order, which fixes the table's order; each position is
+    mapped to its code in hom(x, z), which gives its table entry and its
+    cell in ``rows``.  After an unknown endpoint or a repeated id, errors
+    are the composer's own (see ``per_composite``), then per pair of blocks
+    ``CompositeEndpointViolation((f, g, position))`` for the first position
+    outside block (x, z); then ``MissingIdentity``, ``UnitViolation`` and
     ``AssociativityViolation``.
     """
     blocks = {xy: block for xy, block in blocks.items() if block}
@@ -240,34 +254,25 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
         outs.setdefault(b, []).append(d)
         offset[(b, d)] = width.get(b, 0)
         width[b] = offset[(b, d)] + len(homs[(b, d)])
-    code, order, later = {}, {}, {}  # later[y]: the blocks out of y, in block order
+    ids, names, order, later = {}, {}, {}, {}  # later[y]: the blocks out of y, in block order
     for (y, z), qs in blocks.items():
         pos = {m: i for i, m in enumerate(homs[(y, z)])}
-        code[(y, z)] = {p: pos[m] for p, m in qs.items()}
-        order[(y, z)] = np.fromiter(code[(y, z)].values(), np.intp, len(qs))
-        later.setdefault(y, []).append((z, list(qs.items()), offset[(y, z)] + order[(y, z)]))
+        ids[(y, z)] = list(qs.values())
+        names[(y, z)] = np.array(ids[(y, z)], object)
+        order[(y, z)] = np.fromiter(map(pos.__getitem__, ids[(y, z)]), np.int32, len(qs))
+        later.setdefault(y, []).append((z, offset[(y, z)] + order[(y, z)]))
 
     table, rows = {}, {}
-    for (x, y), ps in blocks.items():
-        r = rows[(x, y)] = np.empty((len(ps), width.get(y, 0)), np.int32)
-        for z, qs, cols in later.get(y, ()):
-            ids, codes = homs.get((x, z), ()), code.get((x, z), {})
-            flat, wrong = [], None
-            for p, pid in ps.items():
-                for q, qid in qs:
-                    h = compose(x, p, q)
-                    c = codes.get(h)
-                    if c is None:
-                        if h is None:
-                            raise MissingComposite((pid, qid))
-                        wrong = wrong or (pid, qid, h)
-                        c = 0
-                    else:
-                        table[(pid, qid)] = ids[c]
-                    flat.append(c)
-            if wrong:
-                raise CompositeEndpointViolation(wrong)
-            r[np.ix_(order[(x, y)], cols)] = np.reshape(flat, (len(ps), len(qs)))
+    for (x, y), pids in ids.items():
+        r = rows[(x, y)] = np.empty((len(pids), width.get(y, 0)), np.int32)
+        at_rows = order[(x, y)][:, None]
+        for z, cols in later.get(y, ()):
+            at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
+            if at.min() < 0 or at.max() >= n:
+                i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
+                raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
+            table.update(zip(itertools.product(pids, qids), names[(x, z)][at.ravel()]))
+            r[at_rows, cols] = order[(x, z)][at]
 
     identity = {}
     for x in sorted(identities):
@@ -294,6 +299,35 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
     return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors)
 
 
+def per_composite(blocks: dict, compose):
+    """The composer, for ``assemble`` over ``blocks``, of a per-composite
+    ``compose(x, p, q)``: the payload of p: x→y then q: y→z, or None if
+    missing (None is never a payload).  A pair of blocks raises
+    ``MissingComposite((f, g))`` for its first missing composite, else
+    ``CompositeEndpointViolation((f, g, payload))`` for the first payload
+    outside ``blocks[(x, z)]``."""
+    positions = {}
+
+    def composer(x, y, z):
+        pos = positions.get((x, z))
+        if pos is None:
+            pos = positions[(x, z)] = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
+        ps, qs = blocks[(x, y)], blocks[(y, z)]
+        try:
+            made = itertools.starmap(compose, itertools.product((x,), ps, qs))
+            at = np.fromiter(map(pos.__getitem__, made), np.int32, len(ps) * len(qs))
+        except KeyError:
+            made = [compose(x, p, q) for p in ps for q in qs]
+            pairs = list(itertools.product(ps.values(), qs.values()))
+            if None in made:
+                raise MissingComposite(pairs[made.index(None)]) from None
+            k = next(k for k, h in enumerate(made) if h not in pos)
+            raise CompositeEndpointViolation((*pairs[k], made[k])) from None
+        return at.reshape(len(ps), len(qs))
+
+    return composer
+
+
 def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     """The subcategory of ``C`` on ``objects`` and ``morphisms``, which must
     hold the identities of ``objects`` and be closed under composition."""
@@ -301,7 +335,9 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     for m in morphisms:
         blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m
     return assemble(
-        {x: C.id_of(x) for x in objects}, blocks, lambda x, f, g: C.table[(f, g)]
+        {x: C.id_of(x) for x in objects},
+        blocks,
+        per_composite(blocks, lambda x, f, g: C.table[(f, g)]),
     )
 
 

@@ -11,16 +11,25 @@ are deterministic bit for bit:
   slice morphisms       "obj~underlying~obj"
 
 Every category here is laid out as hom-set blocks ``{(x, y): {payload:
-id}}`` with a composition of payloads and built by ``core.assemble``, which
-validates it; generation never bypasses validation.
+id}}`` and built by ``core.assemble``, which validates it; generation never
+bypasses validation.  FI, FI_G and coloured FI share one numpy composer,
+``_injection_category``, which composes a whole pair of blocks at once:
+images by a gather, decorations through the group's multiplication table,
+and each composite ranked in its target block by its base-n image code and
+its mixed-radix decoration code.  Every other builder gives a per-composite
+``compose(x, p, q)`` to ``core.per_composite``; either way a composite that
+falls outside its target block raises ``CompositeEndpointViolation``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError, assemble
+import numpy as np
+
+from .core import FinCat, CategoryError, assemble, per_composite
 from .functors import (
     FinFunctor,
     FunctorProperties,
@@ -31,7 +40,7 @@ from .functors import (
     validate_functor,
 )
 from .groth import GrothResult, NotAFibration, choose_cleaving, grothendieck, pair_id
-from .groups import GroupTable
+from .groups import GroupTable, trivial_group
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, Square, pullback, is_pullback_square
 
@@ -51,11 +60,8 @@ def _relation_category(names, related, mid) -> FinCat:
     names = sorted(str(n) for n in names)
     if len(set(names)) != len(names):
         raise CategoryError("duplicate object identifiers")
-    return assemble(
-        {x: () for x in names},
-        {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)},
-        lambda x, p, q: (),
-    )
+    blocks = {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)}
+    return assemble({x: () for x in names}, blocks, per_composite(blocks, lambda x, p, q: ()))
 
 
 def terminal_category() -> FinCat:
@@ -122,15 +128,94 @@ def parse_inj(mid: str):
 
 def fi_truncated(N: int) -> FinCat:
     """Finite sets 0..N and injections, composition by function composition."""
-    return assemble(
-        {str(n): tuple(range(n)) for n in range(N + 1)},
-        {
-            (str(m), str(n)): {imgs: inj_id(m, n, imgs) for imgs in injections(m, n)}
-            for m in range(N + 1)
-            for n in range(m, N + 1)
-        },
-        lambda x, f, g: tuple(g[i] for i in f),
+    plain = trivial_group()
+    return _injection_category(
+        {str(n): (plain,) * n for n in range(N + 1)},
+        lambda s, t: injections(int(s), int(t)),
+        lambda s, t, imgs, decs: inj_id(s, t, imgs),
     )
+
+
+def _radix(images, n):
+    """The base-``n`` code of each image tuple along the last axis, as int64."""
+    code = np.zeros(images.shape[:-1], np.int64)
+    for k in range(images.shape[-1]):
+        code *= n
+        code += images[..., k]
+    return code
+
+
+def _injection_category(points: dict, images, mid) -> FinCat:
+    """The category of decorated injections between the objects of ``points``.
+
+    ``points[s]`` gives the group of each point of s, ``images(s, t)`` the
+    image tuples of the injections s→t in block order (an injection keeps
+    each point's group) and ``mid(s, t, imgs, decs)`` the id of one.  A
+    block lists each image with every decoration, one element of its point's
+    group per source point, in ``itertools.product`` order: the payload at
+    position i·D + k of hom(s, t), D the number of decorations of s, is image
+    i with decoration k, and k is the mixed-radix code of the decoration's
+    element indices, last point fastest.
+
+    f: s→t then g: t→u has image g_img[f_img] and decoration
+    ``mul(f_dec[k], g_dec[f_img[k]])`` at k.  ``compose(x, y, z)`` computes
+    both for every pair of its two blocks at once, ranks the images by
+    ``np.searchsorted`` among the sorted codes of block (x, z) and gives an
+    image not found there a position past the block's end, which ``assemble``
+    rejects.  Intermediate arrays are built one (x, y, z) at a time, images
+    in the narrowest unsigned dtype.
+    """
+    decs, muls, units, blocks, img, index, tables = {}, {}, {}, {}, {}, {}, {}
+    for s, groups in points.items():
+        sizes = [len(G) for G in groups]
+        decs[s] = np.array(
+            list(itertools.product(*map(range, sizes))), np.intp
+        ).reshape(math.prod(sizes), len(sizes))
+        weights = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        for G in groups:
+            if G not in tables:
+                pos = {e: i for i, e in enumerate(G.elements)}
+                tables[G] = np.array(
+                    [[pos[G.mul(a, b)] for b in G.elements] for a in G.elements], np.int32
+                )
+        muls[s] = [tables[G] * w for G, w in zip(groups, weights)]
+        units[s] = sum(G.elements.index(G.unit) * w for G, w in zip(groups, weights))
+        elements = [G.elements for G in groups]
+        for t in points:
+            ims = images(s, t)
+            if ims:
+                arr = np.array(ims, np.min_scalar_type(len(points[t])))
+                img[(s, t)] = arr.reshape(len(ims), len(groups))
+                code = _radix(img[(s, t)], len(points[t]))
+                perm = np.argsort(code).astype(np.int32)
+                index[(s, t)] = code[perm], perm
+                blocks[(s, t)] = dict(
+                    enumerate(mid(s, t, i, d) for i in ims for d in itertools.product(*elements))
+                )
+
+    def rank(x, z, code):
+        """Position in the images of block (x, z) of each image code; one past
+        the last image for a code that is not there."""
+        keys, perm = index[(x, z)]
+        r = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
+        return np.where(keys[r] == code, perm[r], len(keys))
+
+    def compose(x, y, z):
+        f_img, g_img, f_dec, g_dec = img[(x, y)], img[(y, z)], decs[x], decs[y]
+        # at[image of f, image of g]; dec[decoration of f, image of f, decoration of g]
+        at = rank(x, z, _radix(g_img[:, f_img], len(points[z]))).T
+        dec = np.zeros((len(f_dec), len(f_img), len(g_dec)), np.int32)
+        for k, mul in enumerate(muls[x]):
+            dec += mul[f_dec[:, k, None, None], g_dec[:, f_img[:, k]].T]
+        D = len(f_dec)
+        out = at[:, None, :, None] * D + dec.transpose(1, 0, 2)[:, :, None, :]
+        return out.reshape(len(f_img) * D, len(g_img) * len(g_dec))
+
+    identities = {}
+    for s, groups in points.items():
+        image = int(rank(s, s, _radix(np.arange(len(groups)), len(groups))))
+        identities[s] = image * len(decs[s]) + units[s]
+    return assemble(identities, blocks, compose)
 
 
 def _check_element_ids(G: GroupTable) -> None:
@@ -150,29 +235,13 @@ def parse_dec(mid: str):
     return int(m), int(n), images, tuple(decs.split(",")) if decs else ()
 
 
-def decorated_composite(G: GroupTable, f_imgs, f_decs, g_imgs, g_decs):
-    """Compose decorated injections: pull the second decoration back along
-    the first injection and multiply on the right."""
-    imgs = tuple(g_imgs[i] for i in f_imgs)
-    decs = tuple(G.mul(d, g_decs[i]) for d, i in zip(f_decs, f_imgs))
-    return imgs, decs
-
-
 def fi_g_direct(G: GroupTable, N: int) -> FinCat:
     """Injections decorated with one group element per source point."""
     _check_element_ids(G)
-    return assemble(
-        {str(n): (tuple(range(n)), (G.unit,) * n) for n in range(N + 1)},
-        {
-            (str(m), str(n)): {
-                (imgs, decs): dec_id(m, n, imgs, decs)
-                for imgs in injections(m, n)
-                for decs in itertools.product(G.elements, repeat=m)
-            }
-            for m in range(N + 1)
-            for n in range(m, N + 1)
-        },
-        lambda x, f, g: decorated_composite(G, *f, *g),
+    return _injection_category(
+        {str(n): (G,) * n for n in range(N + 1)},
+        lambda s, t: injections(int(s), int(t)),
+        dec_id,
     )
 
 
@@ -182,10 +251,11 @@ def _tuple_id(parts) -> str:
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     """The one-object groupoid G^n; morphisms are n-tuples of elements."""
+    blocks = {("*", "*"): {t: _tuple_id(t) for t in itertools.product(G.elements, repeat=n)}}
     return assemble(
         {"*": (G.unit,) * n},
-        {("*", "*"): {t: _tuple_id(t) for t in itertools.product(G.elements, repeat=n)}},
-        lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v)),
+        blocks,
+        per_composite(blocks, lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v))),
     )
 
 
@@ -251,7 +321,9 @@ def _product(factors, ob_id, mor_id) -> FinCat:
     return assemble(
         {o: tuple(C.id_of(x) for C, x in zip(factors, t)) for o, t in obs.items()},
         blocks,
-        lambda x, p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q)),
+        per_composite(
+            blocks, lambda x, p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q))
+        ),
     )
 
 
@@ -378,9 +450,8 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
     colors = "".join(sorted(color_groups))
     for G in color_groups.values():
         _check_element_ids(G)
-    objects = colored_strings(colors, N)
 
-    def arrows_between(s, t):
+    def images(s, t):
         spos = {c: [i for i, ch in enumerate(s) if ch == c] for c in colors}
         tpos = {c: [i for i, ch in enumerate(t) if ch == c] for c in colors}
         if any(len(spos[c]) > len(tpos[c]) for c in colors):
@@ -394,29 +465,13 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
             for c, chosen in zip(colors, combo):
                 for k, i in enumerate(spos[c]):
                     imgs[i] = chosen[k]
-            dec_pools = [color_groups[ch].elements for ch in s]
-            for decs in itertools.product(*dec_pools):
-                out.append((tuple(imgs), decs))
+            out.append(tuple(imgs))
         return out
 
-    def compose(s, f, g):
-        (f_imgs, f_decs), (g_imgs, g_decs) = f, g
-        imgs = tuple(g_imgs[i] for i in f_imgs)
-        decs = tuple(
-            color_groups[s[k]].mul(d, g_decs[f_imgs[k]]) for k, d in enumerate(f_decs)
-        )
-        return imgs, decs
-
-    blocks = {}
-    for s in objects:
-        for t in objects:
-            arr = arrows_between(s, t)
-            if arr:
-                blocks[(s, t)] = {p: dec_id(s, t, *p) for p in arr}
-    return assemble(
-        {s: (tuple(range(len(s))), tuple(color_groups[ch].unit for ch in s)) for s in objects},
-        blocks,
-        compose,
+    return _injection_category(
+        {s: tuple(color_groups[ch] for ch in s) for s in colored_strings(colors, N)},
+        images,
+        dec_id,
     )
 
 
@@ -475,7 +530,7 @@ def slice_category(C: FinCat, x: str) -> FinCat:
     return assemble(
         {f: C.id_of(C.src[f]) for f in objs},
         tris,
-        lambda f, h, h2: C.comp(h, h2),
+        per_composite(tris, lambda f, h, h2: C.comp(h, h2)),
     )
 
 
@@ -560,7 +615,7 @@ def arrow_category(C: FinCat) -> FinCat:
     return assemble(
         {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in objs},
         sqs,
-        lambda f, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1])),
+        per_composite(sqs, lambda f, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1]))),
     )
 
 

@@ -21,7 +21,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Check, FinCat, CategoryError, UnknownMorphism, assemble, subcategory
+from .core import (
+    Check,
+    FinCat,
+    CategoryError,
+    UnknownMorphism,
+    assemble,
+    per_composite,
+    subcategory,
+)
 from .functors import FinFunctor, NatTrans, validate_functor
 from .indexed import IndexedCat
 
@@ -115,7 +123,7 @@ def grothendieck(M: IndexedCat) -> GrothResult:
         for x in base.objects
         for a in fibers[x].objects
     }
-    total = assemble(identities, blocks, compose)
+    total = assemble(identities, blocks, per_composite(blocks, compose))
     proj = validate_functor(
         total,
         base,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError, assemble, automorphisms
+from .core import FinCat, CategoryError, assemble, automorphisms, per_composite
 from .functors import validate_functor
 from .groth import grothendieck
 from .indexed import validate_indexed
@@ -148,9 +148,8 @@ def symmetric_group(n: int) -> GroupTable:
 
 def group_as_category(G: GroupTable, obj: str = "*") -> FinCat:
     """The one-object groupoid whose morphisms are the group elements."""
-    return assemble(
-        {obj: G.unit}, {(obj, obj): {e: e for e in G.elements}}, lambda x, a, b: G.mul(b, a)
-    )
+    blocks = {(obj, obj): {e: e for e in G.elements}}
+    return assemble({obj: G.unit}, blocks, per_composite(blocks, lambda x, a, b: G.mul(b, a)))
 
 
 def category_as_group(C: FinCat) -> GroupTable:

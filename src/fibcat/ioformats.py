@@ -12,6 +12,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 
 from .core import FinCat, CategoryError, validate_category
 from .functors import FinFunctor, validate_functor
@@ -47,6 +49,14 @@ def _json_list(value, what: str, length=None) -> list:
     if length is not None and len(value) != length:
         raise ValueError("%s has %d entries, expected %d" % (what, len(value), length))
     return value
+
+
+def _json_ids(values, what: str) -> None:
+    """Reject a list or an object among ``values``: an id is read with
+    ``str()``, which would turn one into an id that the file never names."""
+    if not set(map(type, values)).isdisjoint((list, dict)):
+        bad = next(v for v in values if isinstance(v, (list, dict)))
+        raise TypeError("%s %r is not an id" % (what, bad))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -107,18 +117,29 @@ def category_to_json(C: FinCat) -> dict:
 
 @malformed("category")
 def category_from_json(data: dict) -> FinCat:
-    morphisms = [
-        (m["id"], m["src"], m["tgt"]) for m in _json_list(data["morphisms"], "morphisms")
-    ]
+    morphisms = list(
+        map(itemgetter("id", "src", "tgt"), _json_list(data["morphisms"], "morphisms"))
+    )
+    _json_ids(list(chain.from_iterable(morphisms)), "morphism id, src or tgt")
+    entries = _json_list(data.get("composition", []), "composition")
     composition = {}
-    for entry in _json_list(data.get("composition", []), "composition"):
+    for entry in entries:
         # keeping either of two entries would make the verdict depend on
         # their order; ids are read with str(), so 1 and "1" are one id
         pair = (str(entry["first"]), str(entry["then"]))
         if pair in composition:
             raise ValueError("composition lists %r twice" % (pair,))
         composition[pair] = entry["equals"]
+    # A file holds ~10^6 composition ids, so their check is a C-level scan:
+    # of every "equals", and of the entries only if some "first" or "then"
+    # reads as "[..." or "{...", as str() of a list or an object does.
+    _json_ids(composition.values(), "composition id")
+    if any(i[:1] in ("[", "{") for i in set(chain.from_iterable(composition))):
+        _json_ids([e[k] for e in entries for k in ("first", "then")], "composition id")
     objects = _json_list(data["objects"], "objects")
+    _json_ids(objects, "object")
+    # JSON object keys are strings, so only the values need the check
+    _json_ids(list(data["identities"].values()), "identity")
     return validate_category(objects, morphisms, data["identities"], composition)
 
 

@@ -11,6 +11,13 @@ local-code blocks ``L``, an ``nmor``-long global-to-local array per hom-set,
 and a broadcast comparison for every composable (a, b, c, d).  It is kept
 only as the oracle for ``test_core_reference.py`` and imports nothing
 private from ``fibcat``, so it shares no code with the construction it tests.
+
+``assemble`` here keeps that per-composite contract, ``compose(x, p, q)``
+returning a payload; ``test_core_reference.py`` decodes the library's block
+composers into it.  The composition formulas of FI, FI_G and coloured FI,
+one composite at a time, are kept as ``injection_composite``,
+``decorated_composite`` and ``colored_composite``: the oracle for the numpy
+composer of ``fibcat.generators``.
 """
 
 from __future__ import annotations
@@ -237,3 +244,26 @@ def check_completeness_and_associativity(obs, mors, src, tgt, table, homs):
                                 homs[(c, d)][k],
                             )
                         )
+
+
+def injection_composite(f_imgs, g_imgs):
+    """Image tuple of the injection f then g."""
+    return tuple(g_imgs[i] for i in f_imgs)
+
+
+def decorated_composite(G, f_imgs, f_decs, g_imgs, g_decs):
+    """Compose decorated injections: pull the second decoration back along
+    the first injection and multiply on the right."""
+    imgs = tuple(g_imgs[i] for i in f_imgs)
+    decs = tuple(G.mul(d, g_decs[i]) for d, i in zip(f_decs, f_imgs))
+    return imgs, decs
+
+
+def colored_composite(color_groups, s, f_imgs, f_decs, g_imgs, g_decs):
+    """``decorated_composite`` out of the coloured set ``s``: the decoration
+    at point k multiplies in the group of its colour ``s[k]``."""
+    imgs = tuple(g_imgs[i] for i in f_imgs)
+    decs = tuple(
+        color_groups[s[k]].mul(d, g_decs[f_imgs[k]]) for k, d in enumerate(f_decs)
+    )
+    return imgs, decs

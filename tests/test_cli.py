@@ -313,6 +313,50 @@ def test_wrong_json_shape_is_input_error(workdir, capsys, case):
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def _listed(data, *path):
+    """A copy of the category file ``data`` with the id at ``path`` wrapped
+    in a list."""
+    data = json.loads(json.dumps(data))
+    *inner, last = path
+    node = data
+    for key in inner:
+        node = node[key]
+    node[last] = [node[last]]
+    return data
+
+
+# A list where an id belongs is malformed: read with str() it became an id
+# the file never names (validate exit 1), or even a consistent one (exit 0).
+_NON_SCALAR_ID = {
+    "objects-with-src-tgt": {
+        "objects": [["x"]],
+        "morphisms": [{"id": "ix", "src": ["x"], "tgt": ["x"]}],
+        "identities": {"['x']": "ix"},
+    },
+    "object": _listed(_AB, "objects", 0),
+    "morphism-id": _listed(_AB, "morphisms", 0, "id"),
+    "morphism-src": _listed(_AB, "morphisms", 0, "src"),
+    "morphism-tgt": _listed(_AB, "morphisms", 0, "tgt"),
+    "identity": _listed(_AB, "identities", "a"),
+    "composition-first": _listed(_FI2, "composition", 0, "first"),
+    "composition-then": _listed(_FI2, "composition", 0, "then"),
+    "composition-equals": _listed(_FI2, "composition", 0, "equals"),
+    "composition-equals-object": {
+        **_FI2,
+        "composition": [{**_FI2["composition"][0], "equals": {"id": "1>2:0"}}]
+        + _FI2["composition"][1:],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_SCALAR_ID))
+def test_non_scalar_id_is_input_error(workdir, capsys, case):
+    open("in.json", "w").write(stable_dumps(_NON_SCALAR_ID[case]))
+    code, out, err = run(capsys, "validate", "in.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1 and "is not an id" in err
+
+
 # One object a with endomorphisms e and ia, e;e = e: with e as the identity
 # ia;ia is missing, with ia as the identity the table is a monoid.  A JSON
 # reader that keeps one of the two values of "a" would give either verdict.

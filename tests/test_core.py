@@ -21,7 +21,7 @@ from fibcat import (
     iso_classes,
     validate_category,
 )
-from fibcat.core import assemble
+from fibcat.core import assemble, per_composite
 from fibcat.generators import codiscrete_category, fi_truncated, inj_id
 from fibcat.groups import automorphism_group, group_as_category, symmetric_group
 
@@ -57,8 +57,8 @@ def test_assemble_rejects_a_composite_outside_the_target_block():
     # payloads are integers mod 3, but the block of x holds only 0 and 1
     blocks = {("x", "x"): {0: "e", 1: "a"}}
     with pytest.raises(CompositeEndpointViolation, match="'a', 'a', 2"):
-        assemble({"x": 0}, blocks, lambda x, p, q: (p + q) % 3)
-    C = assemble({"x": 0}, blocks, lambda x, p, q: (p + q) % 2)
+        assemble({"x": 0}, blocks, per_composite(blocks, lambda x, p, q: (p + q) % 3))
+    C = assemble({"x": 0}, blocks, per_composite(blocks, lambda x, p, q: (p + q) % 2))
     assert C.comp("a", "a") == "e" and C.identity == {"x": "e"}
 
 

@@ -12,12 +12,21 @@ same args.  The table is compared as a dict: a table read from raw ids
 follows block order, not input order.
 
 Through ``assemble``: every library build below also runs the reference
-``assemble`` on the same blocks and must give the same fields, the table's
+``assemble`` on the same blocks, its block composer decoded into the
+reference's per-composite one, and must give the same fields, the table's
 insertion order included.
+
+The numpy composer of FI, FI_G and coloured FI is checked, for every
+composable pair of blocks, against the reference formulas one composite at a
+time; and its mutations are caught like a mutated table: a position outside
+the target block raises ``CompositeEndpointViolation``, a wrong position
+inside it the ``UnitViolation`` or ``AssociativityViolation`` that the
+equally mutated table raises through ``validate_category``.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 import core_reference as ref
@@ -26,6 +35,8 @@ from fibcat.core import (
     AssociativityViolation,
     CompositeEndpointViolation,
     MissingComposite,
+    UnitViolation,
+    per_composite,
     validate_category,
 )
 from fibcat.groups import cyclic_group, group_as_category, symmetric_group
@@ -217,16 +228,38 @@ def test_first_violation_is_at_the_earlier_target():
     )
 
 
+def decoded(identities, blocks, compose):
+    """The reference ``assemble`` arguments for a block composer: the i-th
+    payload of a block into y becomes (y, i), so the per-composite
+    ``compose(x, (y, i), (z, j))`` is (z, entry (i, j) of ``compose(x, y,
+    z)``)."""
+    coded = {(x, y): {(y, i): m for i, m in enumerate(b.values())} for (x, y), b in blocks.items()}
+    units = {}
+    for x, e in identities.items():
+        ends = list(blocks.get((x, x), ()))
+        units[x] = (x, ends.index(e)) if e in ends else None
+    arrays = {}
+
+    def composite(x, p, q):
+        (y, i), (z, j) = p, q
+        if (x, y, z) not in arrays:
+            arrays[(x, y, z)] = np.asarray(compose(x, y, z)).tolist()
+        return (z, arrays[(x, y, z)][i][j])
+
+    return units, coded, composite
+
+
 @pytest.fixture()
 def checked_assemble(monkeypatch):
     """Make every ``assemble`` a builder calls also run the reference on the
-    same arguments; the fields, table order included, must agree.  Returns
-    the table sizes of the categories built, in build order."""
+    same arguments, decoded; the fields, table order included, must agree.
+    Returns the table sizes of the categories built, in build order."""
     real, calls = core.assemble, []
 
     def checked(identities, blocks, compose):
         C = real(identities, blocks, compose)
-        assert fields(C, True) == fields(ref.assemble(identities, blocks, compose), True)
+        expected = ref.assemble(*decoded(identities, blocks, compose))
+        assert fields(C, True) == fields(expected, True)
         calls.append(len(C.table))
         return C
 
@@ -279,6 +312,127 @@ def test_assemble_differs_only_on_a_payload_outside_its_block():
     """The reference reports a payload outside its target block as missing,
     ``assemble`` as a composite in the wrong hom-set."""
     blocks = {("x", "x"): {0: "e", 1: "a"}}
-    args = ({"x": 0}, blocks, lambda x, p, q: (p + q) % 3)
-    assert outcome(ref.assemble, *args) == (MissingComposite, (("a", "a", 2),))
-    assert outcome(core.assemble, *args) == (CompositeEndpointViolation, (("a", "a", 2),))
+
+    def compose(x, p, q):
+        return (p + q) % 3
+
+    assert outcome(ref.assemble, {"x": 0}, blocks, compose) == (
+        MissingComposite,
+        (("a", "a", 2),),
+    )
+    assert outcome(core.assemble, {"x": 0}, blocks, per_composite(blocks, compose)) == (
+        CompositeEndpointViolation,
+        (("a", "a", 2),),
+    )
+
+
+S3 = symmetric_group(3)
+Z2 = cyclic_group(2)
+
+INJECTIONS = {
+    "fi_truncated(5)": (lambda: generators.fi_truncated(5), None),
+    "fi_g_direct(Z2, 4)": (lambda: generators.fi_g_direct(Z2, 4), Z2),
+    "fi_g_direct(S3, 2)": (lambda: generators.fi_g_direct(S3, 2), S3),
+    "fi_colored({a: S3, b: Z2}, 1)": (
+        lambda: generators.fi_colored({"a": S3, "b": Z2}, 1),
+        {"a": S3, "b": Z2},
+    ),
+}
+
+
+def captured(monkeypatch, build):
+    """The category ``build`` returns and the arguments it gave ``assemble``."""
+    args = []
+
+    def capture(*a):
+        args.append(a)
+        return core.assemble(*a)
+
+    monkeypatch.setattr(generators, "assemble", capture)
+    C = build()
+    monkeypatch.undo()
+    (got,) = args
+    return C, got
+
+
+def parse(mid):
+    """(source, target, images, decorations) of an injection id."""
+    head, imgs, *decs = mid.split(":")
+    s, t = head.split(">")
+    images = tuple(int(i) for i in imgs.split(",")) if imgs else ()
+    return s, t, images, tuple(decs[0].split(",")) if decs and decs[0] else ()
+
+
+def oracle_composite(groups, f, g):
+    """The id of f then g, composed by the reference formula for ``groups``:
+    None for plain injections, a group, or a colour-to-group dict."""
+    s, _, f_imgs, f_decs = parse(f)
+    _, u, g_imgs, g_decs = parse(g)
+    if groups is None:
+        return generators.inj_id(s, u, ref.injection_composite(f_imgs, g_imgs))
+    if isinstance(groups, dict):
+        imgs, decs = ref.colored_composite(groups, s, f_imgs, f_decs, g_imgs, g_decs)
+    else:
+        imgs, decs = ref.decorated_composite(groups, f_imgs, f_decs, g_imgs, g_decs)
+    return generators.dec_id(s, u, imgs, decs)
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_injection_composer_matches_reference_formula(monkeypatch, name):
+    build, groups = INJECTIONS[name]
+    _, (_, blocks, compose) = captured(monkeypatch, build)
+    triples = 0
+    for (x, y), fs in blocks.items():
+        for (y2, z), gs in blocks.items():
+            if y2 != y:
+                continue
+            at = compose(x, y, z)
+            assert at.shape == (len(fs), len(gs))
+            hs = list(blocks[(x, z)].values())
+            got = [hs[k] for k in at.ravel().tolist()]
+            want = [oracle_composite(groups, f, g) for f in fs.values() for g in gs.values()]
+            assert got == want, (x, y, z)
+            triples += 1
+    assert triples > len(blocks)
+
+
+MUTATIONS = 12
+
+
+def mutated(compose, where, value):
+    """``compose`` with entry (i, j) of the pair of blocks (x, y, z) set to
+    ``value``; ``where`` is (x, y, z, i, j)."""
+
+    def composer(x, y, z):
+        at = np.array(compose(x, y, z))
+        if (x, y, z) == where[:3]:
+            at[where[3:]] = value
+        return at
+
+    return composer
+
+
+@pytest.mark.parametrize("name", sorted(INJECTIONS))
+def test_mutated_injection_composer_is_caught(monkeypatch, name):
+    build, _ = INJECTIONS[name]
+    C, (identities, blocks, compose) = captured(monkeypatch, build)
+    triples = [
+        (x, y, z) for (x, y) in blocks for (y2, z) in blocks if y2 == y and len(blocks[(x, z)]) > 1
+    ]
+    rng = random.Random(sorted(INJECTIONS).index(name))
+    for _ in range(MUTATIONS):
+        x, y, z = rng.choice(triples)
+        fs, gs, hs = (list(blocks[xy].values()) for xy in ((x, y), (y, z), (x, z)))
+        i, j = rng.randrange(len(fs)), rng.randrange(len(gs))
+        right = int(compose(x, y, z)[i, j])
+
+        past = len(hs) + rng.randrange(3)
+        got = outcome(core.assemble, identities, blocks, mutated(compose, (x, y, z, i, j), past))
+        assert got == (CompositeEndpointViolation, ((fs[i], gs[j], past),))
+
+        wrong = rng.choice([k for k in range(len(hs)) if k != right])
+        table = dict(C.table)
+        table[(fs[i], gs[j])] = hs[wrong]
+        got = outcome(core.assemble, identities, blocks, mutated(compose, (x, y, z, i, j), wrong))
+        assert got[0] in (UnitViolation, AssociativityViolation)
+        assert got == library(C, table) == oracle(C, table)

@@ -250,6 +250,12 @@ GENERATOR_BYTES = {
     "grothendieck(indexed_gpow(Z2, 2)).total": "8145f6d409ec4eee54f1cfd8ea1adef556fe73730e3267fdc59cdecaf10f246f",
     "fiber(proj, '1')": "0ac45bb029ee1f54cfe99d3e4fbce85f68f3c3c603880188aa4d302ae8b502d8",
     "restrict_to_aut(indexed_gpow(Z2, 2), '2').base": "66ed3e1c9e77481283b6f224405dd768232e33d0a3bfd4e962e9c9ae60113551",
+    # the injection builders compose a block at a time with numpy; S3 pins
+    # the order of the decoration product
+    "fi_truncated(5)": "b187d36623be9c342979c61aa05aac148869cdb56c8a84e89d4e8d7f14a20bf2",
+    "fi_g_direct(Z2, 4)": "953d4273a826a56800e5c751d2026e70381537220ee24fb4fb7688e524819a54",
+    "fi_g_direct(S3, 2)": "18367fbc59e787229aec675db142d3d357750585194b896a9a9bae4095c10bdd",
+    "fi_colored({a: S3, b: Z2}, 1)": "929f81e9d7ffcf48f481c796fb3ff90a99e6cbc63f01530adf89004a974a381a",
 }
 
 
@@ -272,6 +278,10 @@ def test_generator_bytes_are_pinned(z2, s3, fi2):
         "grothendieck(indexed_gpow(Z2, 2)).total": gr.total,
         "fiber(proj, '1')": fiber(gr.proj, "1"),
         "restrict_to_aut(indexed_gpow(Z2, 2), '2').base": restrict_to_aut(gpow, "2").base,
+        "fi_truncated(5)": fi_truncated(5),
+        "fi_g_direct(Z2, 4)": fi_g_direct(z2, 4),
+        "fi_g_direct(S3, 2)": fi_g_direct(s3, 2),
+        "fi_colored({a: S3, b: Z2}, 1)": fi_colored({"a": s3, "b": z2}, 1),
     }
     digests = {
         name: hashlib.sha256(stable_dumps(category_to_json(C)).encode("utf-8")).hexdigest()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from core_reference import decorated_composite
 from fibcat import (
     CategoryError,
     NotAFibration,
@@ -25,7 +26,6 @@ from fibcat import (
 )
 from fibcat.groth import cartesian_factor, fiber_iso_to_indexed_fiber
 from fibcat.generators import (
-    decorated_composite,
     delta_const,
     indexed_gpow,
     slice_indexed,

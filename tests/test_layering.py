@@ -3,7 +3,9 @@
 ``core.assemble`` is the one constructor of ``FinCat``: every category,
 built by the library or read from raw ids, is laid out and checked there
 once, and in the library only the JSON reader calls ``validate_category``,
-which vets raw ids and hands them to ``assemble``.  The library never
+which vets raw ids and hands them to ``assemble``.  Builders compose whole
+pairs of blocks; the ones that compose one payload at a time are pinned as
+the callers of ``core.per_composite``.  The library never
 depends on test helpers, the limits, groth and core oracles never depend on
 the library's private search code, no function imports a sibling module,
 and no module imports a name it does not use.
@@ -77,6 +79,30 @@ def test_validate_category_has_exactly_two_callers():
 
     assert callers("FinCat", True) == ["core.assemble"]
     assert callers("validate_category", False) == ["ioformats.category_from_json"]
+
+
+def test_per_composite_callers_are_pinned():
+    """The injection builders compose with numpy; every other builder goes
+    through the one per-composite adapter.  A new builder picks a path
+    knowingly, and the per-composite formula of decorated injections lives
+    only in the test oracle."""
+    callers = sorted(
+        "%s.%s" % (name, where)
+        for name, tree in _modules()
+        for where in _references(tree, "per_composite", True)
+    )
+    assert callers == [
+        "core.subcategory",
+        "core.validate_category",
+        "generators._product",
+        "generators._relation_category",
+        "generators.arrow_category",
+        "generators.gpow_fiber",
+        "generators.slice_category",
+        "groth.grothendieck",
+        "groups.group_as_category",
+    ]
+    assert not [p.name for p in SRC.glob("*.py") if "decorated_composite" in p.read_text()]
 
 
 def _private_names(oracle):
