@@ -40,6 +40,7 @@ from .groups import (
 from .ioformats import (
     InputFormatError,
     Loader,
+    _json_object,
     category_from_json,
     category_to_json,
     digest_bytes,
@@ -269,7 +270,10 @@ def cmd_theorem(args, out: _Output) -> int:
 def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
     acting = loader.group(data["acting"])
     acted = loader.group(data["acted"])
-    act = {g: {h: str(v) for h, v in dict(m).items()} for g, m in data["act"].items()}
+    act = {
+        g: {h: str(v) for h, v in _json_object(m, "act %r" % g).items()}
+        for g, m in data["act"].items()
+    }
     phi = {}
     for key, val in data["phi"].items():
         if key.count("|") != 1:
@@ -286,9 +290,9 @@ def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
 def _surjection_from_file(loader: Loader, data: dict):
     total = loader.group(data["total"])
     target = loader.group(data["target"])
-    proj = validate_group_hom(total, target, data["proj"])
+    proj = validate_group_hom(total, target, _json_object(data["proj"], "proj"))
     section = data.get("section")
-    return proj, None if section is None else dict(section)
+    return proj, None if section is None else _json_object(section, "section")
 
 
 def cmd_group(args, out: _Output) -> int:

@@ -51,6 +51,15 @@ def _json_list(value, what: str, length=None) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    """``value``, which must be a JSON object: ``dict()`` would read a list
+    of pairs, or of two-character strings, as a mapping and keep the last of
+    two pairs with one key."""
+    if not isinstance(value, dict):
+        raise TypeError("%s is not an object" % what)
+    return value
+
+
 def _json_ids(values, what: str) -> None:
     """Reject a list or an object among ``values``: an id is read with
     ``str()``, which would turn one into an id that the file never names."""
@@ -196,6 +205,16 @@ def indexed_to_json(M: IndexedCat) -> dict:
     }
 
 
+def _functor_from(source: FinCat, target: FinCat, tab: dict) -> FinFunctor:
+    """The functor whose object and morphism tables ``tab`` holds."""
+    return validate_functor(
+        source,
+        target,
+        _json_object(tab["on_objects"], "on_objects"),
+        _json_object(tab["on_morphisms"], "on_morphisms"),
+    )
+
+
 class Loader:
     """Resolves by-path or inline references inside artifact files."""
 
@@ -219,7 +238,7 @@ class Loader:
     def functor(self, data: dict) -> FinFunctor:
         source = self.category(data["source"])
         target = self.category(data["target"])
-        return validate_functor(source, target, data["on_objects"], data["on_morphisms"])
+        return _functor_from(source, target, data)
 
     @malformed("indexed")
     def indexed(self, data: dict) -> IndexedCat:
@@ -231,9 +250,7 @@ class Loader:
                 raise InputFormatError("arrow for unknown morphism %r" % f)
             src_fib = fibers[base.tgt[f]]
             tgt_fib = fibers[base.src[f]]
-            arrows[f] = validate_functor(
-                src_fib, tgt_fib, tab["on_objects"], tab["on_morphisms"]
-            )
+            arrows[f] = _functor_from(src_fib, tgt_fib, tab)
         compositors = None
         if "compositors" in data:
             compositors = {}
@@ -241,8 +258,13 @@ class Loader:
                 if key.count("|") != 1:
                     raise InputFormatError("bad compositor key %r" % key)
                 f, g = key.split("|")
-                compositors[(f, g)] = dict(comps)
+                compositors[(f, g)] = _json_object(comps, "compositor %r" % key)
         unitors = data.get("unitors")
+        if unitors is not None:
+            unitors = {
+                x: _json_object(comps, "unitor %r" % x)
+                for x, comps in _json_object(unitors, "unitors").items()
+            }
         return validate_indexed(base, fibers, arrows, compositors, unitors)
 
     @malformed("witness")
@@ -252,10 +274,8 @@ class Loader:
             if f not in M.base.src:
                 raise InputFormatError("pushforward for unknown morphism %r" % f)
             x, y = M.base.src[f], M.base.tgt[f]
-            pushforwards[f] = validate_functor(
-                M.fiber_at(x), M.fiber_at(y), tab["on_objects"], tab["on_morphisms"]
-            )
-        units = {f: dict(comps) for f, comps in data["units"].items()}
+            pushforwards[f] = _functor_from(M.fiber_at(x), M.fiber_at(y), tab)
+        units = {f: _json_object(comps, "unit %r" % f) for f, comps in data["units"].items()}
         return WeakReversibilityWitness(pushforwards, units)
 
 

@@ -27,17 +27,20 @@ the third point below follows from the second.
   isomorphism w into the apex of the chosen pullback (P, u0, v0) of
   (f1, f2).  So the spans completed by (f1, f2) form one class, the iso
   orbit of (u0, v0), and every span of a class has the same completion
-  cospans.  One pass over ``all_cospans`` appends each cospan to its class;
-  that is the order (d, f1, f2) in which a per-span scan lists completions,
-  so the lists need no sorting, and a span in no class is vacuous without
-  any square being tested.  Initiality of a completion reads only the
-  cospans, never the span, so it too is computed once per class.
+  cospans.  One walk over the cospans, ``_cospan_walk``, appends each
+  cospan to its class and also decides condition 6.  Its order (d, f1, f2)
+  is the one in which a per-span scan lists completions, so the lists need
+  no sorting, and a span in no class is vacuous without any square being
+  tested.  Initiality of a completion reads only the cospans, never the
+  span, so it too is computed once per class.
 * Weak pushouts.  Whether a span has a weak pushout, and which completion
   is chosen, is therefore a property of its class: ``_chosen`` finds the
   first initial completion once per class, and ``has_weak_pushouts`` asks
   it once per span.  The ``Square`` keys of ``WeakPushout.mediators`` are
   built only when a caller asks ``weak_pushout`` for a ``WeakPushout``.
 
+Cospans and spans are enumerated once, by ``_pairs``, as raw id pairs;
+``all_cospans`` and ``all_spans`` wrap them in dataclasses for callers.
 Results are cached on the category instance, which keeps whole-category
 audits tractable.
 """
@@ -45,6 +48,7 @@ audits tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .core import Check, FinCat, CategoryError
 from .functors import FinFunctor
@@ -281,25 +285,49 @@ class _CompletionClass:
         self.chosen = _UNDECIDED
 
 
+def _pairs(C: FinCat, into: bool):
+    """The cospans (``into``) or the spans as raw id pairs, in the one audit
+    order: by the common end, then both legs by their other end and
+    hom-set order."""
+    objects, hom = C.objects, C.hom
+    for d in objects:
+        ms = [f for x in objects for f in (hom(x, d) if into else hom(d, x))]
+        yield from product(ms, repeat=2)
+
+
+def _cospan_walk(C: FinCat):
+    """(``has_pullbacks`` answer, completion index) from one memoised pass
+    over the cospans; the public ``pullback`` runs only for a cospan whose
+    answer no earlier search cached, once per iso orbit."""
+    memo = C.cache("cospan_walk")
+    if not memo:
+        cache = C.cache("pullbacks")
+        table, inverses, isos_out = C.table, C.inverses, _isos_out(C)
+        index, first, n = {}, None, 0
+        for n, key in enumerate(_pairs(C, into=True), 1):
+            pb = cache.get(key, _UNDECIDED)
+            if pb is _UNDECIDED:
+                pb = pullback(C, Cospan(*key))
+            if pb is None:
+                if first is None:
+                    first = Cospan(*key)
+                continue
+            cls = index.get((pb.leg1, pb.leg2))
+            if cls is None:
+                cls = _CompletionClass()
+                for a in isos_out[pb.apex]:
+                    w = inverses[a]
+                    index[(table[(w, pb.leg1)], table[(w, pb.leg2)])] = cls
+            cls.cospans.append(key)
+        memo["check"] = Check(True, info={"cospans": n}) if first is None else Check(False, first)
+        memo["index"] = index
+    return memo["check"], memo["index"]
+
+
 def _completion_index(C: FinCat) -> dict:
-    """Span (g1, g2) -> its ``_CompletionClass``, built in one pass over
-    ``all_cospans``; a span with no pullback-square completion is absent."""
-    index = C.cache("completions")
-    if index:  # every identity span has a completion, so built means non-empty
-        return index
-    table, inverses, isos_out = C.table, C.inverses, _isos_out(C)
-    for cospan in all_cospans(C):
-        pb = _pullback_of(C, cospan.f1, cospan.f2)
-        if pb is None:
-            continue
-        cls = index.get((pb.leg1, pb.leg2))
-        if cls is None:
-            cls = _CompletionClass()
-            for a in isos_out[pb.apex]:
-                w = inverses[a]
-                index[(table[(w, pb.leg1)], table[(w, pb.leg2)])] = cls
-        cls.cospans.append((cospan.f1, cospan.f2))
-    return index
+    """Span (g1, g2) -> its ``_CompletionClass``; a span with no
+    pullback-square completion is absent."""
+    return _cospan_walk(C)[1]
 
 
 def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
@@ -395,33 +423,20 @@ def has_pullback_square_completion(C: FinCat, span: Span) -> bool:
 
 
 def all_cospans(C: FinCat):
-    for d in C.objects:
-        inbound = [f for x in C.objects for f in C.hom(x, d)]
-        for f1 in inbound:
-            for f2 in inbound:
-                yield Cospan(f1, f2)
+    return starmap(Cospan, _pairs(C, into=True))
 
 
 def has_pullbacks(C: FinCat) -> Check:
     """Every cospan has a pullback; the counterexample is the first that has
-    none, and a passing check counts the cospans.  The answer is cached."""
-    memo = C.cache("has_pullbacks")
-    if not memo:
-        n = 0
-        for n, cospan in enumerate(all_cospans(C), 1):
-            if pullback(C, cospan) is None:
-                memo["check"] = Check(False, cospan)
-                return memo["check"]
-        memo["check"] = Check(True, info={"cospans": n})
-    return memo["check"]
+    none, and a passing check counts the cospans.  It is read from the
+    cached cospan walk, which also builds condition 7's completion index,
+    so on a failing category the walk still runs to the end: the searches
+    condition 7 needs anyway."""
+    return _cospan_walk(C)[0]
 
 
 def all_spans(C: FinCat):
-    for p in C.objects:
-        outbound = [f for y in C.objects for f in C.hom(p, y)]
-        for g1 in outbound:
-            for g2 in outbound:
-                yield Span(g1, g2)
+    return starmap(Span, _pairs(C, into=False))
 
 
 def has_weak_pushouts(C: FinCat) -> Check:
@@ -430,13 +445,12 @@ def has_weak_pushouts(C: FinCat) -> Check:
     counts the spans and the vacuous ones (those with no completion)."""
     index = _completion_index(C)
     n = vacuous = 0
-    for span in all_spans(C):
-        n += 1
-        cls = index.get((span.g1, span.g2))
+    for n, span in enumerate(_pairs(C, into=False), 1):
+        cls = index.get(span)
         if cls is None:
             vacuous += 1
         elif _chosen(C, cls) is None:
-            return Check(False, span)
+            return Check(False, Span(*span))
     return Check(True, info={"spans": n, "vacuous_spans": vacuous})
 
 
@@ -451,14 +465,16 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
     functors preserve isomorphisms, so checking the chosen one per cospan
     covers them all.
     """
+    C = F.source
     n = 0
-    for cospan in all_cospans(F.source):
-        pb = pullback(F.source, cospan)
+    for f1, f2 in _pairs(C, into=True):
+        pb = _pullback_of(C, f1, f2)
         if pb is None:
             continue
         n += 1
-        if not is_pullback_square(F.target, _image_square(F, pb.square(cospan))):
-            return Check(False, pb.square(cospan))
+        sq = Square(pb.leg1, pb.leg2, f1, f2)
+        if not is_pullback_square(F.target, _image_square(F, sq)):
+            return Check(False, sq)
     return Check(True, info={"pullback_squares_checked": n})
 
 
@@ -467,13 +483,13 @@ def preserves_weak_pushouts(F: FinFunctor) -> Check:
     C = F.source
     index = _completion_index(C)
     n = 0
-    for span in all_spans(C):
-        cls = index.get((span.g1, span.g2))
+    for g1, g2 in _pairs(C, into=False):
+        cls = index.get((g1, g2))
         i = None if cls is None else _chosen(C, cls)
         if i is None:
             continue
         n += 1
-        sq = Square(span.g1, span.g2, *cls.cospans[i])
+        sq = Square(g1, g2, *cls.cospans[i])
         verdict = is_weak_pushout_square(F.target, _image_square(F, sq))
         if not verdict:
             return Check(False, (sq, verdict.counterexample))

@@ -231,6 +231,24 @@ def _tiny_indexed(**replace):
     return data
 
 
+def _edited(data, change, *path):
+    """A copy of the JSON value ``data`` with the value v at ``path``
+    replaced by change(v)."""
+    data = json.loads(json.dumps(data))
+    *inner, last = path
+    node = data
+    for key in inner:
+        node = node[key]
+    node[last] = change(node[last])
+    return data
+
+
+def _as_pairs(data, *path):
+    """A copy of ``data`` with the object at ``path`` written as a list of
+    [key, value] pairs, which ``dict()`` would read as the same mapping."""
+    return _edited(data, lambda v: [list(kv) for kv in v.items()], *path)
+
+
 _TINY = _tiny_indexed()
 _Z2 = group_to_json(cyclic_group(2))
 _ID2 = {"0": "0", "1": "1"}
@@ -238,6 +256,23 @@ _AB = category_to_json(discrete_category("ab"))
 _FI2 = category_to_json(fi_truncated(2))
 # FI_2 lists 1>2:0 ; 2>2:1,0 = 1>2:1; a second, wrong entry for that pair
 _WRONG = {"first": "1>2:0", "then": "2>2:1,0", "equals": "1>2:0"}
+_ID_AB = {
+    "source": _AB,
+    "target": _AB,
+    "on_objects": {"a": "a", "b": "b"},
+    "on_morphisms": {"id_a": "id_a", "id_b": "id_b"},
+}
+_TINY_WITNESS = {
+    "pushforwards": {"id": {"on_objects": {"*": "*"}, "on_morphisms": {"id": "id"}}},
+    "units": {"id": {"*": "id"}},
+}
+_EXT = {
+    "acting": _Z2,
+    "acted": _Z2,
+    "act": {"0": _ID2, "1": _ID2},
+    "phi": {"%s|%s" % (a, b): "0" for a in "01" for b in "01"},
+}
+_SURJ = {"total": _Z2, "target": _Z2, "proj": _ID2, "section": _ID2}
 _MALFORMED = {
     **{
         "%s-list" % cmd: ([cmd, "in.json"], {"in.json": []})
@@ -300,6 +335,56 @@ _MALFORMED = {
         ["group", "twist", "in.json"],
         {"in.json": {"total": _Z2, "target": _Z2, "proj": _ID2, "section": ["0", "1"]}},
     ),
+    # a list where a mapping belongs must not be read with dict(): a list of
+    # pairs, or of two-character strings, became a mapping, keeping the last
+    # of two pairs with one key
+    **{
+        "mapping-as-list-%s" % name: (argv, {"in.json": payload})
+        for argv, cases in (
+            (
+                ["functor", "in.json"],
+                (
+                    ("functor-on-objects", _as_pairs(_ID_AB, "on_objects")),
+                    ("functor-on-morphisms", _as_pairs(_ID_AB, "on_morphisms")),
+                    ("functor-on-objects-strings", {**_ID_AB, "on_objects": ["aa", "bb"]}),
+                    (
+                        "functor-on-objects-repeated-pair",
+                        {**_ID_AB, "on_objects": [["a", "b"], ["a", "a"], ["b", "b"]]},
+                    ),
+                ),
+            ),
+            (
+                ["groth", "in.json"],
+                (
+                    ("arrow-on-objects", _as_pairs(_TINY, "arrows", "id", "on_objects")),
+                    ("arrow-on-morphisms", _as_pairs(_TINY, "arrows", "id", "on_morphisms")),
+                    ("compositor", _as_pairs(_TINY, "compositors", "id|id")),
+                    ("unitors", _as_pairs(_TINY, "unitors")),
+                    ("unitor", _as_pairs(_TINY, "unitors", "*")),
+                ),
+            ),
+            (["group", "ext", "in.json"], (("group-ext-act", _as_pairs(_EXT, "act", "1")),)),
+            (
+                ["group", "twist", "in.json"],
+                (
+                    ("group-twist-proj", _as_pairs(_SURJ, "proj")),
+                    ("group-twist-section", _as_pairs(_SURJ, "section")),
+                ),
+            ),
+        )
+        for name, payload in cases
+    },
+    **{
+        "mapping-as-list-witness-%s" % name: (
+            ["theorem", "in.json", "--witness", "w.json"],
+            {"in.json": _TINY, "w.json": _as_pairs(_TINY_WITNESS, *path)},
+        )
+        for name, path in (
+            ("pushforward-on-objects", ("pushforwards", "id", "on_objects")),
+            ("pushforward-on-morphisms", ("pushforwards", "id", "on_morphisms")),
+            ("unit", ("units", "id")),
+        )
+    },
 }
 
 
@@ -316,13 +401,7 @@ def test_wrong_json_shape_is_input_error(workdir, capsys, case):
 def _listed(data, *path):
     """A copy of the category file ``data`` with the id at ``path`` wrapped
     in a list."""
-    data = json.loads(json.dumps(data))
-    *inner, last = path
-    node = data
-    for key in inner:
-        node = node[key]
-    node[last] = [node[last]]
-    return data
+    return _edited(data, lambda v: [v], *path)
 
 
 # A list where an id belongs is malformed: read with str() it became an id

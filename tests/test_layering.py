@@ -178,3 +178,17 @@ def test_no_unused_imports():
         for imported in _unused_imports(tree)
     )
     assert unused == ["fitype.pullback"]
+
+
+def test_cospan_and_span_wrappers_have_no_library_caller():
+    """``limits._pairs`` is the one enumerator of cospans and spans, as raw
+    id pairs; ``all_cospans`` and ``all_spans`` wrap it in one dataclass per
+    element for callers outside the library, so no library function may
+    loop over them."""
+    mentions = sorted(
+        "%s.%s" % (name, where)
+        for name, tree in _modules()
+        for target in ("all_cospans", "all_spans")
+        for where in _references(tree, target)
+    )
+    assert mentions == []

@@ -6,13 +6,29 @@ the completion index built from the cospans and the initiality shared per
 completion class must give exactly what ``limits_reference`` gives: the
 same chosen representatives, the same mediator tables, the same completion
 lists in the same order and the same first failure with the same reason.
+
+Conditions 6 and 7 and the two preservation checks are also compared with
+per-cospan and per-span loops over the reference search, on freshly built
+categories and in either order, since the one cospan walk that serves
+conditions 6 and 7 is memoised on the category.
 """
 
 import pytest
 
 import limits_reference as ref
-from fibcat import Check, Span, Square, generators, grothendieck, limits
+from fibcat import (
+    Check,
+    Cospan,
+    Span,
+    Square,
+    fiber_inclusion,
+    generators,
+    grothendieck,
+    limits,
+    validate_functor,
+)
 from fibcat.groups import cyclic_group
+from fibcat.ioformats import category_from_json, category_to_json
 from test_limits import mediator_failure_category
 
 
@@ -94,7 +110,7 @@ def _reference_condition_seven(C):
     chosen square of each non-vacuous span the loop passed."""
     chosen = {}
     n = vacuous = 0
-    for span in limits.all_spans(C):
+    for span in _spans(C):
         n += 1
         if not ref._pullback_completions(C, span.g1, span.g2):
             vacuous += 1
@@ -117,3 +133,118 @@ def test_condition_seven_matches_reference(request, name):
         assert Square(span.g1, span.g2, *cls.cospans[limits._chosen(C, cls)]) == square, span
     if name == "mediator_failure":
         assert expected == Check(False, Span("s", "s"))
+
+
+def _cospans(C):
+    """Every cospan in the audit order: by target, then both legs in the
+    order of their sources and of the hom-sets."""
+    for d in C.objects:
+        inbound = [f for x in C.objects for f in C.hom(x, d)]
+        for f1 in inbound:
+            for f2 in inbound:
+                yield Cospan(f1, f2)
+
+
+def _spans(C):
+    """Every span in the audit order, as ``_cospans`` with arrows reversed."""
+    for p in C.objects:
+        outbound = [g for y in C.objects for g in C.hom(p, y)]
+        for g1 in outbound:
+            for g2 in outbound:
+                yield Span(g1, g2)
+
+
+def _reference_condition_six(C):
+    """Condition 6 by a per-cospan loop over the reference search."""
+    n = 0
+    for n, cospan in enumerate(_cospans(C), 1):
+        if ref.pullback(C, cospan) is None:
+            return Check(False, cospan)
+    return Check(True, info={"cospans": n})
+
+
+def _fresh(C):
+    """A new instance of C, with no cached search, laid out like C."""
+    D = category_from_json(category_to_json(C))
+    assert list(D.homs.items()) == list(C.homs.items())
+    assert list(D.table.items()) == list(C.table.items())
+    return D
+
+
+@pytest.fixture(scope="module")
+def cospan_poset():
+    return generators.cospan_poset()
+
+
+@pytest.mark.parametrize("first", ["has_pullbacks", "has_weak_pushouts"])
+@pytest.mark.parametrize("name", CATEGORIES + ["cospan_poset"])
+def test_conditions_six_and_seven_match_reference(request, name, first):
+    C = request.getfixturevalue(name)
+    expected = {
+        "has_pullbacks": _reference_condition_six(C),
+        "has_weak_pushouts": _reference_condition_seven(C)[0],
+    }
+    D = _fresh(C)
+    second = ({"has_pullbacks", "has_weak_pushouts"} - {first}).pop()
+    got = {cond: getattr(limits, cond)(D) for cond in (first, second)}
+    assert got == expected
+    if name == "cospan_poset":
+        assert not expected["has_pullbacks"]
+
+
+def _image(F, sq):
+    return Square(F.mor(sq.top), F.mor(sq.left), F.mor(sq.right), F.mor(sq.bottom))
+
+
+def _reference_preserves_pullbacks(F):
+    n = 0
+    for cospan in _cospans(F.source):
+        pb = ref.pullback(F.source, cospan)
+        if pb is None:
+            continue
+        n += 1
+        if not ref.is_pullback_square(F.target, _image(F, pb.square(cospan))):
+            return Check(False, pb.square(cospan))
+    return Check(True, info={"pullback_squares_checked": n})
+
+
+def _reference_preserves_weak_pushouts(F):
+    n = 0
+    for span in _spans(F.source):
+        wp = ref.weak_pushout(F.source, span)
+        if wp is None:
+            continue
+        n += 1
+        verdict = ref.is_weak_pushout_square(F.target, _image(F, wp.square))
+        if not verdict:
+            return Check(False, (wp.square, verdict.counterexample))
+    return Check(True, info={"weak_pushout_squares_checked": n})
+
+
+def _preservation_functors():
+    """Freshly built: the projection of the FI_Z2 N=2 total category, its
+    fiber inclusions, and the square a ≤ b, c ≤ d onto the chain p0 ≤ p1
+    with only a sent to p0, which sends the pullback square over
+    (b→d, c→d) to a square over (id, id) whose apex is not terminal."""
+    proj = grothendieck(generators.indexed_gpow(cyclic_group(2), 2)).proj
+    square, chain = generators.square_poset(), generators.chain_poset(2)
+    ob = {x: "p0" if x == "a" else "p1" for x in square.objects}
+    mor = {f: chain.hom(ob[square.src[f]], ob[square.tgt[f]])[0] for f in square.morphisms}
+    collapse = validate_functor(square, chain, ob, mor)
+    return [proj] + [fiber_inclusion(proj, x) for x in proj.target.objects] + [collapse]
+
+
+@pytest.mark.parametrize("conditions_first", [False, True])
+def test_preservation_matches_reference(conditions_first):
+    expected = [
+        (_reference_preserves_pullbacks(F), _reference_preserves_weak_pushouts(F))
+        for F in _preservation_functors()
+    ]
+    got = []
+    for F in _preservation_functors():
+        if conditions_first:
+            limits.has_pullbacks(F.source)
+            limits.has_weak_pushouts(F.source)
+        got.append((limits.preserves_pullbacks(F), limits.preserves_weak_pushouts(F)))
+    assert got == expected
+    assert not expected[-1][0]
