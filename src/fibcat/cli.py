@@ -225,6 +225,8 @@ def cmd_cleaving(args, out: _Output) -> int:
 
 
 def cmd_theorem(args, out: _Output) -> int:
+    if args.budget < 0:
+        raise InputFormatError("--budget must not be negative, got %d" % args.budget)
     loader = _loader_for(args.path)
     M = loader.indexed(_load_json(args.path))
     witness = None

@@ -25,6 +25,22 @@ the first payload outside its hom-set (``CompositeEndpointViolation``); from
 any composer, the first position outside the target block
 (``CompositeEndpointViolation``).  Then the identities and unit laws, and the
 first non-associative triple in the order (a, b), c, d, (f, g, h).
+
+Associativity is decided by Light's test (Clifford and Preston, *The
+Algebraic Theory of Semigroups* I, 1961, §1.2) on a generating set S.  Call
+g middle-associative when (f;g);h = f;(g;h) for all composable f and h.
+Identities are, by the unit laws, which are checked first.  If b and c are
+middle-associative and composable, so is b;c:
+
+    (f;(b;c));h = ((f;b);c);h = (f;b);(c;h) = f;(b;(c;h)) = f;((b;c);h),
+
+using b, c, b, c in turn.  So the middle-associative morphisms are closed
+under composition, and when S with the identities generates every
+morphism, the category is associative exactly when every g in S is
+middle-associative.  ``assemble`` chooses S deterministically (see
+``_generators``) and sweeps only the triples with a middle morphism in S.
+If that sweep fails, the full sweep runs, so the error names the same first
+non-associative triple as a sweep over every triple.
 """
 
 from __future__ import annotations
@@ -285,7 +301,25 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
             if table[pair] != f:
                 raise UnitViolation((*pair, table[pair]))
 
-    _check_associativity(homs, outs, offset, rows)
+    # stack[c] holds rows[(b, c)] for each b into c in turn, with each code
+    # of g;h in hom(b, d) moved to its column among the morphisms out of b:
+    # these rows, shifted[(b, c)], index the columns of rows[(a, b)].
+    into, stack, shifted = {}, {}, {}
+    for (b, c) in sorted(homs):
+        into.setdefault(c, []).append(b)
+    for c, bs in into.items():
+        stack[c] = np.empty((sum(len(homs[(b, c)]) for b in bs), width[c]), np.int32)
+        i = 0
+        for b in bs:
+            shift = np.concatenate(
+                [np.full(len(homs[(c, d)]), offset[(b, d)], np.int32) for d in outs[c]]
+            )
+            r = shifted[(b, c)] = stack[c][i : i + len(homs[(b, c)])]
+            np.add(rows[(b, c)], shift, out=r)
+            i += len(r)
+    units = {x: homs[(x, x)].index(identity[x]) for x in identity}
+    gens = _generators(homs, offset, width, units, into, stack, shifted)
+    _check_associativity(homs, outs, offset, rows, shifted, gens)
 
     inverses = {}
     for f in mors:
@@ -344,42 +378,122 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
 _SWEEP_CELLS = 1 << 20  # composable triples compared per numpy round
 
 
-def _check_associativity(homs, outs, offset, rows):
-    """Exhaustive associativity check on the ``int32`` codes of ``rows``.
+def _generators(homs, offset, width, units, into, stack, shifted):
+    """The generating set S of Light's test, as ``{(b, c): codes}``: with
+    the identities, S generates every morphism under composition.
+
+    S starts as every non-identity that is not a composite of two
+    non-identities, which any generating set holds.  While some morphism is
+    not made, the least one by (hom-set size, block, code) joins S.  Each
+    addition is closed under composition incrementally: only the newly made
+    morphisms are composed with what is made, on either side, until nothing
+    new appears.  A morphism is made when its bit is set in a mask over all
+    of them, laid out by source x from ``base[x]`` on as the columns of
+    ``rows[(x, ·)]``; ``units[x]`` is the code of the identity of x.
+    """
+    base, n = {}, 0
+    for x, w in width.items():
+        base[x], n = n, n + w
+    # Row r of stack[y] is the morphism at bit bits[y][r].  Its source's bits
+    # start at starts[y][r], so an entry e of that row, a column of the
+    # morphisms out of the source, is the composite at bit starts[y][r] + e.
+    # The morphism at bit k has target number tgt_of[k] and is row row_of[k].
+    objects = list(width)
+    bits, starts = {}, {}
+    tgt_of, row_of = np.empty(n, np.int32), np.empty(n, np.int32)
+    for k, y in enumerate(objects):
+        xs, sizes = into[y], [len(homs[(x, y)]) for x in into[y]]
+        bits[y] = np.concatenate(
+            [np.arange(m, dtype=np.int32) + base[x] + offset[(x, y)] for x, m in zip(xs, sizes)]
+        )
+        starts[y] = np.repeat(np.array([base[x] for x in xs], np.int32), sizes)
+        tgt_of[bits[y]] = k
+        row_of[bits[y]] = np.arange(len(bits[y]))
+    src_of = np.repeat(np.arange(len(objects)), list(width.values()))
+    unit = {x: base[x] + offset[(x, x)] + u for x, u in units.items()}
+
+    split = np.zeros(n, bool)  # the composites of two non-identities
+    for (x, y), r in shifted.items():
+        cut, mine = unit[y] - base[y], split[base[x] : base[x] + width[x]]
+        for part in (r,) if x != y else (r[: units[x]], r[units[x] + 1 :]):
+            mine[part[:, :cut]] = True
+            mine[part[:, cut + 1 :]] = True
+    made = ~split
+    made[list(unit.values())] = False
+    gens = made.copy()
+    made[list(unit.values())] = True
+
+    def close(fresh):
+        while True:
+            got = np.zeros(n, bool)
+            new = np.flatnonzero(fresh)
+            for k in set(tgt_of[new].tolist()):
+                y = objects[k]
+                r = row_of[new[tgt_of[new] == k]]
+                got[stack[y][r][:, made[base[y] : base[y] + width[y]]] + starts[y][r, None]] = True
+            for k in set(src_of[new].tolist()):
+                x = objects[k]
+                r = made[bits[x]]
+                got[stack[x][:, fresh[base[x] : base[x] + width[x]]][r] + starts[x][r, None]] = True
+            fresh = got & ~made
+            if not fresh.any():
+                return
+            made[fresh] = True
+
+    close(gens)
+    for m, (b, c) in sorted((len(h), bc) for bc, h in homs.items()):
+        o = base[b] + offset[(b, c)]
+        while True:
+            free = np.flatnonzero(~made[o : o + m])
+            if not free.size:
+                break
+            fresh = np.zeros(n, bool)
+            fresh[o + free[0]] = made[o + free[0]] = gens[o + free[0]] = True
+            close(fresh)
+
+    out = {}
+    for (b, c), h in homs.items():
+        o = base[b] + offset[(b, c)]
+        codes = np.flatnonzero(gens[o : o + len(h)])
+        if codes.size:
+            out[(b, c)] = codes
+    return out
+
+
+def _check_associativity(homs, outs, offset, rows, shifted, gens=None):
+    """Associativity check on the ``int32`` codes of ``rows``.
 
     One sweep per (a, b, c), (a, b) sorted, then c, covers every d at once:
     (f;g);h, read from ``rows[(a, c)]`` at the rows that L[a, b, c] (the
     columns for c of ``rows[(a, b)]``) gives, must equal f;(g;h), read from
-    ``rows[(a, b)]`` at the columns of the composites g;h.  A failing
-    (a, b, c) is rescanned d by d, so the ``AssociativityViolation`` names
-    the first triple in the order (a, b), c, d, (f, g, h).
+    ``rows[(a, b)]`` at the columns ``shifted[(b, c)]`` gives for g;h.  With
+    ``gens``, only the g in ``gens[(b, c)]`` are swept and a (b, c) without
+    one is skipped (Light's test, see the module docstring); a failure there
+    reruns the full sweep.  A failing (a, b, c) of the full sweep is
+    rescanned d by d, so the ``AssociativityViolation`` names the first
+    triple in the order (a, b), c, d, (f, g, h).
     """
-    # rows[(b, c)] with each code of g;h in hom(b, d) moved to its column
-    # among the morphisms out of b, so it indexes the columns of rows[(a, b)].
-    shifted = {}
     for (a, b) in sorted(homs):
         r_ab = rows[(a, b)]
         n1 = len(r_ab)
         for c in outs.get(b, ()):
-            r_ac = rows[(a, c)]
-            w = r_ac.shape[1]
-            if w == 0:
+            cols = slice(None) if gens is None else gens.get((b, c))
+            if cols is None:
                 continue
-            s = shifted.get((b, c))
-            if s is None:
-                shift = np.concatenate(
-                    [np.full(len(homs[(c, d)]), offset[(b, d)], np.int32) for d in outs[c]]
-                )
-                s = shifted[(b, c)] = (rows[(b, c)] + shift).ravel()
+            r_ac = rows[(a, c)]
             o, n2 = offset[(b, c)], len(homs[(b, c)])
-            l_abc = r_ab[:, o : o + n2]
-            chunk = max(1, _SWEEP_CELLS // (n2 * w))
+            l_abc = r_ab[:, o : o + n2][:, cols]
+            s = shifted[(b, c)][cols].ravel()
+            chunk = max(1, _SWEEP_CELLS // len(s))
             for i0 in range(0, n1, chunk):
                 i1 = min(n1, i0 + chunk)
                 left = np.take(r_ac, l_abc[i0:i1], axis=0).reshape(i1 - i0, -1)
                 right = np.take(r_ab[i0:i1], s, axis=1)
                 if not np.array_equal(left, right):
-                    _raise_first_violation(homs, outs, offset, rows, a, b, c)
+                    if gens is None:
+                        _raise_first_violation(homs, outs, offset, rows, a, b, c)
+                    _check_associativity(homs, outs, offset, rows, shifted)
+                    raise CategoryError("internal error: Light's test failed, the full sweep held")
 
 
 def _raise_first_violation(homs, outs, offset, rows, a, b, c):

@@ -484,6 +484,15 @@ def test_gen_negative_size_is_input_error(workdir, capsys, argv):
     assert err.startswith("input error:") and err.count("\n") == 1 and argv[-2] in err
 
 
+def test_theorem_negative_budget_is_input_error(workdir, capsys):
+    cat = category_to_json(fi_truncated(1))
+    open("c.json", "w").write(stable_dumps(cat))
+    run(capsys, "gen", "delta", "--x", "c.json", "--y", "c.json", "-o", "d.json")
+    code, out, err = run(capsys, "theorem", "d.json", "--search", "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err == "input error: --budget must not be negative, got -5\n"
+
+
 def test_json_table_does_not_depend_on_composition_order(workdir, capsys):
     """A category read from JSON lays its table out in block order, so the
     first composite a functor breaks is the same whatever the file order."""

@@ -103,15 +103,35 @@ def blocks_3_1_total():
     return grothendieck(generators.block_perm_indexed(3, 1)).total
 
 
+@pytest.fixture(scope="module")
+def fi_z2_2_direct():
+    return generators.fi_g_direct(cyclic_group(2), 2)
+
+
+@pytest.fixture(scope="module")
+def z5():
+    return group_as_category(cyclic_group(5))
+
+
+@pytest.fixture(scope="module")
+def s3():
+    return group_as_category(symmetric_group(3))
+
+
+# z5 and s3 have no morphism that is not a composite of two non-identities,
+# so Light's test takes its whole generating set from the greedy step.
 CATEGORIES = [
     "fi3",
     "fi4",
     "chain6_squared",
     "arrow_fi2",
     "fi_z2_2_total",
+    "fi_z2_2_direct",
     "blocks_3_1_total",
     "idempotent_monoid",
     "parallel_pair",
+    "z5",
+    "s3",
 ]
 
 MUTATIONS_PER_KIND = 10
@@ -226,6 +246,69 @@ def test_first_violation_is_at_the_earlier_target():
         AssociativityViolation,
         (("f1", "g", "h"),),
     )
+
+
+# A loop of order 5 (a unital Latin square) that is not a group: the
+# smallest order with a non-associative loop.
+LOOP5 = ["01234", "10342", "24013", "32401", "43120"]
+
+
+def test_non_associative_loop_matches_reference():
+    objects, identity = ["*"], {"*": "0"}
+    morphisms = [(m, "*", "*") for m in LOOP5[0]]
+    table = {(f, g): LOOP5[int(f)][int(g)] for f in LOOP5[0] for g in LOOP5[0]}
+    assert both(objects, morphisms, identity, table) == (
+        AssociativityViolation,
+        (("1", "1", "2"),),
+    )
+
+
+def light_generators(monkeypatch, C):
+    """The generating set that ``assemble`` sweeps when it rebuilds ``C``
+    from its table, as ids, and its hom-sets as ``assemble`` laid them out."""
+    seen, real = [], core._check_associativity
+
+    def spy(homs, outs, offset, rows, shifted, gens=None):
+        if gens is not None:
+            seen.append((homs, gens))
+        return real(homs, outs, offset, rows, shifted, gens)
+
+    monkeypatch.setattr(core, "_check_associativity", spy)
+    validate_category(*raw(C, C.table))
+    monkeypatch.undo()
+    ((homs, gens),) = seen
+    return {homs[bc][i] for bc, codes in gens.items() for i in codes.tolist()}, homs
+
+
+@pytest.mark.parametrize("name", CATEGORIES)
+def test_light_generators_generate(request, monkeypatch, name):
+    """With the identities, the generating set composes to every morphism,
+    and it holds every non-identity that is no composite of two."""
+    C = request.getfixturevalue(name)
+    S, _ = light_generators(monkeypatch, C)
+    ids = C.identity_morphisms
+    assert not S & ids
+    split = {h for (f, g), h in C.table.items() if f not in ids and g not in ids}
+    assert set(C.morphisms) - ids - split <= S
+    made, grown = S | ids, True
+    while grown:
+        new = {h for (f, g), h in C.table.items() if f in made and g in made} - made
+        made, grown = made | new, bool(new)
+    assert made == set(C.morphisms)
+
+
+def test_light_sweep_is_small_on_fi5(monkeypatch):
+    """Each generator g: b→c is swept against every f into b and h out of
+    c: on FI_5 fewer than a tenth of the composable triples."""
+    C = generators.fi_truncated(5)
+    S, homs = light_generators(monkeypatch, C)
+    into, out = {}, {}
+    for (x, y), h in homs.items():
+        into[y] = into.get(y, 0) + len(h)
+        out[x] = out.get(x, 0) + len(h)
+    swept = sum(into[C.src[g]] * out[C.tgt[g]] for g in S)
+    triples = sum(len(h) * into[b] * out[c] for (b, c), h in homs.items())
+    assert 10 * swept < triples
 
 
 def decoded(identities, blocks, compose):
