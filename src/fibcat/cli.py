@@ -169,11 +169,11 @@ def cmd_fitype(args, out: _Output) -> int:
 def cmd_groth(args, out: _Output) -> int:
     M = _loader_for(args.path).indexed(_load_json(args.path))
     gr = grothendieck(M)
-    payload = {
-        "total": category_to_json(gr.total),
-        "projection": functor_to_json(gr.proj, inline=False),
-    }
     if args.output:
+        payload = {
+            "total": category_to_json(gr.total),
+            "projection": functor_to_json(gr.proj, inline=False),
+        }
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(stable_dumps(payload))
     rep = _report_skeleton("groth", args.path, digest_file(args.path))

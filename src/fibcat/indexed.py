@@ -159,14 +159,17 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
                 raise UnitorViolation(("right unit", f, b))
 
     # Associativity coherence over every composable base triple.
+    out_of = {x: [] for x in base.objects}
+    for m in base.morphisms:
+        out_of[base.src[m]].append(m)
     for f in base.morphisms:
         x, y = base.src[f], base.tgt[f]
         fib_x = fibers[x]
         Mf = arrows[f]
-        for g in (m for m in base.morphisms if base.src[m] == y):
+        for g in out_of[y]:
             z = base.tgt[g]
             gf = base.comp(f, g)
-            for h in (m for m in base.morphisms if base.src[m] == z):
+            for h in out_of[z]:
                 w = base.tgt[h]
                 hg = base.comp(g, h)
                 Mh = arrows[h]

@@ -5,6 +5,7 @@ import pytest
 
 from fibcat.cli import main
 from fibcat.generators import (
+    chain_poset,
     delta_const,
     discrete_category,
     fi_truncated,
@@ -29,9 +30,26 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def assert_stable(text):
+    """``text`` is the one stable JSON writing of its value."""
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def run(capsys, *argv):
+    """Run the CLI; check the bytes of a ``--json`` report and of every file
+    the run wrote."""
     code = main(list(argv))
     out = capsys.readouterr()
+    if "--json" in argv and out.out:
+        assert_stable(out.out)
+    written = [argv[i + 1] for i, flag in enumerate(argv[:-1]) if flag in ("-o", "--output")]
+    if "--seed-corpus" in argv:
+        corpus = argv[argv.index("--seed-corpus") + 1]
+        written += [os.path.join(corpus, name) for name in os.listdir(corpus)]
+    for path in written:
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                assert_stable(fh.read())
     return code, out.out, out.err
 
 
@@ -151,6 +169,41 @@ def test_group_commands(workdir, capsys, z4, z2):
     open("tw.json", "w").write(stable_dumps(ext_input))
     code, out, _ = run(capsys, "group", "ext", "tw.json")
     assert code == 0 and "order 4" in out and "split=False" in out
+
+
+def test_failing_verdict_reports_are_stable_json(workdir, capsys):
+    """Reports of failed checks hold reprs of counterexamples and false
+    verdicts; ``run`` checks their bytes like those of passing ones."""
+    point = category_to_json(discrete_category("a"))
+    # a over p1 has no lift of p0 -> p1
+    not_fibration = {
+        "source": point,
+        "target": category_to_json(chain_poset(2)),
+        "on_objects": {"a": "p1"},
+        "on_morphisms": {"id_a": "p1_to_p1"},
+    }
+    open("nf.json", "w").write(stable_dumps(not_fibration))
+    code, out, _ = run(capsys, "--json", "fibration", "nf.json")
+    assert code == 1 and json.loads(out)["verdict"]["counterexample"]
+    code, out, _ = run(capsys, "--json", "cleaving", "nf.json")
+    assert code == 1 and json.loads(out)["verdict"] == {"fibration": False}
+    idempotent = {
+        "objects": ["*"],
+        "morphisms": [{"id": "1", "src": "*", "tgt": "*"}, {"id": "e", "src": "*", "tgt": "*"}],
+        "identities": {"*": "1"},
+        "composition": [{"first": "e", "then": "e", "equals": "e"}],
+    }
+    open("idem.json", "w").write(stable_dumps(idempotent))
+    code, out, _ = run(capsys, "--json", "fitype", "idem.json")
+    assert code == 1 and json.loads(out)["verdict"]["all_mono"]["counterexample"]
+    run(capsys, "gen", "fig", "--group", "z2", "--max", "2", "-o", "fig.json")
+    code, out, _ = run(capsys, "--json", "theorem", "fig.json")
+    assert code == 1 and not json.loads(out)["verdict"]["h4_weakly_reversible"]
+    data = category_to_json(fi_truncated(1))
+    data["identities"].pop("0")
+    open("broken.json", "w").write(stable_dumps(data))
+    code, out, _ = run(capsys, "--json", "validate", "broken.json")
+    assert code == 1 and json.loads(out)["verdict"]["error"] == "MissingIdentity"
 
 
 def test_json_reports_are_byte_stable(workdir, capsys):

@@ -19,6 +19,7 @@ from fibcat.generators import (
 from fibcat.groups import (
     TwistedAction,
     cyclic_group,
+    group_as_category,
     twisted_from_surjection,
     twisted_indexed_data,
     validate_group_hom,
@@ -128,3 +129,27 @@ def test_slice_indexed_nonstrict_over_fi(fi2):
     assert not M.strict
     # non-strict data fails the 1-categorical functoriality recheck
     assert not strict_functoriality_check(M)
+
+
+@pytest.mark.parametrize(
+    "pair, first",
+    [
+        (("0>1:", "1>2:0"), ("0>1:", "1>2:0", "2>2:1,0")),
+        (("1>2:1", "2>2:1,0"), ("0>1:", "1>2:1", "2>2:1,0")),
+    ],
+)
+def test_first_coherence_violation_is_pinned(fi2, z2, pair, first):
+    """Over FI_2 with the fiber Z/2, a compositor that is the flip on one
+    composable pair and the identity elsewhere breaks the cocycle law; the
+    scan over base triples (f, g, h), each in ``base.morphisms`` order,
+    names the first broken triple."""
+    fiber = group_as_category(z2)
+    M = delta_const(fi2, fiber)
+    (star,) = fiber.objects
+    flip = next(m for m in fiber.morphisms if not fiber.is_identity(m))
+    compositors = {
+        fg: {star: flip if fg == pair else fiber.id_of(star)} for fg in fi2.table
+    }
+    with pytest.raises(CoherenceViolation) as exc:
+        validate_indexed(fi2, M.fibers, M.arrows, compositors)
+    assert exc.value.args == ((first, star),)

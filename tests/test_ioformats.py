@@ -1,21 +1,37 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibcat import grothendieck
-from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed, square_poset
-from fibcat.groups import twisted_to_indexed
+from fibcat import check_fi_type, grothendieck
+from fibcat.generators import (
+    arrow_category,
+    block_perm_indexed,
+    fi_g_direct,
+    fi_truncated,
+    indexed_gpow,
+    slice_indexed,
+    square_poset,
+)
+from fibcat.groups import group_as_category, twisted_to_indexed
 from fibcat.ioformats import (
     InputFormatError,
     Loader,
     category_from_json,
     category_to_json,
+    functor_to_json,
     group_from_json,
     group_to_json,
     indexed_to_json,
     stable_dumps,
     witness_to_json,
 )
+
+
+def oracle(value) -> str:
+    """The byte contract of ``stable_dumps``."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def reload_category(C):
@@ -92,3 +108,120 @@ def test_malformed_files_raise_input_errors():
         category_from_json({"objects": ["x"]})
     with pytest.raises(InputFormatError):
         group_from_json({"elements": ["e"]})
+
+
+def test_writers_match_the_stdlib_on_the_corpus(groth_corpus, witnessed_corpus, z2, z3, s3, fi2):
+    payloads = [
+        category_to_json(C)
+        for C in (fi_truncated(3), fi_g_direct(s3, 2), group_as_category(s3), arrow_category(fi2))
+    ]
+    payloads += [group_to_json(G) for G in (z2, z3, s3)]
+    for _, M, gr in groth_corpus:
+        payloads += [
+            indexed_to_json(M),
+            category_to_json(gr.total),
+            functor_to_json(gr.proj),
+            functor_to_json(gr.proj, inline=False),
+        ]
+    payloads += [witness_to_json(w) for *_, w in witnessed_corpus]
+    for payload in payloads:
+        assert stable_dumps(payload) == oracle(payload)
+
+
+def test_failing_audit_reports_match_the_stdlib(idempotent_monoid):
+    blocks = check_fi_type(grothendieck(block_perm_indexed(3, 1)).total)
+    idempotent = check_fi_type(idempotent_monoid)
+    assert not blocks.transitive.holds and not idempotent.holds
+    for report in (blocks, idempotent):
+        assert stable_dumps(report.as_dict()) == oracle(report.as_dict())
+
+
+# quote, backslash, control characters, non-ASCII, a lone surrogate, and %
+_IDS = ['"', "\\", 'a"b\\c', "\n\t\x00\x1f\x7f", "é", "∘", "\U0001d4d5", "\ud800", "%s", "%%", ""]
+_EDGE = {
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+    "empties-inside": {"a": [], "b": {}, "c": (), "d": [[], {}]},
+    "tuple": ("a", "b"),
+    "tuple-of-records": ({"id": "f", "src": "x"}, {"id": "g", "src": "y"}),
+    "tuple-in-dict": {"pair": ("f", 1), "nested": (("a",), ["b", ("c", None)])},
+    "nested-lists": [["a", "b"], [["c"]], [[[]]], "d"],
+    "ints": [0, -1, 10**30, {"n": 7}],
+    "floats": [0.0, -0.5, 1e300, 1e-300, float("inf"), float("-inf"), float("nan"), {"x": 2.5}],
+    "bools-and-none": [True, False, None, {"t": True, "f": False, "n": None}],
+    "bool-is-not-int": {"a": [True, 1], "b": [False, 0]},
+    "scalar-str": "x",
+    "scalar-int": 3,
+    "scalar-none": None,
+    "ids": {i: i for i in _IDS},
+    "id-list": list(_IDS),
+    "id-records": [{"first": i, "then": j, "equals": i + j} for i in _IDS for j in _IDS[:3]],
+    "record-keys-escaped": [{'"%s"': "a", "\\": "b", "é": "c"}] * 2,
+    "record-key-sets-differ": [{"id": "f", "src": "x"}, {"id": "g", "tgt": "y"}],
+    "record-key-orders-differ": [{"id": "f", "src": "x"}, {"src": "y", "id": "g"}],
+    "record-holds-int": [{"id": "f", "n": "1"}, {"id": "g", "n": 2}],
+    "record-holds-list": [{"id": "f", "n": ["1"]}, {"id": "g", "n": ["2"]}],
+    "record-empty": [{}, {}],
+    "records-and-string": [{"id": "f"}, "g"],
+    "int-keys": {2: "b", 10: "a", -1: ["c"]},
+    "float-keys": {0.5: "a", 1.5: "b"},
+    "bool-keys": {True: "t", False: "f"},
+    "none-key": {None: "n"},
+    "int-keys-nested": {"outer": {1: {"x": "y"}, 0: []}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE))
+def test_edge_values_match_the_stdlib(case):
+    assert stable_dumps(_EDGE[case]) == oracle(_EDGE[case])
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "I(%d)" % self
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[_Str("a"), "b"], {_Str("k"): "v"}, {"k": _Str("v")}, [_Int(3)], {"n": _Int(4)}],
+    ids=["str", "str-key", "str-value", "int", "int-value"],
+)
+def test_subclasses_match_the_stdlib(value):
+    assert stable_dumps(value) == oracle(value)
+
+
+def test_unserialisable_values_raise_like_the_stdlib():
+    for value in ({"a": {1, 2}}, [b"x"], {("a", "b"): "c"}):
+        with pytest.raises(TypeError) as ours:
+            stable_dumps(value)
+        with pytest.raises(TypeError) as stdlib:
+            oracle(value)
+        assert str(ours.value) == str(stdlib.value)
+
+
+_keys = st.text(max_size=4) | st.sampled_from(["id", "%s", '"', "é"])
+_records = st.lists(
+    st.fixed_dictionaries({"first": _keys, "then": _keys})
+    | st.dictionaries(st.sampled_from(["first", "then", "%"]), _keys | st.integers(), min_size=1),
+    min_size=1,
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_keys, inner)
+    | st.dictionaries(st.integers(), inner)
+    | _records,
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(value=_json_values)
+def test_stable_dumps_matches_the_stdlib(value):
+    assert stable_dumps(value) == oracle(value)

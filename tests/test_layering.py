@@ -192,3 +192,21 @@ def test_cospan_and_span_wrappers_have_no_library_caller():
         for where in _references(tree, target)
     )
     assert mentions == []
+
+
+def test_stable_dumps_is_the_one_json_writer():
+    """Every JSON text the library writes comes from ``stable_dumps``, so no
+    writer skips its fast path or its byte contract: the stdlib writer is
+    called only by ``_write``, the recursive body of ``stable_dumps``."""
+
+    def callers(target):
+        return sorted(
+            {
+                "%s.%s" % (name, where)
+                for name, tree in _modules()
+                for where in _references(tree, target, True)
+            }
+        )
+
+    assert callers("dumps") + callers("dump") == ["ioformats._write"]
+    assert callers("_write") == ["ioformats._write", "ioformats.stable_dumps"]
