@@ -9,7 +9,6 @@ verdicts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -33,14 +32,11 @@ from .groups import (
     symmetric_group,
     trivial_group,
     twisted_from_surjection,
-    validate_group_hom,
     validate_twisted_action,
-    TwistedAction,
 )
 from .ioformats import (
     InputFormatError,
     Loader,
-    _json_object,
     category_from_json,
     category_to_json,
     digest_bytes,
@@ -48,7 +44,6 @@ from .ioformats import (
     functor_to_json,
     group_to_json,
     indexed_to_json,
-    malformed,
     read_json,
     stable_dumps,
 )
@@ -268,41 +263,12 @@ def cmd_theorem(args, out: _Output) -> int:
     return EXIT_OK if ok and not verdict.alarm else EXIT_CHECK_FAILED
 
 
-@malformed("twisted-action")
-def _twisted_from_file(loader: Loader, data: dict) -> TwistedAction:
-    acting = loader.group(data["acting"])
-    acted = loader.group(data["acted"])
-    act = {
-        g: {h: str(v) for h, v in _json_object(m, "act %r" % g).items()}
-        for g, m in data["act"].items()
-    }
-    phi = {}
-    for key, val in data["phi"].items():
-        if key.count("|") != 1:
-            raise InputFormatError("bad phi key %r" % key)
-        a, b = key.split("|")
-        phi[(a, b)] = str(val)
-    for a, b in itertools.product(acting.elements, repeat=2):
-        if phi.get((a, b)) not in acted.elements:
-            raise InputFormatError("phi(%s|%s) is missing or not in the acted group" % (a, b))
-    return TwistedAction(acting, acted, act, phi)
-
-
-@malformed("surjection")
-def _surjection_from_file(loader: Loader, data: dict):
-    total = loader.group(data["total"])
-    target = loader.group(data["target"])
-    proj = validate_group_hom(total, target, _json_object(data["proj"], "proj"))
-    section = data.get("section")
-    return proj, None if section is None else _json_object(section, "section")
-
-
 def cmd_group(args, out: _Output) -> int:
     loader = _loader_for(args.path)
     data = _load_json(args.path)
     rep = _report_skeleton("group %s" % args.mode, args.path, digest_file(args.path))
     if args.mode == "ext":
-        T = _twisted_from_file(loader, data)
+        T = loader.twisted(data)
         report = validate_twisted_action(T)
         if not report.holds:
             rep["verdict"] = {
@@ -330,7 +296,7 @@ def cmd_group(args, out: _Output) -> int:
             ],
         )
         return EXIT_OK
-    proj, section = _surjection_from_file(loader, data)
+    proj, section = loader.surjection(data)
     if args.mode == "twist":
         if section is None:
             raise InputFormatError("twist requires a 'section' table")

@@ -3,7 +3,9 @@
 Objects and morphisms are plain string identifiers.  A category carries its
 identity table and full composition table, checked exhaustively when it is
 built and immutable afterwards; every predicate is a deterministic
-exhaustive search over sorted identifiers.
+exhaustive search over sorted identifiers.  Ids reach this module as
+strings: ``ioformats`` reads every id in a JSON file and rejects one that
+is not a scalar, so nothing here converts an id.
 
 One path builds every category: ``assemble``, the only constructor of
 ``FinCat``, lays out hom-set blocks ``{payload: id}`` and checks the axioms
@@ -13,7 +15,7 @@ Its composer composes a whole pair of blocks at once: ``compose(x, y, z)``
 is an integer array whose entry (i, j) is the position, in the insertion
 order of block (x, z), of the i-th payload of (x, y) followed by the j-th of
 (y, z).  The injection builders of ``generators`` compute these arrays with
-numpy; every other builder writes a per-composite ``compose(x, p, q)`` and
+numpy; every other builder writes a per-composite ``compose(p, q)`` and
 wraps it in ``per_composite``, and ``validate_category`` vets raw ids (JSON
 files, tests) and hands them on as blocks ``{id: id}`` the same way.
 
@@ -171,18 +173,18 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
     maps objects to morphism ids, ``composition`` maps composable pairs
     ``(first, then)`` to composite ids; composites with an identity on either
-    side may be omitted, the unit laws force them.  Ids are read with
-    ``str()``, each object and morphism id interned once.  These checks come
-    first in the error order; the table follows block order, not input order.
+    side may be omitted, the unit laws force them.  Ids are strings, each
+    object and morphism id interned once.  These checks come first in the
+    error order; the table follows block order, not input order.
     """
-    obs = tuple(sorted(sys.intern(str(x)) for x in objects))
+    obs = tuple(sorted(map(sys.intern, objects)))
     if len(set(obs)) != len(obs):
         raise CategoryError("duplicate object identifiers")
     obset = set(obs)
 
     src, tgt = {}, {}
     for mid, s, t in morphisms:
-        mid, s, t = (sys.intern(str(v)) for v in (mid, s, t))
+        mid, s, t = sys.intern(mid), sys.intern(s), sys.intern(t)
         if mid in src:
             raise CategoryError("duplicate morphism identifier %r" % mid)
         if s not in obset:
@@ -196,7 +198,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     for x in obs:
         if x not in identity:
             raise MissingIdentity("object %r has no identity morphism" % x)
-        i = sys.intern(str(identity[x]))
+        i = identity[x]
         if i not in src:
             raise MissingIdentity("identity %r of %r is not a morphism" % (i, x))
         if src[i] != x or tgt[i] != x:
@@ -210,7 +212,6 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
 
     table = {}
     for (f, g), h in composition.items():
-        f, g, h = str(f), str(g), str(h)
         if f not in src or g not in src or h not in src:
             m = next(m for m in (f, g, h) if m not in src)
             raise UnknownMorphism("composition table mentions %r" % m)
@@ -231,7 +232,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     for f in mors:
         blocks.setdefault((src[f], tgt[f]), {})[f] = f
     blocks = dict(sorted(blocks.items()))
-    return assemble(ident, blocks, per_composite(blocks, lambda x, f, g: table.get((f, g))))
+    return assemble(ident, blocks, per_composite(blocks, lambda f, g: table.get((f, g))))
 
 
 def assemble(identities: dict, blocks: dict, compose) -> FinCat:
@@ -335,7 +336,7 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
 
 def per_composite(blocks: dict, compose):
     """The composer, for ``assemble`` over ``blocks``, of a per-composite
-    ``compose(x, p, q)``: the payload of p: x→y then q: y→z, or None if
+    ``compose(p, q)``: the payload of p: x→y then q: y→z, or None if
     missing (None is never a payload).  A pair of blocks raises
     ``MissingComposite((f, g))`` for its first missing composite, else
     ``CompositeEndpointViolation((f, g, payload))`` for the first payload
@@ -348,10 +349,10 @@ def per_composite(blocks: dict, compose):
             pos = positions[(x, z)] = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
         ps, qs = blocks[(x, y)], blocks[(y, z)]
         try:
-            made = itertools.starmap(compose, itertools.product((x,), ps, qs))
+            made = itertools.starmap(compose, itertools.product(ps, qs))
             at = np.fromiter(map(pos.__getitem__, made), np.int32, len(ps) * len(qs))
         except KeyError:
-            made = [compose(x, p, q) for p in ps for q in qs]
+            made = [compose(p, q) for p in ps for q in qs]
             pairs = list(itertools.product(ps.values(), qs.values()))
             if None in made:
                 raise MissingComposite(pairs[made.index(None)]) from None
@@ -371,7 +372,7 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     return assemble(
         {x: C.id_of(x) for x in objects},
         blocks,
-        per_composite(blocks, lambda x, f, g: C.table[(f, g)]),
+        per_composite(blocks, C.comp),
     )
 
 

@@ -47,14 +47,17 @@ class NatTrans:
 
 
 def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -> FinFunctor:
-    """Check preservation of endpoints, identities and all composites."""
-    ob = {str(k): str(v) for k, v in dict(on_objects).items()}
-    mor = {str(k): str(v) for k, v in dict(on_morphisms).items()}
+    """Check that the tables map exactly the source's objects and morphisms,
+    and preserve endpoints, identities and all composites.  Ids are strings."""
+    ob, mor = dict(on_objects), dict(on_morphisms)
     for x in source.objects:
         if x not in ob:
             raise NotAFunctor(("object not mapped", x))
         if ob[x] not in target.identity:
             raise NotAFunctor(("image object unknown", x, ob[x]))
+    if len(ob) > len(source.objects):
+        unknown = next(x for x in ob if x not in source.identity)
+        raise NotAFunctor(("unknown object mapped", unknown))
     for f in source.morphisms:
         if f not in mor:
             raise NotAFunctor(("morphism not mapped", f))
@@ -63,6 +66,9 @@ def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -
             raise NotAFunctor(("image morphism unknown", f, g))
         if target.src[g] != ob[source.src[f]] or target.tgt[g] != ob[source.tgt[f]]:
             raise NotAFunctor(("endpoints not preserved", f, g))
+    if len(mor) > len(source.morphisms):
+        unknown = next(f for f in mor if f not in source.src)
+        raise NotAFunctor(("unknown morphism mapped", unknown))
     for x in source.objects:
         if mor[source.id_of(x)] != target.id_of(ob[x]):
             raise NotAFunctor(("identity not preserved", x))
@@ -94,10 +100,11 @@ def functors_equal(F: FinFunctor, G: FinFunctor) -> bool:
 
 
 def validate_nat_trans(F: FinFunctor, G: FinFunctor, components) -> NatTrans:
-    """Check component typing and every naturality square."""
+    """Check that there is exactly one component per source object, its
+    typing, and every naturality square.  Ids are strings."""
     if F.source is not G.source or F.target is not G.target:
         raise NotNatural("parallel functors required")
-    comp = {str(k): str(v) for k, v in dict(components).items()}
+    comp = dict(components)
     T = F.target
     for x in F.source.objects:
         if x not in comp:
@@ -107,6 +114,9 @@ def validate_nat_trans(F: FinFunctor, G: FinFunctor, components) -> NatTrans:
             raise NotNatural(("component unknown", x, c))
         if T.src[c] != F.ob(x) or T.tgt[c] != G.ob(x):
             raise NotNatural(("component endpoints", x, c))
+    if len(comp) > len(F.source.objects):
+        unknown = next(x for x in comp if x not in F.source.identity)
+        raise NotNatural(("component for unknown object", unknown))
     for f in F.source.morphisms:
         x, y = F.source.src[f], F.source.tgt[f]
         # G(f)∘α_x  vs  α_y∘F(f)

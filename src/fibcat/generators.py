@@ -17,7 +17,7 @@ bypasses validation.  FI, FI_G and coloured FI share one numpy composer,
 images by a gather, decorations through the group's multiplication table,
 and each composite ranked in its target block by its base-n image code and
 its mixed-radix decoration code.  Every other builder gives a per-composite
-``compose(x, p, q)`` to ``core.per_composite``; either way a composite that
+``compose(p, q)`` to ``core.per_composite``; either way a composite that
 falls outside its target block raises ``CompositeEndpointViolation``.
 """
 
@@ -61,7 +61,7 @@ def _relation_category(names, related, mid) -> FinCat:
     if len(set(names)) != len(names):
         raise CategoryError("duplicate object identifiers")
     blocks = {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)}
-    return assemble({x: () for x in names}, blocks, per_composite(blocks, lambda x, p, q: ()))
+    return assemble({x: () for x in names}, blocks, per_composite(blocks, lambda p, q: ()))
 
 
 def terminal_category() -> FinCat:
@@ -255,7 +255,7 @@ def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     return assemble(
         {"*": (G.unit,) * n},
         blocks,
-        per_composite(blocks, lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v))),
+        per_composite(blocks, lambda u, v: tuple(G.mul(b, a) for a, b in zip(u, v))),
     )
 
 
@@ -322,7 +322,7 @@ def _product(factors, ob_id, mor_id) -> FinCat:
         {o: tuple(C.id_of(x) for C, x in zip(factors, t)) for o, t in obs.items()},
         blocks,
         per_composite(
-            blocks, lambda x, p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q))
+            blocks, lambda p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q))
         ),
     )
 
@@ -530,7 +530,7 @@ def slice_category(C: FinCat, x: str) -> FinCat:
     return assemble(
         {f: C.id_of(C.src[f]) for f in objs},
         tris,
-        per_composite(tris, lambda f, h, h2: C.comp(h, h2)),
+        per_composite(tris, C.comp),
     )
 
 
@@ -615,7 +615,7 @@ def arrow_category(C: FinCat) -> FinCat:
     return assemble(
         {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in objs},
         sqs,
-        per_composite(sqs, lambda f, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1]))),
+        per_composite(sqs, lambda sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1]))),
     )
 
 

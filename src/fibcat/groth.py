@@ -108,7 +108,7 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     if len(mor_of) != len(mor_id):
         raise CategoryError("total morphism id collision")
 
-    def compose(s, p, q):
+    def compose(p, q):
         # second projection of g applied to l, then the compositor at c
         (f, k, _), (g, l, c) = p, q
         fib = fibers[base.src[f]].table

@@ -87,10 +87,12 @@ class GroupTable:
 
 
 def validate_group(elements, mult, unit=None) -> GroupTable:
-    els = tuple(sorted(str(e) for e in elements))
+    """Check closure, associativity, the unit (found when not given) and
+    inverses of ``mult``, a map (a, b) -> ab.  Elements are strings."""
+    els = tuple(sorted(elements))
     if len(set(els)) != len(els):
         raise NotAGroup("duplicate elements")
-    table = {(str(a), str(b)): str(c) for (a, b), c in dict(mult).items()}
+    table = dict(mult)
     for a in els:
         for b in els:
             c = table.get((a, b))
@@ -111,7 +113,8 @@ def validate_group(elements, mult, unit=None) -> GroupTable:
         if unit is None:
             raise NotAGroup("no two-sided unit")
     else:
-        unit = str(unit)
+        if unit not in els:
+            raise NotAGroup("claimed unit %r is not an element" % (unit,))
         if not all(table[(unit, a)] == a == table[(a, unit)] for a in els):
             raise NotAGroup("claimed unit fails the unit laws")
     inv = {}
@@ -149,7 +152,7 @@ def symmetric_group(n: int) -> GroupTable:
 def group_as_category(G: GroupTable, obj: str = "*") -> FinCat:
     """The one-object groupoid whose morphisms are the group elements."""
     blocks = {(obj, obj): {e: e for e in G.elements}}
-    return assemble({obj: G.unit}, blocks, per_composite(blocks, lambda x, a, b: G.mul(b, a)))
+    return assemble({obj: G.unit}, blocks, per_composite(blocks, lambda a, b: G.mul(b, a)))
 
 
 def category_as_group(C: FinCat) -> GroupTable:
@@ -183,12 +186,17 @@ class GroupHom:
 
 
 def validate_group_hom(source: GroupTable, target: GroupTable, mapping) -> GroupHom:
-    m = {str(k): str(v) for k, v in dict(mapping).items()}
+    """Check that ``mapping`` sends exactly the source's elements into the
+    target and is multiplicative.  Elements are strings."""
+    m = dict(mapping)
     for a in source.elements:
         if a not in m:
             raise NotAHomomorphism(("element not mapped", a))
         if m[a] not in set(target.elements):
             raise NotAHomomorphism(("image unknown", a, m[a]))
+    if len(m) > len(source.elements):
+        unknown = next(a for a in m if a not in source.inv)
+        raise NotAHomomorphism(("unknown element mapped", unknown))
     for a in source.elements:
         for b in source.elements:
             if m[source.mul(a, b)] != target.mul(m[a], m[b]):
@@ -303,8 +311,9 @@ def _check_automorphism(H: GroupTable, a: dict) -> bool:
 
 
 def validate_right_action(G: GroupTable, H: GroupTable, act) -> dict:
-    """A strict right action: act[g1·g2] = act[g2]∘act[g1], act[unit] = id."""
-    act = {str(g): {str(h): str(v) for h, v in dict(m).items()} for g, m in dict(act).items()}
+    """A strict right action: act[g1·g2] = act[g2]∘act[g1], act[unit] = id.
+    Elements are strings."""
+    act = {g: dict(m) for g, m in dict(act).items()}
     for g in G.elements:
         if g not in act or not _check_automorphism(H, act[g]):
             raise NotAnAction(("not an automorphism", g))
@@ -500,12 +509,12 @@ def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
     """Twisted action of the quotient on the kernel induced by a section.
 
     The action is conjugation through the section, A_g(k) = s(g)^-1·k·s(g),
-    and phi(a, b) = s(a·b)^-1·s(a)·s(b).
+    and phi(a, b) = s(a·b)^-1·s(a)·s(b).  Elements are strings.
     """
     if not is_surjective_hom(p):
         raise NotSurjective(p.mapping)
     E, G = p.source, p.target
-    s = {str(k): str(v) for k, v in dict(s).items()}
+    s = dict(s)
     for g in G.elements:
         if g not in s or p.mapping.get(s[g]) != g:
             raise NotASection(g)

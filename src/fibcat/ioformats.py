@@ -11,6 +11,12 @@ does not call that directly because CPython uses its C encoder only without
 ``indent``: the indenting encoder is pure Python, one generator step per
 token.  ``stable_dumps`` writes the same bytes with C-level joins over whole
 lists and record columns, about 3.5 times faster on a 39 MB total category.
+
+This module is the only place that reads JSON into the library, and ``_ids``
+is the only place that decides what an id is, in every file kind: a scalar
+is read with ``str()``, and a list or an object where an id belongs is
+malformed input.  The validators it hands ids to take them as strings and
+convert nothing.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from operator import eq, itemgetter
 
 from .core import FinCat, CategoryError, validate_category
 from .functors import FinFunctor, validate_functor
-from .groups import GroupTable, validate_group
+from .groups import GroupHom, GroupTable, TwistedAction, validate_group, validate_group_hom
 from .indexed import IndexedCat, validate_indexed
 from .theorem import WeakReversibilityWitness
 
@@ -68,12 +74,27 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _json_ids(values, what: str) -> None:
-    """Reject a list or an object among ``values``: an id is read with
-    ``str()``, which would turn one into an id that the file never names."""
-    if not set(map(type, values)).isdisjoint((list, dict)):
-        bad = next(v for v in values if isinstance(v, (list, dict)))
+def _ids(values, what: str):
+    """``values``, a list of ids or an object whose values are ids (its keys
+    are strings in JSON), with every id read as a string.  A scalar is read
+    with ``str()``; a list or an object is not an id, since ``str()`` would
+    turn it into one that the file never names.  A file holds about 10^6
+    ids, so the check is a C-level scan of their types, and ``values``
+    itself comes back when every id is already a string."""
+    table = isinstance(values, dict)
+    ids = values.values() if table else values
+    kinds = set(map(type, ids))
+    if kinds <= {str}:
+        return values
+    if list in kinds or dict in kinds:
+        bad = next(v for v in ids if type(v) in (list, dict))
         raise TypeError("%s %r is not an id" % (what, bad))
+    return dict(zip(values, map(str, ids))) if table else list(map(str, ids))
+
+
+def _id_table(value, what: str) -> dict:
+    """``value``, which must be a JSON object from ids to ids, read by ``_ids``."""
+    return _ids(_json_object(value, what), what)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -216,32 +237,33 @@ def category_to_json(C: FinCat) -> dict:
     }
 
 
+def _columns(records: list, keys: tuple, what: str) -> list:
+    """The id columns ``keys`` of the JSON objects ``records``, read by ``_ids``."""
+    return [_ids(list(map(itemgetter(k), records)), "%s %s" % (what, k)) for k in keys]
+
+
+def _composition(entries: list) -> dict:
+    """The table ``{(first, then): equals}`` of the composition records
+    ``entries``.  A pair listed twice is malformed: keeping either entry
+    would make the verdict depend on their order.  The id columns, a few MB
+    for a large category, are dropped on return, before validation."""
+    firsts, thens, equals = _columns(entries, ("first", "then", "equals"), "composition")
+    composition = dict(zip(zip(firsts, thens), equals))
+    if len(composition) < len(entries):
+        seen = set()
+        pair = next(p for p in zip(firsts, thens) if p in seen or seen.add(p))
+        raise ValueError("composition lists %r twice" % (pair,))
+    return composition
+
+
 @malformed("category")
 def category_from_json(data: dict) -> FinCat:
-    morphisms = list(
-        map(itemgetter("id", "src", "tgt"), _json_list(data["morphisms"], "morphisms"))
-    )
-    _json_ids(list(chain.from_iterable(morphisms)), "morphism id, src or tgt")
-    entries = _json_list(data.get("composition", []), "composition")
-    composition = {}
-    for entry in entries:
-        # keeping either of two entries would make the verdict depend on
-        # their order; ids are read with str(), so 1 and "1" are one id
-        pair = (str(entry["first"]), str(entry["then"]))
-        if pair in composition:
-            raise ValueError("composition lists %r twice" % (pair,))
-        composition[pair] = entry["equals"]
-    # A file holds ~10^6 composition ids, so their check is a C-level scan:
-    # of every "equals", and of the entries only if some "first" or "then"
-    # reads as "[..." or "{...", as str() of a list or an object does.
-    _json_ids(composition.values(), "composition id")
-    if any(i[:1] in ("[", "{") for i in set(chain.from_iterable(composition))):
-        _json_ids([e[k] for e in entries for k in ("first", "then")], "composition id")
-    objects = _json_list(data["objects"], "objects")
-    _json_ids(objects, "object")
-    # JSON object keys are strings, so only the values need the check
-    _json_ids(list(data["identities"].values()), "identity")
-    return validate_category(objects, morphisms, data["identities"], composition)
+    morphisms = _json_list(data["morphisms"], "morphisms")
+    ids, srcs, tgts = _columns(morphisms, ("id", "src", "tgt"), "morphism")
+    composition = _composition(_json_list(data.get("composition", []), "composition"))
+    objects = _ids(_json_list(data["objects"], "objects"), "object")
+    identities = _id_table(data["identities"], "identities")
+    return validate_category(objects, zip(ids, srcs, tgts), identities, composition)
 
 
 def functor_to_json(F: FinFunctor, inline: bool = True) -> dict:
@@ -266,14 +288,14 @@ def group_to_json(G: GroupTable) -> dict:
 
 @malformed("group")
 def group_from_json(data: dict) -> GroupTable:
-    els = [str(e) for e in _json_list(data["elements"], "elements")]
+    els = _ids(_json_list(data["elements"], "elements"), "element")
     rows = _json_list(data["mult"], "mult", len(els))
     mult = {}
     for i, a in enumerate(els):
-        row = _json_list(rows[i], "mult row %d" % i, len(els))
-        for j, b in enumerate(els):
-            mult[(a, b)] = str(row[j])
-    return validate_group(els, mult, data.get("unit"))
+        row = _ids(_json_list(rows[i], "mult row %d" % i, len(els)), "product")
+        mult.update(zip(zip(repeat(a), els), row))
+    unit = data.get("unit")
+    return validate_group(els, mult, None if unit is None else _ids([unit], "unit")[0])
 
 
 def indexed_to_json(M: IndexedCat) -> dict:
@@ -302,8 +324,8 @@ def _functor_from(source: FinCat, target: FinCat, tab: dict) -> FinFunctor:
     return validate_functor(
         source,
         target,
-        _json_object(tab["on_objects"], "on_objects"),
-        _json_object(tab["on_morphisms"], "on_morphisms"),
+        _id_table(tab["on_objects"], "on_objects"),
+        _id_table(tab["on_morphisms"], "on_morphisms"),
     )
 
 
@@ -350,11 +372,11 @@ class Loader:
                 if key.count("|") != 1:
                     raise InputFormatError("bad compositor key %r" % key)
                 f, g = key.split("|")
-                compositors[(f, g)] = _json_object(comps, "compositor %r" % key)
+                compositors[(f, g)] = _id_table(comps, "compositor %r" % key)
         unitors = data.get("unitors")
         if unitors is not None:
             unitors = {
-                x: _json_object(comps, "unitor %r" % x)
+                x: _id_table(comps, "unitor %r" % x)
                 for x, comps in _json_object(unitors, "unitors").items()
             }
         return validate_indexed(base, fibers, arrows, compositors, unitors)
@@ -367,8 +389,39 @@ class Loader:
                 raise InputFormatError("pushforward for unknown morphism %r" % f)
             x, y = M.base.src[f], M.base.tgt[f]
             pushforwards[f] = _functor_from(M.fiber_at(x), M.fiber_at(y), tab)
-        units = {f: _json_object(comps, "unit %r" % f) for f, comps in data["units"].items()}
+        units = {}
+        for f, comps in data["units"].items():
+            if f not in M.base.src:
+                raise InputFormatError("unit for unknown morphism %r" % f)
+            units[f] = _id_table(comps, "unit %r" % f)
         return WeakReversibilityWitness(pushforwards, units)
+
+    @malformed("twisted-action")
+    def twisted(self, data: dict) -> TwistedAction:
+        """The twisted action of a ``group ext`` file; its laws are not checked."""
+        acting = self.group(data["acting"])
+        acted = self.group(data["acted"])
+        act = {g: _id_table(m, "act %r" % g) for g, m in data["act"].items()}
+        phi = {}
+        for key, val in _id_table(data["phi"], "phi").items():
+            if key.count("|") != 1:
+                raise InputFormatError("bad phi key %r" % key)
+            a, b = key.split("|")
+            phi[(a, b)] = val
+        for a, b in product(acting.elements, repeat=2):
+            if phi.get((a, b)) not in acted.elements:
+                raise InputFormatError("phi(%s|%s) is missing or not in the acted group" % (a, b))
+        return TwistedAction(acting, acted, act, phi)
+
+    @malformed("surjection")
+    def surjection(self, data: dict) -> tuple[GroupHom, dict | None]:
+        """The projection of a ``group split|twist`` file, and its section
+        table, or None when the file has none."""
+        total = self.group(data["total"])
+        target = self.group(data["target"])
+        proj = validate_group_hom(total, target, _id_table(data["proj"], "proj"))
+        section = data.get("section")
+        return proj, None if section is None else _id_table(section, "section")
 
 
 def witness_to_json(w: WeakReversibilityWitness) -> dict:

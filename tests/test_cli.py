@@ -489,6 +489,52 @@ def test_non_scalar_id_is_input_error(workdir, capsys, case):
     assert err.startswith("input error:") and err.count("\n") == 1 and "is not an id" in err
 
 
+def _one_object(name):
+    return {
+        "objects": [name],
+        "morphisms": [{"id": "i", "src": name, "tgt": name}],
+        "identities": {name: "i"},
+    }
+
+
+# A list where an id belongs is malformed even where str() of it names an id
+# that the target holds: read that way, each of these files passed.
+_COLLISION = {
+    "functor": {
+        "source": _one_object("x"),
+        "target": _one_object("['x']"),
+        "on_objects": {"x": ["x"]},
+        "on_morphisms": {"i": "i"},
+    },
+    "group-split": {
+        "total": _Z2,
+        "target": {"elements": ["['0']"], "mult": [["['0']"]], "unit": "['0']"},
+        "proj": {"0": ["0"], "1": ["0"]},
+        "section": {"['0']": "0"},
+    },
+}
+_COLLISION["group-twist"] = _COLLISION["group-split"]
+
+
+@pytest.mark.parametrize("case", sorted(_COLLISION))
+def test_list_id_naming_an_existing_id_is_input_error(workdir, capsys, case):
+    open("in.json", "w").write(stable_dumps(_COLLISION[case]))
+    code, out, err = run(capsys, *case.split("-"), "in.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1 and "is not an id" in err
+
+
+def test_functor_entries_for_unknown_ids_fail_the_check(workdir, capsys):
+    payload = {
+        **_ID_AB,
+        "on_objects": {**_ID_AB["on_objects"], "ghost": "a"},
+        "on_morphisms": {**_ID_AB["on_morphisms"], "nonexistent": "id_a"},
+    }
+    open("in.json", "w").write(stable_dumps(payload))
+    code, out, _ = run(capsys, "functor", "in.json")
+    assert code == 1 and "NotAFunctor" in out and "'ghost'" in out
+
+
 # One object a with endomorphisms e and ia, e;e = e: with e as the identity
 # ia;ia is missing, with ia as the identity the table is a monoid.  A JSON
 # reader that keeps one of the two values of "a" would give either verdict.

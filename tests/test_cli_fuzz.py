@@ -3,13 +3,16 @@
 Inputs are either small random values (nested objects and lists whose keys
 come from the file formats) or a valid document of some format with one
 subtree replaced or deleted, so that they also get past the first layer of
-parsing and reach validation and the checks.
+parsing and reach validation and the checks.  Deterministically, every id
+of every document is also wrapped in a list, which must exit 2.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import operator
 import os
 import tempfile
 
@@ -139,6 +142,26 @@ COMMANDS = {
 }
 
 
+def _run(argv, value):
+    """``fibcat --json`` on ``argv``, with ``value`` as input.json next to
+    the DOCUMENTS files: (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in DOCUMENTS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(stable_dumps(payload))
+        with open(os.path.join(tmp, "input.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(value))
+        argv = [os.path.join(tmp, a) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--json"] + argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _is_input_error(out: str, err: str) -> bool:
+    return out == "" and err.startswith("input error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(
     max_examples=40,
@@ -148,19 +171,41 @@ COMMANDS = {
 )
 @given(value=values | mutated)
 def test_random_json_never_escapes_the_cli(command, value):
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, payload in DOCUMENTS.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
-                fh.write(stable_dumps(payload))
-        with open(os.path.join(tmp, "input.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(value))
-        argv = [os.path.join(tmp, a) if a.endswith(".json") else a for a in COMMANDS[command]]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--json"] + argv)
+    code, out, err = _run(COMMANDS[command], value)
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("input error:") and err.getvalue().count("\n") == 1
+        assert _is_input_error(out, err)
     else:
-        assert "verdict" in json.loads(out.getvalue())
+        assert "verdict" in json.loads(out)
+
+
+# The commands that read each document as input.json; the group file is read
+# by the generators.  The witness command reads ix.json too, unchanged.
+READERS = {
+    "c.json": ["validate", "fitype"],
+    "g.json": ["gen-fig"],
+    "f.json": ["functor", "fibration", "cleaving"],
+    "ix.json": ["groth", "theorem"],
+    "w.json": ["theorem-witness"],
+    "ext.json": ["group-ext"],
+    "surj.json": ["group-split", "group-twist"],
+}
+assert sorted(READERS) == sorted(DOCUMENTS)
+ARGV = COMMANDS | {"gen-fig": ["gen", "fig", "--group", "input.json", "--max", "1"]}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_list_where_an_id_belongs_is_an_input_error(name):
+    """Every string leaf of a document is an id.  Read with ``str()``, the
+    one-element list ["x"] became the id "['x']", which no file names, and
+    the command reported a failed check (exit 1) or even a verdict (exit 0)."""
+    doc = DOCUMENTS[name]
+    failures = []
+    for path in _paths(doc):
+        leaf = functools.reduce(operator.getitem, path, doc)
+        if isinstance(leaf, str):
+            for command in READERS[name]:
+                code, out, err = _run(ARGV[command], _mutate(doc, path, [leaf]))
+                if code != 2 or not _is_input_error(out, err):
+                    failures.append((command, path, code))
+    assert failures == []

@@ -57,8 +57,8 @@ def test_assemble_rejects_a_composite_outside_the_target_block():
     # payloads are integers mod 3, but the block of x holds only 0 and 1
     blocks = {("x", "x"): {0: "e", 1: "a"}}
     with pytest.raises(CompositeEndpointViolation, match="'a', 'a', 2"):
-        assemble({"x": 0}, blocks, per_composite(blocks, lambda x, p, q: (p + q) % 3))
-    C = assemble({"x": 0}, blocks, per_composite(blocks, lambda x, p, q: (p + q) % 2))
+        assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 3))
+    C = assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 2))
     assert C.comp("a", "a") == "e" and C.identity == {"x": "e"}
 
 

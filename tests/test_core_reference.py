@@ -396,10 +396,10 @@ def test_assemble_differs_only_on_a_payload_outside_its_block():
     ``assemble`` as a composite in the wrong hom-set."""
     blocks = {("x", "x"): {0: "e", 1: "a"}}
 
-    def compose(x, p, q):
+    def compose(p, q):
         return (p + q) % 3
 
-    assert outcome(ref.assemble, {"x": 0}, blocks, compose) == (
+    assert outcome(ref.assemble, {"x": 0}, blocks, lambda x, p, q: compose(p, q)) == (
         MissingComposite,
         (("a", "a", 2),),
     )

@@ -44,6 +44,28 @@ def test_endpoint_violation_rejected(fi2):
         validate_functor(fi2, fi2, on_o, on_m)
 
 
+def test_entries_for_unknown_ids_rejected(fi2):
+    """A table entry for an id the source lacks is no part of the functor
+    or transformation; keeping it silently hid a misspelt or stale id."""
+    on_o = {x: x for x in fi2.objects}
+    on_m = {m: m for m in fi2.morphisms}
+    with pytest.raises(NotAFunctor, match="'ghost'"):
+        validate_functor(fi2, fi2, on_o | {"ghost": "0"}, on_m)
+    with pytest.raises(NotAFunctor, match="'nonexistent'"):
+        validate_functor(fi2, fi2, on_o, on_m | {"nonexistent": fi2.id_of("0")})
+    F = identity_functor(fi2)
+    comps = {x: fi2.id_of(x) for x in fi2.objects}
+    with pytest.raises(NotNatural, match="'ghost'"):
+        validate_nat_trans(F, F, comps | {"ghost": fi2.id_of("0")})
+
+
+def test_non_string_ids_are_not_converted(fi2):
+    """Ids are strings: the JSON reader converts scalars, the validators do not."""
+    on_m = {m: m for m in fi2.morphisms}
+    with pytest.raises(NotAFunctor):
+        validate_functor(fi2, fi2, {0: "0", 1: "1", 2: "2"}, on_m)
+
+
 def test_composite_violation_rejected():
     C = chain_poset(3)
     on_m = {m: m for m in C.morphisms}

@@ -5,6 +5,7 @@ from fibcat import grothendieck, is_fibration
 from fibcat.groups import (
     Law2Violation,
     NotAGroup,
+    NotAHomomorphism,
     NotAnAction,
     NotASection,
     NotSurjective,
@@ -42,6 +43,16 @@ from fibcat.groups import (
 def test_validate_group_rejects_broken_tables():
     with pytest.raises(NotAGroup):
         validate_group(["a", "b"], {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"})
+
+
+def test_claimed_unit_outside_the_group_rejected(z2):
+    with pytest.raises(NotAGroup, match="claimed unit 'zz' is not an element"):
+        validate_group(z2.elements, z2.mult, "zz")
+
+
+def test_hom_entries_for_unknown_elements_rejected(z2):
+    with pytest.raises(NotAHomomorphism, match="'2'"):
+        validate_group_hom(z2, z2, {"0": "0", "1": "1", "2": "0"})
 
 
 def test_cyclic_and_symmetric_basics(z3, s3):

@@ -90,6 +90,16 @@ def test_witness_round_trip(z2):
     validate_witness(M, w2)
 
 
+def test_witness_units_for_unknown_morphisms_rejected(z2):
+    from fibcat.theorem import gpow_witness
+
+    M = indexed_gpow(z2, 1)
+    data = witness_to_json(gpow_witness(z2, M))
+    data["units"]["nonexistent"] = {"*": "()"}
+    with pytest.raises(InputFormatError, match="unit for unknown morphism 'nonexistent'"):
+        Loader(".").witness(M, data)
+
+
 def test_pipe_in_base_morphism_ids_rejected():
     from fibcat import identity_functor, validate_category, validate_indexed
     from fibcat.generators import terminal_category

@@ -8,7 +8,9 @@ pairs of blocks; the ones that compose one payload at a time are pinned as
 the callers of ``core.per_composite``.  The library never
 depends on test helpers, the limits, groth and core oracles never depend on
 the library's private search code, no function imports a sibling module,
-and no module imports a name it does not use.
+no module imports a sibling's underscore name, and no module imports a name
+it does not use.  ``ioformats`` alone decides what an id is, so the
+validators it hands ids to convert none.
 """
 
 import ast
@@ -154,6 +156,49 @@ def test_no_function_imports_a_sibling_module():
                             if a.name.split(".")[0] == "fibcat"
                         ]
     assert local == []
+
+
+def test_no_module_imports_a_private_sibling_name():
+    """An underscore name is its module's own; a sibling that needs one
+    needs a public function instead, as ``cli`` needs ``Loader``."""
+    private = sorted(
+        "%s: %s" % (name, alias.name)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fibcat")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+    assert private == []
+
+
+VALIDATORS = {
+    "core": ["validate_category"],
+    "functors": ["validate_functor", "validate_nat_trans"],
+    "groups": [
+        "validate_group",
+        "validate_group_hom",
+        "validate_right_action",
+        "twisted_from_surjection",
+    ],
+}
+
+
+def test_validators_take_string_ids_as_given():
+    """``ioformats`` reads every id in a file as a string; a validator that
+    called ``str()`` again would turn a non-id into one the file never names."""
+    modules = dict(_modules())
+    for name, fns in VALIDATORS.items():
+        defined = {n.name for n in modules[name].body if isinstance(n, ast.FunctionDef)}
+        assert set(fns) <= defined
+    calls = sorted(
+        "%s.%s" % (name, where)
+        for name, fns in VALIDATORS.items()
+        for where in _references(modules[name], "str", True)
+        if where.split(".")[0] in fns
+    )
+    assert calls == []
 
 
 def _unused_imports(tree):
