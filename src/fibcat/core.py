@@ -16,17 +16,27 @@ is an integer array whose entry (i, j) is the position, in the insertion
 order of block (x, z), of the i-th payload of (x, y) followed by the j-th of
 (y, z).  The injection builders of ``generators`` compute these arrays with
 numpy; every other builder writes a per-composite ``compose(p, q)`` and
-wraps it in ``per_composite``, and ``validate_category`` vets raw ids (JSON
-files, tests) and hands them on as blocks ``{id: id}`` the same way.
+wraps it in ``per_composite``.  ``validate_category`` vets raw ids (JSON
+files, tests) without a Python step per composite: it numbers the
+morphisms block-major, so that each hom-set is one range of codes, reads
+the composition triples into one ``int32`` array in a single C-level pass,
+checks them with array operations, and hands the blocks ``{id: id}`` on
+with a composer that slices whole blocks out of one array of composites.
 
-Errors come in a fixed order.  On raw ids: duplicate objects, the morphisms
-in input order, the identities, the composition entries in input order, the
-unit laws.  Then in ``assemble``, per pair of blocks in block order: from
-``per_composite``, the first missing composite (``MissingComposite``), else
-the first payload outside its hom-set (``CompositeEndpointViolation``); from
-any composer, the first position outside the target block
-(``CompositeEndpointViolation``).  Then the identities and unit laws, and the
-first non-associative triple in the order (a, b), c, d, (f, g, h).
+Errors come in a fixed order.  On raw ids: a pair listed twice
+(``ValueError``), duplicate objects, the morphisms in input order, the
+identities, the composition entries in input order (an unknown id, then a
+pair that is not composable), the unit laws by sorted id; then per pair of
+blocks in block order the first missing composite (``MissingComposite``),
+else the first composite outside its hom-set
+(``CompositeEndpointViolation``), as ``per_composite`` names them.  The
+array checks only find whether an error exists; a scan then names the
+first one.  Then in ``assemble``, per pair of blocks in block order: from
+``per_composite``, the first missing composite, else the first payload
+outside its hom-set; from any composer, the first position outside the
+target block (``CompositeEndpointViolation``).  Then the identities and
+unit laws, and the first non-associative triple in the order (a, b), c, d,
+(f, g, h).
 
 Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1961, §1.2) on a generating set S.  Call
@@ -119,7 +129,9 @@ class FinCat:
     ``table`` maps a composable pair ``(f, g)`` with ``tgt(f) == src(g)`` to
     the composite "f then g" (g∘f in applicative order).  ``homs`` maps
     ``(x, y)`` to the sorted tuple of morphisms x→y, ``inverses`` maps every
-    isomorphism to its (unique) two-sided inverse.
+    isomorphism to its (unique) two-sided inverse.  ``generators`` is the
+    sorted tuple of Light's generating set S, which with the identities
+    generates every morphism under composition (see ``_generators``).
     """
 
     objects: tuple
@@ -131,6 +143,7 @@ class FinCat:
     homs: dict
     inverses: dict
     identity_morphisms: frozenset
+    generators: tuple
     _caches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __repr__(self):
@@ -167,16 +180,29 @@ class FinCat:
         return self._caches.setdefault(key, {})
 
 
-def validate_category(objects, morphisms, identity, composition) -> FinCat:
-    """Vet a category given by raw ids, then build it with ``assemble``.
+class _Codes(dict):
+    """Morphism ids to codes.  An id that names no morphism gets the next
+    free code, so a composition column is coded in one C-level pass and two
+    entries name the same pair exactly when their codes agree."""
 
-    ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
-    maps objects to morphism ids, ``composition`` maps composable pairs
-    ``(first, then)`` to composite ids; composites with an identity on either
-    side may be omitted, the unit laws force them.  Ids are strings, each
-    object and morphism id interned once.  These checks come first in the
-    error order; the table follows block order, not input order.
-    """
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _no_repeated_pair(pairs):
+    """Raise ``ValueError`` for the first of ``pairs`` that an earlier one
+    repeats: keeping either entry would make the verdict depend on their
+    order."""
+    seen = set()
+    pair = next((p for p in pairs if p in seen or seen.add(p)), None)
+    if pair is not None:
+        raise ValueError("composition lists %r twice" % (pair,))
+
+
+def _vet_ids(objects, morphisms, identity):
+    """The sorted objects, the endpoints and the identities of a category
+    given by raw ids, each object and morphism id interned once."""
     obs = tuple(sorted(map(sys.intern, objects)))
     if len(set(obs)) != len(obs):
         raise CategoryError("duplicate object identifiers")
@@ -192,7 +218,6 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
         if t not in obset:
             raise UnknownObject("morphism %r has unknown target %r" % (mid, t))
         src[mid], tgt[mid] = s, t
-    mors = tuple(sorted(src))
 
     ident = {}
     for x in obs:
@@ -209,30 +234,138 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     for x in identity:
         if x not in obset:
             raise UnknownObject("identity given for unknown object %r" % (x,))
+    return obs, src, tgt, ident
 
-    table = {}
-    for (f, g), h in composition.items():
-        if f not in src or g not in src or h not in src:
-            m = next(m for m in (f, g, h) if m not in src)
-            raise UnknownMorphism("composition table mentions %r" % m)
-        if tgt[f] != src[g]:
-            raise NonComposablePairInTable((f, g))
-        table[(f, g)] = h
 
-    # The unit laws force the identity composites.
-    for f in mors:
-        for pair, forced in (((ident[src[f]], f), f), ((f, ident[tgt[f]]), f)):
-            have = table.get(pair)
-            if have is None:
-                table[pair] = forced
-            elif have != forced:
-                raise UnitViolation((pair[0], pair[1], have))
+def validate_category(objects, morphisms, identity, composition) -> FinCat:
+    """Vet a category given by raw ids, then build it with ``assemble``.
 
-    blocks = {}
-    for f in mors:
-        blocks.setdefault((src[f], tgt[f]), {})[f] = f
-    blocks = dict(sorted(blocks.items()))
-    return assemble(ident, blocks, per_composite(blocks, lambda f, g: table.get((f, g))))
+    ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
+    maps objects to morphism ids, ``composition`` is an iterable of
+    ``(first, then, equals)`` triples, read once; composites with an
+    identity on either side may be omitted, the unit laws force them.  Ids
+    are strings, each object and morphism id interned once.  A pair listed
+    twice raises ``ValueError``, before any other error.  The table follows
+    block order, not input order.
+
+    The morphisms are coded block-major, by hom-set in block order and then
+    by id, so each hom-set is one range of codes and the morphisms out of
+    an object are one range too.  The composition is coded in one pass, and
+    every composable pair (f, g) gets a cell: the cells of f are a row, one
+    per morphism out of tgt f, so the rows of a hom-set (x, y) are a matrix
+    whose columns for z are the composer's array for (x, y, z).  The checks
+    are array operations; when one fails, a scan names the error that the
+    order in the module docstring puts first.
+    """
+    try:
+        obs, src, tgt, ident = _vet_ids(objects, morphisms, identity)
+    except CategoryError:
+        _no_repeated_pair((f, g) for f, g, _ in composition)
+        raise
+    return assemble(ident, *_coded_blocks(obs, src, tgt, ident, composition))
+
+
+def _coded_blocks(obs, src, tgt, ident, composition):
+    """The blocks ``{id: id}`` and their composer, for ``assemble``, of a
+    category whose ids ``_vet_ids`` has vetted, once ``composition`` passes
+    the checks that ``validate_category`` makes of it."""
+    by_block = sorted(src, key=lambda m: (src[m], tgt[m], m))
+    n = len(by_block)
+    code = _Codes(zip(by_block, itertools.count()))
+    flat = np.fromiter(
+        map(code.__getitem__, itertools.chain.from_iterable(composition)), np.int32
+    )
+    if len(flat) % 3:
+        raise ValueError("composition entries are not (first, then, equals) triples")
+    entries = flat.reshape(-1, 3)
+    first, then, equals = entries.T
+    names = list(code)
+
+    def pairs():
+        return zip(map(names.__getitem__, first.tolist()), map(names.__getitem__, then.tolist()))
+
+    # Object numbers of the endpoints of each code; an unknown id gets -1 as
+    # source and -2 as target, so it is composable with nothing.
+    number = {x: i for i, x in enumerate(obs)}
+    s_of = np.full(len(names), -1, np.int32)
+    t_of = np.full(len(names), -2, np.int32)
+    s_of[:n] = [number[src[m]] for m in by_block]
+    t_of[:n] = [number[tgt[m]] for m in by_block]
+
+    bad = (t_of[first] != s_of[then]) | (equals >= n)
+    if bad.any():
+        _no_repeated_pair(pairs())
+        f, g, h = (names[c] for c in entries[int(np.argmax(bad))].tolist())
+        unknown = [m for m in (f, g, h) if m not in src]
+        if unknown:
+            raise UnknownMorphism("composition table mentions %r" % unknown[0])
+        raise NonComposablePairInTable((f, g))
+
+    # The cells of f, one per morphism out of tgt f, start at row[f]; the
+    # cell of (f, g) is g's offset among the morphisms out of src g, which
+    # start at code out[src g].
+    width = np.bincount(s_of[:n], minlength=len(obs))
+    out = np.concatenate(([0], np.cumsum(width)[:-1]))
+    row = np.concatenate(([0], np.cumsum(width[t_of[:n]])))
+
+    def cell(f, g):
+        return row[f] + (g - out[s_of[g]])
+
+    at = cell(first, then)
+    if len(at) and np.bincount(at).max() > 1:
+        _no_repeated_pair(pairs())
+
+    unit = np.array([code[ident[x]] for x in obs], np.int32)
+    is_unit = np.zeros(n, bool)
+    is_unit[unit] = True
+    if ((is_unit[first] & (equals != then)) | (is_unit[then] & (equals != first))).any():
+        given = entries[is_unit[first] | is_unit[then]].tolist()
+        given = {(names[f], names[g]): names[h] for f, g, h in given}
+        for f in sorted(src):
+            for pair in ((ident[src[f]], f), (f, ident[tgt[f]])):
+                if given.get(pair, f) != f:
+                    raise UnitViolation((*pair, given[pair]))
+
+    layout = np.full(row[-1], -1, np.int32)
+    layout[at] = equals
+    c = np.arange(n, dtype=np.int32)
+    layout[cell(unit[s_of[:n]], c)] = c
+    layout[cell(c, unit[t_of[:n]])] = c
+
+    blocks, start = {}, {}
+    for i, m in enumerate(by_block):
+        xy = (src[m], tgt[m])
+        if xy not in blocks:
+            blocks[xy], start[xy] = {}, i
+        blocks[xy][m] = m
+
+    def cells(a, x, y, z):
+        """The cells of ``a`` for f: x→y then g: y→z, one row per f."""
+        b, w, o = start[(x, y)], width[number[y]], start[(y, z)] - out[number[y]]
+        rows = a[row[b] : row[b] + len(blocks[(x, y)]) * w].reshape(-1, w)
+        return rows[:, o : o + len(blocks[(y, z)])]
+
+    misplaced = (s_of[equals] != s_of[first]) | (t_of[equals] != t_of[then])
+    if misplaced.any() or (layout < 0).any():
+        wrong = np.zeros(len(layout), bool)
+        wrong[at[misplaced]] = True
+        for (x, y) in blocks:
+            for (y2, z) in blocks:
+                if y2 != y:
+                    continue
+                got, moved = cells(layout, x, y, z), cells(wrong, x, y, z)
+                for err, hit in ((MissingComposite, got < 0), (CompositeEndpointViolation, moved)):
+                    if hit.any():
+                        i, j = map(int, np.argwhere(hit)[0])
+                        f, g = by_block[start[(x, y)] + i], by_block[start[(y, z)] + j]
+                        raise err((f, g) if err is MissingComposite else (f, g, names[got[i, j]]))
+
+    def compose(x, y, z):
+        """Entry (i, j) is the code of the i-th f: x→y then the j-th g: y→z,
+        less the first code of hom(x, z): its position there."""
+        return cells(layout, x, y, z) - start[(x, z)]
+
+    return blocks, compose
 
 
 def assemble(identities: dict, blocks: dict, compose) -> FinCat:
@@ -331,7 +464,8 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
                 break
 
     objects, id_mors = tuple(identity), frozenset(identity.values())
-    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors)
+    S = tuple(sorted(homs[bc][i] for bc, codes in gens.items() for i in codes.tolist()))
+    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors, S)
 
 
 def per_composite(blocks: dict, compose):

@@ -317,6 +317,8 @@ def validate_right_action(G: GroupTable, H: GroupTable, act) -> dict:
     for g in G.elements:
         if g not in act or not _check_automorphism(H, act[g]):
             raise NotAnAction(("not an automorphism", g))
+    if len(act) > len(G.elements):
+        raise NotAnAction(("unknown element acts", next(g for g in act if g not in G.inv)))
     if any(act[G.unit][h] != h for h in H.elements):
         raise NotAnAction("unit must act trivially")
     for g1 in G.elements:
@@ -518,6 +520,8 @@ def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
     for g in G.elements:
         if g not in s or p.mapping.get(s[g]) != g:
             raise NotASection(g)
+    if len(s) > len(G.elements):
+        raise NotASection(("section of unknown element", next(g for g in s if g not in G.inv)))
     if s[G.unit] != E.unit:
         raise NotASection("section must send the unit to the unit")
     K = kernel_subgroup(p)

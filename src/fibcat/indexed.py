@@ -87,13 +87,19 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     ``compositors`` maps composable base pairs (f, g) to component tables (or
     ready NatTrans values); ``unitors`` maps base objects to component
     tables.  Either may be omitted entirely, defaulting to identities, which
-    is only consistent for strictly functorial data.
+    is only consistent for strictly functorial data.  A fiber, arrow,
+    compositor or unitor for a key that names no base object, morphism or
+    composable pair is an error: it is no part of the data, and keeping it
+    would hide a misspelt or stale id.
     """
     fibers = dict(fibers)
     arrows = dict(arrows)
     for x in base.objects:
         if x not in fibers:
             raise IndexedError("no fiber over %r" % x)
+    for x in fibers:
+        if x not in base.identity:
+            raise IndexedError("fiber over unknown object %r" % (x,))
     for f in base.morphisms:
         if f not in arrows:
             raise BadFiberFunctor(("no arrow functor", f))
@@ -103,9 +109,18 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
         x, y = base.src[f], base.tgt[f]
         if not _same_category(F.source, fibers[y]) or not _same_category(F.target, fibers[x]):
             raise BadFiberFunctor(("contravariance endpoints", f))
+    for f in arrows:
+        if f not in base.src:
+            raise IndexedError("arrow for unknown morphism %r" % (f,))
 
     compositors = dict(compositors or {})
     unitors = dict(unitors or {})
+    for key in compositors:
+        if key not in base.table:
+            raise IndexedError("compositor for %r, which is no composable pair" % (key,))
+    for x in unitors:
+        if x not in base.identity:
+            raise IndexedError("unitor over unknown object %r" % (x,))
 
     mus = {}
     for (f, g), h in base.table.items():

@@ -222,10 +222,11 @@ def digest_file(path: str) -> str:
 
 
 def category_to_json(C: FinCat) -> dict:
+    ids = C.identity_morphisms
     composition = [
         {"first": f, "then": g, "equals": h}
         for (f, g), h in sorted(C.table.items())
-        if not (C.is_identity(f) or C.is_identity(g))
+        if f not in ids and g not in ids
     ]
     return {
         "objects": list(C.objects),
@@ -242,28 +243,17 @@ def _columns(records: list, keys: tuple, what: str) -> list:
     return [_ids(list(map(itemgetter(k), records)), "%s %s" % (what, k)) for k in keys]
 
 
-def _composition(entries: list) -> dict:
-    """The table ``{(first, then): equals}`` of the composition records
-    ``entries``.  A pair listed twice is malformed: keeping either entry
-    would make the verdict depend on their order.  The id columns, a few MB
-    for a large category, are dropped on return, before validation."""
-    firsts, thens, equals = _columns(entries, ("first", "then", "equals"), "composition")
-    composition = dict(zip(zip(firsts, thens), equals))
-    if len(composition) < len(entries):
-        seen = set()
-        pair = next(p for p in zip(firsts, thens) if p in seen or seen.add(p))
-        raise ValueError("composition lists %r twice" % (pair,))
-    return composition
-
-
 @malformed("category")
 def category_from_json(data: dict) -> FinCat:
     morphisms = _json_list(data["morphisms"], "morphisms")
     ids, srcs, tgts = _columns(morphisms, ("id", "src", "tgt"), "morphism")
-    composition = _composition(_json_list(data.get("composition", []), "composition"))
+    entries = _json_list(data.get("composition", []), "composition")
+    firsts, thens, equals = _columns(entries, ("first", "then", "equals"), "composition")
     objects = _ids(_json_list(data["objects"], "objects"), "object")
     identities = _id_table(data["identities"], "identities")
-    return validate_category(objects, zip(ids, srcs, tgts), identities, composition)
+    return validate_category(
+        objects, zip(ids, srcs, tgts), identities, zip(firsts, thens, equals)
+    )
 
 
 def functor_to_json(F: FinFunctor, inline: bool = True) -> dict:
@@ -398,15 +388,22 @@ class Loader:
 
     @malformed("twisted-action")
     def twisted(self, data: dict) -> TwistedAction:
-        """The twisted action of a ``group ext`` file; its laws are not checked."""
+        """The twisted action of a ``group ext`` file; its laws are not
+        checked, but an ``act`` or ``phi`` entry for an element outside the
+        acting group is an error."""
         acting = self.group(data["acting"])
         acted = self.group(data["acted"])
         act = {g: _id_table(m, "act %r" % g) for g, m in data["act"].items()}
+        for g in act:
+            if g not in acting.inv:
+                raise InputFormatError("act for unknown element %r" % g)
         phi = {}
         for key, val in _id_table(data["phi"], "phi").items():
             if key.count("|") != 1:
                 raise InputFormatError("bad phi key %r" % key)
             a, b = key.split("|")
+            if a not in acting.inv or b not in acting.inv:
+                raise InputFormatError("phi for unknown elements %r" % key)
             phi[(a, b)] = val
         for a, b in product(acting.elements, repeat=2):
             if phi.get((a, b)) not in acted.elements:

@@ -80,7 +80,7 @@ def idempotent_monoid():
         ["*"],
         [("1", "*", "*"), ("e", "*", "*")],
         {"*": "1"},
-        {("e", "e"): "e"},
+        [("e", "e", "e")],
     )
 
 
@@ -91,7 +91,7 @@ def parallel_pair():
         ["x", "y"],
         [("ix", "x", "x"), ("iy", "y", "y"), ("f1", "x", "y"), ("f2", "x", "y")],
         {"x": "ix", "y": "iy"},
-        {},
+        [],
     )
 
 

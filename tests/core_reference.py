@@ -129,6 +129,8 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
         homs=homs,
         inverses=inverses,
         identity_morphisms=id_mors,
+        # Every non-identity: a generating set that needs no search.
+        generators=tuple(m for m in mors if m not in id_mors),
     )
 
 

@@ -535,6 +535,62 @@ def test_functor_entries_for_unknown_ids_fail_the_check(workdir, capsys):
     assert code == 1 and "NotAFunctor" in out and "'ghost'" in out
 
 
+@pytest.mark.parametrize(
+    "key, entry, value",
+    [
+        ("compositors", "ghost|ghost", {"*": "id"}),
+        ("unitors", "ghost", {"*": "id"}),
+        ("fibers", "ghost", _TINY["fibers"]["*"]),
+    ],
+)
+def test_indexed_entries_for_unknown_keys_are_input_errors(workdir, capsys, key, entry, value):
+    """An entry for a key that names no base object or composable pair is
+    no part of the indexed category; ``groth`` once built a total category
+    from such a file."""
+    data = _edited(_TINY, lambda table: {**table, entry: value}, key)
+    open("in.json", "w").write(stable_dumps(data))
+    code, out, err = run(capsys, "groth", "in.json", "-o", "total.json")
+    assert code == 2 and out == "" and "IndexedError" in err and "'ghost'" in err
+
+
+def _group_files(z4, z2):
+    """A ``group twist`` file on Z4 → Z2 and the ``group ext`` file of the
+    twisted action it gives."""
+    surj = {
+        "total": group_to_json(z4),
+        "target": group_to_json(z2),
+        "proj": {"0": "0", "1": "1", "2": "0", "3": "1"},
+        "section": {"0": "0", "1": "1"},
+    }
+    ext = {
+        "acting": group_to_json(z2),
+        "acted": {"elements": ["0", "2"], "mult": [["0", "2"], ["2", "0"]], "unit": "0"},
+        "act": {"0": {"0": "0", "2": "2"}, "1": {"0": "0", "2": "2"}},
+        "phi": {"0|0": "0", "0|1": "0", "1|0": "0", "1|1": "2"},
+    }
+    return surj, ext
+
+
+@pytest.mark.parametrize(
+    "mode, key, entry, value",
+    [
+        ("ext", "act", "ghost", {"0": "0", "2": "2"}),
+        ("ext", "phi", "ghost|0", "0"),
+        ("twist", "section", "ghost", "0"),
+    ],
+)
+def test_group_entries_for_unknown_elements_are_input_errors(
+    workdir, capsys, z4, z2, mode, key, entry, value
+):
+    surj, ext = _group_files(z4, z2)
+    data = ext if mode == "ext" else surj
+    open("g.json", "w").write(stable_dumps(data))
+    assert run(capsys, "group", mode, "g.json")[0] == 0
+    open("g.json", "w").write(stable_dumps(_edited(data, lambda t: {**t, entry: value}, key)))
+    code, out, err = run(capsys, "group", mode, "g.json")
+    assert code == 2 and out == "" and repr(entry) in err
+
+
 # One object a with endomorphisms e and ia, e;e = e: with e as the identity
 # ia;ia is missing, with ia as the identity the table is a monoid.  A JSON
 # reader that keeps one of the two values of "a" would give either verdict.

@@ -27,7 +27,7 @@ from fibcat.groups import automorphism_group, group_as_category, symmetric_group
 
 
 def test_terminal_category_valid():
-    C = validate_category(["*"], [("id", "*", "*")], {"*": "id"}, {})
+    C = validate_category(["*"], [("id", "*", "*")], {"*": "id"}, [])
     assert C.objects == ("*",)
     assert C.comp("id", "id") == "id"
 
@@ -40,7 +40,7 @@ def test_fi2_hom_count_matches_enumeration(fi2):
 
 def test_missing_identity_rejected():
     with pytest.raises(MissingIdentity):
-        validate_category(["x"], [("f", "x", "x")], {}, {("f", "f"): "f"})
+        validate_category(["x"], [("f", "x", "x")], {}, [("f", "f", "f")])
 
 
 def test_non_composable_pair_rejected():
@@ -49,7 +49,7 @@ def test_non_composable_pair_rejected():
             ["x", "y"],
             [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")],
             {"x": "ix", "y": "iy"},
-            {("f", "f"): "f"},
+            [("f", "f", "f")],
         )
 
 
@@ -74,7 +74,7 @@ def test_missing_composite_rejected():
                 ("g", "y", "z"),
             ],
             {"x": "ix", "y": "iy", "z": "iz"},
-            {},
+            [],
         )
 
 
@@ -88,7 +88,7 @@ def test_associativity_violation_carries_witness():
     comp[("a", "a")] = "b"
     comp[("b", "a")] = "1"
     with pytest.raises(AssociativityViolation) as err:
-        validate_category(["*"], mors, {"*": "1"}, comp)
+        validate_category(["*"], mors, {"*": "1"}, [(f, g, h) for (f, g), h in comp.items()])
     # (a;a);a = b;a = 1 but a;(a;a) = a;b = a: the first failing triple.
     assert err.value.args == (("a", "a", "a"),)
 
@@ -99,13 +99,13 @@ def test_unit_violation_on_conflicting_identity_composite():
             ["*"],
             [("1", "*", "*"), ("e", "*", "*")],
             {"*": "1"},
-            {("e", "e"): "e", ("1", "e"): "1"},
+            [("e", "e", "e"), ("1", "e", "1")],
         )
 
 
 def test_identity_composites_are_completed():
     C = validate_category(
-        ["*"], [("1", "*", "*"), ("e", "*", "*")], {"*": "1"}, {("e", "e"): "e"}
+        ["*"], [("1", "*", "*"), ("e", "*", "*")], {"*": "1"}, [("e", "e", "e")]
     )
     assert C.comp("1", "e") == "e"
     assert C.comp("e", "1") == "e"
@@ -122,7 +122,7 @@ def test_mono_iso_on_idempotent_monoid(idempotent_monoid):
 
 
 def test_unknown_morphism():
-    C = validate_category(["*"], [("id", "*", "*")], {"*": "id"}, {})
+    C = validate_category(["*"], [("id", "*", "*")], {"*": "id"}, [])
     with pytest.raises(UnknownMorphism):
         is_mono(C, "nope")
     with pytest.raises(UnknownMorphism):
@@ -178,7 +178,7 @@ def test_two_disjoint_arrows_transitive():
             ("g", "a", "b2"),
         ],
         {"a": "ia", "b": "ib", "b2": "ib2"},
-        {},
+        [],
     )
     assert is_transitive(C).holds  # singleton hom-sets
 
@@ -278,7 +278,7 @@ def test_table_mutations_are_caught(data):
             C.objects,
             [(m, C.src[m], C.tgt[m]) for m in C.morphisms],
             dict(C.identity),
-            table,
+            [(f, g, h) for (f, g), h in table.items()],
         )
 
 

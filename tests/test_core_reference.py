@@ -3,13 +3,18 @@
 a string table per category, re-interned and re-checked by the
 per-(a, b, c, d) sweep.
 
-Through ``validate_category``: on a corpus of valid categories, on seeded
+Through ``category_from_json``, the path of every category file to
+``validate_category``: on a corpus of valid categories, on seeded
 single-entry mutations of each (a wrong composite in the right hom-set, a
 composite in the wrong hom-set, a deleted pair) and on hand-built tables
 whose first error a batched sweep could misreport, both give the same
 outcome: the same ``FinCat`` fields, or the same exception class with the
 same args.  The table is compared as a dict: a table read from raw ids
-follows block order, not input order.
+follows block order, not input order.  The composition columns of a file
+are coded and checked as arrays, so their mutations (an unknown id in each
+column, a pair that is not composable, a pair listed twice, a wrong
+identity composite) are checked too, with the exit code of ``fibcat
+validate``.
 
 Through ``assemble``: every library build below also runs the reference
 ``assemble`` on the same blocks, its block composer decoded into the
@@ -21,9 +26,10 @@ composable pair of blocks, against the reference formulas one composite at a
 time; and its mutations are caught like a mutated table: a position outside
 the target block raises ``CompositeEndpointViolation``, a wrong position
 inside it the ``UnitViolation`` or ``AssociativityViolation`` that the
-equally mutated table raises through ``validate_category``.
+equally mutated table raises through ``category_from_json``.
 """
 
+import json
 import random
 
 import numpy as np
@@ -31,14 +37,17 @@ import pytest
 
 import core_reference as ref
 from fibcat import CategoryError, core, generators, groth, groups, grothendieck
+from fibcat.cli import main
 from fibcat.core import (
     AssociativityViolation,
     CompositeEndpointViolation,
     MissingComposite,
+    NonComposablePairInTable,
     UnitViolation,
+    UnknownMorphism,
     per_composite,
-    validate_category,
 )
+from fibcat.ioformats import InputFormatError, category_from_json
 from fibcat.groups import cyclic_group, group_as_category, symmetric_group
 from fibcat.indexed import restrict_to_aut
 
@@ -74,8 +83,25 @@ def raw(C, table):
     return C.objects, morphisms, dict(C.identity), table
 
 
+def document(objects, morphisms, identity, entries):
+    """The category file of these ids, listing the (first, then, equals)
+    triples ``entries`` in order as its composition."""
+    return {
+        "objects": list(objects),
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in morphisms],
+        "identities": dict(identity),
+        "composition": [{"first": f, "then": g, "equals": h} for f, g, h in entries],
+    }
+
+
+def read(objects, morphisms, identity, table):
+    """The library's outcome on the file of a reference argument list."""
+    entries = [(f, g, h) for (f, g), h in table.items()]
+    return outcome(category_from_json, document(objects, morphisms, identity, entries))
+
+
 def library(C, table):
-    return outcome(validate_category, *raw(C, table))
+    return read(*raw(C, table))
 
 
 def oracle(C, table):
@@ -181,6 +207,93 @@ def test_mutations_reach_every_error(fi3):
     assert {MissingComposite, CompositeEndpointViolation, AssociativityViolation} <= seen
 
 
+def column_mutations(C, seed):
+    """Seeded changes of the composition column of the file of ``C``, which
+    lists its non-identity composites, as (kind, entries) pairs."""
+    rng = random.Random(seed)
+    ids = C.identity_morphisms
+    entries = [(f, g, h) for (f, g), h in sorted(C.table.items()) if f not in ids and g not in ids]
+
+    def put(i, entry):
+        return entries[:i] + [entry] + entries[i + 1 :]
+
+    for k in range(3):
+        i = rng.randrange(len(entries))
+        entry = list(entries[i])
+        entry[k] = "ghost"
+        yield "unknown id in column %d" % k, put(i, tuple(entry))
+    f, g, _ = entries[0]
+    yield "repeated pair, first and last", entries + [(f, g, rng.choice(C.morphisms))]
+    yield "repeated pair, first and last", entries[-1:] + entries
+    i = rng.randrange(len(entries))
+    f, g, _ = entries[i]
+    others = [m for m in C.morphisms if (C.src[m], C.tgt[m]) != (C.src[f], C.tgt[g])]
+    if others:
+        yield "wrong hom", put(i, (f, g, rng.choice(others)))
+    i = rng.randrange(len(entries))
+    yield "dropped", entries[:i] + entries[i + 1 :]
+    f = rng.choice(sorted(set(C.morphisms) - ids))
+    wrong = rng.choice([m for m in C.morphisms if m != f])
+    yield "wrong identity composite", entries + [(C.identity[C.src[f]], f, wrong)]
+    yield "wrong identity composite", entries + [(f, C.identity[C.tgt[f]], wrong)]
+    apart = [(f, g) for f in C.morphisms for g in C.morphisms if C.tgt[f] != C.src[g]]
+    if apart:
+        f, g = rng.choice(apart)
+        yield "not composable", put(rng.randrange(len(entries)), (f, g, f))
+
+
+COLUMN_CATEGORIES = ["fi3", "fi_z2_2_total", "chain6_squared", "idempotent_monoid", "z5"]
+
+
+@pytest.mark.parametrize("name", COLUMN_CATEGORIES)
+def test_column_mutations_match_reference(request, tmp_path, capsys, name):
+    """Each mutation of the columns gives the reference's exception and
+    args, and ``fibcat validate`` exits 1 on it; a pair listed twice is
+    malformed input, which the reference's table cannot hold, and exits 2."""
+    C = request.getfixturevalue(name)
+    morphisms = [(m, C.src[m], C.tgt[m]) for m in C.morphisms]
+    path = tmp_path / "mutated.json"
+    seen = set()
+    for kind, entries in column_mutations(C, COLUMN_CATEGORIES.index(name)):
+        doc = document(C.objects, morphisms, C.identity, entries)
+        got = outcome(category_from_json, doc)
+        if kind.startswith("repeated"):
+            pairs = [(f, g) for f, g, _ in entries]
+            twice = next(p for i, p in enumerate(pairs) if p in pairs[:i])
+            error = ValueError("composition lists %r twice" % (twice,))
+            assert got == (InputFormatError, ("malformed category file: %r" % error,)), kind
+        else:
+            table = {(f, g): h for f, g, h in entries}
+            assert got == outcome(ref.validate_category, C.objects, morphisms, C.identity, table), kind
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == (2 if got[0] is InputFormatError else 1), kind
+        capsys.readouterr()
+        seen.add(got[0])
+    assert {
+        UnknownMorphism,
+        InputFormatError,
+        MissingComposite,
+        UnitViolation,
+    } <= seen <= {
+        UnknownMorphism,
+        InputFormatError,
+        CompositeEndpointViolation,
+        MissingComposite,
+        UnitViolation,
+        NonComposablePairInTable,
+    }
+
+
+def test_repeated_pair_wins_over_an_earlier_error():
+    """A file that lists a pair twice is malformed whatever else is wrong
+    with it: an unknown morphism source is not reported first."""
+    doc = document("x", [("ix", "x", "x"), ("f", "x", "nowhere")], {"x": "ix"}, [("ix", "ix", "ix")] * 2)
+    assert outcome(category_from_json, doc) == (
+        InputFormatError,
+        ("malformed category file: %r" % ValueError("composition lists ('ix', 'ix') twice"),),
+    )
+
+
 def two_targets():
     """f0, f1: a→b, g: b→c, h: c→d, k: c→e and their composites, all
     associative: f_i;g = u_i, g;h = v, g;k = w, u_i;h = f_i;v = x_i,
@@ -205,7 +318,7 @@ def two_targets():
 
 def both(objects, morphisms, identity, table):
     """The library's outcome, once the reference agrees with it."""
-    got = outcome(validate_category, objects, morphisms, identity, table)
+    got = read(objects, morphisms, identity, table)
     assert outcome(ref.validate_category, objects, morphisms, identity, table) == got
     return got
 
@@ -263,29 +376,12 @@ def test_non_associative_loop_matches_reference():
     )
 
 
-def light_generators(monkeypatch, C):
-    """The generating set that ``assemble`` sweeps when it rebuilds ``C``
-    from its table, as ids, and its hom-sets as ``assemble`` laid them out."""
-    seen, real = [], core._check_associativity
-
-    def spy(homs, outs, offset, rows, shifted, gens=None):
-        if gens is not None:
-            seen.append((homs, gens))
-        return real(homs, outs, offset, rows, shifted, gens)
-
-    monkeypatch.setattr(core, "_check_associativity", spy)
-    validate_category(*raw(C, C.table))
-    monkeypatch.undo()
-    ((homs, gens),) = seen
-    return {homs[bc][i] for bc, codes in gens.items() for i in codes.tolist()}, homs
-
-
 @pytest.mark.parametrize("name", CATEGORIES)
-def test_light_generators_generate(request, monkeypatch, name):
+def test_light_generators_generate(request, name):
     """With the identities, the generating set composes to every morphism,
     and it holds every non-identity that is no composite of two."""
     C = request.getfixturevalue(name)
-    S, _ = light_generators(monkeypatch, C)
+    S = set(C.generators)
     ids = C.identity_morphisms
     assert not S & ids
     split = {h for (f, g), h in C.table.items() if f not in ids and g not in ids}
@@ -297,11 +393,11 @@ def test_light_generators_generate(request, monkeypatch, name):
     assert made == set(C.morphisms)
 
 
-def test_light_sweep_is_small_on_fi5(monkeypatch):
+def test_light_sweep_is_small_on_fi5():
     """Each generator g: b→c is swept against every f into b and h out of
     c: on FI_5 fewer than a tenth of the composable triples."""
     C = generators.fi_truncated(5)
-    S, homs = light_generators(monkeypatch, C)
+    S, homs = C.generators, C.homs
     into, out = {}, {}
     for (x, y), h in homs.items():
         into[y] = into.get(y, 0) + len(h)

@@ -169,11 +169,7 @@ def test_ell_condition_failure_detected():
             ("f2", "x", "y"),
         ],
         {"x": "ix", "y": "iy"},
-        {
-            ("s", "s"): "iy",
-            ("f1", "s"): "f2",
-            ("f2", "s"): "f1",
-        },
+        [("s", "s", "iy"), ("f1", "s", "f2"), ("f2", "s", "f1")],
     )
     fib_y = discrete_category(["a", "b"])
     fib_x = discrete_category(["c"])

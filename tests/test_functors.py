@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import functors_reference as ref
 from fibcat import (
     NotAFunctor,
     NotNatural,
@@ -12,8 +15,17 @@ from fibcat import (
     validate_nat_trans,
 )
 from fibcat.functors import identity_nat_trans  # noqa: F401  (re-export check)
-from fibcat.generators import chain_poset, delta_const, fi_truncated
+from fibcat.generators import (
+    chain_poset,
+    delta_const,
+    fi_g_direct,
+    fi_truncated,
+    indexed_gpow,
+    inj_id,
+    parse_dec,
+)
 from fibcat.groth import grothendieck
+from fibcat.groups import cyclic_group
 
 
 def test_identity_functor_properties(fi2):
@@ -103,3 +115,68 @@ def test_identity_nat_trans_is_valid(fi2):
     F = identity_functor(fi2)
     alpha = identity_nat_trans(F)
     validate_nat_trans(F, F, alpha.components)
+
+
+def verdict(check, F):
+    """The args of the ``NotAFunctor`` that ``check`` raises on the tables
+    of ``F``, or None when it raises none."""
+    try:
+        check(F.source, F.target, F.on_objects, F.on_morphisms)
+    except NotAFunctor as exc:
+        return exc.args
+    return None
+
+
+def test_corpus_functors_match_reference(groth_corpus):
+    """Every projection and arrow functor of the corpus passes both checks."""
+    for name, M, gr in groth_corpus:
+        for F in [gr.proj] + [M.arrow_at(f) for f in M.base.morphisms]:
+            assert verdict(validate_functor, F) is verdict(ref.check_functor, F) is None, name
+
+
+def forget(G, N):
+    """fi_g_direct(G, N) → FI_N, dropping the decorations."""
+    D = fi_g_direct(G, N)
+    on_m = {}
+    for m in D.morphisms:
+        s, t, imgs, _ = parse_dec(m)
+        on_m[m] = inj_id(s, t, imgs)
+    return validate_functor(D, fi_truncated(N), {x: x for x in D.objects}, on_m)
+
+
+MUTANTS = {
+    "proj(indexed_gpow(Z2, 2))": lambda: grothendieck(indexed_gpow(cyclic_group(2), 2)).proj,
+    "fi_g_direct(Z3, 2) -> FI_2": lambda: forget(cyclic_group(3), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutated_functors_match_reference(name):
+    """Seeded one-entry changes of ``on_morphisms``, most of them to a
+    morphism with the same endpoints, give the reference's first error."""
+    F = MUTANTS[name]()
+    T = F.target
+    rng = random.Random(sorted(MUTANTS).index(name))
+    seen = set()
+    for _ in range(40):
+        f = rng.choice(F.source.morphisms)
+        image = F.on_morphisms[f]
+        parallel = [g for g in T.hom(T.src[image], T.tgt[image]) if g != image]
+        choices = parallel if parallel and rng.random() < 0.8 else T.morphisms
+        mutant = type(F)(F.source, T, F.on_objects, F.on_morphisms | {f: rng.choice(choices)})
+        got = verdict(validate_functor, mutant)
+        assert got == verdict(ref.check_functor, mutant), f
+        seen.add(got[0][0] if got else None)
+    assert {"composite not preserved", "endpoints not preserved"} <= seen
+
+
+def test_light_functor_check_is_small():
+    """Each generator g is checked against every f into src g: on FI_5
+    fewer than a tenth of the composites."""
+    C = fi_truncated(5)
+    into = {}
+    for (_, y), fs in C.homs.items():
+        into[y] = into.get(y, 0) + len(fs)
+    checked = sum(into[C.src[g]] for g in C.generators)
+    assert 10 * checked < len(C.table)
+    validate_functor(C, C, {x: x for x in C.objects}, {f: f for f in C.morphisms})

@@ -196,7 +196,7 @@ def test_noncanonical_choice_gives_nonidentity_compositor():
             ("q", "a2", "b"),
         ],
         {"a1": "i1", "a2": "i2", "b": "ib"},
-        {("u", "u'"): "i1", ("u'", "u"): "i2", ("u", "q"): "p", ("u'", "p"): "q"},
+        [("u", "u'", "i1"), ("u'", "u", "i2"), ("u", "q", "p"), ("u'", "p", "q")],
     )
 
     def choose(cospan, pb):

@@ -97,7 +97,7 @@ def test_noncartesian_witness_in_two_level_fiber(fi2):
         ["a", "b"],
         [("ia", "a", "a"), ("ib", "b", "b"), ("v", "a", "b")],
         {"a": "ia", "b": "ib"},
-        {},
+        [],
     )
     M = delta_const(fi2, Y)
     gr = grothendieck(M)
@@ -262,13 +262,13 @@ def six_morphism_functors():
         ["x", "y"],
         [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")],
         {"x": "ix", "y": "iy"},
-        {},
+        [],
     )
     A = validate_category(
         ["a", "b"],
         [("ia", "a", "a"), ("ib", "b", "b"), ("phi", "a", "b")],
         {"a": "ia", "b": "ib"},
-        {},
+        [],
     )
     B = validate_category(
         ["a0", "a1", "bp"],
@@ -281,7 +281,7 @@ def six_morphism_functors():
             ("theta1", "a1", "bp"),
         ],
         {"a0": "i0", "a1": "i1", "bp": "ibp"},
-        {("v", "theta1"): "theta0"},
+        [("v", "theta1", "theta0")],
     )
     P = validate_functor(A, X, {"a": "x", "b": "y"}, {"ia": "ix", "ib": "iy", "phi": "f"})
     Q = validate_functor(
@@ -342,7 +342,7 @@ def test_total_morphism_id_collision_is_rejected():
         [("ia", "a", "a"), ("iw", "w", "w"), ("ivw", "v@w", "v@w"),
          ("u@v", "a", "w"), ("u", "a", "v@w")],
         {"a": "ia", "w": "iw", "v@w": "ivw"},
-        {},
+        [],
     )
     with pytest.raises(CategoryError, match="total morphism id collision"):
         grothendieck(delta_const(terminal_category(), fib))

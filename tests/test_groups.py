@@ -36,6 +36,7 @@ from fibcat.groups import (
     twisted_from_surjection,
     validate_group,
     validate_group_hom,
+    validate_right_action,
     validate_twisted_action,
 )
 
@@ -300,3 +301,16 @@ def test_any_section_gives_valid_twisted_action(data, z4, z2, s3):
     assert validate_twisted_action(T).holds
     # round trip stays isomorphic to the original total group
     assert groups_isomorphic(extension_from_twisted(T).total, p.source)
+
+
+def test_entries_for_unknown_elements_rejected(z4, z2, z3):
+    """An action or a section entry for an element outside the group is no
+    part of it; both were once silently kept or dropped."""
+    act = trivial_action(z2, z3)
+    assert "ghost" not in validate_right_action(z2, z3, act)
+    with pytest.raises(NotAnAction, match="'ghost'"):
+        validate_right_action(z2, z3, act | {"ghost": dict(act["0"])})
+    p = validate_group_hom(z4, z2, {"0": "0", "1": "1", "2": "0", "3": "1"})
+    twisted_from_surjection(p, {"0": "0", "1": "1"})
+    with pytest.raises(NotASection, match="'ghost'"):
+        twisted_from_surjection(p, {"0": "0", "1": "1", "ghost": "2"})

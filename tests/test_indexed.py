@@ -11,11 +11,13 @@ from fibcat import (
 )
 from fibcat.generators import (
     delta_const,
+    terminal_category,
     fi_truncated,
     indexed_gpow,
     slice_indexed,
     square_poset,
 )
+from fibcat.indexed import IndexedError
 from fibcat.groups import (
     TwistedAction,
     cyclic_group,
@@ -153,3 +155,22 @@ def test_first_coherence_violation_is_pinned(fi2, z2, pair, first):
     with pytest.raises(CoherenceViolation) as exc:
         validate_indexed(fi2, M.fibers, M.arrows, compositors)
     assert exc.value.args == ((first, star),)
+
+
+@pytest.mark.parametrize("key", ["fibers", "arrows", "compositors", "unitors"])
+def test_entries_for_unknown_keys_rejected(key):
+    """A fiber, arrow, compositor or unitor whose key names no base object,
+    morphism or composable pair is rejected, as functor tables reject
+    unknown ids."""
+    M = delta_const(terminal_category(), terminal_category())
+    data = {
+        "fibers": dict(M.fibers),
+        "arrows": dict(M.arrows),
+        "compositors": dict(M.compositors),
+        "unitors": dict(M.unitors),
+    }
+    validate_indexed(M.base, **data)
+    ghost = ("ghost", "ghost") if key == "compositors" else "ghost"
+    data[key][ghost] = {"fibers": M.fiber_at("*"), "arrows": M.arrow_at("id")}.get(key, {"*": "id"})
+    with pytest.raises(IndexedError, match="'ghost'"):
+        validate_indexed(M.base, **data)

@@ -105,7 +105,7 @@ def test_pipe_in_base_morphism_ids_rejected():
     from fibcat.generators import terminal_category
 
     base = validate_category(
-        ["x"], [("id|x", "x", "x")], {"x": "id|x"}, {}
+        ["x"], [("id|x", "x", "x")], {"x": "id|x"}, []
     )
     T = terminal_category()
     M = validate_indexed(base, {"x": T}, {"id|x": identity_functor(T)})
@@ -235,3 +235,17 @@ _json_values = st.recursive(
 @given(value=_json_values)
 def test_stable_dumps_matches_the_stdlib(value):
     assert stable_dumps(value) == oracle(value)
+
+
+@pytest.mark.parametrize("key, entry", [("act", "ghost"), ("phi", "ghost|0"), ("phi", "0|ghost")])
+def test_twisted_entries_for_unknown_elements_rejected(z2, key, entry):
+    data = {
+        "acting": group_to_json(z2),
+        "acted": group_to_json(z2),
+        "act": {g: {"0": "0", "1": "1"} for g in z2.elements},
+        "phi": {"%s|%s" % (a, b): "0" for a in z2.elements for b in z2.elements},
+    }
+    assert Loader().twisted(data).phi[("1", "1")] == "0"
+    data[key][entry] = {"0": "0", "1": "1"} if key == "act" else "0"
+    with pytest.raises(InputFormatError, match=repr(entry).replace("|", r"\|")):
+        Loader().twisted(data)

@@ -5,10 +5,10 @@ built by the library or read from raw ids, is laid out and checked there
 once, and in the library only the JSON reader calls ``validate_category``,
 which vets raw ids and hands them to ``assemble``.  Builders compose whole
 pairs of blocks; the ones that compose one payload at a time are pinned as
-the callers of ``core.per_composite``.  The library never
-depends on test helpers, the limits, groth and core oracles never depend on
-the library's private search code, no function imports a sibling module,
-no module imports a sibling's underscore name, and no module imports a name
+the callers of ``core.per_composite``.  The library never depends on test
+helpers, the limits, groth, core and functors oracles never depend on the
+library's private search code, no function imports a sibling module, no
+module imports a sibling's underscore name, and no module imports a name
 it does not use.  ``ioformats`` alone decides what an id is, so the
 validators it hands ids to convert none.
 """
@@ -95,7 +95,6 @@ def test_per_composite_callers_are_pinned():
     )
     assert callers == [
         "core.subcategory",
-        "core.validate_category",
         "generators._product",
         "generators._relation_category",
         "generators.arrow_category",
@@ -135,6 +134,11 @@ def test_groth_oracle_uses_no_private_library_name():
 def test_core_oracle_uses_no_private_library_name():
     """Likewise the axiom-check oracle and the local-code sweep it checks."""
     assert _private_names("core_reference.py") == []
+
+
+def test_functors_oracle_uses_no_private_library_name():
+    """Likewise the full-loop functor check and Light's test it checks."""
+    assert _private_names("functors_reference.py") == []
 
 
 def test_no_function_imports_a_sibling_module():

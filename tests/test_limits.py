@@ -233,14 +233,14 @@ def mediator_failure_category():
             ("e", "z", "z"),
         ],
         {"a": "ia", "d": "idd", "z": "iz"},
-        {
-            ("s", "u1"): "v",
-            ("s", "u2"): "v",
-            ("v", "e"): "v",
-            ("u1", "e"): "u1",
-            ("u2", "e"): "u2",
-            ("e", "e"): "e",
-        },
+        [
+            ("s", "u1", "v"),
+            ("s", "u2", "v"),
+            ("v", "e", "v"),
+            ("u1", "e", "u1"),
+            ("u2", "e", "u2"),
+            ("e", "e", "e"),
+        ],
     )
 
 
