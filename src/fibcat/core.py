@@ -14,14 +14,17 @@ for a numpy associativity sweep per composable triple of objects (a, b, c).
 Its composer composes a whole pair of blocks at once: ``compose(x, y, z)``
 is an integer array whose entry (i, j) is the position, in the insertion
 order of block (x, z), of the i-th payload of (x, y) followed by the j-th of
-(y, z).  The injection builders of ``generators`` compute these arrays with
-numpy; every other builder writes a per-composite ``compose(p, q)`` and
-wraps it in ``per_composite``.  ``validate_category`` vets raw ids (JSON
-files, tests) without a Python step per composite: it numbers the
-morphisms block-major, so that each hom-set is one range of codes, reads
-the composition triples into one ``int32`` array in a single C-level pass,
-checks them with array operations, and hands the blocks ``{id: id}`` on
-with a composer that slices whole blocks out of one array of composites.
+(y, z).  The injection builders of ``generators`` and
+``groth.grothendieck`` compute these arrays with numpy; the small builders
+write a per-composite ``compose(p, q)`` and wrap it in ``per_composite``:
+``subcategory``, ``group_as_category``, and ``generators``' products, slices,
+arrow categories, group powers and relation categories.
+``validate_category`` vets raw ids (JSON files, tests) without a Python
+step per composite: it numbers the morphisms block-major, so that each
+hom-set is one range of codes, reads the composition triples into one
+``int32`` array in a single C-level pass, checks them with array
+operations, and hands the blocks ``{id: id}`` on with a composer that
+slices whole blocks out of one array of composites.
 
 Errors come in a fixed order.  On raw ids: a pair listed twice
 (``ValueError``), duplicate objects, the morphisms in input order, the

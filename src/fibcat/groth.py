@@ -10,6 +10,33 @@ functors and the compositor:
 Identities are (id_x, eta_x(a)), which is (id_x, id_a) whenever the unitors
 are identities.
 
+``grothendieck`` lays out the hom-set block of X = (x, a) and Y = (y, b) as
+one segment per base morphism f: x→y, in base order, holding the payloads
+(f, k, b) for k in hom(a, M(f)(b)) in sorted order; it records where each
+segment starts.  Its composer composes whole pairs of blocks with integer
+gathers, never a Python step per composite.  The fibers, as one disjoint
+union, and the base are coded block-major (``_Codes``): each code k has a
+row of cells, one per morphism out of tgt k, holding the code of the
+composite and its position in its hom-set, after one cell for no composite.
+M(f) becomes an array over codes and mu[f, g](c) a code.  For the entries
+(f, k, b) of block (X, Y) and (g, l, c) of the blocks (Y, Z):
+
+    1. u = M(f)(l);mu[f, g](c), which does not depend on a: composed once
+       per Y, for every f into y and every entry out of Y;
+    2. the position of k;u in hom(a, M(f;g)(c)), from the cell of u in the
+       row of k;
+    3. plus the start of the segment of f;g in block (X, Z).
+
+The three are gathered for all of (X, Y) against all the blocks out of Y
+at once, a round of rows at a time.  A composite whose segment f;g is not in
+block (X, Z) (an arrow or compositor with the wrong target), or whose fiber
+pair is not composable (an image or a compositor component that starts
+elsewhere), reads the cell for no composite of its row and gets a position
+past every block, which ``assemble`` rejects as a
+``CompositeEndpointViolation``.  Only an indexed category built without
+``validate_indexed`` has such composites; ``tests/core_reference.py`` keeps
+the formula above, one composite at a time, as the oracle.
+
 For any functor P, phi: a→b over f: x→y is cartesian when, for every object
 t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
 (g: P(t)→x, theta: t→b) with P(theta) = g;f: each hom-square is a pullback
@@ -18,8 +45,11 @@ of sets, the per-object form ``limits`` uses for pullback terminality.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     Check,
@@ -27,7 +57,6 @@ from .core import (
     CategoryError,
     UnknownMorphism,
     assemble,
-    per_composite,
     subcategory,
 )
 from .functors import FinFunctor, NatTrans, validate_functor
@@ -81,7 +110,7 @@ def _enc_mor(f: str, k: str, b: str) -> str:
 
 def grothendieck(M: IndexedCat) -> GrothResult:
     """Build and fully validate the total category and its projection."""
-    base, fibers, arrows, mus = M.base, M.fibers, M.arrows, M.compositors
+    base, fibers, arrows = M.base, M.fibers, M.arrows
     obj_id, obj_of = {}, {}
     for x in base.objects:
         for a in fibers[x].objects:
@@ -91,8 +120,9 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     if len(obj_of) != len(obj_id):
         raise CategoryError("total object id collision")
 
-    # A morphism (f, k): (x, a) → (y, b) has payload (f, k, b).
-    mor_id, blocks = {}, {}
+    # A morphism (f, k): (x, a) → (y, b) has payload (f, k, b); the segment
+    # of f in the block of (x, a) and (y, b) starts at segments[block][f].
+    mor_id, blocks, segments = {}, {}, {}
     for f in base.morphisms:
         x, y = base.src[f], base.tgt[f]
         fib_x, Mf = fibers[x], arrows[f]
@@ -101,29 +131,21 @@ def grothendieck(M: IndexedCat) -> GrothResult:
             for a in fib_x.objects:
                 ks = fib_x.hom(a, mfb)
                 if ks:
-                    block = blocks.setdefault((obj_id[(x, a)], obj_id[(y, b)]), {})
+                    xy = (obj_id[(x, a)], obj_id[(y, b)])
+                    block = blocks.setdefault(xy, {})
+                    segments.setdefault(xy, {})[f] = len(block)
                     for k in ks:
                         block[(f, k, b)] = mor_id[(f, k, b)] = _enc_mor(f, k, b)
     mor_of = {t: TotalMor(f, k) for (f, k, _), t in mor_id.items()}
     if len(mor_of) != len(mor_id):
         raise CategoryError("total morphism id collision")
 
-    def compose(p, q):
-        # second projection of g applied to l, then the compositor at c
-        (f, k, _), (g, l, c) = p, q
-        fib = fibers[base.src[f]].table
-        return (
-            base.table[(f, g)],
-            fib[(fib[(k, arrows[f].on_morphisms[l])], mus[(f, g)].components[c])],
-            c,
-        )
-
     identities = {
         obj_id[(x, a)]: (base.id_of(x), M.eta(x).at(a), a)
         for x in base.objects
         for a in fibers[x].objects
     }
-    total = assemble(identities, blocks, per_composite(blocks, compose))
+    total = assemble(identities, blocks, _block_composer(M, obj_of, blocks, segments))
     proj = validate_functor(
         total,
         base,
@@ -131,6 +153,235 @@ def grothendieck(M: IndexedCat) -> GrothResult:
         {t: tm.base_part for t, tm in mor_of.items()},
     )
     return GrothResult(M, total, proj, obj_of, mor_of, obj_id, mor_id)
+
+
+class _Codes:
+    """The morphisms of some categories, as those of their disjoint union,
+    coded block-major: by category, then hom-set in sorted order, then id.
+    ``code[i]``, ``number[i]`` and ``first[i]`` map the morphisms, the
+    objects and the hom-sets of the i-th category to codes, object numbers
+    and first codes; its codes start at ``start[i]`` and its object numbers
+    at ``start_obj[i]``.  ``index[k]`` is k's position in its hom-set.  The
+    code ``none`` = n stands for no morphism, with endpoints -1 and -2.
+
+    The cells of a code k start at ``row[k]``: one for no composite, then
+    one per morphism l out of tgt k, at ``row[k] + 1 + offset[l]``, where
+    ``offset[l]`` is l's index among the morphisms out of src l.
+    ``composite`` holds each cell's composite, ``none`` in the first cell of
+    each row, and ``position`` the composite's position in its hom-set,
+    ``past`` in the first cell.
+    """
+
+    def __init__(self, cats: list, past: int):
+        self.code, self.number, self.first, self.start, self.start_obj = [], [], [], [], []
+        src, tgt, sizes, entries = [], [], [], []
+        n = n_obj = 0
+        for C in cats:
+            homs = sorted(C.homs)
+            names = [m for h in homs for m in C.homs[h]]
+            code = dict(zip(names, range(n, n + len(names))))
+            number = {x: i for i, x in enumerate(C.objects, n_obj)}
+            self.code.append(code)
+            self.number.append(number)
+            self.first.append({h: code[C.homs[h][0]] for h in homs})
+            self.start.append(n)
+            self.start_obj.append(n_obj)
+            src += [number[C.src[m]] for m in names]
+            tgt += [number[C.tgt[m]] for m in names]
+            sizes += [len(C.homs[h]) for h in homs]
+            triples = ((p, q, r) for (p, q), r in C.table.items())
+            entries.append(map(code.__getitem__, itertools.chain.from_iterable(triples)))
+            n, n_obj = n + len(names), n_obj + len(C.objects)
+        self.none = n
+        self.src = np.array(src + [-1], np.int32)
+        self.tgt = np.array(tgt + [-2], np.int32)
+        width = np.bincount(self.src[:n], minlength=n_obj)
+        codes = np.arange(n, dtype=np.int32)
+        self.offset = np.full(n + 1, -1, np.int32)
+        self.offset[:n] = codes - (np.cumsum(width) - width)[self.src[:n]]
+        self.row = np.zeros(n + 1, np.int32)
+        self.row[1:] = np.cumsum(1 + width[self.tgt[:n]])
+        p, q, r = np.fromiter(itertools.chain.from_iterable(entries), np.int32).reshape(-1, 3).T
+        self.composite = np.full(self.row[n], n, np.int32)
+        self.composite[self.row[p] + 1 + self.offset[q]] = r
+        self.index = np.full(n + 1, past, np.int32)
+        self.index[:n] = codes - np.repeat(np.cumsum(sizes, dtype=np.int32) - sizes, sizes)
+        self.position = self.index[self.composite]
+
+
+_ROUND_CELLS = 1 << 16  # composites gathered per numpy round
+
+
+def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
+    """The composer of the total blocks for ``assemble``, by the gathers of
+    the module docstring.  Its arrays live as long as the composer, except
+    that the u of a target Y lives until the last block into Y is composed,
+    and the composites of a block (X, Y) with the blocks out of Y until
+    ``compose`` has handed out the last of them or is asked for another
+    (X, Y)."""
+    base, fibers, arrows, mus = M.base, M.fibers, M.arrows, M.compositors
+    past = sum(map(len, blocks.values()))  # a position past every block
+    nth = {x: i for i, x in enumerate(base.objects)}
+    F = _Codes([fibers[x] for x in base.objects], past)
+    B = _Codes([base], past)
+    none, base_code, targets = F.none, B.code[0], F.tgt.tolist()
+
+    # mu[mu_at[cell] + c]: the code of mu[f, g](c), for the base cell of
+    # (f, g) and the number of c; none where it does not end at M(f;g)(c).
+    def mu_codes():
+        for (f, g), h in base.table.items():
+            i = nth[base.src[f]]
+            code, number = F.code[i], F.number[i]
+            comps, ob = mus[(f, g)].components, arrows[h].on_objects
+            for c in fibers[base.tgt[g]].objects:
+                k = code.get(comps.get(c), none)
+                yield k if targets[k] == number.get(ob.get(c), -3) else none
+
+    mu, n = np.fromiter(mu_codes(), np.int32), len(base.table)
+    f_code = np.fromiter((base_code[f] for f, _ in base.table), np.int32, n)
+    g_code = np.fromiter((base_code[g] for _, g in base.table), np.int32, n)
+    z = np.fromiter((nth[base.tgt[g]] for _, g in base.table), np.int32, n)
+    width = np.array([len(fibers[x].objects) for x in base.objects], np.int32)[z]
+    mu_at = np.zeros(len(B.composite), np.int32)
+    mu_at[B.row[f_code] + 1 + B.offset[g_code]] = (
+        np.cumsum(width) - width - np.array(F.start_obj, np.int32)[z]
+    )
+
+    # Row r of image[y] and image_ob[y] is M(f) on the codes and on the
+    # objects of the fiber over y, for the r-th base morphism f into y; none
+    # and -3 where the image is none of the fiber over src f.
+    into = {}
+    for f in base.morphisms:
+        into.setdefault(base.tgt[f], []).append(f)
+    into_code, image, image_ob, into_row = {}, {}, {}, {}
+    for y, fs in into.items():
+        into_row.update((f, r) for r, f in enumerate(fs))
+        into_code[y] = np.array([base_code[f] for f in fs], np.int32)
+        sources = [nth[base.src[f]] for f in fs]
+        image[y] = np.array(
+            [
+                [F.code[i].get(m, none) for m in map(arrows[f].on_morphisms.get, F.code[nth[y]])]
+                for f, i in zip(fs, sources)
+            ],
+            np.int32,
+        ).reshape(len(fs), -1)
+        image_ob[y] = np.array(
+            [
+                [F.number[i].get(o, -3) for o in map(arrows[f].on_objects.get, fibers[y].objects)]
+                for f, i in zip(fs, sources)
+            ],
+            np.int32,
+        ).reshape(len(fs), -1)
+
+    # The blocks by source, each source's in block order, as one run of
+    # segments and one run of entries.  Per segment of base morphism h in
+    # block ((x, a), (y, b)): the code of h, its row into y, the number of
+    # b, the index of (y, b) among the targets of (x, a), the block's region
+    # and the segment's start in the block; per entry, its segment, that
+    # segment's index in its block and the code of its fiber part.  From
+    # region[block] on, ``starts`` holds the start of the segment of each
+    # morphism of the base hom-set, ``past`` where there is none, as from 0.
+    outs = {}
+    for x, y in blocks:
+        outs.setdefault(x, []).append(y)
+    hs, cut_at, firsts, per_block, run, region = [], [], [], [], {}, {}
+    n_starts, n_entries = max(map(len, base.homs.values()), default=0), 0
+    for x, ys in outs.items():
+        x0, a = obj_of[x]
+        hom_first = F.first[nth[x0]]
+        for i, y in enumerate(ys):
+            (y0, b), cut, n = obj_of[y], segments[(x, y)], len(blocks[(x, y)])
+            run[(x, y)] = slice(len(hs), len(hs) + len(cut)), slice(n_entries, n_entries + n)
+            region[(x, y)] = n_starts
+            per_block.append((len(cut), F.number[nth[y0]][b], i, n_starts, n_entries))
+            hs += cut
+            cut_at += cut.values()
+            firsts += [hom_first[(a, arrows[h].ob(b))] for h in cut]
+            n_starts += len(base.homs[(x0, y0)])
+            n_entries += n
+    counts, seg_b, seg_i, seg_region, block_at = np.array(per_block, np.int32).reshape(-1, 5).T
+    seg_b, seg_i, seg_region = (np.repeat(v, counts) for v in (seg_b, seg_i, seg_region))
+    seg_h = np.fromiter(map(base_code.__getitem__, hs), np.int32, len(hs))
+    seg_into = np.fromiter(map(into_row.__getitem__, hs), np.int32, len(hs))
+    seg_start = np.array(cut_at, np.int32)
+    seg_at = np.repeat(block_at, counts) + seg_start  # each segment's first entry
+    sizes = np.diff(np.append(seg_at, n_entries))
+    starts = np.full(n_starts, past, np.int32)
+    starts[seg_region + B.index[seg_h]] = seg_start
+    entry_seg = np.repeat(np.arange(len(hs), dtype=np.int32), sizes)
+    entry_kth = entry_seg - np.repeat(np.cumsum(counts) - counts, counts)[entry_seg]
+    shift = np.array(firsts, np.int32) - seg_at
+    entry_code = np.arange(n_entries, dtype=np.int32) + np.repeat(shift, sizes)
+    entry_into = seg_into[entry_seg]
+    entry_row = F.row[entry_code]
+    columns, later, rows = {}, {}, {}
+    uses = Counter(y for _, y in blocks)  # the blocks into y not yet composed
+
+    def out_of(y):
+        """The segments and the entries of the blocks out of y, each
+        entry's segment among them, each segment's index among the blocks,
+        and each block's entries among them."""
+        if y not in columns:
+            zs = outs[y]
+            (s0, e0), (s1, e1) = run[(y, zs[0])], run[(y, zs[-1])]
+            s, e = slice(s0.start, s1.stop), slice(e0.start, e1.stop)
+            where = {z: slice(run[(y, z)][1].start - e.start, run[(y, z)][1].stop - e.start)
+                     for z in zs}
+            columns[y] = s, e, entry_seg[e] - s.start, seg_i[s], where
+        return columns[y]
+
+    def after(y):
+        """For the i-th base morphism f into y0, y = (y0, b), and the j-th
+        entry (g, l, c) out of y: 1 + the offset of u = M(f)(l);mu[f, g](c)
+        among the morphisms out of M(f)(b), 0 for none; and per segment of
+        g, the position of f;g in its base hom-set."""
+        if y not in later:
+            y0, b = obj_of[y]
+            s, e, g_seg = out_of(y)[:3]
+            cell = B.row[into_code[y0]][:, None] + 1 + B.offset[seg_h[s]]
+            mu_fl = mu[mu_at[cell] + seg_b[s]].take(g_seg, axis=1)
+            mapped = image[y0].take(entry_code[e] - F.start[nth[y0]], axis=1)
+            source = image_ob[y0][:, F.number[nth[y0]][b] - F.start_obj[nth[y0]], None]
+            ok = (F.src[mapped] == source) & (F.tgt[mapped] == F.src[mu_fl])
+            u = F.composite[np.where(ok, F.row[mapped] + 1 + F.offset[mu_fl], 0)]
+            later[y] = F.offset[u] + 1, B.position[cell]
+        return later[y]
+
+    def composites(x, y):
+        """Entry (i, j): the position in block (x, z) of the i-th entry of
+        block (x, y) then the j-th entry out of y, or ``past`` if it is not
+        there."""
+        (s, e), (_, _, g_seg, z_seg, _), (u, fg) = run[(x, y)], out_of(y), after(y)
+        uses[y] -= 1
+        if not uses[y]:
+            del later[y]
+        zs = np.fromiter((region.get((x, z), 0) for z in outs[y]), np.int32, len(outs[y]))
+        start = starts[fg.take(seg_into[s], axis=0) + zs[z_seg]]
+        # k;u by the cell of k, its position in its hom-set, then in block
+        # (x, z); a round of rows at a time, so that no temporary, the intp
+        # copy of an index that ``take`` makes included, outgrows a round
+        into, row, kth = entry_into[e], entry_row[e], entry_kth[e]
+        at = np.empty((len(into), len(g_seg)), np.int32)
+        step = max(1, _ROUND_CELLS // max(1, len(g_seg)))
+        for i in range(0, len(into), step):
+            r = slice(i, i + step)
+            cells = u.take(into[r], axis=0)
+            cells += row[r, None]
+            cells = F.position.take(cells)
+            cells += start.take(kth[r], axis=0).take(g_seg, axis=1)
+            at[r] = cells
+        return np.minimum(at, past, out=at)
+
+    def compose(x, y, z):
+        if (x, y) not in rows:
+            rows.clear()
+            rows[(x, y)] = composites(x, y)
+        at = rows[(x, y)][:, out_of(y)[4][z]]
+        if z == outs[y][-1]:
+            rows.clear()
+        return at
+
+    return compose
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def swap_indexed(z2):
 
 
 @pytest.fixture(scope="session")
-def corpus(z2, z3, z4, s3, fi2, z4_twisted, swap_indexed):
+def corpus(z2, z3, z4, fi2, z4_twisted, swap_indexed):
     """Named indexed-category corpus; >= 10 instances of all flavours."""
     instances = [
         ("delta_fi2_fi2", delta_const(fi2, fi2)),

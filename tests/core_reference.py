@@ -17,7 +17,9 @@ returning a payload; ``test_core_reference.py`` decodes the library's block
 composers into it.  The composition formulas of FI, FI_G and coloured FI,
 one composite at a time, are kept as ``injection_composite``,
 ``decorated_composite`` and ``colored_composite``: the oracle for the numpy
-composer of ``fibcat.generators``.
+composer of ``fibcat.generators``.  ``grothendieck_composite`` is the
+composition of the Grothendieck construction, one composite at a time: the
+oracle for the block composer of ``fibcat.groth``.
 """
 
 from __future__ import annotations
@@ -269,3 +271,17 @@ def colored_composite(color_groups, s, f_imgs, f_decs, g_imgs, g_decs):
         color_groups[s[k]].mul(d, g_decs[f_imgs[k]]) for k, d in enumerate(f_decs)
     )
     return imgs, decs
+
+
+def grothendieck_composite(M, p, q):
+    """The payload of p then q in the total category of the indexed category
+    ``M``: p = (f, k, b) and q = (g, l, c) compose to (f;g, k;M(f)(l);mu[f,
+    g](c), c).  A missing entry or a fiber pair that is not composable
+    raises ``KeyError``."""
+    (f, k, _), (g, l, c) = p, q
+    fib = M.fibers[M.base.src[f]].table
+    return (
+        M.base.table[(f, g)],
+        fib[(fib[(k, M.arrows[f].on_morphisms[l])], M.compositors[(f, g)].components[c])],
+        c,
+    )

@@ -27,8 +27,14 @@ time; and its mutations are caught like a mutated table: a position outside
 the target block raises ``CompositeEndpointViolation``, a wrong position
 inside it the ``UnitViolation`` or ``AssociativityViolation`` that the
 equally mutated table raises through ``category_from_json``.
+
+The block composer of the Grothendieck construction is checked the same way
+against ``grothendieck_composite``, on valid indexed categories and on
+hand-built ones that skip ``validate_indexed``: there both give the same
+first error, or the same table.
 """
 
+import dataclasses
 import json
 import random
 
@@ -478,6 +484,12 @@ BUILDERS = {
     "grothendieck(indexed_gpow(Z2, 4))": lambda: grothendieck(
         generators.indexed_gpow(cyclic_group(2), 4)
     ),
+    "grothendieck(slice_indexed(FI_3))": lambda: grothendieck(
+        generators.slice_indexed(generators.fi_truncated(3))
+    ),
+    "grothendieck(block_perm_indexed(3, 1))": lambda: grothendieck(
+        generators.block_perm_indexed(3, 1)
+    ),
 }
 
 
@@ -615,3 +627,130 @@ def test_mutated_injection_composer_is_caught(monkeypatch, name):
         got = outcome(core.assemble, identities, blocks, mutated(compose, (x, y, z, i, j), wrong))
         assert got[0] in (UnitViolation, AssociativityViolation)
         assert got == library(C, table) == oracle(C, table)
+
+
+GROTH_EXTRA = {
+    # non-strict: compositors that are not identities
+    "slice_indexed(FI_3)": lambda: generators.slice_indexed(generators.fi_truncated(3)),
+    "block_perm_indexed(3, 1)": lambda: generators.block_perm_indexed(3, 1),
+    "indexed_gpow(Z3, 3)": lambda: generators.indexed_gpow(cyclic_group(3), 3),
+}
+
+
+def groth_assembled(monkeypatch, M):
+    """The outcome of ``grothendieck(M)``, its total's fields or the error,
+    and the arguments it gave ``assemble``."""
+    args = []
+
+    def capture(*a):
+        args.append(a)
+        return core.assemble(*a)
+
+    monkeypatch.setattr(groth, "assemble", capture)
+    try:
+        got = fields(grothendieck(M).total, True)
+    except CategoryError as exc:
+        got = (type(exc), exc.args)
+    monkeypatch.undo()
+    (arguments,) = args
+    return got, arguments
+
+
+def formula_composer(M, blocks):
+    """The block composer of ``grothendieck_composite``: each composite's
+    position in its target block, and past every block, the number of
+    morphisms, for one that is not there or not made."""
+    past = sum(map(len, blocks.values()))
+
+    def compose(x, y, z):
+        position = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
+
+        def at(p, q):
+            try:
+                return position.get(ref.grothendieck_composite(M, p, q), past)
+            except KeyError:
+                return past
+
+        ps, qs = blocks[(x, y)], blocks[(y, z)]
+        return np.array([at(p, q) for p in ps for q in qs], np.int64).reshape(len(ps), len(qs))
+
+    return compose
+
+
+def test_grothendieck_composer_matches_reference_formula(monkeypatch, groth_corpus):
+    instances = [(name, M) for name, M, _ in groth_corpus]
+    instances += [(name, build()) for name, build in GROTH_EXTRA.items()]
+    for name, M in instances:
+        _, (_, blocks, compose) = groth_assembled(monkeypatch, M)
+        formula, pairs = formula_composer(M, blocks), 0
+        for (x, y) in blocks:
+            for (y2, z) in blocks:
+                if y2 == y:
+                    want = formula(x, y, z)
+                    assert want.max() < len(blocks[(x, z)]), (name, x, y, z)
+                    assert np.array_equal(compose(x, y, z), want), (name, x, y, z)
+                    pairs += 1
+        assert pairs >= len(blocks), name
+
+
+def indexed_mutations(M, seed, rounds=4):
+    """Seeded single-entry changes of ``M`` past ``validate_indexed``, as
+    (kind, indexed category) pairs: a compositor component moved to another
+    hom-set, or an arrow functor's image of a morphism swapped for a
+    parallel one, for one that starts elsewhere, or for one that starts
+    there and ends elsewhere; the last two make pairs of fiber morphisms
+    that are not composable."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        (f, g) = rng.choice(sorted(M.compositors))
+        mu, fib = M.compositors[(f, g)], M.fibers[M.base.src[f]]
+        c = rng.choice(sorted(mu.components))
+        m = mu.components[c]
+        others = [h for h in fib.morphisms if (fib.src[h], fib.tgt[h]) != (fib.src[m], fib.tgt[m])]
+        if others:
+            mu = dataclasses.replace(mu, components={**mu.components, c: rng.choice(others)})
+            yield "compositor", dataclasses.replace(M, compositors={**M.compositors, (f, g): mu})
+        f = rng.choice(M.base.morphisms)
+        F = M.arrows[f]
+        l = rng.choice(sorted(F.on_morphisms))
+        m, fib = F.on_morphisms[l], F.target
+        for kind, swaps in (
+            ("parallel", [h for h in fib.hom(fib.src[m], fib.tgt[m]) if h != m]),
+            ("starts elsewhere", [h for h in fib.morphisms if fib.src[h] != fib.src[m]]),
+            (
+                "ends elsewhere",
+                [h for h in fib.morphisms if fib.src[h] == fib.src[m] and fib.tgt[h] != fib.tgt[m]],
+            ),
+        ):
+            if swaps:
+                G = dataclasses.replace(F, on_morphisms={**F.on_morphisms, l: rng.choice(swaps)})
+                yield kind, dataclasses.replace(M, arrows={**M.arrows, f: G})
+
+
+def test_malformed_indexed_category_fails_like_the_formula(monkeypatch, fi2, z2):
+    """An ``IndexedCat`` built past ``validate_indexed`` gets the first error
+    that ``assemble`` finds with the reference formula's composites, a
+    ``CategoryError`` and never a ``KeyError`` or ``IndexError``, or, when no
+    composite reads the changed entry, the same table."""
+    instances = [
+        generators.delta_const(fi2, fi2),
+        generators.slice_indexed(fi2),
+        generators.indexed_gpow(z2, 2),
+        generators.block_perm_indexed(2, 1),
+    ]
+    caught = set()
+    for seed, M in enumerate(instances):
+        for kind, bad in indexed_mutations(M, seed):
+            got, (identities, blocks, _) = groth_assembled(monkeypatch, bad)
+            formula = formula_composer(bad, blocks)
+            want = outcome(core.assemble, identities, blocks, formula, ordered=True)
+            assert got == want, kind
+            if isinstance(got[0], type):
+                caught.add((kind, got[0]))
+    kinds = {"compositor", "parallel", "starts elsewhere", "ends elsewhere"}
+    assert {kind for kind, _ in caught} == kinds
+    assert {error for _, error in caught} >= {
+        CompositeEndpointViolation,
+        UnitViolation,
+        AssociativityViolation,
+    }

@@ -256,10 +256,16 @@ GENERATOR_BYTES = {
     "fi_g_direct(Z2, 4)": "953d4273a826a56800e5c751d2026e70381537220ee24fb4fb7688e524819a54",
     "fi_g_direct(S3, 2)": "18367fbc59e787229aec675db142d3d357750585194b896a9a9bae4095c10bdd",
     "fi_colored({a: S3, b: Z2}, 1)": "929f81e9d7ffcf48f481c796fb3ff90a99e6cbc63f01530adf89004a974a381a",
+    # Grothendieck totals with non-identity compositors, many fiber objects
+    # and a larger group, pinned before the block composer replaced the
+    # per-composite one
+    "grothendieck(slice_indexed(FI_3)).total": "98cb1e8a3405ae91e22007f0d859699918952fd127ff2d12e2f021d0cc9537df",
+    "grothendieck(block_perm_indexed(3, 1)).total": "c72350c8e4b9cd7e5d277ddc3e7d549a674c0cb30bb07f4a509dd2c5559850f6",
+    "grothendieck(indexed_gpow(Z3, 3)).total": "aab4e2b1fd067df1b3b6c7aba81994221f9eec3d9c18eecc8c7b3ddfcb8a7627",
 }
 
 
-def test_generator_bytes_are_pinned(z2, s3, fi2):
+def test_generator_bytes_are_pinned(z2, z3, s3, fi2):
     gpow = indexed_gpow(z2, 2)
     gr = grothendieck(gpow)
     built = {
@@ -282,6 +288,9 @@ def test_generator_bytes_are_pinned(z2, s3, fi2):
         "fi_g_direct(Z2, 4)": fi_g_direct(z2, 4),
         "fi_g_direct(S3, 2)": fi_g_direct(s3, 2),
         "fi_colored({a: S3, b: Z2}, 1)": fi_colored({"a": s3, "b": z2}, 1),
+        "grothendieck(slice_indexed(FI_3)).total": grothendieck(slice_indexed(fi_truncated(3))).total,
+        "grothendieck(block_perm_indexed(3, 1)).total": grothendieck(block_perm_indexed(3, 1)).total,
+        "grothendieck(indexed_gpow(Z3, 3)).total": grothendieck(indexed_gpow(z3, 3)).total,
     }
     digests = {
         name: hashlib.sha256(stable_dumps(category_to_json(C)).encode("utf-8")).hexdigest()

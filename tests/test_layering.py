@@ -84,10 +84,11 @@ def test_validate_category_has_exactly_two_callers():
 
 
 def test_per_composite_callers_are_pinned():
-    """The injection builders compose with numpy; every other builder goes
-    through the one per-composite adapter.  A new builder picks a path
-    knowingly, and the per-composite formula of decorated injections lives
-    only in the test oracle."""
+    """The injection builders and the Grothendieck construction compose with
+    numpy; every other builder goes through the one per-composite adapter.
+    A new builder picks a path knowingly, and the per-composite formulas of
+    decorated injections and of the Grothendieck construction live only in
+    the test oracle."""
     callers = sorted(
         "%s.%s" % (name, where)
         for name, tree in _modules()
@@ -100,10 +101,14 @@ def test_per_composite_callers_are_pinned():
         "generators.arrow_category",
         "generators.gpow_fiber",
         "generators.slice_category",
-        "groth.grothendieck",
         "groups.group_as_category",
     ]
     assert not [p.name for p in SRC.glob("*.py") if "decorated_composite" in p.read_text()]
+    groth = dict(_modules())["groth"]
+    imported = {
+        alias.name for node in ast.walk(groth) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "per_composite" not in imported
 
 
 def _private_names(oracle):
