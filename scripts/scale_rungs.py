@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Time the scale rungs of the FI_G family, each in a fresh process.
+
+    python scripts/scale_rungs.py [RUNG ...] [--timeout SECONDS]
+
+With no RUNG, every rung runs, in the order below.  Each rung runs in its
+own Python process, so it reuses no cache or memory of an earlier one, and
+prints one JSON line: the rung, the wall time of its build in seconds and
+the process's peak resident set (``ru_maxrss``) in MB, or the timeout when
+the process ran past it.  The exit code is 0 when every rung finished, 1
+when one timed out or failed, 2 for an unknown rung.
+"""
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import time
+
+from fibcat.generators import indexed_gpow
+from fibcat.groth import grothendieck
+from fibcat.groups import cyclic_group
+
+RUNGS = {
+    # a sub-second rung, for a smoke test
+    "gpow_z2_3": lambda: indexed_gpow(cyclic_group(2), 3),
+    "gpow_z2_5": lambda: indexed_gpow(cyclic_group(2), 5),
+    "gpow_z3_5": lambda: indexed_gpow(cyclic_group(3), 5),
+    # the FI_Z3 total category for N=4: indexed category and Grothendieck construction
+    "fi_z3_4_total": lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total,
+}
+
+
+def run_here(name: str) -> dict:
+    start = time.perf_counter()
+    RUNGS[name]()
+    wall = time.perf_counter() - start
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"rung": name, "wall_s": round(wall, 3), "maxrss_mb": round(peak_kb / 1024, 1)}
+
+
+def run_fresh(name: str, timeout: float) -> dict:
+    try:
+        done = subprocess.run(
+            [sys.executable, __file__, "--here", name],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return {"rung": name, "timeout_s": timeout}
+    if done.returncode != 0:
+        return {"rung": name, "error": done.stderr.strip().splitlines()[-1:]}
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rungs", nargs="*", metavar="RUNG", help="any of: %s" % ", ".join(RUNGS))
+    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per rung")
+    parser.add_argument("--here", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.here:
+        print(json.dumps(run_here(args.here)))
+        return 0
+    unknown = [r for r in args.rungs if r not in RUNGS]
+    if unknown:
+        print("unknown rung %r; rungs: %s" % (unknown[0], ", ".join(RUNGS)), file=sys.stderr)
+        return 2
+    ok = True
+    for name in args.rungs or RUNGS:
+        result = run_fresh(name, args.timeout)
+        ok = ok and "wall_s" in result
+        print(json.dumps(result), flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,24 @@ preserves every composite exactly when every g in S is preserved.  Only the
 pairs (f, g) with g in S are looked up; if one fails, the full loop over
 the source's table runs, so the error names the same first pair as a check
 of every composite.
+
+``validate_nat_trans`` checks naturality squares the same way.  Let F and
+G be functors and α a family of components typed α_x: F(x) → G(x).  Every
+identity square commutes: F(id_x);α_x = α_x = α_x;G(id_x), as F and G
+preserve identities.  If the squares of k1: a→b and k2: b→c commute, so
+does the square of k1;k2:
+
+    F(k1;k2);α_c = F(k1);F(k2);α_c = F(k1);α_b;G(k2)
+                 = α_a;G(k1);G(k2) = α_a;G(k1;k2),
+
+using that F preserves k1;k2, then the squares of k2 and k1, then that G
+preserves k1;k2.  So the morphisms whose squares commute are closed under
+composition, and α is natural exactly when the square of every g in the
+source's S commutes.  Only those squares are checked; if one fails, every
+square is checked in the source's morphism order, so the error names the
+same first square as a check of every square.  The argument needs F and G
+to be functors, which is why ``validate_nat_trans`` takes them as
+``FinFunctor`` values (or paths of them) and not as bare tables.
 """
 
 from __future__ import annotations
@@ -56,7 +74,7 @@ class FinFunctor:
 
 @dataclass(frozen=True, eq=False)
 class NatTrans:
-    source: FinFunctor
+    source: FinFunctor  # or a path of functors, see ``validate_nat_trans``
     target: FinFunctor
     components: dict
 
@@ -125,29 +143,66 @@ def functors_equal(F: FinFunctor, G: FinFunctor) -> bool:
     return F.on_objects == G.on_objects and F.on_morphisms == G.on_morphisms
 
 
-def validate_nat_trans(F: FinFunctor, G: FinFunctor, components) -> NatTrans:
+def _path(F) -> tuple:
+    """``F`` as a tuple of functors applied in turn; a ``FinFunctor`` is a
+    path of one."""
+    return F if isinstance(F, tuple) else (F,)
+
+
+def _mapped(tables, ids):
+    """``ids`` looked up in each of ``tables`` in turn, lazily."""
+    for table in tables:
+        ids = map(table.__getitem__, ids)
+    return ids
+
+
+def validate_nat_trans(F, G, components) -> NatTrans:
     """Check that there is exactly one component per source object, its
-    typing, and every naturality square.  Ids are strings."""
-    if F.source is not G.source or F.target is not G.target:
+    typing, and every naturality square, the squares by Light's test (see
+    the module docstring).  Ids are strings.
+
+    F and G are functors.  Either may be given as a path, a tuple
+    (F1, ..., Fk) of composable functors that stands for F1 followed by ...
+    Fk; the composite is never built, each id is mapped through the path.
+    The ``NatTrans`` keeps F and G as given."""
+    Fs, Gs = _path(F), _path(G)
+    for P in (Fs, Gs):
+        if any(a.target is not b.source for a, b in zip(P, P[1:])):
+            raise NotAFunctor("composition endpoint mismatch")
+    S, T = Fs[0].source, Fs[-1].target
+    if Gs[0].source is not S or Gs[-1].target is not T:
         raise NotNatural("parallel functors required")
     comp = dict(components)
-    T = F.target
-    for x in F.source.objects:
+    Fx = _mapped([P.on_objects for P in Fs], S.objects)
+    Gx = _mapped([P.on_objects for P in Gs], S.objects)
+    for x, fx, gx in zip(S.objects, Fx, Gx):
         if x not in comp:
             raise NotNatural(("component missing", x))
         c = comp[x]
         if c not in T.src:
             raise NotNatural(("component unknown", x, c))
-        if T.src[c] != F.ob(x) or T.tgt[c] != G.ob(x):
+        if T.src[c] != fx or T.tgt[c] != gx:
             raise NotNatural(("component endpoints", x, c))
-    if len(comp) > len(F.source.objects):
-        unknown = next(x for x in comp if x not in F.source.identity)
+    if len(comp) > len(S.objects):
+        unknown = next(x for x in comp if x not in S.identity)
         raise NotNatural(("component for unknown object", unknown))
-    for f in F.source.morphisms:
-        x, y = F.source.src[f], F.source.tgt[f]
-        # G(f)∘α_x  vs  α_y∘F(f)
-        if T.comp(comp[x], G.mor(f)) != T.comp(F.mor(f), comp[y]):
-            raise NotNatural(("square", f))
+
+    def squares(ks):
+        """Both ways round the square of each k: x→y, α_x;G(k) and F(k);α_y."""
+        Fk = _mapped([P.on_morphisms for P in Fs], ks)
+        Gk = _mapped([P.on_morphisms for P in Gs], ks)
+        at_x = map(comp.__getitem__, map(S.src.__getitem__, ks))
+        at_y = map(comp.__getitem__, map(S.tgt.__getitem__, ks))
+        compose = T.table.__getitem__
+        return list(map(compose, zip(at_x, Gk))), list(map(compose, zip(Fk, at_y)))
+
+    left, right = squares(S.generators)
+    if left != right:
+        left, right = squares(S.morphisms)
+        for f, a, b in zip(S.morphisms, left, right):
+            if a != b:
+                raise NotNatural(("square", f))
+        raise CategoryError("internal error: Light's test failed, the full check held")
     return NatTrans(F, G, comp)
 
 

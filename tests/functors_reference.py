@@ -1,14 +1,16 @@
-"""Reference functor check: ``validate_functor`` as it was before it checked
-composites by Light's test, looking up every composite of the source.
+"""Reference functor and naturality checks: ``validate_functor`` and
+``validate_nat_trans`` as they were before they checked composites and
+squares by Light's test, looking up every composite and every square of
+the source.
 
-It is kept only as the oracle for the functor differentials in
-``test_functors.py`` and imports nothing private from ``fibcat``, so it
-shares no code with the check it tests.
+They are kept only as the oracles for the differentials in
+``test_functors.py`` and ``test_indexed_reference.py`` and import nothing
+private from ``fibcat``, so they share no code with the checks they test.
 """
 
 from __future__ import annotations
 
-from fibcat.functors import NotAFunctor
+from fibcat.functors import NotAFunctor, NotNatural
 
 
 def check_functor(source, target, on_objects, on_morphisms) -> None:
@@ -41,3 +43,29 @@ def check_functor(source, target, on_objects, on_morphisms) -> None:
     for (f, g), h in source.table.items():
         if target.comp(mor[f], mor[g]) != mor[h]:
             raise NotAFunctor(("composite not preserved", f, g))
+
+
+def check_nat_trans(F, G, components) -> None:
+    """Raise the first ``NotNatural`` of the components of a transformation
+    F ⇒ G of functors: parallel functors, then each component's presence
+    and typing by source object, an unknown object, then every naturality
+    square in the source's morphism order; return None if it is natural."""
+    if F.source is not G.source or F.target is not G.target:
+        raise NotNatural("parallel functors required")
+    comp = dict(components)
+    T = F.target
+    for x in F.source.objects:
+        if x not in comp:
+            raise NotNatural(("component missing", x))
+        c = comp[x]
+        if c not in T.src:
+            raise NotNatural(("component unknown", x, c))
+        if T.src[c] != F.ob(x) or T.tgt[c] != G.ob(x):
+            raise NotNatural(("component endpoints", x, c))
+    if len(comp) > len(F.source.objects):
+        unknown = next(x for x in comp if x not in F.source.identity)
+        raise NotNatural(("component for unknown object", unknown))
+    for f in F.source.morphisms:
+        x, y = F.source.src[f], F.source.tgt[f]
+        if T.comp(comp[x], G.mor(f)) != T.comp(F.mor(f), comp[y]):
+            raise NotNatural(("square", f))

@@ -146,11 +146,11 @@ def z5():
 
 
 @pytest.fixture(scope="module")
-def s3():
+def s3_category():
     return group_as_category(symmetric_group(3))
 
 
-# z5 and s3 have no morphism that is not a composite of two non-identities,
+# z5 and S3 have no morphism that is not a composite of two non-identities,
 # so Light's test takes its whole generating set from the greedy step.
 CATEGORIES = [
     "fi3",
@@ -163,8 +163,10 @@ CATEGORIES = [
     "idempotent_monoid",
     "parallel_pair",
     "z5",
-    "s3",
+    "s3_category",
 ]
+# ``s3`` is the session fixture of the group; the category keeps the id.
+CASES = [pytest.param(name, id=name.removesuffix("_category")) for name in CATEGORIES]
 
 MUTATIONS_PER_KIND = 10
 
@@ -195,13 +197,13 @@ def mutations(C, seed):
         yield "deleted pair", table
 
 
-@pytest.mark.parametrize("name", CATEGORIES)
+@pytest.mark.parametrize("name", CASES)
 def test_valid_categories_match_reference(request, name):
     C = request.getfixturevalue(name)
     assert library(C, C.table) == oracle(C, C.table) == fields(C, False)
 
 
-@pytest.mark.parametrize("name", CATEGORIES)
+@pytest.mark.parametrize("name", CASES)
 def test_mutations_match_reference(request, name):
     C = request.getfixturevalue(name)
     for kind, table in mutations(C, CATEGORIES.index(name)):
@@ -382,7 +384,7 @@ def test_non_associative_loop_matches_reference():
     )
 
 
-@pytest.mark.parametrize("name", CATEGORIES)
+@pytest.mark.parametrize("name", CASES)
 def test_light_generators_generate(request, name):
     """With the identities, the generating set composes to every morphism,
     and it holds every non-identity that is no composite of two."""

@@ -180,3 +180,47 @@ def test_light_functor_check_is_small():
     checked = sum(into[C.src[g]] for g in C.generators)
     assert 10 * checked < len(C.table)
     validate_functor(C, C, {x: x for x in C.objects}, {f: f for f in C.morphisms})
+
+
+def nat_verdict(check, F, G, components):
+    """The args of the ``NotNatural`` that ``check`` raises, or None."""
+    try:
+        check(F, G, components)
+    except NotNatural as exc:
+        return exc.args
+    return None
+
+
+def test_mutated_transformations_match_reference(corpus):
+    """Every compositor of the corpus, unchanged and with one component
+    moved to a parallel morphism or anywhere, gets the reference's verdict,
+    given as the path (M(g), M(f)) and as the composite built in full."""
+    rng = random.Random(0)
+    seen = set()
+    for name, M in corpus:
+        for (f, g), mu in M.compositors.items():
+            Mf, Mg, Mfg = M.arrow_at(f), M.arrow_at(g), M.arrow_at(M.base.comp(f, g))
+            full, T = compose_functors(Mg, Mf), Mf.target
+            c = rng.choice(sorted(mu.components))
+            m = mu.components[c]
+            parallel = [h for h in T.hom(T.src[m], T.tgt[m]) if h != m]
+            variants = [mu.components, {**mu.components, c: rng.choice(T.morphisms)}]
+            if parallel:
+                variants.append({**mu.components, c: rng.choice(parallel)})
+            for comps in variants:
+                want = nat_verdict(ref.check_nat_trans, full, Mfg, comps)
+                assert nat_verdict(validate_nat_trans, (Mg, Mf), Mfg, comps) == want, (name, f, g)
+                assert nat_verdict(validate_nat_trans, full, Mfg, comps) == want, (name, f, g)
+                seen.add(want[0][0] if want else None)
+    assert {None, "square", "component endpoints"} <= seen
+
+
+def test_path_must_compose(fi2):
+    """A path whose functors do not compose is refused before any component
+    is read."""
+    F = identity_functor(fi2)
+    other = identity_functor(fi_truncated(2))
+    with pytest.raises(NotAFunctor):
+        validate_nat_trans((F, other), F, {x: fi2.id_of(x) for x in fi2.objects})
+    alpha = validate_nat_trans((F, F), F, {x: fi2.id_of(x) for x in fi2.objects})
+    assert alpha.source == (F, F)

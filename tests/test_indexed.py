@@ -3,13 +3,16 @@ import pytest
 from fibcat import (
     BadFiberFunctor,
     CoherenceViolation,
+    FinFunctor,
     UnitorViolation,
+    identity_functor,
     restrict_to_aut,
     strict_functoriality_check,
     validate_functor,
     validate_indexed,
 )
 from fibcat.generators import (
+    chain_poset,
     delta_const,
     terminal_category,
     fi_truncated,
@@ -174,3 +177,51 @@ def test_entries_for_unknown_keys_rejected(key):
     data[key][ghost] = {"fibers": M.fiber_at("*"), "arrows": M.arrow_at("id")}.get(key, {"*": "id"})
     with pytest.raises(IndexedError, match="'ghost'"):
         validate_indexed(M.base, **data)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_equal_copy_of_a_fiber_is_no_arrow_endpoint(shared):
+    """An arrow must run between the very fiber objects given: an equal copy
+    is another category, and the naturality checks would reject it later
+    with a misleading error.  Fresh copies per arrow, or one copy shared by
+    every arrow, are both named at the first arrow."""
+    base = chain_poset(2)
+    fiber = fi_truncated(2)
+    copy = fi_truncated(2)
+    arrows = {
+        f: identity_functor(copy if shared else fi_truncated(2)) for f in base.morphisms
+    }
+    with pytest.raises(BadFiberFunctor) as exc:
+        validate_indexed(base, {x: fiber for x in base.objects}, arrows)
+    assert exc.value.args == (("contravariance endpoints", base.morphisms[0]),)
+    same = {f: identity_functor(copy) for f in base.morphisms}
+    assert validate_indexed(base, {x: copy for x in base.objects}, same).strict
+
+
+def test_arrow_that_is_no_functor_is_rejected():
+    """An arrow whose tables are no functor is named, with the first error
+    ``validate_functor`` finds, before any naturality check."""
+    C = chain_poset(3)
+    Y = fi_truncated(1)
+    M = delta_const(Y, C)
+    on_m = {m: m for m in C.morphisms}
+    on_m["p0_to_p1"] = "p0_to_p0"
+    bad = FinFunctor(C, C, {x: x for x in C.objects}, on_m)
+    f = next(m for m in Y.morphisms if Y.src[m] != Y.tgt[m])
+    with pytest.raises(BadFiberFunctor) as exc:
+        validate_indexed(Y, M.fibers, {**M.arrows, f: bad})
+    what, where, (error,) = exc.value.args[0]
+    assert (what, where, error[0]) == ("not a functor", f, "endpoints not preserved")
+
+
+def test_light_coherence_sweep_is_small():
+    """The coherence sweep visits the triples (f, g, h) with g in S: on
+    FI_5 under a twentieth of the composable triples."""
+    C = fi_truncated(5)
+    into, out = {}, {}
+    for (x, y), fs in C.homs.items():
+        into[y] = into.get(y, 0) + len(fs)
+        out[x] = out.get(x, 0) + len(fs)
+    swept = sum(into[C.src[g]] * out[C.tgt[g]] for g in C.generators)
+    every = sum(into[C.src[g]] * out[C.tgt[g]] for g in C.morphisms)
+    assert (swept, every) == (270_107, 6_061_413)

@@ -1,0 +1,115 @@
+"""Differential tests of ``validate_indexed`` against the full scans of
+``indexed_reference.check_indexed``: the same verdict, the same first error
+(type and args) and, on valid data, the same components and strictness.
+
+The library decides naturality and associativity coherence by Light's
+test on generators; the reference checks every square.  The data is the
+whole corpus and two larger instances, unchanged and under seeded
+single-entry changes made with ``dataclasses.replace``.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from indexed_reference import check_indexed
+from fibcat import validate_indexed
+from fibcat.generators import block_perm_indexed, chain_poset, delta_const, fi_truncated, slice_indexed
+from fibcat.indexed import BadFiberFunctor, CoherenceViolation, CompositorNotIso, UnitorViolation
+
+
+def outcome(check, M):
+    """The type and args of the error ``check`` raises on the data of
+    ``M``, or its strictness, compositor and unitor components."""
+    try:
+        N = check(M.base, M.fibers, M.arrows, M.compositors, M.unitors)
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return type(exc), exc.args
+    return (
+        N.strict,
+        {k: mu.components for k, mu in N.compositors.items()},
+        {x: eta.components for x, eta in N.unitors.items()},
+    )
+
+
+def mutations(M, seed, rounds=3):
+    """Seeded single-entry changes of ``M``, as (kind, indexed category)
+    pairs: a compositor component moved to another iso of its hom-set or
+    replaced by a non-iso, a unitor component moved, and an arrow's image
+    of a morphism swapped for a parallel one."""
+    rng = random.Random(seed)
+
+    def replace_component(table, key, fib, pick):
+        nt = getattr(M, table)[key]
+        c = rng.choice(sorted(nt.components))
+        m = nt.components[c]
+        choices = [h for h in pick(fib, m) if h != m]
+        if not choices:
+            return None
+        nt = dataclasses.replace(nt, components={**nt.components, c: rng.choice(choices)})
+        return dataclasses.replace(M, **{table: {**getattr(M, table), key: nt}})
+
+    def isos(fib, m):
+        return [h for h in fib.hom(fib.src[m], fib.tgt[m]) if h in fib.inverses]
+
+    def non_isos(fib, m):
+        parallel = [h for h in fib.hom(fib.src[m], fib.tgt[m]) if h not in fib.inverses]
+        return parallel or [h for h in fib.morphisms if h not in fib.inverses]
+
+    def moved(fib, m):
+        return [h for h in fib.hom(fib.src[m], fib.tgt[m]) if h != m] or list(fib.morphisms)
+
+    for _ in range(rounds):
+        f, g = rng.choice(sorted(M.compositors))
+        fib = M.fibers[M.base.src[f]]
+        for kind, pick in (("compositor iso", isos), ("compositor non-iso", non_isos)):
+            bad = replace_component("compositors", (f, g), fib, pick)
+            if bad is not None:
+                yield kind, bad
+        x = rng.choice(M.base.objects)
+        bad = replace_component("unitors", x, M.fibers[x], moved)
+        if bad is not None:
+            yield "unitor", bad
+        f = rng.choice(M.base.morphisms)
+        F = M.arrows[f]
+        l = rng.choice(sorted(F.on_morphisms))
+        m, T = F.on_morphisms[l], F.target
+        parallel = [h for h in T.hom(T.src[m], T.tgt[m]) if h != m]
+        if parallel:
+            G = dataclasses.replace(F, on_morphisms={**F.on_morphisms, l: rng.choice(parallel)})
+            yield "arrow", dataclasses.replace(M, arrows={**M.arrows, f: G})
+
+
+@pytest.fixture(scope="module")
+def instances(corpus, idempotent_monoid):
+    """The corpus, two larger instances, and a constant indexed category
+    whose fiber has a non-invertible endomorphism, so that a compositor
+    component can be natural and still not an iso."""
+    return list(corpus) + [
+        ("slice_fi3", slice_indexed(fi_truncated(3))),
+        ("blocks_3_1", block_perm_indexed(3, 1)),
+        ("delta_chain2_idempotent", delta_const(chain_poset(2), idempotent_monoid)),
+    ]
+
+
+def test_instances_match_reference(instances):
+    for name, M in instances:
+        got = outcome(validate_indexed, M)
+        assert got == outcome(check_indexed, M), name
+        assert got[0] is M.strict, name
+
+
+def test_mutations_match_reference(instances):
+    """Every mutation gives the reference's error, and between them the
+    mutations reach every error of the arrow, compositor, unitor and
+    coherence checks, a coherence square of a triple among them."""
+    seen = set()
+    for seed, (name, M) in enumerate(instances):
+        for kind, bad in mutations(M, seed):
+            got = outcome(validate_indexed, bad)
+            assert got == outcome(check_indexed, bad), (name, kind)
+            if got[0] is CoherenceViolation and got[1][0][0] != "compositor":
+                seen.add("triple")
+            seen.add(got[0])
+    assert {BadFiberFunctor, CompositorNotIso, CoherenceViolation, UnitorViolation, "triple"} <= seen

@@ -6,10 +6,10 @@ once, and in the library only the JSON reader calls ``validate_category``,
 which vets raw ids and hands them to ``assemble``.  Builders compose whole
 pairs of blocks; the ones that compose one payload at a time are pinned as
 the callers of ``core.per_composite``.  The library never depends on test
-helpers, the limits, groth, core and functors oracles never depend on the
-library's private search code, no function imports a sibling module, no
-module imports a sibling's underscore name, and no module imports a name
-it does not use.  ``ioformats`` alone decides what an id is, so the
+helpers, the limits, groth, core, functors and indexed oracles never depend
+on the library's private search code, no function imports a sibling
+module, no module imports a sibling's underscore name, and no module
+imports a name it does not use.  ``ioformats`` alone decides what an id is, so the
 validators it hands ids to convert none.
 """
 
@@ -144,6 +144,12 @@ def test_core_oracle_uses_no_private_library_name():
 def test_functors_oracle_uses_no_private_library_name():
     """Likewise the full-loop functor check and Light's test it checks."""
     assert _private_names("functors_reference.py") == []
+
+
+def test_indexed_oracle_uses_no_private_library_name():
+    """Likewise the full-scan indexed-category check and the coherence and
+    naturality checks by Light's test that it checks."""
+    assert _private_names("indexed_reference.py") == []
 
 
 def test_no_function_imports_a_sibling_module():

@@ -1,7 +1,9 @@
-"""The corpus scripts run end to end: ``make_corpus.py`` writes every file
-and ``audit_corpus.py`` prints the pinned verdict table.  Each runs as its
-own process, as a user would run it, in under a second."""
+"""The scripts run end to end: ``make_corpus.py`` writes every file,
+``audit_corpus.py`` prints the pinned verdict table and ``scale_rungs.py``
+times its smallest rung.  Each runs as its own process, as a user would run
+it, in under a second."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -65,3 +67,16 @@ def test_audit_corpus_verdict_table(tmp_path):
     table, total = done.stdout.rsplit("total ", 1)
     assert table == AUDIT_TABLE
     assert total.endswith("s\n")
+
+
+def test_scale_rung_reports_time_and_memory(tmp_path):
+    """One sub-second rung, in its own process, prints one JSON line."""
+    done = _run("scale_rungs.py", "gpow_z2_3", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    (line,) = done.stdout.splitlines()
+    report = json.loads(line)
+    assert sorted(report) == ["maxrss_mb", "rung", "wall_s"]
+    assert report["rung"] == "gpow_z2_3"
+    assert 0 < report["wall_s"] < 30 and report["maxrss_mb"] > 0
+    done = _run("scale_rungs.py", "no_such_rung", cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
