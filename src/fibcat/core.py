@@ -7,24 +7,26 @@ exhaustive search over sorted identifiers.  Ids reach this module as
 strings: ``ioformats`` reads every id in a JSON file and rejects one that
 is not a scalar, so nothing here converts an id.
 
-One path builds every category: ``assemble``, the only constructor of
-``FinCat``, lays out hom-set blocks ``{payload: id}`` and checks the axioms
-once, coding each composite as an ``int32``, its position in its hom-set,
-for a numpy associativity sweep per composable triple of objects (a, b, c).
-Its composer composes a whole pair of blocks at once: ``compose(x, y, z)``
-is an integer array whose entry (i, j) is the position, in the insertion
-order of block (x, z), of the i-th payload of (x, y) followed by the j-th of
-(y, z).  The injection builders of ``generators`` and
-``groth.grothendieck`` compute these arrays with numpy; the small builders
-write a per-composite ``compose(p, q)`` and wrap it in ``per_composite``:
-``subcategory``, ``group_as_category``, and ``generators``' products, slices,
-arrow categories, group powers and relation categories.
-``validate_category`` vets raw ids (JSON files, tests) without a Python
-step per composite: it numbers the morphisms block-major, so that each
-hom-set is one range of codes, reads the composition triples into one
-``int32`` array in a single C-level pass, checks them with array
-operations, and hands the blocks ``{id: id}`` on with a composer that
-slices whole blocks out of one array of composites.
+Each category keeps one integer coding of its composites, its ``Coding``.
+Morphisms are coded block-major, by hom-set in sorted (src, tgt) order and
+then by id, and each code f has one ``int32`` cell per morphism out of tgt
+f, which holds the code of the composite.  Two builders fill the cells, and
+then the same checks (``_checked``) read them, make the string ``table``
+from them and build the ``FinCat``:
+
+* ``assemble`` lays out hom-set blocks ``{payload: id}``, and its composer
+  composes a whole pair of blocks at once: ``compose(x, y, z)`` is an
+  integer array whose entry (i, j) is the position, in the insertion order
+  of block (x, z), of the i-th payload of (x, y) followed by the j-th of
+  (y, z).  The injection builders of ``generators`` and
+  ``groth.grothendieck`` compute these arrays with numpy; the small builders
+  write a per-composite ``compose(p, q)`` and wrap it in ``per_composite``:
+  ``subcategory``, ``group_as_category``, and ``generators``' products,
+  slices, arrow categories, group powers and relation categories.
+* ``validate_category`` vets raw ids (JSON files, tests) without a Python
+  step per composite: it reads the composition triples into one ``int32``
+  array in a single C-level pass, checks them with array operations and
+  writes them straight into the cells.
 
 Errors come in a fixed order.  On raw ids: a pair listed twice
 (``ValueError``), duplicate objects, the morphisms in input order, the
@@ -52,8 +54,8 @@ middle-associative and composable, so is b;c:
 using b, c, b, c in turn.  So the middle-associative morphisms are closed
 under composition, and when S with the identities generates every
 morphism, the category is associative exactly when every g in S is
-middle-associative.  ``assemble`` chooses S deterministically (see
-``_generators``) and sweeps only the triples with a middle morphism in S.
+middle-associative.  The checks choose S deterministically (see
+``_generators``) and sweep only the triples with a middle morphism in S.
 If that sweep fails, the full sweep runs, so the error names the same first
 non-associative triple as a sweep over every triple.
 """
@@ -135,6 +137,8 @@ class FinCat:
     isomorphism to its (unique) two-sided inverse.  ``generators`` is the
     sorted tuple of Light's generating set S, which with the identities
     generates every morphism under composition (see ``_generators``).
+    ``coding`` is the integer coding of the composites that ``table`` spells
+    out (see ``Coding``).
     """
 
     objects: tuple
@@ -147,6 +151,7 @@ class FinCat:
     inverses: dict
     identity_morphisms: frozenset
     generators: tuple
+    coding: "Coding"
     _caches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __repr__(self):
@@ -183,7 +188,63 @@ class FinCat:
         return self._caches.setdefault(key, {})
 
 
-class _Codes(dict):
+@dataclass(frozen=True, eq=False, repr=False)
+class Coding:
+    """The integer coding of a category's composites, built once by
+    ``assemble`` or ``validate_category``.
+
+    Codes are block-major: by hom-set in sorted (src, tgt) order, then by
+    id, so each hom-set is one range of codes and so are the morphisms out
+    of an object.  Objects are numbered by their place in ``objects``.  Each
+    code f has one cell per morphism out of tgt f, from ``row[f]`` on: the
+    cell of (f, g) is ``row[f] + g - out[tgt f]`` and holds the code of f;g.
+    """
+
+    ids: tuple  # the morphism of each code
+    code: dict  # the code of each morphism
+    start: dict  # the first code of each hom-set, in sorted (src, tgt) order
+    src: np.ndarray  # the object number of each code's source
+    tgt: np.ndarray  # and of its target
+    out: np.ndarray  # out[x]: the first code out of object x; out[-1] is n
+    row: np.ndarray  # row[f]: the first cell of f; row[-1] is the number of cells
+    cells: np.ndarray  # the int32 code of each cell's composite
+
+    def cell(self, f, g):
+        """The cells of the codes (f, g), which must be composable."""
+        return self.row[f] + g - self.out[self.src[g]]
+
+    def pairs(self, lo=0, hi=None):
+        """The codes (f, g) of the cells of the codes from ``lo`` to ``hi``,
+        by default of every cell, in cell order."""
+        hi = len(self.ids) if hi is None else hi
+        f = np.repeat(np.arange(lo, hi), np.diff(self.row[lo : hi + 1]))
+        return f, np.arange(self.row[lo], self.row[hi]) - self.row[f] + self.out[self.tgt[f]]
+
+    def positions(self):
+        """The position of each code in its hom-set."""
+        firsts = np.fromiter(self.start.values(), np.int64, len(self.start))
+        sizes = np.diff(np.append(firsts, len(self.ids)))
+        return np.arange(len(self.ids)) - np.repeat(firsts, sizes)
+
+
+def _coding(objects, homs) -> Coding:
+    """The coding of the category on the sorted ``objects`` with hom-sets
+    ``homs``, each a sorted tuple; every cell holds -1 until it is filled."""
+    number = {x: i for i, x in enumerate(objects)}
+    keys = sorted(homs)
+    ids = tuple(itertools.chain.from_iterable(map(homs.__getitem__, keys)))
+    sizes = np.array([len(homs[xy]) for xy in keys], np.int64)
+    src = np.repeat(np.array([number[x] for x, _ in keys], np.int32), sizes)
+    tgt = np.repeat(np.array([number[y] for _, y in keys], np.int32), sizes)
+    width = np.bincount(src, minlength=len(objects))
+    out = np.concatenate(([0], np.cumsum(width)))
+    row = np.concatenate(([0], np.cumsum(width[tgt])))
+    start = dict(zip(keys, (np.cumsum(sizes) - sizes).tolist()))
+    code = dict(zip(ids, range(len(ids))))
+    return Coding(ids, code, start, src, tgt, out, row, np.full(row[-1], -1, np.int32))
+
+
+class _FreshCodes(dict):
     """Morphism ids to codes.  An id that names no morphism gets the next
     free code, so a composition column is coded in one C-level pass and two
     entries name the same pair exactly when their codes agree."""
@@ -241,7 +302,7 @@ def _vet_ids(objects, morphisms, identity):
 
 
 def validate_category(objects, morphisms, identity, composition) -> FinCat:
-    """Vet a category given by raw ids, then build it with ``assemble``.
+    """Vet a category given by raw ids, then check it like ``assemble``.
 
     ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
     maps objects to morphism ids, ``composition`` is an iterable of
@@ -251,33 +312,29 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     twice raises ``ValueError``, before any other error.  The table follows
     block order, not input order.
 
-    The morphisms are coded block-major, by hom-set in block order and then
-    by id, so each hom-set is one range of codes and the morphisms out of
-    an object are one range too.  The composition is coded in one pass, and
-    every composable pair (f, g) gets a cell: the cells of f are a row, one
-    per morphism out of tgt f, so the rows of a hom-set (x, y) are a matrix
-    whose columns for z are the composer's array for (x, y, z).  The checks
-    are array operations; when one fails, a scan names the error that the
-    order in the module docstring puts first.
+    The composition is coded in one C-level pass, checked with array
+    operations and written straight into the cells of the coding; when a
+    check fails, a scan names the error that the order in the module
+    docstring puts first.
     """
     try:
         obs, src, tgt, ident = _vet_ids(objects, morphisms, identity)
     except CategoryError:
         _no_repeated_pair((f, g) for f, g, _ in composition)
         raise
-    return assemble(ident, *_coded_blocks(obs, src, tgt, ident, composition))
-
-
-def _coded_blocks(obs, src, tgt, ident, composition):
-    """The blocks ``{id: id}`` and their composer, for ``assemble``, of a
-    category whose ids ``_vet_ids`` has vetted, once ``composition`` passes
-    the checks that ``validate_category`` makes of it."""
     by_block = sorted(src, key=lambda m: (src[m], tgt[m], m))
-    n = len(by_block)
-    code = _Codes(zip(by_block, itertools.count()))
-    flat = np.fromiter(
-        map(code.__getitem__, itertools.chain.from_iterable(composition)), np.int32
-    )
+    homs = {xy: tuple(ms) for xy, ms in itertools.groupby(by_block, lambda m: (src[m], tgt[m]))}
+    coding = _coding(obs, homs)
+    _read_composition(coding, src, tgt, ident, composition)
+    src, tgt = ({m: ends[m] for m in by_block} for ends in (src, tgt))
+    return _checked(ident, homs, homs, src, tgt, coding)
+
+
+def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composition) -> None:
+    """Fill the cells of ``coding`` from the (first, then, equals) triples
+    of ``composition`` and the unit laws, or raise the first error."""
+    n, code = len(coding.ids), _FreshCodes(coding.code)
+    flat = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(composition)), np.int32)
     if len(flat) % 3:
         raise ValueError("composition entries are not (first, then, equals) triples")
     entries = flat.reshape(-1, 3)
@@ -289,86 +346,44 @@ def _coded_blocks(obs, src, tgt, ident, composition):
 
     # Object numbers of the endpoints of each code; an unknown id gets -1 as
     # source and -2 as target, so it is composable with nothing.
-    number = {x: i for i, x in enumerate(obs)}
     s_of = np.full(len(names), -1, np.int32)
     t_of = np.full(len(names), -2, np.int32)
-    s_of[:n] = [number[src[m]] for m in by_block]
-    t_of[:n] = [number[tgt[m]] for m in by_block]
+    s_of[:n], t_of[:n] = coding.src, coding.tgt
 
     bad = (t_of[first] != s_of[then]) | (equals >= n)
     if bad.any():
         _no_repeated_pair(pairs())
         f, g, h = (names[c] for c in entries[int(np.argmax(bad))].tolist())
-        unknown = [m for m in (f, g, h) if m not in src]
+        unknown = [m for m in (f, g, h) if m not in coding.code]
         if unknown:
             raise UnknownMorphism("composition table mentions %r" % unknown[0])
         raise NonComposablePairInTable((f, g))
 
-    # The cells of f, one per morphism out of tgt f, start at row[f]; the
-    # cell of (f, g) is g's offset among the morphisms out of src g, which
-    # start at code out[src g].
-    width = np.bincount(s_of[:n], minlength=len(obs))
-    out = np.concatenate(([0], np.cumsum(width)[:-1]))
-    row = np.concatenate(([0], np.cumsum(width[t_of[:n]])))
-
-    def cell(f, g):
-        return row[f] + (g - out[s_of[g]])
-
-    at = cell(first, then)
+    at = coding.cell(first, then)
     if len(at) and np.bincount(at).max() > 1:
         _no_repeated_pair(pairs())
 
-    unit = np.array([code[ident[x]] for x in obs], np.int32)
-    is_unit = np.zeros(n, bool)
-    is_unit[unit] = True
-    if ((is_unit[first] & (equals != then)) | (is_unit[then] & (equals != first))).any():
-        given = entries[is_unit[first] | is_unit[then]].tolist()
-        given = {(names[f], names[g]): names[h] for f, g, h in given}
-        for f in sorted(src):
-            for pair in ((ident[src[f]], f), (f, ident[tgt[f]])):
-                if given.get(pair, f) != f:
-                    raise UnitViolation((*pair, given[pair]))
+    cells, c = coding.cells, np.arange(n)
+    cells[at] = equals
+    unit = np.array([code[i] for i in ident.values()], np.int64)
+    for forced in (coding.cell(unit[coding.src], c), coding.cell(c, unit[coding.tgt])):
+        cells[forced] = np.where(cells[forced] < 0, c, cells[forced])
+    _check_units(ident, src, tgt, coding)
 
-    layout = np.full(row[-1], -1, np.int32)
-    layout[at] = equals
-    c = np.arange(n, dtype=np.int32)
-    layout[cell(unit[s_of[:n]], c)] = c
-    layout[cell(c, unit[t_of[:n]])] = c
-
-    blocks, start = {}, {}
-    for i, m in enumerate(by_block):
-        xy = (src[m], tgt[m])
-        if xy not in blocks:
-            blocks[xy], start[xy] = {}, i
-        blocks[xy][m] = m
-
-    def cells(a, x, y, z):
-        """The cells of ``a`` for f: x→y then g: y→z, one row per f."""
-        b, w, o = start[(x, y)], width[number[y]], start[(y, z)] - out[number[y]]
-        rows = a[row[b] : row[b] + len(blocks[(x, y)]) * w].reshape(-1, w)
-        return rows[:, o : o + len(blocks[(y, z)])]
-
-    misplaced = (s_of[equals] != s_of[first]) | (t_of[equals] != t_of[then])
-    if misplaced.any() or (layout < 0).any():
-        wrong = np.zeros(len(layout), bool)
-        wrong[at[misplaced]] = True
-        for (x, y) in blocks:
-            for (y2, z) in blocks:
-                if y2 != y:
-                    continue
-                got, moved = cells(layout, x, y, z), cells(wrong, x, y, z)
-                for err, hit in ((MissingComposite, got < 0), (CompositeEndpointViolation, moved)):
-                    if hit.any():
-                        i, j = map(int, np.argwhere(hit)[0])
-                        f, g = by_block[start[(x, y)] + i], by_block[start[(y, z)] + j]
-                        raise err((f, g) if err is MissingComposite else (f, g, names[got[i, j]]))
-
-    def compose(x, y, z):
-        """Entry (i, j) is the code of the i-th f: x→y then the j-th g: y→z,
-        less the first code of hom(x, z): its position there."""
-        return cells(layout, x, y, z) - start[(x, z)]
-
-    return blocks, compose
+    missing = np.flatnonzero(cells < 0)
+    moved = at[(s_of[equals] != s_of[first]) | (t_of[equals] != t_of[then])]
+    if missing.size or moved.size:
+        # per pair of blocks in block order, the first cell that misses its
+        # composite, else the first whose composite is in the wrong hom-set
+        at = np.concatenate((missing, moved))
+        f = np.searchsorted(coding.row, at, "right") - 1
+        g = at - coding.row[f] + coding.out[coding.tgt[f]]
+        block = np.searchsorted(list(coding.start.values()), np.arange(n), "right")
+        k = np.lexsort((at, np.arange(len(at)) >= len(missing), block[g], block[f]))[0]
+        pair = (coding.ids[f[k]], coding.ids[g[k]])
+        if k < len(missing):
+            raise MissingComposite(pair)
+        raise CompositeEndpointViolation((*pair, coding.ids[cells[at[k]]]))
 
 
 def assemble(identities: dict, blocks: dict, compose) -> FinCat:
@@ -380,13 +395,13 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
     (|blocks[(x, y)]|, |blocks[(y, z)]|) whose entry (i, j) is the position,
     in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
     (x, y) followed by the j-th of (y, z).  Pairs of blocks are composed
-    once, in block order, which fixes the table's order; each position is
-    mapped to its code in hom(x, z), which gives its table entry and its
-    cell in ``rows``.  After an unknown endpoint or a repeated id, errors
-    are the composer's own (see ``per_composite``), then per pair of blocks
-    ``CompositeEndpointViolation((f, g, position))`` for the first position
-    outside block (x, z); then ``MissingIdentity``, ``UnitViolation`` and
-    ``AssociativityViolation``.
+    once each, and each position is mapped to its code, which fills its
+    cell of the coding.  The order of ``blocks`` and of their payloads
+    fixes the order of the table.  After an unknown endpoint or a repeated
+    id, errors are the composer's own (see ``per_composite``), then per pair
+    of blocks ``CompositeEndpointViolation((f, g, position))`` for the first
+    position outside block (x, z); then ``MissingIdentity``,
+    ``UnitViolation`` and ``AssociativityViolation``.
     """
     blocks = {xy: block for xy, block in blocks.items() if block}
     src, tgt = {}, {}
@@ -398,66 +413,47 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
                 raise CategoryError("duplicate morphism identifier %r" % m)
             src[m], tgt[m] = x, y
     homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
+    coding = _coding(tuple(sorted(identities)), homs)
 
-    # The morphisms out of b are laid out by target d, then code: hom(b, d)
-    # starts at column offset[(b, d)] of width[b].  rows[(a, b)] holds at row
-    # i and the column of g the code of f_i;g in hom(a, tgt g).
-    outs, offset, width = {}, {}, {}
-    for (b, d) in sorted(homs):
-        outs.setdefault(b, []).append(d)
-        offset[(b, d)] = width.get(b, 0)
-        width[b] = offset[(b, d)] + len(homs[(b, d)])
-    ids, names, order, later = {}, {}, {}, {}  # later[y]: the blocks out of y, in block order
+    # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
+    # z)]: their columns in the cells of a code into y.
+    ids, codes, columns, later = {}, {}, {}, {}
     for (y, z), qs in blocks.items():
-        pos = {m: i for i, m in enumerate(homs[(y, z)])}
         ids[(y, z)] = list(qs.values())
-        names[(y, z)] = np.array(ids[(y, z)], object)
-        order[(y, z)] = np.fromiter(map(pos.__getitem__, ids[(y, z)]), np.int32, len(qs))
-        later.setdefault(y, []).append((z, offset[(y, z)] + order[(y, z)]))
-
-    table, rows = {}, {}
+        c = codes[(y, z)] = np.array([coding.code[m] for m in qs.values()], np.int64)
+        columns[(y, z)] = c - coding.out[coding.src[c[0]]]
+        later.setdefault(y, []).append(z)
     for (x, y), pids in ids.items():
-        r = rows[(x, y)] = np.empty((len(pids), width.get(y, 0)), np.int32)
-        at_rows = order[(x, y)][:, None]
-        for z, cols in later.get(y, ()):
+        at_rows = coding.row[codes[(x, y)]][:, None]
+        for z in later.get(y, ()):
             at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
             if at.min() < 0 or at.max() >= n:
                 i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
                 raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
-            table.update(zip(itertools.product(pids, qids), names[(x, z)][at.ravel()]))
-            r[at_rows, cols] = order[(x, z)][at]
+            coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
 
     identity = {}
     for x in sorted(identities):
         identity[x] = blocks.get((x, x), {}).get(identities[x])
         if identity[x] is None:
             raise MissingIdentity("object %r has no identity morphism" % x)
+    return _checked(identity, homs, ids, src, tgt, coding)
+
+
+def _checked(
+    identity: dict, homs: dict, members: dict, src: dict, tgt: dict, coding: Coding
+) -> FinCat:
+    """The category whose coding has every cell filled, once the unit laws
+    and associativity hold, checked in that order.  ``identity`` maps the
+    sorted objects to their identities, ``homs`` maps each hom-set to its
+    sorted morphisms, and ``members`` lists them in block order and in
+    insertion order, which fixes the order of the table (see ``_table``)."""
+    is_unit = _check_units(identity, src, tgt, coding)
+    gens = _generators(homs, coding, is_unit)
+    _check_associativity(homs, coding, gens)
+
+    table = _table(coding, members)
     mors = tuple(sorted(src))
-    for f in mors:
-        for pair in ((identity[src[f]], f), (f, identity[tgt[f]])):
-            if table[pair] != f:
-                raise UnitViolation((*pair, table[pair]))
-
-    # stack[c] holds rows[(b, c)] for each b into c in turn, with each code
-    # of g;h in hom(b, d) moved to its column among the morphisms out of b:
-    # these rows, shifted[(b, c)], index the columns of rows[(a, b)].
-    into, stack, shifted = {}, {}, {}
-    for (b, c) in sorted(homs):
-        into.setdefault(c, []).append(b)
-    for c, bs in into.items():
-        stack[c] = np.empty((sum(len(homs[(b, c)]) for b in bs), width[c]), np.int32)
-        i = 0
-        for b in bs:
-            shift = np.concatenate(
-                [np.full(len(homs[(c, d)]), offset[(b, d)], np.int32) for d in outs[c]]
-            )
-            r = shifted[(b, c)] = stack[c][i : i + len(homs[(b, c)])]
-            np.add(rows[(b, c)], shift, out=r)
-            i += len(r)
-    units = {x: homs[(x, x)].index(identity[x]) for x in identity}
-    gens = _generators(homs, offset, width, units, into, stack, shifted)
-    _check_associativity(homs, outs, offset, rows, shifted, gens)
-
     inverses = {}
     for f in mors:
         x, y = src[f], tgt[f]
@@ -467,8 +463,70 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
                 break
 
     objects, id_mors = tuple(identity), frozenset(identity.values())
-    S = tuple(sorted(homs[bc][i] for bc, codes in gens.items() for i in codes.tolist()))
-    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors, S)
+    S = tuple(sorted(coding.ids[k] for k in np.flatnonzero(gens).tolist()))
+    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors, S, coding)
+
+
+def _check_units(identity: dict, src: dict, tgt: dict, coding: Coding):
+    """Raise ``UnitViolation`` for the first morphism by id whose composite
+    with an identity is not itself, else return the mask of the identities."""
+    cells, c = coding.cells, np.arange(len(coding.ids))
+    unit = np.array([coding.code[i] for i in identity.values()], np.int64)
+    left = cells[coding.cell(unit[coding.src], c)]
+    right = cells[coding.cell(c, unit[coding.tgt])]
+    bad = np.flatnonzero((left != c) | (right != c))
+    if bad.size:
+        f = min(coding.ids[k] for k in bad.tolist())
+        k = coding.code[f]
+        if left[k] != k:
+            raise UnitViolation((identity[src[f]], f, coding.ids[left[k]]))
+        raise UnitViolation((f, identity[tgt[f]], coding.ids[right[k]]))
+    return np.isin(c, unit)
+
+
+_ROUND_CELLS = 1 << 16  # cells read per numpy round
+
+
+def _table(coding: Coding, members: dict) -> dict:
+    """The composition table: pairs of blocks in the block order of
+    ``members``, which lists each block's morphisms in insertion order, and
+    the composites of a pair in the order of ``itertools.product``.
+
+    Pair (B, B') starts at place begin[B] + |B|·before[B'] in the table,
+    where begin[B] counts the composites of the blocks before B and
+    before[B'] the morphisms in the blocks before B' out of its source; its
+    composite (f, g) is ins[f]·|B'| + ins[g] further on, ins being the place
+    in the insertion order of a block.
+    """
+    n, row = len(coding.ids), coding.row
+    begin, size, before, ins = (np.empty(n, np.int64) for _ in range(4))
+    width, seen, at = np.diff(coding.out), {}, 0
+    later = {}
+    for (x, y), ms in members.items():
+        codes = np.fromiter(map(coding.code.__getitem__, ms), np.int64, len(ms))
+        begin[codes], size[codes], before[codes] = at, len(ms), seen.get(x, 0)
+        ins[codes] = np.arange(len(ms))
+        at += len(ms) * int(width[coding.tgt[codes[0]]])
+        seen[x] = seen.get(x, 0) + len(ms)
+        later.setdefault(x, []).append(ms)
+    order = np.empty(row[-1], np.int32)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(row, row[lo] + _ROUND_CELLS, "right")) - 1)
+        f, g = coding.pairs(lo, hi)
+        place = begin[f] + size[f] * before[g] + ins[f] * size[g] + ins[g]
+        order[place] = np.arange(row[lo], row[hi])
+        lo = hi
+    names = np.array(coding.ids, object)
+    composites = itertools.chain.from_iterable(
+        names[coding.cells[order[i : i + _ROUND_CELLS]]].tolist()
+        for i in range(0, len(order), _ROUND_CELLS)
+    )
+    table = {}
+    for (x, y), ms in members.items():
+        for qs in later[y]:
+            table.update(zip(itertools.product(ms, qs), composites))
+    return table
 
 
 def per_composite(blocks: dict, compose):
@@ -506,81 +564,58 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     blocks = {}
     for m in morphisms:
         blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m
-    return assemble(
-        {x: C.id_of(x) for x in objects},
-        blocks,
-        per_composite(blocks, C.comp),
-    )
+    return assemble({x: C.id_of(x) for x in objects}, blocks, per_composite(blocks, C.comp))
 
 
 _SWEEP_CELLS = 1 << 20  # composable triples compared per numpy round
 
 
-def _generators(homs, offset, width, units, into, stack, shifted):
-    """The generating set S of Light's test, as ``{(b, c): codes}``: with
-    the identities, S generates every morphism under composition.
+def _generators(homs: dict, coding: Coding, is_unit):
+    """The generating set S of Light's test, as a mask over the codes: with
+    the identities (``is_unit``), S generates every morphism under
+    composition.
 
     S starts as every non-identity that is not a composite of two
     non-identities, which any generating set holds.  While some morphism is
     not made, the least one by (hom-set size, block, code) joins S.  Each
     addition is closed under composition incrementally: only the newly made
     morphisms are composed with what is made, on either side, until nothing
-    new appears.  A morphism is made when its bit is set in a mask over all
-    of them, laid out by source x from ``base[x]`` on as the columns of
-    ``rows[(x, ·)]``; ``units[x]`` is the code of the identity of x.
+    new appears.
     """
-    base, n = {}, 0
-    for x, w in width.items():
-        base[x], n = n, n + w
-    # Row r of stack[y] is the morphism at bit bits[y][r].  Its source's bits
-    # start at starts[y][r], so an entry e of that row, a column of the
-    # morphisms out of the source, is the composite at bit starts[y][r] + e.
-    # The morphism at bit k has target number tgt_of[k] and is row row_of[k].
-    objects = list(width)
-    bits, starts = {}, {}
-    tgt_of, row_of = np.empty(n, np.int32), np.empty(n, np.int32)
-    for k, y in enumerate(objects):
-        xs, sizes = into[y], [len(homs[(x, y)]) for x in into[y]]
-        bits[y] = np.concatenate(
-            [np.arange(m, dtype=np.int32) + base[x] + offset[(x, y)] for x, m in zip(xs, sizes)]
-        )
-        starts[y] = np.repeat(np.array([base[x] for x in xs], np.int32), sizes)
-        tgt_of[bits[y]] = k
-        row_of[bits[y]] = np.arange(len(bits[y]))
-    src_of = np.repeat(np.arange(len(objects)), list(width.values()))
-    unit = {x: base[x] + offset[(x, x)] + u for x, u in units.items()}
+    n, src, tgt, out, row, cells = (
+        len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells,
+    )
+    into = np.split(np.argsort(tgt, kind="stable"), np.cumsum(np.bincount(tgt))[:-1])
+
+    def composites(fs, cols):
+        """The composites of the codes ``fs``, which share a target, with
+        the morphisms in the columns ``cols`` of their cells."""
+        return cells[row[fs][:, None] + cols]
 
     split = np.zeros(n, bool)  # the composites of two non-identities
-    for (x, y), r in shifted.items():
-        cut, mine = unit[y] - base[y], split[base[x] : base[x] + width[x]]
-        for part in (r,) if x != y else (r[: units[x]], r[units[x] + 1 :]):
-            mine[part[:, :cut]] = True
-            mine[part[:, cut + 1 :]] = True
-    made = ~split
-    made[list(unit.values())] = False
-    gens = made.copy()
-    made[list(unit.values())] = True
+    for y, fs in zip(range(len(out) - 1), into):
+        split[composites(fs[~is_unit[fs]], np.flatnonzero(~is_unit[out[y] : out[y + 1]]))] = True
+    gens = ~split & ~is_unit
+    made = gens | is_unit
 
     def close(fresh):
         while True:
             got = np.zeros(n, bool)
             new = np.flatnonzero(fresh)
-            for k in set(tgt_of[new].tolist()):
-                y = objects[k]
-                r = row_of[new[tgt_of[new] == k]]
-                got[stack[y][r][:, made[base[y] : base[y] + width[y]]] + starts[y][r, None]] = True
-            for k in set(src_of[new].tolist()):
-                x = objects[k]
-                r = made[bits[x]]
-                got[stack[x][:, fresh[base[x] : base[x] + width[x]]][r] + starts[x][r, None]] = True
+            ends = tgt[new]
+            for y in set(ends.tolist()):
+                got[composites(new[ends == y], np.flatnonzero(made[out[y] : out[y + 1]]))] = True
+            for x in set(src[new].tolist()):
+                fs = into[x][made[into[x]]]
+                got[composites(fs, np.flatnonzero(fresh[out[x] : out[x + 1]]))] = True
             fresh = got & ~made
             if not fresh.any():
                 return
             made[fresh] = True
 
     close(gens)
-    for m, (b, c) in sorted((len(h), bc) for bc, h in homs.items()):
-        o = base[b] + offset[(b, c)]
+    for m, xy in sorted((len(h), xy) for xy, h in homs.items()):
+        o = coding.start[xy]
         while True:
             free = np.flatnonzero(~made[o : o + m])
             if not free.size:
@@ -588,40 +623,38 @@ def _generators(homs, offset, width, units, into, stack, shifted):
             fresh = np.zeros(n, bool)
             fresh[o + free[0]] = made[o + free[0]] = gens[o + free[0]] = True
             close(fresh)
-
-    out = {}
-    for (b, c), h in homs.items():
-        o = base[b] + offset[(b, c)]
-        codes = np.flatnonzero(gens[o : o + len(h)])
-        if codes.size:
-            out[(b, c)] = codes
-    return out
+    return gens
 
 
-def _check_associativity(homs, outs, offset, rows, shifted, gens=None):
-    """Associativity check on the ``int32`` codes of ``rows``.
+def _check_associativity(homs: dict, coding: Coding, gens=None):
+    """Associativity check on the cells of ``coding``.
 
     One sweep per (a, b, c), (a, b) sorted, then c, covers every d at once:
-    (f;g);h, read from ``rows[(a, c)]`` at the rows that L[a, b, c] (the
-    columns for c of ``rows[(a, b)]``) gives, must equal f;(g;h), read from
-    ``rows[(a, b)]`` at the columns ``shifted[(b, c)]`` gives for g;h.  With
-    ``gens``, only the g in ``gens[(b, c)]`` are swept and a (b, c) without
-    one is skipped (Light's test, see the module docstring); a failure there
+    (f;g);h, read from the rows of hom(a, c) at the codes of f;g, must equal
+    f;(g;h), read from the rows of hom(a, b) at the columns of g;h.  With
+    the mask ``gens``, only the g in it are swept and a (b, c) without one
+    is skipped (Light's test, see the module docstring); a failure there
     reruns the full sweep.  A failing (a, b, c) of the full sweep is
     rescanned d by d, so the ``AssociativityViolation`` names the first
     triple in the order (a, b), c, d, (f, g, h).
     """
-    for (a, b) in sorted(homs):
-        r_ab = rows[(a, b)]
+    rows, outs, swept = {}, {}, {}
+    for (b, c), q in coding.start.items():
+        m, first_out = len(homs[(b, c)]), coding.out[coding.src[q]]
+        rows[(b, c)] = r = coding.cells[coding.row[q] : coding.row[q + m]].reshape(m, -1)
+        outs.setdefault(b, []).append(c)
+        # the g swept: their columns among the morphisms out of b, and the
+        # columns there of their composites with every h
+        g = np.arange(q, q + m) if gens is None else q + np.flatnonzero(gens[q : q + m])
+        if g.size:
+            swept[(b, c)] = g - first_out, (r[g - q] - first_out).ravel()
+    for (a, b), r_ab in rows.items():
         n1 = len(r_ab)
-        for c in outs.get(b, ()):
-            cols = slice(None) if gens is None else gens.get((b, c))
-            if cols is None:
+        for c in outs[b]:
+            if (b, c) not in swept:
                 continue
-            r_ac = rows[(a, c)]
-            o, n2 = offset[(b, c)], len(homs[(b, c)])
-            l_abc = r_ab[:, o : o + n2][:, cols]
-            s = shifted[(b, c)][cols].ravel()
+            cols, s = swept[(b, c)]
+            r_ac, l_abc = rows[(a, c)], r_ab[:, cols] - coding.start[(a, c)]
             chunk = max(1, _SWEEP_CELLS // len(s))
             for i0 in range(0, n1, chunk):
                 i1 = min(n1, i0 + chunk)
@@ -629,29 +662,26 @@ def _check_associativity(homs, outs, offset, rows, shifted, gens=None):
                 right = np.take(r_ab[i0:i1], s, axis=1)
                 if not np.array_equal(left, right):
                     if gens is None:
-                        _raise_first_violation(homs, outs, offset, rows, a, b, c)
-                    _check_associativity(homs, outs, offset, rows, shifted)
+                        _raise_first_violation(homs, coding, rows, outs, a, b, c)
+                    _check_associativity(homs, coding)
                     raise CategoryError("internal error: Light's test failed, the full sweep held")
 
 
-def _raise_first_violation(homs, outs, offset, rows, a, b, c):
+def _raise_first_violation(homs, coding, rows, outs, a, b, c):
     """Rescan a failing (a, b, c) one d at a time and raise the first
     ``AssociativityViolation`` in (d, f, g, h) order."""
-    h1, h2 = homs[(a, b)], homs[(b, c)]
-    r_ab, r_ac, r_bc = rows[(a, b)], rows[(a, c)], rows[(b, c)]
-    o = offset[(b, c)]
-    l_abc = r_ab[:, o : o + len(h2)]
+    start, h1, h2, r_ab, r_bc = coding.start, homs[(a, b)], homs[(b, c)], rows[(a, b)], rows[(b, c)]
+    out_b, out_c = coding.out[coding.tgt[start[(a, b)]]], coding.out[coding.tgt[start[(b, c)]]]
+    fg = r_ab[:, start[(b, c)] - out_b : start[(b, c)] - out_b + len(h2)] - start[(a, c)]
     for d in outs[c]:
-        h3 = homs[(c, d)]
-        ocd, obd = offset[(c, d)], offset[(b, d)]
-        l_acd = r_ac[:, ocd : ocd + len(h3)]
-        l_bcd = r_bc[:, ocd : ocd + len(h3)]
-        l_abd = r_ab[:, obd : obd + len(homs[(b, d)])]
-        for i in range(len(h1)):
-            bad = l_acd[l_abc[i]] != l_abd[i][l_bcd]
+        o, h3 = start[(c, d)] - out_c, homs[(c, d)]
+        l_acd, l_bcd = rows[(a, c)][:, o : o + len(h3)], r_bc[:, o : o + len(h3)] - out_b
+        step = max(1, _SWEEP_CELLS // l_bcd.size)
+        for i0 in range(0, len(h1), step):
+            bad = l_acd[fg[i0 : i0 + step]] != np.take(r_ab[i0 : i0 + step], l_bcd, axis=1)
             if bad.any():
-                j, k = map(int, np.argwhere(bad)[0])
-                raise AssociativityViolation((h1[i], h2[j], h3[k]))
+                i, j, k = map(int, np.argwhere(bad)[0])
+                raise AssociativityViolation((h1[i0 + i], h2[j], h3[k]))
 
 
 # ---------------------------------------------------------------------------

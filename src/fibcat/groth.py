@@ -14,12 +14,11 @@ are identities.
 one segment per base morphism f: x→y, in base order, holding the payloads
 (f, k, b) for k in hom(a, M(f)(b)) in sorted order; it records where each
 segment starts.  Its composer composes whole pairs of blocks with integer
-gathers, never a Python step per composite.  The fibers, as one disjoint
-union, and the base are coded block-major (``_Codes``): each code k has a
-row of cells, one per morphism out of tgt k, holding the code of the
-composite and its position in its hom-set, after one cell for no composite.
-M(f) becomes an array over codes and mu[f, g](c) a code.  For the entries
-(f, k, b) of block (X, Y) and (g, l, c) of the blocks (Y, Z):
+gathers, never a Python step per composite, on the stored codings of the
+fibers, joined as the coding of their disjoint union, and of the base (see
+``core.Coding``): M(f) becomes an array over codes and mu[f, g](c) a code.
+For the entries (f, k, b) of block (X, Y) and (g, l, c) of the blocks
+(Y, Z):
 
     1. u = M(f)(l);mu[f, g](c), which does not depend on a: composed once
        per Y, for every f into y and every entry out of Y;
@@ -31,11 +30,11 @@ The three are gathered for all of (X, Y) against all the blocks out of Y
 at once, a round of rows at a time.  A composite whose segment f;g is not in
 block (X, Z) (an arrow or compositor with the wrong target), or whose fiber
 pair is not composable (an image or a compositor component that starts
-elsewhere), reads the cell for no composite of its row and gets a position
-past every block, which ``assemble`` rejects as a
-``CompositeEndpointViolation``.  Only an indexed category built without
-``validate_indexed`` has such composites; ``tests/core_reference.py`` keeps
-the formula above, one composite at a time, as the oracle.
+elsewhere), is masked and gets a position past every block, which
+``assemble`` rejects as a ``CompositeEndpointViolation``.  Only an indexed
+category built without ``validate_indexed`` has such composites;
+``tests/core_reference.py`` keeps the formula above, one composite at a
+time, as the oracle.
 
 For any functor P, phi: a→b over f: x→y is cartesian when, for every object
 t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
@@ -45,7 +44,6 @@ of sets, the per-object form ``limits`` uses for pullback terminality.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -155,60 +153,6 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     return GrothResult(M, total, proj, obj_of, mor_of, obj_id, mor_id)
 
 
-class _Codes:
-    """The morphisms of some categories, as those of their disjoint union,
-    coded block-major: by category, then hom-set in sorted order, then id.
-    ``code[i]``, ``number[i]`` and ``first[i]`` map the morphisms, the
-    objects and the hom-sets of the i-th category to codes, object numbers
-    and first codes; its codes start at ``start[i]`` and its object numbers
-    at ``start_obj[i]``.  ``index[k]`` is k's position in its hom-set.  The
-    code ``none`` = n stands for no morphism, with endpoints -1 and -2.
-
-    The cells of a code k start at ``row[k]``: one for no composite, then
-    one per morphism l out of tgt k, at ``row[k] + 1 + offset[l]``, where
-    ``offset[l]`` is l's index among the morphisms out of src l.
-    ``composite`` holds each cell's composite, ``none`` in the first cell of
-    each row, and ``position`` the composite's position in its hom-set,
-    ``past`` in the first cell.
-    """
-
-    def __init__(self, cats: list, past: int):
-        self.code, self.number, self.first, self.start, self.start_obj = [], [], [], [], []
-        src, tgt, sizes, entries = [], [], [], []
-        n = n_obj = 0
-        for C in cats:
-            homs = sorted(C.homs)
-            names = [m for h in homs for m in C.homs[h]]
-            code = dict(zip(names, range(n, n + len(names))))
-            number = {x: i for i, x in enumerate(C.objects, n_obj)}
-            self.code.append(code)
-            self.number.append(number)
-            self.first.append({h: code[C.homs[h][0]] for h in homs})
-            self.start.append(n)
-            self.start_obj.append(n_obj)
-            src += [number[C.src[m]] for m in names]
-            tgt += [number[C.tgt[m]] for m in names]
-            sizes += [len(C.homs[h]) for h in homs]
-            triples = ((p, q, r) for (p, q), r in C.table.items())
-            entries.append(map(code.__getitem__, itertools.chain.from_iterable(triples)))
-            n, n_obj = n + len(names), n_obj + len(C.objects)
-        self.none = n
-        self.src = np.array(src + [-1], np.int32)
-        self.tgt = np.array(tgt + [-2], np.int32)
-        width = np.bincount(self.src[:n], minlength=n_obj)
-        codes = np.arange(n, dtype=np.int32)
-        self.offset = np.full(n + 1, -1, np.int32)
-        self.offset[:n] = codes - (np.cumsum(width) - width)[self.src[:n]]
-        self.row = np.zeros(n + 1, np.int32)
-        self.row[1:] = np.cumsum(1 + width[self.tgt[:n]])
-        p, q, r = np.fromiter(itertools.chain.from_iterable(entries), np.int32).reshape(-1, 3).T
-        self.composite = np.full(self.row[n], n, np.int32)
-        self.composite[self.row[p] + 1 + self.offset[q]] = r
-        self.index = np.full(n + 1, past, np.int32)
-        self.index[:n] = codes - np.repeat(np.cumsum(sizes, dtype=np.int32) - sizes, sizes)
-        self.position = self.index[self.composite]
-
-
 _ROUND_CELLS = 1 << 16  # composites gathered per numpy round
 
 
@@ -222,30 +166,57 @@ def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
     base, fibers, arrows, mus = M.base, M.fibers, M.arrows, M.compositors
     past = sum(map(len, blocks.values()))  # a position past every block
     nth = {x: i for i, x in enumerate(base.objects)}
-    F = _Codes([fibers[x] for x in base.objects], past)
-    B = _Codes([base], past)
-    none, base_code, targets = F.none, B.code[0], F.tgt.tolist()
+
+    # The codings of the fibers joined into one of their disjoint union: the
+    # codes, object numbers and cells of the i-th fiber start at code0[i],
+    # obj0[i] and cell0[i].  The code ``none`` stands for no morphism, with
+    # endpoints -1 and -2.  offset[k] is k's place among the morphisms out
+    # of its source, so the cell of (k, l) is row[k] + offset[l], and
+    # position[cell] is the place of the cell's composite in its hom-set.
+    codings = [fibers[x].coding for x in base.objects]
+    code0, obj0, cell0 = [0], [0], [0]
+    for c in codings:
+        code0.append(code0[-1] + len(c.ids))
+        obj0.append(obj0[-1] + len(c.out) - 1)
+        cell0.append(cell0[-1] + len(c.cells))
+    none = code0[-1]
+
+    def joined(arrays, *end):
+        return np.concatenate([*arrays, np.array(end, np.int32)], dtype=np.int32)
+
+    src = joined((c.src + o for c, o in zip(codings, obj0)), -1)
+    tgt = joined((c.tgt + o for c, o in zip(codings, obj0)), -2)
+    offset = joined((np.arange(len(c.ids)) - c.out[c.src] for c in codings), 0)
+    row = joined((c.row[:-1] + o for c, o in zip(codings, cell0)), cell0[-1])
+    composite = joined(c.cells + o for c, o in zip(codings, code0))
+    position = joined(c.positions()[c.cells] for c in codings)
+    numbers = [{a: j for j, a in enumerate(fibers[x].objects)} for x in base.objects]
+    targets_of = [c.tgt.tolist() for c in codings]
+
+    # The base's coding: the cell of (f, g) is b_row[f] + b_offset[g].
+    B = base.coding
+    base_code, b_row, b_index = B.code, B.row, B.positions()
+    b_offset, b_position = np.arange(len(B.ids)) - B.out[B.src], b_index[B.cells]
 
     # mu[mu_at[cell] + c]: the code of mu[f, g](c), for the base cell of
     # (f, g) and the number of c; none where it does not end at M(f;g)(c).
+    bf, bg = B.pairs()
+
     def mu_codes():
-        for (f, g), h in base.table.items():
+        for f, g, h in zip(bf.tolist(), bg.tolist(), B.cells.tolist()):
+            f, g, h = B.ids[f], B.ids[g], B.ids[h]
             i = nth[base.src[f]]
-            code, number = F.code[i], F.number[i]
+            code, targets, number = codings[i].code, targets_of[i], numbers[i]
             comps, ob = mus[(f, g)].components, arrows[h].on_objects
             for c in fibers[base.tgt[g]].objects:
-                k = code.get(comps.get(c), none)
-                yield k if targets[k] == number.get(ob.get(c), -3) else none
+                k = code.get(comps.get(c), -1)
+                yield k if k >= 0 and targets[k] == number.get(ob.get(c), -1) else -1
 
-    mu, n = np.fromiter(mu_codes(), np.int32), len(base.table)
-    f_code = np.fromiter((base_code[f] for f, _ in base.table), np.int32, n)
-    g_code = np.fromiter((base_code[g] for _, g in base.table), np.int32, n)
-    z = np.fromiter((nth[base.tgt[g]] for _, g in base.table), np.int32, n)
-    width = np.array([len(fibers[x].objects) for x in base.objects], np.int32)[z]
-    mu_at = np.zeros(len(B.composite), np.int32)
-    mu_at[B.row[f_code] + 1 + B.offset[g_code]] = (
-        np.cumsum(width) - width - np.array(F.start_obj, np.int32)[z]
-    )
+    z = B.tgt[bg]
+    width = np.array([len(fibers[x].objects) for x in base.objects], np.int64)[z]
+    mu = np.fromiter(mu_codes(), np.int32, int(width.sum()))
+    mu = np.where(mu < 0, none, mu + np.repeat(np.array(code0, np.int32)[B.src[bf]], width))
+    mu_at = np.cumsum(width) - width - np.array(obj0)[z]
 
     # Row r of image[y] and image_ob[y] is M(f) on the codes and on the
     # objects of the fiber over y, for the r-th base morphism f into y; none
@@ -257,21 +228,16 @@ def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
     for y, fs in into.items():
         into_row.update((f, r) for r, f in enumerate(fs))
         into_code[y] = np.array([base_code[f] for f in fs], np.int32)
-        sources = [nth[base.src[f]] for f in fs]
-        image[y] = np.array(
-            [
-                [F.code[i].get(m, none) for m in map(arrows[f].on_morphisms.get, F.code[nth[y]])]
-                for f, i in zip(fs, sources)
-            ],
-            np.int32,
-        ).reshape(len(fs), -1)
-        image_ob[y] = np.array(
-            [
-                [F.number[i].get(o, -3) for o in map(arrows[f].on_objects.get, fibers[y].objects)]
-                for f, i in zip(fs, sources)
-            ],
-            np.int32,
-        ).reshape(len(fs), -1)
+        on_codes, on_objects = [], []
+        for f in fs:
+            i = nth[base.src[f]]
+            code, number, Mf = codings[i].code, numbers[i], arrows[f]
+            ks = [code.get(m, -1) for m in map(Mf.on_morphisms.get, codings[nth[y]].ids)]
+            obs = [number.get(o, -1) for o in map(Mf.on_objects.get, fibers[y].objects)]
+            on_codes.append([k + code0[i] if k >= 0 else none for k in ks])
+            on_objects.append([o + obj0[i] if o >= 0 else -3 for o in obs])
+        image[y] = np.array(on_codes, np.int32).reshape(len(fs), -1)
+        image_ob[y] = np.array(on_objects, np.int32).reshape(len(fs), -1)
 
     # The blocks by source, each source's in block order, as one run of
     # segments and one run of entries.  Per segment of base morphism h in
@@ -288,15 +254,15 @@ def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
     n_starts, n_entries = max(map(len, base.homs.values()), default=0), 0
     for x, ys in outs.items():
         x0, a = obj_of[x]
-        hom_first = F.first[nth[x0]]
+        i0, hom_first = code0[nth[x0]], codings[nth[x0]].start
         for i, y in enumerate(ys):
             (y0, b), cut, n = obj_of[y], segments[(x, y)], len(blocks[(x, y)])
             run[(x, y)] = slice(len(hs), len(hs) + len(cut)), slice(n_entries, n_entries + n)
-            region[(x, y)] = n_starts
-            per_block.append((len(cut), F.number[nth[y0]][b], i, n_starts, n_entries))
+            region[(x, y)], b_number = n_starts, obj0[nth[y0]] + numbers[nth[y0]][b]
+            per_block.append((len(cut), b_number, i, n_starts, n_entries))
             hs += cut
             cut_at += cut.values()
-            firsts += [hom_first[(a, arrows[h].ob(b))] for h in cut]
+            firsts += [i0 + hom_first[(a, arrows[h].ob(b))] for h in cut]
             n_starts += len(base.homs[(x0, y0)])
             n_entries += n
     counts, seg_b, seg_i, seg_region, block_at = np.array(per_block, np.int32).reshape(-1, 5).T
@@ -307,13 +273,13 @@ def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
     seg_at = np.repeat(block_at, counts) + seg_start  # each segment's first entry
     sizes = np.diff(np.append(seg_at, n_entries))
     starts = np.full(n_starts, past, np.int32)
-    starts[seg_region + B.index[seg_h]] = seg_start
+    starts[seg_region + b_index[seg_h]] = seg_start
     entry_seg = np.repeat(np.arange(len(hs), dtype=np.int32), sizes)
     entry_kth = entry_seg - np.repeat(np.cumsum(counts) - counts, counts)[entry_seg]
     shift = np.array(firsts, np.int32) - seg_at
     entry_code = np.arange(n_entries, dtype=np.int32) + np.repeat(shift, sizes)
     entry_into = seg_into[entry_seg]
-    entry_row = F.row[entry_code]
+    entry_row = row[entry_code]
     columns, later, rows = {}, {}, {}
     uses = Counter(y for _, y in blocks)  # the blocks into y not yet composed
 
@@ -332,43 +298,46 @@ def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
 
     def after(y):
         """For the i-th base morphism f into y0, y = (y0, b), and the j-th
-        entry (g, l, c) out of y: 1 + the offset of u = M(f)(l);mu[f, g](c)
-        among the morphisms out of M(f)(b), 0 for none; and per segment of
-        g, the position of f;g in its base hom-set."""
+        entry (g, l, c) out of y: the offset of u = M(f)(l);mu[f, g](c) among
+        the morphisms out of M(f)(b), and the mask of the (i, j) for which
+        there is no such u; and per segment of g, the position of f;g in its
+        base hom-set."""
         if y not in later:
             y0, b = obj_of[y]
             s, e, g_seg = out_of(y)[:3]
-            cell = B.row[into_code[y0]][:, None] + 1 + B.offset[seg_h[s]]
+            cell = b_row[into_code[y0]][:, None] + b_offset[seg_h[s]]
             mu_fl = mu[mu_at[cell] + seg_b[s]].take(g_seg, axis=1)
-            mapped = image[y0].take(entry_code[e] - F.start[nth[y0]], axis=1)
-            source = image_ob[y0][:, F.number[nth[y0]][b] - F.start_obj[nth[y0]], None]
-            ok = (F.src[mapped] == source) & (F.tgt[mapped] == F.src[mu_fl])
-            u = F.composite[np.where(ok, F.row[mapped] + 1 + F.offset[mu_fl], 0)]
-            later[y] = F.offset[u] + 1, B.position[cell]
+            mapped = image[y0].take(entry_code[e] - code0[nth[y0]], axis=1)
+            source = image_ob[y0][:, numbers[nth[y0]][b], None]
+            ok = (src[mapped] == source) & (tgt[mapped] == src[mu_fl])
+            u = composite[np.where(ok, row[mapped] + offset[mu_fl], 0)]
+            later[y] = np.where(ok, offset[u], 0), ~ok, b_position[cell]
         return later[y]
 
     def composites(x, y):
         """Entry (i, j): the position in block (x, z) of the i-th entry of
         block (x, y) then the j-th entry out of y, or ``past`` if it is not
         there."""
-        (s, e), (_, _, g_seg, z_seg, _), (u, fg) = run[(x, y)], out_of(y), after(y)
+        (s, e), (_, _, g_seg, z_seg, _), (u, no_u, fg) = run[(x, y)], out_of(y), after(y)
         uses[y] -= 1
         if not uses[y]:
             del later[y]
         zs = np.fromiter((region.get((x, z), 0) for z in outs[y]), np.int32, len(outs[y]))
         start = starts[fg.take(seg_into[s], axis=0) + zs[z_seg]]
         # k;u by the cell of k, its position in its hom-set, then in block
-        # (x, z); a round of rows at a time, so that no temporary, the intp
-        # copy of an index that ``take`` makes included, outgrows a round
-        into, row, kth = entry_into[e], entry_row[e], entry_kth[e]
+        # (x, z), past every block where there is no u; a round of rows at a
+        # time, so that no temporary, the intp copy of an index that
+        # ``take`` makes included, outgrows a round
+        into, k_row, kth = entry_into[e], entry_row[e], entry_kth[e]
         at = np.empty((len(into), len(g_seg)), np.int32)
         step = max(1, _ROUND_CELLS // max(1, len(g_seg)))
         for i in range(0, len(into), step):
             r = slice(i, i + step)
             cells = u.take(into[r], axis=0)
-            cells += row[r, None]
-            cells = F.position.take(cells)
+            cells += k_row[r, None]
+            cells = position.take(cells)
             cells += start.take(kth[r], axis=0).take(g_seg, axis=1)
+            np.copyto(cells, past, where=no_u.take(into[r], axis=0))
             at[r] = cells
         return np.minimum(at, past, out=at)
 

@@ -25,6 +25,7 @@ oracle for the block composer of ``fibcat.groth``.
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from fibcat.core import (
     AssociativityViolation,
     CategoryError,
     CompositeEndpointViolation,
-    FinCat,
     MissingComposite,
     MissingIdentity,
     NonComposablePairInTable,
@@ -46,8 +46,9 @@ def intern_id(s: str) -> str:
     return sys.intern(str(s))
 
 
-def validate_category(objects, morphisms, identity, composition) -> FinCat:
-    """Check the category axioms exhaustively and return a ``FinCat``.
+def validate_category(objects, morphisms, identity, composition) -> SimpleNamespace:
+    """Check the category axioms exhaustively and return the fields of the
+    ``FinCat``, without its integer coding.
 
     ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
     maps objects to morphism ids, ``composition`` maps composable pairs
@@ -121,7 +122,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
                 inverses[f] = g
                 break
 
-    return FinCat(
+    return SimpleNamespace(
         objects=obs,
         morphisms=mors,
         src=src,
@@ -136,7 +137,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     )
 
 
-def assemble(identities: dict, blocks: dict, compose) -> FinCat:
+def assemble(identities: dict, blocks: dict, compose) -> SimpleNamespace:
     """Validate the category whose hom-sets are ``blocks``.
 
     ``blocks`` maps (x, y) to ``{payload: morphism id}`` for the morphisms

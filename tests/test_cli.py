@@ -5,11 +5,13 @@ import pytest
 
 from fibcat.cli import main
 from fibcat.generators import (
+    block_perm_indexed,
     chain_poset,
     delta_const,
     discrete_category,
     fi_truncated,
     indexed_gpow,
+    slice_indexed,
     terminal_category,
 )
 from fibcat.groups import cyclic_group
@@ -257,6 +259,22 @@ def test_theorem_search_flag(workdir, capsys):
     code, out, _ = run(capsys, "theorem", "d.json", "--search", "--budget", "50000")
     assert code == 0
     assert "h4 weakly reversible:             True" in out
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: slice_indexed(fi_truncated(2)), lambda: block_perm_indexed(2, 1)]
+)
+def test_theorem_search_that_finds_nothing_fails_h4(workdir, capsys, build):
+    """An exhausted witness search is a failed check, exit 1, not an input
+    error; an exhausted budget stays one."""
+    open("m.json", "w").write(stable_dumps(indexed_to_json(build())))
+    code, out, err = run(capsys, "--json", "theorem", "m.json", "--search")
+    rep = json.loads(out)
+    assert (code, err) == (1, "")
+    assert rep["verdict"]["h4_weakly_reversible"] is False
+    assert "bounded search found no witness" in rep["notes"]
+    code, out, err = run(capsys, "theorem", "m.json", "--search", "--budget", "0")
+    assert (code, out) == (2, "") and "SearchBudgetExceeded" in err
 
 
 def test_non_utf8_file_is_input_error(workdir, capsys):

@@ -32,6 +32,12 @@ def test_terminal_category_valid():
     assert C.comp("id", "id") == "id"
 
 
+def test_empty_category_valid():
+    """No objects: both builders give the empty category."""
+    for C in (validate_category([], [], {}, []), assemble({}, {}, per_composite({}, None))):
+        assert (C.objects, C.morphisms, C.table, C.generators) == ((), (), {}, ())
+
+
 def test_fi2_hom_count_matches_enumeration(fi2):
     # oracle: injections {1}->{1,2} enumerated directly
     assert len(list(itertools.permutations(range(2), 1))) == 2

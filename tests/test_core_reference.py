@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 
 import core_reference as ref
+import random_categories as rm
 from fibcat import CategoryError, core, generators, groth, groups, grothendieck
 from fibcat.cli import main
 from fibcat.core import (
@@ -171,7 +172,7 @@ CASES = [pytest.param(name, id=name.removesuffix("_category")) for name in CATEG
 MUTATIONS_PER_KIND = 10
 
 
-def mutations(C, seed):
+def mutations(C, seed, rounds=MUTATIONS_PER_KIND):
     """Seeded single-entry changes of ``C.table``, as (kind, table) pairs."""
     rng = random.Random(seed)
     pairs = sorted(C.table)
@@ -179,7 +180,7 @@ def mutations(C, seed):
     def hom_of(f, g):
         return C.homs[(C.src[f], C.tgt[g])]
 
-    for _ in range(MUTATIONS_PER_KIND):
+    for _ in range(rounds):
         wide = [p for p in pairs if len(hom_of(*p)) > 1]
         if wide:
             p = rng.choice(wide)
@@ -499,6 +500,31 @@ BUILDERS = {
 def test_builders_match_reference_assemble(checked_assemble, name):
     BUILDERS[name]()
     assert checked_assemble
+
+
+RANDOM_MONOIDS, RANDOM_SUBCATEGORIES, RANDOM_MUTATIONS = 40, 20, 5
+
+
+def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct):
+    """Random transformation monoids and random generated subcategories of
+    FI_3 and of FI_Z2 with N = 2 are built by ``assemble`` and read from
+    their files like the reference builds and reads them, and so are a few
+    single-entry mutations of each file."""
+    rng = random.Random(19)
+    built = []
+    for _ in range(RANDOM_MONOIDS):
+        identities, blocks, compose = rm.transformation_monoid(rng)
+        built.append(core.assemble(identities, blocks, per_composite(blocks, compose)))
+    for C in (fi3, fi_z2_2_direct):
+        for _ in range(RANDOM_SUBCATEGORIES):
+            built.append(core.subcategory(C, *rm.generated_subcategory(rng, C)))
+    assert len(checked_assemble) == len(built)
+    for seed, C in enumerate(built):
+        assert library(C, C.table) == oracle(C, C.table) == fields(C, False), seed
+        for kind, table in mutations(C, seed, RANDOM_MUTATIONS):
+            assert library(C, table) == oracle(C, table), (seed, kind)
+    assert max(len(C.morphisms) for C in built) > 20
+    assert {len(C.objects) for C in built} >= {1, 2, 3}
 
 
 def test_assemble_differs_only_on_a_payload_outside_its_block():

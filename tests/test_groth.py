@@ -27,6 +27,7 @@ from fibcat import (
 from fibcat.groth import cartesian_factor, fiber_iso_to_indexed_fiber
 from fibcat.generators import (
     delta_const,
+    discrete_category,
     indexed_gpow,
     slice_indexed,
     terminal_category,
@@ -332,6 +333,15 @@ def test_fiber_of_constant_projection_is_the_fiber_category(fi2):
         iso = fiber_iso_to_indexed_fiber(gr, x)
         assert functor_properties(iso).equivalence
         assert len(iso.target.morphisms) == len(fi2.morphisms)
+
+
+@pytest.mark.parametrize("empty", ["base", "fibers"])
+def test_empty_total_category(empty):
+    """An empty base, or empty fibers, give the empty total category."""
+    nothing, point = discrete_category(""), terminal_category()
+    M = delta_const(nothing, point) if empty == "base" else delta_const(point, nothing)
+    total = grothendieck(M).total
+    assert (total.objects, total.morphisms, total.table) == ((), (), {})
 
 
 def test_total_morphism_id_collision_is_rejected():

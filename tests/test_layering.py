@@ -1,9 +1,10 @@
 """Structural checks on the library source, read with ``ast``.
 
-``core.assemble`` is the one constructor of ``FinCat``: every category,
-built by the library or read from raw ids, is laid out and checked there
-once, and in the library only the JSON reader calls ``validate_category``,
-which vets raw ids and hands them to ``assemble``.  Builders compose whole
+Every category, built by the library with ``core.assemble`` or read from
+raw ids with ``core.validate_category``, is coded once and checked once by
+the stage the two share, the one caller of the ``FinCat`` constructor; in
+the library only the JSON reader calls ``validate_category``, and no module
+but ``core`` codes a category.  Builders compose whole
 pairs of blocks; the ones that compose one payload at a time are pinned as
 the callers of ``core.per_composite``.  The library never depends on test
 helpers, the limits, groth, core, functors and indexed oracles never depend
@@ -67,20 +68,40 @@ def _references(tree, target, calls=False):
     return found
 
 
+def _callers(target, calls):
+    return sorted(
+        "%s.%s" % (name, where)
+        for name, tree in _modules()
+        for where in _references(tree, target, calls)
+    )
+
+
 def test_validate_category_has_exactly_two_callers():
-    """The two seams of the one path: ``core.assemble`` alone calls the
-    ``FinCat`` constructor, and ``ioformats.category_from_json`` alone
-    mentions ``validate_category``."""
+    """The seams of the one path: ``core._checked``, the checks that
+    ``assemble`` and ``validate_category`` share, alone calls the ``FinCat``
+    constructor, and ``ioformats.category_from_json`` alone mentions
+    ``validate_category``."""
+    assert _callers("FinCat", True) == ["core._checked"]
+    assert _callers("_checked", True) == ["core.assemble", "core.validate_category"]
+    assert _callers("validate_category", False) == ["ioformats.category_from_json"]
 
-    def callers(target, calls):
-        return sorted(
-            "%s.%s" % (name, where)
-            for name, tree in _modules()
-            for where in _references(tree, target, calls)
-        )
 
-    assert callers("FinCat", True) == ["core.assemble"]
-    assert callers("validate_category", False) == ["ioformats.category_from_json"]
+def test_only_core_codes_a_category():
+    """A category's integer coding is built once, by ``core``, and kept on
+    ``FinCat``: ``core._coding`` alone calls the ``Coding`` constructor, no
+    module keeps a coder of its own, and the Grothendieck composer reads the
+    stored codings of the fibers and the base, never a string table."""
+    modules = dict(_modules())
+    assert _callers("Coding", True) == ["core._coding"]
+    classes = {n.name for t in modules.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    assert "_Codes" not in classes
+    (composer,) = [
+        node
+        for node in ast.walk(modules["groth"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_block_composer"
+    ]
+    read = {node.attr for node in ast.walk(composer) if isinstance(node, ast.Attribute)}
+    assert "coding" in read and "table" not in read
 
 
 def test_per_composite_callers_are_pinned():

@@ -27,7 +27,9 @@ from fibcat.generators import (
     codiscrete_category,
     cospan_poset,
     delta_const,
+    fi_truncated,
     inj_id,
+    slice_indexed,
     square_poset,
     terminal_category,
     thin_category,
@@ -78,6 +80,36 @@ def test_invalid_witness_names_the_law(gr_zpow2_3, z2):
     )
     with pytest.raises(WitnessInvalid):
         validate_witness(M, bad)
+
+
+def test_witness_endpoints_are_compared_by_identity():
+    """A pushforward whose source or target is an equal copy of the fiber,
+    not the fiber itself, is named as such, not as a unit that fails."""
+    M = delta_const(chain_poset(2), fi_truncated(2))
+    w = invertible_arrow_witness(M)
+    validate_witness(M, w)
+    f = next(m for m in M.base.morphisms if not M.base.is_identity(m))
+    x, y = M.base.src[f], M.base.tgt[f]
+    copy = fi_truncated(2)
+    same = {m: m for m in copy.morphisms}, {a: a for a in copy.objects}
+    for push, which in (
+        (identity_functor(copy), "source"),
+        (validate_functor(M.fiber_at(x), copy, same[1], same[0]), "target"),
+        (validate_functor(copy, M.fiber_at(y), same[1], same[0]), "source"),
+    ):
+        bad = WeakReversibilityWitness({**w.pushforwards, f: push}, w.units)
+        with pytest.raises(WitnessInvalid) as caught:
+            validate_witness(M, bad)
+        assert caught.value.args == (("pushforward " + which, f),)
+
+
+def test_exhausted_search_fails_h4():
+    """A search that finds no pushforward is a failed hypothesis, with a
+    note, not an error."""
+    M = slice_indexed(fi_truncated(2))
+    hyp = check_hypotheses(M, None, search=True, budget=50_000)
+    assert hyp.h4.counterexample == (("no pushforward found by search", "0>1:"),)
+    assert not hyp.h4.holds and "bounded search found no witness" in hyp.notes
 
 
 def test_vacuous_h2_path(swap_indexed):
