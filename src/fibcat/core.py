@@ -11,8 +11,8 @@ Each category keeps one integer coding of its composites, its ``Coding``.
 Morphisms are coded block-major, by hom-set in sorted (src, tgt) order and
 then by id, and each code f has one ``int32`` cell per morphism out of tgt
 f, which holds the code of the composite.  Two builders fill the cells, and
-then the same checks (``_checked``) read them, make the string ``table``
-from them and build the ``FinCat``:
+then the same checks (``_checked``) read them and build the ``FinCat``,
+whose string ``table`` is derived from the cells when it is first read:
 
 * ``assemble`` lays out hom-set blocks ``{payload: id}``, and its composer
   composes a whole pair of blocks at once: ``compose(x, y, z)`` is an
@@ -62,6 +62,7 @@ non-associative triple as a sweep over every triple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
@@ -137,8 +138,10 @@ class FinCat:
     isomorphism to its (unique) two-sided inverse.  ``generators`` is the
     sorted tuple of Light's generating set S, which with the identities
     generates every morphism under composition (see ``_generators``).
-    ``coding`` is the integer coding of the composites that ``table`` spells
-    out (see ``Coding``).
+    ``coding`` is the integer coding of the composites (see ``Coding``), and
+    ``table`` spells it out: it is made from the cells the first time it is
+    read and kept, in cell order, which is the order of (src f, tgt f, f,
+    tgt g, g), so it depends on the category alone, not on how it was built.
     """
 
     objects: tuple
@@ -146,7 +149,6 @@ class FinCat:
     src: dict
     tgt: dict
     identity: dict
-    table: dict
     homs: dict
     inverses: dict
     identity_morphisms: frozenset
@@ -159,6 +161,10 @@ class FinCat:
             len(self.objects),
             len(self.morphisms),
         )
+
+    @functools.cached_property
+    def table(self) -> dict:
+        return _table(self.coding)
 
     def comp(self, first: str, then: str) -> str:
         """Composite of ``first`` followed by ``then``."""
@@ -309,13 +315,14 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     ``(first, then, equals)`` triples, read once; composites with an
     identity on either side may be omitted, the unit laws force them.  Ids
     are strings, each object and morphism id interned once.  A pair listed
-    twice raises ``ValueError``, before any other error.  The table follows
-    block order, not input order.
+    twice raises ``ValueError``, before any other error.
 
     The composition is coded in one C-level pass, checked with array
-    operations and written straight into the cells of the coding; when a
-    check fails, a scan names the error that the order in the module
-    docstring puts first.
+    operations and written straight into the cells of the coding, which
+    ``_checked`` then checks as it checks ``assemble``'s; when a check
+    fails, a scan names the error that the order in the module docstring
+    puts first.  Only the coding is made: ``FinCat.table`` is derived from
+    it when first read.
     """
     try:
         obs, src, tgt, ident = _vet_ids(objects, morphisms, identity)
@@ -327,7 +334,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     coding = _coding(obs, homs)
     _read_composition(coding, src, tgt, ident, composition)
     src, tgt = ({m: ends[m] for m in by_block} for ends in (src, tgt))
-    return _checked(ident, homs, homs, src, tgt, coding)
+    return _checked(ident, homs, src, tgt, coding)
 
 
 def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composition) -> None:
@@ -396,8 +403,7 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
     in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
     (x, y) followed by the j-th of (y, z).  Pairs of blocks are composed
     once each, and each position is mapped to its code, which fills its
-    cell of the coding.  The order of ``blocks`` and of their payloads
-    fixes the order of the table.  After an unknown endpoint or a repeated
+    cell of the coding.  After an unknown endpoint or a repeated
     id, errors are the composer's own (see ``per_composite``), then per pair
     of blocks ``CompositeEndpointViolation((f, g, position))`` for the first
     position outside block (x, z); then ``MissingIdentity``,
@@ -437,34 +443,31 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
         identity[x] = blocks.get((x, x), {}).get(identities[x])
         if identity[x] is None:
             raise MissingIdentity("object %r has no identity morphism" % x)
-    return _checked(identity, homs, ids, src, tgt, coding)
+    return _checked(identity, homs, src, tgt, coding)
 
 
-def _checked(
-    identity: dict, homs: dict, members: dict, src: dict, tgt: dict, coding: Coding
-) -> FinCat:
+def _checked(identity: dict, homs: dict, src: dict, tgt: dict, coding: Coding) -> FinCat:
     """The category whose coding has every cell filled, once the unit laws
     and associativity hold, checked in that order.  ``identity`` maps the
-    sorted objects to their identities, ``homs`` maps each hom-set to its
-    sorted morphisms, and ``members`` lists them in block order and in
-    insertion order, which fixes the order of the table (see ``_table``)."""
+    sorted objects to their identities and ``homs`` maps each hom-set to its
+    sorted morphisms."""
     is_unit = _check_units(identity, src, tgt, coding)
     gens = _generators(homs, coding, is_unit)
     _check_associativity(homs, coding, gens)
 
-    table = _table(coding, members)
-    mors = tuple(sorted(src))
-    inverses = {}
-    for f in mors:
-        x, y = src[f], tgt[f]
-        for g in homs.get((y, x), ()):
-            if table[(f, g)] == identity[x] and table[(g, f)] == identity[y]:
-                inverses[f] = g
-                break
+    # g is the inverse of f when both composites are identities; it is
+    # unique, as the category is associative.
+    cells, row, ids = coding.cells, coding.row, coding.ids
+    at = np.flatnonzero(is_unit[cells])
+    f = np.searchsorted(row, at, "right") - 1
+    g = at - row[f] + coding.out[coding.tgt[f]]
+    back = is_unit[cells[coding.cell(g, f)]]
+    fs, gs = (map(ids.__getitem__, k[back].tolist()) for k in (f, g))
+    inverses = dict(sorted(zip(fs, gs)))
 
-    objects, id_mors = tuple(identity), frozenset(identity.values())
-    S = tuple(sorted(coding.ids[k] for k in np.flatnonzero(gens).tolist()))
-    return FinCat(objects, mors, src, tgt, identity, table, homs, inverses, id_mors, S, coding)
+    objects, mors, id_mors = tuple(identity), tuple(sorted(src)), frozenset(identity.values())
+    S = tuple(sorted(ids[k] for k in np.flatnonzero(gens).tolist()))
+    return FinCat(objects, mors, src, tgt, identity, homs, inverses, id_mors, S, coding)
 
 
 def _check_units(identity: dict, src: dict, tgt: dict, coding: Coding):
@@ -487,45 +490,17 @@ def _check_units(identity: dict, src: dict, tgt: dict, coding: Coding):
 _ROUND_CELLS = 1 << 16  # cells read per numpy round
 
 
-def _table(coding: Coding, members: dict) -> dict:
-    """The composition table: pairs of blocks in the block order of
-    ``members``, which lists each block's morphisms in insertion order, and
-    the composites of a pair in the order of ``itertools.product``.
-
-    Pair (B, B') starts at place begin[B] + |B|·before[B'] in the table,
-    where begin[B] counts the composites of the blocks before B and
-    before[B'] the morphisms in the blocks before B' out of its source; its
-    composite (f, g) is ins[f]·|B'| + ins[g] further on, ins being the place
-    in the insertion order of a block.
-    """
-    n, row = len(coding.ids), coding.row
-    begin, size, before, ins = (np.empty(n, np.int64) for _ in range(4))
-    width, seen, at = np.diff(coding.out), {}, 0
-    later = {}
-    for (x, y), ms in members.items():
-        codes = np.fromiter(map(coding.code.__getitem__, ms), np.int64, len(ms))
-        begin[codes], size[codes], before[codes] = at, len(ms), seen.get(x, 0)
-        ins[codes] = np.arange(len(ms))
-        at += len(ms) * int(width[coding.tgt[codes[0]]])
-        seen[x] = seen.get(x, 0) + len(ms)
-        later.setdefault(x, []).append(ms)
-    order = np.empty(row[-1], np.int32)
-    lo = 0
+def _table(coding: Coding) -> dict:
+    """The composition table in cell order, its names gathered one round of
+    at most ``_ROUND_CELLS`` cells at a time."""
+    n, row, names = len(coding.ids), coding.row, np.array(coding.ids, object)
+    table, lo = {}, 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(row, row[lo] + _ROUND_CELLS, "right")) - 1)
         f, g = coding.pairs(lo, hi)
-        place = begin[f] + size[f] * before[g] + ins[f] * size[g] + ins[g]
-        order[place] = np.arange(row[lo], row[hi])
+        h = coding.cells[row[lo] : row[hi]]
+        table.update(zip(zip(names[f].tolist(), names[g].tolist()), names[h].tolist()))
         lo = hi
-    names = np.array(coding.ids, object)
-    composites = itertools.chain.from_iterable(
-        names[coding.cells[order[i : i + _ROUND_CELLS]]].tolist()
-        for i in range(0, len(order), _ROUND_CELLS)
-    )
-    table = {}
-    for (x, y), ms in members.items():
-        for qs in later[y]:
-            table.update(zip(itertools.product(ms, qs), composites))
     return table
 
 

@@ -15,7 +15,7 @@ closed under composition, and since the generating set S of the source
 preserves every composite exactly when every g in S is preserved.  Only the
 pairs (f, g) with g in S are looked up; if one fails, the full loop over
 the source's table runs, so the error names the same first pair as a check
-of every composite.
+of every composite: the first in cell order (see ``FinCat``).
 
 ``validate_nat_trans`` checks naturality squares the same way.  Let F and
 G be functors and α a family of components typed α_x: F(x) → G(x).  Every
@@ -128,8 +128,9 @@ def identity_functor(C: FinCat) -> FinFunctor:
 
 
 def compose_functors(F: FinFunctor, G: FinFunctor) -> FinFunctor:
-    """F followed by G (so the classical composite G∘F)."""
-    if F.target is not G.source and F.target.objects != G.source.objects:
+    """F followed by G (so the classical composite G∘F).  G must start at
+    the very category F ends at; an equal copy is another category."""
+    if F.target is not G.source:
         raise NotAFunctor("composition endpoint mismatch")
     return FinFunctor(
         F.source,

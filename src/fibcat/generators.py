@@ -245,13 +245,20 @@ def fi_g_direct(G: GroupTable, N: int) -> FinCat:
     )
 
 
-def _tuple_id(parts) -> str:
+def tuple_id(parts) -> str:
+    """The id ``(a,b,...)`` of a tuple of ids: a morphism of ``gpow_fiber``
+    or an object of a power fiber; ``_parse_tuple_id`` reads it back."""
     return "(%s)" % ",".join(parts)
+
+
+def _parse_tuple_id(tid: str) -> tuple:
+    inner = tid[1:-1]
+    return tuple(inner.split(",")) if inner else ()
 
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     """The one-object groupoid G^n; morphisms are n-tuples of elements."""
-    blocks = {("*", "*"): {t: _tuple_id(t) for t in itertools.product(G.elements, repeat=n)}}
+    blocks = {("*", "*"): {t: tuple_id(t) for t in itertools.product(G.elements, repeat=n)}}
     return assemble(
         {"*": (G.unit,) * n},
         blocks,
@@ -271,7 +278,7 @@ def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
         src_fib, tgt_fib = fibers[str(n)], fibers[str(m)]
         on_m = {}
         for t in itertools.product(G.elements, repeat=n):
-            on_m[_tuple_id(t)] = _tuple_id(tuple(t[i] for i in imgs))
+            on_m[tuple_id(t)] = tuple_id(tuple(t[i] for i in imgs))
         arrows[f] = validate_functor(src_fib, tgt_fib, {"*": "*"}, on_m)
     return validate_indexed(base, fibers, arrows)
 
@@ -286,9 +293,8 @@ def fi_g_comparison(G: GroupTable, N: int, gr: GrothResult = None):
     on_morphisms = {}
     for t, tm in gr.mor_of.items():
         m, n, imgs = parse_inj(tm.base_part)
-        decs = tm.fiber_part[1:-1]
-        parts = tuple(decs.split(",")) if decs else ()
-        on_morphisms[t] = dec_id(m, n, imgs, tuple(G.inv[d] for d in parts))
+        decs = _parse_tuple_id(tm.fiber_part)
+        on_morphisms[t] = dec_id(m, n, imgs, tuple(G.inv[d] for d in decs))
     F = validate_functor(gr.total, direct, on_objects, on_morphisms)
     return F, functor_properties(F)
 
@@ -365,12 +371,20 @@ def product_check(X: FinCat, Y: FinCat, gr: GrothResult = None) -> ProductCheck:
 
 
 def _power_fiber(inner: FinCat, n: int) -> FinCat:
-    """n-fold product of a category with itself; tuples joined with ';'."""
-    return _product(
-        (inner,) * n,
-        lambda t: "(%s)" % ",".join(t),
-        lambda t: "(%s)" % ";".join(t),
-    )
+    """n-fold product of a category with itself; objects are named by
+    ``tuple_id``, morphisms by ``_mor_tuple_id``."""
+    return _product((inner,) * n, tuple_id, _mor_tuple_id)
+
+
+def _mor_tuple_id(parts) -> str:
+    """The id ``(f;g;...)`` of a morphism of a power fiber, its tuple of
+    morphism ids joined with ';'; ``_parse_mor_tuple`` reads it back."""
+    return "(%s)" % ";".join(parts)
+
+
+def _parse_mor_tuple(mid: str) -> tuple:
+    inner = mid[1:-1]
+    return tuple(inner.split(";")) if inner else ()
 
 
 def block_perm_indexed(N: int, Q: int) -> IndexedCat:
@@ -383,25 +397,15 @@ def block_perm_indexed(N: int, Q: int) -> IndexedCat:
         m, n, imgs = parse_inj(f)
         src_fib, tgt_fib = fibers[str(n)], fibers[str(m)]
         on_o = {
-            "(%s)" % ",".join(t): "(%s)" % ",".join(t[i] for i in imgs)
+            tuple_id(t): tuple_id([t[i] for i in imgs])
             for t in itertools.product(inner.objects, repeat=n)
         }
         on_m = {
-            "(%s)" % ";".join(t): "(%s)" % ";".join(t[i] for i in imgs)
+            _mor_tuple_id(t): _mor_tuple_id([t[i] for i in imgs])
             for t in itertools.product(inner.morphisms, repeat=n)
         }
         arrows[f] = validate_functor(src_fib, tgt_fib, on_o, on_m)
     return validate_indexed(base, fibers, arrows)
-
-
-def _parse_obj_tuple(oid: str):
-    inner = oid[1:-1]
-    return tuple(inner.split(",")) if inner else ()
-
-
-def _parse_mor_tuple(mid: str):
-    inner = mid[1:-1]
-    return tuple(inner.split(";")) if inner else ()
 
 
 def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
@@ -410,7 +414,7 @@ def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
     target = fi_truncated(N * Q)
     on_objects, sizes_of = {}, {}
     for t, (nstr, sizes_id) in gr.obj_of.items():
-        sizes = tuple(int(s) for s in _parse_obj_tuple(sizes_id))
+        sizes = tuple(int(s) for s in _parse_tuple_id(sizes_id))
         sizes_of[t] = sizes
         on_objects[t] = str(sum(sizes))
     on_morphisms = {}

@@ -149,7 +149,9 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     would hide a misspelt or stale id.  The arrow at f: x→y must run from
     the fiber object given for y to the one given for x; an equal copy of a
     fiber is another category.  A compositor keeps the path (M(g), M(f))
-    as its source (see ``functors.validate_nat_trans``).
+    as its source (see ``functors.validate_nat_trans``).  Compositors are
+    checked pair by pair in the order of ``base.table``, cell order (see
+    ``FinCat``), so that order names the first that fails.
     """
     fibers = dict(fibers)
     arrows = dict(arrows)

@@ -33,7 +33,7 @@ from .functors import (
     validate_nat_trans,
 )
 from .fitype import FiTypeReport, check_fi_type, endomorphism_invertibility
-from .generators import parse_inj
+from .generators import parse_inj, tuple_id
 from .groth import GrothResult, fiber, fiber_inclusion, grothendieck
 from .indexed import IndexedCat
 from .limits import (
@@ -88,7 +88,7 @@ def gpow_witness(G, M: IndexedCat) -> WeakReversibilityWitness:
             w = [G.unit] * n
             for i, img in enumerate(imgs):
                 w[img] = t[i]
-            on_m["(%s)" % ",".join(t)] = "(%s)" % ",".join(w)
+            on_m[tuple_id(t)] = tuple_id(w)
         pushforwards[f] = validate_functor(fx, fy, {"*": "*"}, on_m)
         units[f] = {"*": fx.id_of("*")}
     return WeakReversibilityWitness(pushforwards, units)

@@ -667,7 +667,7 @@ def test_theorem_negative_budget_is_input_error(workdir, capsys):
 
 
 def test_json_table_does_not_depend_on_composition_order(workdir, capsys):
-    """A category read from JSON lays its table out in block order, so the
+    """A category read from JSON lays its table out in cell order, so the
     first composite a functor breaks is the same whatever the file order."""
     fi2 = category_to_json(fi_truncated(2))
     backwards = {**fi2, "composition": fi2["composition"][::-1]}

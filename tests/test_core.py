@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,9 @@ from fibcat import (
     validate_category,
 )
 from fibcat.core import assemble, per_composite
-from fibcat.generators import codiscrete_category, fi_truncated, inj_id
+from fibcat.generators import codiscrete_category, fi_g_direct, fi_truncated, inj_id
 from fibcat.groups import automorphism_group, group_as_category, symmetric_group
+from fibcat.ioformats import category_from_json, category_to_json
 
 
 def test_terminal_category_valid():
@@ -292,3 +294,26 @@ def test_predicates_agree_with_brute_force_on_total_category(gr_zpow2_3):
     _, gr = gr_zpow2_3
     assert is_transitive(gr.total).holds == _brute_transitive(gr.total)
     assert iso_classes(gr.total) == _brute_iso_classes(gr.total)
+
+
+def test_table_is_derived_from_the_cells_on_first_read(z2, fi4):
+    """Building or loading a category makes its coding and leaves the string
+    ``table`` unmade until it is first read; it then lists the pairs in cell
+    order, by (src f, tgt f, f, tgt g, g).  ``inverses``, read off the
+    cells, agree with a loop over the table."""
+    for C in (fi_g_direct(z2, 4), category_from_json(category_to_json(fi4))):
+        assert "table" not in vars(C)
+        assert "table" not in {f.name for f in fields(C)}
+        inverses = {}
+        for f in C.morphisms:
+            x, y = C.src[f], C.tgt[f]
+            for g in C.hom(y, x):
+                if C.table[(f, g)] == C.id_of(x) and C.table[(g, f)] == C.id_of(y):
+                    inverses[f] = g
+                    break
+        assert list(C.inverses.items()) == list(inverses.items())
+        assert "table" in vars(C)
+        src, tgt = C.src, C.tgt
+        assert list(C.table) == sorted(
+            C.table, key=lambda p: (src[p[0]], tgt[p[0]], p[0], tgt[p[1]], p[1])
+        )

@@ -9,17 +9,18 @@ single-entry mutations of each (a wrong composite in the right hom-set, a
 composite in the wrong hom-set, a deleted pair) and on hand-built tables
 whose first error a batched sweep could misreport, both give the same
 outcome: the same ``FinCat`` fields, or the same exception class with the
-same args.  The table is compared as a dict: a table read from raw ids
-follows block order, not input order.  The composition columns of a file
-are coded and checked as arrays, so their mutations (an unknown id in each
-column, a pair that is not composable, a pair listed twice, a wrong
+same args.  The table is compared as a dict.  The composition columns of a
+file are coded and checked as arrays, so their mutations (an unknown id in
+each column, a pair that is not composable, a pair listed twice, a wrong
 identity composite) are checked too, with the exit code of ``fibcat
 validate``.
 
 Through ``assemble``: every library build below also runs the reference
 ``assemble`` on the same blocks, its block composer decoded into the
-reference's per-composite one, and must give the same fields, the table's
-insertion order included.
+reference's per-composite one, and must give the same fields; the library
+lists its table in cell order (see ``cell_order``), whatever the order of
+the blocks and payloads, and so exactly as the category's file, read back,
+does.
 
 The numpy composer of FI, FI_G and coloured FI is checked, for every
 composable pair of blocks, against the reference formulas one composite at a
@@ -71,15 +72,20 @@ FIELDS = (
 )
 
 
-def fields(C, ordered):
-    """The fields of ``C``; with ``ordered``, also the table's key order."""
-    got = tuple(getattr(C, name) for name in FIELDS)
-    return got + (list(C.table),) if ordered else got
+def fields(C):
+    return tuple(getattr(C, name) for name in FIELDS)
 
 
-def outcome(build, *args, ordered=False):
+def cell_order(C):
+    """The pairs of ``C.table`` in cell order: by the hom-set and id of the
+    first morphism, then the target and id of the second."""
+    src, tgt = C.src, C.tgt
+    return sorted(C.table, key=lambda p: (src[p[0]], tgt[p[0]], p[0], tgt[p[1]], p[1]))
+
+
+def outcome(build, *args):
     try:
-        return fields(build(*args), ordered)
+        return fields(build(*args))
     except CategoryError as exc:
         return (type(exc), exc.args)
 
@@ -201,7 +207,7 @@ def mutations(C, seed, rounds=MUTATIONS_PER_KIND):
 @pytest.mark.parametrize("name", CASES)
 def test_valid_categories_match_reference(request, name):
     C = request.getfixturevalue(name)
-    assert library(C, C.table) == oracle(C, C.table) == fields(C, False)
+    assert library(C, C.table) == oracle(C, C.table) == fields(C)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -440,14 +446,16 @@ def decoded(identities, blocks, compose):
 @pytest.fixture()
 def checked_assemble(monkeypatch):
     """Make every ``assemble`` a builder calls also run the reference on the
-    same arguments, decoded; the fields, table order included, must agree.
-    Returns the table sizes of the categories built, in build order."""
+    same arguments, decoded; the fields must agree, and the library's table
+    must list the reference's in cell order.  Returns the table sizes of
+    the categories built, in build order."""
     real, calls = core.assemble, []
 
     def checked(identities, blocks, compose):
         C = real(identities, blocks, compose)
         expected = ref.assemble(*decoded(identities, blocks, compose))
-        assert fields(C, True) == fields(expected, True)
+        assert fields(C) == fields(expected)
+        assert list(C.table) == cell_order(expected)
         calls.append(len(C.table))
         return C
 
@@ -509,7 +517,9 @@ def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct
     """Random transformation monoids and random generated subcategories of
     FI_3 and of FI_Z2 with N = 2 are built by ``assemble`` and read from
     their files like the reference builds and reads them, and so are a few
-    single-entry mutations of each file."""
+    single-entry mutations of each file.  The monoids' payloads come in a
+    shuffled order and each file lists its composites shuffled, yet the
+    category read back lists its table exactly as the one built does."""
     rng = random.Random(19)
     built = []
     for _ in range(RANDOM_MONOIDS):
@@ -520,7 +530,12 @@ def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct
             built.append(core.subcategory(C, *rm.generated_subcategory(rng, C)))
     assert len(checked_assemble) == len(built)
     for seed, C in enumerate(built):
-        assert library(C, C.table) == oracle(C, C.table) == fields(C, False), seed
+        objects, morphisms, identity, _ = raw(C, C.table)
+        entries = [(f, g, h) for (f, g), h in C.table.items()]
+        rng.shuffle(entries)
+        read_back = category_from_json(document(objects, morphisms, identity, entries))
+        assert list(read_back.table) == list(C.table), seed
+        assert library(C, C.table) == oracle(C, C.table) == fields(C), seed
         for kind, table in mutations(C, seed, RANDOM_MUTATIONS):
             assert library(C, table) == oracle(C, table), (seed, kind)
     assert max(len(C.morphisms) for C in built) > 20
@@ -676,7 +691,7 @@ def groth_assembled(monkeypatch, M):
 
     monkeypatch.setattr(groth, "assemble", capture)
     try:
-        got = fields(grothendieck(M).total, True)
+        got = fields(grothendieck(M).total)
     except CategoryError as exc:
         got = (type(exc), exc.args)
     monkeypatch.undo()
@@ -771,7 +786,7 @@ def test_malformed_indexed_category_fails_like_the_formula(monkeypatch, fi2, z2)
         for kind, bad in indexed_mutations(M, seed):
             got, (identities, blocks, _) = groth_assembled(monkeypatch, bad)
             formula = formula_composer(bad, blocks)
-            want = outcome(core.assemble, identities, blocks, formula, ordered=True)
+            want = outcome(core.assemble, identities, blocks, formula)
             assert got == want, kind
             if isinstance(got[0], type):
                 caught.add((kind, got[0]))

@@ -23,8 +23,10 @@ from fibcat.generators import (
     indexed_gpow,
     inj_id,
     parse_dec,
+    thin_category,
 )
 from fibcat.groth import grothendieck
+from fibcat.ioformats import category_from_json, category_to_json
 from fibcat.groups import cyclic_group
 
 
@@ -109,6 +111,28 @@ def test_nat_trans_square_violation(fi2):
 def test_compose_functors_and_equality(fi2):
     F = identity_functor(fi2)
     assert functors_equal(compose_functors(F, F), F)
+
+
+def test_compose_functors_needs_the_very_middle_category(fi2):
+    """G must start at the category F ends at, not at another category on
+    the same objects, nor at an equal copy of it."""
+    F = identity_functor(fi2)
+    same_objects = thin_category(["0", "1", "2"], lambda a, b: a <= b)
+    for other in (same_objects, fi_truncated(2)):
+        with pytest.raises(NotAFunctor) as caught:
+            compose_functors(F, identity_functor(other))
+        assert caught.value.args == ("composition endpoint mismatch",)
+
+
+def test_first_composite_not_preserved_follows_cell_order(fi4):
+    """The full check walks the source's table, which lists its pairs in
+    cell order, so that order names the first composite not preserved."""
+    C = category_from_json(category_to_json(fi4))
+    mor = {f: f for f in C.morphisms}
+    mor.update({"2>3:2,1": "2>3:2,0", "2>4:1,3": "2>4:2,3"})
+    with pytest.raises(NotAFunctor) as caught:
+        validate_functor(C, C, {x: x for x in C.objects}, mor)
+    assert caught.value.args == (("composite not preserved", "1>2:0", "2>4:1,3"),)
 
 
 def test_identity_nat_trans_is_valid(fi2):

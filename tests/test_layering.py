@@ -2,7 +2,8 @@
 
 Every category, built by the library with ``core.assemble`` or read from
 raw ids with ``core.validate_category``, is coded once and checked once by
-the stage the two share, the one caller of the ``FinCat`` constructor; in
+the stage the two share, the one caller of the ``FinCat`` constructor,
+which reads the cells of the coding and never the string table; in
 the library only the JSON reader calls ``validate_category``, and no module
 but ``core`` codes a category.  Builders compose whole
 pairs of blocks; the ones that compose one payload at a time are pinned as
@@ -84,6 +85,32 @@ def test_validate_category_has_exactly_two_callers():
     assert _callers("FinCat", True) == ["core._checked"]
     assert _callers("_checked", True) == ["core.assemble", "core.validate_category"]
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
+
+
+def test_checks_read_only_the_cells():
+    """``core._checked`` and the checks it runs read the coding alone: no
+    build or load makes the string ``table``, which ``FinCat`` derives from
+    the cells when it is first read."""
+    checks = {
+        "_checked",
+        "_check_units",
+        "_generators",
+        "_check_associativity",
+        "_raise_first_violation",
+    }
+    found = [
+        node
+        for node in ast.walk(dict(_modules())["core"])
+        if isinstance(node, ast.FunctionDef) and node.name in checks
+    ]
+    assert {node.name for node in found} == checks
+    read = {
+        getattr(node, "attr", getattr(node, "id", None))
+        for f in found
+        for node in ast.walk(f)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert "cells" in read and not read & {"table", "_table"}
 
 
 def test_only_core_codes_a_category():

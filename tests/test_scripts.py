@@ -1,7 +1,8 @@
 """The scripts run end to end: ``make_corpus.py`` writes every file,
-``audit_corpus.py`` prints the pinned verdict table and ``scale_rungs.py``
-times its smallest rung.  Each runs as its own process, as a user would run
-it, in under a second."""
+``corpus_outputs.py`` records the CLI's output on it, ``audit_corpus.py``
+prints the pinned verdict table and ``scale_rungs.py`` times its smallest
+rung.  Each runs as its own process, as a user would run it, in a few
+seconds at most."""
 
 import json
 import os
@@ -29,17 +30,23 @@ semidirect_z2_on_z3        1     6       ok       ok       ok       ok       ok
 """
 
 
-def _run(script, *args, cwd):
+def _start(script, *args, cwd):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run(
+    return subprocess.Popen(
         [sys.executable, str(ROOT / "scripts" / script), *map(str, args)],
         cwd=cwd,
         env=env,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=60,
     )
+
+
+def _run(script, *args, cwd):
+    proc = _start(script, *args, cwd=cwd)
+    out, err = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_make_corpus_writes_every_file(tmp_path):
@@ -59,6 +66,21 @@ def test_make_corpus_writes_every_file(tmp_path):
         "slice.json",
         "square_poset.json",
     ]
+
+
+def test_corpus_outputs_are_reproducible(tmp_path):
+    """Two runs of ``corpus_outputs.py``, side by side, write the same tree:
+    the 10 corpus files, 5 totals, 5 projections and 40 recorded runs."""
+    outdirs = [tmp_path / "a", tmp_path / "b"]
+    procs = [_start("corpus_outputs.py", out, cwd=tmp_path) for out in outdirs]
+    trees = []
+    for out, proc in zip(outdirs, procs):
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (0, "")
+        assert stdout == "40 runs recorded in %s/runs/\n" % out
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 60
+    assert trees[0] == trees[1]
 
 
 def test_audit_corpus_verdict_table(tmp_path):
