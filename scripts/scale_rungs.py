@@ -29,6 +29,8 @@ RUNGS = {
     "gpow_z3_5": lambda: indexed_gpow(cyclic_group(3), 5),
     # the FI_Z3 total category for N=4: indexed category and Grothendieck construction
     "fi_z3_4_total": lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total,
+    # the FI_Z2 total category for N=5: 7,060 morphisms, 25.8M composites
+    "fi_z2_5_total": lambda: grothendieck(indexed_gpow(cyclic_group(2), 5)).total,
 }
 
 

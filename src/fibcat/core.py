@@ -194,6 +194,9 @@ class FinCat:
         return self._caches.setdefault(key, {})
 
 
+_ROUND_CELLS = 1 << 16  # cells read per numpy round
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Coding:
     """The integer coding of a category's composites, built once by
@@ -225,6 +228,21 @@ class Coding:
         hi = len(self.ids) if hi is None else hi
         f = np.repeat(np.arange(lo, hi), np.diff(self.row[lo : hi + 1]))
         return f, np.arange(self.row[lo], self.row[hi]) - self.row[f] + self.out[self.tgt[f]]
+
+    def rounds(self, size=_ROUND_CELLS):
+        """The codes split, in order, into runs (lo, hi) of at most ``size``
+        cells, or of one code where that alone has more."""
+        lo, n = 0, len(self.ids)
+        while lo < n:
+            hi = max(lo + 1, int(np.searchsorted(self.row, self.row[lo] + size, "right")) - 1)
+            yield lo, hi
+            lo = hi
+
+    @functools.cached_property
+    def into(self) -> list:
+        """``into[x]``: the codes into object x, by source and then id."""
+        ends = np.bincount(self.tgt, minlength=len(self.out) - 1)
+        return np.split(np.argsort(self.tgt, kind="stable"), np.cumsum(ends)[:-1])
 
     def positions(self):
         """The position of each code in its hom-set."""
@@ -487,20 +505,14 @@ def _check_units(identity: dict, src: dict, tgt: dict, coding: Coding):
     return np.isin(c, unit)
 
 
-_ROUND_CELLS = 1 << 16  # cells read per numpy round
-
-
 def _table(coding: Coding) -> dict:
     """The composition table in cell order, its names gathered one round of
-    at most ``_ROUND_CELLS`` cells at a time."""
-    n, row, names = len(coding.ids), coding.row, np.array(coding.ids, object)
-    table, lo = {}, 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(row, row[lo] + _ROUND_CELLS, "right")) - 1)
+    ``Coding.rounds`` at a time."""
+    row, names, table = coding.row, np.array(coding.ids, object), {}
+    for lo, hi in coding.rounds():
         f, g = coding.pairs(lo, hi)
         h = coding.cells[row[lo] : row[hi]]
         table.update(zip(zip(names[f].tolist(), names[g].tolist()), names[h].tolist()))
-        lo = hi
     return table
 
 
@@ -560,7 +572,7 @@ def _generators(homs: dict, coding: Coding, is_unit):
     n, src, tgt, out, row, cells = (
         len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells,
     )
-    into = np.split(np.argsort(tgt, kind="stable"), np.cumsum(np.bincount(tgt))[:-1])
+    into = coding.into
 
     def composites(fs, cols):
         """The composites of the codes ``fs``, which share a target, with

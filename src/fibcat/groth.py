@@ -369,23 +369,30 @@ def _over_map(P: FinFunctor) -> dict:
 
 def is_cartesian(P: FinFunctor, phi: str) -> bool:
     """Full universal property: the hom-set bijection of the module
-    docstring at every t, as equal sizes and no two psi with one image.  An
-    object with no map into b has no pair and no map into a either."""
+    docstring at every t, as equal sizes and no two psi with one image,
+    counted on the cells of the two codings with ``P.code_map()``.
+
+    Per t, |hom(t, a)| must equal the number of pairs: the sum over theta:
+    t→b of the number of g: P(t)→x with g;f = P(theta), read off a count of
+    every g;f, as the source of g;f is that of g.  An object with no map
+    into b has no pair and no map into a either, so the sizes are compared
+    at every object at once.  No two psi may share (P(psi), psi;phi); as
+    psi;phi starts at t, pairs from distinct t never meet, so the pairs of
+    all t are compared at once."""
     A, X = P.source, P.target
     if phi not in A.src:
         raise UnknownMorphism(phi)
     cache = P.cache("cartesian")
     if phi in cache:
         return cache[phi]
-    a, b, f = A.src[phi], A.tgt[phi], P.mor(phi)
-
-    def bijective(t):
-        psis = A.hom(t, a)
-        over_f = Counter(X.table[(g, f)] for g in X.hom(P.ob(t), X.src[f]))
-        pairs = sum(over_f[P.mor(theta)] for theta in A.hom(t, b))
-        return len(psis) == pairs == len({(P.mor(psi), A.table[(psi, phi)]) for psi in psis})
-
-    cache[phi] = result = all(bijective(t) for t in A.objects if A.hom(t, b))
+    ac, xc, m = A.coding, X.coding, P.code_map()
+    p = ac.code[phi]
+    f, psis, thetas = m[p], ac.into[ac.src[p]], ac.into[ac.tgt[p]]
+    sizes = np.bincount(ac.src[psis], minlength=len(A.objects))
+    over_f = np.bincount(xc.cells[xc.cell(xc.into[xc.src[f]], f)], minlength=len(X.morphisms))
+    pairs = np.bincount(ac.src[thetas], weights=over_f[m[thetas]], minlength=len(A.objects))
+    images = m[psis] * len(A.morphisms) + ac.cells[ac.cell(psis, p)]
+    cache[phi] = result = np.array_equal(sizes, pairs) and len(np.unique(images)) == len(psis)
     return result
 
 

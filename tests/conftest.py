@@ -4,8 +4,11 @@ Session scope matters: pullback and weak-pushout caches live on category
 instances, so reusing them keeps whole-corpus audits fast.
 """
 
+import random
+
 import pytest
 
+import random_categories
 from fibcat import (
     grothendieck,
     identity_functor,
@@ -18,6 +21,7 @@ from fibcat.generators import (
     chain_poset,
     delta_const,
     discrete_category,
+    fi_g_direct,
     fi_truncated,
     indexed_gpow,
     slice_indexed,
@@ -71,6 +75,20 @@ def fi3():
 @pytest.fixture(scope="session")
 def fi4():
     return fi_truncated(4)
+
+
+@pytest.fixture(scope="session")
+def fi_z2_2_direct(z2):
+    return fi_g_direct(z2, 2)
+
+
+@pytest.fixture(scope="session")
+def seeded_categories(fi3, fi_z2_2_direct):
+    """The 80 seeded random categories of ``random_categories``: 40
+    transformation monoids and 20 generated subcategories each of FI_3 and
+    of FI_Z2 with N = 2."""
+    rng = random.Random(random_categories.SEED)
+    return random_categories.seeded_categories(rng, (fi3, fi_z2_2_direct))
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,21 @@
-"""Seeded random finite categories, for differential tests of ``fibcat.core``.
+"""Seeded random finite categories, for differential tests of ``fibcat``.
 
 ``transformation_monoid`` is the one-object category of the maps of at most
 four points that a few random maps generate under composition, laid out as
 ``core.assemble`` blocks with the payloads in a random order.
 ``generated_subcategory`` picks a few random morphisms of a category and
 closes them, with the identities of their endpoints, under composition: the
-arguments of ``core.subcategory``.  Everything is drawn from the ``random``
-instance passed in, so a seed fixes the instance.
+arguments of ``core.subcategory``.  ``seeded_categories`` builds a corpus of
+both.  Everything is drawn from the ``random`` instance passed in, so a
+seed fixes the instance.
 """
 
 from __future__ import annotations
+
+from fibcat import core
+
+MONOIDS, SUBCATEGORIES = 40, 20
+SEED = 19  # of the corpus that the differential tests share
 
 
 def compose_maps(f: tuple, g: tuple) -> tuple:
@@ -51,3 +57,15 @@ def generated_subcategory(rng, C, max_picks: int = 6):
             break
         made |= more
     return objects, sorted(made)
+
+
+def seeded_categories(rng, bases) -> list:
+    """``MONOIDS`` transformation monoids, then ``SUBCATEGORIES`` generated
+    subcategories of each of ``bases``, built through ``core.assemble``."""
+    built = []
+    for _ in range(MONOIDS):
+        identities, blocks, compose = transformation_monoid(rng)
+        built.append(core.assemble(identities, blocks, core.per_composite(blocks, compose)))
+    for C in bases:
+        built += [core.subcategory(C, *generated_subcategory(rng, C)) for _ in range(SUBCATEGORIES)]
+    return built

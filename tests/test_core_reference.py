@@ -143,11 +143,6 @@ def blocks_3_1_total():
 
 
 @pytest.fixture(scope="module")
-def fi_z2_2_direct():
-    return generators.fi_g_direct(cyclic_group(2), 2)
-
-
-@pytest.fixture(scope="module")
 def z5():
     return group_as_category(cyclic_group(5))
 
@@ -391,11 +386,9 @@ def test_non_associative_loop_matches_reference():
     )
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_light_generators_generate(request, name):
-    """With the identities, the generating set composes to every morphism,
-    and it holds every non-identity that is no composite of two."""
-    C = request.getfixturevalue(name)
+def assert_generates(C):
+    """With the identities, the generating set of ``C`` composes to every
+    morphism, and it holds every non-identity that is no composite of two."""
     S = set(C.generators)
     ids = C.identity_morphisms
     assert not S & ids
@@ -406,6 +399,21 @@ def test_light_generators_generate(request, name):
         new = {h for (f, g), h in C.table.items() if f in made and g in made} - made
         made, grown = made | new, bool(new)
     assert made == set(C.morphisms)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_light_generators_generate(request, name):
+    assert_generates(request.getfixturevalue(name))
+
+
+def test_light_generators_generate_random_categories(seeded_categories):
+    """Light's test of associativity, and of every functor from these
+    categories, trusts ``FinCat.generators``; the 80 seeded categories,
+    with none to 15 generators, test it more widely than the fixed ones."""
+    for C in seeded_categories:
+        assert_generates(C)
+    sizes = {len(C.generators) for C in seeded_categories}
+    assert 0 in sizes and max(sizes) > 10
 
 
 def test_light_sweep_is_small_on_fi5():
@@ -510,7 +518,7 @@ def test_builders_match_reference_assemble(checked_assemble, name):
     assert checked_assemble
 
 
-RANDOM_MONOIDS, RANDOM_SUBCATEGORIES, RANDOM_MUTATIONS = 40, 20, 5
+RANDOM_MUTATIONS = 5
 
 
 def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct):
@@ -519,16 +527,11 @@ def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct
     their files like the reference builds and reads them, and so are a few
     single-entry mutations of each file.  The monoids' payloads come in a
     shuffled order and each file lists its composites shuffled, yet the
-    category read back lists its table exactly as the one built does."""
-    rng = random.Random(19)
-    built = []
-    for _ in range(RANDOM_MONOIDS):
-        identities, blocks, compose = rm.transformation_monoid(rng)
-        built.append(core.assemble(identities, blocks, per_composite(blocks, compose)))
-    for C in (fi3, fi_z2_2_direct):
-        for _ in range(RANDOM_SUBCATEGORIES):
-            built.append(core.subcategory(C, *rm.generated_subcategory(rng, C)))
-    assert len(checked_assemble) == len(built)
+    category read back lists its table exactly as the one built does.  The
+    categories are those of the ``seeded_categories`` fixture."""
+    rng = random.Random(rm.SEED)
+    built = rm.seeded_categories(rng, (fi3, fi_z2_2_direct))
+    assert len(checked_assemble) == len(built) == 80
     for seed, C in enumerate(built):
         objects, morphisms, identity, _ = raw(C, C.table)
         entries = [(f, g, h) for (f, g), h in C.table.items()]

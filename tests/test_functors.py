@@ -18,11 +18,13 @@ from fibcat.functors import identity_nat_trans  # noqa: F401  (re-export check)
 from fibcat.generators import (
     chain_poset,
     delta_const,
+    discrete_category,
     fi_g_direct,
     fi_truncated,
     indexed_gpow,
     inj_id,
     parse_dec,
+    terminal_category,
     thin_category,
 )
 from fibcat.groth import grothendieck
@@ -192,6 +194,41 @@ def test_mutated_functors_match_reference(name):
         assert got == verdict(ref.check_functor, mutant), f
         seen.add(got[0][0] if got else None)
     assert {"composite not preserved", "endpoints not preserved"} <= seen
+
+
+def test_random_identity_mutants_match_reference(seeded_categories):
+    """On each of the 80 seeded random categories, the identity functor
+    and seeded changes of it that move one morphism's image to another
+    morphism of its hom-set give the reference's first error, or none (a
+    few changes are functors still)."""
+    rng = random.Random(0)
+    seen = []
+    for C in seeded_categories:
+        F = identity_functor(C)
+        assert verdict(validate_functor, F) is verdict(ref.check_functor, F) is None
+        movable = [f for f in C.morphisms if len(C.hom(C.src[f], C.tgt[f])) > 1]
+        for f in rng.sample(movable, min(3, len(movable))):
+            image = rng.choice([g for g in C.hom(C.src[f], C.tgt[f]) if g != f])
+            mutant = type(F)(C, C, F.on_objects, F.on_morphisms | {f: image})
+            got = verdict(validate_functor, mutant)
+            assert got == verdict(ref.check_functor, mutant), f
+            seen.append(got and got[0][0])
+    assert len(seen) > 100
+    assert {"composite not preserved", "identity not preserved"} <= set(seen)
+
+
+@pytest.mark.parametrize("names", [(), ("a",), ("a", "b", "c")])
+def test_functors_from_categories_without_generators(names):
+    """A discrete category has no non-identity, so its generating set is
+    empty and Light's test compares no pair; every functor out of it is
+    valid once it preserves endpoints and identities."""
+    D, point = discrete_category(names), terminal_category()
+    assert D.generators == () and point.generators == ()
+    validate_functor(D, D, {x: x for x in D.objects}, {f: f for f in D.morphisms})
+    validate_functor(D, point, {x: "*" for x in D.objects}, {f: "id" for f in D.morphisms})
+    validate_functor(point, point, {"*": "*"}, {"id": "id"})
+    if names:
+        validate_functor(point, D, {"*": "a"}, {"id": "id_a"})
 
 
 def test_light_functor_check_is_small():

@@ -6,6 +6,7 @@ from core_reference import decorated_composite
 from fibcat import (
     CategoryError,
     NotAFibration,
+    UnknownMorphism,
     canonical_lift,
     check_fibred_functor,
     check_fibred_nat_trans,
@@ -342,6 +343,35 @@ def test_empty_total_category(empty):
     M = delta_const(nothing, point) if empty == "base" else delta_const(point, nothing)
     total = grothendieck(M).total
     assert (total.objects, total.morphisms, total.table) == ((), (), {})
+
+
+@pytest.mark.parametrize("names", [(), ("a",), ("a", "b")])
+def test_cartesian_morphisms_without_generators(names):
+    """Out of a discrete category, which has no generator and no
+    non-identity, every morphism is cartesian over the point."""
+    D, point = discrete_category(names), terminal_category()
+    P = validate_functor(D, point, {x: "*" for x in D.objects}, {f: "id" for f in D.morphisms})
+    assert all(is_cartesian(P, phi) for phi in D.morphisms)
+    assert is_fibration(P) and choose_cleaving(P).entries == {("id", x): "id_" + x for x in names}
+
+
+def test_is_cartesian_refuses_an_unknown_morphism(gr_zpow2_3):
+    with pytest.raises(UnknownMorphism):
+        is_cartesian(gr_zpow2_3[1].proj, "no such morphism")
+
+
+def test_is_cartesian_keeps_each_verdict(z2):
+    """A verdict is found once per phi and kept in the functor's cache,
+    and so is the code map it reads."""
+    P = grothendieck(indexed_gpow(z2, 2)).proj
+    phi, other = P.source.morphisms[:2]
+    verdict = is_cartesian(P, phi)
+    assert P.cache("cartesian") == {phi: verdict}
+    P.cache("cartesian")[phi] = "kept"
+    assert is_cartesian(P, phi) == "kept"
+    codes = P.code_map()
+    is_cartesian(P, other)
+    assert P.code_map() is codes and sorted(P.cache("cartesian")) == sorted([phi, other])
 
 
 def test_total_morphism_id_collision_is_rejected():

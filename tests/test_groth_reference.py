@@ -87,6 +87,23 @@ def test_fibrations_match_reference(functors, case):
             assert groth.is_cartesian(P, phi) == ref.is_cartesian(P, phi), phi
 
 
+def test_functors_to_a_point_match_reference(seeded_categories):
+    """On each of the 80 seeded random categories C, the functor C → 1:
+    phi is cartesian exactly when it is an isomorphism, and every such
+    functor is a fibration whose cleaving is the identities."""
+    point = generators.terminal_category()
+    counts = [0, 0]
+    for C in seeded_categories:
+        P = validate_functor(C, point, {x: "*" for x in C.objects}, {f: "id" for f in C.morphisms})
+        assert groth.is_fibration(P) == ref.is_fibration(P)
+        assert _outcome(groth.choose_cleaving, P) == _outcome(ref.choose_cleaving, P)
+        for phi in C.morphisms:
+            verdict = groth.is_cartesian(P, phi)
+            assert verdict == ref.is_cartesian(P, phi) == (phi in C.inverses), phi
+            counts[verdict] += 1
+    assert min(counts) > 100
+
+
 def test_cases_are_not_vacuous(functors):
     """The cases hold non-cartesian morphisms, non-fibrations, and (f, b)
     with more than one cartesian lift, so a wrong size test, a wrong

@@ -3,20 +3,29 @@
 Every category, built by the library with ``core.assemble`` or read from
 raw ids with ``core.validate_category``, is coded once and checked once by
 the stage the two share, the one caller of the ``FinCat`` constructor,
-which reads the cells of the coding and never the string table; in
-the library only the JSON reader calls ``validate_category``, and no module
-but ``core`` codes a category.  Builders compose whole
-pairs of blocks; the ones that compose one payload at a time are pinned as
-the callers of ``core.per_composite``.  The library never depends on test
-helpers, the limits, groth, core, functors and indexed oracles never depend
-on the library's private search code, no function imports a sibling
-module, no module imports a sibling's underscore name, and no module
-imports a name it does not use.  ``ioformats`` alone decides what an id is, so the
-validators it hands ids to convert none.
+which reads the cells of the coding and never the string table; in the
+library only the JSON reader calls ``validate_category``, and no module
+but ``core`` codes a category.  Functors are checked, and cartesian
+morphisms found, on the codings too, which one run confirms: a
+Grothendieck construction, a functor load, a fibration check and a
+cleaving leave no string table behind.  Builders compose whole pairs of
+blocks; the ones that compose one payload at a time are pinned as the
+callers of ``core.per_composite``.  The library never depends on test
+helpers, the limits, groth, core, functors and indexed oracles never
+depend on the library's private search code, no function imports a
+sibling module, no module imports a sibling's underscore name, and no
+module imports a name it does not use.  ``ioformats`` alone decides what
+an id is, so the validators it hands ids to convert none.
 """
 
 import ast
+import json
 import pathlib
+
+from fibcat.generators import indexed_gpow
+from fibcat.groth import choose_cleaving, grothendieck, is_fibration
+from fibcat.groups import cyclic_group
+from fibcat.ioformats import Loader, functor_to_json, stable_dumps
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fibcat"
@@ -87,30 +96,64 @@ def test_validate_category_has_exactly_two_callers():
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
 
 
+def _reads(module, name):
+    """The attributes and names read in the body of the function ``name``
+    of ``module``, and the names of the functions it calls."""
+    (fn,) = [
+        node
+        for node in ast.walk(dict(_modules())[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+
+    def name_of(n):
+        return getattr(n, "attr", getattr(n, "id", None))
+
+    nodes = list(ast.walk(fn))
+    read = {name_of(n) for n in nodes if isinstance(n, (ast.Attribute, ast.Name))}
+    return read, {name_of(n.func) for n in nodes if isinstance(n, ast.Call)}
+
+
 def test_checks_read_only_the_cells():
     """``core._checked`` and the checks it runs read the coding alone: no
     build or load makes the string ``table``, which ``FinCat`` derives from
     the cells when it is first read."""
-    checks = {
+    checks = (
         "_checked",
         "_check_units",
         "_generators",
         "_check_associativity",
         "_raise_first_violation",
-    }
-    found = [
-        node
-        for node in ast.walk(dict(_modules())["core"])
-        if isinstance(node, ast.FunctionDef) and node.name in checks
-    ]
-    assert {node.name for node in found} == checks
-    read = {
-        getattr(node, "attr", getattr(node, "id", None))
-        for f in found
-        for node in ast.walk(f)
-        if isinstance(node, (ast.Attribute, ast.Name))
-    }
+    )
+    read = set().union(*(_reads("core", name)[0] for name in checks))
     assert "cells" in read and not read & {"table", "_table"}
+
+
+def test_functor_checks_read_only_the_cells():
+    """Light's test of a functor, the code map it runs on and the cartesian
+    test read the codings: no build, functor load, fibration or cleaving
+    makes the string ``table`` of a category."""
+    for module, name in (
+        ("functors", "validate_functor"),
+        ("functors", "code_map"),
+        ("groth", "is_cartesian"),
+    ):
+        read, called = _reads(module, name)
+        assert "coding" in read, name
+        assert not read & {"table", "_table"} and "comp" not in called, name
+
+
+def test_no_functor_check_makes_a_table():
+    """The run the structural test above stands for: the total category of
+    a Grothendieck construction, and both categories of a projection read
+    from its file, then checked for a fibration and cleaved, have no
+    ``table``; it is made only when something reads it."""
+    gr = grothendieck(indexed_gpow(cyclic_group(2), 3))
+    assert "table" not in vars(gr.total)
+    data = json.loads(stable_dumps(functor_to_json(gr.proj)))
+    P = Loader().functor(data)
+    assert is_fibration(P) and choose_cleaving(P).entries
+    assert "table" not in vars(P.source) and "table" not in vars(P.target)
+    assert len(P.source.table) == len(gr.total.table)
 
 
 def test_only_core_codes_a_category():
