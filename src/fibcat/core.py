@@ -229,12 +229,13 @@ class Coding:
         f = np.repeat(np.arange(lo, hi), np.diff(self.row[lo : hi + 1]))
         return f, np.arange(self.row[lo], self.row[hi]) - self.row[f] + self.out[self.tgt[f]]
 
-    def rounds(self, size=_ROUND_CELLS):
-        """The codes split, in order, into runs (lo, hi) of at most ``size``
-        cells, or of one code where that alone has more."""
+    def rounds(self):
+        """The codes split, in order, into runs (lo, hi) of at most
+        ``_ROUND_CELLS`` cells, or of one code where that alone has more."""
         lo, n = 0, len(self.ids)
         while lo < n:
-            hi = max(lo + 1, int(np.searchsorted(self.row, self.row[lo] + size, "right")) - 1)
+            end = int(np.searchsorted(self.row, self.row[lo] + _ROUND_CELLS, "right"))
+            hi = max(lo + 1, end - 1)
             yield lo, hi
             lo = hi
 

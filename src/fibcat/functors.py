@@ -41,6 +41,7 @@ to be functors, which is why ``validate_nat_trans`` takes them as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,14 +74,12 @@ class FinFunctor:
     def cache(self, key: str) -> dict:
         return self._caches.setdefault(key, {})
 
+    @functools.cached_property
     def code_map(self) -> np.ndarray:
         """The code, in the target's coding, of the image of each code of
-        the source's; made once and kept in the cache."""
-        cache = self.cache("code_map")
-        if not cache:
-            codes = map(self.target.coding.code.__getitem__, map(self.mor, self.source.coding.ids))
-            cache["map"] = np.fromiter(codes, np.intp, len(self.source.morphisms))
-        return cache["map"]
+        the source's; made on first read."""
+        codes = map(self.target.coding.code.__getitem__, map(self.mor, self.source.coding.ids))
+        return np.fromiter(codes, np.intp, len(self.source.morphisms))
 
     def __repr__(self):
         return "FinFunctor(%r -> %r)" % (self.source, self.target)
@@ -124,7 +123,7 @@ def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -
         if mor[source.id_of(x)] != target.id_of(ob[x]):
             raise NotAFunctor(("identity not preserved", x))
     F = FinFunctor(source, target, ob, mor)
-    sc, tc, m = source.coding, target.coding, F.code_map()
+    sc, tc, m = source.coding, target.coding, F.code_map
     # Light's test: every f into src g, for each g in S
     gens = np.array([sc.code[g] for g in source.generators], np.intp)
     runs = [sc.into[x] for x in sc.src[gens].tolist()]

@@ -370,7 +370,7 @@ def _over_map(P: FinFunctor) -> dict:
 def is_cartesian(P: FinFunctor, phi: str) -> bool:
     """Full universal property: the hom-set bijection of the module
     docstring at every t, as equal sizes and no two psi with one image,
-    counted on the cells of the two codings with ``P.code_map()``.
+    counted on the cells of the two codings with ``P.code_map``.
 
     Per t, |hom(t, a)| must equal the number of pairs: the sum over theta:
     t→b of the number of g: P(t)→x with g;f = P(theta), read off a count of
@@ -385,7 +385,7 @@ def is_cartesian(P: FinFunctor, phi: str) -> bool:
     cache = P.cache("cartesian")
     if phi in cache:
         return cache[phi]
-    ac, xc, m = A.coding, X.coding, P.code_map()
+    ac, xc, m = A.coding, X.coding, P.code_map
     p = ac.code[phi]
     f, psis, thetas = m[p], ac.into[ac.src[p]], ac.into[ac.tgt[p]]
     sizes = np.bincount(ac.src[psis], minlength=len(A.objects))

@@ -369,9 +369,9 @@ def test_is_cartesian_keeps_each_verdict(z2):
     assert P.cache("cartesian") == {phi: verdict}
     P.cache("cartesian")[phi] = "kept"
     assert is_cartesian(P, phi) == "kept"
-    codes = P.code_map()
+    codes = P.code_map
     is_cartesian(P, other)
-    assert P.code_map() is codes and sorted(P.cache("cartesian")) == sorted([phi, other])
+    assert P.code_map is codes and sorted(P.cache("cartesian")) == sorted([phi, other])
 
 
 def test_total_morphism_id_collision_is_rejected():
