@@ -5,10 +5,13 @@
 
 With no RUNG, every rung runs, in the order below.  Each rung runs in its
 own Python process, so it reuses no cache or memory of an earlier one, and
-prints one JSON line: the rung, the wall time of its build in seconds and
-the process's peak resident set (``ru_maxrss``) in MB, or the timeout when
-the process ran past it.  The exit code is 0 when every rung finished, 1
-when one timed out or failed, 2 for an unknown rung.
+prints one JSON line: the rung, the wall time of its timed step in seconds
+and the process's peak resident set (``ru_maxrss``) in MB, or the timeout
+when the process ran past it.  The timed step of a build rung is the whole
+build; a write or read rung first makes its input, untimed, and times only
+the write or the read, while its peak resident set covers both.  The exit
+code is 0 when every rung finished, 1 when one timed out or failed, 2 for
+an unknown rung.
 """
 
 import argparse
@@ -21,22 +24,43 @@ import time
 from fibcat.generators import indexed_gpow
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
+from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
 
+
+def _fi_z2_4_total():
+    return grothendieck(indexed_gpow(cyclic_group(2), 4)).total
+
+
+def _build(make):
+    """A rung that times ``make`` from scratch."""
+    return lambda: None, lambda _: make()
+
+
+# rung: (make the input, untimed; the timed step, given that input)
 RUNGS = {
     # a sub-second rung, for a smoke test
-    "gpow_z2_3": lambda: indexed_gpow(cyclic_group(2), 3),
-    "gpow_z2_5": lambda: indexed_gpow(cyclic_group(2), 5),
-    "gpow_z3_5": lambda: indexed_gpow(cyclic_group(3), 5),
+    "gpow_z2_3": _build(lambda: indexed_gpow(cyclic_group(2), 3)),
+    "gpow_z2_5": _build(lambda: indexed_gpow(cyclic_group(2), 5)),
+    "gpow_z3_5": _build(lambda: indexed_gpow(cyclic_group(3), 5)),
     # the FI_Z3 total category for N=4: indexed category and Grothendieck construction
-    "fi_z3_4_total": lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total,
+    "fi_z3_4_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total),
     # the FI_Z2 total category for N=5: 7,060 morphisms, 25.8M composites
-    "fi_z2_5_total": lambda: grothendieck(indexed_gpow(cyclic_group(2), 5)).total,
+    "fi_z2_5_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(2), 5)).total),
+    # the file of the FI_Z2 total category for N=4 (263,137 composites, 36 MB),
+    # written from the category, and read back from its text
+    "write_fi_z2_4_total": (_fi_z2_4_total, lambda C: stable_dumps(category_to_json(C))),
+    "read_fi_z2_4_total": (
+        lambda: stable_dumps(category_to_json(_fi_z2_4_total())),
+        lambda text: category_from_json(json.loads(text)),
+    ),
 }
 
 
 def run_here(name: str) -> dict:
+    make, step = RUNGS[name]
+    made = make()
     start = time.perf_counter()
-    RUNGS[name]()
+    step(made)
     wall = time.perf_counter() - start
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {"rung": name, "wall_s": round(wall, 3), "maxrss_mb": round(peak_kb / 1024, 1)}

@@ -19,9 +19,10 @@ whose string ``table`` is derived from the cells when it is first read:
   integer array whose entry (i, j) is the position, in the insertion order
   of block (x, z), of the i-th payload of (x, y) followed by the j-th of
   (y, z).  The injection builders of ``generators`` and
-  ``groth.grothendieck`` compute these arrays with numpy; the small builders
-  write a per-composite ``compose(p, q)`` and wrap it in ``per_composite``:
-  ``subcategory``, ``group_as_category``, and ``generators``' products,
+  ``groth.grothendieck`` compute these arrays with numpy, and
+  ``subcategory`` reads them off the cells of the category it is cut from;
+  the small builders write a per-composite ``compose(p, q)`` and wrap it in
+  ``per_composite``: ``group_as_category``, and ``generators``' products,
   slices, arrow categories, group powers and relation categories.
 * ``validate_category`` vets raw ids (JSON files, tests) without a Python
   step per composite: it reads the composition triples into one ``int32``
@@ -548,11 +549,32 @@ def per_composite(blocks: dict, compose):
 
 def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     """The subcategory of ``C`` on ``objects`` and ``morphisms``, which must
-    hold the identities of ``objects`` and be closed under composition."""
-    blocks = {}
+    hold the identities of ``objects`` and be closed under composition.
+
+    Its blocks are composed on the cells of ``C.coding``: ``position`` holds
+    the place of each code of ``C`` in its subcategory block, or -1 outside
+    the subcategory.  A pair of blocks whose composites leave the
+    subcategory raises ``CompositeEndpointViolation((f, g, h))`` for the
+    first such composite h = f;g, as ``per_composite`` over ``C.comp``
+    would."""
+    coding, blocks = C.coding, {}
     for m in morphisms:
         blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m
-    return assemble({x: C.id_of(x) for x in objects}, blocks, per_composite(blocks, C.comp))
+    codes = {xy: np.array([coding.code[m] for m in block], np.int64) for xy, block in blocks.items()}
+    position = np.full(len(coding.ids), -1, np.int64)
+    for c in codes.values():
+        position[c] = np.arange(len(c))
+
+    def compose(x, y, z):
+        made = coding.cells[coding.cell(codes[(x, y)][:, None], codes[(y, z)])]
+        at = position[made]
+        if (at < 0).any():
+            i, j = map(int, np.argwhere(at < 0)[0])
+            f, g = list(blocks[(x, y)])[i], list(blocks[(y, z)])[j]
+            raise CompositeEndpointViolation((f, g, coding.ids[made[i, j]]))
+        return at
+
+    return assemble({x: C.id_of(x) for x in objects}, blocks, compose)
 
 
 _SWEEP_CELLS = 1 << 20  # composable triples compared per numpy round

@@ -507,6 +507,98 @@ def test_non_scalar_id_is_input_error(workdir, capsys, case):
     assert err.startswith("input error:") and err.count("\n") == 1 and "is not an id" in err
 
 
+def _band(names):
+    """One object x with identity i; every other morphism is a left zero
+    (f;g = f)."""
+    return {
+        "objects": ["x"],
+        "morphisms": [{"id": m, "src": "x", "tgt": "x"} for m in ["i", *names]],
+        "identities": {"x": "i"},
+        "composition": [{"first": f, "then": g, "equals": f} for f in names for g in names],
+    }
+
+
+_BAND = _band(["1", "True", "False", "None", "2.5"])
+_SCALARS = {"1": 1, "True": True, "False": False, "None": None, "2.5": 2.5}
+
+
+def _entries(change, composition=_BAND["composition"]):
+    """``_BAND`` with ``change(i, entry)`` for each composition entry."""
+    return {**_BAND, "composition": [change(i, dict(e)) for i, e in enumerate(composition)]}
+
+
+def _set(at: dict):
+    """An entry change: ``at`` maps an entry's place to its new keys."""
+    return lambda i, e: {**e, **at.get(i, {})}
+
+
+def _scalar(i, e):
+    return {k: _SCALARS[v] for k, v in e.items()}
+
+
+def _without(i, e):
+    return {k: v for k, v in e.items() if (i, k) not in ((1, "equals"), (4, "first"))}
+
+
+_BAD_CATEGORY = 'input error: malformed category file: %s("%s")\n'
+# Composition ids read from a file: a scalar is read with str(), so 1 and
+# "1" are one id while 1 and true stay apart, and a list or an object is
+# malformed input; a file with several faults names the first that the
+# column scans first, then then, then equals would meet.
+_COMPOSITION_IDS = {
+    "scalars": (_entries(_scalar), 0, ""),
+    "int-unknown": (_entries(_set({3: {"equals": 7}})), 1, ""),
+    "first-list": (
+        _entries(_set({3: {"first": ["1"]}})),
+        2,
+        _BAD_CATEGORY % ("TypeError", "composition first ['1'] is not an id"),
+    ),
+    "then-object": (
+        _entries(_set({3: {"then": {"id": "None"}}})),
+        2,
+        _BAD_CATEGORY % ("TypeError", "composition then {'id': 'None'} is not an id"),
+    ),
+    "equals-null-and-list": (
+        _entries(_set({2: {"equals": None}, 3: {"equals": ["1"]}})),
+        2,
+        _BAD_CATEGORY % ("TypeError", "composition equals ['1'] is not an id"),
+    ),
+    "list-equals-before-object-first": (
+        _entries(_set({1: {"equals": ["1"]}, 4: {"first": {"id": "1"}}})),
+        2,
+        _BAD_CATEGORY % ("TypeError", "composition first {'id': '1'} is not an id"),
+    ),
+    "objects-and-composition-lists": (
+        {**_entries(_set({0: {"then": ["1"]}})), "objects": [["x"]]},
+        2,
+        _BAD_CATEGORY % ("TypeError", "composition then ['1'] is not an id"),
+    ),
+    "missing-keys": (
+        _entries(_without),
+        2,
+        "input error: malformed category file: KeyError('first')\n",
+    ),
+    "repeated-pair-as-scalars": (
+        _entries(_scalar, _BAND["composition"] + [{"first": "True", "then": "1", "equals": "True"}]),
+        2,
+        _BAD_CATEGORY % ("ValueError", "composition lists ('True', '1') twice"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMPOSITION_IDS))
+def test_composition_ids_are_read_like_every_other_id(workdir, capsys, case):
+    data, exit_code, message = _COMPOSITION_IDS[case]
+    open("in.json", "w").write(stable_dumps(data))
+    code, out, err = run(capsys, "validate", "in.json")
+    assert (code, err) == (exit_code, message)
+    assert out == {
+        0: "valid: 1 objects, 6 morphisms\n",
+        1: "invalid: UnknownMorphism (\"composition table mentions '7'\",)\n",
+        2: "",
+    }[code]
+
+
 def _one_object(name):
     return {
         "objects": [name],

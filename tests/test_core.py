@@ -22,7 +22,7 @@ from fibcat import (
     iso_classes,
     validate_category,
 )
-from fibcat.core import assemble, per_composite
+from fibcat.core import assemble, per_composite, subcategory
 from fibcat.generators import codiscrete_category, fi_g_direct, fi_truncated, inj_id
 from fibcat.groups import automorphism_group, group_as_category, symmetric_group
 from fibcat.ioformats import category_from_json, category_to_json
@@ -68,6 +68,11 @@ def test_assemble_rejects_a_composite_outside_the_target_block():
         assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 3))
     C = assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 2))
     assert C.comp("a", "a") == "e" and C.identity == {"x": "e"}
+    # a subcategory that is not closed names the first composite outside it
+    fi3 = fi_truncated(3)
+    with pytest.raises(CompositeEndpointViolation) as raised:
+        subcategory(fi3, ["1", "2"], ["1>1:0", "2>2:0,1", "1>2:0", "2>2:1,0"])
+    assert raised.value.args == (("1>2:0", "2>2:1,0", "1>2:1"),)
 
 
 def test_missing_composite_rejected():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcat import check_fi_type, grothendieck
+from fibcat import check_fi_type, grothendieck, validate_category
 from fibcat.generators import (
     arrow_category,
     block_perm_indexed,
@@ -138,6 +138,59 @@ def test_writers_match_the_stdlib_on_the_corpus(groth_corpus, witnessed_corpus, 
         assert stable_dumps(payload) == oracle(payload)
 
 
+def table_composition(C) -> list:
+    """The composition entries of ``C`` as the writer once made them, from
+    the string table: the reference for ``category_to_json``."""
+    return [
+        {"first": f, "then": g, "equals": h}
+        for (f, g), h in sorted(C.table.items())
+        if not C.is_identity(f) and not C.is_identity(g)
+    ]
+
+
+def _left_zero_bands(homs: dict):
+    """The category on the objects of ``homs``, pairs (x, y) to ids, where
+    each endomorphism id but the first is a left zero (f;g = f) and each
+    block (x, y), x != y, holds one morphism that absorbs every composite:
+    the first id of (x, x) is the identity of x."""
+    objects = sorted({x for xy in homs for x in xy})
+    morphisms = [(m, x, y) for (x, y), ms in homs.items() for m in ms]
+    identity = {x: homs[(x, x)][0] for x in objects}
+    composition = []
+    for (x, y), fs in homs.items():
+        for (y2, z), gs in homs.items():
+            if y2 == y:
+                composition += [
+                    (f, g, f if x == z else homs[(x, z)][-1])
+                    for f in fs
+                    for g in gs
+                    if f not in identity.values() and g not in identity.values()
+                ]
+    return validate_category(objects, morphisms, identity, composition)
+
+
+def test_writer_matches_the_table_formula(groth_corpus, seeded_categories):
+    """``category_to_json`` reads the cells, in id order, and writes what the
+    string-table formula wrote, also where ids need escaping and where the
+    block-major order of the codes is not id order ("9" in hom(x, x) before
+    "10" in hom(y, y), and "b" before "a")."""
+    categories = list(seeded_categories)
+    for _, M, gr in groth_corpus:
+        categories += [M.base, *map(M.fiber_at, M.base.objects), gr.total]
+    categories.append(_left_zero_bands({("x", "x"): ["", *_IDS[:-1]]}))
+    categories.append(
+        _left_zero_bands(
+            {("x", "x"): ["ix", "b", "9"], ("x", "y"): ["h"], ("y", "y"): ["iy", "a", "10"]}
+        )
+    )
+    assert categories[-1].coding.ids == ("9", "b", "ix", "h", "10", "a", "iy")
+    for C in categories:
+        payload = category_to_json(C)
+        expected = table_composition(C)
+        assert payload["composition"] == expected
+        assert stable_dumps(payload) == stable_dumps({**payload, "composition": expected})
+
+
 def test_failing_audit_reports_match_the_stdlib(idempotent_monoid):
     blocks = check_fi_type(grothendieck(block_perm_indexed(3, 1)).total)
     idempotent = check_fi_type(idempotent_monoid)
@@ -173,6 +226,12 @@ _EDGE = {
     "record-holds-int": [{"id": "f", "n": "1"}, {"id": "g", "n": 2}],
     "record-holds-list": [{"id": "f", "n": ["1"]}, {"id": "g", "n": ["2"]}],
     "record-empty": [{}, {}],
+    "record-single": [{"first": "f", "then": '"%s"', "equals": "g"}],
+    "record-column-repeats": [
+        {"id": "m%d" % i, "src": _IDS[i % 3], "tgt": "y"} for i in range(40)
+    ],
+    "record-keys-escaped-one-lacks-a-key": [{'"%s"': "a", "\\": "b"}, {'"%s"': "a"}],
+    "record-keys-escaped-one-has-an-extra-key": [{'"%s"': "a"}, {'"%s"': "a", "é": "c"}],
     "records-and-string": [{"id": "f"}, "g"],
     "int-keys": {2: "b", 10: "a", -1: ["c"]},
     "float-keys": {0.5: "a", 1.5: "b"},
@@ -217,6 +276,7 @@ def test_unserialisable_values_raise_like_the_stdlib():
 _keys = st.text(max_size=4) | st.sampled_from(["id", "%s", '"', "é"])
 _records = st.lists(
     st.fixed_dictionaries({"first": _keys, "then": _keys})
+    | st.fixed_dictionaries({"first": st.sampled_from(["f", '"', "%s"]), "then": _keys})
     | st.dictionaries(st.sampled_from(["first", "then", "%"]), _keys | st.integers(), min_size=1),
     min_size=1,
 )

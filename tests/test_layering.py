@@ -8,8 +8,10 @@ library only the JSON reader calls ``validate_category``, and no module
 but ``core`` codes a category.  Functors are checked, and cartesian
 morphisms found, on the codings too, which one run confirms: a
 Grothendieck construction, a functor load, a fibration check and a
-cleaving leave no string table behind.  Builders compose whole pairs of
-blocks; the ones that compose one payload at a time are pinned as the
+cleaving leave no string table behind.  ``ioformats`` writes and reads a
+category on its cells and ``core.subcategory`` composes on them, so
+writing a total and cutting the fibers of its projection make none either.
+Builders compose whole pairs of blocks; the ones that compose one payload at a time are pinned as the
 callers of ``core.per_composite``.  The library never depends on test
 helpers, the limits, groth, core, functors and indexed oracles never
 depend on the library's private search code, no function imports a
@@ -22,10 +24,17 @@ import ast
 import json
 import pathlib
 
+from fibcat import cli
 from fibcat.generators import indexed_gpow
-from fibcat.groth import choose_cleaving, grothendieck, is_fibration
+from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration
 from fibcat.groups import cyclic_group
-from fibcat.ioformats import Loader, functor_to_json, stable_dumps
+from fibcat.ioformats import (
+    Loader,
+    category_to_json,
+    functor_to_json,
+    indexed_to_json,
+    stable_dumps,
+)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fibcat"
@@ -156,6 +165,35 @@ def test_no_functor_check_makes_a_table():
     assert len(P.source.table) == len(gr.total.table)
 
 
+def test_json_edge_reads_no_table():
+    """``ioformats`` writes a category from its cells and reads one into
+    them: no function there reads a ``table``."""
+    tree = dict(_modules())["ioformats"]
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "coding" in read and not read & {"table", "_table", "comp"}
+
+
+def test_writing_a_total_and_its_fibers_make_no_table(tmp_path, monkeypatch):
+    """The run the structural test above and the subcategory composer stand
+    for: writing the total of a Grothendieck construction, in process or by
+    ``fibcat groth -o``, and cutting the fibers of its projection leave no
+    ``table`` on the total or on a fiber."""
+    gr = grothendieck(indexed_gpow(cyclic_group(2), 3))
+    category_to_json(gr.total)
+    fibers = [fiber(gr.proj, x) for x in gr.proj.target.objects]
+    assert "table" not in vars(gr.total)
+    assert not [F for F in fibers if "table" in vars(F)]
+
+    made = []
+    monkeypatch.setattr(cli, "grothendieck", lambda M: made.append(grothendieck(M)) or made[-1])
+    path, out = tmp_path / "m.json", tmp_path / "total.json"
+    path.write_text(stable_dumps(indexed_to_json(gr.indexed)))
+    assert cli.main(["--quiet", "groth", str(path), "-o", str(out)]) == 0
+    (written,) = made
+    assert "table" not in vars(written.total)
+    assert json.loads(out.read_text())["total"] == category_to_json(gr.total)
+
+
 def test_only_core_codes_a_category():
     """A category's integer coding is built once, by ``core``, and kept on
     ``FinCat``: ``core._coding`` alone calls the ``Coding`` constructor, no
@@ -175,8 +213,9 @@ def test_only_core_codes_a_category():
 
 
 def test_per_composite_callers_are_pinned():
-    """The injection builders and the Grothendieck construction compose with
-    numpy; every other builder goes through the one per-composite adapter.
+    """The injection builders, the Grothendieck construction and
+    ``core.subcategory`` compose with numpy; every other builder goes
+    through the one per-composite adapter.
     A new builder picks a path knowingly, and the per-composite formulas of
     decorated injections and of the Grothendieck construction live only in
     the test oracle."""
@@ -186,7 +225,6 @@ def test_per_composite_callers_are_pinned():
         for where in _references(tree, "per_composite", True)
     )
     assert callers == [
-        "core.subcategory",
         "generators._product",
         "generators._relation_category",
         "generators.arrow_category",
