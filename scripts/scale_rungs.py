@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 
-from fibcat.generators import indexed_gpow
+from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
@@ -46,6 +46,9 @@ RUNGS = {
     "fi_z3_4_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total),
     # the FI_Z2 total category for N=5: 7,060 morphisms, 25.8M composites
     "fi_z2_5_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(2), 5)).total),
+    # the total of the slices of FI_4, made untimed: 89 objects in many small
+    # blocks, 67,857 morphisms, 42.9M composites
+    "slice_fi4_total": (lambda: slice_indexed(fi_truncated(4)), lambda M: grothendieck(M).total),
     # the file of the FI_Z2 total category for N=4 (263,137 composites, 36 MB),
     # written from the category, and read back from its text
     "write_fi_z2_4_total": (_fi_z2_4_total, lambda C: stable_dumps(category_to_json(C))),

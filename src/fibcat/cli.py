@@ -40,11 +40,10 @@ from .ioformats import (
     category_from_json,
     category_to_json,
     digest_bytes,
-    digest_file,
     functor_to_json,
     group_to_json,
     indexed_to_json,
-    read_json,
+    read_json_digest,
     stable_dumps,
 )
 from .theorem import TERMINOLOGY_NOTE, verify_main_theorem
@@ -84,8 +83,16 @@ def _report_skeleton(command: str, path=None, digest=None) -> dict:
     }
 
 
-def _load_json(path: str) -> dict:
-    return read_json(path)
+def _load_json(path: str):
+    """The parsed file at ``path`` and the sha256 of its bytes, one read."""
+    return read_json_digest(path)
+
+
+def _load(path: str, parse):
+    """``parse`` of the file at ``path`` and the sha256 of its bytes; the
+    parsed JSON is dropped once ``parse`` returns."""
+    data, digest = _load_json(path)
+    return parse(data), digest
 
 
 def _loader_for(path: str) -> Loader:
@@ -109,8 +116,8 @@ def _verdict_lines(report):
 
 
 def cmd_validate(args, out: _Output) -> int:
-    C = category_from_json(_load_json(args.path))
-    rep = _report_skeleton("validate", args.path, digest_file(args.path))
+    C, digest = _load(args.path, category_from_json)
+    rep = _report_skeleton("validate", args.path, digest)
     rep["verdict"] = {
         "valid": True,
         "objects": len(C.objects),
@@ -122,9 +129,9 @@ def cmd_validate(args, out: _Output) -> int:
 
 
 def cmd_functor(args, out: _Output) -> int:
-    F = _loader_for(args.path).functor(_load_json(args.path))
+    F, digest = _load(args.path, _loader_for(args.path).functor)
     props = functor_properties(F)
-    rep = _report_skeleton("functor", args.path, digest_file(args.path))
+    rep = _report_skeleton("functor", args.path, digest)
     rep["verdict"] = {
         "valid": True,
         "full": props.full.holds,
@@ -149,9 +156,9 @@ def cmd_functor(args, out: _Output) -> int:
 
 
 def cmd_fitype(args, out: _Output) -> int:
-    C = category_from_json(_load_json(args.path))
+    C, digest = _load(args.path, category_from_json)
     report = check_fi_type(C)
-    rep = _report_skeleton("fitype", args.path, digest_file(args.path))
+    rep = _report_skeleton("fitype", args.path, digest)
     rep["verdict"] = report.as_dict()
     rep["caveat"] = TRUNCATION_CAVEAT
     lines = _verdict_lines(report)
@@ -162,7 +169,7 @@ def cmd_fitype(args, out: _Output) -> int:
 
 
 def cmd_groth(args, out: _Output) -> int:
-    M = _loader_for(args.path).indexed(_load_json(args.path))
+    M, digest = _load(args.path, _loader_for(args.path).indexed)
     gr = grothendieck(M)
     if args.output:
         payload = {
@@ -171,7 +178,7 @@ def cmd_groth(args, out: _Output) -> int:
         }
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(stable_dumps(payload))
-    rep = _report_skeleton("groth", args.path, digest_file(args.path))
+    rep = _report_skeleton("groth", args.path, digest)
     rep["verdict"] = {
         "total_objects": len(gr.total.objects),
         "total_morphisms": len(gr.total.morphisms),
@@ -189,9 +196,9 @@ def cmd_groth(args, out: _Output) -> int:
 
 
 def cmd_fibration(args, out: _Output) -> int:
-    F = _loader_for(args.path).functor(_load_json(args.path))
+    F, digest = _load(args.path, _loader_for(args.path).functor)
     verdict = is_fibration(F)
-    rep = _report_skeleton("fibration", args.path, digest_file(args.path))
+    rep = _report_skeleton("fibration", args.path, digest)
     rep["verdict"] = {
         "fibration": verdict.holds,
         "counterexample": repr(verdict.counterexample) if verdict.counterexample else None,
@@ -201,8 +208,8 @@ def cmd_fibration(args, out: _Output) -> int:
 
 
 def cmd_cleaving(args, out: _Output) -> int:
-    F = _loader_for(args.path).functor(_load_json(args.path))
-    rep = _report_skeleton("cleaving", args.path, digest_file(args.path))
+    F, digest = _load(args.path, _loader_for(args.path).functor)
+    rep = _report_skeleton("cleaving", args.path, digest)
     try:
         cleaving = choose_cleaving(F)
     except NotAFibration as exc:
@@ -222,14 +229,13 @@ def cmd_cleaving(args, out: _Output) -> int:
 def cmd_theorem(args, out: _Output) -> int:
     if args.budget < 0:
         raise InputFormatError("--budget must not be negative, got %d" % args.budget)
-    loader = _loader_for(args.path)
-    M = loader.indexed(_load_json(args.path))
+    M, digest = _load(args.path, _loader_for(args.path).indexed)
     witness = None
     if args.witness:
-        witness = _loader_for(args.witness).witness(M, _load_json(args.witness))
+        witness = _loader_for(args.witness).witness(M, _load_json(args.witness)[0])
     verdict = verify_main_theorem(M, witness, search=args.search, budget=args.budget)
     hyp = verdict.hypotheses
-    rep = _report_skeleton("theorem", args.path, digest_file(args.path))
+    rep = _report_skeleton("theorem", args.path, digest)
     rep["verdict"] = {
         "h1_fibers_fi_type": hyp.h1.holds,
         "h2_endomorphism_maps_invertible": hyp.h2.holds,
@@ -265,8 +271,8 @@ def cmd_theorem(args, out: _Output) -> int:
 
 def cmd_group(args, out: _Output) -> int:
     loader = _loader_for(args.path)
-    data = _load_json(args.path)
-    rep = _report_skeleton("group %s" % args.mode, args.path, digest_file(args.path))
+    data, digest = _load_json(args.path)
+    rep = _report_skeleton("group %s" % args.mode, args.path, digest)
     if args.mode == "ext":
         T = loader.twisted(data)
         report = validate_twisted_action(T)

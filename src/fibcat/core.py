@@ -10,24 +10,28 @@ is not a scalar, so nothing here converts an id.
 Each category keeps one integer coding of its composites, its ``Coding``.
 Morphisms are coded block-major, by hom-set in sorted (src, tgt) order and
 then by id, and each code f has one ``int32`` cell per morphism out of tgt
-f, which holds the code of the composite.  Two builders fill the cells, and
-then the same checks (``_checked``) read them and build the ``FinCat``,
-whose string ``table`` is derived from the cells when it is first read:
+f, which holds the code of the composite.  ``from_cells`` is the one way
+in: it hands a fresh coding to its caller's ``fill``, and then the same
+checks (``_checked``) read the cells and build the ``FinCat``, whose string
+``table`` is derived from the cells when it is first read.  Three builders
+fill the cells:
 
 * ``assemble`` lays out hom-set blocks ``{payload: id}``, and its composer
   composes a whole pair of blocks at once: ``compose(x, y, z)`` is an
   integer array whose entry (i, j) is the position, in the insertion order
   of block (x, z), of the i-th payload of (x, y) followed by the j-th of
-  (y, z).  The injection builders of ``generators`` and
-  ``groth.grothendieck`` compute these arrays with numpy, and
-  ``subcategory`` reads them off the cells of the category it is cut from;
-  the small builders write a per-composite ``compose(p, q)`` and wrap it in
-  ``per_composite``: ``group_as_category``, and ``generators``' products,
-  slices, arrow categories, group powers and relation categories.
+  (y, z).  The injection builders of ``generators`` compute these arrays
+  with numpy, and ``subcategory`` reads them off the cells of the category
+  it is cut from; the small builders write a per-composite ``compose(p,
+  q)`` and wrap it in ``per_composite``: ``group_as_category``, and
+  ``generators``' products, slices, arrow categories, group powers and
+  relation categories.
 * ``validate_category`` vets raw ids (JSON files, tests) without a Python
   step per composite: it reads the composition triples into one ``int32``
   array in a single C-level pass, checks them with array operations and
   writes them straight into the cells.
+* ``groth.grothendieck`` writes each cell of a total category from the
+  composition formula of the Grothendieck construction (see ``groth``).
 
 Errors come in a fixed order.  On raw ids: a pair listed twice
 (``ValueError``), duplicate objects, the morphisms in input order, the
@@ -40,9 +44,10 @@ array checks only find whether an error exists; a scan then names the
 first one.  Then in ``assemble``, per pair of blocks in block order: from
 ``per_composite``, the first missing composite, else the first payload
 outside its hom-set; from any composer, the first position outside the
-target block (``CompositeEndpointViolation``).  Then the identities and
-unit laws, and the first non-associative triple in the order (a, b), c, d,
-(f, g, h).
+target block (``CompositeEndpointViolation``); in ``groth.grothendieck``,
+the first cell in cell order whose composite is not there
+(``CompositeEndpointViolation``).  Then the identities and unit laws, and
+the first non-associative triple in the order (a, b), c, d, (f, g, h).
 
 Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1961, §1.2) on a generating set S.  Call
@@ -351,10 +356,10 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
         raise
     by_block = sorted(src, key=lambda m: (src[m], tgt[m], m))
     homs = {xy: tuple(ms) for xy, ms in itertools.groupby(by_block, lambda m: (src[m], tgt[m]))}
-    coding = _coding(obs, homs)
-    _read_composition(coding, src, tgt, ident, composition)
     src, tgt = ({m: ends[m] for m in by_block} for ends in (src, tgt))
-    return _checked(ident, homs, src, tgt, coding)
+    return from_cells(
+        ident, homs, src, tgt, lambda coding: _read_composition(coding, src, tgt, ident, composition)
+    )
 
 
 def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composition) -> None:
@@ -439,30 +444,41 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
                 raise CategoryError("duplicate morphism identifier %r" % m)
             src[m], tgt[m] = x, y
     homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
-    coding = _coding(tuple(sorted(identities)), homs)
+    identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
 
-    # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
-    # z)]: their columns in the cells of a code into y.
-    ids, codes, columns, later = {}, {}, {}, {}
-    for (y, z), qs in blocks.items():
-        ids[(y, z)] = list(qs.values())
-        c = codes[(y, z)] = np.array([coding.code[m] for m in qs.values()], np.int64)
-        columns[(y, z)] = c - coding.out[coding.src[c[0]]]
-        later.setdefault(y, []).append(z)
-    for (x, y), pids in ids.items():
-        at_rows = coding.row[codes[(x, y)]][:, None]
-        for z in later.get(y, ()):
-            at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
-            if at.min() < 0 or at.max() >= n:
-                i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
-                raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
-            coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
+    def fill(coding):
+        # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
+        # z)]: their columns in the cells of a code into y.
+        ids, codes, columns, later = {}, {}, {}, {}
+        for (y, z), qs in blocks.items():
+            ids[(y, z)] = list(qs.values())
+            c = codes[(y, z)] = np.array([coding.code[m] for m in qs.values()], np.int64)
+            columns[(y, z)] = c - coding.out[coding.src[c[0]]]
+            later.setdefault(y, []).append(z)
+        for (x, y), pids in ids.items():
+            at_rows = coding.row[codes[(x, y)]][:, None]
+            for z in later.get(y, ()):
+                at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
+                if at.min() < 0 or at.max() >= n:
+                    i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
+                    raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
+                coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
 
-    identity = {}
-    for x in sorted(identities):
-        identity[x] = blocks.get((x, x), {}).get(identities[x])
-        if identity[x] is None:
-            raise MissingIdentity("object %r has no identity morphism" % x)
+    return from_cells(identity, homs, src, tgt, fill)
+
+
+def from_cells(identity: dict, homs: dict, src: dict, tgt: dict, fill) -> FinCat:
+    """The category on the objects of ``identity``, which are sorted, with
+    the hom-sets ``homs``, each a sorted tuple, and the endpoints ``src`` and
+    ``tgt``.  ``fill(coding)`` writes every cell of a fresh coding, in which
+    each cell holds -1 until written, or raises the first error among the
+    composites.  Then the first object whose identity is None raises
+    ``MissingIdentity``, and ``_checked`` runs."""
+    coding = _coding(tuple(identity), homs)
+    fill(coding)
+    missing = next((x for x, i in identity.items() if i is None), None)
+    if missing is not None:
+        raise MissingIdentity("object %r has no identity morphism" % missing)
     return _checked(identity, homs, src, tgt, coding)
 
 

@@ -297,12 +297,12 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
     return Check(True)
 
 
-def check_transitivity_lemma(M: IndexedCat, gr: GrothResult = None, all_g: bool = False) -> TransferReport:
+def check_transitivity_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """Transitivity transfers: total transitive iff fibers transitive + ell."""
     gr = _groth(M, gr)
     total = is_transitive(gr.total)
     fibers = first_failure(M.base.objects, lambda x: is_transitive(M.fiber_at(x)))
-    ell = transitivity_ell_condition(M, all_g=all_g)
+    ell = transitivity_ell_condition(M)
     fiber_side = Check(fibers.holds and ell.holds, fibers.counterexample or ell.counterexample)
     return TransferReport(
         total,

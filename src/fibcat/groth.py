@@ -10,31 +10,27 @@ functors and the compositor:
 Identities are (id_x, eta_x(a)), which is (id_x, id_a) whenever the unitors
 are identities.
 
-``grothendieck`` lays out the hom-set block of X = (x, a) and Y = (y, b) as
-one segment per base morphism f: x→y, in base order, holding the payloads
-(f, k, b) for k in hom(a, M(f)(b)) in sorted order; it records where each
-segment starts.  Its composer composes whole pairs of blocks with integer
-gathers, never a Python step per composite, on the stored codings of the
-fibers, joined as the coding of their disjoint union, and of the base (see
-``core.Coding``): M(f) becomes an array over codes and mu[f, g](c) a code.
-For the entries (f, k, b) of block (X, Y) and (g, l, c) of the blocks
-(Y, Z):
+``grothendieck`` lists the morphisms (f, k, b) by f in base order, b in
+fiber order and k by source and id: one segment per (f, b), the morphisms
+into M(f)(b) of the fiber over x.  It fills every cell of the total's
+coding (see ``core.Coding``) from the stored codings of the base and of the
+fibers, joined as the coding of their disjoint union, where M(f) becomes an
+array over codes and mu[f, g](c) a code.  For p = (f, k, b): (x, a) → Y =
+(y, b) and q = (g, l, c) out of Y,
 
-    1. u = M(f)(l);mu[f, g](c), which does not depend on a: composed once
-       per Y, for every f into y and every entry out of Y;
-    2. the position of k;u in hom(a, M(f;g)(c)), from the cell of u in the
-       row of k;
-    3. plus the start of the segment of f;g in block (X, Z).
+    p;q = (f;g, k;u, c),  u = M(f)(l);mu[f, g](c).
 
-The three are gathered for all of (X, Y) against all the blocks out of Y
-at once, a round of rows at a time.  A composite whose segment f;g is not in
-block (X, Z) (an arrow or compositor with the wrong target), or whose fiber
-pair is not composable (an image or a compositor component that starts
-elsewhere), is masked and gets a position past every block, which
-``assemble`` rejects as a ``CompositeEndpointViolation``.  Only an indexed
-category built without ``validate_indexed`` has such composites;
-``tests/core_reference.py`` keeps the formula above, one composite at a
-time, as the oracle.
+u does not depend on k, only on f, Y and q, so it is composed once per (f,
+Y, q), and so are the three tests that decide whether the composite exists:
+M(f)(l) starts at M(f)(b), where every k ends, M(f)(l) is composable with
+mu[f, g](c), and u ends at M(f;g)(c).  Each cell then costs a few gathers,
+a round of cells at a time: k;u from the joined fiber cells, and its code
+from the start of the segment of (f;g, c) plus the rank of k;u among the
+fiber codes into its target.  A composite that fails a test has no cell,
+which raises ``CompositeEndpointViolation((p, q))`` for the first such
+(p, q) in cell order; only an indexed category built without
+``validate_indexed`` has one.  ``tests/core_reference.py`` keeps the
+formula, one composite at a time, as the oracle.
 
 For any functor P, phi: a→b over f: x→y is cartesian when, for every object
 t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
@@ -44,7 +40,6 @@ of sets, the per-object form ``limits`` uses for pullback terminality.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +48,9 @@ from .core import (
     Check,
     FinCat,
     CategoryError,
+    CompositeEndpointViolation,
     UnknownMorphism,
-    assemble,
+    from_cells,
     subcategory,
 )
 from .functors import FinFunctor, NatTrans, validate_functor
@@ -118,32 +114,42 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     if len(obj_of) != len(obj_id):
         raise CategoryError("total object id collision")
 
-    # A morphism (f, k): (x, a) → (y, b) has payload (f, k, b); the segment
-    # of f in the block of (x, a) and (y, b) starts at segments[block][f].
-    mor_id, blocks, segments = {}, {}, {}
+    # The morphisms (f, k, b), one segment per (f, b): the segment of the
+    # j-th b over tgt f starts at firsts[first[code of f] + j].  Each run of
+    # it with one source of k is a row (code of f, j, first code of k in its
+    # fiber, length) of ``runs``.
+    mor_id, homs, firsts, runs = {}, {}, [], []
+    first = np.empty(len(base.morphisms), np.int64)  # per base code
     for f in base.morphisms:
         x, y = base.src[f], base.tgt[f]
-        fib_x, Mf = fibers[x], arrows[f]
-        for b in fibers[y].objects:
-            mfb = Mf.ob(b)
+        fib_x, Mf, code = fibers[x], arrows[f], base.coding.code[f]
+        first[code] = len(firsts)
+        for j, b in enumerate(fibers[y].objects):
+            mfb, Y = Mf.ob(b), obj_id[(y, b)]
+            firsts.append(len(mor_id))
             for a in fib_x.objects:
                 ks = fib_x.hom(a, mfb)
                 if ks:
-                    xy = (obj_id[(x, a)], obj_id[(y, b)])
-                    block = blocks.setdefault(xy, {})
-                    segments.setdefault(xy, {})[f] = len(block)
-                    for k in ks:
-                        block[(f, k, b)] = mor_id[(f, k, b)] = _enc_mor(f, k, b)
+                    ids = [_enc_mor(f, k, b) for k in ks]
+                    mor_id.update(zip([(f, k, b) for k in ks], ids))
+                    homs.setdefault((obj_id[(x, a)], Y), []).extend(ids)
+                    runs.append((code, j, fib_x.coding.start[(a, mfb)], len(ks)))
     mor_of = {t: TotalMor(f, k) for (f, k, _), t in mor_id.items()}
     if len(mor_of) != len(mor_id):
         raise CategoryError("total morphism id collision")
 
-    identities = {
-        obj_id[(x, a)]: (base.id_of(x), M.eta(x).at(a), a)
-        for x in base.objects
-        for a in fibers[x].objects
-    }
-    total = assemble(identities, blocks, _block_composer(M, obj_of, blocks, segments))
+    src = {m: X for (X, _), ms in homs.items() for m in ms}
+    tgt = {m: Y for (_, Y), ms in homs.items() for m in ms}
+    homs = {xy: tuple(sorted(ms)) for xy, ms in homs.items()}
+    identity = {}
+    for t in sorted(obj_of):
+        x, a = obj_of[t]
+        m = mor_id.get((base.id_of(x), M.eta(x).at(a), a))
+        identity[t] = m if src.get(m) == t else None
+    runs, firsts = np.array(runs, np.int64).reshape(-1, 4), np.array(firsts, np.int64)
+    total = from_cells(
+        identity, homs, src, tgt, lambda T: _fill(T, M, obj_of, mor_id, runs, firsts, first)
+    )
     proj = validate_functor(
         total,
         base,
@@ -153,204 +159,122 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     return GrothResult(M, total, proj, obj_of, mor_of, obj_id, mor_id)
 
 
-_ROUND_CELLS = 1 << 16  # composites gathered per numpy round
+def _ranks(tgt):
+    """The rank of each code among the codes into its target, by source
+    and then id, as codes are block-major."""
+    order = np.argsort(tgt, kind="stable")
+    sizes = np.bincount(tgt)
+    rank = np.empty(len(tgt), np.int64)
+    rank[order] = np.arange(len(tgt)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return rank
 
 
-def _block_composer(M: IndexedCat, obj_of: dict, blocks: dict, segments: dict):
-    """The composer of the total blocks for ``assemble``, by the gathers of
-    the module docstring.  Its arrays live as long as the composer, except
-    that the u of a target Y lives until the last block into Y is composed,
-    and the composites of a block (X, Y) with the blocks out of Y until
-    ``compose`` has handed out the last of them or is asked for another
-    (X, Y)."""
-    base, fibers, arrows, mus = M.base, M.fibers, M.arrows, M.compositors
-    past = sum(map(len, blocks.values()))  # a position past every block
+def _fill(T, M: IndexedCat, obj_of: dict, mor_id: dict, runs, firsts, first) -> None:
+    """Write every cell of the total's coding ``T`` by the gathers of the
+    module docstring, or raise ``CompositeEndpointViolation((p, q))`` for the
+    first cell in cell order whose composite is not there."""
+    base, fibers, B = M.base, M.fibers, M.base.coding
     nth = {x: i for i, x in enumerate(base.objects)}
 
     # The codings of the fibers joined into one of their disjoint union: the
-    # codes, object numbers and cells of the i-th fiber start at code0[i],
-    # obj0[i] and cell0[i].  The code ``none`` stands for no morphism, with
-    # endpoints -1 and -2.  offset[k] is k's place among the morphisms out
-    # of its source, so the cell of (k, l) is row[k] + offset[l], and
-    # position[cell] is the place of the cell's composite in its hom-set.
+    # codes, object numbers and cells of the fiber over the i-th base object
+    # start at code0[i], obj0[i] and cell0[i].  The code ``none`` stands for
+    # no morphism, with endpoints -1 and -2.  offset[k] is k's place among
+    # the morphisms out of its source, so the cell of (k, l) is row[k] +
+    # offset[l]; rank[k] is its place among the codes into its target.
     codings = [fibers[x].coding for x in base.objects]
-    code0, obj0, cell0 = [0], [0], [0]
-    for c in codings:
-        code0.append(code0[-1] + len(c.ids))
-        obj0.append(obj0[-1] + len(c.out) - 1)
-        cell0.append(cell0[-1] + len(c.cells))
-    none = code0[-1]
+    numbers = [dict(zip(fibers[x].objects, range(len(fibers[x].objects)))) for x in base.objects]
+    code0 = np.cumsum([0] + [len(c.ids) for c in codings])
+    obj0 = np.cumsum([0] + [len(c.out) - 1 for c in codings])
+    cell0 = np.cumsum([0] + [len(c.cells) for c in codings])
+    none = int(code0[-1])
 
     def joined(arrays, *end):
-        return np.concatenate([*arrays, np.array(end, np.int32)], dtype=np.int32)
+        return np.concatenate([*arrays, np.array(end, np.int64)]).astype(np.int64)
 
     src = joined((c.src + o for c, o in zip(codings, obj0)), -1)
     tgt = joined((c.tgt + o for c, o in zip(codings, obj0)), -2)
+    row = joined((c.row[:-1] + o for c, o in zip(codings, cell0)), 0)
     offset = joined((np.arange(len(c.ids)) - c.out[c.src] for c in codings), 0)
-    row = joined((c.row[:-1] + o for c, o in zip(codings, cell0)), cell0[-1])
-    composite = joined(c.cells + o for c, o in zip(codings, code0))
-    position = joined(c.positions()[c.cells] for c in codings)
-    numbers = [{a: j for j, a in enumerate(fibers[x].objects)} for x in base.objects]
-    targets_of = [c.tgt.tolist() for c in codings]
+    cells = joined(c.cells + o for c, o in zip(codings, code0))
+    rank = _ranks(tgt[:-1])
 
-    # The base's coding: the cell of (f, g) is b_row[f] + b_offset[g].
-    B = base.coding
-    base_code, b_row, b_index = B.code, B.row, B.positions()
-    b_offset, b_position = np.arange(len(B.ids)) - B.out[B.src], b_index[B.cells]
+    def on(table, to, shift, missing, keys):
+        """The joined numbers of the images under ``table`` of ``keys``."""
+        return [missing if (k := to.get(table.get(m), -1)) < 0 else k + shift for m in keys]
 
-    # mu[mu_at[cell] + c]: the code of mu[f, g](c), for the base cell of
-    # (f, g) and the number of c; none where it does not end at M(f;g)(c).
-    bf, bg = B.pairs()
+    # For f: x→y in the base, image[at[f] + l] is M(f)(l) for a code l over
+    # y and image_ob[ob_at[f] + b] is M(f)(b) for an object b over y, -3
+    # where there is none; mu[mu_at[cell] + c] is mu[f, g](c) for the base
+    # cell of (f, g) and an object c over tgt g.
+    image, image_ob, at, ob_at, mu, mu_at = [], [], [], [], [], []
+    for f, x, y in zip(B.ids, B.src.tolist(), B.tgt.tolist()):
+        at.append(len(image) - code0[y])
+        ob_at.append(len(image_ob) - obj0[y])
+        Mf = M.arrows[f]
+        image += on(Mf.on_morphisms, codings[x].code, code0[x], none, codings[y].ids)
+        image_ob += on(Mf.on_objects, numbers[x], obj0[x], -3, fibers[base.objects[y]].objects)
+    for f, g in zip(*(k.tolist() for k in B.pairs())):
+        x, z = int(B.src[f]), int(B.tgt[g])
+        mu_at.append(len(mu) - obj0[z])
+        comps = M.compositors[(B.ids[f], B.ids[g])].components
+        mu += on(comps, codings[x].code, code0[x], none, fibers[base.objects[z]].objects)
+    image, image_ob, at, ob_at, mu, mu_at = (
+        np.array(v, np.int64) for v in (image, image_ob, at, ob_at, mu, mu_at)
+    )
 
-    def mu_codes():
-        for f, g, h in zip(bf.tolist(), bg.tolist(), B.cells.tolist()):
-            f, g, h = B.ids[f], B.ids[g], B.ids[h]
-            i = nth[base.src[f]]
-            code, targets, number = codings[i].code, targets_of[i], numbers[i]
-            comps, ob = mus[(f, g)].components, arrows[h].on_objects
-            for c in fibers[base.tgt[g]].objects:
-                k = code.get(comps.get(c), -1)
-                yield k if k >= 0 and targets[k] == number.get(ob.get(c), -1) else -1
+    # Each total code's (f, k, b): its base code, its joined fiber code and
+    # the joined number of b; perm[i] is the code of the i-th of ``mor_id``,
+    # and seg_at[h] + c is the index in ``firsts`` of the segment of (h, c).
+    n, (f_run, j_run, k_run, sizes) = len(mor_id), runs.T
+    perm = np.fromiter(map(T.code.__getitem__, mor_id.values()), np.int64, n)
+    f_of, k_of, b_of = (np.empty(n, np.int64) for _ in range(3))
+    f_of[perm] = np.repeat(f_run, sizes)
+    b_of[perm] = np.repeat(obj0[B.tgt[f_run]] + j_run, sizes)
+    k_of[perm] = np.arange(n) + np.repeat(code0[B.src[f_run]] + k_run - np.cumsum(sizes) + sizes, sizes)
+    seg_at = first - obj0[B.tgt]
 
-    z = B.tgt[bg]
-    width = np.array([len(fibers[x].objects) for x in base.objects], np.int64)[z]
-    mu = np.fromiter(mu_codes(), np.int32, int(width.sum()))
-    mu = np.where(mu < 0, none, mu + np.repeat(np.array(code0, np.int32)[B.src[bf]], width))
-    mu_at = np.cumsum(width) - width - np.array(obj0)[z]
+    # Per total object Y = (y, b), base code f into y and code q = (g, l, c)
+    # out of Y, at place ubase[Y] + (place of f into y) * nq[Y] + (place of
+    # q out of Y): the column of u = M(f)(l);mu[f, g](c) among the morphisms
+    # out of its source, and the first total payload of the segment of (f;g,
+    # c), -1 where u is not there: M(f)(l) does not start at M(f)(b), is not
+    # composable with mu, or u does not end at M(f;g)(c).
+    tobs = sorted(obj_of)
+    ys = np.array([nth[obj_of[t][0]] for t in tobs], np.int64)
+    bs = obj0[ys] + [numbers[y][obj_of[t][1]] for y, t in zip(ys.tolist(), tobs)]
+    nq = np.diff(T.out)
+    width = np.array([len(fs) for fs in B.into], np.int64)[ys] * nq
+    ubase = np.cumsum(width) - width
+    col, start = np.empty(int(width.sum()), np.int64), np.empty(int(width.sum()), np.int64)
+    for Y, (y, b) in enumerate(zip(ys.tolist(), bs.tolist())):
+        fs, q = B.into[y][:, None], slice(T.out[Y], T.out[Y + 1])
+        g, l, c = f_of[q], k_of[q], b_of[q]
+        bc = B.cell(fs, g)
+        fg, mfl, mu_c = B.cells[bc], image[at[fs] + l], mu[mu_at[bc] + c]
+        ok = (src[mfl] == image_ob[ob_at[fs] + b]) & (tgt[mfl] == src[mu_c])
+        u = cells[np.where(ok, row[mfl] + offset[mu_c], 0)]
+        ok &= tgt[u] == image_ob[ob_at[fg] + c]
+        span = slice(ubase[Y], ubase[Y] + width[Y])
+        col[span] = np.where(ok, offset[u], 0).ravel()
+        start[span] = np.where(ok, firsts[seg_at[fg] + c], -1).ravel()
 
-    # Row r of image[y] and image_ob[y] is M(f) on the codes and on the
-    # objects of the fiber over y, for the r-th base morphism f into y; none
-    # and -3 where the image is none of the fiber over src f.
-    into = {}
-    for f in base.morphisms:
-        into.setdefault(base.tgt[f], []).append(f)
-    into_code, image, image_ob, into_row = {}, {}, {}, {}
-    for y, fs in into.items():
-        into_row.update((f, r) for r, f in enumerate(fs))
-        into_code[y] = np.array([base_code[f] for f in fs], np.int32)
-        on_codes, on_objects = [], []
-        for f in fs:
-            i = nth[base.src[f]]
-            code, number, Mf = codings[i].code, numbers[i], arrows[f]
-            ks = [code.get(m, -1) for m in map(Mf.on_morphisms.get, codings[nth[y]].ids)]
-            obs = [number.get(o, -1) for o in map(Mf.on_objects.get, fibers[y].objects)]
-            on_codes.append([k + code0[i] if k >= 0 else none for k in ks])
-            on_objects.append([o + obj0[i] if o >= 0 else -3 for o in obs])
-        image[y] = np.array(on_codes, np.int32).reshape(len(fs), -1)
-        image_ob[y] = np.array(on_objects, np.int32).reshape(len(fs), -1)
-
-    # The blocks by source, each source's in block order, as one run of
-    # segments and one run of entries.  Per segment of base morphism h in
-    # block ((x, a), (y, b)): the code of h, its row into y, the number of
-    # b, the index of (y, b) among the targets of (x, a), the block's region
-    # and the segment's start in the block; per entry, its segment, that
-    # segment's index in its block and the code of its fiber part.  From
-    # region[block] on, ``starts`` holds the start of the segment of each
-    # morphism of the base hom-set, ``past`` where there is none, as from 0.
-    outs = {}
-    for x, y in blocks:
-        outs.setdefault(x, []).append(y)
-    hs, cut_at, firsts, per_block, run, region = [], [], [], [], {}, {}
-    n_starts, n_entries = max(map(len, base.homs.values()), default=0), 0
-    for x, ys in outs.items():
-        x0, a = obj_of[x]
-        i0, hom_first = code0[nth[x0]], codings[nth[x0]].start
-        for i, y in enumerate(ys):
-            (y0, b), cut, n = obj_of[y], segments[(x, y)], len(blocks[(x, y)])
-            run[(x, y)] = slice(len(hs), len(hs) + len(cut)), slice(n_entries, n_entries + n)
-            region[(x, y)], b_number = n_starts, obj0[nth[y0]] + numbers[nth[y0]][b]
-            per_block.append((len(cut), b_number, i, n_starts, n_entries))
-            hs += cut
-            cut_at += cut.values()
-            firsts += [i0 + hom_first[(a, arrows[h].ob(b))] for h in cut]
-            n_starts += len(base.homs[(x0, y0)])
-            n_entries += n
-    counts, seg_b, seg_i, seg_region, block_at = np.array(per_block, np.int32).reshape(-1, 5).T
-    seg_b, seg_i, seg_region = (np.repeat(v, counts) for v in (seg_b, seg_i, seg_region))
-    seg_h = np.fromiter(map(base_code.__getitem__, hs), np.int32, len(hs))
-    seg_into = np.fromiter(map(into_row.__getitem__, hs), np.int32, len(hs))
-    seg_start = np.array(cut_at, np.int32)
-    seg_at = np.repeat(block_at, counts) + seg_start  # each segment's first entry
-    sizes = np.diff(np.append(seg_at, n_entries))
-    starts = np.full(n_starts, past, np.int32)
-    starts[seg_region + b_index[seg_h]] = seg_start
-    entry_seg = np.repeat(np.arange(len(hs), dtype=np.int32), sizes)
-    entry_kth = entry_seg - np.repeat(np.cumsum(counts) - counts, counts)[entry_seg]
-    shift = np.array(firsts, np.int32) - seg_at
-    entry_code = np.arange(n_entries, dtype=np.int32) + np.repeat(shift, sizes)
-    entry_into = seg_into[entry_seg]
-    entry_row = row[entry_code]
-    columns, later, rows = {}, {}, {}
-    uses = Counter(y for _, y in blocks)  # the blocks into y not yet composed
-
-    def out_of(y):
-        """The segments and the entries of the blocks out of y, each
-        entry's segment among them, each segment's index among the blocks,
-        and each block's entries among them."""
-        if y not in columns:
-            zs = outs[y]
-            (s0, e0), (s1, e1) = run[(y, zs[0])], run[(y, zs[-1])]
-            s, e = slice(s0.start, s1.stop), slice(e0.start, e1.stop)
-            where = {z: slice(run[(y, z)][1].start - e.start, run[(y, z)][1].stop - e.start)
-                     for z in zs}
-            columns[y] = s, e, entry_seg[e] - s.start, seg_i[s], where
-        return columns[y]
-
-    def after(y):
-        """For the i-th base morphism f into y0, y = (y0, b), and the j-th
-        entry (g, l, c) out of y: the offset of u = M(f)(l);mu[f, g](c) among
-        the morphisms out of M(f)(b), and the mask of the (i, j) for which
-        there is no such u; and per segment of g, the position of f;g in its
-        base hom-set."""
-        if y not in later:
-            y0, b = obj_of[y]
-            s, e, g_seg = out_of(y)[:3]
-            cell = b_row[into_code[y0]][:, None] + b_offset[seg_h[s]]
-            mu_fl = mu[mu_at[cell] + seg_b[s]].take(g_seg, axis=1)
-            mapped = image[y0].take(entry_code[e] - code0[nth[y0]], axis=1)
-            source = image_ob[y0][:, numbers[nth[y0]][b], None]
-            ok = (src[mapped] == source) & (tgt[mapped] == src[mu_fl])
-            u = composite[np.where(ok, row[mapped] + offset[mu_fl], 0)]
-            later[y] = np.where(ok, offset[u], 0), ~ok, b_position[cell]
-        return later[y]
-
-    def composites(x, y):
-        """Entry (i, j): the position in block (x, z) of the i-th entry of
-        block (x, y) then the j-th entry out of y, or ``past`` if it is not
-        there."""
-        (s, e), (_, _, g_seg, z_seg, _), (u, no_u, fg) = run[(x, y)], out_of(y), after(y)
-        uses[y] -= 1
-        if not uses[y]:
-            del later[y]
-        zs = np.fromiter((region.get((x, z), 0) for z in outs[y]), np.int32, len(outs[y]))
-        start = starts[fg.take(seg_into[s], axis=0) + zs[z_seg]]
-        # k;u by the cell of k, its position in its hom-set, then in block
-        # (x, z), past every block where there is no u; a round of rows at a
-        # time, so that no temporary, the intp copy of an index that
-        # ``take`` makes included, outgrows a round
-        into, k_row, kth = entry_into[e], entry_row[e], entry_kth[e]
-        at = np.empty((len(into), len(g_seg)), np.int32)
-        step = max(1, _ROUND_CELLS // max(1, len(g_seg)))
-        for i in range(0, len(into), step):
-            r = slice(i, i + step)
-            cells = u.take(into[r], axis=0)
-            cells += k_row[r, None]
-            cells = position.take(cells)
-            cells += start.take(kth[r], axis=0).take(g_seg, axis=1)
-            np.copyto(cells, past, where=no_u.take(into[r], axis=0))
-            at[r] = cells
-        return np.minimum(at, past, out=at)
-
-    def compose(x, y, z):
-        if (x, y) not in rows:
-            rows.clear()
-            rows[(x, y)] = composites(x, y)
-        at = rows[(x, y)][:, out_of(y)[4][z]]
-        if z == outs[y][-1]:
-            rows.clear()
-        return at
-
-    return compose
+    # Cell (p, q) for p = (f, k, b) into Y: the code of (f;g, k;u, c), the
+    # rank of k;u in its segment past the segment's start, a round of
+    # ``T.rounds()`` at a time.
+    shift = ubase[T.tgt] + _ranks(B.tgt)[f_of] * nq[T.tgt] - T.row[:-1]
+    k_row = row[k_of]
+    for lo, hi in T.rounds():
+        c0, c1 = T.row[lo], T.row[hi]
+        sizes = np.diff(T.row[lo : hi + 1])
+        u_at = np.arange(c0, c1) + np.repeat(shift[lo:hi], sizes)
+        s = start[u_at]
+        if (s < 0).any():
+            cell = c0 + int(np.argmax(s < 0))
+            p = int(np.searchsorted(T.row, cell, "right")) - 1
+            q = cell - T.row[p] + T.out[T.tgt[p]]
+            raise CompositeEndpointViolation((T.ids[p], T.ids[q]))
+        T.cells[c0:c1] = perm[s + rank[cells[np.repeat(k_row[lo:hi], sizes) + col[u_at]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -466,35 +390,37 @@ def choose_cleaving(P: FinFunctor) -> Cleaving:
     return Cleaving(P, lifts)
 
 
-def cartesian_factor(P: FinFunctor, phi: str, g: str, theta: str):
-    """The unique psi over g with phi∘psi = theta; None when there is no
-    such psi or more than one."""
-    A = P.source
-    found = None
-    for psi in A.hom(A.src[theta], A.src[phi]):
-        if P.mor(psi) == g and A.comp(psi, phi) == theta:
-            if found is not None:
-                return None
-            found = psi
-    return found
-
-
 def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
-    """Fiber-to-fiber functor induced by the cleaving along f: x→y."""
-    X = P.target
+    """Fiber-to-fiber functor induced by the cleaving along f: x→y.
+
+    It sends psi: b→b2 over y to the unique w over id_x with w;lift(f, b2) =
+    lift(f, b);psi, found on the cells of ``P.source.coding``: the
+    composites w;lift(f, b2) of the w over id_x into the source of lift(f,
+    b2), for every b2, have the target b2, so one sorted list of them all
+    finds each w.  A psi with no such w, or more than one, raises
+    ``NotAFibration((f, b2))`` for the first in the fiber's morphism order."""
+    A, X = P.source, P.target
     x, y = X.src[f], X.tgt[f]
     fib_y, fib_x = fiber(P, y), fiber(P, x)
+    ac, m = A.coding, P.code_map
+    lift = {b: ac.code[cleaving.lift(f, b)] for b in fib_y.objects}
+    over_x = m == X.coding.code[X.id_of(x)]
+    ws = [ac.into[ac.src[lift[b2]]] for b2 in fib_y.objects]
+    ws = [w[over_x[w]] for w in ws]
+    made = [ac.cells[ac.cell(w, lift[b2])] for w, b2 in zip(ws, fib_y.objects)]
+    made, ws = (np.concatenate([np.empty(0, np.int64), *v]) for v in (made, ws))
+    order = np.argsort(made, kind="stable")
+    made, ws = made[order], ws[order]
+
+    psis = np.array([ac.code[psi] for psi in fib_y.morphisms], np.int64)
+    firsts = np.array([lift[fib_y.src[psi]] for psi in fib_y.morphisms], np.int64)
+    thetas = ac.cells[ac.cell(firsts, psis)]
+    lo, hi = np.searchsorted(made, thetas), np.searchsorted(made, thetas, "right")
+    bad = np.flatnonzero(hi - lo != 1)
+    if bad.size:
+        raise NotAFibration((f, fib_y.tgt[fib_y.morphisms[bad[0]]]))
+    on_morphisms = dict(zip(fib_y.morphisms, map(ac.ids.__getitem__, ws[lo].tolist())))
     on_objects = {b: cleaving.reindexed_object(f, b) for b in fib_y.objects}
-    on_morphisms = {}
-    A = P.source
-    idx = X.id_of(x)
-    for psi in fib_y.morphisms:
-        b, b2 = fib_y.src[psi], fib_y.tgt[psi]
-        theta = A.comp(cleaving.lift(f, b), psi)
-        w = cartesian_factor(P, cleaving.lift(f, b2), idx, theta)
-        if w is None:
-            raise NotAFibration((f, b2))
-        on_morphisms[psi] = w
     return validate_functor(fib_y, fib_x, on_objects, on_morphisms)
 
 
@@ -538,11 +464,11 @@ def fiber_iso_to_indexed_fiber(gr: GrothResult, x: str) -> FinFunctor:
     M = gr.indexed
     fib_x = M.fiber_at(x)
     fib_total = fiber(gr.proj, x)
-    eta = M.eta(x)
-    idx = M.base.id_of(x)
+    idx, c = M.base.id_of(x), fib_x.coding
+    etas = np.array([c.code[M.eta(x).at(b)] for b in fib_x.objects], np.int64)
+    made = c.cells[c.cell(np.arange(len(c.ids)), etas[c.tgt])]  # k;eta(tgt k)
     on_objects = {a: gr.obj_id[(x, a)] for a in fib_x.objects}
-    on_morphisms = {}
-    for k in fib_x.morphisms:
-        b = fib_x.tgt[k]
-        on_morphisms[k] = gr.mor_id[(idx, fib_x.comp(k, eta.at(b)), b)]
+    on_morphisms = {
+        k: gr.mor_id[(idx, c.ids[made[c.code[k]]], fib_x.tgt[k])] for k in fib_x.morphisms
+    }
     return validate_functor(fib_x, fib_total, on_objects, on_morphisms)

@@ -149,10 +149,11 @@ def symmetric_group(n: int) -> GroupTable:
     return validate_group(perms, mult)
 
 
-def group_as_category(G: GroupTable, obj: str = "*") -> FinCat:
-    """The one-object groupoid whose morphisms are the group elements."""
-    blocks = {(obj, obj): {e: e for e in G.elements}}
-    return assemble({obj: G.unit}, blocks, per_composite(blocks, lambda a, b: G.mul(b, a)))
+def group_as_category(G: GroupTable) -> FinCat:
+    """The one-object groupoid on the object "*" whose morphisms are the
+    group elements."""
+    blocks = {("*", "*"): {e: e for e in G.elements}}
+    return assemble({"*": G.unit}, blocks, per_composite(blocks, lambda a, b: G.mul(b, a)))
 
 
 def category_as_group(C: FinCat) -> GroupTable:
@@ -225,12 +226,9 @@ def kernel_subgroup(h: GroupHom) -> GroupTable:
     return validate_group(ker, mult, h.source.unit)
 
 
-def hom_as_functor(h: GroupHom, src_obj: str = "*", tgt_obj: str = "*"):
+def hom_as_functor(h: GroupHom):
     return validate_functor(
-        group_as_category(h.source, src_obj),
-        group_as_category(h.target, tgt_obj),
-        {src_obj: tgt_obj},
-        dict(h.mapping),
+        group_as_category(h.source), group_as_category(h.target), {"*": "*"}, dict(h.mapping)
     )
 
 
@@ -457,8 +455,8 @@ def twisted_indexed_data(T: TwistedAction):
     g·f, and phi is indexed so that phi[(g1, g2)] intertwines toward
     act(g1·g2).
     """
-    base = group_as_category(T.acting, "*")
-    fiber = group_as_category(T.acted, "*")
+    base = group_as_category(T.acting)
+    fiber = group_as_category(T.acted)
     arrows = {g: ({"*": "*"}, dict(T.act[g])) for g in T.acting.elements}
     compositors = {
         (f, g): {"*": T.phi[(g, f)]}

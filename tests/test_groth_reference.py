@@ -4,7 +4,10 @@ For every morphism of a set of functors, the hom-set bijection in
 ``is_cartesian`` must give what ``groth_reference`` gives by factoring each
 (g, theta) on its own; ``is_fibration`` must give the same ``Check`` and
 ``choose_cleaving`` the same entries, or raise ``NotAFibration`` with the
-same (f, b).  The functors cover fibrations with several cartesian lifts
+same (f, b).  ``reindexing`` must give the same functor as the reference
+that factors each fiber morphism on its own, or the same error, along every
+base morphism, for the chosen cleaving and for lifts that need not be
+cartesian.  The functors cover fibrations with several cartesian lifts
 per (f, b), functors that are not fibrations, and morphisms that fail the
 bijection by size alone or by injectivity alone.
 """
@@ -12,7 +15,7 @@ bijection by size alone or by injectivity alone.
 import pytest
 
 import groth_reference as ref
-from fibcat import NotAFibration, fiber_inclusion, generators, groth, grothendieck, validate_functor
+from fibcat import CategoryError, NotAFibration, fiber_inclusion, generators, groth, grothendieck, validate_functor
 from fibcat.groups import hom_as_functor, validate_group_hom
 from test_groth import six_morphism_functors
 
@@ -85,6 +88,34 @@ def test_fibrations_match_reference(functors, case):
         assert _outcome(groth.choose_cleaving, P) == _outcome(ref.choose_cleaving, P)
         for phi in P.source.morphisms:
             assert groth.is_cartesian(P, phi) == ref.is_cartesian(P, phi), phi
+
+
+def _reindexed(reindexing, P, cleaving, f):
+    try:
+        F = reindexing(P, cleaving, f)
+    except CategoryError as exc:
+        return type(exc), exc.args
+    return F.on_objects, list(F.on_morphisms.items())
+
+
+def test_reindexing_matches_reference(functors):
+    """Along every base morphism f whose every (f, b) has a lift: with the
+    chosen cleaving of a fibration, and with the least and with the greatest
+    morphism over each (f, b), cartesian or not, as its lift; one of those
+    has a fiber morphism that does not factor uniquely."""
+    outcomes = []
+    for P in (P for Ps in functors.values() for P in Ps):
+        over = ref.over_map(P)
+        cleavings = [groth.Cleaving(P, {fb: phis[i] for fb, phis in over.items()}) for i in (0, -1)]
+        if ref.is_fibration(P):
+            cleavings.append(groth.choose_cleaving(P))
+        for cleaving in cleavings:
+            for f in P.target.morphisms:
+                if all((f, b) in cleaving.entries for b in groth.fiber_objects(P, P.target.tgt[f])):
+                    got = _reindexed(groth.reindexing, P, cleaving, f)
+                    assert got == _reindexed(ref.reindexing, P, cleaving, f), f
+                    outcomes.append(got[0])
+    assert outcomes.count(NotAFibration) == 1 and len(outcomes) > 3000
 
 
 def test_functors_to_a_point_match_reference(seeded_categories):

@@ -1,18 +1,20 @@
 """Structural checks on the library source, read with ``ast``.
 
-Every category, built by the library with ``core.assemble`` or read from
-raw ids with ``core.validate_category``, is coded once and checked once by
-the stage the two share, the one caller of the ``FinCat`` constructor,
-which reads the cells of the coding and never the string table; in the
-library only the JSON reader calls ``validate_category``, and no module
-but ``core`` codes a category.  Functors are checked, and cartesian
-morphisms found, on the codings too, which one run confirms: a
-Grothendieck construction, a functor load, a fibration check and a
-cleaving leave no string table behind.  ``ioformats`` writes and reads a
-category on its cells and ``core.subcategory`` composes on them, so
-writing a total and cutting the fibers of its projection make none either.
-Builders compose whole pairs of blocks; the ones that compose one payload at a time are pinned as the
-callers of ``core.per_composite``.  The library never depends on test
+Every category, built by the library with ``core.assemble``, read from raw
+ids with ``core.validate_category`` or filled cell by cell by
+``groth.grothendieck``, is coded once, by ``core.from_cells``, and checked
+once by the stage all three share, the one caller of the ``FinCat``
+constructor, which reads the cells of the coding and never the string
+table; in the library only the JSON reader calls ``validate_category``, and
+no module but ``core`` codes a category.  Functors are checked, cartesian
+morphisms found and fibers reindexed on the codings too, which one run
+confirms: a Grothendieck construction, a functor load, a fibration check, a
+cleaving and its reindexing functors leave no string table behind.
+``ioformats`` writes and reads a category on its cells and
+``core.subcategory`` composes on them, so writing a total and cutting the
+fibers of its projection make none either.  The other builders compose
+whole pairs of blocks; the ones that compose one payload at a time are
+pinned as the callers of ``core.per_composite``.  The library never depends on test
 helpers, the limits, groth, core, functors and indexed oracles never
 depend on the library's private search code, no function imports a
 sibling module, no module imports a sibling's underscore name, and no
@@ -26,7 +28,7 @@ import pathlib
 
 from fibcat import cli
 from fibcat.generators import indexed_gpow
-from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration
+from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import (
     Loader,
@@ -96,12 +98,19 @@ def _callers(target, calls):
 
 
 def test_validate_category_has_exactly_two_callers():
-    """The seams of the one path: ``core._checked``, the checks that
-    ``assemble`` and ``validate_category`` share, alone calls the ``FinCat``
-    constructor, and ``ioformats.category_from_json`` alone mentions
+    """The seams of the one path: ``core._checked``, the checks that every
+    builder shares, alone calls the ``FinCat`` constructor; ``core.from_cells``,
+    which hands a fresh coding to its caller's fill, alone calls
+    ``_checked``; ``assemble``, ``validate_category`` and ``grothendieck``
+    build through it; and ``ioformats.category_from_json`` alone mentions
     ``validate_category``."""
     assert _callers("FinCat", True) == ["core._checked"]
-    assert _callers("_checked", True) == ["core.assemble", "core.validate_category"]
+    assert _callers("_checked", True) == ["core.from_cells"]
+    assert _callers("from_cells", True) == [
+        "core.assemble",
+        "core.validate_category",
+        "groth.grothendieck",
+    ]
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
 
 
@@ -160,7 +169,9 @@ def test_no_functor_check_makes_a_table():
     assert "table" not in vars(gr.total)
     data = json.loads(stable_dumps(functor_to_json(gr.proj)))
     P = Loader().functor(data)
-    assert is_fibration(P) and choose_cleaving(P).entries
+    assert is_fibration(P)
+    cleaving = choose_cleaving(P)
+    assert all(reindexing(P, cleaving, f).on_morphisms for f in P.target.morphisms)
     assert "table" not in vars(P.source) and "table" not in vars(P.target)
     assert len(P.source.table) == len(gr.total.table)
 
@@ -197,25 +208,27 @@ def test_writing_a_total_and_its_fibers_make_no_table(tmp_path, monkeypatch):
 def test_only_core_codes_a_category():
     """A category's integer coding is built once, by ``core``, and kept on
     ``FinCat``: ``core._coding`` alone calls the ``Coding`` constructor, no
-    module keeps a coder of its own, and the Grothendieck composer reads the
-    stored codings of the fibers and the base, never a string table."""
+    module keeps a coder of its own, and no module but ``core`` names
+    ``_coding`` or ``_checked``.  The Grothendieck construction fills the
+    total's cells from the stored codings of the fibers and the base: no
+    function in ``groth`` calls ``assemble`` or ``comp`` or reads a
+    ``table``."""
     modules = dict(_modules())
     assert _callers("Coding", True) == ["core._coding"]
     classes = {n.name for t in modules.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
     assert "_Codes" not in classes
-    (composer,) = [
-        node
-        for node in ast.walk(modules["groth"])
-        if isinstance(node, ast.FunctionDef) and node.name == "_block_composer"
-    ]
-    read = {node.attr for node in ast.walk(composer) if isinstance(node, ast.Attribute)}
-    assert "coding" in read and "table" not in read
+    for name in ("_coding", "_checked"):
+        assert {where.split(".")[0] for where in _callers(name, False)} == {"core"}, name
+    groth = modules["groth"]
+    read = {node.attr for node in ast.walk(groth) if isinstance(node, ast.Attribute)}
+    assert "coding" in read and not read & {"table", "_table", "comp"}
+    assert not _references(groth, "assemble")
 
 
 def test_per_composite_callers_are_pinned():
-    """The injection builders, the Grothendieck construction and
-    ``core.subcategory`` compose with numpy; every other builder goes
-    through the one per-composite adapter.
+    """The injection builders and ``core.subcategory`` compose whole blocks
+    with numpy, and the Grothendieck construction fills its cells itself;
+    every other builder goes through the one per-composite adapter.
     A new builder picks a path knowingly, and the per-composite formulas of
     decorated injections and of the Grothendieck construction live only in
     the test oracle."""
