@@ -9,7 +9,9 @@ prints one JSON line: the rung, the wall time of its timed step in seconds
 and the process's peak resident set (``ru_maxrss``) in MB, or the timeout
 when the process ran past it.  The timed step of a build rung is the whole
 build; a write or read rung first makes its input, untimed, and times only
-the write or the read, while its peak resident set covers both.  The exit
+the write or the read, and an audit rung makes its category, untimed, and
+times the seven conditions of ``check_fi_type``, while the peak resident
+set covers both.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -21,6 +23,7 @@ import subprocess
 import sys
 import time
 
+from fibcat.fitype import check_fi_type
 from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
@@ -56,6 +59,11 @@ RUNGS = {
         lambda: stable_dumps(category_to_json(_fi_z2_4_total())),
         lambda text: category_from_json(json.loads(text)),
     ),
+    # FI-type audits: FI_5 (415 morphisms), the FI_Z2 total category for N=4
+    # (729 morphisms, 407,109 cospans) and FI_6 (2,372 morphisms, 3.9M cospans)
+    "audit_fi5": (lambda: fi_truncated(5), check_fi_type),
+    "audit_fi_z2_4_total": (_fi_z2_4_total, check_fi_type),
+    "audit_fi6": (lambda: fi_truncated(6), check_fi_type),
 }
 
 

@@ -249,7 +249,26 @@ class Coding:
     def into(self) -> list:
         """``into[x]``: the codes into object x, by source and then id."""
         ends = np.bincount(self.tgt, minlength=len(self.out) - 1)
-        return np.split(np.argsort(self.tgt, kind="stable"), np.cumsum(ends)[:-1])
+        return np.split(np.argsort(self.tgt, kind="stable"), np.cumsum(ends))[:-1]
+
+    @functools.cached_property
+    def monos(self) -> np.ndarray:
+        """The mask of the mono codes.  f is mono exactly when the cells (u,
+        f), over the codes u into src f, are pairwise distinct: a composite
+        u;f fixes the source of u, so two u with one composite are parallel.
+        One sort per object, over the rows of the codes into it, a round of
+        at most ``_SWEEP_CELLS`` cells at a time."""
+        mono = np.ones(len(self.ids), bool)
+        for x, us in enumerate(self.into):
+            if len(us) < 2:
+                continue
+            fs = np.arange(self.out[x], self.out[x + 1])
+            step = max(1, _SWEEP_CELLS // len(us))
+            for lo in range(0, len(fs), step):
+                f = fs[lo : lo + step]
+                made = np.sort(self.cells[self.cell(us[:, None], f)], axis=0)
+                mono[f] = (made[1:] != made[:-1]).all(0)
+        return mono
 
     def positions(self):
         """The position of each code in its hom-set."""
@@ -716,18 +735,21 @@ def _raise_first_violation(homs, coding, rows, outs, a, b, c):
 
 
 def mono_witness(C: FinCat, f: str):
-    """A parallel pair (g1, g2) with f∘g1 = f∘g2 and g1 ≠ g2, if one exists."""
+    """A parallel pair (g1, g2) with f∘g1 = f∘g2 and g1 ≠ g2, if one exists:
+    g2 is the first morphism into src f, by source and then id, whose
+    composite with f an earlier g1 has, read from the cells."""
     C.require_morphism(f)
-    x = C.src[f]
-    table = C.table
-    for w in C.objects:
-        seen = {}
-        for g in C.hom(w, x):
-            c = table[(g, f)]
-            if c in seen:
-                return (seen[c], g)
-            seen[c] = g
-    return None
+    coding = C.coding
+    k = coding.code[f]
+    us = coding.into[coding.src[k]]
+    made = coding.cells[coding.cell(us, k)]
+    _, first, at = np.unique(made, return_index=True, return_inverse=True)
+    earlier = first[at]
+    later = np.flatnonzero(earlier != np.arange(len(us)))
+    if not later.size:
+        return None
+    g2 = int(later[0])
+    return coding.ids[us[earlier[g2]]], coding.ids[us[g2]]
 
 
 def is_mono(C: FinCat, f: str) -> bool:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Check,
     FinCat,
@@ -85,12 +87,15 @@ class FiTypeReport:
 
 
 def _all_mono(C: FinCat) -> Check:
-    """Every morphism is mono; the counterexample is (f, mono_witness(f))."""
-    for f in C.morphisms:
-        w = mono_witness(C, f)
-        if w is not None:
-            return Check(False, (f, w))
-    return Check(True)
+    """Every morphism is mono, read from the category's mono mask; the
+    counterexample is (f, mono_witness(f)) for the first f by id that is
+    not."""
+    coding = C.coding
+    bad = np.flatnonzero(~coding.monos)
+    if not bad.size:
+        return Check(True)
+    f = min(coding.ids[k] for k in bad.tolist())
+    return Check(False, (f, mono_witness(C, f)))
 
 
 def check_fi_type(C: FinCat) -> FiTypeReport:

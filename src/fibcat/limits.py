@@ -2,37 +2,74 @@
 
 A pullback of a cospan is a terminal commutative square over it; a weak
 pushout of a span is a pullback square over that span which is initial among
-all pullback squares on the same span.  Both searches enumerate every
-candidate and verify mediator existence and uniqueness against every
-competitor, so a positive answer is a certificate.
+all pullback squares on the same span.  Both searches are exact over the
+whole category, so a positive answer is a certificate.
 
-Terminality is checked object by object.  A competitor of (f1, f2) is a
-commuting (q, u, v); a candidate (p, u0, v0) sends each w: q→p to the
-competitor (q, w;u0, w;v0), so it is terminal exactly when that map is a
-bijection from hom(q, p) onto the competitors at q, for every q.  The
-candidates are tried in competitor order and the first terminal one is
-kept, so the chosen representative and its mediator table are the ones a
-mediator scan per competitor finds.
+Terminality is decided by counting.  A competitor of (f1, f2) is a
+commuting (q, u, v), listed by q in object order, then u and v in hom-set
+order.  A competitor (p, u0, v0) sends each w: q→p to the competitor (q,
+w;u0, w;v0), and it is terminal exactly when that map is a bijection from
+hom(q, p) onto the competitors at q, for every q.  These are finite sets, so
+that holds exactly when both of these do:
 
-Two symmetries share that work without changing any answer or its order;
-the third point below follows from the second.
+* for every object q, |hom(q, p)| equals the number K_q(f1, f2) of
+  competitors at q: the hom-count column of p equals the cospan's count
+  column;
+* w ↦ (w;u0, w;v0) is injective on the morphisms into p.  The maps for two
+  objects q have images with different sources, so this is injectivity of
+  each.  It is automatic when u0 or v0 is mono, as w;u0 = w';u0 then gives
+  w = w'.
 
-* Pullbacks.  For an isomorphism a out of d = tgt(f1), u;f1;a = v;f2;a
-  exactly when u;f1 = v;f2, so the cospan (f1;a, f2;a) has the very same
-  competitor list, in the same order, and hence the same chosen pullback
-  and mediator table.  One search stores its ``Pullback`` under every such
-  cospan.
+Every competitor at q meets one h = u;f1 = v;f2 in hom(q, d), for d =
+tgt(f1), so K_q(f1, f2) = sum over h of N[f1, h] N[f2, h], where N[f, h] is
+the number of u with u;f = h, over the morphisms f and h into d.  N is read
+off the cells (u, f) once per d, and so is the least such u.
+
+The chosen pullback is the first terminal competitor, as a scan of the
+competitors in order finds it.  By the criterion, a competitor is terminal
+only at an object whose hom-count column is the cospan's count column.  So
+the chosen one is at the first such object that has an injective
+competitor, and it is the first injective competitor there.  The search
+hashes the count column to propose the first object with that column,
+compares the two columns object by object, and takes the least competitor
+there.  If neither leg is mono, injectivity is checked on the cells, and a
+failure moves on to the next competitor and then the next object with that
+column.  The representative, every counterexample and every report byte are
+the ones of the per-competitor scan that ``tests/limits_reference.py``
+keeps.
+
+``_pullbacks_into`` decides every cospan into d at once and keeps three
+``int32`` arrays in ``_pairs`` order: the apex's object number, -1 where the
+cospan has no pullback, and the two legs' codes.  For an isomorphism a of
+d, u;f1 = v;f2 exactly when u;f1;a = v;f2;a, so the cospans (f1, f2) and
+(f1;a, f2;a) have the same competitors in the same order and the same
+chosen pullback.  So only the rows f1 that are least in their orbit under
+the automorphisms of d are searched, in rounds of at most ``_ROUND``
+counts; every other row f1 is read from the row of f1;a, at f2;a, with a
+composed on the cells.  A ``Pullback``, with its mediator table, is made
+only when ``pullback`` or ``as_pullback`` is asked for one, and
+``pullback`` keeps it.
+
+Squares are tested on the same arrays.  A commuting square with apex p' is
+a competitor of its cospan.  If the cospan has a chosen pullback at p, its
+count column is the hom-count column of p, and otherwise no competitor is
+terminal.  So the square is a pullback square exactly when its cospan has a
+chosen apex with the hom-count column of p' and its legs are injective, and
+neither ``is_pullback_square`` nor ``preserves_pullbacks`` searches an
+isomorphism or reads a mediator.
+
 * Completions.  A commuting square over the span (g1, g2) and the cospan
   (f1, f2) is a pullback square exactly when (g1, g2) = (w;u0, w;v0) for an
   isomorphism w into the apex of the chosen pullback (P, u0, v0) of
   (f1, f2).  So the spans completed by (f1, f2) form one class, the iso
   orbit of (u0, v0), and every span of a class has the same completion
-  cospans.  One walk over the cospans, ``_cospan_walk``, appends each
-  cospan to its class and also decides condition 6.  Its order (d, f1, f2)
-  is the one in which a per-span scan lists completions, so the lists need
-  no sorting, and a span in no class is vacuous without any square being
-  tested.  Initiality of a completion reads only the cospans, never the
-  span, so it too is computed once per class.
+  cospans.  One walk over the arrays, ``_cospan_walk``, keys each cospan by
+  the least span of its orbit and gives each class its cospans, and it
+  also decides condition 6.  Its order (d, f1, f2) is the one in which a
+  per-span scan lists completions, so the lists need no sorting, and a
+  span in no class is vacuous without any square being tested.
+  Initiality of a completion reads only the cospans, never the span, so it
+  too is computed once per class.
 * Weak pushouts.  Whether a span has a weak pushout, and which completion
   is chosen, is therefore a property of its class: ``_chosen`` finds the
   first initial completion once per class, and ``has_weak_pushouts`` asks
@@ -47,8 +84,11 @@ audits tractable.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import count, product, starmap
+
+import numpy as np
 
 from .core import Check, FinCat, CategoryError
 from .functors import FinFunctor
@@ -127,6 +167,11 @@ def check_span(C: FinCat, span: Span) -> None:
         raise NotASpan((span.g1, span.g2))
 
 
+def _composite(coding, f, g):
+    """The code of f;g, for composable codes f and g."""
+    return coding.cells[coding.cell(f, g)]
+
+
 def check_square(C: FinCat, sq: Square) -> None:
     for m in (sq.top, sq.left, sq.right, sq.bottom):
         C.require_morphism(m)
@@ -135,101 +180,194 @@ def check_square(C: FinCat, sq: Square) -> None:
         and C.tgt[sq.top] == C.src[sq.right]
         and C.tgt[sq.left] == C.src[sq.bottom]
         and C.tgt[sq.right] == C.tgt[sq.bottom]
-        and C.comp(sq.top, sq.right) == C.comp(sq.left, sq.bottom)
     )
+    if ok:
+        coding = C.coding
+        top, left, right, bottom = (coding.code[m] for m in (sq.top, sq.left, sq.right, sq.bottom))
+        ok = _composite(coding, top, right) == _composite(coding, left, bottom)
     if not ok:
         raise NonCommuting(sq)
 
 
-def _competitors(C: FinCat, f1: str, f2: str) -> list:
-    """All (q, u, v) with f1∘u = f2∘v, in construction (lexicographic) order."""
-    c1, c2 = C.src[f1], C.src[f2]
-    table, homs = C.table, C.homs
-    out = []
-    for q in C.objects:
-        us = homs.get((q, c1))
-        if us is None:
-            continue
-        by_comp = {}
-        for v in homs.get((q, c2), ()):
-            by_comp.setdefault(table[(v, f2)], []).append(v)
-        for u in us:
-            for v in by_comp.get(table[(u, f1)], ()):
-                out.append((q, u, v))
-    return out
+_ROUND = 1 << 20  # counts compared per numpy round, as core's sweeps
+_UNDECIDED = object()
 
 
-def _competitor_counts(comps: list) -> list:
-    """(q, number of competitors at q) for every apex q, highest q first."""
-    counts = {}
-    for (q, _, _) in comps:
-        counts[q] = counts.get(q, 0) + 1
-    return list(reversed(counts.items()))
+def _hom_counts(C: FinCat) -> dict:
+    """What every search on C shares, made once: ``pos``, the position of
+    each code among the codes into its target; ``first``, the first object
+    whose hom-count column |hom(-, p)| is that of p, for each object p;
+    ``weights``, which hash a column to an integer, and ``keys`` and
+    ``firsts``, the hashes of the distinct columns, sorted, with their first
+    objects; ``isos_into``, the isomorphisms into each object."""
+    memo = C.cache("hom_counts")
+    if not memo:
+        coding, k = C.coding, len(C.objects)
+        counts = np.bincount(coding.src * k + coding.tgt, minlength=k * k).reshape(k, k)
+        seen = {}
+        columns = map(tuple, counts.T.tolist())
+        first = np.array([seen.setdefault(col, p) for p, col in enumerate(columns)], np.int64)
+        firsts = np.flatnonzero(first == np.arange(k))
+        for seed in count():
+            rng = random.Random(seed)
+            weights = np.array([rng.randrange(1, 1 << 20) for _ in range(k)])
+            keys = weights @ counts[:, firsts]
+            if _distinct(keys):
+                break
+        pos = np.empty(len(coding.ids), np.int64)
+        for ms in coding.into:
+            pos[ms] = np.arange(len(ms))
+        isos = np.zeros(len(coding.ids), bool)
+        isos[[coding.code[a] for a in C.inverses]] = True
+        order = np.argsort(keys)
+        memo.update(
+            counts=counts, pos=pos, first=first, weights=weights,
+            keys=keys[order], firsts=firsts[order], isos_into=[ms[isos[ms]] for ms in coding.into],
+        )
+    return memo
 
 
-def _terminal_mediators(C: FinCat, p: str, u0: str, v0: str, counts: list, total: int):
-    """Mediator table of the competitor (p, u0, v0), or None if not terminal.
+def _pullbacks_into(C: FinCat, d: int):
+    """The chosen pullback of every cospan into the object numbered d, as
+    three ``int32`` arrays in ``_pairs`` order: the apex's object number,
+    or -1 where the cospan has no pullback, and the codes of the two legs.
+    Made once per object (see the module docstring)."""
+    memo = C.cache("pullbacks_into")
+    if d in memo:
+        return memo[d]
+    coding, hc = C.coding, _hom_counts(C)
+    counts, pos = hc["counts"], hc["pos"]
+    ms = coding.into[d]
+    n, none = len(ms), len(coding.ids)
+    # hom(q, d) is the run bounds[q]:bounds[q + 1] of ms
+    bounds = np.searchsorted(coding.src[ms], np.arange(len(C.objects) + 1))
+    qs = np.flatnonzero(np.diff(bounds))
+    # N[f, h]: the number of u with u;f = h; least[f, h]: the least such u
+    at, us = [], []
+    for c in qs.tolist():
+        u, f = coding.into[c], np.arange(bounds[c], bounds[c + 1])
+        at.append((f * n + pos[_composite(coding, u[:, None], ms[f])]).ravel())
+        us.append(np.repeat(u, len(f)))
+    at, us = np.concatenate(at), np.concatenate(us)
+    N = np.bincount(at, minlength=n * n).reshape(n, n)
+    least = np.full(n * n, none, np.int64)
+    np.minimum.at(least, at, us)
+    least = least.reshape(n, n)
+    del at, us
+    # the least f;a over the automorphisms a of d, and the a that makes it
+    auts = hc["isos_into"][d]
+    auts = auts[coding.src[auts] == d]
+    twisted = pos[_composite(coding, ms[:, None], auts)]
+    j = twisted.argmin(1)
+    rep, twist = twisted[np.arange(n), j], auts[j]
+    rows = np.flatnonzero(rep == np.arange(n))
+    del twisted
 
-    Each w: q→p gives the competitor (q, w;u0, w;v0), so the candidate is
-    terminal exactly when, for every q, w ↦ (w;u0, w;v0) is a bijection from
-    hom(q, p) onto the competitors at q: equal sizes, and no two w with one
-    image.  An object with no competitor has no map into p either, so only
-    the apexes in ``counts`` are visited, sizes first and highest q first
-    (the competitors least likely to mediate).
-    """
-    homs = C.homs
-    for q, n in counts:
-        if len(homs.get((q, p), ())) != n:
-            return None
-    table = C.table
-    mediators = {}
-    for q, _ in counts:
-        for w in homs[(q, p)]:
-            mediators[(q, table[(w, u0)], table[(w, v0)])] = w
-    return mediators if len(mediators) == total else None
+    # zero[p]: no object without a map into d maps to p
+    outside = np.ones(len(C.objects), bool)
+    outside[qs] = False
+    zero = ~counts[outside].any(0)
+    found = np.full((3, len(rows), n), -1, np.int32)
+    step = max(1, _ROUND // (n * n))
+    for lo in range(0, len(rows), step):
+        r = rows[lo : lo + step]
+        K = np.add.reduceat(N[r][:, None, :] * N[None, :, :], bounds[qs], axis=2)
+        key = K @ hc["weights"][qs]
+        slot = np.minimum(np.searchsorted(hc["keys"], key), len(hc["keys"]) - 1)
+        hit = hc["keys"][slot] == key
+        p = np.where(hit, hc["firsts"][slot], 0)
+        hit &= zero[p] & (np.moveaxis(counts[qs][:, p], 0, -1) == K).all(-1)
+        p[~hit] = -1
+        for x in np.flatnonzero(np.bincount(p[p >= 0])).tolist():
+            i, f2 = np.nonzero(p == x)
+            a = least[r[i], bounds[x] : bounds[x + 1]]
+            b = least[f2, bounds[x] : bounds[x + 1]]
+            a = np.where(b < none, a, none)
+            h = a.argmin(1)
+            u, v = a[np.arange(len(i)), h], b[np.arange(len(i)), h]
+            found[0, lo + i, f2], found[1, lo + i, f2], found[2, lo + i, f2] = x, u, v
+            for k in np.flatnonzero(~(coding.monos[u] | coding.monos[v])).tolist():
+                found[:, lo + i[k], f2[k]] = _first_terminal(C, ms[r[i[k]]], ms[f2[k]], x)
+    # fill every row f1 from the row of its representative f1;a, at f2;a
+    at = np.searchsorted(rows, rep)[:, None], pos[_composite(coding, ms, twist[:, None])]
+    memo[d] = tuple(x[at].ravel() for x in found)
+    return memo[d]
 
 
-def _isos_out(C: FinCat) -> dict:
-    """Object -> the isomorphisms out of it (identity included), cached."""
-    cache = C.cache("isos_out")
-    if not cache:
-        for a in C.inverses:
-            cache.setdefault(C.src[a], []).append(a)
-    return cache
+def _first_terminal(C: FinCat, f1, f2, p: int):
+    """(apex, leg1, leg2) of the first terminal competitor of the cospan
+    (f1, f2) of codes, whose count column is that of the object p, or (-1,
+    -1, -1): the first injective competitor at the first object with p's
+    column that has one."""
+    coding, first = C.coding, _hom_counts(C)["first"]
+    c1, c2 = (coding.into[coding.src[f]] for f in (f1, f2))
+    for x in np.flatnonzero(first == first[p]).tolist():
+        us, vs = c1[coding.src[c1] == x], c2[coding.src[c2] == x]
+        made = _composite(coding, vs, f2)
+        for u, h in zip(us.tolist(), _composite(coding, us, f1).tolist()):
+            for v in vs[made == h].tolist():
+                if _injective(coding, x, u, v):
+                    return x, u, v
+    return -1, -1, -1
 
 
-def _pullback_of(C: FinCat, f1: str, f2: str):
-    """Cached terminal competitor of the cospan (f1, f2), or None.
+def _distinct(a) -> bool:
+    """Whether the entries of the array ``a`` are pairwise distinct."""
+    a = np.sort(a)
+    return not (a[1:] == a[:-1]).any()
 
-    The answer is stored under (f1;a, f2;a) for every iso a out of the
-    target too: those cospans have the same competitors in the same order.
-    """
-    cache = C.cache("pullbacks")
-    key = (f1, f2)
-    if key in cache:
-        return cache[key]
-    comps = _competitors(C, f1, f2)
-    counts = _competitor_counts(comps)
-    result = None
-    for (p, u0, v0) in comps:
-        mediators = _terminal_mediators(C, p, u0, v0, counts, len(comps))
-        if mediators is not None:
-            result = Pullback(p, u0, v0, mediators)
-            break
-    table = C.table
-    for a in _isos_out(C)[C.tgt[f1]]:
-        cache[(table[(f1, a)], table[(f2, a)])] = result
-    return result
+
+def _injective(coding, p: int, u, v) -> bool:
+    """Whether w ↦ (w;u, w;v) is injective on the codes w into the object
+    numbered p, for codes u and v out of it."""
+    if coding.monos[u] or coding.monos[v]:
+        return True
+    ws = coding.into[p]
+    made = _composite(coding, ws, u).astype(np.int64) * len(coding.ids) + _composite(coding, ws, v)
+    return _distinct(made)
+
+
+def _at(C: FinCat, d: int, f1, f2):
+    """The place, in the arrays of ``_pullbacks_into(C, d)``, of the
+    cospans (f1, f2) of codes into the object numbered d."""
+    pos = _hom_counts(C)["pos"]
+    return pos[f1] * len(C.coding.into[d]) + pos[f2]
+
+
+def _package(C: FinCat, p: int, u, v) -> Pullback:
+    """The ``Pullback`` (p, u, v) of codes, terminal, with its mediator
+    table: each w into p mediates to the competitor (src w, w;u, w;v)."""
+    coding = C.coding
+    ws = coding.into[p]
+    ids, objects = coding.ids, C.objects
+    competitors = zip(
+        (objects[x] for x in coding.src[ws].tolist()),
+        map(ids.__getitem__, _composite(coding, ws, u).tolist()),
+        map(ids.__getitem__, _composite(coding, ws, v).tolist()),
+    )
+    mediators = dict(zip(competitors, map(ids.__getitem__, ws.tolist())))
+    return Pullback(objects[p], ids[u], ids[v], mediators)
 
 
 def pullback(C: FinCat, cospan: Cospan):
     """The chosen pullback of a cospan, or None when none exists.
 
     Ties between isomorphic answers are broken by the lexicographically least
-    (apex, leg1, leg2), which makes outputs reproducible.
+    (apex, leg1, leg2), which makes outputs reproducible.  The ``Pullback``,
+    with its mediator table, is made when first asked for and kept.
     """
     check_cospan(C, cospan)
-    return _pullback_of(C, cospan.f1, cospan.f2)
+    cache = C.cache("pullbacks")
+    key = (cospan.f1, cospan.f2)
+    pb = cache.get(key, _UNDECIDED)
+    if pb is _UNDECIDED:
+        coding = C.coding
+        f1, f2 = coding.code[cospan.f1], coding.code[cospan.f2]
+        d = int(coding.tgt[f1])
+        i = _at(C, d, f1, f2)
+        p, u, v = (int(x[i]) for x in _pullbacks_into(C, d))
+        pb = cache[key] = None if p < 0 else _package(C, p, u, v)
+    return pb
 
 
 def as_pullback(C: FinCat, cospan: Cospan, leg1: str, leg2: str):
@@ -240,36 +378,41 @@ def as_pullback(C: FinCat, cospan: Cospan, leg1: str, leg2: str):
     that do not form a commuting square over the cospan give None.
     """
     check_cospan(C, cospan)
-    comps = _competitors(C, cospan.f1, cospan.f2)
     p = C.src[leg1]
-    if (p, leg1, leg2) not in comps:
+    if leg2 not in C.src or C.src[leg2] != p:
         return None
-    mediators = _terminal_mediators(C, p, leg1, leg2, _competitor_counts(comps), len(comps))
-    return None if mediators is None else Pullback(p, leg1, leg2, mediators)
+    if C.tgt[leg1] != C.src[cospan.f1] or C.tgt[leg2] != C.src[cospan.f2]:
+        return None
+    coding = C.coding
+    u, v, f1, f2 = (coding.code[m] for m in (leg1, leg2, cospan.f1, cospan.f2))
+    if _composite(coding, u, f1) != _composite(coding, v, f2):
+        return None
+    if not _is_pullback(C, leg1, leg2, cospan.f1, cospan.f2):
+        return None
+    return _package(C, int(coding.src[u]), u, v)
 
 
 def _is_pullback(C: FinCat, top: str, left: str, right: str, bottom: str) -> bool:
-    """``is_pullback_square`` for a square already known to commute."""
-    pb = _pullback_of(C, right, bottom)
-    if pb is None:
-        return False
-    w = pb.mediators.get((C.src[top], top, left))
-    if w is None:  # commuting squares are always competitors
-        raise CategoryError("internal error: competitor not indexed")
-    return w in C.inverses
+    """``is_pullback_square`` for a square already known to commute: its
+    cospan has a chosen apex with the hom-count column of src top, and w ↦
+    (w;top, w;left) is injective (see the module docstring)."""
+    coding, first = C.coding, _hom_counts(C)["first"]
+    t, l, r, b = map(coding.code.__getitem__, (top, left, right, bottom))
+    d, p = int(coding.tgt[r]), int(coding.src[t])
+    apex = _pullbacks_into(C, d)[0][_at(C, d, r, b)]
+    return bool(apex >= 0 and first[p] == first[apex] and _injective(coding, p, t, l))
 
 
 def is_pullback_square(C: FinCat, sq: Square) -> bool:
     """Whether the square is terminal over its own cospan.
 
-    Uses the cached pullback: a commuting square is a pullback square exactly
-    when its unique mediator into the chosen pullback is an isomorphism.
+    A commuting square is a pullback square exactly when its cospan has a
+    chosen pullback whose apex has the hom-count column of the square's and
+    its legs are injective on the maps into its apex; no isomorphism is
+    searched and no mediator made.
     """
     check_square(C, sq)
     return _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom)
-
-
-_UNDECIDED = object()
 
 
 class _CompletionClass:
@@ -279,8 +422,8 @@ class _CompletionClass:
 
     __slots__ = ("cospans", "initiality", "chosen")
 
-    def __init__(self):
-        self.cospans = []
+    def __init__(self, cospans):
+        self.cospans = cospans
         self.initiality = {}
         self.chosen = _UNDECIDED
 
@@ -295,31 +438,62 @@ def _pairs(C: FinCat, into: bool):
         yield from product(ms, repeat=2)
 
 
+def _orbit(C: FinCat, p: int, u, v):
+    """The spans (w;u, w;v), keyed w;u * n + w;v for n codes, for every
+    isomorphism w into the object numbered p (a row each) and the spans (u,
+    v) of codes out of p (a column each)."""
+    coding = C.coding
+    ws = _hom_counts(C)["isos_into"][p][:, None]
+    return _composite(coding, ws, u).astype(np.int64) * len(coding.ids) + _composite(coding, ws, v)
+
+
 def _cospan_walk(C: FinCat):
     """(``has_pullbacks`` answer, completion index) from one memoised pass
-    over the cospans; the public ``pullback`` runs only for a cospan whose
-    answer no earlier search cached, once per iso orbit."""
+    over the chosen pullbacks of the cospans into each object.  The legs of
+    each are keyed by the least span of their iso orbit, composed on the
+    cells, and each class takes its cospans in ``_pairs`` order."""
     memo = C.cache("cospan_walk")
     if not memo:
-        cache = C.cache("pullbacks")
-        table, inverses, isos_out = C.table, C.inverses, _isos_out(C)
-        index, first, n = {}, None, 0
-        for n, key in enumerate(_pairs(C, into=True), 1):
-            pb = cache.get(key, _UNDECIDED)
-            if pb is _UNDECIDED:
-                pb = pullback(C, Cospan(*key))
-            if pb is None:
-                if first is None:
-                    first = Cospan(*key)
-                continue
-            cls = index.get((pb.leg1, pb.leg2))
-            if cls is None:
-                cls = _CompletionClass()
-                for a in isos_out[pb.apex]:
-                    w = inverses[a]
-                    index[(table[(w, pb.leg1)], table[(w, pb.leg2)])] = cls
-            cls.cospans.append(key)
-        memo["check"] = Check(True, info={"cospans": n}) if first is None else Check(False, first)
+        coding, isos_into = C.coding, _hom_counts(C)["isos_into"]
+        n, names = len(coding.ids), np.array(coding.ids, object)
+        keys, f1s, f2s = ([np.empty(0, np.int64)] for _ in range(3))
+        first, total = None, 0
+        for d, ms in enumerate(coding.into):
+            apex, leg1, leg2 = _pullbacks_into(C, d)
+            total += apex.size
+            has = np.flatnonzero(apex >= 0)
+            if first is None and has.size < apex.size:
+                i = int(np.argmin(apex >= 0))
+                first = Cospan(*names[ms[[i // len(ms), i % len(ms)]]].tolist())
+            legs, at = np.unique(leg1[has].astype(np.int64) * n + leg2[has], return_inverse=True)
+            u, v = divmod(legs, n)
+            p = coding.src[u]
+            for x in np.flatnonzero(np.bincount(p)).tolist():
+                if len(isos_into[x]) > 1:
+                    legs[p == x] = _orbit(C, x, u[p == x], v[p == x]).min(0)
+            keys.append(legs[at])
+            f1s.append(ms[has // len(ms)])
+            f2s.append(ms[has % len(ms)])
+        keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+        order = np.argsort(at, kind="stable")
+        f1s, f2s = (names[np.concatenate(f)[order]].tolist() for f in (f1s, f2s))
+        cuts = np.searchsorted(at[order], np.arange(len(keys) + 1)).tolist()
+        classes = [
+            _CompletionClass(list(zip(f1s[lo:hi], f2s[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])
+        ]
+        # every span of a class's orbit is completed by the class's cospans
+        index = {}
+        u, v = divmod(keys, n)
+        p = coding.src[u]
+        for x in np.flatnonzero(np.bincount(p)).tolist():
+            k = np.flatnonzero(p == x)
+            spans = _orbit(C, x, u[k], v[k])
+            owners = map(classes.__getitem__, np.broadcast_to(k, spans.shape).ravel().tolist())
+            g1, g2 = (names[s].tolist() for s in divmod(spans.ravel(), n))
+            index.update(zip(zip(g1, g2), owners))
+        memo["check"] = (
+            Check(True, info={"cospans": total}) if first is None else Check(False, first)
+        )
         memo["index"] = index
     return memo["check"], memo["index"]
 
@@ -464,17 +638,31 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
     Pullback squares over a cospan agree up to an apex isomorphism and
     functors preserve isomorphisms, so checking the chosen one per cospan
     covers them all.  A functor's image of a commuting square commutes, so
-    the image goes straight to the terminality test.
+    the images of the chosen squares into each object, coded through
+    ``F.code_map``, go straight to the terminality test of ``_is_pullback``,
+    all at once.
     """
-    C = F.source
+    C, T, m = F.source, F.target, F.code_map
+    first, monos = _hom_counts(T)["first"], T.coding.monos
     n = 0
-    for f1, f2 in _pairs(C, into=True):
-        pb = _pullback_of(C, f1, f2)
-        if pb is None:
+    for d, ms in enumerate(C.coding.into):
+        apex, leg1, leg2 = _pullbacks_into(C, d)
+        has = np.flatnonzero(apex >= 0)
+        if not has.size:
             continue
-        n += 1
-        if not _is_pullback(F.target, F.mor(pb.leg1), F.mor(pb.leg2), F.mor(f1), F.mor(f2)):
-            return Check(False, Square(pb.leg1, pb.leg2, f1, f2))
+        f1, f2 = (ms[k] for k in divmod(has, len(ms)))
+        top, left, right, bottom = m[leg1[has]], m[leg2[has]], m[f1], m[f2]
+        e = int(T.coding.tgt[right[0]])
+        image = _pullbacks_into(T, e)[0][_at(T, e, right, bottom)]
+        p = T.coding.src[top]
+        ok = (image >= 0) & (first[p] == first[image])
+        for k in np.flatnonzero(ok & ~monos[top] & ~monos[left]).tolist():
+            ok[k] = _injective(T.coding, p[k], top[k], left[k])
+        if not ok.all():
+            k = int(np.argmin(ok))
+            square = (leg1[has[k]], leg2[has[k]], f1[k], f2[k])
+            return Check(False, Square(*map(C.coding.ids.__getitem__, square)))
+        n += has.size
     return Check(True, info={"pullback_squares_checked": n})
 
 

@@ -9,7 +9,9 @@ table; in the library only the JSON reader calls ``validate_category``, and
 no module but ``core`` codes a category.  Functors are checked, cartesian
 morphisms found and fibers reindexed on the codings too, which one run
 confirms: a Grothendieck construction, a functor load, a fibration check, a
-cleaving and its reindexing functors leave no string table behind.
+cleaving and its reindexing functors leave no string table behind, and
+so do condition 6, the pullback square test and the preservation of
+pullbacks, which read the codings as well.
 ``ioformats`` writes and reads a category on its cells and
 ``core.subcategory`` composes on them, so writing a total and cutting the
 fibers of its projection make none either.  The other builders compose
@@ -27,7 +29,8 @@ import json
 import pathlib
 
 from fibcat import cli
-from fibcat.generators import indexed_gpow
+from fibcat.functors import identity_functor
+from fibcat.generators import fi_truncated, indexed_gpow
 from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import (
@@ -36,6 +39,13 @@ from fibcat.ioformats import (
     functor_to_json,
     indexed_to_json,
     stable_dumps,
+)
+from fibcat.limits import (
+    all_cospans,
+    has_pullbacks,
+    is_pullback_square,
+    preserves_pullbacks,
+    pullback,
 )
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -158,6 +168,27 @@ def test_functor_checks_read_only_the_cells():
         read, called = _reads(module, name)
         assert "coding" in read, name
         assert not read & {"table", "_table"} and "comp" not in called, name
+
+
+def test_pullback_search_reads_only_the_cells():
+    """The search that decides every pullback into an object at once, the
+    square test, ``check_square`` and the preservation check read the
+    codings: none reads the string ``table`` or calls ``comp``."""
+    for name in ("_pullbacks_into", "_is_pullback", "check_square", "preserves_pullbacks"):
+        read, called = _reads("limits", name)
+        assert "coding" in read, name
+        assert not read & {"table", "_table"} and "comp" not in called, name
+
+
+def test_no_pullback_check_makes_a_table():
+    """The run the structural test above stands for: condition 6, a
+    preservation check, a chosen pullback and a square test on a fresh
+    category leave no ``table`` behind."""
+    C = fi_truncated(3)
+    assert has_pullbacks(C) and preserves_pullbacks(identity_functor(C))
+    cospan = next(iter(all_cospans(C)))
+    assert is_pullback_square(C, pullback(C, cospan).square(cospan))
+    assert "table" not in vars(C)
 
 
 def test_no_functor_check_makes_a_table():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import limits_reference
 from fibcat import (
     Check,
     Cospan,
@@ -177,11 +178,9 @@ def test_fold_functor_breaks_weak_pushouts(fi2):
 
 def test_pullbacks_unique_up_to_iso(fi3):
     # any two terminal competitors are linked by an iso commuting with legs
-    from fibcat.limits import _competitors
-
     cospan = Cospan(inj_id(2, 3, (0, 1)), inj_id(2, 3, (1, 2)))
     pb = pullback(fi3, cospan)
-    for (q, u, v) in _competitors(fi3, cospan.f1, cospan.f2):
+    for (q, u, v) in limits_reference._competitors(fi3, cospan.f1, cospan.f2):
         alt = as_pullback(fi3, cospan, u, v)
         if alt is None:
             continue
@@ -263,19 +262,29 @@ def test_disjoint_image_square_is_pullback(fi2):
 
 
 def test_has_pullbacks_is_cached(monkeypatch):
-    """The cospan walk searches, through the public ``pullback``, only the
-    cospans no earlier search has answered (one per iso orbit: 18 of the 30
-    on FI_2), and a second ``has_pullbacks`` searches no cospan."""
+    """Condition 6 and the preservation check read the chosen pullbacks
+    from the per-object arrays: neither calls the public ``pullback`` nor
+    makes a ``Pullback`` and its mediator table.  A second
+    ``has_pullbacks`` returns the cached ``Check``, and a second ``pullback``
+    of one cospan the cached ``Pullback``."""
     C = fi_truncated(2)
-    calls = []
+    calls, made, package = [], [], limits.Pullback
 
     def counted(C, cospan):
         calls.append(cospan)
         return pullback(C, cospan)
 
+    def making(*args):
+        made.append(args)
+        return package(*args)
+
     monkeypatch.setattr(limits, "pullback", counted)
+    monkeypatch.setattr(limits, "Pullback", making)
     first = limits.has_pullbacks(C)
-    n = len(calls)
-    assert first.holds and 0 < n < first.info["cospans"]
-    assert (n, first.info["cospans"]) == (18, 30)
-    assert limits.has_pullbacks(C) is first and len(calls) == n
+    assert first.holds and first.info["cospans"] == 30
+    assert limits.preserves_pullbacks(identity_functor(C)).holds
+    assert limits.has_pullbacks(C) is first
+    assert calls == [] and made == []
+    monkeypatch.undo()
+    cospan = next(iter(all_cospans(C)))
+    assert pullback(C, cospan) is pullback(C, cospan)

@@ -7,6 +7,8 @@ completion class must give exactly what ``limits_reference`` gives: the
 same chosen representatives, the same mediator tables, the same completion
 lists in the same order and the same first failure with the same reason.
 
+The seeded random corpus of ``random_categories`` is compared on condition
+6, on every chosen pullback and on the square of every competitor.
 Conditions 6 and 7 and the two preservation checks are also compared with
 per-cospan and per-span loops over the reference search, on freshly built
 categories and in either order, since the one cospan walk that serves
@@ -90,7 +92,7 @@ def test_pullbacks_match_reference(request, name):
     C = request.getfixturevalue(name)
     for cospan in limits.all_cospans(C):
         assert limits.pullback(C, cospan) == ref.pullback(C, cospan), cospan
-        for (_, u, v) in limits._competitors(C, cospan.f1, cospan.f2):
+        for (_, u, v) in ref._competitors(C, cospan.f1, cospan.f2):
             assert limits.as_pullback(C, cospan, u, v) == ref.as_pullback(C, cospan, u, v)
 
 
@@ -103,6 +105,24 @@ def test_weak_pushouts_match_reference(request, name):
         assert limits.weak_pushout(C, span) == ref.weak_pushout(C, span), span
         for sq in completions:
             assert limits.is_weak_pushout_square(C, sq) == ref.is_weak_pushout_square(C, sq)
+
+
+def test_pullbacks_match_reference_on_seeded_corpus(seeded_categories):
+    """On the 80 seeded random categories (5,491 cospans): condition 6, the
+    chosen pullback of every cospan and the verdict on the square of every
+    competitor, the chosen one among them, match the reference.  In 15 of
+    them (718 cospans) the first competitor at the first object with the
+    cospan's hom-count column is not terminal: in a 9-morphism
+    transformation monoid, the first competitor of (m000, m012) is (*, m000,
+    m000), but the pullback is (*, m012, m000).  So these pin the injectivity
+    step of the search."""
+    for C in seeded_categories:
+        assert limits.has_pullbacks(C) == _reference_condition_six(C)
+        for cospan in limits.all_cospans(C):
+            assert limits.pullback(C, cospan) == ref.pullback(C, cospan), cospan
+            for (_, u, v) in ref._competitors(C, cospan.f1, cospan.f2):
+                sq = Square(u, v, cospan.f1, cospan.f2)
+                assert limits.is_pullback_square(C, sq) == ref.is_pullback_square(C, sq), sq
 
 
 def _reference_condition_seven(C):
