@@ -11,7 +11,8 @@ when the process ran past it.  The timed step of a build rung is the whole
 build; a write or read rung first makes its input, untimed, and times only
 the write or the read, and an audit rung makes its category, untimed, and
 times the seven conditions of ``check_fi_type``, while the peak resident
-set covers both.  The exit
+set covers both.  A weak-pushout rung makes its category and runs
+``has_pullbacks`` on it, untimed, and times ``has_weak_pushouts`` alone.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -28,6 +29,7 @@ from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
+from fibcat.limits import has_pullbacks, has_weak_pushouts
 
 
 def _fi_z2_4_total():
@@ -37,6 +39,17 @@ def _fi_z2_4_total():
 def _build(make):
     """A rung that times ``make`` from scratch."""
     return lambda: None, lambda _: make()
+
+
+def _with_pullbacks(make):
+    """``make``, then condition 6 on what it made, which condition 7 reads."""
+
+    def made():
+        C = make()
+        has_pullbacks(C)
+        return C
+
+    return made
 
 
 # rung: (make the input, untimed; the timed step, given that input)
@@ -64,6 +77,9 @@ RUNGS = {
     "audit_fi5": (lambda: fi_truncated(5), check_fi_type),
     "audit_fi_z2_4_total": (_fi_z2_4_total, check_fi_type),
     "audit_fi6": (lambda: fi_truncated(6), check_fi_type),
+    # condition 7 alone, on the same categories
+    "weak_pushouts_fi_z2_4_total": (_with_pullbacks(_fi_z2_4_total), has_weak_pushouts),
+    "weak_pushouts_fi6": (_with_pullbacks(lambda: fi_truncated(6)), has_weak_pushouts),
 }
 
 

@@ -780,16 +780,16 @@ def is_transitive(C: FinCat) -> Check:
     """Aut(y) acts transitively on hom(x, y) for every pair of objects.
 
     The action is a group action, so it suffices to check that the orbit of
-    the first morphism in each hom-set is the whole hom-set.
+    the first morphism in each hom-set is the whole hom-set: the cells of
+    that morphism at the codes of Aut(y).
     """
-    table = C.table
-    for (x, y), fs in sorted(C.homs.items()):
-        auts = automorphisms(C, y)
-        f1 = fs[0]
-        orbit = {table[(f1, s)] for s in auts}
-        for f2 in fs:
-            if f2 not in orbit:
-                return Check(False, (x, y, f1, f2))
+    coding = C.coding
+    for (x, y), f1 in coding.start.items():
+        auts = np.array([coding.code[a] for a in automorphisms(C, y)], np.int64)
+        orbit = np.zeros(len(C.homs[(x, y)]), bool)
+        orbit[coding.cells[coding.cell(f1, auts)] - f1] = True
+        if not orbit.all():
+            return Check(False, (x, y, coding.ids[f1], coding.ids[f1 + int(np.argmin(orbit))]))
     return Check(True)
 
 

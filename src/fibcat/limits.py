@@ -62,19 +62,28 @@ isomorphism or reads a mediator.
   (f1, f2) is a pullback square exactly when (g1, g2) = (w;u0, w;v0) for an
   isomorphism w into the apex of the chosen pullback (P, u0, v0) of
   (f1, f2).  So the spans completed by (f1, f2) form one class, the iso
-  orbit of (u0, v0), and every span of a class has the same completion
-  cospans.  One walk over the arrays, ``_cospan_walk``, keys each cospan by
-  the least span of its orbit and gives each class its cospans, and it
-  also decides condition 6.  Its order (d, f1, f2) is the one in which a
-  per-span scan lists completions, so the lists need no sorting, and a
-  span in no class is vacuous without any square being tested.
-  Initiality of a completion reads only the cospans, never the span, so it
-  too is computed once per class.
-* Weak pushouts.  Whether a span has a weak pushout, and which completion
-  is chosen, is therefore a property of its class: ``_chosen`` finds the
-  first initial completion once per class, and ``has_weak_pushouts`` asks
-  it once per span.  The ``Square`` keys of ``WeakPushout.mediators`` are
-  built only when a caller asks ``weak_pushout`` for a ``WeakPushout``.
+  orbit of (u0, v0), with one span per w as the legs of a pullback are
+  injective, and every span of a class has the same completion cospans.
+  One walk over the arrays, ``_cospan_walk``, keys each class by the least
+  span of its orbit, the first in ``_pairs`` order, and keeps an ``int32``
+  class number per cospan (-1 where it has no pullback) and each class's
+  cospans as code arrays, in the (d, f1, f2) order in which a per-span scan
+  lists completions; it also decides condition 6.  A span's class is found
+  from the least span of its orbit, and a span in no class is vacuous
+  without any square being tested.
+* Weak pushouts.  Call the cospan (r;h, b;h), for h out of d, the one that
+  h hits from the completion (r, b) into d.  (r, b) is initial exactly when
+  it hits every cospan of its class exactly once.  For a cospan (f1, f2) of
+  the class, r;h = f1 forces tgt h = tgt f1, so its mediators are exactly
+  the h out of d that hit it: none is ``no_mediator``, several are
+  ``non_unique``.  The cospans of a class are distinct, so (r, b) is
+  initial when its hits in the class number the class's cospans and none is
+  hit twice.  Each hit is read from the rows of r and b in the cells, and
+  its class from the class numbers.  Initiality reads only the cospans,
+  never the span, so ``_chosen`` finds the first initial completion once
+  per class, trying the next completion of every undecided class in one
+  batched pass; the first span without a weak pushout is the key of the
+  first class without a chosen completion.
 
 Cospans and spans are enumerated once, by ``_pairs``, as raw id pairs;
 ``all_cospans`` and ``all_spans`` wrap them in dataclasses for callers.
@@ -199,7 +208,9 @@ def _hom_counts(C: FinCat) -> dict:
     whose hom-count column |hom(-, p)| is that of p, for each object p;
     ``weights``, which hash a column to an integer, and ``keys`` and
     ``firsts``, the hashes of the distinct columns, sorted, with their first
-    objects; ``isos_into``, the isomorphisms into each object."""
+    objects; ``isos_into``, the isomorphisms into each object; ``width``,
+    the number of codes into each object, and ``before``, the number of
+    cospans into the objects before each."""
     memo = C.cache("hom_counts")
     if not memo:
         coding, k = C.coding, len(C.objects)
@@ -220,9 +231,11 @@ def _hom_counts(C: FinCat) -> dict:
         isos = np.zeros(len(coding.ids), bool)
         isos[[coding.code[a] for a in C.inverses]] = True
         order = np.argsort(keys)
+        width = np.bincount(coding.tgt, minlength=k)
         memo.update(
             counts=counts, pos=pos, first=first, weights=weights,
             keys=keys[order], firsts=firsts[order], isos_into=[ms[isos[ms]] for ms in coding.into],
+            width=width, before=np.concatenate(([0], np.cumsum(width * width))),
         )
     return memo
 
@@ -327,11 +340,18 @@ def _injective(coding, p: int, u, v) -> bool:
     return _distinct(made)
 
 
-def _at(C: FinCat, d: int, f1, f2):
+def _at(C: FinCat, d, f1, f2):
     """The place, in the arrays of ``_pullbacks_into(C, d)``, of the
-    cospans (f1, f2) of codes into the object numbered d."""
-    pos = _hom_counts(C)["pos"]
-    return pos[f1] * len(C.coding.into[d]) + pos[f2]
+    cospans (f1, f2) of codes into the objects numbered d."""
+    hc = _hom_counts(C)
+    return hc["pos"][f1] * hc["width"][d] + hc["pos"][f2]
+
+
+def _cospan(C: FinCat, f1, f2):
+    """The number of the cospans (f1, f2) of codes among all cospans, in
+    ``_pairs`` order."""
+    d = C.coding.tgt[f1]
+    return _hom_counts(C)["before"][d] + _at(C, d, f1, f2)
 
 
 def _package(C: FinCat, p: int, u, v) -> Pullback:
@@ -384,23 +404,33 @@ def as_pullback(C: FinCat, cospan: Cospan, leg1: str, leg2: str):
     if C.tgt[leg1] != C.src[cospan.f1] or C.tgt[leg2] != C.src[cospan.f2]:
         return None
     coding = C.coding
-    u, v, f1, f2 = (coding.code[m] for m in (leg1, leg2, cospan.f1, cospan.f2))
+    u, v, f1, f2 = _codes(C, leg1, leg2, cospan.f1, cospan.f2)
     if _composite(coding, u, f1) != _composite(coding, v, f2):
         return None
-    if not _is_pullback(C, leg1, leg2, cospan.f1, cospan.f2):
+    if not _is_pullback(C, u, v, f1, f2)[0]:
         return None
-    return _package(C, int(coding.src[u]), u, v)
+    return _package(C, int(coding.src[u[0]]), int(u[0]), int(v[0]))
 
 
-def _is_pullback(C: FinCat, top: str, left: str, right: str, bottom: str) -> bool:
-    """``is_pullback_square`` for a square already known to commute: its
-    cospan has a chosen apex with the hom-count column of src top, and w ↦
-    (w;top, w;left) is injective (see the module docstring)."""
+def _codes(C: FinCat, *ids):
+    """The code of each of ``ids``, as an array of one."""
+    return np.array([[C.coding.code[m]] for m in ids])
+
+
+def _is_pullback(C: FinCat, top, left, right, bottom):
+    """Whether each commuting square of codes (top, left, right, bottom) is
+    a pullback square, by the test in the module docstring."""
     coding, first = C.coding, _hom_counts(C)["first"]
-    t, l, r, b = map(coding.code.__getitem__, (top, left, right, bottom))
-    d, p = int(coding.tgt[r]), int(coding.src[t])
-    apex = _pullbacks_into(C, d)[0][_at(C, d, r, b)]
-    return bool(apex >= 0 and first[p] == first[apex] and _injective(coding, p, t, l))
+    d = coding.tgt[right]
+    apex = np.empty(len(d), np.int64)
+    for e in set(d.tolist()):
+        k = d == e
+        apex[k] = _pullbacks_into(C, e)[0][_at(C, e, right[k], bottom[k])]
+    p = coding.src[top]
+    ok = (apex >= 0) & (first[p] == first[apex])
+    for k in np.nonzero(ok & ~coding.monos[top] & ~coding.monos[left])[0].tolist():
+        ok[k] = _injective(coding, p[k], top[k], left[k])
+    return ok
 
 
 def is_pullback_square(C: FinCat, sq: Square) -> bool:
@@ -412,20 +442,7 @@ def is_pullback_square(C: FinCat, sq: Square) -> bool:
     searched and no mediator made.
     """
     check_square(C, sq)
-    return _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom)
-
-
-class _CompletionClass:
-    """The cospans completed by one iso orbit of spans, in ``all_cospans``
-    order, the memoised initiality of each completion and the position of
-    the chosen (first initial) one."""
-
-    __slots__ = ("cospans", "initiality", "chosen")
-
-    def __init__(self, cospans):
-        self.cospans = cospans
-        self.initiality = {}
-        self.chosen = _UNDECIDED
+    return bool(_is_pullback(C, *_codes(C, sq.top, sq.left, sq.right, sq.bottom))[0])
 
 
 def _pairs(C: FinCat, into: bool):
@@ -438,126 +455,135 @@ def _pairs(C: FinCat, into: bool):
         yield from product(ms, repeat=2)
 
 
-def _orbit(C: FinCat, p: int, u, v):
-    """The spans (w;u, w;v), keyed w;u * n + w;v for n codes, for every
-    isomorphism w into the object numbered p (a row each) and the spans (u,
-    v) of codes out of p (a column each)."""
+def _least(C: FinCat, p: int, u, v):
+    """The least span (w;u, w;v) over the isomorphisms w into the object
+    numbered p, keyed w;u * n + w;v for n codes, of each span (u, v) of
+    codes out of p.  Keys follow ``_pairs`` order, as codes are
+    block-major."""
     coding = C.coding
     ws = _hom_counts(C)["isos_into"][p][:, None]
-    return _composite(coding, ws, u).astype(np.int64) * len(coding.ids) + _composite(coding, ws, v)
+    keys = _composite(coding, ws, u).astype(np.int64) * len(coding.ids) + _composite(coding, ws, v)
+    return keys.min(0)
 
 
-def _cospan_walk(C: FinCat):
-    """(``has_pullbacks`` answer, completion index) from one memoised pass
-    over the chosen pullbacks of the cospans into each object.  The legs of
-    each are keyed by the least span of their iso orbit, composed on the
-    cells, and each class takes its cospans in ``_pairs`` order."""
+def _cospan_walk(C: FinCat) -> dict:
+    """One memoised pass over the chosen pullbacks of the cospans into each
+    object: ``check``, the ``has_pullbacks`` answer, and the completion
+    classes (see the module docstring).  ``cls`` holds the class of every
+    cospan, numbered as by ``_cospan``, or -1; ``f1s`` and ``f2s`` hold the
+    codes of the cospans of class c from ``cuts[c]`` to ``cuts[c + 1]``;
+    ``keys[c]``, increasing in c, is the key (see ``_least``) of the least
+    span of class c, and ``spans[c]`` the number of its spans."""
     memo = C.cache("cospan_walk")
     if not memo:
-        coding, isos_into = C.coding, _hom_counts(C)["isos_into"]
-        n, names = len(coding.ids), np.array(coding.ids, object)
-        keys, f1s, f2s = ([np.empty(0, np.int64)] for _ in range(3))
-        first, total = None, 0
+        coding, hc = C.coding, _hom_counts(C)
+        n, isos_into = len(coding.ids), hc["isos_into"]
+        keys, backs, f1s, f2s = ([np.empty(0, np.int64)] for _ in range(4))
+        found = [np.empty(0, bool)]
+        first = None
         for d, ms in enumerate(coding.into):
             apex, leg1, leg2 = _pullbacks_into(C, d)
-            total += apex.size
-            has = np.flatnonzero(apex >= 0)
+            found.append(apex >= 0)
+            has = np.flatnonzero(found[-1])
             if first is None and has.size < apex.size:
                 i = int(np.argmin(apex >= 0))
-                first = Cospan(*names[ms[[i // len(ms), i % len(ms)]]].tolist())
-            legs, at = np.unique(leg1[has].astype(np.int64) * n + leg2[has], return_inverse=True)
+                first = Cospan(*(coding.ids[m] for m in ms[[i // len(ms), i % len(ms)]].tolist()))
+            legs, back = np.unique(leg1[has].astype(np.int64) * n + leg2[has], return_inverse=True)
             u, v = divmod(legs, n)
             p = coding.src[u]
             for x in np.flatnonzero(np.bincount(p)).tolist():
                 if len(isos_into[x]) > 1:
-                    legs[p == x] = _orbit(C, x, u[p == x], v[p == x]).min(0)
-            keys.append(legs[at])
+                    legs[p == x] = _least(C, x, u[p == x], v[p == x])
+            keys.append(legs)
+            backs.append(back)
             f1s.append(ms[has // len(ms)])
             f2s.append(ms[has % len(ms)])
-        keys, at = np.unique(np.concatenate(keys), return_inverse=True)
-        order = np.argsort(at, kind="stable")
-        f1s, f2s = (names[np.concatenate(f)[order]].tolist() for f in (f1s, f2s))
-        cuts = np.searchsorted(at[order], np.arange(len(keys) + 1)).tolist()
-        classes = [
-            _CompletionClass(list(zip(f1s[lo:hi], f2s[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])
-        ]
-        # every span of a class's orbit is completed by the class's cospans
-        index = {}
-        u, v = divmod(keys, n)
-        p = coding.src[u]
-        for x in np.flatnonzero(np.bincount(p)).tolist():
-            k = np.flatnonzero(p == x)
-            spans = _orbit(C, x, u[k], v[k])
-            owners = map(classes.__getitem__, np.broadcast_to(k, spans.shape).ravel().tolist())
-            g1, g2 = (names[s].tolist() for s in divmod(spans.ravel(), n))
-            index.update(zip(zip(g1, g2), owners))
-        memo["check"] = (
-            Check(True, info={"cospans": total}) if first is None else Check(False, first)
+        classes = np.unique(np.concatenate(keys))
+        number = np.concatenate([np.searchsorted(classes, k)[b] for k, b in zip(keys, backs)])
+        order = np.argsort(number, kind="stable")
+        cls = np.full(hc["before"][-1], -1, np.int32)
+        cls[np.concatenate(found)] = number
+        memo.update(
+            check=Check(True, info={"cospans": len(cls)}) if first is None else Check(False, first),
+            cls=cls,
+            f1s=np.concatenate(f1s)[order].astype(np.int32),
+            f2s=np.concatenate(f2s)[order].astype(np.int32),
+            cuts=np.searchsorted(number[order], np.arange(len(classes) + 1)),
+            keys=classes,
+            spans=np.array([len(ws) for ws in isos_into], np.int64)[coding.src[classes // n]],
         )
-        memo["index"] = index
-    return memo["check"], memo["index"]
+    return memo
 
 
-def _completion_index(C: FinCat) -> dict:
-    """Span (g1, g2) -> its ``_CompletionClass``; a span with no
-    pullback-square completion is absent."""
-    return _cospan_walk(C)[1]
+def _span_class(C: FinCat, g1: str, g2: str) -> int:
+    """The completion class of the span (g1, g2), or -1 where it has no
+    pullback-square completion."""
+    coding, keys = C.coding, _cospan_walk(C)["keys"]
+    u, v = coding.code[g1], coding.code[g2]
+    key = _least(C, coding.src[u], np.array([u]), np.array([v]))[0]
+    c = int(np.searchsorted(keys, key))
+    return c if c < len(keys) and keys[c] == key else -1
 
 
 def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
     """All pullback-square completions of the span (g1, g2), in (d, f1, f2)
     order.  The squares commute by construction, so they skip
     ``check_square``."""
-    cls = _completion_index(C).get((g1, g2))
-    return [] if cls is None else [Square(g1, g2, f1, f2) for (f1, f2) in cls.cospans]
+    c, walk, ids = _span_class(C, g1, g2), _cospan_walk(C), C.coding.ids
+    if c < 0:
+        return []
+    lo, hi = walk["cuts"][c : c + 2]
+    cospans = zip(walk["f1s"][lo:hi].tolist(), walk["f2s"][lo:hi].tolist())
+    return [Square(g1, g2, ids[f1], ids[f2]) for f1, f2 in cospans]
 
 
-def _initiality(C: FinCat, cls: _CompletionClass, right: str, bottom: str):
-    """Unique mediators from the completion (right, bottom) to every
-    completion of its class, memoised on the class.
-
-    hom(d, z) is indexed once per target z by (right;h, bottom;h), so each
-    completion costs one lookup.  Returns (mediators, failure): mediators
-    lists one h per class cospan; failure is (position, "no_mediator") or
-    (position, "non_unique") for the first cospan that breaks initiality,
-    so the two ways stay distinguishable.
-    """
-    key = (right, bottom)
-    if key in cls.initiality:
-        return cls.initiality[key]
-    table = C.table
-    d = C.tgt[right]
-    by_target = {}
-    mediators, failure = [], None
-    for j, (f1, f2) in enumerate(cls.cospans):
-        z = C.tgt[f1]
-        index = by_target.get(z)
-        if index is None:
-            index = by_target[z] = {}
-            for h in C.hom(d, z):
-                index.setdefault((table[(right, h)], table[(bottom, h)]), []).append(h)
-        found = index.get((f1, f2), ())
-        if len(found) != 1:
-            mediators, failure = None, (j, "non_unique" if found else "no_mediator")
-            break
-        mediators.append(found[0])
-    result = cls.initiality[key] = (mediators, failure)
-    return result
+def _mediators(C: FinCat, r, b):
+    """Every h out of the target of a completion (r, b) of codes that hits
+    a cospan (r;h, b;h) of its own class, as (k, g, h): the place k of (r,
+    b) in ``r`` and ``b``, and the number g of (r;h, b;h)."""
+    coding, cls = C.coding, _cospan_walk(C)["cls"]
+    width = coding.row[r + 1] - coding.row[r]
+    k = np.repeat(np.arange(len(r)), width)
+    step = np.arange(len(k)) - np.repeat(np.cumsum(width) - width, width)
+    g = _cospan(C, *(coding.cells[coding.row[x][k] + step] for x in (r, b)))
+    keep = cls[g] == cls[_cospan(C, r, b)][k]
+    return k[keep], g[keep], (coding.out[coding.tgt[r]][k] + step)[keep]
 
 
-def _chosen(C: FinCat, cls: _CompletionClass):
-    """Position of the first initial completion of the class, or None when
-    its spans have no weak pushout; memoised on the class."""
-    if cls.chosen is _UNDECIDED:
-        cls.chosen = next(
-            (
-                i
-                for i, (right, bottom) in enumerate(cls.cospans)
-                if _initiality(C, cls, right, bottom)[1] is None
-            ),
-            None,
-        )
-    return cls.chosen
+def _initial(C: FinCat, r, b):
+    """Whether each completion (r, b) of codes is initial: its class has as
+    many cospans as it has mediators, and no two of them reach one cospan.
+    Decided for at most ``_ROUND`` mediators a round."""
+    walk = _cospan_walk(C)
+    cls, cuts, total = walk["cls"], walk["cuts"], len(walk["cls"])
+    ok = np.zeros(len(r), bool)
+    step = max(1, _ROUND // int(np.diff(C.coding.out).max(initial=1)))
+    for lo in range(0, len(r), step):
+        r_, b_ = r[lo : lo + step], b[lo : lo + step]
+        c = cls[_cospan(C, r_, b_)]
+        k, g, _ = _mediators(C, r_, b_)
+        ok[lo : lo + step] = np.bincount(k, minlength=len(r_)) == cuts[c + 1] - cuts[c]
+        reached = np.sort(k * total + g)
+        ok[lo + reached[1:][reached[1:] == reached[:-1]] // total] = False
+    return ok
+
+
+def _chosen(C: FinCat):
+    """The place in its class of each class's chosen completion, the first
+    initial one, or -1 where its spans have no weak pushout; memoised."""
+    walk = _cospan_walk(C)
+    if "chosen" not in walk:
+        cuts = walk["cuts"]
+        chosen = np.full(len(cuts) - 1, -1, np.int64)
+        todo, j = np.arange(len(chosen)), 0
+        while todo.size:
+            at = cuts[todo] + j
+            ok = _initial(C, walk["f1s"][at], walk["f2s"][at])
+            chosen[todo[ok]] = j
+            j += 1
+            todo = todo[~ok & (cuts[todo] + j < cuts[todo + 1])]
+        walk["chosen"] = chosen
+    return walk["chosen"]
 
 
 def weak_pushout(C: FinCat, span: Span):
@@ -568,32 +594,41 @@ def weak_pushout(C: FinCat, span: Span):
     in completion order is chosen.
     """
     check_span(C, span)
-    cls = _completion_index(C).get((span.g1, span.g2))
-    i = None if cls is None else _chosen(C, cls)
-    if i is None:
+    c = _span_class(C, span.g1, span.g2)
+    i = -1 if c < 0 else int(_chosen(C)[c])
+    if i < 0:
         return None
-    right, bottom = cls.cospans[i]
-    mediators, _ = _initiality(C, cls, right, bottom)
     squares = _pullback_completions(C, span.g1, span.g2)
-    return WeakPushout(C.tgt[right], squares[i], dict(zip(squares, mediators)))
+    # the one h to each completion, in the order of their cospans' numbers
+    _, g, h = _mediators(C, *_codes(C, squares[i].right, squares[i].bottom))
+    mediators = map(C.coding.ids.__getitem__, h[np.argsort(g)].tolist())
+    return WeakPushout(C.tgt[squares[i].right], squares[i], dict(zip(squares, mediators)))
 
 
 def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
-    """Full universal check of a single candidate square."""
+    """Full universal check of a single candidate square.  A failure names
+    the first completion of the span that the square hits never
+    (``no_mediator``) or more than once (``non_unique``), so the two ways
+    stay distinguishable."""
     check_square(C, sq)
-    if not _is_pullback(C, sq.top, sq.left, sq.right, sq.bottom):
+    top, left, right, bottom = _codes(C, sq.top, sq.left, sq.right, sq.bottom)
+    if not _is_pullback(C, top, left, right, bottom)[0]:
         return Check(False, (sq, "not_a_pullback_square"))
-    cls = _completion_index(C)[(sq.top, sq.left)]
-    _, failure = _initiality(C, cls, sq.right, sq.bottom)
-    if failure is not None:
-        j, reason = failure
-        return Check(False, (Square(sq.top, sq.left, *cls.cospans[j]), reason))
+    walk = _cospan_walk(C)
+    lo, hi = walk["cuts"][walk["cls"][_cospan(C, right, bottom)] + np.arange(2)]
+    _, g, _ = _mediators(C, right, bottom)
+    at = np.searchsorted(_cospan(C, walk["f1s"][lo:hi], walk["f2s"][lo:hi]), g)
+    hits = np.bincount(at, minlength=hi - lo)
+    j = int(np.argmax(hits != 1))
+    if hits[j] != 1:
+        reason = "non_unique" if hits[j] else "no_mediator"
+        return Check(False, (_pullback_completions(C, sq.top, sq.left)[j], reason))
     return Check(True)
 
 
 def has_pullback_square_completion(C: FinCat, span: Span) -> bool:
     check_span(C, span)
-    return (span.g1, span.g2) in _completion_index(C)
+    return _span_class(C, span.g1, span.g2) >= 0
 
 
 def all_cospans(C: FinCat):
@@ -603,10 +638,10 @@ def all_cospans(C: FinCat):
 def has_pullbacks(C: FinCat) -> Check:
     """Every cospan has a pullback; the counterexample is the first that has
     none, and a passing check counts the cospans.  It is read from the
-    cached cospan walk, which also builds condition 7's completion index,
+    cached cospan walk, which also builds condition 7's completion classes,
     so on a failing category the walk still runs to the end: the searches
     condition 7 needs anyway."""
-    return _cospan_walk(C)[0]
+    return _cospan_walk(C)["check"]
 
 
 def all_spans(C: FinCat):
@@ -617,15 +652,12 @@ def has_weak_pushouts(C: FinCat) -> Check:
     """Every span with a pullback-square completion has a weak pushout; the
     counterexample is the first span that has none, and a passing check
     counts the spans and the vacuous ones (those with no completion)."""
-    index = _completion_index(C)
-    n = vacuous = 0
-    for n, span in enumerate(_pairs(C, into=False), 1):
-        cls = index.get(span)
-        if cls is None:
-            vacuous += 1
-        elif _chosen(C, cls) is None:
-            return Check(False, Span(*span))
-    return Check(True, info={"spans": n, "vacuous_spans": vacuous})
+    walk, chosen, ids = _cospan_walk(C), _chosen(C), C.coding.ids
+    if (chosen < 0).any():
+        g1, g2 = divmod(int(walk["keys"][np.argmin(chosen)]), len(ids))
+        return Check(False, Span(ids[g1], ids[g2]))
+    n = int((np.diff(C.coding.out) ** 2).sum())
+    return Check(True, info={"spans": n, "vacuous_spans": n - int(walk["spans"].sum())})
 
 
 def _image_square(F: FinFunctor, sq: Square) -> Square:
@@ -642,22 +674,13 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
     ``F.code_map``, go straight to the terminality test of ``_is_pullback``,
     all at once.
     """
-    C, T, m = F.source, F.target, F.code_map
-    first, monos = _hom_counts(T)["first"], T.coding.monos
+    C, m = F.source, F.code_map
     n = 0
     for d, ms in enumerate(C.coding.into):
         apex, leg1, leg2 = _pullbacks_into(C, d)
         has = np.flatnonzero(apex >= 0)
-        if not has.size:
-            continue
         f1, f2 = (ms[k] for k in divmod(has, len(ms)))
-        top, left, right, bottom = m[leg1[has]], m[leg2[has]], m[f1], m[f2]
-        e = int(T.coding.tgt[right[0]])
-        image = _pullbacks_into(T, e)[0][_at(T, e, right, bottom)]
-        p = T.coding.src[top]
-        ok = (image >= 0) & (first[p] == first[image])
-        for k in np.flatnonzero(ok & ~monos[top] & ~monos[left]).tolist():
-            ok[k] = _injective(T.coding, p[k], top[k], left[k])
+        ok = _is_pullback(F.target, m[leg1[has]], m[leg2[has]], m[f1], m[f2])
         if not ok.all():
             k = int(np.argmin(ok))
             square = (leg1[has[k]], leg2[has[k]], f1[k], f2[k])
@@ -667,18 +690,24 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
 
 
 def preserves_weak_pushouts(F: FinFunctor) -> Check:
-    """Image of every chosen weak pushout square passes the universal check."""
-    C = F.source
-    index = _completion_index(C)
-    n = 0
-    for g1, g2 in _pairs(C, into=False):
-        cls = index.get((g1, g2))
-        i = None if cls is None else _chosen(C, cls)
-        if i is None:
-            continue
-        n += 1
-        sq = Square(g1, g2, *cls.cospans[i])
-        verdict = is_weak_pushout_square(F.target, _image_square(F, sq))
-        if not verdict:
-            return Check(False, (sq, verdict.counterexample))
-    return Check(True, info={"weak_pushout_squares_checked": n})
+    """Image of every chosen weak pushout square passes the universal check.
+
+    A functor's image of a commuting square commutes, so the image squares,
+    coded through ``F.code_map``, go straight to ``_is_pullback`` and
+    ``_initial``.  The spans of a class share its chosen completion and
+    differ by an isomorphism w into the apex, and their images by F(w), so
+    the square of the class's key decides them all.
+    """
+    C, T, m = F.source, F.target, F.code_map
+    walk, chosen, n = _cospan_walk(C), _chosen(C), len(C.coding.ids)
+    c = np.flatnonzero(chosen >= 0)
+    g1, g2 = divmod(walk["keys"][c], n)
+    at = walk["cuts"][c] + chosen[c]
+    f1, f2 = walk["f1s"][at], walk["f2s"][at]
+    ok = _is_pullback(T, m[g1], m[g2], m[f1], m[f2])
+    ok[ok] = _initial(T, m[f1[ok]], m[f2[ok]])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        sq = Square(*map(C.coding.ids.__getitem__, (g1[i], g2[i], f1[i], f2[i])))
+        return Check(False, (sq, is_weak_pushout_square(T, _image_square(F, sq)).counterexample))
+    return Check(True, info={"weak_pushout_squares_checked": int(walk["spans"][c].sum())})

@@ -10,8 +10,9 @@ no module but ``core`` codes a category.  Functors are checked, cartesian
 morphisms found and fibers reindexed on the codings too, which one run
 confirms: a Grothendieck construction, a functor load, a fibration check, a
 cleaving and its reindexing functors leave no string table behind, and
-so do condition 6, the pullback square test and the preservation of
-pullbacks, which read the codings as well.
+so do conditions 6 and 7, both square tests, the preservation of pullbacks
+and of weak pushouts and the whole FI-type audit, which read the codings as
+well.
 ``ioformats`` writes and reads a category on its cells and
 ``core.subcategory`` composes on them, so writing a total and cutting the
 fibers of its projection make none either.  The other builders compose
@@ -29,8 +30,9 @@ import json
 import pathlib
 
 from fibcat import cli
+from fibcat.fitype import check_fi_type
 from fibcat.functors import identity_functor
-from fibcat.generators import fi_truncated, indexed_gpow
+from fibcat.generators import chain_poset, fi_truncated, indexed_gpow, product_category
 from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
 from fibcat.groups import cyclic_group
 from fibcat.ioformats import (
@@ -42,10 +44,15 @@ from fibcat.ioformats import (
 )
 from fibcat.limits import (
     all_cospans,
+    all_spans,
     has_pullbacks,
+    has_weak_pushouts,
     is_pullback_square,
+    is_weak_pushout_square,
     preserves_pullbacks,
+    preserves_weak_pushouts,
     pullback,
+    weak_pushout,
 )
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -172,23 +179,49 @@ def test_functor_checks_read_only_the_cells():
 
 def test_pullback_search_reads_only_the_cells():
     """The search that decides every pullback into an object at once, the
-    square test, ``check_square`` and the preservation check read the
-    codings: none reads the string ``table`` or calls ``comp``."""
-    for name in ("_pullbacks_into", "_is_pullback", "check_square", "preserves_pullbacks"):
-        read, called = _reads("limits", name)
+    square test, ``check_square``, the completion classes and the hit count
+    of condition 7, the two preservation checks and ``core.is_transitive``
+    read the codings, and no function of ``limits`` reads the string
+    ``table`` or calls ``comp``."""
+    for module, name in [("core", "is_transitive")] + [
+        ("limits", name)
+        for name in (
+            "_pullbacks_into",
+            "_is_pullback",
+            "check_square",
+            "_cospan_walk",
+            "_mediators",
+            "_initial",
+            "weak_pushout",
+            "has_weak_pushouts",
+            "preserves_pullbacks",
+            "preserves_weak_pushouts",
+        )
+    ]:
+        read, called = _reads(module, name)
         assert "coding" in read, name
         assert not read & {"table", "_table"} and "comp" not in called, name
+    tree = dict(_modules())["limits"]
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"table", "_table", "comp"}
 
 
 def test_no_pullback_check_makes_a_table():
-    """The run the structural test above stands for: condition 6, a
-    preservation check, a chosen pullback and a square test on a fresh
-    category leave no ``table`` behind."""
+    """The run the structural test above stands for: conditions 6 and 7,
+    both preservation checks, a chosen pullback and weak pushout and both
+    square tests on a fresh category leave no ``table`` behind, and neither
+    does the whole FI-type audit of FI_4 or of a product of chains."""
     C = fi_truncated(3)
     assert has_pullbacks(C) and preserves_pullbacks(identity_functor(C))
+    assert has_weak_pushouts(C) and preserves_weak_pushouts(identity_functor(C))
     cospan = next(iter(all_cospans(C)))
     assert is_pullback_square(C, pullback(C, cospan).square(cospan))
+    span = next(span for span in all_spans(C) if weak_pushout(C, span))
+    assert is_weak_pushout_square(C, weak_pushout(C, span).square)
     assert "table" not in vars(C)
+    for C in (fi_truncated(4), product_category(chain_poset(3), chain_poset(4))):
+        check_fi_type(C)
+        assert "table" not in vars(C)
 
 
 def test_no_functor_check_makes_a_table():
