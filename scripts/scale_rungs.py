@@ -12,7 +12,9 @@ build; a write or read rung first makes its input, untimed, and times only
 the write or the read, and an audit rung makes its category, untimed, and
 times the seven conditions of ``check_fi_type``, while the peak resident
 set covers both.  A weak-pushout rung makes its category and runs
-``has_pullbacks`` on it, untimed, and times ``has_weak_pushouts`` alone.  The exit
+``has_pullbacks`` on it, untimed, and times ``has_weak_pushouts`` alone.  A
+validation rung builds an indexed category, untimed, and times
+``validate_indexed`` on its data alone.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -28,6 +30,7 @@ from fibcat.fitype import check_fi_type
 from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
+from fibcat.indexed import validate_indexed
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
 from fibcat.limits import has_pullbacks, has_weak_pushouts
 
@@ -58,6 +61,11 @@ RUNGS = {
     "gpow_z2_3": _build(lambda: indexed_gpow(cyclic_group(2), 3)),
     "gpow_z2_5": _build(lambda: indexed_gpow(cyclic_group(2), 5)),
     "gpow_z3_5": _build(lambda: indexed_gpow(cyclic_group(3), 5)),
+    # the checks of that build alone: 415 arrows, 50,156 compositors
+    "validate_gpow_z3_5": (
+        lambda: indexed_gpow(cyclic_group(3), 5),
+        lambda M: validate_indexed(M.base, M.fibers, M.arrows, M.compositors, M.unitors),
+    ),
     # the FI_Z3 total category for N=4: indexed category and Grothendieck construction
     "fi_z3_4_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total),
     # the FI_Z2 total category for N=5: 7,060 morphisms, 25.8M composites

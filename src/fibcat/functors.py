@@ -17,8 +17,7 @@ pairs (f, g) with g in S are compared, all at once on the cells of the two
 codings (see ``core.Coding``), with F as an array from source codes to
 target codes; if one fails, every cell of the source is compared in cell
 order, so the error names the same first pair as a check of every
-composite: the first in cell order (see ``FinCat``).  Neither reads a
-string ``table``.
+composite: the first in cell order (see ``FinCat``).
 
 ``validate_nat_trans`` checks naturality squares the same way.  Let F and
 G be functors and α a family of components typed α_x: F(x) → G(x).  Every
@@ -32,11 +31,13 @@ does the square of k1;k2:
 using that F preserves k1;k2, then the squares of k2 and k1, then that G
 preserves k1;k2.  So the morphisms whose squares commute are closed under
 composition, and α is natural exactly when the square of every g in the
-source's S commutes.  Only those squares are checked; if one fails, every
-square is checked in the source's morphism order, so the error names the
-same first square as a check of every square.  The argument needs F and G
-to be functors, which is why ``validate_nat_trans`` takes them as
-``FinFunctor`` values (or paths of them) and not as bare tables.
+source's S commutes.  Only those squares are checked, composed on the
+target's cells with the ``code_map`` of each functor; if one fails, every
+square is checked, and the error names the first failing one in the
+source's morphism order, as a check of every square would.  The argument
+needs F and G to be functors, which is why ``validate_nat_trans`` takes
+them as ``FinFunctor`` values (or paths of them) and not as bare tables.
+Neither check reads a string ``table``.
 """
 
 from __future__ import annotations
@@ -170,11 +171,12 @@ def _path(F) -> tuple:
     return F if isinstance(F, tuple) else (F,)
 
 
-def _mapped(tables, ids):
-    """``ids`` looked up in each of ``tables`` in turn, lazily."""
-    for table in tables:
-        ids = map(table.__getitem__, ids)
-    return ids
+def _through(P: tuple, codes):
+    """The codes, in the last target's coding, of the images of ``codes``
+    under the path ``P``."""
+    for F in P:
+        codes = F.code_map[codes]
+    return codes
 
 
 def validate_nat_trans(F, G, components) -> NatTrans:
@@ -184,8 +186,10 @@ def validate_nat_trans(F, G, components) -> NatTrans:
 
     F and G are functors.  Either may be given as a path, a tuple
     (F1, ..., Fk) of composable functors that stands for F1 followed by ...
-    Fk; the composite is never built, each id is mapped through the path.
-    The ``NatTrans`` keeps F and G as given."""
+    Fk; the composite is never built, each code is mapped through the
+    ``code_map`` of each functor in turn, and an object through its
+    identity.  The squares are composed on the target's cells.  The
+    ``NatTrans`` keeps F and G as given."""
     Fs, Gs = _path(F), _path(G)
     for P in (Fs, Gs):
         if any(a.target is not b.source for a, b in zip(P, P[1:])):
@@ -194,35 +198,31 @@ def validate_nat_trans(F, G, components) -> NatTrans:
     if Gs[0].source is not S or Gs[-1].target is not T:
         raise NotNatural("parallel functors required")
     comp = dict(components)
-    Fx = _mapped([P.on_objects for P in Fs], S.objects)
-    Gx = _mapped([P.on_objects for P in Gs], S.objects)
-    for x, fx, gx in zip(S.objects, Fx, Gx):
+    sc, tc = S.coding, T.coding
+    ids = np.array([sc.code[S.id_of(x)] for x in S.objects], np.intp)
+    at = np.array([tc.code.get(comp.get(x), -1) for x in S.objects], np.intp)
+    typed = (at >= 0) & (tc.src[at] == tc.src[_through(Fs, ids)]) & (tc.tgt[at] == tc.src[_through(Gs, ids)])
+    if not typed.all():
+        x = S.objects[int(np.argmin(typed))]
         if x not in comp:
             raise NotNatural(("component missing", x))
-        c = comp[x]
-        if c not in T.src:
-            raise NotNatural(("component unknown", x, c))
-        if T.src[c] != fx or T.tgt[c] != gx:
-            raise NotNatural(("component endpoints", x, c))
+        if comp[x] not in T.src:
+            raise NotNatural(("component unknown", x, comp[x]))
+        raise NotNatural(("component endpoints", x, comp[x]))
     if len(comp) > len(S.objects):
         unknown = next(x for x in comp if x not in S.identity)
         raise NotNatural(("component for unknown object", unknown))
 
-    def squares(ks):
-        """Both ways round the square of each k: x→y, α_x;G(k) and F(k);α_y."""
-        Fk = _mapped([P.on_morphisms for P in Fs], ks)
-        Gk = _mapped([P.on_morphisms for P in Gs], ks)
-        at_x = map(comp.__getitem__, map(S.src.__getitem__, ks))
-        at_y = map(comp.__getitem__, map(S.tgt.__getitem__, ks))
-        compose = T.table.__getitem__
-        return list(map(compose, zip(at_x, Gk))), list(map(compose, zip(Fk, at_y)))
+    def broken(ks):
+        """Where the two ways round the square of each code k: x→y differ,
+        α_x;G(k) and F(k);α_y."""
+        left = tc.cells[tc.cell(at[sc.src[ks]], _through(Gs, ks))]
+        return left != tc.cells[tc.cell(_through(Fs, ks), at[sc.tgt[ks]])]
 
-    left, right = squares(S.generators)
-    if left != right:
-        left, right = squares(S.morphisms)
-        for f, a, b in zip(S.morphisms, left, right):
-            if a != b:
-                raise NotNatural(("square", f))
+    if broken(np.array([sc.code[g] for g in S.generators], np.intp)).any():
+        bad = np.flatnonzero(broken(np.arange(len(sc.ids))))
+        if bad.size:
+            raise NotNatural(("square", min(sc.ids[k] for k in bad.tolist())))
         raise CategoryError("internal error: Light's test failed, the full check held")
     return NatTrans(F, G, comp)
 

@@ -13,10 +13,12 @@ are identities.
 ``grothendieck`` lists the morphisms (f, k, b) by f in base order, b in
 fiber order and k by source and id: one segment per (f, b), the morphisms
 into M(f)(b) of the fiber over x.  It fills every cell of the total's
-coding (see ``core.Coding``) from the stored codings of the base and of the
-fibers, joined as the coding of their disjoint union, where M(f) becomes an
-array over codes and mu[f, g](c) a code.  For p = (f, k, b): (x, a) → Y =
-(y, b) and q = (g, l, c) out of Y,
+coding (see ``core.Coding``) from the coding of the base and the arrays of
+``M.coding`` (see ``indexed.IndexedCoding``), where the fibers are joined
+as the coding of their disjoint union, M(f) is an array over codes and
+mu[f, g](c) a code; ``validate_indexed`` made that coding, so the data is
+not converted again.  For p = (f, k, b): (x, a) → Y = (y, b) and q = (g,
+l, c) out of Y,
 
     p;q = (f;g, k;u, c),  u = M(f)(l);mu[f, g](c).
 
@@ -141,14 +143,15 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     src = {m: X for (X, _), ms in homs.items() for m in ms}
     tgt = {m: Y for (_, Y), ms in homs.items() for m in ms}
     homs = {xy: tuple(sorted(ms)) for xy, ms in homs.items()}
-    identity = {}
+    identity, number = {}, dict(zip(obj_of, range(len(obj_of))))  # as in M.coding
     for t in sorted(obj_of):
         x, a = obj_of[t]
         m = mor_id.get((base.id_of(x), M.eta(x).at(a), a))
         identity[t] = m if src.get(m) == t else None
+    objects = np.array([number[t] for t in identity], np.int64)
     runs, firsts = np.array(runs, np.int64).reshape(-1, 4), np.array(firsts, np.int64)
     total = from_cells(
-        identity, homs, src, tgt, lambda T: _fill(T, M, obj_of, mor_id, runs, firsts, first)
+        identity, homs, src, tgt, lambda T: _fill(T, M, objects, mor_id, runs, firsts, first)
     )
     proj = validate_functor(
         total,
@@ -159,69 +162,15 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     return GrothResult(M, total, proj, obj_of, mor_of, obj_id, mor_id)
 
 
-def _ranks(tgt):
-    """The rank of each code among the codes into its target, by source
-    and then id, as codes are block-major."""
-    order = np.argsort(tgt, kind="stable")
-    sizes = np.bincount(tgt)
-    rank = np.empty(len(tgt), np.int64)
-    rank[order] = np.arange(len(tgt)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return rank
-
-
-def _fill(T, M: IndexedCat, obj_of: dict, mor_id: dict, runs, firsts, first) -> None:
+def _fill(T, M: IndexedCat, bs, mor_id: dict, runs, firsts, first) -> None:
     """Write every cell of the total's coding ``T`` by the gathers of the
     module docstring, or raise ``CompositeEndpointViolation((p, q))`` for the
-    first cell in cell order whose composite is not there."""
-    base, fibers, B = M.base, M.fibers, M.base.coding
-    nth = {x: i for i, x in enumerate(base.objects)}
-
-    # The codings of the fibers joined into one of their disjoint union: the
-    # codes, object numbers and cells of the fiber over the i-th base object
-    # start at code0[i], obj0[i] and cell0[i].  The code ``none`` stands for
-    # no morphism, with endpoints -1 and -2.  offset[k] is k's place among
-    # the morphisms out of its source, so the cell of (k, l) is row[k] +
-    # offset[l]; rank[k] is its place among the codes into its target.
-    codings = [fibers[x].coding for x in base.objects]
-    numbers = [dict(zip(fibers[x].objects, range(len(fibers[x].objects)))) for x in base.objects]
-    code0 = np.cumsum([0] + [len(c.ids) for c in codings])
-    obj0 = np.cumsum([0] + [len(c.out) - 1 for c in codings])
-    cell0 = np.cumsum([0] + [len(c.cells) for c in codings])
-    none = int(code0[-1])
-
-    def joined(arrays, *end):
-        return np.concatenate([*arrays, np.array(end, np.int64)]).astype(np.int64)
-
-    src = joined((c.src + o for c, o in zip(codings, obj0)), -1)
-    tgt = joined((c.tgt + o for c, o in zip(codings, obj0)), -2)
-    row = joined((c.row[:-1] + o for c, o in zip(codings, cell0)), 0)
-    offset = joined((np.arange(len(c.ids)) - c.out[c.src] for c in codings), 0)
-    cells = joined(c.cells + o for c, o in zip(codings, code0))
-    rank = _ranks(tgt[:-1])
-
-    def on(table, to, shift, missing, keys):
-        """The joined numbers of the images under ``table`` of ``keys``."""
-        return [missing if (k := to.get(table.get(m), -1)) < 0 else k + shift for m in keys]
-
-    # For f: x→y in the base, image[at[f] + l] is M(f)(l) for a code l over
-    # y and image_ob[ob_at[f] + b] is M(f)(b) for an object b over y, -3
-    # where there is none; mu[mu_at[cell] + c] is mu[f, g](c) for the base
-    # cell of (f, g) and an object c over tgt g.
-    image, image_ob, at, ob_at, mu, mu_at = [], [], [], [], [], []
-    for f, x, y in zip(B.ids, B.src.tolist(), B.tgt.tolist()):
-        at.append(len(image) - code0[y])
-        ob_at.append(len(image_ob) - obj0[y])
-        Mf = M.arrows[f]
-        image += on(Mf.on_morphisms, codings[x].code, code0[x], none, codings[y].ids)
-        image_ob += on(Mf.on_objects, numbers[x], obj0[x], -3, fibers[base.objects[y]].objects)
-    for f, g in zip(*(k.tolist() for k in B.pairs())):
-        x, z = int(B.src[f]), int(B.tgt[g])
-        mu_at.append(len(mu) - obj0[z])
-        comps = M.compositors[(B.ids[f], B.ids[g])].components
-        mu += on(comps, codings[x].code, code0[x], none, fibers[base.objects[z]].objects)
-    image, image_ob, at, ob_at, mu, mu_at = (
-        np.array(v, np.int64) for v in (image, image_ob, at, ob_at, mu, mu_at)
-    )
+    first cell in cell order whose composite is not there.  ``bs`` holds
+    the number of b in the coding of the joined fibers, ``M.coding``, for
+    each total object (y, b)."""
+    B, C = M.base.coding, M.coding
+    code0, obj0, src, tgt, row, offset, cells = C.code0, C.obj0, C.src, C.tgt, C.row, C.offset, C.cells
+    image, image_ob, at, ob_at, mu, mu_at = C.image, C.image_ob, C.at, C.ob_at, C.mu, C.mu_at
 
     # Each total code's (f, k, b): its base code, its joined fiber code and
     # the joined number of b; perm[i] is the code of the i-th of ``mor_id``,
@@ -240,9 +189,7 @@ def _fill(T, M: IndexedCat, obj_of: dict, mor_id: dict, runs, firsts, first) -> 
     # out of its source, and the first total payload of the segment of (f;g,
     # c), -1 where u is not there: M(f)(l) does not start at M(f)(b), is not
     # composable with mu, or u does not end at M(f;g)(c).
-    tobs = sorted(obj_of)
-    ys = np.array([nth[obj_of[t][0]] for t in tobs], np.int64)
-    bs = obj0[ys] + [numbers[y][obj_of[t][1]] for y, t in zip(ys.tolist(), tobs)]
+    ys = np.searchsorted(obj0, bs, "right") - 1
     nq = np.diff(T.out)
     width = np.array([len(fs) for fs in B.into], np.int64)[ys] * nq
     ubase = np.cumsum(width) - width
@@ -262,7 +209,7 @@ def _fill(T, M: IndexedCat, obj_of: dict, mor_id: dict, runs, firsts, first) -> 
     # Cell (p, q) for p = (f, k, b) into Y: the code of (f;g, k;u, c), the
     # rank of k;u in its segment past the segment's start, a round of
     # ``T.rounds()`` at a time.
-    shift = ubase[T.tgt] + _ranks(B.tgt)[f_of] * nq[T.tgt] - T.row[:-1]
+    shift = ubase[T.tgt] + B.ranks[f_of] * nq[T.tgt] - T.row[:-1]
     k_row = row[k_of]
     for lo, hi in T.rounds():
         c0, c1 = T.row[lo], T.row[hi]
@@ -274,7 +221,7 @@ def _fill(T, M: IndexedCat, obj_of: dict, mor_id: dict, runs, firsts, first) -> 
             p = int(np.searchsorted(T.row, cell, "right")) - 1
             q = cell - T.row[p] + T.out[T.tgt[p]]
             raise CompositeEndpointViolation((T.ids[p], T.ids[q]))
-        T.cells[c0:c1] = perm[s + rank[cells[np.repeat(k_row[lo:hi], sizes) + col[u_at]]]]
+        T.cells[c0:c1] = perm[s + C.ranks[cells[np.repeat(k_row[lo:hi], sizes) + col[u_at]]]]
 
 
 # ---------------------------------------------------------------------------

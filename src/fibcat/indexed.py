@@ -13,7 +13,11 @@ and invertibility of every compositor and unitor, the unit coherence law
 at every base morphism and fiber object, and then the associativity
 coherence law.  All of them are certificates for every composable pair and
 triple; naturality (see ``functors``) and associativity coherence are
-decided by Light's test on generators.
+decided by Light's test on generators.  Once the arrows are functors, the
+data is coded once, on the coding of the disjoint union of the fibers
+(``IndexedCoding``), and every later check is an array gather over all
+base cells, objects or triples at once; no check reads a string
+``table``.
 
 Write ";" for "then", in the base and in the fibers.  For composable
 f: x→y, g: y→z, h: z→w and an object d of fiber(w), the coherence square
@@ -71,7 +75,11 @@ arrows being functors, so that is checked first, by ``validate_functor``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import FinCat, CategoryError, automorphisms, subcategory
 from .functors import (
@@ -128,12 +136,92 @@ class IndexedCat:
     def eta(self, x: str) -> NatTrans:
         return self.unitors[x]
 
+    @functools.cached_property
+    def coding(self) -> "IndexedCoding":
+        """The data in integers (see ``IndexedCoding``); made on first read."""
+        mus = [self.compositors[fg].components for fg in _cell_pairs(self.base)]
+        etas = [self.unitors[x].components for x in self.base.objects]
+        return IndexedCoding(self.base, self.fibers, self.arrows, mus, etas)
+
     def __repr__(self):
         return "IndexedCat(base=%r, %d fibers, strict=%s)" % (
             self.base,
             len(self.fibers),
             self.strict,
         )
+
+
+class IndexedCoding:
+    """An indexed category's data on the coding of the disjoint union of its
+    fibers: the fiber over the i-th base object keeps its codes, objects
+    and cells (see ``core.Coding``), shifted by code0[i], obj0[i] and the
+    cells before it.  The last code, none, stands for a missing morphism:
+    source -1, target -2, row 0.  The cell of (k, l) is row[k] + offset[l];
+    ``is_id`` and ``iso`` mask the identities and isos; gens[gen0[i]:gen0[i
+    + 1]] is the i-th fiber's S.  For f: x→y in the base, image[at[f] + l]
+    is M(f)(l) for a code l over y, and image_ob[ob_at[f] + b] is M(f)(b)
+    for an object b over y (-3 if missing); mu[mu_at[t] + c] is mu[f,
+    g](c) for the t-th base cell (f, g), from the dicts ``mus``, and eta[a]
+    is eta[x](a), from ``etas``."""
+
+    def __init__(self, base: FinCat, fibers: dict, arrows: dict, mus: list, etas: list):
+        B, fibs, (f, g) = base.coding, [fibers[x] for x in base.objects], base.coding.pairs()
+        cs, xs, ys = [F.coding for F in fibs], B.src.tolist(), B.tgt.tolist()
+        self.code0 = code0 = np.cumsum([0] + [len(c.ids) for c in cs])
+        self.obj0 = obj0 = np.cumsum([0] + [len(F.objects) for F in fibs])
+        cell0, none = np.cumsum([0] + [len(c.cells) for c in cs]), int(code0[-1])
+        numbers = [dict(zip(F.objects, range(len(F.objects)))) for F in fibs]
+
+        def joined(arrays, *end):
+            return np.concatenate([*arrays, np.array(end, np.int64)]).astype(np.int64)
+
+        def flat(lists):
+            return np.fromiter(itertools.chain.from_iterable(lists), np.int64)
+
+        def firsts(sizes, less):  # where blocks of ``sizes`` laid end to end start
+            return np.cumsum(sizes) - sizes - less
+
+        self.src = joined((c.src + o for c, o in zip(cs, obj0)), -1)
+        self.tgt = joined((c.tgt + o for c, o in zip(cs, obj0)), -2)
+        self.row = joined((c.row[:-1] + o for c, o in zip(cs, cell0)), 0)
+        self.offset = joined((np.arange(len(c.ids)) - c.out[c.src] for c in cs), 0)
+        self.cells = joined(c.cells + o for c, o in zip(cs, code0))
+        self.ranks = joined(c.ranks for c in cs)
+        each = list(zip(fibs, cs, code0))
+        self.is_id, self.iso = np.zeros((2, none + 1), bool)
+        self.is_id[flat([o + c.code[i] for i in F.identity.values()] for F, c, o in each)] = True
+        self.iso[flat([o + c.code[m] for m in F.inverses] for F, c, o in each)] = True
+        gens = [[o + c.code[g] for g in F.generators] for F, c, o in each]
+        self.gens, self.gen0 = flat(gens), np.cumsum([0] + list(map(len, gens)))
+        self.image = flat(_on(arrows[h].on_morphisms, cs[x].code, code0[x], none, cs[y].ids)
+                          for h, x, y in zip(B.ids, xs, ys))
+        self.at = firsts(np.diff(code0)[B.tgt], code0[B.tgt])
+        self.image_ob = flat(_on(arrows[h].on_objects, numbers[x], obj0[x], -3, fibs[y].objects)
+                             for h, x, y in zip(B.ids, xs, ys))
+        self.ob_at = firsts(np.diff(obj0)[B.tgt], obj0[B.tgt])
+        self.mu = flat(_on(comps, cs[x].code, code0[x], none, fibs[z].objects)
+                       for comps, x, z in zip(mus, B.src[f].tolist(), B.tgt[g].tolist()))
+        self.mu_at = firsts(np.diff(obj0)[B.tgt[g]], obj0[B.tgt[g]])
+        self.eta = flat(_on(e, c.code, o, none, F.objects) for e, (F, c, o) in zip(etas, each))
+
+
+def _cell_pairs(base: FinCat) -> list:
+    """The pairs (f, g) of the cells of ``base.coding``, in cell order."""
+    B = base.coding
+    return list(zip(*(map(B.ids.__getitem__, k.tolist()) for k in B.pairs())))
+
+
+def _on(table, to, shift, missing, keys) -> list:
+    """The number in ``to``, plus ``shift``, of the image under ``table``
+    of each of ``keys``, or ``missing``."""
+    return [missing if (k := to.get(table.get(m), -1)) < 0 else k + shift for m in keys]
+
+
+def _runs(starts, sizes):
+    """For runs of ``sizes`` consecutive numbers from ``starts``: the run of
+    each number, and the number."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
 
 
 def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=None) -> IndexedCat:
@@ -149,9 +237,12 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     would hide a misspelt or stale id.  The arrow at f: x→y must run from
     the fiber object given for y to the one given for x; an equal copy of a
     fiber is another category.  A compositor keeps the path (M(g), M(f))
-    as its source (see ``functors.validate_nat_trans``).  Compositors are
-    checked pair by pair in the order of ``base.table``, cell order (see
-    ``FinCat``), so that order names the first that fails.
+    as its source (see ``functors.validate_nat_trans``).
+
+    After the arrows, every check runs on ``IndexedCoding`` for all items at
+    once, and names the first failure in the order of a check of one at a
+    time: compositors in base cell order (see ``FinCat``), unitors by base
+    object, each checked again alone for its error, then the unit laws.
     """
     fibers = dict(fibers)
     arrows = dict(arrows)
@@ -179,111 +270,133 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
 
     compositors = dict(compositors or {})
     unitors = dict(unitors or {})
+    B, pairs = base.coding, _cell_pairs(base)
+    known = set(pairs)
     for key in compositors:
-        if key not in base.table:
+        if key not in known:
             raise IndexedError("compositor for %r, which is no composable pair" % (key,))
     for x in unitors:
         if x not in base.identity:
             raise IndexedError("unitor over unknown object %r" % (x,))
 
-    mus = {}
-    for (f, g), h in base.table.items():
-        fib_x = fibers[base.src[f]]
-        Mf, Mg = arrows[f], arrows[g]
-        raw = compositors.get((f, g))
-        if isinstance(raw, NatTrans):
-            raw = raw.components
-        if raw is None:
-            raw = {c: fib_x.id_of(Mf.ob(Mg.ob(c))) for c in Mg.source.objects}
+    def given(raw, objects, default):  # the components raw gives, else default(a) at each a
+        raw = raw.components if isinstance(raw, NatTrans) else raw
+        return {a: default(a) for a in objects} if raw is None else dict(raw)
+
+    mus = [
+        given(compositors.get((f, g)), fibers[base.tgt[g]].objects,
+              lambda c: fibers[base.src[f]].id_of(arrows[f].ob(arrows[g].ob(c))))
+        for f, g in pairs
+    ]
+    etas = [given(unitors.get(x), fibers[x].objects, fibers[x].id_of) for x in base.objects]
+    C = IndexedCoding(base, fibers, arrows, mus, etas)
+    (F, G), hs = B.pairs(), [arrows[B.ids[h]] for h in B.cells.tolist()]
+    unit = np.array([B.code[base.id_of(x)] for x in base.objects], np.int64)
+    # The first failing compositor, then unitor, is checked again alone.
+    bad = _unnatural(C, [G, F], B.cells, B.tgt[G], C.mu, C.mu_at, mus)
+    if bad.any():
+        t = int(np.argmax(bad))
+        (f, g), fib = pairs[t], fibers[base.src[pairs[t][0]]]
         try:
-            mu = validate_nat_trans((Mg, Mf), arrows[h], raw)  # M(f)∘M(g): Mg, then Mf
+            mu = validate_nat_trans((arrows[g], arrows[f]), hs[t], mus[t])
         except NotNatural as exc:
             raise CoherenceViolation(("compositor", f, g, exc.args)) from exc
-        for c, m in mu.components.items():
-            if m not in fib_x.inverses:
-                raise CompositorNotIso((f, g, c, m))
-        mus[(f, g)] = mu
-
-    etas = {}
-    for x in base.objects:
-        fib = fibers[x]
-        raw = unitors.get(x)
-        if isinstance(raw, NatTrans):
-            raw = raw.components
-        if raw is None:
-            raw = {a: fib.id_of(a) for a in fib.objects}
+        raise CompositorNotIso((f, g, *next(cm for cm in mu.components.items() if cm[1] not in fib.inverses)))
+    bad = _unnatural(C, [], unit, np.arange(len(unit)), C.eta, np.zeros_like(unit), etas)
+    if bad.any():
+        t = int(np.argmax(bad))
+        x, fib = base.objects[t], fibers[base.objects[t]]
         try:
-            eta = validate_nat_trans(identity_functor(fib), arrows[base.id_of(x)], raw)
+            eta = validate_nat_trans(identity_functor(fib), arrows[base.id_of(x)], etas[t])
         except NotNatural as exc:
             raise UnitorViolation((x, exc.args)) from exc
-        for a, m in eta.components.items():
-            if m not in fib.inverses:
-                raise UnitorViolation((x, a, m))
-        etas[x] = eta
+        raise UnitorViolation((x, *next(am for am in eta.components.items() if am[1] not in fib.inverses)))
 
-    # Unit coherence: contracting against an identity is the identity.
-    for f in base.morphisms:
-        x, y = base.src[f], base.tgt[f]
-        fib_x = fibers[x]
-        Mf = arrows[f]
-        mu_l = mus[(base.id_of(x), f)]  # M(id_x)∘M(f)... as mu[id, f]
-        mu_r = mus[(f, base.id_of(y))]
-        for b in fibers[y].objects:
-            mfb = Mf.ob(b)
-            if fib_x.comp(etas[x].at(mfb), mu_l.at(b)) != fib_x.id_of(mfb):
-                raise UnitorViolation(("left unit", f, b))
-            if fib_x.comp(Mf.mor(etas[y].at(b)), mu_r.at(b)) != fib_x.id_of(mfb):
-                raise UnitorViolation(("right unit", f, b))
+    # Unit coherence: contracting against an identity is the identity, at
+    # each f: x→y in the order of ``base.morphisms`` and b over y.
+    order = np.array([B.code[f] for f in base.morphisms], np.int64)
+    r, b = _runs(C.obj0[B.tgt[order]], np.diff(C.obj0)[B.tgt[order]])
+    f, mfb = order[r], C.image_ob[C.ob_at[order[r]] + b]
+    mu_l = C.mu[C.mu_at[B.cell(unit[B.src[f]], f)] + b]
+    mu_r = C.mu[C.mu_at[B.cell(f, unit[B.tgt[f]])] + b]
+    left = ~C.is_id[C.cells[C.row[C.eta[mfb]] + C.offset[mu_l]]]
+    right = ~C.is_id[C.cells[C.row[C.image[C.at[f] + C.eta[b]]] + C.offset[mu_r]]]
+    if (left | right).any():
+        i = int(np.argmax(left | right))
+        f, y = base.morphisms[r[i]], B.tgt[f[i]]
+        b = fibers[base.objects[y]].objects[b[i] - C.obj0[y]]
+        raise UnitorViolation(("left unit" if left[i] else "right unit", f, b))
 
-    _check_associativity_coherence(base, fibers, arrows, mus)
-
-    strict = all(
-        fibers[base.src[f]].is_identity(m)
-        for (f, _), mu in mus.items()
-        for m in mu.components.values()
-    ) and all(
-        fibers[x].is_identity(m) for x, eta in etas.items() for m in eta.components.values()
-    )
-
-    return IndexedCat(base, fibers, arrows, mus, etas, strict)
+    _check_associativity_coherence(base, fibers, C, order)
+    mus = {(f, g): NatTrans((arrows[g], arrows[f]), h, c) for (f, g), h, c in zip(pairs, hs, mus)}
+    etas = {
+        x: NatTrans(identity_functor(fibers[x]), arrows[base.id_of(x)], c) for x, c in zip(base.objects, etas)
+    }
+    M = IndexedCat(base, fibers, arrows, mus, etas, bool(C.is_id[C.mu].all() and C.is_id[C.eta].all()))
+    vars(M)["coding"] = C  # the coding just checked is the one M.coding would make
+    return M
 
 
-def _check_associativity_coherence(base, fibers, arrows, mus) -> None:
-    """Light's test on the base's S (see the module docstring), with a
-    sweep of every triple to name the first ``CoherenceViolation``."""
-    out_of = {x: [] for x in base.objects}
-    into = {x: [] for x in base.objects}
-    for m in base.morphisms:
-        out_of[base.src[m]].append(m)
-        into[base.tgt[m]].append(m)
-    table, src, tgt = base.table, base.src, base.tgt
-    comps = {fg: mu.components for fg, mu in mus.items()}
+def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, given):
+    """The mask of the transformations t from M(path[0][t]), M(path[1][t]),
+    ... in turn (none: the identity) to M(target[t]), out of the fiber over
+    fiber[t], that are no natural isos with the components given[t], the
+    one at c comps[at[t] + c]; naturality by Light's test, once typed."""
+    sizes = np.diff(C.obj0)[fiber]
+    bad = np.array(list(map(len, given)), np.int64) != sizes
+    t, c = _runs(C.obj0[fiber], sizes)
+    m, ob = comps[at[t] + c], c
+    for P in path:
+        ob = C.image_ob[C.ob_at[P[t]] + ob]
+    bad[t[(C.src[m] != ob) | (C.tgt[m] != C.image_ob[C.ob_at[target[t]] + c]) | ~C.iso[m]]] = True
+    t, k = _runs(C.gen0[fiber], np.diff(C.gen0)[fiber])
+    t, k = t[~bad[t]], C.gens[k[~bad[t]]]
+    along = k
+    for P in path:
+        along = C.image[C.at[P[t]] + along]
+    left = C.cells[C.row[comps[at[t] + C.src[k]]] + C.offset[C.image[C.at[target[t]] + k]]]
+    bad[t[left != C.cells[C.row[along] + C.offset[comps[at[t] + C.tgt[k]]]]]] = True
+    return bad
 
-    def incoherent_at(f, g, h):
-        """The first object d of fiber(tgt h) where the square of (f, g, h)
-        fails, or None."""
-        fib = fibers[src[f]].table
-        Mf, Mh = arrows[f].on_morphisms, arrows[h].on_objects
-        mu_gh, mu_fg = comps[(g, h)], comps[(f, g)]
-        mu_f_gh, mu_fg_h = comps[(f, table[(g, h)])], comps[(table[(f, g)], h)]
-        for d in fibers[tgt[h]].objects:
-            if fib[(Mf[mu_gh[d]], mu_f_gh[d])] != fib[(mu_fg[Mh[d]], mu_fg_h[d])]:
-                return d
-        return None
 
-    if all(
-        incoherent_at(f, g, h) is None
-        for g in base.generators
-        for f in into[src[g]]
-        for h in out_of[tgt[g]]
-    ):
+def _check_associativity_coherence(base, fibers, C: IndexedCoding, order) -> None:
+    """Light's test on the base's S (see the module docstring), then, if it
+    fails, a sweep of every triple, one f at a time in the ``order`` of
+    ``base.morphisms``, to name the first ``CoherenceViolation``."""
+    B = base.coding
+    after = order[np.argsort(B.src[order], kind="stable")]  # out of x, in order, from B.out[x]
+
+    def then(*codes):
+        """Each sequence of ``codes`` followed by each code out of its end."""
+        r, j = _runs(B.out[B.tgt[codes[-1]]], np.diff(B.out)[B.tgt[codes[-1]]])
+        return (*(k[r] for k in codes), after[j])
+
+    def incoherent(f, g, h):
+        """Per triple i and object d over tgt h[i], in turn: i, d and
+        whether the coherence square of the triple fails at d."""
+        i, d = _runs(C.obj0[B.tgt[h]], np.diff(C.obj0)[B.tgt[h]])
+        f, g, h, fg, gh = f[i], g[i], h[i], B.cell(f[i], g[i]), B.cell(g[i], h[i])
+
+        def mu(cell, d):
+            return C.mu[C.mu_at[cell] + d]
+
+        lhs = C.row[C.image[C.at[f] + mu(gh, d)]] + C.offset[mu(B.cell(f, B.cells[gh]), d)]
+        rhs = C.row[mu(fg, C.image_ob[C.ob_at[h] + d])] + C.offset[mu(B.cell(B.cells[fg], h), d)]
+        return i, d, C.cells[lhs] != C.cells[rhs]
+
+    for g in (B.code[s] for s in base.generators):
+        fs = B.into[B.src[g]]
+        if incoherent(*then(fs, np.full(len(fs), g)))[2].any():
+            break
+    else:
         return
-    for f in base.morphisms:
-        for g in out_of[tgt[f]]:
-            for h in out_of[tgt[g]]:
-                d = incoherent_at(f, g, h)
-                if d is not None:
-                    raise CoherenceViolation(((f, g, h), d))
+    for f in order.tolist():
+        f, g, h = then(*then(np.array([f])))
+        i, d, bad = incoherent(f, g, h)
+        if bad.any():
+            i, d = i[np.argmax(bad)], d[np.argmax(bad)]
+            b = fibers[base.objects[B.tgt[h[i]]]].objects[d - C.obj0[B.tgt[h[i]]]]
+            raise CoherenceViolation((tuple(B.ids[k[i]] for k in (f, g, h)), b))
     raise CategoryError("internal error: Light's test failed, the full check held")
 
 
@@ -297,7 +410,8 @@ def strict_functoriality_check(M: IndexedCat):
     for x in M.base.objects:
         if not functors_equal(M.arrow_at(M.base.id_of(x)), identity_functor(M.fiber_at(x))):
             return False
-    for (f, g), h in M.base.table.items():
+    hs = map(M.base.coding.ids.__getitem__, M.base.coding.cells.tolist())
+    for (f, g), h in zip(_cell_pairs(M.base), hs):
         if not functors_equal(compose_functors(M.arrow_at(g), M.arrow_at(f)), M.arrow_at(h)):
             return False
     return True

@@ -203,8 +203,7 @@ _UNDECIDED = object()
 
 
 def _hom_counts(C: FinCat) -> dict:
-    """What every search on C shares, made once: ``pos``, the position of
-    each code among the codes into its target; ``first``, the first object
+    """What every search on C shares, made once: ``first``, the first object
     whose hom-count column |hom(-, p)| is that of p, for each object p;
     ``weights``, which hash a column to an integer, and ``keys`` and
     ``firsts``, the hashes of the distinct columns, sorted, with their first
@@ -225,15 +224,12 @@ def _hom_counts(C: FinCat) -> dict:
             keys = weights @ counts[:, firsts]
             if _distinct(keys):
                 break
-        pos = np.empty(len(coding.ids), np.int64)
-        for ms in coding.into:
-            pos[ms] = np.arange(len(ms))
         isos = np.zeros(len(coding.ids), bool)
         isos[[coding.code[a] for a in C.inverses]] = True
         order = np.argsort(keys)
         width = np.bincount(coding.tgt, minlength=k)
         memo.update(
-            counts=counts, pos=pos, first=first, weights=weights,
+            counts=counts, first=first, weights=weights,
             keys=keys[order], firsts=firsts[order], isos_into=[ms[isos[ms]] for ms in coding.into],
             width=width, before=np.concatenate(([0], np.cumsum(width * width))),
         )
@@ -249,7 +245,7 @@ def _pullbacks_into(C: FinCat, d: int):
     if d in memo:
         return memo[d]
     coding, hc = C.coding, _hom_counts(C)
-    counts, pos = hc["counts"], hc["pos"]
+    counts, pos = hc["counts"], coding.ranks
     ms = coding.into[d]
     n, none = len(ms), len(coding.ids)
     # hom(q, d) is the run bounds[q]:bounds[q + 1] of ms
@@ -343,8 +339,8 @@ def _injective(coding, p: int, u, v) -> bool:
 def _at(C: FinCat, d, f1, f2):
     """The place, in the arrays of ``_pullbacks_into(C, d)``, of the
     cospans (f1, f2) of codes into the objects numbered d."""
-    hc = _hom_counts(C)
-    return hc["pos"][f1] * hc["width"][d] + hc["pos"][f2]
+    rank = C.coding.ranks
+    return rank[f1] * _hom_counts(C)["width"][d] + rank[f2]
 
 
 def _cospan(C: FinCat, f1, f2):

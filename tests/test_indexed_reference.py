@@ -4,8 +4,10 @@
 
 The library decides naturality and associativity coherence by Light's
 test on generators; the reference checks every square.  The data is the
-whole corpus and two larger instances, unchanged and under seeded
-single-entry changes made with ``dataclasses.replace``.
+whole corpus, two larger instances and constant indexed categories
+``delta_const(X, Y)`` over seeded pairs of the seeded random categories,
+unchanged and under seeded single-entry changes made with
+``dataclasses.replace``.
 """
 
 import dataclasses
@@ -113,3 +115,23 @@ def test_mutations_match_reference(instances):
                 seen.add("triple")
             seen.add(got[0])
     assert {BadFiberFunctor, CompositorNotIso, CoherenceViolation, UnitorViolation, "triple"} <= seen
+
+
+SEEDED_PAIRS = 60
+
+
+def test_seeded_constant_categories_match_reference(seeded_categories):
+    """``delta_const(X, Y)`` for seeded pairs (X, Y) of the seeded random
+    categories, and its mutations, get the reference's outcome; the
+    mutations reach the compositor, unitor and arrow errors."""
+    rng = random.Random(SEEDED_PAIRS)
+    seen = set()
+    for seed in range(SEEDED_PAIRS):
+        X, Y = rng.choice(seeded_categories), rng.choice(seeded_categories)
+        M = delta_const(X, Y)
+        assert outcome(validate_indexed, M) == outcome(check_indexed, M), seed
+        for kind, bad in mutations(M, seed):
+            got = outcome(validate_indexed, bad)
+            assert got == outcome(check_indexed, bad), (seed, kind)
+            seen.add(got[0])
+    assert {BadFiberFunctor, CompositorNotIso, CoherenceViolation, UnitorViolation} <= seen

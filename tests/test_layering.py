@@ -13,6 +13,11 @@ cleaving and its reindexing functors leave no string table behind, and
 so do conditions 6 and 7, both square tests, the preservation of pullbacks
 and of weak pushouts and the whole FI-type audit, which read the codings as
 well.
+Indexed data is coded once, on the joined codings of its fibers: its
+checks, the squares of a natural transformation and the fill of a
+Grothendieck total read the codes, and no function of ``indexed``,
+``functors`` or ``groth`` reads a table, which one run confirms on the
+base, the fibers and the total.
 ``ioformats`` writes and reads a category on its cells and
 ``core.subcategory`` composes on them, so writing a total and cutting the
 fibers of its projection make none either.  The other builders compose
@@ -238,6 +243,27 @@ def test_no_functor_check_makes_a_table():
     assert all(reindexing(P, cleaving, f).on_morphisms for f in P.target.morphisms)
     assert "table" not in vars(P.source) and "table" not in vars(P.target)
     assert len(P.source.table) == len(gr.total.table)
+
+
+def test_indexed_functor_and_groth_modules_read_no_table():
+    """``validate_indexed`` decides every check after the arrows on the
+    codes of ``indexed.IndexedCoding``, ``validate_nat_trans`` composes its
+    squares on the cells and ``groth`` fills a total from those codes: no
+    function of the three modules reads a ``table`` or calls ``comp``."""
+    modules = dict(_modules())
+    for name in ("indexed", "functors", "groth"):
+        read = {n.attr for n in ast.walk(modules[name]) if isinstance(n, ast.Attribute)}
+        assert "coding" in read and not read & {"table", "_table", "comp"}, name
+
+
+def test_grothendieck_of_an_indexed_category_makes_no_table():
+    """The run the structural test above stands for: building an indexed
+    category, validating it and its Grothendieck total leave no ``table``
+    on the base, on a fiber or on the total."""
+    M = indexed_gpow(cyclic_group(2), 3)
+    gr = grothendieck(M)
+    made = [C for C in (M.base, *M.fibers.values(), gr.total) if "table" in vars(C)]
+    assert made == []
 
 
 def test_json_edge_reads_no_table():
