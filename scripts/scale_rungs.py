@@ -27,7 +27,7 @@ import sys
 import time
 
 from fibcat.fitype import check_fi_type
-from fibcat.generators import fi_truncated, indexed_gpow, slice_indexed
+from fibcat.generators import arrow_category, fi_truncated, indexed_gpow, slice_indexed
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
 from fibcat.indexed import validate_indexed
@@ -70,6 +70,9 @@ RUNGS = {
     "fi_z3_4_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total),
     # the FI_Z2 total category for N=5: 7,060 morphisms, 25.8M composites
     "fi_z2_5_total": _build(lambda: grothendieck(indexed_gpow(cyclic_group(2), 5)).total),
+    # the arrow category of FI_4, FI_4 made untimed: 89 objects, 67,857
+    # morphisms, 42.9M composites; isomorphic to the slice total below
+    "arrow_fi4": (lambda: fi_truncated(4), arrow_category),
     # the total of the slices of FI_4, made untimed: 89 objects in many small
     # blocks, 67,857 morphisms, 42.9M composites
     "slice_fi4_total": (lambda: slice_indexed(fi_truncated(4)), lambda M: grothendieck(M).total),

@@ -13,7 +13,7 @@ then by id, and each code f has one ``int32`` cell per morphism out of tgt
 f, which holds the code of the composite.  ``from_cells`` is the one way
 in: it hands a fresh coding to its caller's ``fill``, and then the same
 checks (``_checked``) read the cells and build the ``FinCat``, whose string
-``table`` is derived from the cells when it is first read.  Three builders
+``table`` is derived from the cells when it is first read.  These builders
 fill the cells:
 
 * ``assemble`` lays out hom-set blocks ``{payload: id}``, and its composer
@@ -22,10 +22,14 @@ fill the cells:
   of block (x, z), of the i-th payload of (x, y) followed by the j-th of
   (y, z).  The injection builders of ``generators`` compute these arrays
   with numpy, and ``subcategory`` reads them off the cells of the category
-  it is cut from; the small builders write a per-composite ``compose(p,
-  q)`` and wrap it in ``per_composite``: ``group_as_category``, and
-  ``generators``' products, slices, arrow categories, group powers and
-  relation categories.
+  it is cut from.
+* ``from_parts`` lays out blocks ``{parts: id}``, each morphism listed by
+  the codes of its components in the codings of some factor categories,
+  and composes them factor by factor on the factors' cells, a round of
+  cells at a time: ``generators``' products and group powers, slices (the
+  triangle's h), arrow categories (the square's u and v) and relation
+  categories (no parts).
+* ``groups.group_as_category`` writes the cells from the multiplication.
 * ``validate_category`` vets raw ids (JSON files, tests) without a Python
   step per composite: it reads the composition triples into one ``int32``
   array in a single C-level pass, checks them with array operations and
@@ -39,15 +43,14 @@ identities, the composition entries in input order (an unknown id, then a
 pair that is not composable), the unit laws by sorted id; then per pair of
 blocks in block order the first missing composite (``MissingComposite``),
 else the first composite outside its hom-set
-(``CompositeEndpointViolation``), as ``per_composite`` names them.  The
-array checks only find whether an error exists; a scan then names the
-first one.  Then in ``assemble``, per pair of blocks in block order: from
-``per_composite``, the first missing composite, else the first payload
-outside its hom-set; from any composer, the first position outside the
-target block (``CompositeEndpointViolation``); in ``groth.grothendieck``,
-the first cell in cell order whose composite is not there
-(``CompositeEndpointViolation``).  Then the identities and unit laws, and
-the first non-associative triple in the order (a, b), c, d, (f, g, h).
+(``CompositeEndpointViolation``).  The array checks only find whether an
+error exists; a scan then names the first one.  Then in ``assemble``, per
+pair of blocks in block order, the composer's own error, else the first
+position outside the target block (``CompositeEndpointViolation``); in
+``from_parts`` and ``groth.grothendieck``, the first cell in cell order
+whose composite is not there (``CompositeEndpointViolation``).  Then the
+identities and unit laws, and the first non-associative triple in the
+order (a, b), c, d, (f, g, h).
 
 Associativity is decided by Light's test (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1961, §1.2) on a generating set S.  Call
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -176,8 +180,9 @@ class FinCat:
         """Composite of ``first`` followed by ``then``."""
         # One composite at a time, the table is faster than the cells: ~0.3 us
         # a call against ~1.1 us for the code lookups and the cell read
-        # (timeit on FI_3, 2-vCPU Xeon), and arrow_category(fi_truncated(3))
-        # alone makes 119,392 calls.
+        # (timeit on FI_3, 2-vCPU Xeon).  No builder calls it; its callers are
+        # the transfer lemmas, ``theorem``, ``slice_indexed`` and
+        # ``codomain_check``.
         return self.table[(first, then)]
 
     def hom(self, x: str, y: str) -> tuple:
@@ -454,23 +459,13 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
     in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
     (x, y) followed by the j-th of (y, z).  Pairs of blocks are composed
     once each, and each position is mapped to its code, which fills its
-    cell of the coding.  After an unknown endpoint or a repeated
-    id, errors are the composer's own (see ``per_composite``), then per pair
-    of blocks ``CompositeEndpointViolation((f, g, position))`` for the first
-    position outside block (x, z); then ``MissingIdentity``,
-    ``UnitViolation`` and ``AssociativityViolation``.
+    cell of the coding.  After an unknown endpoint or a repeated id, errors
+    are the composer's own, then per pair of blocks
+    ``CompositeEndpointViolation((f, g, position))`` for the first position
+    outside block (x, z); then ``MissingIdentity``, ``UnitViolation`` and
+    ``AssociativityViolation``.
     """
-    blocks = {xy: block for xy, block in blocks.items() if block}
-    src, tgt = {}, {}
-    for (x, y), block in blocks.items():
-        if x not in identities or y not in identities:
-            raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
-        for m in block.values():
-            if m in src:
-                raise CategoryError("duplicate morphism identifier %r" % m)
-            src[m], tgt[m] = x, y
-    homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
-    identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
+    blocks, identity, homs, src, tgt = _layout(identities, blocks)
 
     def fill(coding):
         # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
@@ -491,6 +486,81 @@ def assemble(identities: dict, blocks: dict, compose) -> FinCat:
                 coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
 
     return from_cells(identity, homs, src, tgt, fill)
+
+
+def _layout(identities: dict, blocks: dict):
+    """The nonempty ``blocks`` and the identity, hom-sets and endpoints of
+    the category they lay out, for ``assemble`` and ``from_parts``."""
+    blocks = {xy: block for xy, block in blocks.items() if block}
+    src, tgt = {}, {}
+    for (x, y), block in blocks.items():
+        if x not in identities or y not in identities:
+            raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
+        for m in block.values():
+            if m in src:
+                raise CategoryError("duplicate morphism identifier %r" % m)
+            src[m], tgt[m] = x, y
+    homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
+    identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
+    return blocks, identity, homs, src, tgt
+
+
+def from_parts(identities: dict, blocks: dict, factors) -> FinCat:
+    """Lay out and check the category whose morphisms are listed by their
+    parts in the categories ``factors``.
+
+    ``blocks`` maps (x, y) to ``{parts: morphism id}``, where ``parts`` holds
+    one code of the coding of each factor, and ``identities`` maps each
+    object to the parts of its identity.  The parts of f;g are, factor by
+    factor, the composites of the parts of f and of g; so in each factor the
+    parts of the morphisms into an object must end, and those out of it
+    start, at one object.  Then every morphism is determined by its key
+    (source, target, parts), and each cell is written, one round of
+    ``Coding.rounds`` at a time, by one gather per factor, which gives the
+    composite's parts, and one ``searchsorted`` of its key among the keys
+    of all codes, which gives its code.  After an unknown endpoint or a
+    repeated id, a listing whose keys would overflow ``int64`` raises
+    ``CategoryError``, and the first cell in cell order whose key is not
+    listed raises ``CompositeEndpointViolation((f, g))``; then
+    ``MissingIdentity``, ``UnitViolation`` and ``AssociativityViolation``.
+    """
+    blocks, identity, homs, src, tgt = _layout(identities, blocks)
+    codings = [C.coding for C in factors]
+    radices = [len(identity)] * 2 + [len(K.ids) for K in codings]
+    if math.prod(radices) > _KEY_BOUND:
+        raise CategoryError("keys of %d objects, parts %r overflow int64" % (radices[0], radices[2:]))
+
+    def key(columns):
+        """The mixed-radix key of each row of ``columns``, with ``radices``."""
+        made = np.zeros(len(columns[0]), np.int64)
+        for column, radix in zip(columns, radices):
+            made = made * radix + column
+        return made
+
+    def fill(coding):
+        n, ids, row = len(coding.ids), coding.ids, coding.row
+        parts = np.empty((len(codings), n), np.int64)
+        for block in blocks.values():
+            codes = [coding.code[m] for m in block.values()]
+            parts[:, codes] = np.array(list(block), np.int64).reshape(len(block), -1).T
+        keys = key((coding.src, coding.tgt, *parts))
+        order = np.argsort(keys)
+        listed = keys[order]
+        for lo, hi in coding.rounds():
+            f, g = coding.pairs(lo, hi)
+            made = [K.cells[K.cell(p[f], p[g])] for K, p in zip(codings, parts)]
+            made = key((coding.src[f], coding.tgt[g], *made))
+            at = np.minimum(np.searchsorted(listed, made), n - 1)
+            found = listed[at] == made
+            if not found.all():
+                k = int(np.argmin(found))
+                raise CompositeEndpointViolation((ids[f[k]], ids[g[k]]))
+            coding.cells[row[lo] : row[hi]] = order[at]
+
+    return from_cells(identity, homs, src, tgt, fill)
+
+
+_KEY_BOUND = 1 << 63  # keys are int64
 
 
 def from_cells(identity: dict, homs: dict, src: dict, tgt: dict, fill) -> FinCat:
@@ -560,35 +630,6 @@ def _table(coding: Coding) -> dict:
     return table
 
 
-def per_composite(blocks: dict, compose):
-    """The composer, for ``assemble`` over ``blocks``, of a per-composite
-    ``compose(p, q)``: the payload of p: x→y then q: y→z, or None if
-    missing (None is never a payload).  A pair of blocks raises
-    ``MissingComposite((f, g))`` for its first missing composite, else
-    ``CompositeEndpointViolation((f, g, payload))`` for the first payload
-    outside ``blocks[(x, z)]``."""
-    positions = {}
-
-    def composer(x, y, z):
-        pos = positions.get((x, z))
-        if pos is None:
-            pos = positions[(x, z)] = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
-        ps, qs = blocks[(x, y)], blocks[(y, z)]
-        try:
-            made = itertools.starmap(compose, itertools.product(ps, qs))
-            at = np.fromiter(map(pos.__getitem__, made), np.int32, len(ps) * len(qs))
-        except KeyError:
-            made = [compose(p, q) for p in ps for q in qs]
-            pairs = list(itertools.product(ps.values(), qs.values()))
-            if None in made:
-                raise MissingComposite(pairs[made.index(None)]) from None
-            k = next(k for k, h in enumerate(made) if h not in pos)
-            raise CompositeEndpointViolation((*pairs[k], made[k])) from None
-        return at.reshape(len(ps), len(qs))
-
-    return composer
-
-
 def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     """The subcategory of ``C`` on ``objects`` and ``morphisms``, which must
     hold the identities of ``objects`` and be closed under composition.
@@ -597,8 +638,7 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     the place of each code of ``C`` in its subcategory block, or -1 outside
     the subcategory.  A pair of blocks whose composites leave the
     subcategory raises ``CompositeEndpointViolation((f, g, h))`` for the
-    first such composite h = f;g, as ``per_composite`` over ``C.comp``
-    would."""
+    first such composite h = f;g, in block order."""
     coding, blocks = C.coding, {}
     for m in morphisms:
         blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m

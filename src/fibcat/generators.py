@@ -11,14 +11,20 @@ are deterministic bit for bit:
   slice morphisms       "obj~underlying~obj"
 
 Every category here is laid out as hom-set blocks ``{(x, y): {payload:
-id}}`` and built by ``core.assemble``, which validates it; generation never
-bypasses validation.  FI, FI_G and coloured FI share one numpy composer,
-``_injection_category``, which composes a whole pair of blocks at once:
-images by a gather, decorations through the group's multiplication table,
-and each composite ranked in its target block by its base-n image code and
-its mixed-radix decoration code.  Every other builder gives a per-composite
-``compose(p, q)`` to ``core.per_composite``; either way a composite that
-falls outside its target block raises ``CompositeEndpointViolation``.
+id}}`` and built by ``core.assemble`` or ``core.from_parts``, which
+validate it; generation never bypasses validation.  FI, FI_G and coloured
+FI share one numpy composer for ``assemble``, ``_injection_category``,
+which composes a whole pair of blocks at once: images by a gather,
+decorations through the group's multiplication table, and each composite
+ranked in its target block by its base-n image code and its mixed-radix
+decoration code.  Every other builder lists each morphism by its parts, the
+codes of its components in factor categories, and ``from_parts`` composes
+them on the factors' cells: products and powers (the entries; a group power
+``gpow_fiber`` is a power of ``group_as_category``), slices (the triangle's
+h), arrow categories (the square's u and v) and relation categories (no
+parts).  The triangles and squares are found on the cells too.  Either way
+a composite that falls outside its target block raises
+``CompositeEndpointViolation``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FinCat, CategoryError, assemble, per_composite
+from .core import FinCat, CategoryError, assemble, from_parts
 from .functors import (
     FinFunctor,
     FunctorProperties,
@@ -40,7 +46,7 @@ from .functors import (
     validate_functor,
 )
 from .groth import GrothResult, NotAFibration, choose_cleaving, grothendieck, pair_id
-from .groups import GroupTable, trivial_group
+from .groups import GroupTable, group_as_category, trivial_group
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, Square, pullback, is_pullback_square
 
@@ -61,7 +67,7 @@ def _relation_category(names, related, mid) -> FinCat:
     if len(set(names)) != len(names):
         raise CategoryError("duplicate object identifiers")
     blocks = {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)}
-    return assemble({x: () for x in names}, blocks, per_composite(blocks, lambda p, q: ()))
+    return from_parts({x: () for x in names}, blocks, ())
 
 
 def terminal_category() -> FinCat:
@@ -257,13 +263,9 @@ def _parse_tuple_id(tid: str) -> tuple:
 
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
-    """The one-object groupoid G^n; morphisms are n-tuples of elements."""
-    blocks = {("*", "*"): {t: tuple_id(t) for t in itertools.product(G.elements, repeat=n)}}
-    return assemble(
-        {"*": (G.unit,) * n},
-        blocks,
-        per_composite(blocks, lambda u, v: tuple(G.mul(b, a) for a, b in zip(u, v))),
-    )
+    """The one-object groupoid G^n, the n-th power of ``group_as_category(G)``;
+    morphisms are n-tuples of elements."""
+    return _product((group_as_category(G),) * n, lambda t: "*", tuple_id)
 
 
 def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
@@ -310,9 +312,16 @@ def delta_const(X: FinCat, Y: FinCat) -> IndexedCat:
     return validate_indexed(X, {x: Y for x in X.objects}, {f: idf for f in X.morphisms})
 
 
+def _codes(C: FinCat, x: str, y: str) -> np.ndarray:
+    """The codes of hom(x, y) in the coding of ``C``, in id order."""
+    first = C.coding.start.get((x, y), 0)
+    return np.arange(first, first + len(C.hom(x, y)))
+
+
 def _product(factors, ob_id, mor_id) -> FinCat:
     """Product of the categories ``factors``; ``ob_id`` and ``mor_id`` name
-    tuples of objects and of morphisms, one entry per factor."""
+    tuples of objects and of morphisms, one entry per factor.  A morphism's
+    parts are the codes of its entries."""
     tuples = list(itertools.product(*(C.objects for C in factors)))
     obs = {ob_id(t): t for t in tuples}
     if len(obs) != len(tuples):
@@ -320,16 +329,14 @@ def _product(factors, ob_id, mor_id) -> FinCat:
     blocks = {}
     for s, ss in obs.items():
         for t, ts in obs.items():
-            homs = (C.hom(a, b) for C, a, b in zip(factors, ss, ts))
-            block = {m: mor_id(m) for m in itertools.product(*homs)}
-            if block:
-                blocks[(s, t)] = block
-    return assemble(
-        {o: tuple(C.id_of(x) for C, x in zip(factors, t)) for o, t in obs.items()},
+            homs = [C.hom(a, b) for C, a, b in zip(factors, ss, ts)]
+            if all(homs):
+                codes = itertools.product(*(_codes(C, a, b).tolist() for C, a, b in zip(factors, ss, ts)))
+                blocks[(s, t)] = dict(zip(codes, map(mor_id, itertools.product(*homs))))
+    return from_parts(
+        {o: tuple(C.coding.code[C.id_of(x)] for C, x in zip(factors, t)) for o, t in obs.items()},
         blocks,
-        per_composite(
-            blocks, lambda p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q))
-        ),
+        factors,
     )
 
 
@@ -522,20 +529,18 @@ def _slice_mid(f: str, h: str, g: str) -> str:
 
 
 def slice_category(C: FinCat, x: str) -> FinCat:
-    """Objects are morphisms into x; maps are commuting triangles."""
+    """Objects are morphisms into x; maps are commuting triangles h;g = f,
+    whose one part is the code of h."""
     C.require_object(x)
+    K = C.coding
     objs = [f for f in C.morphisms if C.tgt[f] == x]
     tris = {}
     for f in objs:
         for g in objs:
-            for h in C.hom(C.src[f], C.src[g]):
-                if C.comp(h, g) == f:
-                    tris.setdefault((f, g), {})[h] = _slice_mid(f, h, g)
-    return assemble(
-        {f: C.id_of(C.src[f]) for f in objs},
-        tris,
-        per_composite(tris, C.comp),
-    )
+            hs = _codes(C, C.src[f], C.src[g])
+            for h in hs[K.cells[K.cell(hs, K.code[g])] == K.code[f]].tolist():
+                tris.setdefault((f, g), {})[(h,)] = _slice_mid(f, K.ids[h], g)
+    return from_parts({f: (K.code[C.id_of(C.src[f])],) for f in objs}, tris, (C,))
 
 
 def _chosen_pullback(C: FinCat, j: str, f: str, choose=None):
@@ -607,19 +612,18 @@ def _arrow_mid(f: str, u: str, v: str, g: str) -> str:
 
 
 def arrow_category(C: FinCat) -> FinCat:
-    """Morphisms of C as objects, commuting squares as morphisms."""
-    objs = C.morphisms
+    """Morphisms of C as objects, commuting squares u;g = f;v as morphisms,
+    whose two parts are the codes of u and v."""
+    K, objs = C.coding, C.morphisms
     sqs = {}
     for f in objs:
         for g in objs:
-            for u in C.hom(C.src[f], C.src[g]):
-                for v in C.hom(C.tgt[f], C.tgt[g]):
-                    if C.comp(u, g) == C.comp(f, v):
-                        sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, u, v, g)
-    return assemble(
-        {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in objs},
-        sqs,
-        per_composite(sqs, lambda sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1]))),
+            us, vs = _codes(C, C.src[f], C.src[g]), _codes(C, C.tgt[f], C.tgt[g])
+            i, j = np.nonzero(K.cells[K.cell(us, K.code[g])][:, None] == K.cells[K.cell(K.code[f], vs)])
+            for u, v in zip(us[i].tolist(), vs[j].tolist()):
+                sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, K.ids[u], K.ids[v], g)
+    return from_parts(
+        {f: (K.code[C.id_of(C.src[f])], K.code[C.id_of(C.tgt[f])]) for f in objs}, sqs, (C, C)
     )
 
 

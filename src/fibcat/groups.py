@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FinCat, CategoryError, assemble, automorphisms, per_composite
+import numpy as np
+
+from .core import FinCat, CategoryError, automorphisms, from_cells
 from .functors import validate_functor
 from .groth import grothendieck
 from .indexed import validate_indexed
@@ -151,24 +153,39 @@ def symmetric_group(n: int) -> GroupTable:
 
 def group_as_category(G: GroupTable) -> FinCat:
     """The one-object groupoid on the object "*" whose morphisms are the
-    group elements."""
-    blocks = {("*", "*"): {e: e for e in G.elements}}
-    return assemble({"*": G.unit}, blocks, per_composite(blocks, lambda a, b: G.mul(b, a)))
+    group elements, its cells filled from the multiplication table: a then
+    b is ``G.mul(b, a)``."""
+    els = G.elements  # sorted, so the codes of the elements are their places
+    place = {e: i for i, e in enumerate(els)}
+
+    def fill(coding):
+        coding.cells[:] = [place[G.mul(b, a)] for a in els for b in els]
+
+    ends = dict.fromkeys(els, "*")
+    return from_cells({"*": G.unit}, {("*", "*"): els}, ends, dict(ends), fill)
+
+
+def _multiplication(C: FinCat, elements) -> dict:
+    """(a, b) -> "apply b, then a" over ``elements``, endomorphisms of one
+    object closed under composition, read from the cells of ``C``."""
+    coding = C.coding
+    k = np.array([coding.code[e] for e in elements], np.int64)
+    made = coding.cells[coding.cell(k, k[:, None])]  # made[i, j]: elements j then i
+    products = map(coding.ids.__getitem__, made.ravel().tolist())
+    return dict(zip(itertools.product(elements, repeat=2), products))
 
 
 def category_as_group(C: FinCat) -> GroupTable:
     """Inverse bridge; requires a one-object groupoid."""
     if len(C.objects) != 1 or len(C.inverses) != len(C.morphisms):
         raise NotAGroup("not a one-object groupoid")
-    mult = {(a, b): C.comp(b, a) for a in C.morphisms for b in C.morphisms}
-    return validate_group(C.morphisms, mult, C.identity[C.objects[0]])
+    return validate_group(C.morphisms, _multiplication(C, C.morphisms), C.identity[C.objects[0]])
 
 
 def automorphism_group(C: FinCat, x: str) -> GroupTable:
     """Multiplication table of all isomorphisms x→x under composition."""
     auts = automorphisms(C, x)
-    mult = {(a, b): C.comp(b, a) for a in auts for b in auts}
-    return validate_group(auts, mult, C.id_of(x))
+    return validate_group(auts, _multiplication(C, auts), C.id_of(x))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,19 @@ one composite at a time, are kept as ``injection_composite``,
 composer of ``fibcat.generators``.  ``grothendieck_composite`` is the
 composition of the Grothendieck construction, one composite at a time: the
 oracle for the block composer of ``fibcat.groth``.
+
+The builders that ``fibcat`` now fills from the parts of each morphism,
+``core.from_parts``, are kept here as they were, one composite at a time
+through ``assemble`` and each factor's string table: ``relation_category``,
+``product``, ``slice_category``, ``arrow_category``, ``gpow_fiber`` and
+``group_as_category``.  ``per_composite`` drives the library's
+``core.assemble`` with a per-composite formula, for the tests that build
+small categories from one.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from types import SimpleNamespace
 
@@ -286,3 +295,102 @@ def grothendieck_composite(M, p, q):
         fib[(fib[(k, M.arrows[f].on_morphisms[l])], M.compositors[(f, g)].components[c])],
         c,
     )
+
+
+def per_composite(blocks: dict, compose):
+    """The block composer, for the library's ``core.assemble`` over
+    ``blocks``, of a per-composite ``compose(p, q)``: the payload of p: x→y
+    then q: y→z, or None if missing (None is never a payload).  A pair of
+    blocks raises ``MissingComposite((f, g))`` for its first missing
+    composite, else ``CompositeEndpointViolation((f, g, payload))`` for the
+    first payload outside ``blocks[(x, z)]``."""
+    positions = {}
+
+    def composer(x, y, z):
+        pos = positions.get((x, z))
+        if pos is None:
+            pos = positions[(x, z)] = {p: i for i, p in enumerate(blocks.get((x, z), ()))}
+        ps, qs = blocks[(x, y)], blocks[(y, z)]
+        made = [compose(p, q) for p in ps for q in qs]
+        pairs = list(itertools.product(ps.values(), qs.values()))
+        if None in made:
+            raise MissingComposite(pairs[made.index(None)])
+        bad = next((k for k, h in enumerate(made) if h not in pos), None)
+        if bad is not None:
+            raise CompositeEndpointViolation((*pairs[bad], made[bad]))
+        return np.array([pos[h] for h in made], np.int64).reshape(len(ps), len(qs))
+
+    return composer
+
+
+def relation_category(names, related, mid):
+    """One morphism ``mid(x, y)`` from x to y for each related pair."""
+    names = sorted(str(n) for n in names)
+    blocks = {(x, y): {(): mid(x, y)} for x in names for y in names if related(x, y)}
+    return assemble({x: () for x in names}, blocks, lambda x, p, q: ())
+
+
+def product(factors, ob_id, mor_id):
+    """The product of ``factors``, composed entry by entry."""
+    tuples = list(itertools.product(*(C.objects for C in factors)))
+    obs = {ob_id(t): t for t in tuples}
+    blocks = {}
+    for s, ss in obs.items():
+        for t, ts in obs.items():
+            homs = (C.hom(a, b) for C, a, b in zip(factors, ss, ts))
+            block = {m: mor_id(m) for m in itertools.product(*homs)}
+            if block:
+                blocks[(s, t)] = block
+    return assemble(
+        {o: tuple(C.id_of(x) for C, x in zip(factors, t)) for o, t in obs.items()},
+        blocks,
+        lambda x, p, q: tuple(C.comp(f, g) for C, f, g in zip(factors, p, q)),
+    )
+
+
+def product_category(X, Y):
+    return product((X, Y), lambda t: "(%s@%s)" % t, lambda t: "(%s@%s)" % t)
+
+
+def slice_category(C, x):
+    """Objects are morphisms into x; maps are commuting triangles."""
+    objs = [f for f in C.morphisms if C.tgt[f] == x]
+    tris = {}
+    for f in objs:
+        for g in objs:
+            for h in C.hom(C.src[f], C.src[g]):
+                if C.comp(h, g) == f:
+                    tris.setdefault((f, g), {})[h] = "%s~%s~%s" % (f, h, g)
+    return assemble({f: C.id_of(C.src[f]) for f in objs}, tris, lambda x, p, q: C.comp(p, q))
+
+
+def arrow_category(C):
+    """Morphisms of C as objects, commuting squares as morphisms."""
+    sqs = {}
+    for f in C.morphisms:
+        for g in C.morphisms:
+            for u in C.hom(C.src[f], C.src[g]):
+                for v in C.hom(C.tgt[f], C.tgt[g]):
+                    if C.comp(u, g) == C.comp(f, v):
+                        sqs.setdefault((f, g), {})[(u, v)] = "%s~%s~%s~%s" % (f, u, v, g)
+    return assemble(
+        {f: (C.id_of(C.src[f]), C.id_of(C.tgt[f])) for f in C.morphisms},
+        sqs,
+        lambda x, sq, sq2: (C.comp(sq[0], sq2[0]), C.comp(sq[1], sq2[1])),
+    )
+
+
+def gpow_fiber(G, n):
+    """The one-object groupoid G^n; morphisms are n-tuples of elements."""
+    blocks = {("*", "*"): {t: "(%s)" % ",".join(t) for t in itertools.product(G.elements, repeat=n)}}
+    return assemble(
+        {"*": (G.unit,) * n},
+        blocks,
+        lambda x, u, v: tuple(G.mul(b, a) for a, b in zip(u, v)),
+    )
+
+
+def group_as_category(G):
+    """The one-object groupoid of the group ``G``: a then b is b·a."""
+    blocks = {("*", "*"): {e: e for e in G.elements}}
+    return assemble({"*": G.unit}, blocks, lambda x, a, b: G.mul(b, a))

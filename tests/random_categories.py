@@ -12,6 +12,7 @@ seed fixes the instance.
 
 from __future__ import annotations
 
+from core_reference import per_composite
 from fibcat import core
 
 MONOIDS, SUBCATEGORIES = 40, 20
@@ -65,7 +66,7 @@ def seeded_categories(rng, bases) -> list:
     built = []
     for _ in range(MONOIDS):
         identities, blocks, compose = transformation_monoid(rng)
-        built.append(core.assemble(identities, blocks, core.per_composite(blocks, compose)))
+        built.append(core.assemble(identities, blocks, per_composite(blocks, compose)))
     for C in bases:
         built += [core.subcategory(C, *generated_subcategory(rng, C)) for _ in range(SUBCATEGORIES)]
     return built

@@ -22,7 +22,8 @@ from fibcat import (
     iso_classes,
     validate_category,
 )
-from fibcat.core import assemble, per_composite, subcategory
+from core_reference import per_composite
+from fibcat.core import assemble, subcategory
 from fibcat.generators import codiscrete_category, fi_g_direct, fi_truncated, inj_id
 from fibcat.groups import automorphism_group, group_as_category, symmetric_group
 from fibcat.ioformats import category_from_json, category_to_json

@@ -15,12 +15,17 @@ each column, a pair that is not composable, a pair listed twice, a wrong
 identity composite) are checked too, with the exit code of ``fibcat
 validate``.
 
-Through ``assemble``: every library build below also runs the reference
-``assemble`` on the same blocks, its block composer decoded into the
-reference's per-composite one, and must give the same fields; the library
-lists its table in cell order (see ``cell_order``), whatever the order of
-the blocks and payloads, and so exactly as the category's file, read back,
-does.
+Through ``assemble`` and ``from_parts``: every library build below also
+runs the reference ``assemble`` on the same blocks, a block composer
+decoded into the reference's per-composite one and a listing by parts
+composed factor by factor through the factors' string tables, and must give
+the same fields; the library lists its table in cell order (see
+``cell_order``), whatever the order of the blocks and payloads, and so
+exactly as the category's file, read back, does.  The builders that list
+parts (products, powers, slices, arrow and relation categories) and
+``group_as_category`` also equal the reference builders of
+``core_reference``, which find every triangle, square and composite through
+the string table, on fixed categories and on the small seeded ones.
 
 The numpy composer of FI, FI_G and coloured FI is checked, for every
 composable pair of blocks, against the reference formulas one composite at a
@@ -56,7 +61,6 @@ from fibcat.core import (
     NonComposablePairInTable,
     UnitViolation,
     UnknownMorphism,
-    per_composite,
 )
 from fibcat.ioformats import InputFormatError, category_from_json
 from fibcat.groups import cyclic_group, group_as_category, symmetric_group
@@ -454,24 +458,53 @@ def decoded(identities, blocks, compose):
     return units, coded, composite
 
 
+def componentwise(factors):
+    """The per-composite formula of ``core.from_parts`` over ``factors``,
+    for the reference ``assemble``: the parts of p then q are the codes of
+    the composites, in each factor's string table, of their parts."""
+
+    def compose(x, p, q):
+        return tuple(
+            F.coding.code[F.comp(F.coding.ids[a], F.coding.ids[b])] for F, a, b in zip(factors, p, q)
+        )
+
+    return compose
+
+
 @pytest.fixture()
 def checked_assemble(monkeypatch):
-    """Make every ``assemble`` a builder calls also run the reference on the
-    same arguments, decoded; the fields must agree, and the library's table
-    must list the reference's in cell order.  Returns the table sizes of
-    the categories built, in build order."""
-    real, calls = core.assemble, []
+    """Make every ``assemble`` and ``from_parts`` a builder calls also run
+    the reference ``assemble`` on the same blocks, the block composer
+    decoded and the parts composed by ``componentwise``, and every
+    ``group_as_category`` also run the reference one; the fields must agree,
+    and the library's table must list the reference's in cell order.
+    Returns the table sizes of the categories built, in build order."""
+    real, real_parts, real_group, calls = (
+        core.assemble, core.from_parts, groups.group_as_category, [],
+    )
 
-    def checked(identities, blocks, compose):
-        C = real(identities, blocks, compose)
-        expected = ref.assemble(*decoded(identities, blocks, compose))
+    def check(C, expected):
         assert fields(C) == fields(expected)
         assert list(C.table) == cell_order(expected)
         calls.append(len(C.table))
         return C
 
-    for module in (core, generators, groups):
+    def checked(identities, blocks, compose):
+        C = real(identities, blocks, compose)
+        return check(C, ref.assemble(*decoded(identities, blocks, compose)))
+
+    def checked_parts(identities, blocks, factors):
+        C = real_parts(identities, blocks, factors)
+        return check(C, ref.assemble(identities, blocks, componentwise(factors)))
+
+    def checked_group(G):
+        return check(real_group(G), ref.group_as_category(G))
+
+    for module in (core, generators):
         monkeypatch.setattr(module, "assemble", checked)
+        monkeypatch.setattr(module, "from_parts", checked_parts)
+    for module in (groups, generators):
+        monkeypatch.setattr(module, "group_as_category", checked_group)
     return calls
 
 
@@ -492,7 +525,7 @@ BUILDERS = {
     "codiscrete_category('abc')": lambda: generators.codiscrete_category("abc"),
     "discrete_category('xyz')": lambda: generators.discrete_category("xyz"),
     "terminal_category()": generators.terminal_category,
-    "group_as_category(S3)": lambda: group_as_category(symmetric_group(3)),
+    "group_as_category(S3)": lambda: groups.group_as_category(symmetric_group(3)),
     "block_perm_indexed(2, 1)": lambda: generators.block_perm_indexed(2, 1),
     "fiber(grothendieck(indexed_gpow(Z2, 2)).proj, '1')": lambda: groth.fiber(
         grothendieck(generators.indexed_gpow(cyclic_group(2), 2)).proj, "1"
@@ -519,6 +552,99 @@ BUILDERS = {
 def test_builders_match_reference_assemble(checked_assemble, name):
     BUILDERS[name]()
     assert checked_assemble
+
+
+def same_category(C, expected):
+    """The library's ``C`` has the reference's fields and lists its table in
+    cell order."""
+    return fields(C) == fields(expected) and list(C.table) == cell_order(expected)
+
+
+FI2 = generators.fi_truncated(2)
+
+# library builder and the reference one, on the same arguments
+PART_BUILDERS = {
+    "slice_category(FI_2, '2')": (generators.slice_category, ref.slice_category, (FI2, "2")),
+    "slice_category(FI_2, '1')": (generators.slice_category, ref.slice_category, (FI2, "1")),
+    "arrow_category(FI_2)": (generators.arrow_category, ref.arrow_category, (FI2,)),
+    "arrow_category(S3)": (
+        generators.arrow_category, ref.arrow_category, (group_as_category(symmetric_group(3)),),
+    ),
+    "product_category(FI_2, chain2)": (
+        generators.product_category, ref.product_category, (FI2, generators.chain_poset(2)),
+    ),
+    "gpow_fiber(Z3, 3)": (generators.gpow_fiber, ref.gpow_fiber, (cyclic_group(3), 3)),
+    "gpow_fiber(S3, 2)": (generators.gpow_fiber, ref.gpow_fiber, (symmetric_group(3), 2)),
+    "gpow_fiber(Z2, 0)": (generators.gpow_fiber, ref.gpow_fiber, (cyclic_group(2), 0)),
+    "group_as_category(S3)": (group_as_category, ref.group_as_category, (symmetric_group(3),)),
+    "codiscrete_category('abc')": (
+        generators.codiscrete_category,
+        lambda names: ref.relation_category(names, lambda x, y: True, lambda x, y: "%s_%s" % (x, y)),
+        ("abc",),
+    ),
+    "thin_category(square)": (
+        lambda: generators.thin_category("abcd", lambda x, y: x == "a" or y == "d" or x == y),
+        lambda: ref.relation_category(
+            "abcd", lambda x, y: x == "a" or y == "d" or x == y, lambda x, y: "%s_to_%s" % (x, y)
+        ),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PART_BUILDERS))
+def test_part_builders_match_reference_builders(name):
+    """The builders that list each morphism by its parts, with their
+    listing done on the cells, equal the reference builders that find every
+    triangle, square and composite through the string table."""
+    build, reference, args = PART_BUILDERS[name]
+    assert same_category(build(*args), reference(*args))
+
+
+def test_keys_that_would_overflow_are_refused(monkeypatch):
+    """``from_parts`` keys each morphism by (source, target, parts) in
+    mixed radix, and refuses a listing whose keys would not fit."""
+    monkeypatch.setattr(core, "_KEY_BOUND", 8**4 - 1)
+    with pytest.raises(CategoryError, match="overflow"):
+        generators.arrow_category(FI2)
+    monkeypatch.setattr(core, "_KEY_BOUND", 8**4)
+    assert same_category(generators.arrow_category(FI2), ref.arrow_category(FI2))
+
+
+def test_products_arrows_and_slices_of_seeded_categories(seeded_categories):
+    """Products of pairs, arrow categories and every slice of the small
+    seeded random categories equal the reference builds."""
+    small = [C for C in seeded_categories if len(C.morphisms) <= 8]
+    assert len(small) >= 50
+    for k, C in enumerate(small):
+        assert same_category(generators.arrow_category(C), ref.arrow_category(C)), k
+        D = small[(7 * k + 3) % len(small)]
+        assert same_category(generators.product_category(C, D), ref.product_category(C, D)), k
+        for x in C.objects:
+            assert same_category(generators.slice_category(C, x), ref.slice_category(C, x)), (k, x)
+
+
+def test_unlisted_composite_is_named_at_its_first_cell():
+    """Listing the arrow category of FI_2 without one square that is a
+    composite of two others raises ``CompositeEndpointViolation`` for the
+    first cell in cell order whose composite is that square."""
+    A = generators.arrow_category(FI2)
+    K = FI2.coding
+    blocks = {}
+    for m in A.morphisms:
+        f, u, v, g = m.split("~")
+        blocks.setdefault((f, g), {})[(K.code[u], K.code[v])] = m
+    identities = {f: (K.code[FI2.id_of(FI2.src[f])], K.code[FI2.id_of(FI2.tgt[f])]) for f in A.objects}
+    made = {h: p for p, h in A.table.items() if not (A.is_identity(p[0]) or A.is_identity(p[1]))}
+    dropped = min(made)
+    f, _, _, g = dropped.split("~")
+    del blocks[(f, g)][next(p for p, m in blocks[(f, g)].items() if m == dropped)]
+    want = next(
+        p for p in cell_order(A) if A.table[p] == dropped and dropped not in p
+    )
+    with pytest.raises(CompositeEndpointViolation) as raised:
+        core.from_parts(identities, blocks, (FI2, FI2))
+    assert raised.value.args == (want,)
 
 
 RANDOM_MUTATIONS = 5
@@ -560,7 +686,7 @@ def test_assemble_differs_only_on_a_payload_outside_its_block():
         MissingComposite,
         (("a", "a", 2),),
     )
-    assert outcome(core.assemble, {"x": 0}, blocks, per_composite(blocks, compose)) == (
+    assert outcome(core.assemble, {"x": 0}, blocks, ref.per_composite(blocks, compose)) == (
         CompositeEndpointViolation,
         (("a", "a", 2),),
     )

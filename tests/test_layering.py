@@ -21,8 +21,12 @@ base, the fibers and the total.
 ``ioformats`` writes and reads a category on its cells and
 ``core.subcategory`` composes on them, so writing a total and cutting the
 fibers of its projection make none either.  The other builders compose
-whole pairs of blocks; the ones that compose one payload at a time are
-pinned as the callers of ``core.per_composite``.  The library never depends on test
+whole pairs of blocks, or list each morphism by its parts for
+``core.from_parts``, which composes on the factors' cells: no library
+module composes one payload at a time, the builders that list parts call
+no ``comp``, and an arrow category, a product and the group of a
+one-object groupoid or of the automorphisms of an object leave no table,
+which runs confirm.  The library never depends on test
 helpers, the limits, groth, core, functors and indexed oracles never
 depend on the library's private search code, no function imports a
 sibling module, no module imports a sibling's underscore name, and no
@@ -34,12 +38,25 @@ import ast
 import json
 import pathlib
 
-from fibcat import cli
+from fibcat import cli, groups
 from fibcat.fitype import check_fi_type
 from fibcat.functors import identity_functor
-from fibcat.generators import chain_poset, fi_truncated, indexed_gpow, product_category
+from fibcat.generators import (
+    arrow_category,
+    chain_poset,
+    fi_truncated,
+    gpow_fiber,
+    indexed_gpow,
+    product_category,
+)
 from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
-from fibcat.groups import cyclic_group
+from fibcat.groups import (
+    automorphism_group,
+    category_as_group,
+    cyclic_group,
+    group_as_category,
+    symmetric_group,
+)
 from fibcat.ioformats import (
     Loader,
     category_to_json,
@@ -123,15 +140,17 @@ def test_validate_category_has_exactly_two_callers():
     """The seams of the one path: ``core._checked``, the checks that every
     builder shares, alone calls the ``FinCat`` constructor; ``core.from_cells``,
     which hands a fresh coding to its caller's fill, alone calls
-    ``_checked``; ``assemble``, ``validate_category`` and ``grothendieck``
-    build through it; and ``ioformats.category_from_json`` alone mentions
-    ``validate_category``."""
+    ``_checked``; ``assemble``, ``from_parts``, ``validate_category``,
+    ``grothendieck`` and ``group_as_category`` build through it; and
+    ``ioformats.category_from_json`` alone mentions ``validate_category``."""
     assert _callers("FinCat", True) == ["core._checked"]
     assert _callers("_checked", True) == ["core.from_cells"]
     assert _callers("from_cells", True) == [
         "core.assemble",
+        "core.from_parts",
         "core.validate_category",
         "groth.grothendieck",
+        "groups.group_as_category",
     ]
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
 
@@ -315,32 +334,64 @@ def test_only_core_codes_a_category():
     assert not _references(groth, "assemble")
 
 
-def test_per_composite_callers_are_pinned():
+PART_BUILDERS = (
+    "generators._product",
+    "generators._relation_category",
+    "generators.arrow_category",
+    "generators.gpow_fiber",
+    "generators.slice_category",
+    "groups.group_as_category",
+)
+
+
+def test_no_library_module_composes_one_payload_at_a_time():
     """The injection builders and ``core.subcategory`` compose whole blocks
-    with numpy, and the Grothendieck construction fills its cells itself;
-    every other builder goes through the one per-composite adapter.
-    A new builder picks a path knowingly, and the per-composite formulas of
-    decorated injections and of the Grothendieck construction live only in
-    the test oracle."""
-    callers = sorted(
-        "%s.%s" % (name, where)
-        for name, tree in _modules()
-        for where in _references(tree, "per_composite", True)
-    )
-    assert callers == [
+    with numpy, the Grothendieck construction fills its cells itself, and
+    every other builder lists its morphisms' parts for ``core.from_parts``
+    or, for a group, fills the cells from its multiplication: no module
+    defines or names ``per_composite``, whose per-composite formulas live
+    only in the test oracle, and none of these builders calls ``comp`` or
+    reads a ``table``."""
+    assert _callers("per_composite", False) == []
+    modules = dict(_modules())
+    defined = {n.name for t in modules.values() for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert "per_composite" not in defined
+    assert _callers("from_parts", True) == [
         "generators._product",
         "generators._relation_category",
         "generators.arrow_category",
-        "generators.gpow_fiber",
         "generators.slice_category",
-        "groups.group_as_category",
     ]
+    for where in PART_BUILDERS:
+        read, called = _reads(*where.split("."))
+        assert not read & {"table", "_table"} and "comp" not in called, where
     assert not [p.name for p in SRC.glob("*.py") if "decorated_composite" in p.read_text()]
-    groth = dict(_modules())["groth"]
-    imported = {
-        alias.name for node in ast.walk(groth) if isinstance(node, ast.ImportFrom) for alias in node.names
-    }
-    assert "per_composite" not in imported
+
+
+def test_part_builders_and_group_bridges_make_no_table():
+    """The runs the structural test above stands for: an arrow category, a
+    product of chains and a power of a group leave no ``table`` on their
+    input or on what they build, and neither do the group of a one-object
+    groupoid and the automorphism group of an object."""
+    C, chain = fi_truncated(3), chain_poset(3)
+    built = [arrow_category(C), product_category(chain, chain), gpow_fiber(cyclic_group(3), 3)]
+    assert not [D for D in [C, chain] + built if "table" in vars(D)]
+    S3 = group_as_category(symmetric_group(3))
+    assert category_as_group(S3).mult == symmetric_group(3).mult
+    assert len(automorphism_group(C, "3")) == 6
+    assert "table" not in vars(S3) and "table" not in vars(C)
+
+
+def test_group_extension_makes_no_table(monkeypatch):
+    """``fibcat group ext``'s path: the group of the total category of a
+    twisted action is read from the total's cells, which keeps no
+    ``table``."""
+    made = []
+    monkeypatch.setattr(groups, "grothendieck", lambda M: made.append(grothendieck(M)) or made[-1])
+    Z2 = cyclic_group(2)
+    ext = groups.extension_from_twisted(groups.strict_twisted(Z2, Z2, groups.trivial_action(Z2, Z2)))
+    (gr,) = made
+    assert len(ext.total) == 4 and "table" not in vars(gr.total)
 
 
 def _private_names(oracle):
