@@ -76,6 +76,8 @@ RUNGS = {
     # the total of the slices of FI_4, made untimed: 89 objects in many small
     # blocks, 67,857 morphisms, 42.9M composites
     "slice_fi4_total": (lambda: slice_indexed(fi_truncated(4)), lambda M: grothendieck(M).total),
+    # FI_7: 8 objects, 16,072 morphisms, 81.5M composites
+    "fi7": _build(lambda: fi_truncated(7)),
     # the file of the FI_Z2 total category for N=4 (263,137 composites, 36 MB),
     # written from the category, and read back from its text
     "write_fi_z2_4_total": (_fi_z2_4_total, lambda C: stable_dumps(category_to_json(C))),

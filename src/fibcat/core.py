@@ -63,10 +63,11 @@ middle-associative and composable, so is b;c:
 using b, c, b, c in turn.  So the middle-associative morphisms are closed
 under composition, and when S with the identities generates every
 morphism, the category is associative exactly when every g in S is
-middle-associative.  The checks choose S deterministically (see
-``_generators``) and sweep only the triples with a middle morphism in S.
-If that sweep fails, the full sweep runs, so the error names the same first
-non-associative triple as a sweep over every triple.
+middle-associative.  The checks choose S deterministically and greedily,
+hom-set by hom-set up the preorder of objects (see ``_generators``), and
+sweep only the triples with a middle morphism in S.  If that sweep fails,
+the full sweep runs, so the error names the same first non-associative
+triple as a sweep over every triple.
 """
 
 from __future__ import annotations
@@ -668,11 +669,28 @@ def _generators(homs: dict, coding: Coding, is_unit):
     composition.
 
     S starts as every non-identity that is not a composite of two
-    non-identities, which any generating set holds.  While some morphism is
-    not made, the least one by (hom-set size, block, code) joins S.  Each
-    addition is closed under composition incrementally: only the newly made
-    morphisms are composed with what is made, on either side, until nothing
-    new appears.
+    non-identities, which any generating set holds.  Then the hom-sets are
+    visited in the order (rise, size, block), and while some morphism of
+    the one visited is not made, the least one by code joins S.  Each
+    addition is closed under composition incrementally: only the newly
+    made morphisms are composed with what is made, on either side, until
+    nothing new appears.  Any order of visits yields a generating set,
+    since each block is wholly made when its visit ends; the order decides
+    only how large S is.
+
+    The rise of a block (x, y) is h(y) - h(x), where the height h of an
+    object is the length of the longest chain of classes strictly below its
+    class in the preorder "hom(x, y) is nonempty", which is transitive in
+    any category and so needs no closure.  A block inside one class rises
+    by 0 and one between classes by at least 1, and when z lies strictly
+    between x and y, the blocks (x, z) and (z, y) each rise by less than (x,
+    y).  So the blocks inside the classes come first, and every composite
+    through an object strictly between x and y is made before (x, y) is
+    visited: a morphism there joins S only when no such composite makes it.
+    Visiting by size alone would pick from small blocks such as hom(0, n)
+    first, whose morphisms later picks compose to anyway: on FI_5 that
+    gives 66 generators, this order 15 (the adjacent transpositions of each
+    Aut(k) and one injection k→k+1 for each k).
     """
     n, src, tgt, out, row, cells = (
         len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells,
@@ -705,9 +723,22 @@ def _generators(homs: dict, coding: Coding, is_unit):
                 return
             made[fresh] = True
 
+    # below[x, y]: hom(x, y) is nonempty and hom(y, x) is empty
+    first = np.fromiter(coding.start.values(), np.int64, len(coding.start))
+    below = np.zeros((len(out) - 1,) * 2, bool)
+    below[src[first], tgt[first]] = True
+    below &= ~below.T
+    height = np.zeros(len(out) - 1, np.int64)
+    while True:
+        up = np.where(below, height[:, None] + 1, 0).max(0, initial=0)
+        if np.array_equal(up, height):
+            break
+        height = up
+    rise = dict(zip(coding.start, (height[tgt[first]] - height[src[first]]).tolist()))
+
     close(gens)
-    for m, xy in sorted((len(h), xy) for xy, h in homs.items()):
-        o = coding.start[xy]
+    for xy in sorted(homs, key=lambda xy: (rise[xy], len(homs[xy]), xy)):
+        o, m = coding.start[xy], len(homs[xy])
         while True:
             free = np.flatnonzero(~made[o : o + m])
             if not free.size:

@@ -437,6 +437,40 @@ def test_light_sweep_is_small_on_fi5():
     assert 10 * swept < triples
 
 
+# |S| of each category, with hom-sets visited up the object preorder; by
+# hom-set size alone they were 66, 42, 20, 264 and 60.
+GENERATOR_COUNTS = {
+    "fi_truncated(5)": (lambda: generators.fi_truncated(5), 15),
+    "grothendieck(indexed_gpow(Z2, 4))": (
+        lambda: grothendieck(generators.indexed_gpow(cyclic_group(2), 4)).total, 20
+    ),
+    "grothendieck(indexed_gpow(Z3, 3))": (
+        lambda: grothendieck(generators.indexed_gpow(cyclic_group(3), 3)).total, 12
+    ),
+    "arrow_category(FI_3)": (lambda: generators.arrow_category(generators.fi_truncated(3)), 48),
+    "product_category(chain6, chain6)": (
+        lambda: generators.product_category(generators.chain_poset(6), generators.chain_poset(6)),
+        60,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_COUNTS))
+def test_light_generating_set_size(name):
+    build, size = GENERATOR_COUNTS[name]
+    C = build()
+    assert_generates(C)
+    assert len(C.generators) == size
+
+
+def test_light_generators_of_fi5_climb_one_step():
+    """On FI_5 every generator is an automorphism or an injection n→n+1:
+    the maps n→m with m > n + 1 are composites of those."""
+    C = generators.fi_truncated(5)
+    steps = {int(C.tgt[g]) - int(C.src[g]) for g in C.generators}
+    assert steps == {0, 1}
+
+
 def decoded(identities, blocks, compose):
     """The reference ``assemble`` arguments for a block composer: the i-th
     payload of a block into y becomes (y, i), so the per-composite

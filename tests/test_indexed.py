@@ -216,7 +216,7 @@ def test_arrow_that_is_no_functor_is_rejected():
 
 def test_light_coherence_sweep_is_small():
     """The coherence sweep visits the triples (f, g, h) with g in S: on
-    FI_5 under a twentieth of the composable triples."""
+    FI_5 about a thirtieth of the composable triples."""
     C = fi_truncated(5)
     into, out = {}, {}
     for (x, y), fs in C.homs.items():
@@ -224,4 +224,4 @@ def test_light_coherence_sweep_is_small():
         out[x] = out.get(x, 0) + len(fs)
     swept = sum(into[C.src[g]] * out[C.tgt[g]] for g in C.generators)
     every = sum(into[C.src[g]] * out[C.tgt[g]] for g in C.morphisms)
-    assert (swept, every) == (270_107, 6_061_413)
+    assert (swept, every) == (198_289, 6_061_413)
