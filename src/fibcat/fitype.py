@@ -270,35 +270,38 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
         mu[f2,g](b) ∘ M(f2)(l) ∘ k2 = k1.
 
     With ``all_g`` every factorisation g must admit such an l; by default one
-    witnessing g suffices.
+    witnessing g suffices.  Decided on the cells of the base and of the
+    fiber over x, with mu from ``M.coding``: the g of f1, f2 are found
+    among the codes of y's endomorphisms, and the maps u = M(f2)(l);mu[f2,
+    g](b) of each g once per b; the first failing (k1, k2) is the first in
+    the order (b, a, k1, k2).
     """
-    base = M.base
+    base, B, C = M.base, M.base.coding, M.coding
+    number = dict(zip(base.objects, range(len(base.objects))))
     for (x, y), fs in sorted(base.homs.items()):
-        fib_x, fib_y = M.fiber_at(x), M.fiber_at(y)
+        fib_x, fib_y, K = M.fiber_at(x), M.fiber_at(y), M.fiber_at(x).coding
+        endos = np.array([B.code[g] for g in base.endos(y)], np.int64)
         for f1 in fs:
             M1 = M.arrow_at(f1)
             for f2 in fs:
-                M2 = M.arrow_at(f2)
-                gs = [g for g in base.endos(y) if base.comp(f2, g) == f1]
-                for b in fib_y.objects:
-                    t1, t2 = M1.ob(b), M2.ob(b)
+                M2, c2 = M.arrow_at(f2), B.code[f2]
+                gs = endos[B.cells[B.cell(c2, endos)] == B.code[f1]].tolist()
+                for n, b in enumerate(fib_y.objects):
+                    t1, t2, d = M1.ob(b), M2.ob(b), C.obj0[number[y]] + n
+                    us = []  # per g, the codes of the maps u
+                    for g in gs:
+                        ls = fib_y.hom_codes(b, M.arrow_at(B.ids[g]).ob(b))
+                        mu = C.mu[C.mu_at[B.cell(c2, g)] + d] - C.code0[number[x]]
+                        us.append(K.cells[K.cell(M2.code_map[ls], mu)])
                     for a in fib_x.objects:
-                        for k1 in fib_x.hom(a, t1):
-                            for k2 in fib_x.hom(a, t2):
-                                verdicts = []
-                                for g in gs:
-                                    Mg = M.arrow_at(g)
-                                    mu = M.mu(f2, g).at(b)
-                                    hit = any(
-                                        fib_x.comp(fib_x.comp(k2, M2.mor(l)), mu) == k1
-                                        for l in fib_y.hom(b, Mg.ob(b))
-                                    )
-                                    verdicts.append(hit)
-                                    if hit and not all_g:
-                                        break
-                                ok = all(verdicts) if all_g else any(verdicts)
-                                if not ok:
-                                    return Check(False, (f1, f2, a, b, k1, k2))
+                        k1, k2 = fib_x.hom_codes(a, t1), fib_x.hom_codes(a, t2)
+                        hits = np.zeros((len(us), len(k1), len(k2)), bool)
+                        for hit, u in zip(hits, us):
+                            hit[:] = (K.cells[K.cell(k2[:, None], u)] == k1[:, None, None]).any(-1)
+                        ok = hits.all(0) if all_g else hits.any(0)
+                        if not ok.all():
+                            r, c = divmod(int(np.argmin(ok)), len(k2))
+                            return Check(False, (f1, f2, a, b, K.ids[k1[r]], K.ids[k2[c]]))
     return Check(True)
 
 

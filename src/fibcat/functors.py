@@ -19,6 +19,15 @@ target codes; if one fails, every cell of the source is compared in cell
 order, so the error names the same first pair as a check of every
 composite: the first in cell order (see ``FinCat``).
 
+All of it is one array check, ``unfunctorial``, over the codes of many
+maps at once: objects and morphisms mapped, endpoints, identities, then
+Light's test, each on the maps that passed the checks before it.
+``validate_functor`` runs it on one functor, as ``code_map`` and
+``ob_map``, and ``indexed.validate_indexed`` on every arrow of an indexed
+category at once, on the coding of the disjoint union of its fibers, so
+both callers share one definition of a functor.  A map it rejects is
+checked again one table entry at a time, only to name the first failure.
+
 ``validate_nat_trans`` checks naturality squares the same way.  Let F and
 G be functors and α a family of components typed α_x: F(x) → G(x).  Every
 identity square commutes: F(id_x);α_x = α_x = α_x;G(id_x), as F and G
@@ -43,6 +52,7 @@ Neither check reads a string ``table``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +88,21 @@ class FinFunctor:
     @functools.cached_property
     def code_map(self) -> np.ndarray:
         """The code, in the target's coding, of the image of each code of
-        the source's; made on first read."""
-        codes = map(self.target.coding.code.__getitem__, map(self.mor, self.source.coding.ids))
+        the source's, or -1 where the table maps it to no morphism of the
+        target; made on first read."""
+        images = map(self.on_morphisms.get, self.source.coding.ids)
+        codes = map(self.target.coding.code.get, images, itertools.repeat(-1))
         return np.fromiter(codes, np.intp, len(self.source.morphisms))
+
+    @functools.cached_property
+    def ob_map(self) -> np.ndarray:
+        """The number, among the target's objects, of the image of each of
+        the source's objects, or -1 where the table maps it to none; made
+        on first read."""
+        T = self.target
+        number = dict(zip(T.objects, range(len(T.objects))))
+        images = map(self.on_objects.get, self.source.objects)
+        return np.fromiter(map(number.get, images, itertools.repeat(-1)), np.intp, len(self.source.objects))
 
     def __repr__(self):
         return "FinFunctor(%r -> %r)" % (self.source, self.target)
@@ -99,8 +121,93 @@ class NatTrans:
 def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -> FinFunctor:
     """Check that the tables map exactly the source's objects and morphisms,
     and preserve endpoints, identities and all composites, the last by
-    Light's test (see the module docstring).  Ids are strings."""
-    ob, mor = dict(on_objects), dict(on_morphisms)
+    Light's test, all by ``unfunctorial`` (see the module docstring).  A
+    failure is named in the order: source objects, an unknown object,
+    source morphisms, an unknown morphism, identities, composites.  Ids are
+    strings."""
+    F = FinFunctor(source, target, dict(on_objects), dict(on_morphisms))
+    (units, items), (target_units, _) = _shape(source), _shape(target)
+    whole = np.array([(len(F.on_objects), len(F.on_morphisms)) == (len(source.objects), len(source.morphisms))])
+    zero = np.zeros(1, np.intp)
+    maps = (zero, F.code_map, zero, F.ob_map)
+    if unfunctorial(source.coding, target.coding, (units, target_units), maps, items, whole)[0]:
+        _raise_first_failure(F)
+    return F
+
+
+def _shape(C: FinCat) -> tuple:
+    """What ``unfunctorial`` reads of ``C`` for one map out of or into it,
+    made once per category: the code of each object's identity, and the
+    items of a map out of C, numbered 0: its objects, its codes and the
+    pairs of Light's test."""
+    memo = C.cache("unfunctorial")
+    if not memo:
+        k, n, (f, g) = len(C.objects), len(C.morphisms), light_pairs(C)
+        units = np.array([C.coding.code[C.id_of(x)] for x in C.objects], np.intp)
+        zeros = np.zeros(max(k, n, len(f)), np.intp)
+        memo["shape"] = units, ((zeros[:k], np.arange(k)), (zeros[:n], np.arange(n)), (zeros[: len(f)], f, g))
+    return memo["shape"]
+
+
+def light_pairs(C: FinCat) -> tuple:
+    """The codes (f, g) that Light's test composes: every f into src g,
+    for each g in the generating set S of ``C`` in turn; made once per
+    category."""
+    memo = C.cache("light_pairs")
+    if not memo:
+        K = C.coding
+        gens = np.array([K.code[g] for g in C.generators], np.intp)
+        runs = [K.into[x] for x in K.src[gens].tolist()]
+        memo["pairs"] = np.concatenate([np.empty(0, np.intp), *runs]), np.repeat(gens, list(map(len, runs)))
+    return memo["pairs"]
+
+
+def unfunctorial(S, T, units, maps, items, whole) -> np.ndarray:
+    """The mask of the maps i = 0, 1, ... from the codes and objects of the
+    coding ``S`` to those of ``T`` that are no functors.  ``S`` and ``T``
+    code categories, as ``core.Coding`` does (``src``, ``tgt``, ``cells``
+    and ``cell``), or several laid side by side, as
+    ``indexed.IndexedCoding`` does; ``units`` holds the code of the
+    identity of each object of S and of T.  With ``maps`` = (at, image,
+    ob_at, image_ob), map i sends the code k to image[at[i] + k], the
+    object o to image_ob[ob_at[i] + o], and either to a negative number, or
+    a morphism to a code whose source is none, where it maps it to nothing.
+    ``items`` = (objects, codes, pairs) lists (i, o) for every object o of
+    the source of map i, (i, k) for every code k, and (i, f, g) for the
+    pairs Light's test composes (see ``light_pairs``); ``whole[i]`` tells
+    whether map i's tables have no key beyond its source's ids.  Checked in
+    turn, each on the maps that passed so far: every object mapped, every
+    morphism mapped with its endpoints, identities, composites."""
+    at, image, ob_at, image_ob = maps
+    bad = ~whole
+
+    def passing(items):  # the items of the maps that have not failed yet
+        if not bad.any():
+            return items
+        keep = ~bad[items[0]]
+        return tuple(a[keep] for a in items)
+
+    objects, codes, pairs = items
+    i, o = objects
+    bad[i[image_ob[ob_at[i] + o] < 0]] = True
+    i, k = passing(codes)
+    m = image[at[i] + k]
+    ends = (T.src[m] == image_ob[ob_at[i] + S.src[k]]) & (T.tgt[m] == image_ob[ob_at[i] + S.tgt[k]])
+    bad[i[(m < 0) | ~ends]] = True
+    i, o = passing(objects)
+    bad[i[image[at[i] + units[0][o]] != units[1][image_ob[ob_at[i] + o]]]] = True
+    i, f, g = passing(pairs)
+    made = T.cells[T.cell(image[at[i] + f], image[at[i] + g])]
+    bad[i[made != image[at[i] + S.cells[S.cell(f, g)]]]] = True
+    return bad
+
+
+def _raise_first_failure(F: FinFunctor):
+    """Raise the first ``NotAFunctor`` of F's tables, which ``unfunctorial``
+    rejected, in ``validate_functor``'s order; composites are compared in
+    cell order, so the first failing pair is the first of the source's
+    table (see ``FinCat``)."""
+    source, target, ob, mor = F.source, F.target, F.on_objects, F.on_morphisms
     for x in source.objects:
         if x not in ob:
             raise NotAFunctor(("object not mapped", x))
@@ -123,25 +230,13 @@ def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -
     for x in source.objects:
         if mor[source.id_of(x)] != target.id_of(ob[x]):
             raise NotAFunctor(("identity not preserved", x))
-    F = FinFunctor(source, target, ob, mor)
     sc, tc, m = source.coding, target.coding, F.code_map
-    # Light's test: every f into src g, for each g in S
-    gens = np.array([sc.code[g] for g in source.generators], np.intp)
-    runs = [sc.into[x] for x in sc.src[gens].tolist()]
-    f, g = np.concatenate([np.empty(0, np.intp), *runs]), np.repeat(gens, list(map(len, runs)))
-
-    def broken(f, g, fg):
-        """Where F(f);F(g) is not F(f;g), for the codes f, g and fg = f;g."""
-        return tc.cells[tc.cell(m[f], m[g])] != m[fg]
-
-    if broken(f, g, sc.cells[sc.cell(f, g)]).any():
-        for lo, hi in sc.rounds():
-            f, g = sc.pairs(lo, hi)
-            bad = np.flatnonzero(broken(f, g, sc.cells[sc.row[lo] : sc.row[hi]]))
-            if bad.size:
-                raise NotAFunctor(("composite not preserved", sc.ids[f[bad[0]]], sc.ids[g[bad[0]]]))
-        raise CategoryError("internal error: Light's test failed, the full check held")
-    return F
+    for lo, hi in sc.rounds():
+        f, g = sc.pairs(lo, hi)
+        bad = np.flatnonzero(tc.cells[tc.cell(m[f], m[g])] != m[sc.cells[sc.row[lo] : sc.row[hi]]])
+        if bad.size:
+            raise NotAFunctor(("composite not preserved", sc.ids[f[bad[0]]], sc.ids[g[bad[0]]]))
+    raise CategoryError("internal error: Light's test failed, the full check held")
 
 
 def identity_functor(C: FinCat) -> FinFunctor:

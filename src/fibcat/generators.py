@@ -24,7 +24,9 @@ them on the factors' cells: products and powers (the entries; a group power
 h), arrow categories (the square's u and v) and relation categories (no
 parts).  The triangles and squares are found on the cells too.  Either way
 a composite that falls outside its target block raises
-``CompositeEndpointViolation``.
+``CompositeEndpointViolation``.  The indexed builders hand their arrows to
+``indexed.validate_indexed`` as bare ``FinFunctor`` tables, which it checks
+all at once, so each arrow is checked once.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
         on_m = {}
         for t in itertools.product(G.elements, repeat=n):
             on_m[tuple_id(t)] = tuple_id(tuple(t[i] for i in imgs))
-        arrows[f] = validate_functor(src_fib, tgt_fib, {"*": "*"}, on_m)
+        arrows[f] = FinFunctor(src_fib, tgt_fib, {"*": "*"}, on_m)
     return validate_indexed(base, fibers, arrows)
 
 
@@ -312,12 +314,6 @@ def delta_const(X: FinCat, Y: FinCat) -> IndexedCat:
     return validate_indexed(X, {x: Y for x in X.objects}, {f: idf for f in X.morphisms})
 
 
-def _codes(C: FinCat, x: str, y: str) -> np.ndarray:
-    """The codes of hom(x, y) in the coding of ``C``, in id order."""
-    first = C.coding.start.get((x, y), 0)
-    return np.arange(first, first + len(C.hom(x, y)))
-
-
 def _product(factors, ob_id, mor_id) -> FinCat:
     """Product of the categories ``factors``; ``ob_id`` and ``mor_id`` name
     tuples of objects and of morphisms, one entry per factor.  A morphism's
@@ -331,7 +327,7 @@ def _product(factors, ob_id, mor_id) -> FinCat:
         for t, ts in obs.items():
             homs = [C.hom(a, b) for C, a, b in zip(factors, ss, ts)]
             if all(homs):
-                codes = itertools.product(*(_codes(C, a, b).tolist() for C, a, b in zip(factors, ss, ts)))
+                codes = itertools.product(*(C.hom_codes(a, b).tolist() for C, a, b in zip(factors, ss, ts)))
                 blocks[(s, t)] = dict(zip(codes, map(mor_id, itertools.product(*homs))))
     return from_parts(
         {o: tuple(C.coding.code[C.id_of(x)] for C, x in zip(factors, t)) for o, t in obs.items()},
@@ -411,7 +407,7 @@ def block_perm_indexed(N: int, Q: int) -> IndexedCat:
             _mor_tuple_id(t): _mor_tuple_id([t[i] for i in imgs])
             for t in itertools.product(inner.morphisms, repeat=n)
         }
-        arrows[f] = validate_functor(src_fib, tgt_fib, on_o, on_m)
+        arrows[f] = FinFunctor(src_fib, tgt_fib, on_o, on_m)
     return validate_indexed(base, fibers, arrows)
 
 
@@ -537,7 +533,7 @@ def slice_category(C: FinCat, x: str) -> FinCat:
     tris = {}
     for f in objs:
         for g in objs:
-            hs = _codes(C, C.src[f], C.src[g])
+            hs = C.hom_codes(C.src[f], C.src[g])
             for h in hs[K.cells[K.cell(hs, K.code[g])] == K.code[f]].tolist():
                 tris.setdefault((f, g), {})[(h,)] = _slice_mid(f, K.ids[h], g)
     return from_parts({f: (K.code[C.id_of(C.src[f])],) for f in objs}, tris, (C,))
@@ -577,7 +573,7 @@ def slice_indexed(C: FinCat, choose=None) -> IndexedCat:
                 (C.src[pb_f.leg1], pb_f.leg1, C.comp(pb_f.leg2, h))
             ]
             on_m[smid] = _slice_mid(pb_f.leg1, w, pb_g.leg1)
-        arrows[j] = validate_functor(fib_y, fib_x, on_o, on_m)
+        arrows[j] = FinFunctor(fib_y, fib_x, on_o, on_m)
 
     compositors = {}
     for (f, g), gf in C.table.items():
@@ -618,7 +614,7 @@ def arrow_category(C: FinCat) -> FinCat:
     sqs = {}
     for f in objs:
         for g in objs:
-            us, vs = _codes(C, C.src[f], C.src[g]), _codes(C, C.tgt[f], C.tgt[g])
+            us, vs = C.hom_codes(C.src[f], C.src[g]), C.hom_codes(C.tgt[f], C.tgt[g])
             i, j = np.nonzero(K.cells[K.cell(us, K.code[g])][:, None] == K.cells[K.cell(K.code[f], vs)])
             for u, v in zip(us[i].tolist(), vs[j].tolist()):
                 sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, K.ids[u], K.ids[v], g)

@@ -143,10 +143,10 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     src = {m: X for (X, _), ms in homs.items() for m in ms}
     tgt = {m: Y for (_, Y), ms in homs.items() for m in ms}
     homs = {xy: tuple(sorted(ms)) for xy, ms in homs.items()}
-    identity, number = {}, dict(zip(obj_of, range(len(obj_of))))  # as in M.coding
+    identity, number, C = {}, dict(zip(obj_of, range(len(obj_of)))), M.coding  # numbers as in C
     for t in sorted(obj_of):
         x, a = obj_of[t]
-        m = mor_id.get((base.id_of(x), M.eta(x).at(a), a))
+        m = mor_id.get((base.id_of(x), C.ids[C.eta[number[t]]], a))
         identity[t] = m if src.get(m) == t else None
     objects = np.array([number[t] for t in identity], np.int64)
     runs, firsts = np.array(runs, np.int64).reshape(-1, 4), np.array(firsts, np.int64)
@@ -411,8 +411,8 @@ def fiber_iso_to_indexed_fiber(gr: GrothResult, x: str) -> FinFunctor:
     M = gr.indexed
     fib_x = M.fiber_at(x)
     fib_total = fiber(gr.proj, x)
-    idx, c = M.base.id_of(x), fib_x.coding
-    etas = np.array([c.code[M.eta(x).at(b)] for b in fib_x.objects], np.int64)
+    idx, c, C, i = M.base.id_of(x), fib_x.coding, M.coding, M.base.objects.index(x)
+    etas = C.eta[C.obj0[i] : C.obj0[i + 1]] - C.code0[i]
     made = c.cells[c.cell(np.arange(len(c.ids)), etas[c.tgt])]  # k;eta(tgt k)
     on_objects = {a: gr.obj_id[(x, a)] for a in fib_x.objects}
     on_morphisms = {

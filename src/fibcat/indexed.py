@@ -12,12 +12,24 @@ fibers it names (the very fiber objects, not equal copies), the naturality
 and invertibility of every compositor and unitor, the unit coherence law
 at every base morphism and fiber object, and then the associativity
 coherence law.  All of them are certificates for every composable pair and
-triple; naturality (see ``functors``) and associativity coherence are
-decided by Light's test on generators.  Once the arrows are functors, the
-data is coded once, on the coding of the disjoint union of the fibers
-(``IndexedCoding``), and every later check is an array gather over all
-base cells, objects or triples at once; no check reads a string
-``table``.
+triple; functoriality, naturality (see ``functors``) and associativity
+coherence are decided by Light's test on generators.  The data is coded
+once, on the coding of the disjoint union of the fibers
+(``IndexedCoding``), and every check is an array gather over all arrows,
+base cells, objects or triples at once; no check reads a string ``table``.
+
+The coding is what an ``IndexedCat`` keeps.  Each arrow M(f) is an array
+over codes, made from its ``FinFunctor.code_map``; every compositor and
+unitor is only a run of codes in ``mu`` and ``eta``: the identities at
+M(f)M(g)(c), or at c, by one gather where none are given, and a given
+table coded once.  ``IndexedCat.compositors`` and ``.unitors`` are
+read-only mappings of views: the ``NatTrans`` of a key is made from the
+arrays the first time it is read.  The arrows are checked by
+``functors.unfunctorial``, the array check that ``validate_functor`` runs
+on one functor, here on every arrow at once, so a functor has one
+definition; the first failing arrow, in ``base.morphisms`` order, is then
+checked alone by ``validate_functor`` for its error.  The compositors and
+the unitors share one check too, ``_unnatural``.
 
 Write ";" for "then", in the base and in the fibers.  For composable
 f: x→y, g: y→z, h: z→w and an object d of fiber(w), the coherence square
@@ -70,13 +82,15 @@ when every g in S is middle-coherent.  The sweep visits only the triples
 with a middle morphism in S; if one fails, every triple is swept in the
 order (f, g, h) by ``base.morphisms``, then d, so the error names the same
 first triple as a sweep of every triple.  Both reductions rest on the
-arrows being functors, so that is checked first, by ``validate_functor``.
+arrows being functors, so that is checked first.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +104,8 @@ from .functors import (
     compose_functors,
     functors_equal,
     identity_functor,
+    light_pairs,
+    unfunctorial,
     validate_functor,
     validate_nat_trans,
 )
@@ -120,8 +136,8 @@ class IndexedCat:
     base: FinCat
     fibers: dict  # base object -> FinCat
     arrows: dict  # base morphism f: x→y -> FinFunctor fiber(y) → fiber(x)
-    compositors: dict  # (f, g) composable -> NatTrans mu[f,g]
-    unitors: dict  # base object -> NatTrans eta[x]
+    compositors: Mapping  # (f, g) composable -> NatTrans mu[f,g]
+    unitors: Mapping  # base object -> NatTrans eta[x]
     strict: bool
 
     def fiber_at(self, x: str) -> FinCat:
@@ -138,10 +154,11 @@ class IndexedCat:
 
     @functools.cached_property
     def coding(self) -> "IndexedCoding":
-        """The data in integers (see ``IndexedCoding``); made on first read."""
-        mus = [self.compositors[fg].components for fg in _cell_pairs(self.base)]
-        etas = [self.unitors[x].components for x in self.base.objects]
-        return IndexedCoding(self.base, self.fibers, self.arrows, mus, etas)
+        """The data in integers (see ``IndexedCoding``); made on first read,
+        unless ``validate_indexed`` made it."""
+        C = IndexedCoding(self.base, self.fibers, self.arrows)
+        C.code(self.compositors, self.unitors)
+        return C
 
     def __repr__(self):
         return "IndexedCat(base=%r, %d fibers, strict=%s)" % (
@@ -156,30 +173,29 @@ class IndexedCoding:
     fibers: the fiber over the i-th base object keeps its codes, objects
     and cells (see ``core.Coding``), shifted by code0[i], obj0[i] and the
     cells before it.  The last code, none, stands for a missing morphism:
-    source -1, target -2, row 0.  The cell of (k, l) is row[k] + offset[l];
-    ``is_id`` and ``iso`` mask the identities and isos; gens[gen0[i]:gen0[i
-    + 1]] is the i-th fiber's S.  For f: x→y in the base, image[at[f] + l]
-    is M(f)(l) for a code l over y, and image_ob[ob_at[f] + b] is M(f)(b)
-    for an object b over y (-3 if missing); mu[mu_at[t] + c] is mu[f,
-    g](c) for the t-th base cell (f, g), from the dicts ``mus``, and eta[a]
-    is eta[x](a), from ``etas``."""
+    source -1, target -2, row 0.  The cell of (k, l) is ``cell(k, l)``,
+    row[k] + offset[l]; ``units`` holds the code of each object's identity,
+    ``is_id`` and ``iso`` mask the identities and isos, and gens[gen0[i]:
+    gen0[i + 1]] is the i-th fiber's S.  For f: x→y in the base,
+    image[at[f] + l] is M(f)(l) for a code l over y, and image_ob[ob_at[f]
+    + b] is M(f)(b) for an object b over y (-3 if missing); an arrow not
+    given maps everything to nothing.  Once ``code`` has run, mu[mu_at[t] +
+    c] is mu[f, g](c) for the t-th base cell (f, g) and c over its fiber
+    ``mu_over[t]``, and eta[a] is eta[x](a)."""
 
-    def __init__(self, base: FinCat, fibers: dict, arrows: dict, mus: list, etas: list):
-        B, fibs, (f, g) = base.coding, [fibers[x] for x in base.objects], base.coding.pairs()
-        cs, xs, ys = [F.coding for F in fibs], B.src.tolist(), B.tgt.tolist()
+    def __init__(self, base: FinCat, fibers: dict, arrows: dict):
+        B, fibs = base.coding, [fibers[x] for x in base.objects]
+        self.base, self.fibers, self.arrows = base, fibs, arrows
+        cs = [F.coding for F in fibs]
         self.code0 = code0 = np.cumsum([0] + [len(c.ids) for c in cs])
         self.obj0 = obj0 = np.cumsum([0] + [len(F.objects) for F in fibs])
         cell0, none = np.cumsum([0] + [len(c.cells) for c in cs]), int(code0[-1])
-        numbers = [dict(zip(F.objects, range(len(F.objects)))) for F in fibs]
 
         def joined(arrays, *end):
             return np.concatenate([*arrays, np.array(end, np.int64)]).astype(np.int64)
 
         def flat(lists):
             return np.fromiter(itertools.chain.from_iterable(lists), np.int64)
-
-        def firsts(sizes, less):  # where blocks of ``sizes`` laid end to end start
-            return np.cumsum(sizes) - sizes - less
 
         self.src = joined((c.src + o for c, o in zip(cs, obj0)), -1)
         self.tgt = joined((c.tgt + o for c, o in zip(cs, obj0)), -2)
@@ -188,33 +204,189 @@ class IndexedCoding:
         self.cells = joined(c.cells + o for c, o in zip(cs, code0))
         self.ranks = joined(c.ranks for c in cs)
         each = list(zip(fibs, cs, code0))
+        self.units = flat([o + c.code[F.identity[x]] for x in F.objects] for F, c, o in each)
         self.is_id, self.iso = np.zeros((2, none + 1), bool)
-        self.is_id[flat([o + c.code[i] for i in F.identity.values()] for F, c, o in each)] = True
+        self.is_id[self.units] = True
         self.iso[flat([o + c.code[m] for m in F.inverses] for F, c, o in each)] = True
         gens = [[o + c.code[g] for g in F.generators] for F, c, o in each]
         self.gens, self.gen0 = flat(gens), np.cumsum([0] + list(map(len, gens)))
-        self.image = flat(_on(arrows[h].on_morphisms, cs[x].code, code0[x], none, cs[y].ids)
-                          for h, x, y in zip(B.ids, xs, ys))
-        self.at = firsts(np.diff(code0)[B.tgt], code0[B.tgt])
-        self.image_ob = flat(_on(arrows[h].on_objects, numbers[x], obj0[x], -3, fibs[y].objects)
-                             for h, x, y in zip(B.ids, xs, ys))
-        self.ob_at = firsts(np.diff(obj0)[B.tgt], obj0[B.tgt])
-        self.mu = flat(_on(comps, cs[x].code, code0[x], none, fibs[z].objects)
-                       for comps, x, z in zip(mus, B.src[f].tolist(), B.tgt[g].tolist()))
-        self.mu_at = firsts(np.diff(obj0)[B.tgt[g]], obj0[B.tgt[g]])
-        self.eta = flat(_on(e, c.code, o, none, F.objects) for e, (F, c, o) in zip(etas, each))
+
+        # Each arrow as the joined codes of its code_map and ob_map.
+        Fs, sizes, obs = [arrows.get(h) for h in B.ids], np.diff(code0)[B.tgt], np.diff(obj0)[B.tgt]
+        maps = [np.full(n, -1) if F is None else F.code_map for F, n in zip(Fs, sizes.tolist())]
+        on = np.concatenate([np.empty(0, np.intp), *maps])
+        self.image = np.where(on < 0, none, on + np.repeat(code0[B.src], sizes))
+        self.at = _firsts(sizes, code0[B.tgt])
+        maps = [np.full(n, -1) if F is None else F.ob_map for F, n in zip(Fs, obs.tolist())]
+        on = np.concatenate([np.empty(0, np.intp), *maps])
+        self.image_ob = np.where(on < 0, -3, on + np.repeat(obj0[B.src], obs))
+        self.ob_at = _firsts(obs, obj0[B.tgt])
+        self.mu_over = B.tgt[B.pairs()[1]]
+        self.mu_at = _firsts(np.diff(obj0)[self.mu_over], obj0[self.mu_over])
+
+    def cell(self, k, l):
+        """The cells of the joined codes (k, l), which must be composable."""
+        return self.row[k] + self.offset[l]
+
+    @functools.cached_property
+    def ids(self) -> tuple:
+        """The id of each joined code in its fiber; None for none."""
+        return (*itertools.chain.from_iterable(F.coding.ids for F in self.fibers), None)
+
+    def components(self, codes, at, i) -> dict:
+        """The components codes[at + c] at the objects c over the i-th base
+        object, by id."""
+        objects, at = self.fibers[i].objects, at + self.obj0[i]
+        return dict(zip(objects, map(self.ids.__getitem__, codes[at : at + len(objects)].tolist())))
+
+    def unfunctorial(self) -> np.ndarray:
+        """The mask, by base code, of the arrows that are no functors
+        between their fibers, all checked at once by
+        ``functors.unfunctorial``; an arrow not given is none."""
+        B, y = self.base.coding, self.base.coding.tgt
+        obs, codes = np.diff(self.obj0)[y], np.diff(self.code0)[y]
+        Fs = [self.arrows.get(h) for h in B.ids]
+        whole = np.array(
+            [F is not None and (len(F.on_objects), len(F.on_morphisms)) == (k, n)
+             for F, k, n in zip(Fs, obs.tolist(), codes.tolist())],
+            bool,
+        )
+        # Light's pairs of each fiber, joined, then those of fiber y for
+        # each arrow out of it.
+        pairs = [light_pairs(F) for F in self.fibers]
+        f, g = (np.concatenate([np.empty(0, np.intp), *(p[j] + o for p, o in zip(pairs, self.code0))])
+                for j in (0, 1))
+        per = np.array([len(p[0]) for p in pairs], np.int64)
+        i, j = _runs(_firsts(per, 0)[y], per[y])
+        items = (_runs(self.obj0[y], obs), _runs(self.code0[y], codes), (i, f[j], g[j]))
+        maps = (self.at, self.image, self.ob_at, self.image_ob)
+        return unfunctorial(self, self, (self.units, self.units), maps, items, whole)
+
+    def code(self, compositors, unitors):
+        """Code the compositors, by composable base pair, and the unitors, by
+        base object, as ``mu`` and ``eta``: the identities at M(f)M(g)(c),
+        or at c, by one gather, and over them each table given, a dict or a
+        ``NatTrans``, coded once; the views of a coding of this base and
+        these very fibers give its arrays.  Return the masks of the cells
+        and base objects whose tables have another number of keys than
+        their fiber has objects.  A key that names no composable pair, then
+        no base object, raises ``IndexedError``."""
+        B = self.base.coding
+        f, g = B.pairs()
+        t, c = _runs(self.obj0[self.mu_over], np.diff(self.obj0)[self.mu_over])
+        mu = self.units[self.image_ob[self.ob_at[f[t]] + self.image_ob[self.ob_at[g[t]] + c]]]
+        self.mu, extra_mu = self._coded(
+            compositors, "mu", mu, lambda: cell_pairs(self.base), self.mu_at, self.mu_over, B.src[f],
+            "compositor for %r, which is no composable pair",
+        )
+        n = np.arange(len(self.fibers))
+        self.eta, extra_eta = self._coded(
+            unitors, "eta", self.units.copy(), lambda: self.base.objects, np.zeros_like(n), n, n,
+            "unitor over unknown object %r",
+        )
+        return extra_mu, extra_eta
+
+    def _coded(self, tables, name, codes, keys, at, over, into, unknown):
+        """``codes`` with each of ``tables`` written over it: the table of
+        the p-th of ``keys()`` holds the component at c, an object over the
+        base object numbered over[p], at codes[at[p] + c], a morphism of the
+        fiber numbered into[p].  With the mask of the places whose tables
+        have another number of keys than their fiber has objects."""
+        extra = np.zeros(len(at), bool)
+        if not tables:
+            return codes, extra
+        if isinstance(tables, _Views) and tables.coding.base is self.base and all(
+            map(operator.is_, tables.coding.fibers, self.fibers)
+        ):
+            return getattr(tables.coding, name), extra
+        place = {k: p for p, k in enumerate(keys())}
+        ps, values = [], []
+        for key, table in tables.items():
+            p = place.get(key, -1)
+            if p < 0:
+                raise IndexedError(unknown % (key,))
+            table, objects = _table(table), self.fibers[over[p]].objects
+            extra[p] = len(table) != len(objects)
+            ps.append(p)
+            values.extend(map(table.get, objects))
+        ps = np.array(ps, np.int64)
+        i, where = _runs(at[ps] + self.obj0[over[ps]], np.diff(self.obj0)[over[ps]])
+        fiber = into[ps[i]].tolist()
+        to = {x: dict(zip(self.fibers[x].coding.ids, itertools.count(int(self.code0[x])))) for x in set(fiber)}
+        none = itertools.repeat(int(self.code0[-1]))
+        codes[where] = np.fromiter(map(dict.get, map(to.__getitem__, fiber), values, none), np.int64, len(values))
+        return codes, extra
 
 
-def _cell_pairs(base: FinCat) -> list:
+class _Views(Mapping):
+    """Transformations of an ``IndexedCoding`` as a read-only mapping to
+    ``NatTrans`` values, each made from the coding's arrays the first time
+    its key is read, and kept."""
+
+    def __init__(self, coding: IndexedCoding):
+        self.coding, self._made = coding, {}
+
+    def __getitem__(self, key):
+        view = self._made.get(key)
+        if view is None:
+            view = self._made[key] = self._view(key)
+        return view
+
+    def __iter__(self):
+        return iter(self._keys)
+
+
+class _Compositors(_Views):
+    """mu[f, g] by composable base pair (f, g), in base cell order."""
+
+    @functools.cached_property
+    def _keys(self) -> list:
+        return cell_pairs(self.coding.base)
+
+    def __len__(self):
+        return len(self.coding.base.coding.cells)
+
+    def _view(self, key) -> NatTrans:
+        C, base, B = self.coding, self.coding.base, self.coding.base.coding
+        try:
+            f, g = key
+            composable = base.tgt[f] == base.src[g]
+        except (KeyError, TypeError, ValueError):
+            composable = False
+        if not composable:
+            raise KeyError(key)
+        t = int(B.cell(B.code[f], B.code[g]))
+        mu = C.components(C.mu, C.mu_at[t], C.mu_over[t])
+        return NatTrans((C.arrows[g], C.arrows[f]), C.arrows[B.ids[B.cells[t]]], mu)
+
+
+class _Unitors(_Views):
+    """eta[x] by base object x."""
+
+    @property
+    def _keys(self) -> tuple:
+        return self.coding.base.objects
+
+    def __len__(self):
+        return len(self._keys)
+
+    def _view(self, x) -> NatTrans:
+        C, base = self.coding, self.coding.base
+        if x not in base.identity:
+            raise KeyError(x)
+        i = base.objects.index(x)
+        return NatTrans(identity_functor(C.fibers[i]), C.arrows[base.id_of(x)], C.components(C.eta, 0, i))
+
+
+def cell_pairs(base: FinCat) -> list:
     """The pairs (f, g) of the cells of ``base.coding``, in cell order."""
     B = base.coding
     return list(zip(*(map(B.ids.__getitem__, k.tolist()) for k in B.pairs())))
 
 
-def _on(table, to, shift, missing, keys) -> list:
-    """The number in ``to``, plus ``shift``, of the image under ``table``
-    of each of ``keys``, or ``missing``."""
-    return [missing if (k := to.get(table.get(m), -1)) < 0 else k + shift for m in keys]
+def _firsts(sizes, less):
+    """Where blocks of ``sizes`` laid end to end start, less ``less``."""
+    return np.cumsum(sizes) - sizes - less
 
 
 def _runs(starts, sizes):
@@ -239,10 +411,13 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     fiber is another category.  A compositor keeps the path (M(g), M(f))
     as its source (see ``functors.validate_nat_trans``).
 
-    After the arrows, every check runs on ``IndexedCoding`` for all items at
-    once, and names the first failure in the order of a check of one at a
-    time: compositors in base cell order (see ``FinCat``), unitors by base
-    object, each checked again alone for its error, then the unit laws.
+    Every check runs on ``IndexedCoding`` for all items at once, and names
+    the first failure in the order of a check of one at a time: arrows in
+    the order of ``base.morphisms``, each checked again alone by
+    ``validate_functor`` for its error, compositors in base cell order (see
+    ``FinCat``), unitors by base object, each checked again alone for its
+    error, then the unit laws.  The compositors and unitors of the result
+    are views of its coding (see the module docstring).
     """
     fibers = dict(fibers)
     arrows = dict(arrows)
@@ -252,62 +427,62 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     for x in fibers:
         if x not in base.identity:
             raise IndexedError("fiber over unknown object %r" % (x,))
-    for f in base.morphisms:
+
+    def misfit(f):  # why the arrow at f is no functor between its fibers, before its tables
         if f not in arrows:
-            raise BadFiberFunctor(("no arrow functor", f))
+            return ("no arrow functor", f)
         F = arrows[f]
         if not isinstance(F, FinFunctor):
-            raise BadFiberFunctor(("not a functor", f))
+            return ("not a functor", f)
         if F.source is not fibers[base.tgt[f]] or F.target is not fibers[base.src[f]]:
-            raise BadFiberFunctor(("contravariance endpoints", f))
-        try:
-            validate_functor(F.source, F.target, F.on_objects, F.on_morphisms)
-        except NotAFunctor as exc:
-            raise BadFiberFunctor(("not a functor", f, exc.args)) from exc
+            return ("contravariance endpoints", f)
+        return None
+
+    misfits = {f: why for f in base.morphisms if (why := misfit(f)) is not None}
+    B = base.coding
+    C = IndexedCoding(base, fibers, {f: arrows[f] for f in base.morphisms if f not in misfits})
+    bad = C.unfunctorial()
+    if misfits or bad.any():
+        for f in base.morphisms:
+            if f in misfits:
+                raise BadFiberFunctor(misfits[f])
+            if bad[B.code[f]]:
+                F = arrows[f]
+                try:
+                    validate_functor(F.source, F.target, F.on_objects, F.on_morphisms)
+                except NotAFunctor as exc:
+                    raise BadFiberFunctor(("not a functor", f, exc.args)) from exc
+                raise CategoryError("internal error: the arrow check failed, validate_functor held")
     for f in arrows:
         if f not in base.src:
             raise IndexedError("arrow for unknown morphism %r" % (f,))
 
-    compositors = dict(compositors or {})
-    unitors = dict(unitors or {})
-    B, pairs = base.coding, _cell_pairs(base)
-    known = set(pairs)
-    for key in compositors:
-        if key not in known:
-            raise IndexedError("compositor for %r, which is no composable pair" % (key,))
-    for x in unitors:
-        if x not in base.identity:
-            raise IndexedError("unitor over unknown object %r" % (x,))
-
-    def given(raw, objects, default):  # the components raw gives, else default(a) at each a
-        raw = raw.components if isinstance(raw, NatTrans) else raw
-        return {a: default(a) for a in objects} if raw is None else dict(raw)
-
-    mus = [
-        given(compositors.get((f, g)), fibers[base.tgt[g]].objects,
-              lambda c: fibers[base.src[f]].id_of(arrows[f].ob(arrows[g].ob(c))))
-        for f, g in pairs
-    ]
-    etas = [given(unitors.get(x), fibers[x].objects, fibers[x].id_of) for x in base.objects]
-    C = IndexedCoding(base, fibers, arrows, mus, etas)
-    (F, G), hs = B.pairs(), [arrows[B.ids[h]] for h in B.cells.tolist()]
+    compositors, unitors = compositors or {}, unitors or {}
+    extra_mu, extra_eta = C.code(compositors, unitors)
+    F, G = B.pairs()
     unit = np.array([B.code[base.id_of(x)] for x in base.objects], np.int64)
-    # The first failing compositor, then unitor, is checked again alone.
-    bad = _unnatural(C, [G, F], B.cells, B.tgt[G], C.mu, C.mu_at, mus)
+    # The first failing compositor, then unitor, is checked again alone,
+    # on its table as given, or the identities.
+    bad = _unnatural(C, [G, F], B.cells, B.tgt[G], C.mu, C.mu_at, extra_mu)
     if bad.any():
         t = int(np.argmax(bad))
-        (f, g), fib = pairs[t], fibers[base.src[pairs[t][0]]]
+        f, g = B.ids[F[t]], B.ids[G[t]]
+        given = compositors.get((f, g))
+        table = C.components(C.mu, C.mu_at[t], C.mu_over[t]) if given is None else _table(given)
         try:
-            mu = validate_nat_trans((arrows[g], arrows[f]), hs[t], mus[t])
+            mu = validate_nat_trans((arrows[g], arrows[f]), arrows[B.ids[B.cells[t]]], table)
         except NotNatural as exc:
             raise CoherenceViolation(("compositor", f, g, exc.args)) from exc
+        fib = fibers[base.src[f]]
         raise CompositorNotIso((f, g, *next(cm for cm in mu.components.items() if cm[1] not in fib.inverses)))
-    bad = _unnatural(C, [], unit, np.arange(len(unit)), C.eta, np.zeros_like(unit), etas)
+    bad = _unnatural(C, [], unit, np.arange(len(unit)), C.eta, np.zeros_like(unit), extra_eta)
     if bad.any():
         t = int(np.argmax(bad))
         x, fib = base.objects[t], fibers[base.objects[t]]
+        given = unitors.get(x)
+        table = C.components(C.eta, 0, t) if given is None else _table(given)
         try:
-            eta = validate_nat_trans(identity_functor(fib), arrows[base.id_of(x)], etas[t])
+            eta = validate_nat_trans(identity_functor(fib), arrows[base.id_of(x)], table)
         except NotNatural as exc:
             raise UnitorViolation((x, exc.args)) from exc
         raise UnitorViolation((x, *next(am for am in eta.components.items() if am[1] not in fib.inverses)))
@@ -319,8 +494,8 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     f, mfb = order[r], C.image_ob[C.ob_at[order[r]] + b]
     mu_l = C.mu[C.mu_at[B.cell(unit[B.src[f]], f)] + b]
     mu_r = C.mu[C.mu_at[B.cell(f, unit[B.tgt[f]])] + b]
-    left = ~C.is_id[C.cells[C.row[C.eta[mfb]] + C.offset[mu_l]]]
-    right = ~C.is_id[C.cells[C.row[C.image[C.at[f] + C.eta[b]]] + C.offset[mu_r]]]
+    left = ~C.is_id[C.cells[C.cell(C.eta[mfb], mu_l)]]
+    right = ~C.is_id[C.cells[C.cell(C.image[C.at[f] + C.eta[b]], mu_r)]]
     if (left | right).any():
         i = int(np.argmax(left | right))
         f, y = base.morphisms[r[i]], B.tgt[f[i]]
@@ -328,22 +503,25 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
         raise UnitorViolation(("left unit" if left[i] else "right unit", f, b))
 
     _check_associativity_coherence(base, fibers, C, order)
-    mus = {(f, g): NatTrans((arrows[g], arrows[f]), h, c) for (f, g), h, c in zip(pairs, hs, mus)}
-    etas = {
-        x: NatTrans(identity_functor(fibers[x]), arrows[base.id_of(x)], c) for x, c in zip(base.objects, etas)
-    }
-    M = IndexedCat(base, fibers, arrows, mus, etas, bool(C.is_id[C.mu].all() and C.is_id[C.eta].all()))
+    strict = bool(C.is_id[C.mu].all() and C.is_id[C.eta].all())
+    M = IndexedCat(base, fibers, arrows, _Compositors(C), _Unitors(C), strict)
     vars(M)["coding"] = C  # the coding just checked is the one M.coding would make
     return M
 
 
-def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, given):
+def _table(given) -> dict:
+    """The component table of a ``NatTrans`` or of a table."""
+    return given.components if isinstance(given, NatTrans) else given
+
+
+def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, extra):
     """The mask of the transformations t from M(path[0][t]), M(path[1][t]),
     ... in turn (none: the identity) to M(target[t]), out of the fiber over
-    fiber[t], that are no natural isos with the components given[t], the
-    one at c comps[at[t] + c]; naturality by Light's test, once typed."""
+    fiber[t], that are no natural isos with the component comps[at[t] + c]
+    at each c, or whose table has another number of keys (``extra[t]``);
+    naturality by Light's test, once typed."""
     sizes = np.diff(C.obj0)[fiber]
-    bad = np.array(list(map(len, given)), np.int64) != sizes
+    bad = extra.copy()
     t, c = _runs(C.obj0[fiber], sizes)
     m, ob = comps[at[t] + c], c
     for P in path:
@@ -354,8 +532,8 @@ def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, given):
     along = k
     for P in path:
         along = C.image[C.at[P[t]] + along]
-    left = C.cells[C.row[comps[at[t] + C.src[k]]] + C.offset[C.image[C.at[target[t]] + k]]]
-    bad[t[left != C.cells[C.row[along] + C.offset[comps[at[t] + C.tgt[k]]]]]] = True
+    left = C.cells[C.cell(comps[at[t] + C.src[k]], C.image[C.at[target[t]] + k])]
+    bad[t[left != C.cells[C.cell(along, comps[at[t] + C.tgt[k]])]]] = True
     return bad
 
 
@@ -380,8 +558,8 @@ def _check_associativity_coherence(base, fibers, C: IndexedCoding, order) -> Non
         def mu(cell, d):
             return C.mu[C.mu_at[cell] + d]
 
-        lhs = C.row[C.image[C.at[f] + mu(gh, d)]] + C.offset[mu(B.cell(f, B.cells[gh]), d)]
-        rhs = C.row[mu(fg, C.image_ob[C.ob_at[h] + d])] + C.offset[mu(B.cell(B.cells[fg], h), d)]
+        lhs = C.cell(C.image[C.at[f] + mu(gh, d)], mu(B.cell(f, B.cells[gh]), d))
+        rhs = C.cell(mu(fg, C.image_ob[C.ob_at[h] + d]), mu(B.cell(B.cells[fg], h), d))
         return i, d, C.cells[lhs] != C.cells[rhs]
 
     for g in (B.code[s] for s in base.generators):
@@ -411,7 +589,7 @@ def strict_functoriality_check(M: IndexedCat):
         if not functors_equal(M.arrow_at(M.base.id_of(x)), identity_functor(M.fiber_at(x))):
             return False
     hs = map(M.base.coding.ids.__getitem__, M.base.coding.cells.tolist())
-    for (f, g), h in zip(_cell_pairs(M.base), hs):
+    for (f, g), h in zip(cell_pairs(M.base), hs):
         if not functors_equal(compose_functors(M.arrow_at(g), M.arrow_at(f)), M.arrow_at(h)):
             return False
     return True
@@ -421,10 +599,13 @@ def restrict_to_aut(M: IndexedCat, x: str) -> IndexedCat:
     """Restrict to the one-object subcategory of automorphisms of ``x``."""
     auts = automorphisms(M.base, x)
     base_r = subcategory(M.base, [x], auts)
+    C, B, i = M.coding, M.base.coding, M.base.objects.index(x)
+    codes = np.array([B.code[f] for f in auts], np.int64)
+    cells = B.cell(codes[:, None], codes).tolist()  # cells[j][k]: the cell of (auts[j], auts[k])
     return validate_indexed(
         base_r,
         {x: M.fiber_at(x)},
         {f: M.arrow_at(f) for f in auts},
-        {(f, g): M.mu(f, g).components for f in auts for g in auts},
-        {x: M.eta(x).components},
+        {(f, g): C.components(C.mu, C.mu_at[t], i) for f, ts in zip(auts, cells) for g, t in zip(auts, ts)},
+        {x: C.components(C.eta, 0, i)},
     )

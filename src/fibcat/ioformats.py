@@ -41,7 +41,7 @@ import numpy as np
 from .core import FinCat, CategoryError, validate_category
 from .functors import FinFunctor, validate_functor
 from .groups import GroupHom, GroupTable, TwistedAction, validate_group, validate_group_hom
-from .indexed import IndexedCat, validate_indexed
+from .indexed import IndexedCat, cell_pairs, validate_indexed
 from .theorem import WeakReversibilityWitness
 
 
@@ -374,17 +374,16 @@ def indexed_to_json(M: IndexedCat) -> dict:
                 "base morphism id %r contains '|', which the compositor "
                 "key format reserves" % f
             )
+    C, pairs = M.coding, cell_pairs(M.base)
     return {
         "base": category_to_json(M.base),
         "fibers": {x: category_to_json(M.fiber_at(x)) for x in M.base.objects},
         "arrows": {f: functor_to_json(M.arrow_at(f), inline=False) for f in M.base.morphisms},
         "compositors": {
-            "%s|%s" % (f, g): dict(sorted(M.mu(f, g).components.items()))
-            for (f, g) in sorted(M.compositors)
+            "%s|%s" % fg: C.components(C.mu, C.mu_at[t], C.mu_over[t])
+            for fg, t in sorted(zip(pairs, range(len(pairs))))
         },
-        "unitors": {
-            x: dict(sorted(M.eta(x).components.items())) for x in M.base.objects
-        },
+        "unitors": {x: C.components(C.eta, 0, i) for i, x in enumerate(M.base.objects)},
     }
 
 

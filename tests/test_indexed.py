@@ -214,6 +214,30 @@ def test_arrow_that_is_no_functor_is_rejected():
     assert (what, where, error[0]) == ("not a functor", f, "endpoints not preserved")
 
 
+@pytest.mark.parametrize("lawless_first", [True, False])
+def test_first_of_two_bad_arrows_is_named(lawless_first):
+    """The arrows' tables are checked all at once and their endpoints one
+    by one, and the first bad arrow in the order of ``base.morphisms`` is
+    named: one that breaks a functor law before one with an equal copy of
+    its fiber as source and target, and the other way round."""
+    C = chain_poset(3)
+    Y = fi_truncated(2)
+    M = delta_const(Y, C)
+    on_m = {m: m for m in C.morphisms}
+    on_m["p0_to_p1"] = "p0_to_p0"
+    lawless = FinFunctor(C, C, {x: x for x in C.objects}, on_m)
+    elsewhere = identity_functor(chain_poset(3))
+    early, late = Y.morphisms[1], Y.morphisms[-1]
+    bad = (lawless, elsewhere) if lawless_first else (elsewhere, lawless)
+    with pytest.raises(BadFiberFunctor) as exc:
+        validate_indexed(Y, M.fibers, {**M.arrows, early: bad[0], late: bad[1]})
+    if lawless_first:
+        what, where, (error,) = exc.value.args[0]
+        assert (what, where, error[0]) == ("not a functor", early, "endpoints not preserved")
+    else:
+        assert exc.value.args == (("contravariance endpoints", early),)
+
+
 def test_light_coherence_sweep_is_small():
     """The coherence sweep visits the triples (f, g, h) with g in S: on
     FI_5 about a thirtieth of the composable triples."""

@@ -7,7 +7,10 @@ test on generators; the reference checks every square.  The data is the
 whole corpus, two larger instances and constant indexed categories
 ``delta_const(X, Y)`` over seeded pairs of the seeded random categories,
 unchanged and under seeded single-entry changes made with
-``dataclasses.replace``.
+``dataclasses.replace``.  The library keeps compositors and unitors as
+arrays and hands out views; every view of a valid instance, as built, and
+as validated again from those views or from plain component tables, must
+equal the reference's ``NatTrans``.
 """
 
 import dataclasses
@@ -16,7 +19,7 @@ import random
 import pytest
 
 from indexed_reference import check_indexed
-from fibcat import validate_indexed
+from fibcat import compose_functors, functors_equal, validate_indexed
 from fibcat.generators import block_perm_indexed, chain_poset, delta_const, fi_truncated, slice_indexed
 from fibcat.indexed import BadFiberFunctor, CoherenceViolation, CompositorNotIso, UnitorViolation
 
@@ -33,6 +36,32 @@ def outcome(check, M):
         {k: mu.components for k, mu in N.compositors.items()},
         {x: eta.components for x, eta in N.unitors.items()},
     )
+
+
+def assert_views_match(M, N):
+    """Every compositor and unitor view of ``M`` equals the reference
+    ``N``'s: the same keys, components and target, and a source whose
+    composite (for a compositor, a path) is the reference's source."""
+    assert sorted(M.compositors) == sorted(N.compositors) and len(M.compositors) == len(N.compositors)
+    assert list(M.unitors) == list(N.unitors) and len(M.unitors) == len(N.unitors)
+    for key, ref in N.compositors.items():
+        mu = M.compositors[key]
+        assert mu is M.mu(*key) and mu.components == ref.components and mu.target is ref.target, key
+        assert functors_equal(compose_functors(*mu.source), ref.source), key
+    for x, ref in N.unitors.items():
+        eta = M.unitors[x]
+        assert eta is M.eta(x) and eta.components == ref.components and eta.target is ref.target, x
+        assert functors_equal(eta.source, ref.source), x
+
+
+def assert_all_views_match(M):
+    """``M``, as built and as validated again from its own views and from
+    plain component tables, has the reference's views."""
+    N = check_indexed(M.base, M.fibers, M.arrows, M.compositors, M.unitors)
+    tables = [{k: nt.components for k, nt in getattr(M, t).items()} for t in ("compositors", "unitors")]
+    for again in (M, validate_indexed(M.base, M.fibers, M.arrows, M.compositors, M.unitors),
+                  validate_indexed(M.base, M.fibers, M.arrows, *tables)):
+        assert_views_match(again, N)
 
 
 def mutations(M, seed, rounds=3):
@@ -100,6 +129,7 @@ def test_instances_match_reference(instances):
         got = outcome(validate_indexed, M)
         assert got == outcome(check_indexed, M), name
         assert got[0] is M.strict, name
+        assert_all_views_match(M)
 
 
 def test_mutations_match_reference(instances):
@@ -130,6 +160,7 @@ def test_seeded_constant_categories_match_reference(seeded_categories):
         X, Y = rng.choice(seeded_categories), rng.choice(seeded_categories)
         M = delta_const(X, Y)
         assert outcome(validate_indexed, M) == outcome(check_indexed, M), seed
+        assert_all_views_match(M)
         for kind, bad in mutations(M, seed):
             got = outcome(validate_indexed, bad)
             assert got == outcome(check_indexed, bad), (seed, kind)

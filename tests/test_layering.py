@@ -17,7 +17,10 @@ Indexed data is coded once, on the joined codings of its fibers: its
 checks, the squares of a natural transformation and the fill of a
 Grothendieck total read the codes, and no function of ``indexed``,
 ``functors`` or ``groth`` reads a table, which one run confirms on the
-base, the fibers and the total.
+base, the fibers and the total.  Its compositors and unitors stay arrays,
+and its arrows are checked all at once: a run confirms that validating
+one makes no ``NatTrans`` and calls no ``validate_functor``, and the
+transitivity factorisation condition composes on the cells as well.
 ``ioformats`` writes and reads a category on its cells and
 ``core.subcategory`` composes on them, so writing a total and cutting the
 fibers of its projection make none either.  The other builders compose
@@ -38,9 +41,9 @@ import ast
 import json
 import pathlib
 
-from fibcat import cli, groups
+from fibcat import cli, groups, indexed
 from fibcat.fitype import check_fi_type
-from fibcat.functors import identity_functor
+from fibcat.functors import NatTrans, identity_functor
 from fibcat.generators import (
     arrow_category,
     chain_poset,
@@ -283,6 +286,32 @@ def test_grothendieck_of_an_indexed_category_makes_no_table():
     gr = grothendieck(M)
     made = [C for C in (M.base, *M.fibers.values(), gr.total) if "table" in vars(C)]
     assert made == []
+
+
+def test_validating_an_indexed_category_makes_no_transformation(monkeypatch):
+    """``validate_indexed`` keeps every compositor and unitor as the arrays
+    of its coding and checks the arrows in one pass: on the parts of
+    ``indexed_gpow(Z2, 3)``, with the default identities or with the views
+    of a validated category given back, it constructs no ``NatTrans`` and
+    calls ``validate_functor`` zero times.  Reading a view makes it, once."""
+    M = indexed_gpow(cyclic_group(2), 3)
+    made, checked = [], []
+    init = NatTrans.__init__
+    monkeypatch.setattr(NatTrans, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(indexed, "validate_functor", lambda *a: checked.append(a))
+    N = indexed.validate_indexed(M.base, M.fibers, M.arrows)
+    indexed.validate_indexed(M.base, M.fibers, M.arrows, N.compositors, N.unitors)
+    assert (made, checked) == ([], [])
+    f, g = next(iter(N.compositors))
+    assert N.mu(f, g) is N.compositors[(f, g)] and len(made) == 1
+
+
+def test_ell_condition_composes_on_the_cells():
+    """The factorisation condition of the transitivity lemma reads mu from
+    ``M.coding`` and composes on the cells: it calls no ``comp`` and reads
+    no ``table``."""
+    read, called = _reads("fitype", "transitivity_ell_condition")
+    assert "coding" in read and not read & {"table", "_table"} and "comp" not in called
 
 
 def test_json_edge_reads_no_table():
