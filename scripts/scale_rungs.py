@@ -27,7 +27,14 @@ import sys
 import time
 
 from fibcat.fitype import check_fi_type
-from fibcat.generators import arrow_category, fi_truncated, indexed_gpow, slice_indexed
+from fibcat.generators import (
+    arrow_category,
+    chain_poset,
+    fi_truncated,
+    indexed_gpow,
+    product_category,
+    slice_indexed,
+)
 from fibcat.groth import grothendieck
 from fibcat.groups import cyclic_group
 from fibcat.indexed import validate_indexed
@@ -78,6 +85,9 @@ RUNGS = {
     "slice_fi4_total": (lambda: slice_indexed(fi_truncated(4)), lambda M: grothendieck(M).total),
     # FI_7: 8 objects, 16,072 morphisms, 81.5M composites
     "fi7": _build(lambda: fi_truncated(7)),
+    # the poset chain10 x chain10: 100 objects, 3,025 morphisms, each alone
+    # in its hom-set
+    "chain10x10": _build(lambda: product_category(chain_poset(10), chain_poset(10))),
     # the file of the FI_Z2 total category for N=4 (263,137 composites, 36 MB),
     # written from the category, and read back from its text
     "write_fi_z2_4_total": (_fi_z2_4_total, lambda C: stable_dumps(category_to_json(C))),
@@ -90,6 +100,8 @@ RUNGS = {
     "audit_fi5": (lambda: fi_truncated(5), check_fi_type),
     "audit_fi_z2_4_total": (_fi_z2_4_total, check_fi_type),
     "audit_fi6": (lambda: fi_truncated(6), check_fi_type),
+    # the FI_Z3 total category for N=4 (2,969 morphisms)
+    "audit_fi_z3_4_total": (lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total, check_fi_type),
     # condition 7 alone, on the same categories
     "weak_pushouts_fi_z2_4_total": (_with_pullbacks(_fi_z2_4_total), has_weak_pushouts),
     "weak_pushouts_fi6": (_with_pullbacks(lambda: fi_truncated(6)), has_weak_pushouts),

@@ -176,8 +176,9 @@ def unfunctorial(S, T, units, maps, items, whole) -> np.ndarray:
     the source of map i, (i, k) for every code k, and (i, f, g) for the
     pairs Light's test composes (see ``light_pairs``); ``whole[i]`` tells
     whether map i's tables have no key beyond its source's ids.  Checked in
-    turn, each on the maps that passed so far: every object mapped, every
-    morphism mapped with its endpoints, identities, composites."""
+    turn, each on the maps that passed so far, until every map has failed:
+    every object mapped, every morphism mapped with its endpoints,
+    identities, composites."""
     at, image, ob_at, image_ob = maps
     bad = ~whole
 
@@ -190,12 +191,18 @@ def unfunctorial(S, T, units, maps, items, whole) -> np.ndarray:
     objects, codes, pairs = items
     i, o = objects
     bad[i[image_ob[ob_at[i] + o] < 0]] = True
+    if bad.all():
+        return bad
     i, k = passing(codes)
     m = image[at[i] + k]
     ends = (T.src[m] == image_ob[ob_at[i] + S.src[k]]) & (T.tgt[m] == image_ob[ob_at[i] + S.tgt[k]])
     bad[i[(m < 0) | ~ends]] = True
+    if bad.all():
+        return bad
     i, o = passing(objects)
     bad[i[image[at[i] + units[0][o]] != units[1][image_ob[ob_at[i] + o]]]] = True
+    if bad.all():
+        return bad
     i, f, g = passing(pairs)
     made = T.cells[T.cell(image[at[i] + f], image[at[i] + g])]
     bad[i[made != image[at[i] + S.cells[S.cell(f, g)]]]] = True

@@ -609,15 +609,31 @@ def _arrow_mid(f: str, u: str, v: str, g: str) -> str:
 
 def arrow_category(C: FinCat) -> FinCat:
     """Morphisms of C as objects, commuting squares u;g = f;v as morphisms,
-    whose two parts are the codes of u and v."""
+    whose two parts are the codes of u and v.
+
+    The squares are found one pair of hom-sets at a time: for f in hom(a,
+    b) and g in hom(c, d), one comparison of the cells u;g against f;v, over
+    every u in hom(a, c) and v in hom(b, d), finds them all.  They are
+    listed by (f, g) in id order and then by the codes (u, v)."""
     K, objs = C.coding, C.morphisms
-    sqs = {}
-    for f in objs:
-        for g in objs:
-            us, vs = C.hom_codes(C.src[f], C.src[g]), C.hom_codes(C.tgt[f], C.tgt[g])
-            i, j = np.nonzero(K.cells[K.cell(us, K.code[g])][:, None] == K.cells[K.cell(K.code[f], vs)])
-            for u, v in zip(us[i].tolist(), vs[j].tolist()):
-                sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, K.ids[u], K.ids[v], g)
+    found = [(np.empty(0, np.int64),) * 4]
+    for a, b in K.start:
+        for c, d in K.start:
+            if (a, c) not in K.start or (b, d) not in K.start:
+                continue
+            fs, gs, us, vs = (C.hom_codes(*xy) for xy in ((a, b), (c, d), (a, c), (b, d)))
+            fv = K.cells[K.cell(fs[:, None], vs)]
+            ug = K.cells[K.cell(us[:, None], gs)]
+            i, j, k, m = np.nonzero(fv[:, None, None, :] == ug.T[None, :, :, None])
+            found.append((fs[i], gs[j], us[k], vs[m]))
+    f, g, u, v = (np.concatenate(column) for column in zip(*found))
+    rank = np.empty(len(objs), np.int64)
+    rank[[K.code[m] for m in objs]] = np.arange(len(objs))
+    order = np.lexsort((v, u, rank[g], rank[f]))
+    f, g, u, v = f[order], g[order], u[order], v[order]
+    sqs, names = {}, np.array(K.ids, object)
+    for f, g, u, v, u_id, v_id in zip(names[f], names[g], u.tolist(), v.tolist(), names[u], names[v]):
+        sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, u_id, v_id, g)
     return from_parts(
         {f: (K.code[C.id_of(C.src[f])], K.code[C.id_of(C.tgt[f])]) for f in objs}, sqs, (C, C)
     )

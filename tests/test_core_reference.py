@@ -393,6 +393,35 @@ def test_non_associative_loop_matches_reference():
     )
 
 
+def one_bad_triple(bad):
+    """Two f: s→b from each source s of a, m and z, then g: b→c and h: c→d,
+    with u = f;g, v = g;h and x = u;h = f;v for each f, except that
+    f = ``bad`` has f;v = y, another morphism s→d: (bad, g, h) is the one
+    non-associative triple.  Into b, (a, b) is the first hom-set and (z, b)
+    the last.  Returns the ``validate_category`` arguments."""
+    objects = "abcdmz"
+    morphisms = [("g", "b", "c"), ("h", "c", "d"), ("v", "b", "d"), ("y", bad[0], "d")]
+    morphisms += [("i" + x, x, x) for x in objects]
+    table = {("g", "h"): "v"}
+    for f in (s + k for s in "amz" for k in "01"):
+        morphisms += [(f, f[0], "b"), ("u" + f, f[0], "c"), ("x" + f, f[0], "d")]
+        table[(f, "g")] = "u" + f
+        table[("u" + f, "h")] = table[(f, "v")] = "x" + f
+    table[(bad, "v")] = "y"
+    return objects, morphisms, {x: "i" + x for x in objects}, table
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+@pytest.mark.parametrize("bad", ["a0", "z1"])
+def test_lone_violation_in_first_or_last_source_hom_set(monkeypatch, bad, cells):
+    """Light's sweep of g runs over every f into b at once, from every
+    source hom-set; the one bad f is caught in the first of them and in the
+    last, also when every round holds a single (f, g)."""
+    if cells is not None:
+        monkeypatch.setattr(core, "_SWEEP_CELLS", cells)
+    assert both(*one_bad_triple(bad)) == (AssociativityViolation, ((bad, "g", "h"),))
+
+
 def assert_generates(C):
     """With the identities, the generating set of ``C`` composes to every
     morphism, and it holds every non-identity that is no composite of two."""
