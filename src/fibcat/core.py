@@ -16,19 +16,13 @@ checks (``_checked``) read the cells and build the ``FinCat``, whose string
 ``table`` is derived from the cells when it is first read.  These builders
 fill the cells:
 
-* ``assemble`` lays out hom-set blocks ``{payload: id}``, and its composer
-  composes a whole pair of blocks at once: ``compose(x, y, z)`` is an
-  integer array whose entry (i, j) is the position, in the insertion order
-  of block (x, z), of the i-th payload of (x, y) followed by the j-th of
-  (y, z).  The injection builders of ``generators`` compute these arrays
-  with numpy, and ``subcategory`` reads them off the cells of the category
-  it is cut from.
 * ``from_parts`` lays out blocks ``{parts: id}``, each morphism listed by
   the codes of its components in the codings of some factor categories,
-  and composes them factor by factor on the factors' cells, a round of
-  cells at a time: ``generators``' products and group powers, slices (the
-  triangle's h), arrow categories (the square's u and v) and relation
-  categories (no parts).
+  and composes them on the factors' cells: ``generators``' products and
+  group powers, slices (the triangle's h), arrow categories (the square's
+  u and v) and relation categories (no parts).
+* ``generators``' injection builders rank the images of whole pairs of
+  blocks by lookup; ``subcategory`` gathers its parent's cells.
 * ``groups.group_as_category`` writes the cells from the multiplication.
 * ``validate_category`` vets raw ids (JSON files, tests) without a Python
   step per composite: it reads the composition triples into one ``int32``
@@ -44,10 +38,10 @@ pair that is not composable), the unit laws by sorted id; then per pair of
 blocks in block order the first missing composite (``MissingComposite``),
 else the first composite outside its hom-set
 (``CompositeEndpointViolation``).  The array checks only find whether an
-error exists; a scan then names the first one.  Then in ``assemble``, per
-pair of blocks in block order, the composer's own error, else the first
-position outside the target block (``CompositeEndpointViolation``); in
-``from_parts`` and ``groth.grothendieck``, the first cell in cell order
+error exists; a scan then names the first one.  Then in the injection
+builders, per pair of blocks in block order, the first position outside
+the target block (``CompositeEndpointViolation``); in ``from_parts``,
+``subcategory`` and ``groth.grothendieck``, the first cell in cell order
 whose composite is not there (``CompositeEndpointViolation``).  Then the
 identities and unit laws, and the first non-associative triple in the
 order (a, b), c, d, (f, g, h).
@@ -77,7 +71,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -118,6 +111,10 @@ class UnknownMorphism(CategoryError):
 
 class UnknownObject(CategoryError):
     pass
+
+
+class TooManyCells(CategoryError):
+    """The cells of a coding do not fit in memory."""
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,8 @@ _ROUND_CELLS = 1 << 16  # cells read per numpy round
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Coding:
-    """The integer coding of a category's composites, built once by
-    ``assemble`` or ``validate_category``.
+    """The integer coding of a category's composites, made once by
+    ``from_cells`` for every builder.
 
     Codes are block-major: by hom-set in sorted (src, tgt) order, then by
     id, so each hom-set is one range of codes and so are the morphisms out
@@ -311,7 +308,11 @@ def _coding(objects, homs) -> Coding:
     row = np.concatenate(([0], np.cumsum(width[tgt])))
     start = dict(zip(keys, (np.cumsum(sizes) - sizes).tolist()))
     code = dict(zip(ids, range(len(ids))))
-    return Coding(ids, code, start, src, tgt, out, row, np.full(row[-1], -1, np.int32))
+    try:
+        cells = np.full(row[-1], -1, np.int32)
+    except MemoryError:
+        raise TooManyCells("%d cells (%.1f GiB) could not be allocated" % (row[-1], row[-1] / 2**28)) from None
+    return Coding(ids, code, start, src, tgt, out, row, cells)
 
 
 class _FreshCodes(dict):
@@ -372,7 +373,7 @@ def _vet_ids(objects, morphisms, identity):
 
 
 def validate_category(objects, morphisms, identity, composition) -> FinCat:
-    """Vet a category given by raw ids, then check it like ``assemble``.
+    """Vet a category given by raw ids, then check it like every builder.
 
     ``morphisms`` is an iterable of ``(id, src, tgt)`` triples, ``identity``
     maps objects to morphism ids, ``composition`` is an iterable of
@@ -383,7 +384,7 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
 
     The composition is coded in one C-level pass, checked with array
     operations and written straight into the cells of the coding, which
-    ``_checked`` then checks as it checks ``assemble``'s; when a check
+    ``_checked`` then checks as it checks every builder's; when a check
     fails, a scan names the error that the order in the module docstring
     puts first.  Only the coding is made: ``FinCat.table`` is derived from
     it when first read.
@@ -457,48 +458,25 @@ def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composi
         raise CompositeEndpointViolation((*pair, coding.ids[cells[at[k]]]))
 
 
-def assemble(identities: dict, blocks: dict, compose) -> FinCat:
-    """Lay out and check the category whose hom-sets are ``blocks``.
+def from_parts(identities: dict, blocks: dict, factors) -> FinCat:
+    """Lay out and check the category whose morphisms are listed by their
+    parts in the categories ``factors``.
 
-    ``blocks`` maps (x, y) to ``{payload: morphism id}`` and ``identities``
-    maps each object to the payload of its identity.  ``compose(x, y, z)``
-    composes the blocks (x, y) and (y, z): an integer array of shape
-    (|blocks[(x, y)]|, |blocks[(y, z)]|) whose entry (i, j) is the position,
-    in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
-    (x, y) followed by the j-th of (y, z).  Pairs of blocks are composed
-    once each, and each position is mapped to its code, which fills its
-    cell of the coding.  After an unknown endpoint or a repeated id, errors
-    are the composer's own, then per pair of blocks
-    ``CompositeEndpointViolation((f, g, position))`` for the first position
-    outside block (x, z); then ``MissingIdentity``, ``UnitViolation`` and
-    ``AssociativityViolation``.
+    ``blocks`` maps (x, y) to ``{parts: morphism id}``, where ``parts`` holds
+    one code of the coding of each factor, and ``identities`` maps each
+    object to the parts of its identity.  The parts of f;g are, factor by
+    factor, the composites of the parts of f and of g, so each part of a
+    morphism x→y must run between the factor's objects of x and y, those of
+    their identities' parts.  Then the places of f;g's parts in the hom-sets
+    of block (src f, tgt g), in mixed radix, index a dense table of that
+    block's codes.  Each cell is written, a round of ``Coding.rounds`` at a
+    time, by one gather per factor and one lookup in that table, whose start
+    is read off the pair of blocks of f and g.  After an unknown endpoint or
+    a repeated id, a part between other objects raises ``CategoryError``,
+    and the first cell in cell order whose composite is not listed raises
+    ``CompositeEndpointViolation((f, g))``; then ``MissingIdentity``,
+    ``UnitViolation`` and ``AssociativityViolation``.
     """
-    blocks, identity, homs, src, tgt = _layout(identities, blocks)
-
-    def fill(coding):
-        # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
-        # z)]: their columns in the cells of a code into y.
-        ids, codes, columns, later = {}, {}, {}, {}
-        for (y, z), qs in blocks.items():
-            ids[(y, z)] = list(qs.values())
-            c = codes[(y, z)] = np.array([coding.code[m] for m in qs.values()], np.int64)
-            columns[(y, z)] = c - coding.out[coding.src[c[0]]]
-            later.setdefault(y, []).append(z)
-        for (x, y), pids in ids.items():
-            at_rows = coding.row[codes[(x, y)]][:, None]
-            for z in later.get(y, ()):
-                at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
-                if at.min() < 0 or at.max() >= n:
-                    i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
-                    raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
-                coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
-
-    return from_cells(identity, homs, src, tgt, fill)
-
-
-def _layout(identities: dict, blocks: dict):
-    """The nonempty ``blocks`` and the identity, hom-sets and endpoints of
-    the category they lay out, for ``assemble`` and ``from_parts``."""
     blocks = {xy: block for xy, block in blocks.items() if block}
     src, tgt = {}, {}
     for (x, y), block in blocks.items():
@@ -510,65 +488,55 @@ def _layout(identities: dict, blocks: dict):
             src[m], tgt[m] = x, y
     homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
     identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
-    return blocks, identity, homs, src, tgt
-
-
-def from_parts(identities: dict, blocks: dict, factors) -> FinCat:
-    """Lay out and check the category whose morphisms are listed by their
-    parts in the categories ``factors``.
-
-    ``blocks`` maps (x, y) to ``{parts: morphism id}``, where ``parts`` holds
-    one code of the coding of each factor, and ``identities`` maps each
-    object to the parts of its identity.  The parts of f;g are, factor by
-    factor, the composites of the parts of f and of g; so in each factor the
-    parts of the morphisms into an object must end, and those out of it
-    start, at one object.  Then every morphism is determined by its key
-    (source, target, parts), and each cell is written, one round of
-    ``Coding.rounds`` at a time, by one gather per factor, which gives the
-    composite's parts, and one ``searchsorted`` of its key among the keys
-    of all codes, which gives its code.  After an unknown endpoint or a
-    repeated id, a listing whose keys would overflow ``int64`` raises
-    ``CategoryError``, and the first cell in cell order whose key is not
-    listed raises ``CompositeEndpointViolation((f, g))``; then
-    ``MissingIdentity``, ``UnitViolation`` and ``AssociativityViolation``.
-    """
-    blocks, identity, homs, src, tgt = _layout(identities, blocks)
     codings = [C.coding for C in factors]
-    radices = [len(identity)] * 2 + [len(K.ids) for K in codings]
-    if math.prod(radices) > _KEY_BOUND:
-        raise CategoryError("keys of %d objects, parts %r overflow int64" % (radices[0], radices[2:]))
-
-    def key(columns):
-        """The mixed-radix key of each row of ``columns``, with ``radices``."""
-        made = np.zeros(len(columns[0]), np.int64)
-        for column, radix in zip(columns, radices):
-            made = made * radix + column
-        return made
+    units = np.array([identities[x] for x in identity], np.int64).reshape(len(identity), len(codings)).T
 
     def fill(coding):
-        n, ids, row = len(coding.ids), coding.ids, coding.row
+        n, ids, row, m = len(coding.ids), coding.ids, coding.row, len(identity)
         parts = np.empty((len(codings), n), np.int64)
         for block in blocks.values():
-            codes = [coding.code[m] for m in block.values()]
+            codes = [coding.code[mid] for mid in block.values()]
             parts[:, codes] = np.array(list(block), np.int64).reshape(len(block), -1).T
-        keys = key((coding.src, coding.tgt, *parts))
-        order = np.argsort(keys)
-        listed = keys[order]
+        # per factor: the cells, each code's part's row start and column, and
+        # each factor code's place in its hom-set and that hom-set's size
+        per_factor, key, span = [], np.zeros(n, np.int64), np.ones(n, np.int64)
+        for K, p, e in zip(codings, parts, units):
+            bad = (K.src[p] != K.src[e][coding.src]) | (K.tgt[p] != K.tgt[e][coding.tgt])
+            if bad.any():
+                raise CategoryError("a part of %r runs between other objects" % ids[int(np.argmax(bad))])
+            first = np.fromiter(K.start.values(), np.int64, len(K.start))
+            count = np.diff(first, append=len(K.ids))
+            place, size = np.arange(len(K.ids)) - np.repeat(first, count), np.repeat(count, count)
+            per_factor.append((K.cells, K.row[p], p - K.out[K.src[p]], place, size))
+            key, span = key * size[p] + place[p], span * size[p]
+        # per block: its ends, the start of its table and, per pair of blocks
+        # (x, y), (y, z), that of block (x, z), or the end of the tables
+        first = np.fromiter(coding.start.values(), np.int64, len(coding.start))
+        block = np.repeat(np.arange(len(first)), np.diff(first, append=n))
+        x, z, span = coding.src[first], coding.tgt[first], span[first]
+        start, end, out = np.cumsum(span) - span, int(span.sum()), np.searchsorted(x, np.arange(m + 1))
+        later = out[z + 1] - out[z]
+        pair = np.cumsum(later) - later
+        b1 = np.repeat(np.arange(len(first)), later)
+        made = x[b1] * m + z[out[z[b1]] + np.arange(len(b1)) - pair[b1]]
+        at = np.minimum(np.searchsorted(x * m + z, made), len(first) - 1)
+        pair_start = np.where(x[at] * m + z[at] == made, start[at], end)
+        table = np.full(end + 1, -1, np.int32)
+        table[start[block] + key] = np.arange(n)
+        in_pair, out_rank = pair[block], block - out[coding.src]
         for lo, hi in coding.rounds():
             f, g = coding.pairs(lo, hi)
-            made = [K.cells[K.cell(p[f], p[g])] for K, p in zip(codings, parts)]
-            made = key((coding.src[f], coding.tgt[g], *made))
-            at = np.minimum(np.searchsorted(listed, made), n - 1)
-            found = listed[at] == made
-            if not found.all():
-                k = int(np.argmin(found))
+            key = np.zeros(len(f), np.int64)
+            for cells, r, c, place, size in per_factor:
+                made = cells[r[f] + c[g]]
+                key = key * size[made] + place[made]
+            made = table[np.minimum(pair_start[in_pair[f] + out_rank[g]] + key, end)]
+            if (made < 0).any():
+                k = int(np.argmax(made < 0))
                 raise CompositeEndpointViolation((ids[f[k]], ids[g[k]]))
-            coding.cells[row[lo] : row[hi]] = order[at]
+            coding.cells[row[lo] : row[hi]] = made
 
     return from_cells(identity, homs, src, tgt, fill)
-
-
-_KEY_BOUND = 1 << 63  # keys are int64
 
 
 def from_cells(identity: dict, homs: dict, src: dict, tgt: dict, fill) -> FinCat:
@@ -642,29 +610,32 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     """The subcategory of ``C`` on ``objects`` and ``morphisms``, which must
     hold the identities of ``objects`` and be closed under composition.
 
-    Its blocks are composed on the cells of ``C.coding``: ``position`` holds
-    the place of each code of ``C`` in its subcategory block, or -1 outside
-    the subcategory.  A pair of blocks whose composites leave the
-    subcategory raises ``CompositeEndpointViolation((f, g, h))`` for the
-    first such composite h = f;g, in block order."""
-    coding, blocks = C.coding, {}
-    for m in morphisms:
-        blocks.setdefault((C.src[m], C.tgt[m]), {})[m] = m
-    codes = {xy: np.array([coding.code[m] for m in block], np.int64) for xy, block in blocks.items()}
-    position = np.full(len(coding.ids), -1, np.int64)
-    for c in codes.values():
-        position[c] = np.arange(len(c))
+    Its codes are those of ``morphisms`` in the order of ``C``'s, so its
+    cells are one gather of ``C``'s cells, mapped back by ``position``, the
+    code of each code of ``C`` in the subcategory or -1 outside it.  A
+    morphism with an endpoint outside ``objects`` raises ``UnknownObject``,
+    and the first cell in cell order whose composite h = f;g leaves the
+    subcategory ``CompositeEndpointViolation((f, g, h))``."""
+    K, inside = C.coding, set(objects)
+    keep = np.unique(np.array([K.code[m] for m in morphisms], np.int64))
+    ids = [K.ids[k] for k in keep.tolist()]
+    outside = next((m for m in ids if not {C.src[m], C.tgt[m]} <= inside), None)
+    if outside is not None:
+        raise UnknownObject("morphism %r has an endpoint outside the subcategory" % outside)
+    homs = {xy: tuple(ms) for xy, ms in itertools.groupby(ids, lambda m: (C.src[m], C.tgt[m]))}
+    position = np.full(len(K.ids), -1, np.int64)
+    position[keep] = np.arange(len(keep))
 
-    def compose(x, y, z):
-        made = coding.cells[coding.cell(codes[(x, y)][:, None], codes[(y, z)])]
-        at = position[made]
+    def fill(coding):
+        f, g = coding.pairs()
+        made = K.cells[K.cell(keep[f], keep[g])]
+        coding.cells[:] = at = position[made]
         if (at < 0).any():
-            i, j = map(int, np.argwhere(at < 0)[0])
-            f, g = list(blocks[(x, y)])[i], list(blocks[(y, z)])[j]
-            raise CompositeEndpointViolation((f, g, coding.ids[made[i, j]]))
-        return at
+            k = int(np.argmax(at < 0))
+            raise CompositeEndpointViolation((ids[f[k]], ids[g[k]], K.ids[made[k]]))
 
-    return assemble({x: C.id_of(x) for x in objects}, blocks, compose)
+    identity = {x: C.id_of(x) if position[K.code[C.id_of(x)]] >= 0 else None for x in sorted(inside)}
+    return from_cells(identity, homs, {m: C.src[m] for m in ids}, {m: C.tgt[m] for m in ids}, fill)
 
 
 # cells held by the arrays of one numpy round of a sweep: few enough to stay in
@@ -680,12 +651,17 @@ def _generators(homs: dict, coding: Coding, is_unit):
     S starts as every non-identity that is not a composite of two
     non-identities, which any generating set holds.  Then the hom-sets are
     visited in the order (rise, size, block), and while some morphism of
-    the one visited is not made, the least one by code joins S.  Each
-    addition is closed under composition incrementally: only the newly
-    made morphisms are composed with what is made, on either side, until
-    nothing new appears.  Any order of visits yields a generating set,
-    since each block is wholly made when its visit ends; the order decides
-    only how large S is.
+    the one visited is not made, the least one by code joins S, and what is
+    made is closed under composition again.  A pick p: x→y in a block that
+    rises by 0 is closed in rounds: the newly made morphisms are composed
+    with what is made, on either side, until nothing new appears.  A block
+    that rises joins two classes, so hom(y, x) is empty and p occurs at most
+    once in any composite; as what is made was closed before the pick, the
+    closure adds exactly the a;p;b over the made a into x and b out of y,
+    identities included: one gather of the cells (a, p), then one of their
+    rows at the made columns out of y.  Any order of visits yields a
+    generating set, since each block is wholly made when its visit ends;
+    the order decides only how large S is.
 
     The rise of a block (x, y) is h(y) - h(x), where the height h of an
     object is the length of the longest chain of classes strictly below its
@@ -701,9 +677,7 @@ def _generators(homs: dict, coding: Coding, is_unit):
     gives 66 generators, this order 15 (the adjacent transpositions of each
     Aut(k) and one injection k→k+1 for each k).
     """
-    n, src, tgt, out, row, cells = (
-        len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells,
-    )
+    n, src, tgt, out, row, cells = len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells
     into = coding.into
 
     def composites(fs, cols):
@@ -711,9 +685,12 @@ def _generators(homs: dict, coding: Coding, is_unit):
         the morphisms in the columns ``cols`` of their cells."""
         return cells[row[fs][:, None] + cols]
 
-    split = np.zeros(n, bool)  # the composites of two non-identities
+    split = np.zeros(n, bool)  # the composites of two non-identities, a round of rows at a time
     for y, fs in zip(range(len(out) - 1), into):
-        split[composites(fs[~is_unit[fs]], np.flatnonzero(~is_unit[out[y] : out[y + 1]]))] = True
+        fs, cols = fs[~is_unit[fs]], np.flatnonzero(~is_unit[out[y] : out[y + 1]])
+        step = max(1, _SWEEP_CELLS // max(1, len(cols)))
+        for lo in range(0, len(fs), step):
+            split[composites(fs[lo : lo + step], cols)] = True
     gens = ~split & ~is_unit
     made = gens | is_unit
 
@@ -748,13 +725,18 @@ def _generators(homs: dict, coding: Coding, is_unit):
     close(gens)
     for xy in sorted(homs, key=lambda xy: (rise[xy], len(homs[xy]), xy)):
         o, m = coding.start[xy], len(homs[xy])
+        x, y = src[o], tgt[o]
         while True:
             free = np.flatnonzero(~made[o : o + m])
             if not free.size:
                 break
-            fresh = np.zeros(n, bool)
-            fresh[o + free[0]] = made[o + free[0]] = gens[o + free[0]] = True
-            close(fresh)
+            p = o + free[0]
+            made[p] = gens[p] = True
+            if rise[xy]:
+                a = into[x][made[into[x]]]
+                made[composites(cells[row[a] + p - out[x]], np.flatnonzero(made[out[y] : out[y + 1]]))] = True
+            else:
+                close(np.arange(n) == p)
     return gens
 
 

@@ -10,14 +10,11 @@ are deterministic bit for bit:
   product pairs         "(left@right)"
   slice morphisms       "obj~underlying~obj"
 
-Every category here is laid out as hom-set blocks ``{(x, y): {payload:
-id}}`` and built by ``core.assemble`` or ``core.from_parts``, which
-validate it; generation never bypasses validation.  FI, FI_G and coloured
-FI share one numpy composer for ``assemble``, ``_injection_category``,
-which composes a whole pair of blocks at once: images by a gather,
-decorations through the group's multiplication table, and each composite
-ranked in its target block by its base-n image code and its mixed-radix
-decoration code.  Every other builder lists each morphism by its parts, the
+Every category here is built through ``core.from_cells``, whose checks
+validate it.  FI, FI_G and coloured FI share one numpy builder,
+``_injection_category``, which composes a whole pair of hom-set blocks at
+once: images by a gather and ranked by lookup, decorations through the
+group's multiplication table.  Every other builder lists each morphism by its parts, the
 codes of its components in factor categories, and ``from_parts`` composes
 them on the factors' cells: products and powers (the entries; a group power
 ``gpow_fiber`` is a power of ``group_as_category``), slices (the triangle's
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FinCat, CategoryError, assemble, from_parts
+from .core import FinCat, CategoryError, CompositeEndpointViolation, from_cells, from_parts
 from .functors import (
     FinFunctor,
     FunctorProperties,
@@ -145,11 +142,29 @@ def fi_truncated(N: int) -> FinCat:
 
 
 def _radix(images, n):
-    """The base-``n`` code of each image tuple along the last axis, as int64."""
-    code = np.zeros(images.shape[:-1], np.int64)
+    """The base-``n`` code of each image tuple along the last axis, ``int32`` where it fits."""
+    code = np.zeros(images.shape[:-1], np.int32 if n ** images.shape[-1] < 1 << 31 else np.int64)
     for k in range(images.shape[-1]):
         code *= n
         code += images[..., k]
+    return code
+
+
+def _composite_coder(f_img, n_y):
+    """``code(g_img, n_z)``: the base-``n_z`` codes of the images of g∘f, a
+    row per image ``g_img`` of g and a column per image ``f_img`` of f."""
+    n_f, k = f_img.shape
+    ops = [(2 * (h * math.perm(n_y, h) + (k - h) * math.perm(n_y, k - h)) + 3 * n_f, h) for h in range(1, k)]
+    cost, h = min(ops, default=(2 * k * n_f, 0))
+    if cost >= 2 * k * n_f:
+        return lambda g_img, n_z: _radix(g_img[:, f_img], n_z)
+    heads, head = np.unique(f_img[:, :h], axis=0, return_inverse=True)
+    tails, tail = np.unique(f_img[:, h:], axis=0, return_inverse=True)
+
+    def code(g_img, n_z):
+        made = (_radix(g_img[:, heads], n_z) * n_z ** (k - h))[:, head.ravel()]
+        return made + _radix(g_img[:, tails], n_z)[:, tail.ravel()]
+
     return code
 
 
@@ -160,70 +175,83 @@ def _injection_category(points: dict, images, mid) -> FinCat:
     image tuples of the injections s→t in block order (an injection keeps
     each point's group) and ``mid(s, t, imgs, decs)`` the id of one.  A
     block lists each image with every decoration, one element of its point's
-    group per source point, in ``itertools.product`` order: the payload at
+    group per source point, in ``itertools.product`` order: the morphism at
     position i·D + k of hom(s, t), D the number of decorations of s, is image
     i with decoration k, and k is the mixed-radix code of the decoration's
     element indices, last point fastest.
 
     f: s→t then g: t→u has image g_img[f_img] and decoration
-    ``mul(f_dec[k], g_dec[f_img[k]])`` at k.  ``compose(x, y, z)`` computes
-    both for every pair of its two blocks at once, ranks the images by
-    ``np.searchsorted`` among the sorted codes of block (x, z) and gives an
-    image not found there a position past the block's end, which ``assemble``
-    rejects.  Intermediate arrays are built one (x, y, z) at a time, images
-    in the narrowest unsigned dtype.
+    ``mul(f_dec[k], g_dec[f_img[k]])`` at k.  The cells are written through
+    ``core.from_cells`` a pair of blocks (x, y), (y, z) at a time, in sorted
+    order: (x, y), then z.  A dense ``int32`` table per block (x, z), held
+    while x is composed, maps the base-|z| code Σ_i |z|^(k-1-i)·g[f_i] of
+    each image to its position and any other code one past the end, where
+    the first such position raises ``CompositeEndpointViolation((f, g,
+    position))``.  Where all three blocks list their ids in code order (as
+    FI_N does for N ≤ 10), a position plus the first code of (x, z)
+    is the code and goes straight into the cells; else positions are mapped
+    to codes and scattered.  ``_composite_coder`` codes the images in k
+    passes, 2k element operations a cell, or from each g's codes of f's
+    heads of h points and tails of k - h (at most P(|y|, h) and P(|y|,
+    k - h), at 2h and 2(k - h) operations each), then two gathers and an
+    add a cell: whichever counts fewer operations.
     """
-    decs, muls, units, blocks, img, index, tables = {}, {}, {}, {}, {}, {}, {}
-    for s, groups in points.items():
+    objects = sorted(points)
+    decs, muls, units, img, ids, later, tables, identity = {}, {}, {}, {}, {}, {}, {}, dict.fromkeys(objects)
+    for s in objects:
+        groups = points[s]
         sizes = [len(G) for G in groups]
-        decs[s] = np.array(
-            list(itertools.product(*map(range, sizes))), np.intp
-        ).reshape(math.prod(sizes), len(sizes))
+        decs[s] = np.array(list(itertools.product(*map(range, sizes))), np.intp).reshape(math.prod(sizes), -1)
         weights = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        for G in groups:
-            if G not in tables:
-                pos = {e: i for i, e in enumerate(G.elements)}
-                tables[G] = np.array(
-                    [[pos[G.mul(a, b)] for b in G.elements] for a in G.elements], np.int32
-                )
+        for G in set(groups) - tables.keys():
+            pos = {e: i for i, e in enumerate(G.elements)}
+            tables[G] = np.array([[pos[G.mul(a, b)] for b in G.elements] for a in G.elements], np.int32)
         muls[s] = [tables[G] * w for G, w in zip(groups, weights)]
         units[s] = sum(G.elements.index(G.unit) * w for G, w in zip(groups, weights))
-        elements = [G.elements for G in groups]
-        for t in points:
+        elements, unit = [G.elements for G in groups], tuple(range(len(groups)))
+        for t in objects:
             ims = images(s, t)
             if ims:
-                arr = np.array(ims, np.min_scalar_type(len(points[t])))
-                img[(s, t)] = arr.reshape(len(ims), len(groups))
-                code = _radix(img[(s, t)], len(points[t]))
-                perm = np.argsort(code).astype(np.int32)
-                index[(s, t)] = code[perm], perm
-                blocks[(s, t)] = dict(
-                    enumerate(mid(s, t, i, d) for i in ims for d in itertools.product(*elements))
-                )
+                img[(s, t)] = np.array(ims, np.int32).reshape(len(ims), len(groups))
+                ids[(s, t)] = [mid(s, t, i, d) for i in ims for d in itertools.product(*elements)]
+                later.setdefault(s, []).append(t)
+            if t == s and unit in ims:
+                identity[s] = ids[(s, s)][list(ims).index(unit) * len(decs[s]) + units[s]]
+    homs = {xy: tuple(sorted(ms)) for xy, ms in ids.items()}
+    src, tgt = ({m: xy[k] for xy, ms in ids.items() for m in ms} for k in (0, 1))
 
-    def rank(x, z, code):
-        """Position in the images of block (x, z) of each image code; one past
-        the last image for a code that is not there."""
-        keys, perm = index[(x, z)]
-        r = np.minimum(np.searchsorted(keys, code), len(keys) - 1)
-        return np.where(keys[r] == code, perm[r], len(keys))
+    def fill(coding):
+        codes = {xy: np.array([coding.code[m] for m in ms], np.int64) for xy, ms in ids.items()}
+        in_order = {xy: bool((np.diff(c) > 0).all()) for xy, c in codes.items()}  # ids listed by code
+        for x, ys in later.items():
+            rank = {}  # the tables of the blocks out of x, held only while x is composed
+            for z in ys:
+                rank[z] = np.full(len(points[z]) ** len(points[x]), len(img[(x, z)]), np.int32)
+                rank[z][_radix(img[(x, z)], len(points[z]))] = np.arange(len(img[(x, z)]))
+            for y in ys:
+                f_img, f_dec, g_dec, o = img[(x, y)], decs[x], decs[y], coding.start[(x, y)]
+                coder = _composite_coder(f_img, len(points[y]))
+                f_at = codes[(x, y)] - o
+                rows = coding.cells[coding.row[o] : coding.row[o + len(f_at)]].reshape(len(f_at), -1)
+                for z in later[y]:
+                    # at[image of f, image of g]; dec[decoration of f, image of f, decoration of g]
+                    at = rank[z][coder(img[(y, z)], len(points[z]))].T
+                    if len(f_dec) > 1 or len(g_dec) > 1:
+                        dec = np.zeros((len(f_dec), len(f_img), len(g_dec)), np.int32)
+                        for k, mul in enumerate(muls[x]):
+                            dec += mul[f_dec[:, k, None, None], g_dec[:, f_img[:, k]].T]
+                        at = at[:, None, :, None] * len(f_dec) + dec.transpose(1, 0, 2)[:, :, None, :]
+                        at = at.reshape(len(f_img) * len(f_dec), -1)
+                    if at.max() >= len(ids[(x, z)]):
+                        i, j = map(int, np.argwhere(at >= len(ids[(x, z)]))[0])
+                        raise CompositeEndpointViolation((ids[(x, y)][i], ids[(y, z)][j], int(at[i, j])))
+                    cols = codes[(y, z)] - coding.out[coding.src[codes[(y, z)][0]]]
+                    if in_order[(x, y)] and in_order[(y, z)] and in_order[(x, z)]:
+                        np.add(at, int(codes[(x, z)][0]), out=rows[:, cols[0] : cols[0] + len(cols)])
+                    else:
+                        rows[np.ix_(f_at, cols)] = codes[(x, z)][at]
 
-    def compose(x, y, z):
-        f_img, g_img, f_dec, g_dec = img[(x, y)], img[(y, z)], decs[x], decs[y]
-        # at[image of f, image of g]; dec[decoration of f, image of f, decoration of g]
-        at = rank(x, z, _radix(g_img[:, f_img], len(points[z]))).T
-        dec = np.zeros((len(f_dec), len(f_img), len(g_dec)), np.int32)
-        for k, mul in enumerate(muls[x]):
-            dec += mul[f_dec[:, k, None, None], g_dec[:, f_img[:, k]].T]
-        D = len(f_dec)
-        out = at[:, None, :, None] * D + dec.transpose(1, 0, 2)[:, :, None, :]
-        return out.reshape(len(f_img) * D, len(g_img) * len(g_dec))
-
-    identities = {}
-    for s, groups in points.items():
-        image = int(rank(s, s, _radix(np.arange(len(groups)), len(groups))))
-        identities[s] = image * len(decs[s]) + units[s]
-    return assemble(identities, blocks, compose)
+    return from_cells(identity, homs, src, tgt, fill)
 
 
 def _check_element_ids(G: GroupTable) -> None:
@@ -270,20 +298,30 @@ def gpow_fiber(G: GroupTable, n: int) -> FinCat:
     return _product((group_as_category(G),) * n, lambda t: "*", tuple_id)
 
 
+def _selections(entries, N: int, name):
+    """``select(n, imgs)``: t ↦ (t[i] for i in imgs) from the n-tuples of
+    ``entries``, n ≤ N, named by ``name`` in ``itertools.product`` order,
+    each image found by its place in that order (one matrix product)."""
+    names = [list(map(name, itertools.product(entries, repeat=n))) for n in range(N + 1)]
+    digits = [np.array(list(itertools.product(range(len(entries)), repeat=n)), int) for n in range(N + 1)]
+
+    def select(n, imgs):
+        at = digits[n][:, list(imgs)] @ (len(entries) ** np.arange(len(imgs) - 1, -1, -1))
+        return dict(zip(names[n], map(names[len(imgs)].__getitem__, at.tolist())))
+
+    return select
+
+
 def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
     """The strict indexed category n ↦ G^n over truncated FI, arrows by
     coordinate pullback along the injection."""
     _check_element_ids(G)
-    base = fi_truncated(N)
+    base, select = fi_truncated(N), _selections(G.elements, N, tuple_id)
     fibers = {str(n): gpow_fiber(G, n) for n in range(N + 1)}
     arrows = {}
     for f in base.morphisms:
         m, n, imgs = parse_inj(f)
-        src_fib, tgt_fib = fibers[str(n)], fibers[str(m)]
-        on_m = {}
-        for t in itertools.product(G.elements, repeat=n):
-            on_m[tuple_id(t)] = tuple_id(tuple(t[i] for i in imgs))
-        arrows[f] = FinFunctor(src_fib, tgt_fib, {"*": "*"}, on_m)
+        arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], {"*": "*"}, select(n, imgs))
     return validate_indexed(base, fibers, arrows)
 
 
@@ -392,22 +430,14 @@ def _parse_mor_tuple(mid: str) -> tuple:
 
 def block_perm_indexed(N: int, Q: int) -> IndexedCat:
     """Fibers are powers of truncated FI; arrows select coordinates."""
-    base = fi_truncated(N)
-    inner = fi_truncated(Q)
+    base, inner = fi_truncated(N), fi_truncated(Q)
+    on_objects = _selections(inner.objects, N, tuple_id)
+    on_morphisms = _selections(inner.morphisms, N, _mor_tuple_id)
     fibers = {str(n): _power_fiber(inner, n) for n in range(N + 1)}
     arrows = {}
     for f in base.morphisms:
         m, n, imgs = parse_inj(f)
-        src_fib, tgt_fib = fibers[str(n)], fibers[str(m)]
-        on_o = {
-            tuple_id(t): tuple_id([t[i] for i in imgs])
-            for t in itertools.product(inner.objects, repeat=n)
-        }
-        on_m = {
-            _mor_tuple_id(t): _mor_tuple_id([t[i] for i in imgs])
-            for t in itertools.product(inner.morphisms, repeat=n)
-        }
-        arrows[f] = FinFunctor(src_fib, tgt_fib, on_o, on_m)
+        arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], on_objects(n, imgs), on_morphisms(n, imgs))
     return validate_indexed(base, fibers, arrows)
 
 
@@ -444,12 +474,8 @@ def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
 
 def colored_strings(colors: str, N: int) -> list:
     """All strings over ``colors`` with at most N occurrences of each colour."""
-    out = []
-    for length in range(len(colors) * N + 1):
-        for s in itertools.product(colors, repeat=length):
-            if all(s.count(c) <= N for c in colors):
-                out.append("".join(s))
-    return sorted(out)
+    strings = itertools.chain(*(itertools.product(colors, repeat=k) for k in range(len(colors) * N + 1)))
+    return sorted("".join(s) for s in strings if all(s.count(c) <= N for c in colors))
 
 
 def fi_colored(color_groups: dict, N: int) -> FinCat:
@@ -459,20 +485,11 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
         _check_element_ids(G)
 
     def images(s, t):
-        spos = {c: [i for i, ch in enumerate(s) if ch == c] for c in colors}
-        tpos = {c: [i for i, ch in enumerate(t) if ch == c] for c in colors}
-        if any(len(spos[c]) > len(tpos[c]) for c in colors):
-            return []
+        spos, tpos = ([[i for i, ch in enumerate(u) if ch == c] for c in colors] for u in (s, t))
         out = []
-        per_color = [
-            list(itertools.permutations(tpos[c], len(spos[c]))) for c in colors
-        ]
-        for combo in itertools.product(*per_color):
-            imgs = [None] * len(s)
-            for c, chosen in zip(colors, combo):
-                for k, i in enumerate(spos[c]):
-                    imgs[i] = chosen[k]
-            out.append(tuple(imgs))
+        for chosen in itertools.product(*map(itertools.permutations, tpos, map(len, spos))):
+            image = dict(zip(itertools.chain(*spos), itertools.chain(*chosen)))
+            out.append(tuple(image[i] for i in range(len(s))))
         return out
 
     return _injection_category(

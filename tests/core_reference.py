@@ -9,8 +9,9 @@ sweep ``fibcat.core`` ran before it moved to ``int32`` local codes and one
 sweep per (a, b, c), with global-code composition blocks ``P`` beside
 local-code blocks ``L``, an ``nmor``-long global-to-local array per hom-set,
 and a broadcast comparison for every composable (a, b, c, d).  It is kept
-only as the oracle for ``test_core_reference.py`` and imports nothing
-private from ``fibcat``, so it shares no code with the construction it tests.
+only as the oracle for ``test_core_reference.py``; the module imports
+nothing private from ``fibcat``, and no reference here shares code with the
+construction it tests.
 
 ``assemble`` here keeps that per-composite contract, ``compose(x, p, q)``
 returning a payload; ``test_core_reference.py`` decodes the library's block
@@ -25,9 +26,18 @@ The builders that ``fibcat`` now fills from the parts of each morphism,
 ``core.from_parts``, are kept here as they were, one composite at a time
 through ``assemble`` and each factor's string table: ``relation_category``,
 ``product``, ``slice_category``, ``arrow_category``, ``gpow_fiber`` and
-``group_as_category``.  ``per_composite`` drives the library's
-``core.assemble`` with a per-composite formula, for the tests that build
-small categories from one.
+``group_as_category``.  ``injection_category`` builds FI, FI_G and
+coloured FI the same way, from the images and decorations of each
+morphism.  ``light_generators`` is Light's generating set as ``fibcat.core``
+chose it before a pick between two classes was closed in one step: every
+pick closed round by round, the oracle for ``FinCat.generators``.
+
+``assemble_blocks`` is not a reference.  It is the block builder the
+library had before its builders wrote their cells through
+``core.from_cells``, kept over ``from_cells`` with its error contract
+because the seeded corpus (``random_categories``) and the tests that build
+small categories from a composer use it; ``per_composite`` drives it with a
+per-composite formula.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from fibcat.core import (
     UnitViolation,
     UnknownMorphism,
     UnknownObject,
+    from_cells,
 )
 
 
@@ -297,8 +308,140 @@ def grothendieck_composite(M, p, q):
     )
 
 
+def injection_category(points: dict, images, mid):
+    """The category of decorated injections that
+    ``fibcat.generators._injection_category`` builds from the same
+    arguments, composed one composite at a time: f then g has image
+    g_img[f_img] and, at each point k of its source, decoration
+    ``mul(f_dec[k], g_dec[f_img[k]])`` in the group of that point."""
+    blocks = {}
+    for s in points:
+        for t in points:
+            decs = list(itertools.product(*(G.elements for G in points[s])))
+            block = {(i, d): mid(s, t, i, d) for i in images(s, t) for d in decs}
+            if block:
+                blocks[(s, t)] = block
+
+    def compose(x, p, q):
+        (f_imgs, f_decs), (g_imgs, g_decs) = p, q
+        decs = tuple(G.mul(d, g_decs[i]) for G, d, i in zip(points[x], f_decs, f_imgs))
+        return tuple(g_imgs[i] for i in f_imgs), decs
+
+    units = {s: (tuple(range(len(gs))), tuple(G.unit for G in gs)) for s, gs in points.items()}
+    return assemble(units, blocks, compose)
+
+
+def light_generators(C) -> tuple:
+    """Light's generating set S of ``C``, chosen as ``fibcat.core`` chooses
+    it, with every pick closed round by round: each round composes the
+    newly made morphisms with what is made, on either side, until nothing
+    new appears.  Read from ``C.coding``."""
+    coding, homs = C.coding, C.homs
+    n, src, tgt, out, row, cells = (
+        len(coding.ids), coding.src, coding.tgt, coding.out, coding.row, coding.cells,
+    )
+    into = coding.into
+    is_unit = np.isin(np.arange(n), [coding.code[i] for i in C.identity.values()])
+
+    def composites(fs, cols):
+        return cells[row[fs][:, None] + cols]
+
+    split = np.zeros(n, bool)
+    for y, fs in zip(range(len(out) - 1), into):
+        split[composites(fs[~is_unit[fs]], np.flatnonzero(~is_unit[out[y] : out[y + 1]]))] = True
+    gens = ~split & ~is_unit
+    made = gens | is_unit
+
+    def close(fresh):
+        while True:
+            got = np.zeros(n, bool)
+            new = np.flatnonzero(fresh)
+            ends = tgt[new]
+            for y in set(ends.tolist()):
+                got[composites(new[ends == y], np.flatnonzero(made[out[y] : out[y + 1]]))] = True
+            for x in set(src[new].tolist()):
+                fs = into[x][made[into[x]]]
+                got[composites(fs, np.flatnonzero(fresh[out[x] : out[x + 1]]))] = True
+            fresh = got & ~made
+            if not fresh.any():
+                return
+            made[fresh] = True
+
+    first = np.fromiter(coding.start.values(), np.int64, len(coding.start))
+    below = np.zeros((len(out) - 1,) * 2, bool)
+    below[src[first], tgt[first]] = True
+    below &= ~below.T
+    height = np.zeros(len(out) - 1, np.int64)
+    while True:
+        up = np.where(below, height[:, None] + 1, 0).max(0, initial=0)
+        if np.array_equal(up, height):
+            break
+        height = up
+    rise = dict(zip(coding.start, (height[tgt[first]] - height[src[first]]).tolist()))
+
+    close(gens)
+    for xy in sorted(homs, key=lambda xy: (rise[xy], len(homs[xy]), xy)):
+        o, m = coding.start[xy], len(homs[xy])
+        while True:
+            free = np.flatnonzero(~made[o : o + m])
+            if not free.size:
+                break
+            fresh = np.zeros(n, bool)
+            fresh[o + free[0]] = made[o + free[0]] = gens[o + free[0]] = True
+            close(fresh)
+    return tuple(sorted(coding.ids[k] for k in np.flatnonzero(gens).tolist()))
+
+
+def assemble_blocks(identities: dict, blocks: dict, compose):
+    """Lay out and check the category whose hom-sets are ``blocks``, through
+    ``fibcat.core.from_cells``.
+
+    ``blocks`` maps (x, y) to ``{payload: morphism id}`` and ``identities``
+    maps each object to the payload of its identity.  ``compose(x, y, z)``
+    composes the blocks (x, y) and (y, z): an integer array of shape
+    (|blocks[(x, y)]|, |blocks[(y, z)]|) whose entry (i, j) is the position,
+    in the insertion order of ``blocks[(x, z)]``, of the i-th payload of
+    (x, y) followed by the j-th of (y, z).  After an unknown endpoint or a
+    repeated id, errors are the composer's own, then per pair of blocks in
+    block order ``CompositeEndpointViolation((f, g, position))`` for the
+    first position outside block (x, z); then ``MissingIdentity``,
+    ``UnitViolation`` and ``AssociativityViolation``.
+    """
+    blocks = {xy: block for xy, block in blocks.items() if block}
+    src, tgt = {}, {}
+    for (x, y), block in blocks.items():
+        if x not in identities or y not in identities:
+            raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
+        for m in block.values():
+            if m in src:
+                raise CategoryError("duplicate morphism identifier %r" % m)
+            src[m], tgt[m] = x, y
+    homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
+    identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
+
+    def fill(coding):
+        # codes[(y, z)]: the codes of the block in insertion order; columns[(y,
+        # z)]: their columns in the cells of a code into y.
+        ids, codes, columns, later = {}, {}, {}, {}
+        for (y, z), qs in blocks.items():
+            ids[(y, z)] = list(qs.values())
+            c = codes[(y, z)] = np.array([coding.code[m] for m in qs.values()], np.int64)
+            columns[(y, z)] = c - coding.out[coding.src[c[0]]]
+            later.setdefault(y, []).append(z)
+        for (x, y), pids in ids.items():
+            at_rows = coding.row[codes[(x, y)]][:, None]
+            for z in later.get(y, ()):
+                at, qids, n = np.asarray(compose(x, y, z)), ids[(y, z)], len(ids.get((x, z), ()))
+                if at.min() < 0 or at.max() >= n:
+                    i, j = map(int, np.argwhere((at < 0) | (at >= n))[0])
+                    raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
+                coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
+
+    return from_cells(identity, homs, src, tgt, fill)
+
+
 def per_composite(blocks: dict, compose):
-    """The block composer, for the library's ``core.assemble`` over
+    """The block composer, for ``assemble_blocks`` over
     ``blocks``, of a per-composite ``compose(p, q)``: the payload of p: x→y
     then q: y→z, or None if missing (None is never a payload).  A pair of
     blocks raises ``MissingComposite((f, g))`` for its first missing

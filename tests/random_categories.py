@@ -2,7 +2,8 @@
 
 ``transformation_monoid`` is the one-object category of the maps of at most
 four points that a few random maps generate under composition, laid out as
-``core.assemble`` blocks with the payloads in a random order.
+``core_reference.assemble_blocks`` blocks with the payloads in a random
+order.
 ``generated_subcategory`` picks a few random morphisms of a category and
 closes them, with the identities of their endpoints, under composition: the
 arguments of ``core.subcategory``.  ``seeded_categories`` builds a corpus of
@@ -12,7 +13,7 @@ seed fixes the instance.
 
 from __future__ import annotations
 
-from core_reference import per_composite
+import core_reference
 from fibcat import core
 
 MONOIDS, SUBCATEGORIES = 40, 20
@@ -29,7 +30,7 @@ def map_id(f: tuple) -> str:
 
 
 def transformation_monoid(rng, max_points: int = 4, max_maps: int = 3):
-    """``assemble`` arguments (identities, blocks, compose) of the monoid
+    """``assemble_blocks`` arguments (identities, blocks, compose) of the monoid
     of maps of 1 to ``max_points`` points that 1 to ``max_maps`` random
     maps generate, with ``compose(p, q)`` composing payloads."""
     n = rng.randint(1, max_points)
@@ -62,11 +63,13 @@ def generated_subcategory(rng, C, max_picks: int = 6):
 
 def seeded_categories(rng, bases) -> list:
     """``MONOIDS`` transformation monoids, then ``SUBCATEGORIES`` generated
-    subcategories of each of ``bases``, built through ``core.assemble``."""
+    subcategories of each of ``bases``, built through
+    ``core_reference.assemble_blocks`` and ``core.subcategory``."""
     built = []
     for _ in range(MONOIDS):
         identities, blocks, compose = transformation_monoid(rng)
-        built.append(core.assemble(identities, blocks, per_composite(blocks, compose)))
+        composer = core_reference.per_composite(blocks, compose)
+        built.append(core_reference.assemble_blocks(identities, blocks, composer))
     for C in bases:
         built += [core.subcategory(C, *generated_subcategory(rng, C)) for _ in range(SUBCATEGORIES)]
     return built

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fibcat.cli import main
@@ -747,6 +748,25 @@ def test_gen_negative_size_is_input_error(workdir, capsys, argv):
     code, out, err = run(capsys, "gen", *argv, "-o", "out.json")
     assert code == 2 and out == "" and not os.path.exists("out.json")
     assert err.startswith("input error:") and err.count("\n") == 1 and argv[-2] in err
+
+
+def test_gen_too_large_to_hold_is_input_error(workdir, capsys, monkeypatch):
+    """A category whose cells cannot be allocated, as FI_8's 5,094,765,417
+    cannot on a host of a few GB, exits 2 with one line naming the cell
+    count.  The allocation of FI_3's cells is made to fail instead, so the
+    real allocation is never tried."""
+    cells, full = int(fi_truncated(3).coding.row[-1]), np.full
+
+    def refuse(shape, *args, **kwargs):
+        if shape == cells:
+            raise MemoryError("Unable to allocate %d int32 cells" % cells)
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", refuse)
+    code, out, err = run(capsys, "gen", "fi", "--max", "3", "-o", "out.json")
+    assert code == 2 and out == "" and not os.path.exists("out.json")
+    assert err.startswith("input error: TooManyCells") and err.count("\n") == 1
+    assert "%d cells" % cells in err
 
 
 def test_theorem_negative_budget_is_input_error(workdir, capsys):

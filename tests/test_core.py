@@ -22,8 +22,8 @@ from fibcat import (
     iso_classes,
     validate_category,
 )
-from core_reference import per_composite
-from fibcat.core import assemble, subcategory
+from core_reference import assemble_blocks, per_composite
+from fibcat.core import subcategory
 from fibcat.generators import codiscrete_category, fi_g_direct, fi_truncated, inj_id
 from fibcat.groups import automorphism_group, group_as_category, symmetric_group
 from fibcat.ioformats import category_from_json, category_to_json
@@ -37,7 +37,7 @@ def test_terminal_category_valid():
 
 def test_empty_category_valid():
     """No objects: both builders give the empty category."""
-    for C in (validate_category([], [], {}, []), assemble({}, {}, per_composite({}, None))):
+    for C in (validate_category([], [], {}, []), assemble_blocks({}, {}, per_composite({}, None))):
         assert (C.objects, C.morphisms, C.table, C.generators) == ((), (), {}, ())
 
 
@@ -66,8 +66,8 @@ def test_assemble_rejects_a_composite_outside_the_target_block():
     # payloads are integers mod 3, but the block of x holds only 0 and 1
     blocks = {("x", "x"): {0: "e", 1: "a"}}
     with pytest.raises(CompositeEndpointViolation, match="'a', 'a', 2"):
-        assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 3))
-    C = assemble({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 2))
+        assemble_blocks({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 3))
+    C = assemble_blocks({"x": 0}, blocks, per_composite(blocks, lambda p, q: (p + q) % 2))
     assert C.comp("a", "a") == "e" and C.identity == {"x": "e"}
     # a subcategory that is not closed names the first composite outside it
     fi3 = fi_truncated(3)

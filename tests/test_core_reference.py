@@ -43,6 +43,7 @@ same first error in cell order, or the same total.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -51,7 +52,7 @@ import pytest
 
 import core_reference as ref
 import random_categories as rm
-from fibcat import CategoryError, core, generators, groth, groups, grothendieck
+from fibcat import CategoryError, core, generators, groth, groups, grothendieck, indexed
 from fibcat.cli import main
 from fibcat.core import (
     AssociativityViolation,
@@ -536,14 +537,22 @@ def componentwise(factors):
 
 @pytest.fixture()
 def checked_assemble(monkeypatch):
-    """Make every ``assemble`` and ``from_parts`` a builder calls also run
-    the reference ``assemble`` on the same blocks, the block composer
-    decoded and the parts composed by ``componentwise``, and every
-    ``group_as_category`` also run the reference one; the fields must agree,
-    and the library's table must list the reference's in cell order.
-    Returns the table sizes of the categories built, in build order."""
-    real, real_parts, real_group, calls = (
-        core.assemble, core.from_parts, groups.group_as_category, [],
+    """Make every build of these also run its reference on the same
+    arguments: an injection category ``core_reference.injection_category``,
+    a subcategory the reference checks of its parent's table cut down to
+    it, ``from_parts`` the reference ``assemble`` with the parts composed by
+    ``componentwise``, ``group_as_category`` the reference one and
+    ``core_reference.assemble_blocks`` the reference ``assemble`` with the
+    block composer decoded; the fields must agree, and the library's table
+    must list the reference's in cell order.  Returns the table sizes of
+    the categories built, in build order."""
+    real_injections, real_sub, real_parts, real_group, real_blocks, calls = (
+        generators._injection_category,
+        core.subcategory,
+        core.from_parts,
+        groups.group_as_category,
+        ref.assemble_blocks,
+        [],
     )
 
     def check(C, expected):
@@ -552,9 +561,19 @@ def checked_assemble(monkeypatch):
         calls.append(len(C.table))
         return C
 
-    def checked(identities, blocks, compose):
-        C = real(identities, blocks, compose)
-        return check(C, ref.assemble(*decoded(identities, blocks, compose)))
+    def checked_injections(points, images, mid):
+        C = real_injections(points, images, mid)
+        return check(C, ref.injection_category(points, images, mid))
+
+    def checked_sub(C, objects, morphisms):
+        table = {(f, g): C.comp(f, g) for f in morphisms for g in morphisms if C.tgt[f] == C.src[g]}
+        expected = ref.validate_category(
+            objects,
+            [(m, C.src[m], C.tgt[m]) for m in morphisms],
+            {x: C.id_of(x) for x in objects},
+            table,
+        )
+        return check(real_sub(C, objects, morphisms), expected)
 
     def checked_parts(identities, blocks, factors):
         C = real_parts(identities, blocks, factors)
@@ -563,11 +582,18 @@ def checked_assemble(monkeypatch):
     def checked_group(G):
         return check(real_group(G), ref.group_as_category(G))
 
+    def checked_blocks(identities, blocks, compose):
+        C = real_blocks(identities, blocks, compose)
+        return check(C, ref.assemble(*decoded(identities, blocks, compose)))
+
+    monkeypatch.setattr(generators, "_injection_category", checked_injections)
+    for module in (core, groth, indexed):
+        monkeypatch.setattr(module, "subcategory", checked_sub)
     for module in (core, generators):
-        monkeypatch.setattr(module, "assemble", checked)
         monkeypatch.setattr(module, "from_parts", checked_parts)
     for module in (groups, generators):
         monkeypatch.setattr(module, "group_as_category", checked_group)
+    monkeypatch.setattr(ref, "assemble_blocks", checked_blocks)
     return calls
 
 
@@ -617,6 +643,65 @@ def test_builders_match_reference_assemble(checked_assemble, name):
     assert checked_assemble
 
 
+def built(result):
+    """The categories a builder's result holds: itself, or the total of a
+    Grothendieck construction and then the base and fibers of an indexed
+    category, fibers by object."""
+    if isinstance(result, groth.GrothResult):
+        return [result.total] + built(result.indexed)
+    if isinstance(result, indexed.IndexedCat):
+        return [result.base] + [result.fibers[x] for x in sorted(result.fibers)]
+    return [result]
+
+
+def generator_digest(categories) -> str:
+    """A sha256 prefix of the generating sets of ``categories``, in order."""
+    text = "\n\n".join("\n".join(C.generators) for C in categories)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# ``generator_digest(built(BUILDERS[name]()))``, and that of the 80 seeded
+# categories, as they were when every pick of Light's S was closed round by
+# round (``core_reference.light_generators``)
+GENERATOR_DIGESTS = {
+    "arrow_category(FI_2)": "d24713562aca029f",
+    "block_perm_indexed(2, 1)": "3bfc177459fd4d67",
+    "codiscrete_category('abc')": "43c9f57f779e0f2e",
+    "discrete_category('xyz')": "e3b0c44298fc1c14",
+    "fi_colored({a: Z2, b: Z2}, 1)": "59abc1c79076b59b",
+    "fi_colored({a: Z2, b: Z2}, 2)": "f91413284965cc7b",
+    "fi_g_direct(Z2, 2)": "f0094699910f21da",
+    "fi_truncated(3)": "1985e00df4777c7d",
+    "fiber(grothendieck(indexed_gpow(Z2, 2)).proj, '1')": "76de17ded1a724cc",
+    "grothendieck(block_perm_indexed(3, 1))": "d68af5067b8ca474",
+    "grothendieck(indexed_gpow(Z2, 4))": "62ea98434285cdf2",
+    "grothendieck(slice_indexed(FI_3))": "1f85610e1aa34ef1",
+    "group_as_category(S3)": "b44b7fc4e9506bb9",
+    "product_category(chain3, chain3)": "6a92f107b3384953",
+    "restrict_to_aut(indexed_gpow(Z2, 2), '2')": "dde0f4572b13cf73",
+    "slice_category(FI_2, '2')": "43a4630945c95229",
+    "square_poset()": "0be90aee6435ad2b",
+    "terminal_category()": "e3b0c44298fc1c14",
+}
+SEEDED_GENERATOR_DIGEST = "fd51d0796579f9b2"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_generating_sets_are_pinned(name):
+    """Light's S of every category a builder makes is the pinned one, and
+    the one that closing every pick round by round chooses."""
+    categories = built(BUILDERS[name]())
+    assert generator_digest(categories) == GENERATOR_DIGESTS[name]
+    for C in categories:
+        assert C.generators == ref.light_generators(C)
+
+
+def test_generating_sets_of_seeded_categories_are_pinned(seeded_categories):
+    assert generator_digest(seeded_categories) == SEEDED_GENERATOR_DIGEST
+    for C in seeded_categories:
+        assert C.generators == ref.light_generators(C)
+
+
 def same_category(C, expected):
     """The library's ``C`` has the reference's fields and lists its table in
     cell order."""
@@ -664,14 +749,29 @@ def test_part_builders_match_reference_builders(name):
     assert same_category(build(*args), reference(*args))
 
 
-def test_keys_that_would_overflow_are_refused(monkeypatch):
-    """``from_parts`` keys each morphism by (source, target, parts) in
-    mixed radix, and refuses a listing whose keys would not fit."""
-    monkeypatch.setattr(core, "_KEY_BOUND", 8**4 - 1)
-    with pytest.raises(CategoryError, match="overflow"):
-        generators.arrow_category(FI2)
-    monkeypatch.setattr(core, "_KEY_BOUND", 8**4)
-    assert same_category(generators.arrow_category(FI2), ref.arrow_category(FI2))
+def arrow_listing(A, C):
+    """The ``from_parts`` arguments of the arrow category ``A`` of ``C``: its
+    squares by their parts, the codes of u and v."""
+    K, blocks = C.coding, {}
+    for m in A.morphisms:
+        f, u, v, g = m.split("~")
+        blocks.setdefault((f, g), {})[(K.code[u], K.code[v])] = m
+    identities = {f: (K.code[C.id_of(C.src[f])], K.code[C.id_of(C.tgt[f])]) for f in A.objects}
+    return identities, blocks
+
+
+def test_parts_between_other_objects_are_refused():
+    """``from_parts`` reads the composite of f and g in the table of block
+    (src f, tgt g), indexed by the parts' places in that block's hom-sets
+    of the factors; a listing with a part in another hom-set is refused
+    before any cell is read."""
+    identities, blocks = arrow_listing(generators.arrow_category(FI2), FI2)
+    square = blocks[("1>2:0", "1>2:1")]
+    (u, v), m = next(iter(square.items()))
+    del square[(u, v)]
+    square[(FI2.coding.code["0>1:"], v)] = m
+    with pytest.raises(CategoryError, match="runs between other objects"):
+        core.from_parts(identities, blocks, (FI2, FI2))
 
 
 def test_products_arrows_and_slices_of_seeded_categories(seeded_categories):
@@ -692,12 +792,7 @@ def test_unlisted_composite_is_named_at_its_first_cell():
     composite of two others raises ``CompositeEndpointViolation`` for the
     first cell in cell order whose composite is that square."""
     A = generators.arrow_category(FI2)
-    K = FI2.coding
-    blocks = {}
-    for m in A.morphisms:
-        f, u, v, g = m.split("~")
-        blocks.setdefault((f, g), {})[(K.code[u], K.code[v])] = m
-    identities = {f: (K.code[FI2.id_of(FI2.src[f])], K.code[FI2.id_of(FI2.tgt[f])]) for f in A.objects}
+    identities, blocks = arrow_listing(A, FI2)
     made = {h: p for p, h in A.table.items() if not (A.is_identity(p[0]) or A.is_identity(p[1]))}
     dropped = min(made)
     f, _, _, g = dropped.split("~")
@@ -705,6 +800,23 @@ def test_unlisted_composite_is_named_at_its_first_cell():
     want = next(
         p for p in cell_order(A) if A.table[p] == dropped and dropped not in p
     )
+    with pytest.raises(CompositeEndpointViolation) as raised:
+        core.from_parts(identities, blocks, (FI2, FI2))
+    assert raised.value.args == (want,)
+
+
+def test_composite_in_an_unlisted_block_is_named_at_its_first_cell():
+    """Listing the arrow category of FI_2 without a whole block of squares
+    that are composites: the first cell in cell order whose composite lies
+    in that block raises ``CompositeEndpointViolation``, as the pair of
+    objects has no table."""
+    A = generators.arrow_category(FI2)
+    identities, blocks = arrow_listing(A, FI2)
+    made = {h for p, h in A.table.items() if not (A.is_identity(p[0]) or A.is_identity(p[1]))}
+    f, g = next(xy for xy, ms in sorted(A.homs.items()) if xy[0] != xy[1] and set(ms) <= made)
+    del blocks[(f, g)]
+    dropped = set(A.homs[(f, g)])
+    want = next(p for p in cell_order(A) if A.table[p] in dropped and not dropped & set(p))
     with pytest.raises(CompositeEndpointViolation) as raised:
         core.from_parts(identities, blocks, (FI2, FI2))
     assert raised.value.args == (want,)
@@ -739,7 +851,7 @@ def test_random_categories_match_reference(checked_assemble, fi3, fi_z2_2_direct
 
 def test_assemble_differs_only_on_a_payload_outside_its_block():
     """The reference reports a payload outside its target block as missing,
-    ``assemble`` as a composite in the wrong hom-set."""
+    ``assemble_blocks`` as a composite in the wrong hom-set."""
     blocks = {("x", "x"): {0: "e", 1: "a"}}
 
     def compose(p, q):
@@ -749,7 +861,7 @@ def test_assemble_differs_only_on_a_payload_outside_its_block():
         MissingComposite,
         (("a", "a", 2),),
     )
-    assert outcome(core.assemble, {"x": 0}, blocks, ref.per_composite(blocks, compose)) == (
+    assert outcome(ref.assemble_blocks, {"x": 0}, blocks, ref.per_composite(blocks, compose)) == (
         CompositeEndpointViolation,
         (("a", "a", 2),),
     )
@@ -769,19 +881,21 @@ INJECTIONS = {
 }
 
 
-def captured(monkeypatch, build):
-    """The category ``build`` returns and the arguments it gave ``assemble``."""
-    args = []
+def laid_out(monkeypatch, build):
+    """The category ``build`` returns and the ids of each of its blocks in
+    the order ``_injection_category`` lays them out, as the id functions
+    made them."""
+    order = {}
+    for name in ("inj_id", "dec_id"):
 
-    def capture(*a):
-        args.append(a)
-        return core.assemble(*a)
+        def record(s, t, *rest, made=getattr(generators, name)):
+            order.setdefault((s, t), []).append(made(s, t, *rest))
+            return order[(s, t)][-1]
 
-    monkeypatch.setattr(generators, "assemble", capture)
+        monkeypatch.setattr(generators, name, record)
     C = build()
     monkeypatch.undo()
-    (got,) = args
-    return C, got
+    return C, order
 
 
 def parse(mid):
@@ -807,64 +921,111 @@ def oracle_composite(groups, f, g):
 
 
 @pytest.mark.parametrize("name", sorted(INJECTIONS))
-def test_injection_composer_matches_reference_formula(monkeypatch, name):
+def test_injection_composer_matches_reference_formula(name):
     build, groups = INJECTIONS[name]
-    _, (_, blocks, compose) = captured(monkeypatch, build)
-    triples = 0
-    for (x, y), fs in blocks.items():
-        for (y2, z), gs in blocks.items():
-            if y2 != y:
-                continue
-            at = compose(x, y, z)
-            assert at.shape == (len(fs), len(gs))
-            hs = list(blocks[(x, z)].values())
-            got = [hs[k] for k in at.ravel().tolist()]
-            want = [oracle_composite(groups, f, g) for f in fs.values() for g in gs.values()]
-            assert got == want, (x, y, z)
-            triples += 1
-    assert triples > len(blocks)
+    C = build()
+    for (f, g), h in C.table.items():
+        assert h == oracle_composite(groups, f, g), (f, g)
+    assert len(C.table) > len(C.homs) * len(C.objects)
 
 
 MUTATIONS = 12
 
 
-def mutated(compose, where, value):
-    """``compose`` with entry (i, j) of the pair of blocks (x, y, z) set to
-    ``value``; ``where`` is (x, y, z, i, j)."""
+def width(x):
+    """The number of points of the object ``x``: FI-type objects are
+    numerals, coloured ones strings of colours."""
+    return int(x) if x.isdigit() else len(x)
 
-    def composer(x, y, z):
-        at = np.array(compose(x, y, z))
-        if (x, y, z) == where[:3]:
-            at[where[3:]] = value
-        return at
 
-    return composer
+def image_code(image, n):
+    return sum(i * n ** (len(image) - 1 - k) for k, i in enumerate(image))
+
+
+def mutated_coder(order, images, xyz, cell, code):
+    """``generators._composite_coder`` with one code changed: in the pair of
+    blocks (x, y), (y, z) of ``xyz``, the code of the image of g∘f at
+    ``cell`` (the index of g's image, then of f's) becomes ``code``.  The
+    builder composes the pairs of blocks in sorted order, (x, y) and then
+    z; the images of the pair found there must be those of ``images``."""
+    real, (x, y, z) = generators._composite_coder, xyz
+    blocks = sorted(order)
+    calls = iter(range(len(blocks)))
+
+    def coder(f_img, n_y):
+        made = real(f_img, n_y)
+        if next(calls) != blocks.index((x, y)):
+            return made
+        assert f_img.tolist() == images[(x, y)]
+        later = iter([t for s, t in blocks if s == y])
+
+        def codes(g_img, n_z):
+            out = made(g_img, n_z)
+            if next(later) == z:
+                assert g_img.tolist() == images[(y, z)]
+                out = out.copy()
+                out[cell] = code
+            return out
+
+        return codes
+
+    return coder
 
 
 @pytest.mark.parametrize("name", sorted(INJECTIONS))
 def test_mutated_injection_composer_is_caught(monkeypatch, name):
+    """One changed code of one composite image, in one pair of blocks (x,
+    y), (y, z), is caught.  A code that no image of block (x, z) has ranks
+    one past the block's images, and the build raises
+    ``CompositeEndpointViolation`` at the first cell of the changed image:
+    its first decoration of f and of g.  The code of another image of the
+    block changes that image in the cells of every decoration of f and g,
+    and the build raises the ``UnitViolation`` or
+    ``AssociativityViolation`` that the equally changed table raises
+    through ``category_from_json`` and through the reference."""
     build, _ = INJECTIONS[name]
-    C, (identities, blocks, compose) = captured(monkeypatch, build)
-    triples = [
-        (x, y, z) for (x, y) in blocks for (y2, z) in blocks if y2 == y and len(blocks[(x, z)]) > 1
-    ]
+    C, order = laid_out(monkeypatch, build)
+    images = {xy: [list(im) for im in dict.fromkeys(parse(m)[2] for m in ms)] for xy, ms in order.items()}
+    triples = [(x, y, z) for (x, y) in order for (y2, z) in order if y2 == y]
     rng = random.Random(sorted(INJECTIONS).index(name))
+    caught = set()
     for _ in range(MUTATIONS):
         x, y, z = rng.choice(triples)
-        fs, gs, hs = (list(blocks[xy].values()) for xy in ((x, y), (y, z), (x, z)))
-        i, j = rng.randrange(len(fs)), rng.randrange(len(gs))
-        right = int(compose(x, y, z)[i, j])
+        fs, gs, hs = order[(x, y)], order[(y, z)], order[(x, z)]
+        ims, n = images[(x, z)], width(z)
+        d_x, d_y = len(hs) // len(ims), len(gs) // len(images[(y, z)])
+        i, j = rng.randrange(len(images[(y, z)])), rng.randrange(len(images[(x, y)]))
+        f, g = fs[j * d_x], gs[i * d_y]
+        h = C.table[(f, g)]
+        dec = hs.index(h) % d_x
 
-        past = len(hs) + rng.randrange(3)
-        got = outcome(core.assemble, identities, blocks, mutated(compose, (x, y, z, i, j), past))
-        assert got == (CompositeEndpointViolation, ((fs[i], gs[j], past),))
+        absent = sorted(set(range(n ** len(ims[0]))) - {image_code(im, n) for im in ims})
+        if absent:
+            coder = mutated_coder(order, images, (x, y, z), (i, j), rng.choice(absent))
+            monkeypatch.setattr(generators, "_composite_coder", coder)
+            got = outcome(build)
+            monkeypatch.undo()
+            assert got == (CompositeEndpointViolation, ((f, g, len(ims) * d_x + dec),))
+            caught.add(got[0])
 
-        wrong = rng.choice([k for k in range(len(hs)) if k != right])
-        table = dict(C.table)
-        table[(fs[i], gs[j])] = hs[wrong]
-        got = outcome(core.assemble, identities, blocks, mutated(compose, (x, y, z, i, j), wrong))
-        assert got[0] in (UnitViolation, AssociativityViolation)
-        assert got == library(C, table) == oracle(C, table)
+        others = [k for k, im in enumerate(ims) if im != list(parse(h)[2])]
+        if others:
+            wrong = rng.choice(others)
+            table = dict(C.table)
+            for p in fs[j * d_x : (j + 1) * d_x]:
+                for q in gs[i * d_y : (i + 1) * d_y]:
+                    table[(p, q)] = hs[wrong * d_x + hs.index(C.table[(p, q)]) % d_x]
+            coder = mutated_coder(order, images, (x, y, z), (i, j), image_code(ims[wrong], n))
+            monkeypatch.setattr(generators, "_composite_coder", coder)
+            got = outcome(build)
+            monkeypatch.undo()
+            assert got[0] in (UnitViolation, AssociativityViolation)
+            assert got == library(C, table) == oracle(C, table)
+            caught.add(got[0])
+    # a wrong image needs a block of two images, which coloured FI with
+    # N = 1 has not
+    assert CompositeEndpointViolation in caught
+    assert UnitViolation in caught or max(map(len, images.values())) == 1
 
 
 GROTH_EXTRA = {

@@ -1,7 +1,7 @@
 """Structural checks on the library source, read with ``ast``.
 
-Every category, built by the library with ``core.assemble``, read from raw
-ids with ``core.validate_category`` or filled cell by cell by
+Every category, built by the library, read from raw ids with
+``core.validate_category`` or filled cell by cell by
 ``groth.grothendieck``, is coded once, by ``core.from_cells``, and checked
 once by the stage all three share, the one caller of the ``FinCat``
 constructor, which reads the cells of the coding and never the string
@@ -143,19 +143,31 @@ def test_validate_category_has_exactly_two_callers():
     """The seams of the one path: ``core._checked``, the checks that every
     builder shares, alone calls the ``FinCat`` constructor; ``core.from_cells``,
     which hands a fresh coding to its caller's fill, alone calls
-    ``_checked``; ``assemble``, ``from_parts``, ``validate_category``,
-    ``grothendieck`` and ``group_as_category`` build through it; and
+    ``_checked``; ``from_parts``, ``subcategory``, ``validate_category``,
+    the injection builder of ``generators``, ``grothendieck`` and
+    ``group_as_category`` build through it; and
     ``ioformats.category_from_json`` alone mentions ``validate_category``."""
     assert _callers("FinCat", True) == ["core._checked"]
     assert _callers("_checked", True) == ["core.from_cells"]
     assert _callers("from_cells", True) == [
-        "core.assemble",
         "core.from_parts",
+        "core.subcategory",
         "core.validate_category",
+        "generators._injection_category",
         "groth.grothendieck",
         "groups.group_as_category",
     ]
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
+
+
+def test_no_library_module_defines_or_calls_assemble():
+    """The block builder ``assemble`` and its ``compose(x, y, z)`` protocol
+    left the library: every builder writes its cells through ``from_cells``,
+    and ``assemble`` lives on in ``core_reference`` for the tests alone."""
+    modules = dict(_modules())
+    defined = {n.name for t in modules.values() for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert "assemble" not in defined
+    assert _callers("assemble", False) == []
 
 
 def _reads(module, name):
@@ -374,8 +386,9 @@ PART_BUILDERS = (
 
 
 def test_no_library_module_composes_one_payload_at_a_time():
-    """The injection builders and ``core.subcategory`` compose whole blocks
-    with numpy, the Grothendieck construction fills its cells itself, and
+    """The injection builders compose whole pairs of blocks with numpy,
+    ``core.subcategory`` gathers its parent's cells, the Grothendieck
+    construction fills its cells itself, and
     every other builder lists its morphisms' parts for ``core.from_parts``
     or, for a group, fills the cells from its multiplication: no module
     defines or names ``per_composite``, whose per-composite formulas live
