@@ -102,6 +102,9 @@ RUNGS = {
     "audit_fi6": (lambda: fi_truncated(6), check_fi_type),
     # the FI_Z3 total category for N=4 (2,969 morphisms)
     "audit_fi_z3_4_total": (lambda: grothendieck(indexed_gpow(cyclic_group(3), 4)).total, check_fi_type),
+    # the poset chain10 x chain10: 100 objects, 3,025 morphisms, 148,225
+    # cospans, every automorphism group trivial
+    "audit_chain10x10": (lambda: product_category(chain_poset(10), chain_poset(10)), check_fi_type),
     # condition 7 alone, on the same categories
     "weak_pushouts_fi_z2_4_total": (_with_pullbacks(_fi_z2_4_total), has_weak_pushouts),
     "weak_pushouts_fi6": (_with_pullbacks(lambda: fi_truncated(6)), has_weak_pushouts),

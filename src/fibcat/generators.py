@@ -30,24 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FinCat, CategoryError, CompositeEndpointViolation, from_cells, from_parts
-from .functors import (
-    FinFunctor,
-    FunctorProperties,
-    compose_functors,
-    functor_properties,
-    functors_equal,
-    identity_functor,
-    validate_functor,
-)
-from .groth import GrothResult, NotAFibration, choose_cleaving, grothendieck, pair_id
+from .functors import FinFunctor, identity_functor
+from .groth import pair_id
 from .groups import GroupTable, group_as_category, trivial_group
 from .indexed import IndexedCat, validate_indexed
-from .limits import Cospan, Square, pullback, is_pullback_square
+from .limits import Cospan, pullback
 
 
 class MissingPullback(CategoryError):
@@ -283,13 +274,8 @@ def fi_g_direct(G: GroupTable, N: int) -> FinCat:
 
 def tuple_id(parts) -> str:
     """The id ``(a,b,...)`` of a tuple of ids: a morphism of ``gpow_fiber``
-    or an object of a power fiber; ``_parse_tuple_id`` reads it back."""
+    or an object of a power fiber."""
     return "(%s)" % ",".join(parts)
-
-
-def _parse_tuple_id(tid: str) -> tuple:
-    inner = tid[1:-1]
-    return tuple(inner.split(",")) if inner else ()
 
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
@@ -323,22 +309,6 @@ def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
         m, n, imgs = parse_inj(f)
         arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], {"*": "*"}, select(n, imgs))
     return validate_indexed(base, fibers, arrows)
-
-
-def fi_g_comparison(G: GroupTable, N: int, gr: GrothResult = None):
-    """Comparison functor from the Grothendieck construction to the directly
-    decorated category; decorations are inverted componentwise because the
-    construction multiplies them in the opposite order."""
-    gr = gr if gr is not None else grothendieck(indexed_gpow(G, N))
-    direct = fi_g_direct(G, N)
-    on_objects = {t: xa[0] for t, xa in gr.obj_of.items()}
-    on_morphisms = {}
-    for t, tm in gr.mor_of.items():
-        m, n, imgs = parse_inj(tm.base_part)
-        decs = _parse_tuple_id(tm.fiber_part)
-        on_morphisms[t] = dec_id(m, n, imgs, tuple(G.inv[d] for d in decs))
-    F = validate_functor(gr.total, direct, on_objects, on_morphisms)
-    return F, functor_properties(F)
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +348,6 @@ def product_category(X: FinCat, Y: FinCat) -> FinCat:
     return _product((X, Y), lambda t: pair_id(*t), lambda t: pair_id(*t))
 
 
-@dataclass(frozen=True)
-class ProductCheck:
-    iso: FinFunctor
-    properties: FunctorProperties
-    projection_agrees: bool
-
-
-def product_check(X: FinCat, Y: FinCat, gr: GrothResult = None) -> ProductCheck:
-    """The total category of the constant indexed category is the product."""
-    gr = gr if gr is not None else grothendieck(delta_const(X, Y))
-    P = product_category(X, Y)
-    iso = validate_functor(
-        gr.total,
-        P,
-        {t: pair_id(*xa) for t, xa in gr.obj_of.items()},
-        {t: pair_id(tm.base_part, tm.fiber_part) for t, tm in gr.mor_of.items()},
-    )
-    props = functor_properties(iso)
-    first = validate_functor(
-        P,
-        X,
-        {pair_id(x, y): x for x in X.objects for y in Y.objects},
-        {pair_id(f, g): f for f in X.morphisms for g in Y.morphisms},
-    )
-    agrees = functors_equal(compose_functors(iso, first), gr.proj)
-    return ProductCheck(iso, props, agrees)
-
-
 # ---------------------------------------------------------------------------
 # Block permutations
 # ---------------------------------------------------------------------------
@@ -419,13 +361,8 @@ def _power_fiber(inner: FinCat, n: int) -> FinCat:
 
 def _mor_tuple_id(parts) -> str:
     """The id ``(f;g;...)`` of a morphism of a power fiber, its tuple of
-    morphism ids joined with ';'; ``_parse_mor_tuple`` reads it back."""
+    morphism ids joined with ';'."""
     return "(%s)" % ";".join(parts)
-
-
-def _parse_mor_tuple(mid: str) -> tuple:
-    inner = mid[1:-1]
-    return tuple(inner.split(";")) if inner else ()
 
 
 def block_perm_indexed(N: int, Q: int) -> IndexedCat:
@@ -439,32 +376,6 @@ def block_perm_indexed(N: int, Q: int) -> IndexedCat:
         m, n, imgs = parse_inj(f)
         arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], on_objects(n, imgs), on_morphisms(n, imgs))
     return validate_indexed(base, fibers, arrows)
-
-
-def block_counting_functor(gr: GrothResult, N: int, Q: int) -> FinFunctor:
-    """Counting functor to FI: a partitioned set goes to its total size and a
-    block map to the induced injection on underlying sets."""
-    target = fi_truncated(N * Q)
-    on_objects, sizes_of = {}, {}
-    for t, (nstr, sizes_id) in gr.obj_of.items():
-        sizes = tuple(int(s) for s in _parse_tuple_id(sizes_id))
-        sizes_of[t] = sizes
-        on_objects[t] = str(sum(sizes))
-    on_morphisms = {}
-    for t, tm in gr.mor_of.items():
-        m, n, imgs = parse_inj(tm.base_part)
-        src_sizes = sizes_of[gr.total.src[t]]
-        tgt_sizes = sizes_of[gr.total.tgt[t]]
-        offs = [0]
-        for q in tgt_sizes:
-            offs.append(offs[-1] + q)
-        blocks = [parse_inj(p)[2] for p in _parse_mor_tuple(tm.fiber_part)]
-        global_imgs = []
-        for i in range(m):
-            for local in blocks[i]:
-                global_imgs.append(offs[imgs[i]] + local)
-        on_morphisms[t] = inj_id(sum(src_sizes), sum(tgt_sizes), tuple(global_imgs))
-    return validate_functor(gr.total, target, on_objects, on_morphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -499,38 +410,8 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
     )
 
 
-@dataclass(frozen=True)
-class GhComparison:
-    functor: FinFunctor
-    properties: FunctorProperties
-    product: FinCat
-    colored: FinCat
-
-
-def fi_gh_comparison(G: GroupTable, H: GroupTable, N: int) -> GhComparison:
-    """Compare FI_G × FI_H with the two-colour category: (m, n) goes to the
-    block string a^m b^n, morphism pairs to block-form coloured morphisms."""
-    left = product_category(fi_g_direct(G, N), fi_g_direct(H, N))
-    right = fi_colored({"a": G, "b": H}, N)
-    on_objects, on_morphisms = {}, {}
-    for x in left.objects:
-        lft, rgt = x[1:-1].split("@")
-        on_objects[x] = "a" * int(lft) + "b" * int(rgt)
-    for p in left.morphisms:
-        lft, rgt = p[1:-1].split("@")
-        m1, n1, imgs1, decs1 = parse_dec(lft)
-        m2, n2, imgs2, decs2 = parse_dec(rgt)
-        imgs = tuple(imgs1) + tuple(n1 + i for i in imgs2)
-        decs = decs1 + decs2
-        s = "a" * m1 + "b" * m2
-        t = "a" * n1 + "b" * n2
-        on_morphisms[p] = dec_id(s, t, imgs, decs)
-    F = validate_functor(left, right, on_objects, on_morphisms)
-    return GhComparison(F, functor_properties(F), left, right)
-
-
 # ---------------------------------------------------------------------------
-# Slice indexed categories, arrow categories, the codomain fibration
+# Slice indexed categories and arrow categories
 # ---------------------------------------------------------------------------
 
 
@@ -654,51 +535,3 @@ def arrow_category(C: FinCat) -> FinCat:
     return from_parts(
         {f: (K.code[C.id_of(C.src[f])], K.code[C.id_of(C.tgt[f])]) for f in objs}, sqs, (C, C)
     )
-
-
-@dataclass(frozen=True)
-class CodomainReport:
-    comparison: FinFunctor
-    properties: FunctorProperties
-    fibration: bool
-    cartesian_lifts_are_pullbacks: bool
-
-
-def codomain_check(C: FinCat, gr: GrothResult = None) -> CodomainReport:
-    """Total category of the slices vs the arrow category, plus the fibration
-    whose cartesian lifts are pullback squares."""
-    M = slice_indexed(C)
-    gr = gr if gr is not None else grothendieck(M)
-    A = arrow_category(C)
-    on_objects = {t: fa[1] for t, fa in gr.obj_of.items()}
-    on_morphisms = {}
-    for t, tm in gr.mor_of.items():
-        k = tm.base_part
-        _, f_src = gr.obj_of[gr.total.src[t]]
-        _, g = gr.obj_of[gr.total.tgt[t]]
-        h_u = tm.fiber_part.split("~")[1]
-        pb = _chosen_pullback(C, k, g)
-        on_morphisms[t] = _arrow_mid(f_src, C.comp(h_u, pb.leg2), k, g)
-    F = validate_functor(gr.total, A, on_objects, on_morphisms)
-    props = functor_properties(F)
-
-    try:
-        cleaving = choose_cleaving(gr.proj)
-    except NotAFibration:
-        return CodomainReport(F, props, False, True)
-    for (k, b), lift in sorted(cleaving.entries.items()):
-        if gr.proj.target.is_identity(k):
-            continue
-        _, g = gr.obj_of[b]
-        fprime = gr.obj_of[gr.total.src[lift]][1]
-        h_u = gr.mor_of[lift].fiber_part.split("~")[1]
-        pb = _chosen_pullback(C, k, g)
-        sq = Square(
-            top=C.comp(h_u, pb.leg2),
-            left=fprime,
-            right=g,
-            bottom=k,
-        )
-        if not is_pullback_square(C, sq):
-            return CodomainReport(F, props, True, False)
-    return CodomainReport(F, props, True, True)

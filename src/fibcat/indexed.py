@@ -95,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FinCat, CategoryError, automorphisms, subcategory
+from .core import FinCat, CategoryError, automorphisms, runs, subcategory
 from .functors import (
     FinFunctor,
     NatTrans,
@@ -257,8 +257,8 @@ class IndexedCoding:
         f, g = (np.concatenate([np.empty(0, np.intp), *(p[j] + o for p, o in zip(pairs, self.code0))])
                 for j in (0, 1))
         per = np.array([len(p[0]) for p in pairs], np.int64)
-        i, j = _runs(_firsts(per, 0)[y], per[y])
-        items = (_runs(self.obj0[y], obs), _runs(self.code0[y], codes), (i, f[j], g[j]))
+        i, j = runs(_firsts(per, 0)[y], per[y])
+        items = (runs(self.obj0[y], obs), runs(self.code0[y], codes), (i, f[j], g[j]))
         maps = (self.at, self.image, self.ob_at, self.image_ob)
         return unfunctorial(self, self, (self.units, self.units), maps, items, whole)
 
@@ -273,7 +273,7 @@ class IndexedCoding:
         no base object, raises ``IndexedError``."""
         B = self.base.coding
         f, g = B.pairs()
-        t, c = _runs(self.obj0[self.mu_over], np.diff(self.obj0)[self.mu_over])
+        t, c = runs(self.obj0[self.mu_over], np.diff(self.obj0)[self.mu_over])
         mu = self.units[self.image_ob[self.ob_at[f[t]] + self.image_ob[self.ob_at[g[t]] + c]]]
         self.mu, extra_mu = self._coded(
             compositors, "mu", mu, lambda: cell_pairs(self.base), self.mu_at, self.mu_over, B.src[f],
@@ -310,7 +310,7 @@ class IndexedCoding:
             ps.append(p)
             values.extend(map(table.get, objects))
         ps = np.array(ps, np.int64)
-        i, where = _runs(at[ps] + self.obj0[over[ps]], np.diff(self.obj0)[over[ps]])
+        i, where = runs(at[ps] + self.obj0[over[ps]], np.diff(self.obj0)[over[ps]])
         fiber = into[ps[i]].tolist()
         to = {x: dict(zip(self.fibers[x].coding.ids, itertools.count(int(self.code0[x])))) for x in set(fiber)}
         none = itertools.repeat(int(self.code0[-1]))
@@ -387,13 +387,6 @@ def cell_pairs(base: FinCat) -> list:
 def _firsts(sizes, less):
     """Where blocks of ``sizes`` laid end to end start, less ``less``."""
     return np.cumsum(sizes) - sizes - less
-
-
-def _runs(starts, sizes):
-    """For runs of ``sizes`` consecutive numbers from ``starts``: the run of
-    each number, and the number."""
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    return run, np.arange(len(run)) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
 
 
 def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=None) -> IndexedCat:
@@ -490,7 +483,7 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     # Unit coherence: contracting against an identity is the identity, at
     # each f: x→y in the order of ``base.morphisms`` and b over y.
     order = np.array([B.code[f] for f in base.morphisms], np.int64)
-    r, b = _runs(C.obj0[B.tgt[order]], np.diff(C.obj0)[B.tgt[order]])
+    r, b = runs(C.obj0[B.tgt[order]], np.diff(C.obj0)[B.tgt[order]])
     f, mfb = order[r], C.image_ob[C.ob_at[order[r]] + b]
     mu_l = C.mu[C.mu_at[B.cell(unit[B.src[f]], f)] + b]
     mu_r = C.mu[C.mu_at[B.cell(f, unit[B.tgt[f]])] + b]
@@ -522,12 +515,12 @@ def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, extra):
     naturality by Light's test, once typed."""
     sizes = np.diff(C.obj0)[fiber]
     bad = extra.copy()
-    t, c = _runs(C.obj0[fiber], sizes)
+    t, c = runs(C.obj0[fiber], sizes)
     m, ob = comps[at[t] + c], c
     for P in path:
         ob = C.image_ob[C.ob_at[P[t]] + ob]
     bad[t[(C.src[m] != ob) | (C.tgt[m] != C.image_ob[C.ob_at[target[t]] + c]) | ~C.iso[m]]] = True
-    t, k = _runs(C.gen0[fiber], np.diff(C.gen0)[fiber])
+    t, k = runs(C.gen0[fiber], np.diff(C.gen0)[fiber])
     t, k = t[~bad[t]], C.gens[k[~bad[t]]]
     along = k
     for P in path:
@@ -546,13 +539,13 @@ def _check_associativity_coherence(base, fibers, C: IndexedCoding, order) -> Non
 
     def then(*codes):
         """Each sequence of ``codes`` followed by each code out of its end."""
-        r, j = _runs(B.out[B.tgt[codes[-1]]], np.diff(B.out)[B.tgt[codes[-1]]])
+        r, j = runs(B.out[B.tgt[codes[-1]]], np.diff(B.out)[B.tgt[codes[-1]]])
         return (*(k[r] for k in codes), after[j])
 
     def incoherent(f, g, h):
         """Per triple i and object d over tgt h[i], in turn: i, d and
         whether the coherence square of the triple fails at d."""
-        i, d = _runs(C.obj0[B.tgt[h]], np.diff(C.obj0)[B.tgt[h]])
+        i, d = runs(C.obj0[B.tgt[h]], np.diff(C.obj0)[B.tgt[h]])
         f, g, h, fg, gh = f[i], g[i], h[i], B.cell(f[i], g[i]), B.cell(g[i], h[i])
 
         def mu(cell, d):

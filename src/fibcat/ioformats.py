@@ -387,14 +387,14 @@ def indexed_to_json(M: IndexedCat) -> dict:
     }
 
 
+def _tables(tab: dict) -> tuple:
+    """The object and morphism tables of a functor that ``tab`` holds."""
+    return _id_table(tab["on_objects"], "on_objects"), _id_table(tab["on_morphisms"], "on_morphisms")
+
+
 def _functor_from(source: FinCat, target: FinCat, tab: dict) -> FinFunctor:
     """The functor whose object and morphism tables ``tab`` holds."""
-    return validate_functor(
-        source,
-        target,
-        _id_table(tab["on_objects"], "on_objects"),
-        _id_table(tab["on_morphisms"], "on_morphisms"),
-    )
+    return validate_functor(source, target, *_tables(tab))
 
 
 class Loader:
@@ -430,9 +430,8 @@ class Loader:
         for f, tab in data["arrows"].items():
             if f not in base.src:
                 raise InputFormatError("arrow for unknown morphism %r" % f)
-            src_fib = fibers[base.tgt[f]]
-            tgt_fib = fibers[base.src[f]]
-            arrows[f] = _functor_from(src_fib, tgt_fib, tab)
+            # bare: validate_indexed checks every arrow at once
+            arrows[f] = FinFunctor(fibers[base.tgt[f]], fibers[base.src[f]], *_tables(tab))
         compositors = None
         if "compositors" in data:
             compositors = {}

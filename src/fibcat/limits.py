@@ -22,41 +22,45 @@ that holds exactly when both of these do:
 
 Every competitor at q meets one h = u;f1 = v;f2 in hom(q, d), for d =
 tgt(f1), so K_q(f1, f2) = sum over h of N[f1, h] N[f2, h], where N[f, h] is
-the number of u with u;f = h, over the morphisms f and h into d.  N is read
-off the cells (u, f) once per d, and so is the least such u.
+the number of u with u;f = h, over the morphisms f and h into d; only the h
+that factor through f1 add to it.  N, numbered as the cospans (f, h), and
+the least such u are read off the cells once, a source object at a time.
 
 The chosen pullback is the first terminal competitor, as a scan of the
 competitors in order finds it.  By the criterion, a competitor is terminal
 only at an object whose hom-count column is the cospan's count column.  So
 the chosen one is at the first such object that has an injective
 competitor, and it is the first injective competitor there.  The search
-hashes the count column to propose the first object with that column,
-compares the two columns object by object, and takes the least competitor
-there.  If neither leg is mono, injectivity is checked on the cells, and a
+hashes the count column to propose the first object p with that column,
+checks the counts at the sources of the h that factor through f1 against
+p's column and their sum against |into p|, and takes the least competitor
+at p.  If neither leg is mono, injectivity is checked on the cells, and a
 failure moves on to the next competitor and then the next object with that
 column.  The representative, every counterexample and every report byte are
 the ones of the per-competitor scan that ``tests/limits_reference.py``
 keeps.
 
-``_pullbacks_into`` decides every cospan into d at once and keeps three
-``int32`` arrays in ``_pairs`` order: the apex's object number, -1 where the
-cospan has no pullback, and the two legs' codes.  For an isomorphism a of
-d, u;f1 = v;f2 exactly when u;f1;a = v;f2;a, so the cospans (f1, f2) and
-(f1;a, f2;a) have the same competitors in the same order and the same
-chosen pullback.  So only the rows f1 that are least in their orbit under
-the automorphisms of d are searched, in rounds of at most ``_ROUND``
-counts; every other row f1 is read from the row of f1;a, at f2;a, with a
-composed on the cells.  A ``Pullback``, with its mediator table, is made
-only when ``pullback`` or ``as_pullback`` is asked for one, and
-``pullback`` keeps it.
+``_pullbacks`` decides every cospan of C in passes over all of C, with no
+loop over targets, and keeps an ``int32`` record per cospan, numbered in
+``_pairs`` order (``_cospan``): the apex's object number, -1 where the
+cospan has no pullback, the legs' codes and the completion class.  For an
+isomorphism a of d, u;f1 = v;f2 exactly when u;f1;a = v;f2;a, so the
+cospans (f1, f2) and (f1;a, f2;a) have the same competitors in the same
+order and the same chosen pullback.  So only the rows f1 least in their
+orbit under the automorphisms of d are searched, in rounds of cospans whose
+f1 have one number of h that factor through them; the least competitors of
+a round's hits take one gather per number of those h in hom(p, d).  Every
+other row f1 is then filled from the row of f1;a, at f2;a.  A
+``Pullback``, with its mediator table, is made only when ``pullback`` or
+``as_pullback`` is asked for one, and ``pullback`` keeps it.
 
-Squares are tested on the same arrays.  A commuting square with apex p' is
-a competitor of its cospan.  If the cospan has a chosen pullback at p, its
-count column is the hom-count column of p, and otherwise no competitor is
-terminal.  So the square is a pullback square exactly when its cospan has a
-chosen apex with the hom-count column of p' and its legs are injective, and
-neither ``is_pullback_square`` nor ``preserves_pullbacks`` searches an
-isomorphism or reads a mediator.
+Squares are tested on the same records, read at their cospans' numbers.  A
+commuting square with apex p' is a competitor of its cospan.  If the cospan
+has a chosen pullback at p, its count column is the hom-count column of p,
+and otherwise no competitor is terminal.  So the square is a pullback
+square exactly when its cospan has a chosen apex with the hom-count column
+of p' and its legs are injective, and neither ``is_pullback_square`` nor
+``preserves_pullbacks`` searches an isomorphism or reads a mediator.
 
 * Completions.  A commuting square over the span (g1, g2) and the cospan
   (f1, f2) is a pullback square exactly when (g1, g2) = (w;u0, w;v0) for an
@@ -64,11 +68,11 @@ isomorphism or reads a mediator.
   (f1, f2).  So the spans completed by (f1, f2) form one class, the iso
   orbit of (u0, v0), with one span per w as the legs of a pullback are
   injective, and every span of a class has the same completion cospans.
-  One walk over the arrays, ``_cospan_walk``, keys each class by the least
-  span of its orbit, the first in ``_pairs`` order, and keeps an ``int32``
-  class number per cospan (-1 where it has no pullback) and each class's
-  cospans as code arrays, in the (d, f1, f2) order in which a per-span scan
-  lists completions; it also decides condition 6.  A span's class is found
+  Classes are keyed by the least span of their orbits, the first in
+  ``_pairs`` order, and numbered on the searched rows, whose cospans share
+  their legs with the rows filled from them.  ``_cospan_walk`` lists each
+  class's cospans by number, in the (d, f1, f2) order in which a per-span
+  scan lists completions, and decides condition 6.  A span's class is found
   from the least span of its orbit, and a span in no class is vacuous
   without any square being tested.
 * Weak pushouts.  Call the cospan (r;h, b;h), for h out of d, the one that
@@ -99,7 +103,7 @@ from itertools import count, product, starmap
 
 import numpy as np
 
-from .core import Check, FinCat, CategoryError
+from .core import Check, FinCat, CategoryError, runs
 from .functors import FinFunctor
 
 
@@ -199,17 +203,22 @@ def check_square(C: FinCat, sq: Square) -> None:
 
 
 _ROUND = 1 << 20  # counts compared per numpy round, as core's sweeps
+_PRODUCTS = 1 << 14  # products per round of the search, each with ~10 numbers
 _UNDECIDED = object()
+# what ``_pullbacks`` keeps of a cospan, one record per cospan
+_FOUND = np.dtype([("apex", np.int32), ("leg1", np.int32), ("leg2", np.int32), ("cls", np.int32)])
 
 
 def _hom_counts(C: FinCat) -> dict:
-    """What every search on C shares, made once: ``first``, the first object
-    whose hom-count column |hom(-, p)| is that of p, for each object p;
-    ``weights``, which hash a column to an integer, and ``keys`` and
-    ``firsts``, the hashes of the distinct columns, sorted, with their first
-    objects; ``isos_into``, the isomorphisms into each object; ``width``,
-    the number of codes into each object, and ``before``, the number of
-    cospans into the objects before each."""
+    """What every search on C shares, made once: ``counts``, |hom(q, p)|;
+    ``first``, the first object with the hom-count column of p, for each p;
+    ``weights``, which hash a column, and ``keys`` and ``firsts``, the
+    distinct columns' hashes, sorted, and first objects; ``into``, the codes
+    by target, those into x from ``start[x]`` on, of which ``isos`` and
+    ``auts`` hold the isomorphisms and automorphisms, from ``iso_at[x]`` and
+    ``aut_at[x]`` on; ``width``, |into x|; ``before``, the number of cospans
+    into the objects before x; and ``base``, the number of each cospan (f,
+    h) less the rank of h."""
     memo = C.cache("hom_counts")
     if not memo:
         coding, k = C.coding, len(C.objects)
@@ -224,83 +233,157 @@ def _hom_counts(C: FinCat) -> dict:
             keys = weights @ counts[:, firsts]
             if _distinct(keys):
                 break
+        into = np.concatenate(coding.into)
         isos = np.zeros(len(coding.ids), bool)
         isos[[coding.code[a] for a in C.inverses]] = True
+        isos = into[isos[into]]
+        auts = isos[coding.src[isos] == coding.tgt[isos]]
         order = np.argsort(keys)
         width = np.bincount(coding.tgt, minlength=k)
+        before = np.concatenate(([0], np.cumsum(width * width)))
         memo.update(
-            counts=counts, first=first, weights=weights,
-            keys=keys[order], firsts=firsts[order], isos_into=[ms[isos[ms]] for ms in coding.into],
-            width=width, before=np.concatenate(([0], np.cumsum(width * width))),
+            counts=counts, first=first, weights=weights, keys=keys[order], firsts=firsts[order],
+            isos=isos, iso_at=np.searchsorted(coding.tgt[isos], np.arange(k + 1)),
+            auts=auts, aut_at=np.searchsorted(coding.tgt[auts], np.arange(k + 1)),
+            width=width, before=before, into=into, start=np.concatenate(([0], np.cumsum(width))),
+            base=before[coding.tgt] + coding.ranks * width[coding.tgt],
         )
     return memo
 
 
-def _pullbacks_into(C: FinCat, d: int):
-    """The chosen pullback of every cospan into the object numbered d, as
-    three ``int32`` arrays in ``_pairs`` order: the apex's object number,
-    or -1 where the cospan has no pullback, and the codes of the two legs.
-    Made once per object (see the module docstring)."""
-    memo = C.cache("pullbacks_into")
-    if d in memo:
-        return memo[d]
+def _factorings(C: FinCat):
+    """N and ``least``, numbered as cospans by ``_cospan``: for the cospan
+    (f, h) of codes, the number of u with u;f = h, and the least such u, or
+    n for n codes where there is none.  Read off the cells one source
+    object's block of rows at a time; a u;f with f mono is the only u
+    there, so only the columns of the f that are not mono are counted."""
     coding, hc = C.coding, _hom_counts(C)
-    counts, pos = hc["counts"], coding.ranks
-    ms = coding.into[d]
-    n, none = len(ms), len(coding.ids)
-    # hom(q, d) is the run bounds[q]:bounds[q + 1] of ms
-    bounds = np.searchsorted(coding.src[ms], np.arange(len(C.objects) + 1))
-    qs = np.flatnonzero(np.diff(bounds))
-    # N[f, h]: the number of u with u;f = h; least[f, h]: the least such u
-    at, us = [], []
-    for c in qs.tolist():
-        u, f = coding.into[c], np.arange(bounds[c], bounds[c + 1])
-        at.append((f * n + pos[_composite(coding, u[:, None], ms[f])]).ravel())
-        us.append(np.repeat(u, len(f)))
-    at, us = np.concatenate(at), np.concatenate(us)
-    N = np.bincount(at, minlength=n * n).reshape(n, n)
-    least = np.full(n * n, none, np.int64)
-    np.minimum.at(least, at, us)
-    least = least.reshape(n, n)
-    del at, us
-    # the least f;a over the automorphisms a of d, and the a that makes it
-    auts = hc["isos_into"][d]
-    auts = auts[coding.src[auts] == d]
-    twisted = pos[_composite(coding, ms[:, None], auts)]
-    j = twisted.argmin(1)
-    rep, twist = twisted[np.arange(n), j], auts[j]
-    rows = np.flatnonzero(rep == np.arange(n))
-    del twisted
+    n = len(coding.ids)
+    N = np.zeros(hc["before"][-1], np.int32)
+    least = np.full(len(N), n, np.int32)
+    for c, us in enumerate(coding.into):
+        lo, hi = coding.out[c : c + 2]
+        at = hc["base"][lo:hi] + coding.ranks[coding.block(us, c)]
+        mono = coding.monos[lo:hi]
+        if not mono.all():
+            many = at[:, ~mono]
+            np.minimum.at(least, many, np.broadcast_to(us[:, None], many.shape))
+            np.add.at(N, many, 1)
+            at = at[:, mono]
+        least[at], N[at] = us[:, None], 1
+    return N, least
 
-    # zero[p]: no object without a map into d maps to p
-    outside = np.ones(len(C.objects), bool)
-    outside[qs] = False
-    zero = ~counts[outside].any(0)
-    found = np.full((3, len(rows), n), -1, np.int32)
-    step = max(1, _ROUND // (n * n))
-    for lo in range(0, len(rows), step):
-        r = rows[lo : lo + step]
-        K = np.add.reduceat(N[r][:, None, :] * N[None, :, :], bounds[qs], axis=2)
-        key = K @ hc["weights"][qs]
+
+def _orbits(C: FinCat):
+    """For each code f into an object d, the least f;a over the
+    automorphisms a of d, and the first a that makes it."""
+    coding, hc = C.coding, _hom_counts(C)
+    rep, twist = np.arange(len(coding.ids)), np.full(len(coding.ids), -1)
+    aut_at = hc["aut_at"][coding.tgt]
+    for f, places in _grouped(aut_at, hc["aut_at"][coding.tgt + 1] - aut_at):
+        if places.shape[1] > 1:
+            a = hc["auts"][places]
+            made = _composite(coding, f[:, None], a)
+            j = (np.arange(len(f)), made.argmin(1))
+            rep[f], twist[f] = made[j], a[j]
+    return rep, twist
+
+
+def _grouped(starts, sizes, most=_ROUND):
+    """The places i with one value of ``sizes[i]`` at a time, at most
+    ``most`` numbers (or one place) a round, each with the range of
+    ``sizes[i]`` numbers from ``starts[i]`` as a row."""
+    for size in np.unique(sizes).tolist():
+        every = np.flatnonzero(sizes == size)
+        step = max(1, most // max(size, 1))
+        for lo in range(0, len(every), step):
+            i = every[lo : lo + step]
+            yield i, starts[i][:, None] + np.arange(size)
+
+
+def _pullbacks(C: FinCat) -> dict:
+    """The chosen pullback and the completion class of every cospan, as
+    ``int32`` arrays numbered by ``_cospan``: ``apex``, the apex's object
+    number or -1 where the cospan has no pullback, ``leg1`` and ``leg2``,
+    the codes of the legs, and ``cls``, the class or -1; and ``keys``, the
+    key (see ``_least``) of each class, increasing.  Made once, rows least
+    in their orbits first (see the module docstring)."""
+    memo = C.cache("cospans")
+    if not memo:
+        coding, hc = C.coding, _hom_counts(C)
+        rep, twist = _orbits(C)
+        found = np.full(4 * hc["before"][-1], -1, np.int32).view(_FOUND)
+        at = _search(C, hc["into"][rep[hc["into"]] == hc["into"]], found)
+        keys = _least(C, found["leg1"][at], found["leg2"][at])
+        classes = np.unique(keys)
+        found["cls"][at] = np.searchsorted(classes, keys)
+        # fill the row of each other f1 from that of f1;a, at f2;a, for a
+        # the twist of f1, rows of one width at a time
+        f1 = hc["into"][rep[hc["into"]] != hc["into"]]
+        d, row = coding.tgt[f1], coding.row[hc["into"]]
+        for i, f2 in _grouped(hc["start"][d], hc["width"][d]):
+            made = coding.cells[row[f2] + (twist[f1[i]] - coding.out[d[i]])[:, None]]
+            to = hc["base"][f1[i]][:, None] + np.arange(f2.shape[1])
+            found[to] = found[hc["base"][rep[f1[i]]][:, None] + coding.ranks[made]]
+        memo.update({name: found[name] for name in _FOUND.names}, keys=classes)
+    return memo
+
+
+def _search(C: FinCat, rows, found):
+    """Write the chosen pullback of every cospan (r, f2), for r in ``rows``,
+    into ``found``, and return the numbers of those that have one.  A round
+    takes at most ``_PRODUCTS`` of the products N[r, h] N[f2, h], over the
+    h that factor through r (see the module docstring)."""
+    coding, hc = C.coding, _hom_counts(C)
+    N, least = _factorings(C)
+    n, width, before, into, start = len(coding.ids), hc["width"], hc["before"], hc["into"], hc["start"]
+    d = coding.tgt[rows]
+    # row by row, the h with N[r, h] > 0, by rank: N[r, h], the least u
+    # with u;r = h, and the source of h, whose first h in a row are ``new``
+    row, at = runs(hc["base"][rows], width[d])
+    keep = N[at] > 0
+    row, at = row[keep], at[keep]
+    h = at - hc["base"][rows][row]
+    rN, ru, rq = N[at].astype(np.int64), least[at], coding.src[into[start[d][row] + h]]
+    size = np.bincount(row, minlength=len(rows))
+    new = np.ones(len(row), bool)
+    new[1:] = (row[1:] != row[:-1]) | (rq[1:] != rq[:-1])
+    sources = np.bincount(row[new], minlength=len(rows))
+    # the cospans (r, f2), as r's place in ``rows`` and the rank of f2
+    pair, rank = runs(np.zeros(len(rows), np.int64), width[d])
+    hits = []
+    # a round of cospans whose r have one number of h, each h in a column
+    for c, j in _grouped(np.cumsum(size)[pair] - size[pair], size[pair], _PRODUCTS):
+        i, f = pair[c], rank[c]
+        e = d[i]
+        at = ((before[e] + f * width[e])[:, None] + h[j]).ravel()  # the cospan (f2, h)
+        j = j.ravel()
+        made = rN[j] * N[at]
+        heads = np.flatnonzero(new[j])  # where each (r, f2, q) starts
+        K = made if heads.size == made.size else np.add.reduceat(made, heads)
+        q, m = rq[j[heads]], sources[i]
+        firsts = np.cumsum(m) - m
+        key = np.add.reduceat(K * hc["weights"][q], firsts)
         slot = np.minimum(np.searchsorted(hc["keys"], key), len(hc["keys"]) - 1)
-        hit = hc["keys"][slot] == key
-        p = np.where(hit, hc["firsts"][slot], 0)
-        hit &= zero[p] & (np.moveaxis(counts[qs][:, p], 0, -1) == K).all(-1)
-        p[~hit] = -1
-        for x in np.flatnonzero(np.bincount(p[p >= 0])).tolist():
-            i, f2 = np.nonzero(p == x)
-            a = least[r[i], bounds[x] : bounds[x + 1]]
-            b = least[f2, bounds[x] : bounds[x + 1]]
-            a = np.where(b < none, a, none)
-            h = a.argmin(1)
-            u, v = a[np.arange(len(i)), h], b[np.arange(len(i)), h]
-            found[0, lo + i, f2], found[1, lo + i, f2], found[2, lo + i, f2] = x, u, v
-            for k in np.flatnonzero(~(coding.monos[u] | coding.monos[v])).tolist():
-                found[:, lo + i[k], f2[k]] = _first_terminal(C, ms[r[i[k]]], ms[f2[k]], x)
-    # fill every row f1 from the row of its representative f1;a, at f2;a
-    at = np.searchsorted(rows, rep)[:, None], pos[_composite(coding, ms, twist[:, None])]
-    memo[d] = tuple(x[at].ravel() for x in found)
-    return memo[d]
+        p = np.where(hc["keys"][slot] == key, hc["firsts"][slot], -1)
+        ok = np.logical_and.reduceat(K == hc["counts"][q, np.repeat(p, m)], firsts)
+        p[~ok | (np.add.reduceat(K, firsts) != width[p])] = -1
+        # the least competitor at p, over the h of hom(p, d), grouped by
+        # how many of them factor through r
+        x = np.flatnonzero(p >= 0)
+        run = np.flatnonzero(q == np.repeat(p, m))
+        u, v = np.empty((2, len(x)), np.int64)
+        for g, places in _grouped(heads[run], np.append(heads[1:], len(made))[run] - heads[run]):
+            a = np.where(made[places] > 0, ru[j[places]], n)
+            places = places[np.arange(len(g)), a.argmin(1)]
+            u[g], v[g] = ru[j[places]], least[at[places]]
+        t = hc["base"][rows[i[x]]] + f[x]
+        found["apex"][t], found["leg1"][t], found["leg2"][t] = p[x], u, v
+        for y in np.flatnonzero(~(coding.monos[u] | coding.monos[v])).tolist():
+            f2 = into[start[e[x[y]]] + f[x[y]]]
+            found[t[y]] = (*_first_terminal(C, rows[i[x[y]]], f2, p[x[y]]), -1)
+        hits.append(t[found["apex"][t] >= 0])
+    return np.concatenate(hits)
 
 
 def _first_terminal(C: FinCat, f1, f2, p: int):
@@ -336,18 +419,18 @@ def _injective(coding, p: int, u, v) -> bool:
     return _distinct(made)
 
 
-def _at(C: FinCat, d, f1, f2):
-    """The place, in the arrays of ``_pullbacks_into(C, d)``, of the
-    cospans (f1, f2) of codes into the objects numbered d."""
-    rank = C.coding.ranks
-    return rank[f1] * _hom_counts(C)["width"][d] + rank[f2]
-
-
 def _cospan(C: FinCat, f1, f2):
     """The number of the cospans (f1, f2) of codes among all cospans, in
     ``_pairs`` order."""
-    d = C.coding.tgt[f1]
-    return _hom_counts(C)["before"][d] + _at(C, d, f1, f2)
+    return _hom_counts(C)["base"][f1] + C.coding.ranks[f2]
+
+
+def _cospan_codes(C: FinCat, t):
+    """The codes (f1, f2) of the cospans numbered t."""
+    hc = _hom_counts(C)
+    d = np.searchsorted(hc["before"], t, "right") - 1
+    f1, f2 = divmod(t - hc["before"][d], hc["width"][d])
+    return hc["into"][hc["start"][d] + f1], hc["into"][hc["start"][d] + f2]
 
 
 def _package(C: FinCat, p: int, u, v) -> Pullback:
@@ -378,10 +461,8 @@ def pullback(C: FinCat, cospan: Cospan):
     pb = cache.get(key, _UNDECIDED)
     if pb is _UNDECIDED:
         coding = C.coding
-        f1, f2 = coding.code[cospan.f1], coding.code[cospan.f2]
-        d = int(coding.tgt[f1])
-        i = _at(C, d, f1, f2)
-        p, u, v = (int(x[i]) for x in _pullbacks_into(C, d))
+        i, found = _cospan(C, coding.code[cospan.f1], coding.code[cospan.f2]), _pullbacks(C)
+        p, u, v = (int(found[x][i]) for x in ("apex", "leg1", "leg2"))
         pb = cache[key] = None if p < 0 else _package(C, p, u, v)
     return pb
 
@@ -417,11 +498,7 @@ def _is_pullback(C: FinCat, top, left, right, bottom):
     """Whether each commuting square of codes (top, left, right, bottom) is
     a pullback square, by the test in the module docstring."""
     coding, first = C.coding, _hom_counts(C)["first"]
-    d = coding.tgt[right]
-    apex = np.empty(len(d), np.int64)
-    for e in set(d.tolist()):
-        k = d == e
-        apex[k] = _pullbacks_into(C, e)[0][_at(C, e, right[k], bottom[k])]
+    apex = _pullbacks(C)["apex"][_cospan(C, right, bottom)]
     p = coding.src[top]
     ok = (apex >= 0) & (first[p] == first[apex])
     for k in np.nonzero(ok & ~coding.monos[top] & ~coding.monos[left])[0].tolist():
@@ -451,62 +528,54 @@ def _pairs(C: FinCat, into: bool):
         yield from product(ms, repeat=2)
 
 
-def _least(C: FinCat, p: int, u, v):
-    """The least span (w;u, w;v) over the isomorphisms w into the object
-    numbered p, keyed w;u * n + w;v for n codes, of each span (u, v) of
-    codes out of p.  Keys follow ``_pairs`` order, as codes are
-    block-major."""
-    coding = C.coding
-    ws = _hom_counts(C)["isos_into"][p][:, None]
-    keys = _composite(coding, ws, u).astype(np.int64) * len(coding.ids) + _composite(coding, ws, v)
-    return keys.min(0)
+def _least(C: FinCat, u, v):
+    """The least span (w;u, w;v) over the isomorphisms w into the source of
+    each span (u, v) of codes, keyed w;u * n + w;v for n codes.  Keys
+    follow ``_pairs`` order, as codes are block-major."""
+    coding, hc = C.coding, _hom_counts(C)
+    n, at = len(coding.ids), hc["iso_at"]
+    keys = u.astype(np.int64) * n + v
+    p = coding.src[u]
+    for i, places in _grouped(at[p], at[p + 1] - at[p]):
+        if places.shape[1] > 1:
+            w = hc["isos"][places]
+            made = _composite(coding, w, u[i, None]).astype(np.int64) * n + _composite(coding, w, v[i, None])
+            keys[i] = made.min(1)
+    return keys
 
 
 def _cospan_walk(C: FinCat) -> dict:
-    """One memoised pass over the chosen pullbacks of the cospans into each
-    object: ``check``, the ``has_pullbacks`` answer, and the completion
-    classes (see the module docstring).  ``cls`` holds the class of every
-    cospan, numbered as by ``_cospan``, or -1; ``f1s`` and ``f2s`` hold the
-    codes of the cospans of class c from ``cuts[c]`` to ``cuts[c + 1]``;
-    ``keys[c]``, increasing in c, is the key (see ``_least``) of the least
-    span of class c, and ``spans[c]`` the number of its spans."""
+    """One memoised pass over the chosen pullbacks of all cospans:
+    ``check``, the ``has_pullbacks`` answer, and the completion classes
+    (see the module docstring).  ``cls`` holds the class of every cospan,
+    numbered as by ``_cospan``, or -1; ``cospans`` holds the numbers of the
+    cospans of class c from ``cuts[c]`` to ``cuts[c + 1]``; ``keys[c]``,
+    increasing in c, is the key (see ``_least``) of the least span of
+    class c, and ``spans[c]`` the number of its spans."""
     memo = C.cache("cospan_walk")
     if not memo:
-        coding, hc = C.coding, _hom_counts(C)
-        n, isos_into = len(coding.ids), hc["isos_into"]
-        keys, backs, f1s, f2s = ([np.empty(0, np.int64)] for _ in range(4))
-        found = [np.empty(0, bool)]
-        first = None
-        for d, ms in enumerate(coding.into):
-            apex, leg1, leg2 = _pullbacks_into(C, d)
-            found.append(apex >= 0)
-            has = np.flatnonzero(found[-1])
-            if first is None and has.size < apex.size:
-                i = int(np.argmin(apex >= 0))
-                first = Cospan(*(coding.ids[m] for m in ms[[i // len(ms), i % len(ms)]].tolist()))
-            legs, back = np.unique(leg1[has].astype(np.int64) * n + leg2[has], return_inverse=True)
-            u, v = divmod(legs, n)
-            p = coding.src[u]
-            for x in np.flatnonzero(np.bincount(p)).tolist():
-                if len(isos_into[x]) > 1:
-                    legs[p == x] = _least(C, x, u[p == x], v[p == x])
-            keys.append(legs)
-            backs.append(back)
-            f1s.append(ms[has // len(ms)])
-            f2s.append(ms[has % len(ms)])
-        classes = np.unique(np.concatenate(keys))
-        number = np.concatenate([np.searchsorted(classes, k)[b] for k, b in zip(keys, backs)])
-        order = np.argsort(number, kind="stable")
-        cls = np.full(hc["before"][-1], -1, np.int32)
-        cls[np.concatenate(found)] = number
+        coding, found = C.coding, _pullbacks(C)
+        cls, keys = found["cls"], found["keys"]
+        has = np.flatnonzero(cls >= 0)
+        check = Check(True, info={"cospans": len(cls)})
+        if has.size < cls.size:
+            f1, f2 = _cospan_codes(C, np.argmin(cls >= 0))
+            check = Check(False, Cospan(coding.ids[f1], coding.ids[f2]))
+        number = cls[has]
+        cuts = np.concatenate(([0], np.cumsum(np.bincount(number, minlength=len(keys)))))
+        # numpy sorts 16-bit keys stably by radix: by the low 16 bits of the
+        # class numbers (``astype`` keeps them), then by the high ones
+        order = np.argsort(number.astype(np.uint16), kind="stable")
+        if len(keys) > 1 << 16:
+            order = order[np.argsort((number[order] >> 16).astype(np.uint16), kind="stable")]
+        iso_at = _hom_counts(C)["iso_at"]
         memo.update(
-            check=Check(True, info={"cospans": len(cls)}) if first is None else Check(False, first),
+            check=check,
             cls=cls,
-            f1s=np.concatenate(f1s)[order].astype(np.int32),
-            f2s=np.concatenate(f2s)[order].astype(np.int32),
-            cuts=np.searchsorted(number[order], np.arange(len(classes) + 1)),
-            keys=classes,
-            spans=np.array([len(ws) for ws in isos_into], np.int64)[coding.src[classes // n]],
+            cospans=has[order],
+            cuts=cuts,
+            keys=keys,
+            spans=np.diff(iso_at)[coding.src[keys // len(coding.ids)]],
         )
     return memo
 
@@ -516,7 +585,7 @@ def _span_class(C: FinCat, g1: str, g2: str) -> int:
     pullback-square completion."""
     coding, keys = C.coding, _cospan_walk(C)["keys"]
     u, v = coding.code[g1], coding.code[g2]
-    key = _least(C, coding.src[u], np.array([u]), np.array([v]))[0]
+    key = _least(C, np.array([u]), np.array([v]))[0]
     c = int(np.searchsorted(keys, key))
     return c if c < len(keys) and keys[c] == key else -1
 
@@ -529,7 +598,7 @@ def _pullback_completions(C: FinCat, g1: str, g2: str) -> list:
     if c < 0:
         return []
     lo, hi = walk["cuts"][c : c + 2]
-    cospans = zip(walk["f1s"][lo:hi].tolist(), walk["f2s"][lo:hi].tolist())
+    cospans = zip(*(f.tolist() for f in _cospan_codes(C, walk["cospans"][lo:hi])))
     return [Square(g1, g2, ids[f1], ids[f2]) for f1, f2 in cospans]
 
 
@@ -538,9 +607,7 @@ def _mediators(C: FinCat, r, b):
     a cospan (r;h, b;h) of its own class, as (k, g, h): the place k of (r,
     b) in ``r`` and ``b``, and the number g of (r;h, b;h)."""
     coding, cls = C.coding, _cospan_walk(C)["cls"]
-    width = coding.row[r + 1] - coding.row[r]
-    k = np.repeat(np.arange(len(r)), width)
-    step = np.arange(len(k)) - np.repeat(np.cumsum(width) - width, width)
+    k, step = runs(np.zeros(len(r), np.int64), coding.row[r + 1] - coding.row[r])
     g = _cospan(C, *(coding.cells[coding.row[x][k] + step] for x in (r, b)))
     keep = cls[g] == cls[_cospan(C, r, b)][k]
     return k[keep], g[keep], (coding.out[coding.tgt[r]][k] + step)[keep]
@@ -574,7 +641,7 @@ def _chosen(C: FinCat):
         todo, j = np.arange(len(chosen)), 0
         while todo.size:
             at = cuts[todo] + j
-            ok = _initial(C, walk["f1s"][at], walk["f2s"][at])
+            ok = _initial(C, *_cospan_codes(C, walk["cospans"][at]))
             chosen[todo[ok]] = j
             j += 1
             todo = todo[~ok & (cuts[todo] + j < cuts[todo + 1])]
@@ -613,7 +680,7 @@ def is_weak_pushout_square(C: FinCat, sq: Square) -> Check:
     walk = _cospan_walk(C)
     lo, hi = walk["cuts"][walk["cls"][_cospan(C, right, bottom)] + np.arange(2)]
     _, g, _ = _mediators(C, right, bottom)
-    at = np.searchsorted(_cospan(C, walk["f1s"][lo:hi], walk["f2s"][lo:hi]), g)
+    at = np.searchsorted(walk["cospans"][lo:hi], g)
     hits = np.bincount(at, minlength=hi - lo)
     j = int(np.argmax(hits != 1))
     if hits[j] != 1:
@@ -666,23 +733,21 @@ def preserves_pullbacks(F: FinFunctor) -> Check:
     Pullback squares over a cospan agree up to an apex isomorphism and
     functors preserve isomorphisms, so checking the chosen one per cospan
     covers them all.  A functor's image of a commuting square commutes, so
-    the images of the chosen squares into each object, coded through
-    ``F.code_map``, go straight to the terminality test of ``_is_pullback``,
-    all at once.
+    the images of the chosen squares, coded through ``F.code_map``, go
+    straight to the terminality test of ``_is_pullback``, ``_ROUND``
+    cospans at a time.
     """
     C, m = F.source, F.code_map
-    n = 0
-    for d, ms in enumerate(C.coding.into):
-        apex, leg1, leg2 = _pullbacks_into(C, d)
-        has = np.flatnonzero(apex >= 0)
-        f1, f2 = (ms[k] for k in divmod(has, len(ms)))
-        ok = _is_pullback(F.target, m[leg1[has]], m[leg2[has]], m[f1], m[f2])
+    found = _pullbacks(C)
+    has = np.flatnonzero(found["apex"] >= 0)
+    for lo in range(0, len(has), _ROUND):
+        t = has[lo : lo + _ROUND]
+        square = found["leg1"][t], found["leg2"][t], *_cospan_codes(C, t)
+        ok = _is_pullback(F.target, *(m[x] for x in square))
         if not ok.all():
             k = int(np.argmin(ok))
-            square = (leg1[has[k]], leg2[has[k]], f1[k], f2[k])
-            return Check(False, Square(*map(C.coding.ids.__getitem__, square)))
-        n += has.size
-    return Check(True, info={"pullback_squares_checked": n})
+            return Check(False, Square(*(C.coding.ids[x[k]] for x in square)))
+    return Check(True, info={"pullback_squares_checked": has.size})
 
 
 def preserves_weak_pushouts(F: FinFunctor) -> Check:
@@ -699,7 +764,7 @@ def preserves_weak_pushouts(F: FinFunctor) -> Check:
     c = np.flatnonzero(chosen >= 0)
     g1, g2 = divmod(walk["keys"][c], n)
     at = walk["cuts"][c] + chosen[c]
-    f1, f2 = walk["f1s"][at], walk["f2s"][at]
+    f1, f2 = _cospan_codes(C, walk["cospans"][at])
     ok = _is_pullback(T, m[g1], m[g2], m[f1], m[f2])
     ok[ok] = _initial(T, m[f1[ok]], m[f2[ok]])
     if not ok.all():

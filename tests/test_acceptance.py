@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from comparisons import fi_g_comparison
 from fibcat import (
     automorphisms,
     canonical_lift,
@@ -41,7 +42,6 @@ from fibcat import (
 )
 from fibcat.generators import (
     delta_const,
-    fi_g_comparison,
     indexed_gpow,
     chain_poset,
     cospan_poset,

@@ -664,6 +664,17 @@ def test_indexed_entries_for_unknown_keys_are_input_errors(workdir, capsys, key,
     assert code == 2 and out == "" and "IndexedError" in err and "'ghost'" in err
 
 
+def test_indexed_arrow_that_is_no_functor_is_input_error(workdir, capsys):
+    """The loader hands an indexed file's arrows to ``validate_indexed``
+    bare, which checks them all at once, so an arrow that is no functor
+    fails there, as ``BadFiberFunctor``, an input error."""
+    data = _edited(_TINY, lambda table: {**table, "id": "ghost"}, "arrows", "id", "on_morphisms")
+    open("in.json", "w").write(stable_dumps(data))
+    code, out, err = run(capsys, "groth", "in.json", "-o", "total.json")
+    assert code == 2 and out == "" and err.startswith("input error:") and err.count("\n") == 1
+    assert "BadFiberFunctor" in err and "'ghost'" in err
+
+
 def _group_files(z4, z2):
     """A ``group twist`` file on Z4 → Z2 and the ``group ext`` file of the
     twisted action it gives."""

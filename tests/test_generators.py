@@ -14,25 +14,20 @@ from fibcat import (
 from fibcat.generators import (
     MissingPullback,
     arrow_category,
-    block_counting_functor,
     block_perm_indexed,
     chain_poset,
     codiscrete_category,
-    codomain_check,
     colored_strings,
     delta_const,
     discrete_category,
     fi_colored,
-    fi_g_comparison,
     fi_g_direct,
-    fi_gh_comparison,
     fi_truncated,
     indexed_gpow,
     inj_id,
     injections,
     parse_inj,
     product_category,
-    product_check,
     slice_category,
     slice_indexed,
     span_poset,
@@ -45,6 +40,14 @@ from fibcat.groups import cyclic_group, group_as_category, symmetric_group, triv
 from fibcat.indexed import restrict_to_aut
 from fibcat.ioformats import category_to_json, indexed_to_json, stable_dumps
 from fibcat.limits import Cospan, as_pullback
+
+from comparisons import (
+    block_counting_functor,
+    codomain_check,
+    fi_g_comparison,
+    fi_gh_comparison,
+    product_check,
+)
 
 
 def perm_count(n, m):

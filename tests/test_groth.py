@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from comparisons import fi_g_comparison
 from core_reference import decorated_composite
 from fibcat import (
     CategoryError,
@@ -73,8 +74,6 @@ def test_intro_figure_composition_rule():
 def test_total_composition_agrees_with_decorated_rule(z2):
     M = indexed_gpow(z2, 3)
     gr = grothendieck(M)
-    from fibcat.generators import fi_g_comparison
-
     F, props = fi_g_comparison(z2, 3, gr)
     assert props.equivalence
     assert props.full.holds and props.faithful.holds and props.essentially_surjective.holds

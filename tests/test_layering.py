@@ -217,15 +217,20 @@ def test_functor_checks_read_only_the_cells():
 
 
 def test_pullback_search_reads_only_the_cells():
-    """The search that decides every pullback into an object at once, the
-    square test, ``check_square``, the completion classes and the hit count
-    of condition 7, the two preservation checks and ``core.is_transitive``
-    read the codings, and no function of ``limits`` reads the string
-    ``table`` or calls ``comp``."""
+    """The search that decides every pullback of a category in one pass
+    (the factor counts, the orbits of rows, the search over the rows least
+    in their orbits and the fill of the others), the square test,
+    ``check_square``, the completion classes and the hit count of condition
+    7, the two preservation checks and ``core.is_transitive`` read the
+    codings, and no function of ``limits`` reads the string ``table`` or
+    calls ``comp``."""
     for module, name in [("core", "is_transitive")] + [
         ("limits", name)
         for name in (
-            "_pullbacks_into",
+            "_factorings",
+            "_orbits",
+            "_search",
+            "_pullbacks",
             "_is_pullback",
             "check_square",
             "_cospan_walk",

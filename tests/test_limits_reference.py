@@ -12,6 +12,8 @@ The seeded random corpus of ``random_categories`` is compared on conditions
 6 and 7, on every chosen pullback and weak pushout, on the square of every
 competitor and on every completion, whose transformation monoids reach
 ``non_unique``.
+A second seeded corpus, of random posets and of products of small
+transformation monoids with a chain, has many objects, so many targets.
 Conditions 6 and 7 and the two preservation checks are also compared with
 per-cospan and per-span loops over the reference search, on freshly built
 categories and in either order, since the one cospan walk that serves
@@ -19,10 +21,12 @@ conditions 6 and 7 is memoised on the category.
 """
 
 import itertools
+import random
 
 import pytest
 
 import limits_reference as ref
+import random_categories
 from fibcat import (
     Check,
     Cospan,
@@ -157,6 +161,46 @@ def test_pullbacks_match_reference_on_seeded_corpus(seeded_categories):
             for (_, u, v) in ref._competitors(C, cospan.f1, cospan.f2):
                 sq = Square(u, v, cospan.f1, cospan.f2)
                 assert limits.is_pullback_square(C, sq) == ref.is_pullback_square(C, sq), sq
+
+
+@pytest.fixture
+def many_object_categories():
+    """Ten random posets of up to 12 objects and six products of a small
+    transformation monoid with ``chain_poset(3)``: many targets, and apart
+    from the shared corpus, whose counts are pinned above.  Built afresh
+    for each test, so no search is cached before it runs."""
+    rng = random.Random(random_categories.MANY_OBJECTS_SEED)
+    return random_categories.many_object_categories(rng)
+
+
+def test_pullbacks_match_reference_on_many_objects(many_object_categories, monkeypatch):
+    """Condition 6, the chosen pullback of every cospan and the verdict on
+    the square of every competitor match the reference on categories with
+    many objects.  Some products have automorphisms beyond the identities,
+    and their legs that are not mono reach ``_first_terminal``."""
+    reached = []
+    first_terminal = limits._first_terminal
+    monkeypatch.setattr(limits, "_first_terminal", lambda *args: reached.append(args) or first_terminal(*args))
+    for C in many_object_categories:
+        assert limits.has_pullbacks(C) == _reference_condition_six(C)
+        for cospan in limits.all_cospans(C):
+            assert limits.pullback(C, cospan) == ref.pullback(C, cospan), cospan
+            for (_, u, v) in ref._competitors(C, cospan.f1, cospan.f2):
+                sq = Square(u, v, cospan.f1, cospan.f2)
+                assert limits.is_pullback_square(C, sq) == ref.is_pullback_square(C, sq), sq
+    assert reached and any(len(C.inverses) > len(C.objects) for C in many_object_categories)
+
+
+def test_weak_pushouts_match_reference_on_many_objects(many_object_categories):
+    """Condition 7, the chosen weak pushout of every span with its
+    mediators and the verdict on every completion of every span match the
+    reference on categories with many objects."""
+    for C in many_object_categories:
+        assert limits.has_weak_pushouts(C) == _reference_condition_seven(C)[0]
+        for span in limits.all_spans(C):
+            assert limits.weak_pushout(C, span) == ref.weak_pushout(C, span), span
+            for sq in ref._pullback_completions(C, span.g1, span.g2):
+                assert limits.is_weak_pushout_square(C, sq) == ref.is_weak_pushout_square(C, sq), sq
 
 
 def test_weak_pushouts_match_reference_on_seeded_corpus(seeded_categories):
