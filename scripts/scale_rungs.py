@@ -83,6 +83,9 @@ RUNGS = {
     # the total of the slices of FI_4, made untimed: 89 objects in many small
     # blocks, 67,857 morphisms, 42.9M composites
     "slice_fi4_total": (lambda: slice_indexed(fi_truncated(4)), lambda M: grothendieck(M).total),
+    # the slices of FI_4 indexed by chosen pullbacks, FI_4 made untimed: 5
+    # fibers, 89 arrows and 2,165 compositors with 133,055 components
+    "slice_indexed_fi4": (lambda: fi_truncated(4), slice_indexed),
     # FI_7: 8 objects, 16,072 morphisms, 81.5M composites
     "fi7": _build(lambda: fi_truncated(7)),
     # the poset chain10 x chain10: 100 objects, 3,025 morphisms, each alone

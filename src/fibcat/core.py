@@ -1,20 +1,23 @@
-"""Finite categories as explicit composition tables.
+"""Finite categories as integer codings of their composites.
 
-Objects and morphisms are plain string identifiers.  A category carries its
-identity table and full composition table, checked exhaustively when it is
-built and immutable afterwards; every predicate is a deterministic
-exhaustive search over sorted identifiers.  Ids reach this module as
-strings: ``ioformats`` reads every id in a JSON file and rejects one that
-is not a scalar, so nothing here converts an id.
+Objects and morphisms are plain string identifiers.  A category is its
+``Coding``: the code of each morphism, one ``int32`` cell per composable
+pair holding the code of its composite, and the codes of each object's
+identity, of each morphism's inverse and of Light's generating set S.  It
+is checked exhaustively when it is built and immutable afterwards, and its
+string fields (endpoints, inverses, S) are read once off the coding; every
+predicate is a deterministic exhaustive search over sorted identifiers.
+Ids reach this module as strings: ``ioformats`` reads every id in a JSON
+file and rejects one that is not a scalar, so nothing here converts an id.
 
-Each category keeps one integer coding of its composites, its ``Coding``.
 Morphisms are coded block-major, by hom-set in sorted (src, tgt) order and
-then by id, and each code f has one ``int32`` cell per morphism out of tgt
-f, which holds the code of the composite.  ``from_cells`` is the one way
-in: it hands a fresh coding to its caller's ``fill``, and then the same
-checks (``_checked``) read the cells and build the ``FinCat``, whose string
-``table`` is derived from the cells when it is first read.  These builders
-fill the cells:
+then by id, and each code f has one cell per morphism out of tgt f.
+``from_cells`` is the one way in: given the identities and the hom-sets, it
+hands a fresh coding to its caller's ``fill``, and then the same checks
+(``_checked``) read the cells, record the identities, inverses and S on the
+coding and build the ``FinCat``.  No library path spells the composites out
+as strings: ``FinCat.table`` is derived from the cells only when read.
+These builders fill the cells:
 
 * ``from_parts`` lays out blocks ``{parts: id}``, each morphism listed by
   the codes of its components in the codings of some factor categories,
@@ -141,18 +144,19 @@ def first_failure(items, check) -> Check:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FinCat:
-    """A finite category given by identifier sets and lookup tables.
+    """A finite category: its ``coding`` (see ``Coding``) and the string
+    views read off it once, when it is checked.
 
-    ``table`` maps a composable pair ``(f, g)`` with ``tgt(f) == src(g)`` to
-    the composite "f then g" (g∘f in applicative order).  ``homs`` maps
-    ``(x, y)`` to the sorted tuple of morphisms x→y, ``inverses`` maps every
-    isomorphism to its (unique) two-sided inverse.  ``generators`` is the
+    ``homs`` maps ``(x, y)`` to the sorted tuple of morphisms x→y, ``src``
+    and ``tgt`` map each morphism to its endpoints, ``inverses`` maps every
+    isomorphism to its (unique) two-sided inverse and ``generators`` is the
     sorted tuple of Light's generating set S, which with the identities
     generates every morphism under composition (see ``_generators``).
-    ``coding`` is the integer coding of the composites (see ``Coding``), and
-    ``table`` spells it out: it is made from the cells the first time it is
-    read and kept, in cell order, which is the order of (src f, tgt f, f,
-    tgt g, g), so it depends on the category alone, not on how it was built.
+    ``table`` maps each composable pair ``(f, g)`` to the composite "f then
+    g" (g∘f in applicative order); no library path reads it.  It is made
+    from the cells the first time it is read and kept, in cell order, which
+    is the order of (src f, tgt f, f, tgt g, g), so it depends on the
+    category alone, not on how it was built.
     """
 
     objects: tuple
@@ -178,12 +182,15 @@ class FinCat:
         return _table(self.coding)
 
     def comp(self, first: str, then: str) -> str:
-        """Composite of ``first`` followed by ``then``."""
-        # One composite at a time, the table is faster than the cells: ~0.3 us
-        # a call against ~1.1 us for the code lookups and the cell read
-        # (timeit on FI_3, 2-vCPU Xeon).  No builder calls it; its callers are
-        # ``theorem`` and ``slice_indexed``.
-        return self.table[(first, then)]
+        """Composite of ``first`` followed by ``then``, read off the cells;
+        a pair that is not composable raises ``KeyError``."""
+        # ~1.6 us a call (timeit on FI_3, 2-vCPU Xeon): for one composite at a
+        # time; many at once are one gather of the cells, as in slice_indexed.
+        K = self.coding
+        f, g = K.code[first], K.code[then]
+        if K.tgt[f] != K.src[g]:
+            raise KeyError((first, then))
+        return K.ids[K.cells[K.cell(f, g)]]
 
     def hom(self, x: str, y: str) -> tuple:
         return self.homs.get((x, y), ())
@@ -219,14 +226,17 @@ _ROUND_CELLS = 1 << 16  # cells read per numpy round
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Coding:
-    """The integer coding of a category's composites, made once by
-    ``from_cells`` for every builder.
+    """A category as integers, made once by ``from_cells`` for every
+    builder: the one place its composites, identities, inverses and
+    generating set live.
 
     Codes are block-major: by hom-set in sorted (src, tgt) order, then by
     id, so each hom-set is one range of codes and so are the morphisms out
     of an object.  Objects are numbered by their place in ``objects``.  Each
     code f has one cell per morphism out of tgt f, from ``row[f]`` on: the
     cell of (f, g) is ``row[f] + g - out[tgt f]`` and holds the code of f;g.
+    ``units``, ``inverse`` and ``gens`` are set by ``_checked``, once the
+    cells are filled and checked.
     """
 
     ids: tuple  # the morphism of each code
@@ -237,6 +247,9 @@ class Coding:
     out: np.ndarray  # out[x]: the first code out of object x; out[-1] is n
     row: np.ndarray  # row[f]: the first cell of f; row[-1] is the number of cells
     cells: np.ndarray  # the int32 code of each cell's composite
+    units: np.ndarray = None  # the code of each object's identity
+    inverse: np.ndarray = None  # the code of each code's inverse, or -1
+    gens: np.ndarray = None  # the codes of Light's S, in code order
 
     def cell(self, f, g):
         """The cells of the codes (f, g), which must be composable."""
@@ -341,40 +354,39 @@ def _no_repeated_pair(pairs):
 
 
 def _vet_ids(objects, morphisms, identity):
-    """The sorted objects, the endpoints and the identities of a category
+    """The hom-sets and the identities of the sorted objects of a category
     given by raw ids, each object and morphism id interned once."""
     obs = tuple(sorted(map(sys.intern, objects)))
     if len(set(obs)) != len(obs):
         raise CategoryError("duplicate object identifiers")
     obset = set(obs)
 
-    src, tgt = {}, {}
+    ends = {}
     for mid, s, t in morphisms:
         mid, s, t = sys.intern(mid), sys.intern(s), sys.intern(t)
-        if mid in src:
+        if mid in ends:
             raise CategoryError("duplicate morphism identifier %r" % mid)
         if s not in obset:
             raise UnknownObject("morphism %r has unknown source %r" % (mid, s))
         if t not in obset:
             raise UnknownObject("morphism %r has unknown target %r" % (mid, t))
-        src[mid], tgt[mid] = s, t
+        ends[mid] = s, t
 
     ident = {}
     for x in obs:
         if x not in identity:
             raise MissingIdentity("object %r has no identity morphism" % x)
         i = identity[x]
-        if i not in src:
+        if i not in ends:
             raise MissingIdentity("identity %r of %r is not a morphism" % (i, x))
-        if src[i] != x or tgt[i] != x:
-            raise MissingIdentity(
-                "identity %r of %r has endpoints (%r, %r)" % (i, x, src[i], tgt[i])
-            )
+        if ends[i] != (x, x):
+            raise MissingIdentity("identity %r of %r has endpoints (%r, %r)" % (i, x, *ends[i]))
         ident[x] = i
     for x in identity:
         if x not in obset:
             raise UnknownObject("identity given for unknown object %r" % (x,))
-    return obs, src, tgt, ident
+    by_block = sorted(ends, key=lambda m: (ends[m], m))
+    return {xy: tuple(ms) for xy, ms in itertools.groupby(by_block, ends.__getitem__)}, ident
 
 
 def validate_category(objects, morphisms, identity, composition) -> FinCat:
@@ -395,21 +407,17 @@ def validate_category(objects, morphisms, identity, composition) -> FinCat:
     it when first read.
     """
     try:
-        obs, src, tgt, ident = _vet_ids(objects, morphisms, identity)
+        homs, ident = _vet_ids(objects, morphisms, identity)
     except CategoryError:
         _no_repeated_pair((f, g) for f, g, _ in composition)
         raise
-    by_block = sorted(src, key=lambda m: (src[m], tgt[m], m))
-    homs = {xy: tuple(ms) for xy, ms in itertools.groupby(by_block, lambda m: (src[m], tgt[m]))}
-    src, tgt = ({m: ends[m] for m in by_block} for ends in (src, tgt))
-    return from_cells(
-        ident, homs, src, tgt, lambda coding: _read_composition(coding, src, tgt, ident, composition)
-    )
+    return from_cells(ident, homs, lambda coding: _read_composition(coding, ident, composition))
 
 
-def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composition) -> None:
+def _read_composition(coding: Coding, ident: dict, composition) -> None:
     """Fill the cells of ``coding`` from the (first, then, equals) triples
-    of ``composition`` and the unit laws, or raise the first error."""
+    of ``composition`` and the unit laws of the identities ``ident``, or
+    raise the first error."""
     n, code = len(coding.ids), _FreshCodes(coding.code)
     flat = np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(composition)), np.int32)
     if len(flat) % 3:
@@ -445,7 +453,7 @@ def _read_composition(coding: Coding, src: dict, tgt: dict, ident: dict, composi
     unit = np.array([code[i] for i in ident.values()], np.int64)
     for forced in (coding.cell(unit[coding.src], c), coding.cell(c, unit[coding.tgt])):
         cells[forced] = np.where(cells[forced] < 0, c, cells[forced])
-    _check_units(ident, src, tgt, coding)
+    _check_units(coding, unit)
 
     missing = np.flatnonzero(cells < 0)
     moved = at[(s_of[equals] != s_of[first]) | (t_of[equals] != t_of[then])]
@@ -483,14 +491,13 @@ def from_parts(identities: dict, blocks: dict, factors) -> FinCat:
     ``UnitViolation`` and ``AssociativityViolation``.
     """
     blocks = {xy: block for xy, block in blocks.items() if block}
-    src, tgt = {}, {}
+    seen = set()
     for (x, y), block in blocks.items():
         if x not in identities or y not in identities:
             raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
-        for m in block.values():
-            if m in src:
-                raise CategoryError("duplicate morphism identifier %r" % m)
-            src[m], tgt[m] = x, y
+        again = next((m for m in block.values() if m in seen or seen.add(m)), None)
+        if again is not None:
+            raise CategoryError("duplicate morphism identifier %r" % again)
     homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
     identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
     codings = [C.coding for C in factors]
@@ -541,63 +548,67 @@ def from_parts(identities: dict, blocks: dict, factors) -> FinCat:
                 raise CompositeEndpointViolation((ids[f[k]], ids[g[k]]))
             coding.cells[row[lo] : row[hi]] = made
 
-    return from_cells(identity, homs, src, tgt, fill)
+    return from_cells(identity, homs, fill)
 
 
-def from_cells(identity: dict, homs: dict, src: dict, tgt: dict, fill) -> FinCat:
+def from_cells(identity: dict, homs: dict, fill) -> FinCat:
     """The category on the objects of ``identity``, which are sorted, with
-    the hom-sets ``homs``, each a sorted tuple, and the endpoints ``src`` and
-    ``tgt``.  ``fill(coding)`` writes every cell of a fresh coding, in which
-    each cell holds -1 until written, or raises the first error among the
-    composites.  Then the first object whose identity is None raises
+    the hom-sets ``homs``, each a sorted tuple; the coding implies every
+    endpoint.  ``fill(coding)`` writes every cell of a fresh coding, in
+    which each cell holds -1 until written, or raises the first error among
+    the composites.  Then the first object whose identity is None raises
     ``MissingIdentity``, and ``_checked`` runs."""
     coding = _coding(tuple(identity), homs)
     fill(coding)
     missing = next((x for x, i in identity.items() if i is None), None)
     if missing is not None:
         raise MissingIdentity("object %r has no identity morphism" % missing)
-    return _checked(identity, homs, src, tgt, coding)
+    return _checked(identity, homs, coding)
 
 
-def _checked(identity: dict, homs: dict, src: dict, tgt: dict, coding: Coding) -> FinCat:
+def _checked(identity: dict, homs: dict, coding: Coding) -> FinCat:
     """The category whose coding has every cell filled, once the unit laws
     and associativity hold, checked in that order.  ``identity`` maps the
     sorted objects to their identities and ``homs`` maps each hom-set to its
-    sorted morphisms."""
-    is_unit = _check_units(identity, src, tgt, coding)
-    gens = _generators(homs, coding, is_unit)
+    sorted morphisms.  The codes of the identities, of each inverse and of
+    S are set on ``coding``, and every other field is read off it."""
+    ids, units = coding.ids, np.array([coding.code[i] for i in identity.values()], np.int64)
+    is_unit = _check_units(coding, units)
+    gens = np.flatnonzero(_generators(homs, coding, is_unit))
     _check_associativity(homs, coding, gens)
 
     # g is the inverse of f when both composites are identities; it is
     # unique, as the category is associative.
-    cells, row, ids = coding.cells, coding.row, coding.ids
-    at = np.flatnonzero(is_unit[cells])
-    f = np.searchsorted(row, at, "right") - 1
-    g = at - row[f] + coding.out[coding.tgt[f]]
-    back = is_unit[cells[coding.cell(g, f)]]
-    fs, gs = (map(ids.__getitem__, k[back].tolist()) for k in (f, g))
-    inverses = dict(sorted(zip(fs, gs)))
+    at = np.flatnonzero(is_unit[coding.cells])
+    f = np.searchsorted(coding.row, at, "right") - 1
+    g = at - coding.row[f] + coding.out[coding.tgt[f]]
+    back = is_unit[coding.cells[coding.cell(g, f)]]
+    inverse = np.full(len(ids), -1, np.int64)
+    inverse[f[back]] = g[back]
+    vars(coding).update(units=units, inverse=inverse, gens=gens)
 
-    objects, mors, id_mors = tuple(identity), tuple(sorted(src)), frozenset(identity.values())
-    S = tuple(sorted(ids[k] for k in np.flatnonzero(gens).tolist()))
-    return FinCat(objects, mors, src, tgt, identity, homs, inverses, id_mors, S, coding)
+    objects, name = tuple(identity), ids.__getitem__
+    src, tgt = (dict(zip(ids, map(objects.__getitem__, ends.tolist()))) for ends in (coding.src, coding.tgt))
+    inverses = dict(sorted(zip(map(name, f[back].tolist()), map(name, g[back].tolist()))))
+    S, id_mors = tuple(sorted(map(name, gens.tolist()))), frozenset(identity.values())
+    return FinCat(objects, tuple(sorted(ids)), src, tgt, identity, homs, inverses, id_mors, S, coding)
 
 
-def _check_units(identity: dict, src: dict, tgt: dict, coding: Coding):
+def _check_units(coding: Coding, units):
     """Raise ``UnitViolation`` for the first morphism by id whose composite
-    with an identity is not itself, else return the mask of the identities."""
+    with an identity is not itself, else return the mask of the identities,
+    ``units`` holding the code of each object's."""
     cells, c = coding.cells, np.arange(len(coding.ids))
-    unit = np.array([coding.code[i] for i in identity.values()], np.int64)
-    left = cells[coding.cell(unit[coding.src], c)]
-    right = cells[coding.cell(c, unit[coding.tgt])]
+    left = cells[coding.cell(units[coding.src], c)]
+    right = cells[coding.cell(c, units[coding.tgt])]
     bad = np.flatnonzero((left != c) | (right != c))
     if bad.size:
         f = min(coding.ids[k] for k in bad.tolist())
         k = coding.code[f]
         if left[k] != k:
-            raise UnitViolation((identity[src[f]], f, coding.ids[left[k]]))
-        raise UnitViolation((f, identity[tgt[f]], coding.ids[right[k]]))
-    return np.isin(c, unit)
+            raise UnitViolation((coding.ids[units[coding.src[k]]], f, coding.ids[left[k]]))
+        raise UnitViolation((f, coding.ids[units[coding.tgt[k]]], coding.ids[right[k]]))
+    return np.isin(c, units)
 
 
 def _table(coding: Coding) -> dict:
@@ -639,8 +650,9 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
             k = int(np.argmax(at < 0))
             raise CompositeEndpointViolation((ids[f[k]], ids[g[k]], K.ids[made[k]]))
 
-    identity = {x: C.id_of(x) if position[K.code[C.id_of(x)]] >= 0 else None for x in sorted(inside)}
-    return from_cells(identity, homs, {m: C.src[m] for m in ids}, {m: C.tgt[m] for m in ids}, fill)
+    kept = dict(zip(C.objects, (position[K.units] >= 0).tolist()))
+    identity = {x: C.id_of(x) if kept[x] else None for x in sorted(inside)}
+    return from_cells(identity, homs, fill)
 
 
 # cells held by the arrays of one numpy round of a sweep: few enough to stay in
@@ -752,7 +764,7 @@ def _check_associativity(homs: dict, coding: Coding, gens=None):
     at once: (f;g);h, the row of the code f;g, must equal f;(g;h), the row
     of f at the columns of g;h.  Every morphism into one object has a row of
     one width, so the rows of the f are read at their starts in ``cells``,
-    and so are those of the f;g.  With the mask ``gens``, only the g in it
+    and so are those of the f;g.  With the codes ``gens``, only those g
     are swept and a hom-set without one is skipped (Light's test, see the
     module docstring); a failure there reruns the full sweep, in which
     every g is swept.  The full sweep keeps the first failing (a, b, c) in
@@ -765,7 +777,7 @@ def _check_associativity(homs: dict, coding: Coding, gens=None):
     that alone has more.
     """
     cells, row, out, src, tgt = coding.cells, coding.row, coding.out, coding.src, coding.tgt
-    g = np.arange(len(coding.ids)) if gens is None else np.flatnonzero(gens)
+    g = np.arange(len(coding.ids)) if gens is None else gens
     cut = np.flatnonzero((src[g[1:]] != src[g[:-1]]) | (tgt[g[1:]] != tgt[g[:-1]])) + 1
     first = None  # the first failing (a, b, c) of the full sweep, as object numbers
     for g in np.split(g, cut) if g.size else ():
@@ -874,12 +886,11 @@ def is_iso(C: FinCat, f: str):
 
 
 def is_ei(C: FinCat) -> Check:
-    """Every endomorphism is an isomorphism."""
-    for x in C.objects:
-        for f in C.endos(x):
-            if f not in C.inverses:
-                return Check(False, f)
-    return Check(True)
+    """Every endomorphism is an isomorphism; else the first that is not,
+    by object and then id, which is code order."""
+    K = C.coding
+    bad = np.flatnonzero((K.src == K.tgt) & (K.inverse < 0))
+    return Check(False, K.ids[bad[0]]) if bad.size else Check(True)
 
 
 def automorphisms(C: FinCat, x: str) -> tuple:
@@ -896,9 +907,7 @@ def is_transitive(C: FinCat) -> Check:
     found once, and every orbit is marked in one pass over the cells.
     """
     coding, n = C.coding, len(C.coding.ids)
-    iso = np.zeros(n, bool)
-    iso[[coding.code[f] for f in C.inverses]] = True
-    auts = np.flatnonzero(iso & (coding.src == coding.tgt))  # by object
+    auts = np.flatnonzero((coding.inverse >= 0) & (coding.src == coding.tgt))  # by object
     count = np.bincount(coding.src[auts], minlength=len(C.objects))
     first = np.fromiter(coding.start.values(), np.int64, len(coding.start))
     k = count[coding.tgt[first]]  # |Aut(y)| for each hom-set (x, y)
@@ -923,22 +932,13 @@ def iso_classes(C: FinCat) -> tuple:
 
 
 def _iso_classes(C: FinCat) -> tuple:
-    parent = {x: x for x in C.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f, g in C.inverses.items():
-        a, b = find(C.src[f]), find(C.tgt[f])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups = {}
-    for x in C.objects:
-        groups.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
+    """The class of x is the targets of the isos out of x: isos compose and
+    invert, and the identity of x is one."""
+    K, classes = C.coding, {}
+    isos = K.inverse >= 0
+    for x, y in zip(K.src[isos].tolist(), K.tgt[isos].tolist()):
+        classes.setdefault(x, set()).add(C.objects[y])
+    return tuple(sorted({tuple(sorted(ys)) for ys in classes.values()}))
 
 
 def below_set(C: FinCat, y: str) -> tuple:

@@ -280,7 +280,7 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
     number = dict(zip(base.objects, range(len(base.objects))))
     for (x, y), fs in sorted(base.homs.items()):
         fib_x, fib_y, K = M.fiber_at(x), M.fiber_at(y), M.fiber_at(x).coding
-        endos = np.array([B.code[g] for g in base.endos(y)], np.int64)
+        endos = base.hom_codes(y, y)
         for f1 in fs:
             M1 = M.arrow_at(f1)
             for f2 in fs:

@@ -126,27 +126,24 @@ def validate_functor(source: FinCat, target: FinCat, on_objects, on_morphisms) -
     source morphisms, an unknown morphism, identities, composites.  Ids are
     strings."""
     F = FinFunctor(source, target, dict(on_objects), dict(on_morphisms))
-    (units, items), (target_units, _) = _shape(source), _shape(target)
     whole = np.array([(len(F.on_objects), len(F.on_morphisms)) == (len(source.objects), len(source.morphisms))])
     zero = np.zeros(1, np.intp)
     maps = (zero, F.code_map, zero, F.ob_map)
-    if unfunctorial(source.coding, target.coding, (units, target_units), maps, items, whole)[0]:
+    if unfunctorial(source.coding, target.coding, maps, _items(source), whole)[0]:
         _raise_first_failure(F)
     return F
 
 
-def _shape(C: FinCat) -> tuple:
-    """What ``unfunctorial`` reads of ``C`` for one map out of or into it,
-    made once per category: the code of each object's identity, and the
-    items of a map out of C, numbered 0: its objects, its codes and the
-    pairs of Light's test."""
+def _items(C: FinCat) -> tuple:
+    """The items ``unfunctorial`` reads of one map out of ``C``, numbered 0:
+    its objects, its codes and the pairs of Light's test; made once per
+    category."""
     memo = C.cache("unfunctorial")
     if not memo:
         k, n, (f, g) = len(C.objects), len(C.morphisms), light_pairs(C)
-        units = np.array([C.coding.code[C.id_of(x)] for x in C.objects], np.intp)
         zeros = np.zeros(max(k, n, len(f)), np.intp)
-        memo["shape"] = units, ((zeros[:k], np.arange(k)), (zeros[:n], np.arange(n)), (zeros[: len(f)], f, g))
-    return memo["shape"]
+        memo["items"] = (zeros[:k], np.arange(k)), (zeros[:n], np.arange(n)), (zeros[: len(f)], f, g)
+    return memo["items"]
 
 
 def light_pairs(C: FinCat) -> tuple:
@@ -156,22 +153,20 @@ def light_pairs(C: FinCat) -> tuple:
     memo = C.cache("light_pairs")
     if not memo:
         K = C.coding
-        gens = np.array([K.code[g] for g in C.generators], np.intp)
-        runs = [K.into[x] for x in K.src[gens].tolist()]
-        memo["pairs"] = np.concatenate([np.empty(0, np.intp), *runs]), np.repeat(gens, list(map(len, runs)))
+        runs = [K.into[x] for x in K.src[K.gens].tolist()]
+        memo["pairs"] = np.concatenate([np.empty(0, np.intp), *runs]), np.repeat(K.gens, list(map(len, runs)))
     return memo["pairs"]
 
 
-def unfunctorial(S, T, units, maps, items, whole) -> np.ndarray:
+def unfunctorial(S, T, maps, items, whole) -> np.ndarray:
     """The mask of the maps i = 0, 1, ... from the codes and objects of the
     coding ``S`` to those of ``T`` that are no functors.  ``S`` and ``T``
-    code categories, as ``core.Coding`` does (``src``, ``tgt``, ``cells``
-    and ``cell``), or several laid side by side, as
-    ``indexed.IndexedCoding`` does; ``units`` holds the code of the
-    identity of each object of S and of T.  With ``maps`` = (at, image,
-    ob_at, image_ob), map i sends the code k to image[at[i] + k], the
-    object o to image_ob[ob_at[i] + o], and either to a negative number, or
-    a morphism to a code whose source is none, where it maps it to nothing.
+    code categories, as ``core.Coding`` does (``src``, ``tgt``, ``cells``,
+    ``cell`` and ``units``), or several laid side by side, as
+    ``indexed.IndexedCoding`` does.  With ``maps`` = (at, image, ob_at,
+    image_ob), map i sends the code k to image[at[i] + k], the object o to
+    image_ob[ob_at[i] + o], and either to a negative number, or a morphism
+    to a code whose source is none, where it maps it to nothing.
     ``items`` = (objects, codes, pairs) lists (i, o) for every object o of
     the source of map i, (i, k) for every code k, and (i, f, g) for the
     pairs Light's test composes (see ``light_pairs``); ``whole[i]`` tells
@@ -200,7 +195,7 @@ def unfunctorial(S, T, units, maps, items, whole) -> np.ndarray:
     if bad.all():
         return bad
     i, o = passing(objects)
-    bad[i[image[at[i] + units[0][o]] != units[1][image_ob[ob_at[i] + o]]]] = True
+    bad[i[image[at[i] + S.units[o]] != T.units[image_ob[ob_at[i] + o]]]] = True
     if bad.all():
         return bad
     i, f, g = passing(pairs)
@@ -301,9 +296,9 @@ def validate_nat_trans(F, G, components) -> NatTrans:
         raise NotNatural("parallel functors required")
     comp = dict(components)
     sc, tc = S.coding, T.coding
-    ids = np.array([sc.code[S.id_of(x)] for x in S.objects], np.intp)
     at = np.array([tc.code.get(comp.get(x), -1) for x in S.objects], np.intp)
-    typed = (at >= 0) & (tc.src[at] == tc.src[_through(Fs, ids)]) & (tc.tgt[at] == tc.src[_through(Gs, ids)])
+    F_x, G_x = (tc.src[_through(P, sc.units)] for P in (Fs, Gs))
+    typed = (at >= 0) & (tc.src[at] == F_x) & (tc.tgt[at] == G_x)
     if not typed.all():
         x = S.objects[int(np.argmin(typed))]
         if x not in comp:
@@ -321,7 +316,7 @@ def validate_nat_trans(F, G, components) -> NatTrans:
         left = tc.cells[tc.cell(at[sc.src[ks]], _through(Gs, ks))]
         return left != tc.cells[tc.cell(_through(Fs, ks), at[sc.tgt[ks]])]
 
-    if broken(np.array([sc.code[g] for g in S.generators], np.intp)).any():
+    if broken(sc.gens).any():
         bad = np.flatnonzero(broken(np.arange(len(sc.ids))))
         if bad.size:
             raise NotNatural(("square", min(sc.ids[k] for k in bad.tolist())))

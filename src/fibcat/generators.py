@@ -28,6 +28,7 @@ all at once, so each arrow is checked once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -209,7 +210,6 @@ def _injection_category(points: dict, images, mid) -> FinCat:
             if t == s and unit in ims:
                 identity[s] = ids[(s, s)][list(ims).index(unit) * len(decs[s]) + units[s]]
     homs = {xy: tuple(sorted(ms)) for xy, ms in ids.items()}
-    src, tgt = ({m: xy[k] for xy, ms in ids.items() for m in ms} for k in (0, 1))
 
     def fill(coding):
         codes = {xy: np.array([coding.code[m] for m in ms], np.int64) for xy, ms in ids.items()}
@@ -242,7 +242,7 @@ def _injection_category(points: dict, images, mid) -> FinCat:
                     else:
                         rows[np.ix_(f_at, cols)] = codes[(x, z)][at]
 
-    return from_cells(identity, homs, src, tgt, fill)
+    return from_cells(identity, homs, fill)
 
 
 def _check_element_ids(G: GroupTable) -> None:
@@ -337,11 +337,8 @@ def _product(factors, ob_id, mor_id) -> FinCat:
             if all(homs):
                 codes = itertools.product(*(C.hom_codes(a, b).tolist() for C, a, b in zip(factors, ss, ts)))
                 blocks[(s, t)] = dict(zip(codes, map(mor_id, itertools.product(*homs))))
-    return from_parts(
-        {o: tuple(C.coding.code[C.id_of(x)] for C, x in zip(factors, t)) for o, t in obs.items()},
-        blocks,
-        factors,
-    )
+    units = [dict(zip(C.objects, C.coding.units.tolist())) for C in factors]
+    return from_parts({o: tuple(map(dict.__getitem__, units, t)) for o, t in obs.items()}, blocks, factors)
 
 
 def product_category(X: FinCat, Y: FinCat) -> FinCat:
@@ -434,7 +431,8 @@ def slice_category(C: FinCat, x: str) -> FinCat:
             hs = C.hom_codes(C.src[f], C.src[g])
             for h in hs[K.cells[K.cell(hs, K.code[g])] == K.code[f]].tolist():
                 tris.setdefault((f, g), {})[(h,)] = _slice_mid(f, K.ids[h], g)
-    return from_parts({f: (K.code[C.id_of(C.src[f])],) for f in objs}, tris, (C,))
+    units = K.units[K.src].tolist()
+    return from_parts({f: (units[K.code[f]],) for f in objs}, tris, (C,))
 
 
 def _chosen_pullback(C: FinCat, j: str, f: str, choose=None):
@@ -453,45 +451,49 @@ def slice_indexed(C: FinCat, choose=None) -> IndexedCat:
     between iterated chosen pullbacks, read off the pullback mediator
     tables.  ``choose`` optionally overrides the canonical pullback with
     another representative (a ``limits.Pullback``, e.g. from
-    ``limits.as_pullback``), which is how incoherent choices are exercised.
+    ``limits.as_pullback``), which is how incoherent choices are exercised;
+    each cospan's pullback is chosen once.
     """
-    fibers = {x: slice_category(C, x) for x in C.objects}
-    arrows = {}
-    for j in C.morphisms:
-        x, y = C.src[j], C.tgt[j]
-        fib_y, fib_x = fibers[y], fibers[x]
-        on_o, on_m = {}, {}
-        for f in fib_y.objects:
-            on_o[f] = _chosen_pullback(C, j, f, choose).leg1
-        for smid in fib_y.morphisms:
-            f, g = fib_y.src[smid], fib_y.tgt[smid]
-            h = smid.split("~")[1]
-            pb_f, pb_g = _chosen_pullback(C, j, f, choose), _chosen_pullback(C, j, g, choose)
-            w = pb_g.mediators[
-                (C.src[pb_f.leg1], pb_f.leg1, C.comp(pb_f.leg2, h))
-            ]
-            on_m[smid] = _slice_mid(pb_f.leg1, w, pb_g.leg1)
-        arrows[j] = FinFunctor(fib_y, fib_x, on_o, on_m)
+    fibers, K = {x: slice_category(C, x) for x in C.objects}, C.coding
+    chosen = functools.cache(lambda j, f: _chosen_pullback(C, j, f, choose))
 
-    compositors = {}
-    for (f, g), gf in C.table.items():
-        z = C.tgt[g]
-        comps = {}
-        for q in fibers[z].objects:
-            pb_g = _chosen_pullback(C, g, q, choose)
-            pb_fg = _chosen_pullback(C, f, pb_g.leg1, choose)
-            pb_tot = _chosen_pullback(C, gf, q, choose)
-            s = pb_fg.leg1
-            v = C.comp(pb_fg.leg2, pb_g.leg2)
-            w = pb_tot.mediators[(C.src[s], s, v)]
-            comps[q] = _slice_mid(s, w, pb_tot.leg1)
-        compositors[(f, g)] = comps
+    def triangles(rows) -> dict:
+        """For each (key, at, s, pb, a, b) of ``rows()``: at [key][at], the
+        triangle (s, w, leg1 of pb), w the mediator of pb at (s, a;b).
+        ``rows()`` is walked twice, first to read every a;b in one gather of
+        the cells."""
+        ab = np.fromiter((K.code[m] for r in rows() for m in r[4:]), np.int64).reshape(-1, 2)
+        made, out = map(K.ids.__getitem__, K.cells[K.cell(ab[:, 0], ab[:, 1])].tolist()), {}
+        for (key, at, s, pb, _, _), v in zip(rows(), made):
+            out.setdefault(key, {})[at] = _slice_mid(s, pb.mediators[(C.src[s], s, v)], pb.leg1)
+        return out
 
+    # Every cospan the components need is one of these, so the first one
+    # without a pullback raises here.
+    on_o = {j: {f: chosen(j, f).leg1 for f in fibers[C.tgt[j]].objects} for j in C.morphisms}
+
+    def arrow_rows():
+        for j in C.morphisms:
+            fib_y = fibers[C.tgt[j]]
+            for smid in fib_y.morphisms:
+                pb_f, pb_g = chosen(j, fib_y.src[smid]), chosen(j, fib_y.tgt[smid])
+                yield j, smid, pb_f.leg1, pb_g, pb_f.leg2, smid.split("~")[1]
+
+    def compositor_rows():
+        for f, g, gf in zip(*(map(K.ids.__getitem__, k.tolist()) for k in (*K.pairs(), K.cells))):
+            for q in fibers[C.tgt[g]].objects:
+                pb_g = chosen(g, q)
+                pb_fg = chosen(f, pb_g.leg1)
+                yield (f, g), q, pb_fg.leg1, chosen(gf, q), pb_fg.leg2, pb_g.leg2
+
+    on_m = triangles(arrow_rows)
+    arrows = {j: FinFunctor(fibers[C.tgt[j]], fibers[C.src[j]], on_o[j], on_m[j]) for j in C.morphisms}
+    compositors = triangles(compositor_rows)
     unitors = {}
     for x in C.objects:
         comps = {}
         for f in fibers[x].objects:
-            pb = _chosen_pullback(C, C.id_of(x), f, choose)
+            pb = chosen(C.id_of(x), f)
             w = pb.mediators[(C.src[f], f, C.id_of(C.src[f]))]
             comps[f] = _slice_mid(f, w, pb.leg1)
         unitors[x] = comps
@@ -532,6 +534,5 @@ def arrow_category(C: FinCat) -> FinCat:
     sqs, names = {}, np.array(K.ids, object)
     for f, g, u, v, u_id, v_id in zip(names[f], names[g], u.tolist(), v.tolist(), names[u], names[v]):
         sqs.setdefault((f, g), {})[(u, v)] = _arrow_mid(f, u_id, v_id, g)
-    return from_parts(
-        {f: (K.code[C.id_of(C.src[f])], K.code[C.id_of(C.tgt[f])]) for f in objs}, sqs, (C, C)
-    )
+    units = K.units[np.stack((K.src, K.tgt), 1)].tolist()
+    return from_parts({f: tuple(units[K.code[f]]) for f in objs}, sqs, (C, C))

@@ -140,19 +140,16 @@ def grothendieck(M: IndexedCat) -> GrothResult:
     if len(mor_of) != len(mor_id):
         raise CategoryError("total morphism id collision")
 
-    src = {m: X for (X, _), ms in homs.items() for m in ms}
-    tgt = {m: Y for (_, Y), ms in homs.items() for m in ms}
     homs = {xy: tuple(sorted(ms)) for xy, ms in homs.items()}
+    # (id x, eta[a], a) runs from (x, src eta[a]) to (x, a)
     identity, number, C = {}, dict(zip(obj_of, range(len(obj_of)))), M.coding  # numbers as in C
     for t in sorted(obj_of):
         x, a = obj_of[t]
-        m = mor_id.get((base.id_of(x), C.ids[C.eta[number[t]]], a))
-        identity[t] = m if src.get(m) == t else None
+        eta = C.eta[number[t]]
+        identity[t] = mor_id.get((base.id_of(x), C.ids[eta], a)) if C.src[eta] == number[t] else None
     objects = np.array([number[t] for t in identity], np.int64)
     runs, firsts = np.array(runs, np.int64).reshape(-1, 4), np.array(firsts, np.int64)
-    total = from_cells(
-        identity, homs, src, tgt, lambda T: _fill(T, M, objects, mor_id, runs, firsts, first)
-    )
+    total = from_cells(identity, homs, lambda T: _fill(T, M, objects, mor_id, runs, firsts, first))
     proj = validate_functor(
         total,
         base,

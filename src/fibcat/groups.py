@@ -161,8 +161,7 @@ def group_as_category(G: GroupTable) -> FinCat:
     def fill(coding):
         coding.cells[:] = [place[G.mul(b, a)] for a in els for b in els]
 
-    ends = dict.fromkeys(els, "*")
-    return from_cells({"*": G.unit}, {("*", "*"): els}, ends, dict(ends), fill)
+    return from_cells({"*": G.unit}, {("*", "*"): els}, fill)
 
 
 def _multiplication(C: FinCat, elements) -> dict:

@@ -194,22 +194,18 @@ class IndexedCoding:
         def joined(arrays, *end):
             return np.concatenate([*arrays, np.array(end, np.int64)]).astype(np.int64)
 
-        def flat(lists):
-            return np.fromiter(itertools.chain.from_iterable(lists), np.int64)
-
         self.src = joined((c.src + o for c, o in zip(cs, obj0)), -1)
         self.tgt = joined((c.tgt + o for c, o in zip(cs, obj0)), -2)
         self.row = joined((c.row[:-1] + o for c, o in zip(cs, cell0)), 0)
         self.offset = joined((np.arange(len(c.ids)) - c.out[c.src] for c in cs), 0)
         self.cells = joined(c.cells + o for c, o in zip(cs, code0))
         self.ranks = joined(c.ranks for c in cs)
-        each = list(zip(fibs, cs, code0))
-        self.units = flat([o + c.code[F.identity[x]] for x in F.objects] for F, c, o in each)
-        self.is_id, self.iso = np.zeros((2, none + 1), bool)
+        self.units = joined(c.units + o for c, o in zip(cs, code0))
+        self.is_id = np.zeros(none + 1, bool)
         self.is_id[self.units] = True
-        self.iso[flat([o + c.code[m] for m in F.inverses] for F, c, o in each)] = True
-        gens = [[o + c.code[g] for g in F.generators] for F, c, o in each]
-        self.gens, self.gen0 = flat(gens), np.cumsum([0] + list(map(len, gens)))
+        self.iso = joined((c.inverse for c in cs), -1) >= 0
+        self.gens = joined(c.gens + o for c, o in zip(cs, code0))
+        self.gen0 = np.cumsum([0] + [len(c.gens) for c in cs])
 
         # Each arrow as the joined codes of its code_map and ob_map.
         Fs, sizes, obs = [arrows.get(h) for h in B.ids], np.diff(code0)[B.tgt], np.diff(obj0)[B.tgt]
@@ -260,7 +256,7 @@ class IndexedCoding:
         i, j = runs(_firsts(per, 0)[y], per[y])
         items = (runs(self.obj0[y], obs), runs(self.code0[y], codes), (i, f[j], g[j]))
         maps = (self.at, self.image, self.ob_at, self.image_ob)
-        return unfunctorial(self, self, (self.units, self.units), maps, items, whole)
+        return unfunctorial(self, self, maps, items, whole)
 
     def code(self, compositors, unitors):
         """Code the compositors, by composable base pair, and the unitors, by
@@ -453,7 +449,7 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
     compositors, unitors = compositors or {}, unitors or {}
     extra_mu, extra_eta = C.code(compositors, unitors)
     F, G = B.pairs()
-    unit = np.array([B.code[base.id_of(x)] for x in base.objects], np.int64)
+    unit = B.units
     # The first failing compositor, then unitor, is checked again alone,
     # on its table as given, or the identities.
     bad = _unnatural(C, [G, F], B.cells, B.tgt[G], C.mu, C.mu_at, extra_mu)
@@ -555,7 +551,7 @@ def _check_associativity_coherence(base, fibers, C: IndexedCoding, order) -> Non
         rhs = C.cell(mu(fg, C.image_ob[C.ob_at[h] + d]), mu(B.cell(B.cells[fg], h), d))
         return i, d, C.cells[lhs] != C.cells[rhs]
 
-    for g in (B.code[s] for s in base.generators):
+    for g in B.gens.tolist():
         fs = B.into[B.src[g]]
         if incoherent(*then(fs, np.full(len(fs), g)))[2].any():
             break

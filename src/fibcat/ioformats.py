@@ -271,7 +271,7 @@ def category_to_json(C: FinCat) -> dict:
     coding = C.coding
     f, g = coding.pairs()
     unit = np.zeros(len(coding.ids), bool)
-    unit[[coding.code[i] for i in C.identity.values()]] = True
+    unit[coding.units] = True
     keep = ~(unit[f] | unit[g])
     f, g, h = f[keep], g[keep], coding.cells[keep]
     names = np.array(coding.ids, object)

@@ -202,7 +202,7 @@ def check_square(C: FinCat, sq: Square) -> None:
         raise NonCommuting(sq)
 
 
-_ROUND = 1 << 20  # counts compared per numpy round, as core's sweeps
+_ROUND = 1 << 20  # numbers per numpy round: a few MB an array; the size is not tuned by measurement
 _PRODUCTS = 1 << 14  # products per round of the search, each with ~10 numbers
 _UNDECIDED = object()
 # what ``_pullbacks`` keeps of a cospan, one record per cospan
@@ -234,9 +234,7 @@ def _hom_counts(C: FinCat) -> dict:
             if _distinct(keys):
                 break
         into = np.concatenate(coding.into)
-        isos = np.zeros(len(coding.ids), bool)
-        isos[[coding.code[a] for a in C.inverses]] = True
-        isos = into[isos[into]]
+        isos = into[coding.inverse[into] >= 0]
         auts = isos[coding.src[isos] == coding.tgt[isos]]
         order = np.argsort(keys)
         width = np.bincount(coding.tgt, minlength=k)

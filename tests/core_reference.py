@@ -408,14 +408,14 @@ def assemble_blocks(identities: dict, blocks: dict, compose):
     ``UnitViolation`` and ``AssociativityViolation``.
     """
     blocks = {xy: block for xy, block in blocks.items() if block}
-    src, tgt = {}, {}
+    seen = set()
     for (x, y), block in blocks.items():
         if x not in identities or y not in identities:
             raise UnknownObject("hom-set block %r has an unknown endpoint" % ((x, y),))
         for m in block.values():
-            if m in src:
+            if m in seen:
                 raise CategoryError("duplicate morphism identifier %r" % m)
-            src[m], tgt[m] = x, y
+            seen.add(m)
     homs = {xy: tuple(sorted(block.values())) for xy, block in blocks.items()}
     identity = {x: blocks.get((x, x), {}).get(identities[x]) for x in sorted(identities)}
 
@@ -437,7 +437,7 @@ def assemble_blocks(identities: dict, blocks: dict, compose):
                     raise CompositeEndpointViolation((pids[i], qids[j], int(at[i, j])))
                 coding.cells[at_rows + columns[(y, z)]] = codes[(x, z)][at]
 
-    return from_cells(identity, homs, src, tgt, fill)
+    return from_cells(identity, homs, fill)
 
 
 def per_composite(blocks: dict, compose):

@@ -34,7 +34,11 @@ helpers, the limits, groth, core, functors and indexed oracles never
 depend on the library's private search code, no function imports a
 sibling module, no module imports a sibling's underscore name, and no
 module imports a name it does not use.  ``ioformats`` alone decides what
-an id is, so the validators it hands ids to convert none.
+an id is, so the validators it hands ids to convert none.  No module but
+``core`` reads ``.table``, and the codes of the identities, the inverses
+and Light's S are read off the coding, never coded back from the string
+views: slices indexed by chosen pullbacks, ``comp`` and the fiberwise
+weak pushout construction leave no table, which one run confirms.
 """
 
 import ast
@@ -47,10 +51,13 @@ from fibcat.functors import NatTrans, identity_functor
 from fibcat.generators import (
     arrow_category,
     chain_poset,
+    delta_const,
     fi_truncated,
     gpow_fiber,
     indexed_gpow,
+    inj_id,
     product_category,
+    slice_indexed,
 )
 from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
 from fibcat.groups import (
@@ -79,6 +86,7 @@ from fibcat.limits import (
     pullback,
     weak_pushout,
 )
+from fibcat.theorem import check_hypotheses, construct_weak_pushout_total, invertible_arrow_witness
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fibcat"
@@ -378,6 +386,57 @@ def test_only_core_codes_a_category():
     read = {node.attr for node in ast.walk(groth) if isinstance(node, ast.Attribute)}
     assert "coding" in read and not read & {"table", "_table", "comp"}
     assert not _references(groth, "assemble")
+
+
+def test_only_core_reads_the_string_table():
+    """``FinCat.table`` is a derived read for callers outside the library:
+    no module but ``core``, which derives it, reads ``.table``."""
+    readers = sorted(
+        name
+        for name, tree in _modules()
+        if name != "core" and any(isinstance(n, ast.Attribute) and n.attr == "table" for n in ast.walk(tree))
+    )
+    assert readers == []
+
+
+def test_no_comprehension_codes_the_string_views_back():
+    """The codes of the identities, the inverses and S are kept on the
+    coding, as ``Coding.units``, ``inverse`` and ``gens``: no library
+    comprehension turns ``.inverses``, ``.generators``, ``.identity`` or
+    ``id_of(...)`` back into codes by a ``code[...]`` lookup."""
+    views = {"inverses", "generators", "identity", "id_of"}
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, comprehensions):
+                continue
+            inner = list(ast.walk(node))
+            codes = any(isinstance(n, ast.Subscript) and getattr(n.value, "attr", None) == "code" for n in inner)
+            if codes and {n.attr for n in inner if isinstance(n, ast.Attribute)} & views:
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []
+
+
+def test_slices_composites_and_the_weak_pushout_construction_make_no_table():
+    """The runs the two structural tests above stand for: the slices of
+    FI_3 indexed by chosen pullbacks, a composite read with ``comp`` and the
+    weak pushout built fiberwise in a total category leave no ``table`` on
+    the categories they compose in."""
+    C = fi_truncated(3)
+    M = slice_indexed(C)
+    assert C.comp(C.id_of("1"), C.hom("1", "2")[0]) == C.hom("1", "2")[0]
+    made = [D for D in (C, *M.fibers.values()) if "table" in vars(D)]
+    assert made == []
+    fi2 = fi_truncated(2)
+    M = delta_const(fi2, fi2)
+    gr = grothendieck(M)
+    f, k = inj_id(0, 1, ()), inj_id(0, 1, ())
+    leg1, leg2 = gr.mor_id[(f, k, "1")], gr.mor_id[(f, inj_id(0, 0, ()), "0")]
+    hyp = check_hypotheses(M, invertible_arrow_witness(M), gr=gr)
+    apex = gr.obj_id[("0", "0")]
+    construct_weak_pushout_total(M, invertible_arrow_witness(M), apex, leg1, leg2, gr=gr, hypotheses=hyp)
+    assert [D for D in (fi2, gr.total) if "table" in vars(D)] == []
 
 
 PART_BUILDERS = (

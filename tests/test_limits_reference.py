@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+import core_reference
 import limits_reference as ref
 import random_categories
 from fibcat import (
@@ -38,8 +39,9 @@ from fibcat import (
     limits,
     validate_functor,
 )
-from fibcat.core import validate_category
-from fibcat.groups import cyclic_group
+from fibcat.core import subcategory, validate_category
+from fibcat.groth import pair_id
+from fibcat.groups import cyclic_group, hom_as_functor, symmetric_group, validate_group_hom
 from fibcat.ioformats import category_from_json, category_to_json
 from test_limits import mediator_failure_category
 
@@ -334,17 +336,72 @@ def _reference_preserves_weak_pushouts(F):
     return Check(True, info={"weak_pushout_squares_checked": n})
 
 
+FUNCTORS_SEED = 29  # of the random functors below
+
+
+def _projections(rng, count=3):
+    """The projections onto either factor of ``count`` products of a random
+    poset of four objects with a transformation monoid of at most three
+    points and at most ``random_categories.MONOID_SIZE`` maps."""
+    made = []
+    for _ in range(count):
+        poset = generators.thin_category(*random_categories.random_order(rng, max_objects=4))
+        identities, blocks, compose = random_categories.transformation_monoid(rng, max_points=3)
+        while len(blocks[("*", "*")]) > random_categories.MONOID_SIZE:
+            identities, blocks, compose = random_categories.transformation_monoid(rng, max_points=3)
+        composer = core_reference.per_composite(blocks, compose)
+        monoid = core_reference.assemble_blocks(identities, blocks, composer)
+        P = generators.product_category(poset, monoid)
+        for k, factor in enumerate((poset, monoid)):
+            ob = {pair_id(a, b): (a, b)[k] for a in poset.objects for b in monoid.objects}
+            mor = {pair_id(f, g): (f, g)[k] for f in poset.morphisms for g in monoid.morphisms}
+            made.append(validate_functor(P, factor, ob, mor))
+    return made
+
+
+def _inclusions(rng, count=4):
+    """The inclusions into FI_3 of ``count`` subcategories that random
+    morphisms generate."""
+    C = generators.fi_truncated(3)
+    made = []
+    for _ in range(count):
+        S = subcategory(C, *random_categories.generated_subcategory(rng, C))
+        made.append(validate_functor(S, C, {x: x for x in S.objects}, {f: f for f in S.morphisms}))
+    return made
+
+
+def _group_homs(rng, count=4):
+    """``count`` random homomorphisms out of a cyclic group of order 1 to 6,
+    into a cyclic group of order 1 to 6 or S_3, as functors: the generator
+    goes to a random element whose order divides the source's."""
+    made = []
+    for _ in range(count):
+        n, H = rng.randint(1, 6), rng.choice([cyclic_group(rng.randint(1, 6)), symmetric_group(3)])
+        h = rng.choice([b for b in H.elements if n % H.order_of(b) == 0])
+        powers = [H.unit]
+        while len(powers) < n:
+            powers.append(H.mul(powers[-1], h))
+        h = validate_group_hom(cyclic_group(n), H, dict(zip(map(str, range(n)), powers)))
+        made.append(hom_as_functor(h))
+    return made
+
+
 def _preservation_functors():
     """Freshly built: the projection of the FI_Z2 N=2 total category, its
     fiber inclusions, and the square a ≤ b, c ≤ d onto the chain p0 ≤ p1
     with only a sent to p0, which sends the pullback square over
-    (b→d, c→d) to a square over (id, id) whose apex is not terminal."""
+    (b→d, c→d) to a square over (id, id) whose apex is not terminal, and
+    before it, from ``FUNCTORS_SEED``, the projections of products of small
+    random categories, the inclusions of generated subcategories of FI_3
+    and random group homomorphisms."""
     proj = grothendieck(generators.indexed_gpow(cyclic_group(2), 2)).proj
     square, chain = generators.square_poset(), generators.chain_poset(2)
     ob = {x: "p0" if x == "a" else "p1" for x in square.objects}
     mor = {f: chain.hom(ob[square.src[f]], ob[square.tgt[f]])[0] for f in square.morphisms}
     collapse = validate_functor(square, chain, ob, mor)
-    return [proj] + [fiber_inclusion(proj, x) for x in proj.target.objects] + [collapse]
+    rng = random.Random(FUNCTORS_SEED)
+    seeded = _projections(rng) + _inclusions(rng) + _group_homs(rng)
+    return [proj] + [fiber_inclusion(proj, x) for x in proj.target.objects] + seeded + [collapse]
 
 
 @pytest.mark.parametrize("conditions_first", [False, True])
