@@ -36,7 +36,7 @@ from fibcat.generators import (
     slice_indexed,
 )
 from fibcat.groth import grothendieck
-from fibcat.groups import cyclic_group
+from fibcat.groups import automorphism_group, category_as_group, cyclic_group, group_as_category, symmetric_group
 from fibcat.indexed import validate_indexed
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
 from fibcat.limits import has_pullbacks, has_weak_pushouts
@@ -44,6 +44,13 @@ from fibcat.limits import has_pullbacks, has_weak_pushouts
 
 def _fi_z2_4_total():
     return grothendieck(indexed_gpow(cyclic_group(2), 4)).total
+
+
+def _group_s5():
+    """S5 (120 elements) checked from its table, then the group of its
+    groupoid and the automorphism group of its one object."""
+    C = group_as_category(symmetric_group(5))
+    return category_as_group(C), automorphism_group(C, "*")
 
 
 def _build(make):
@@ -88,6 +95,9 @@ RUNGS = {
     "slice_indexed_fi4": (lambda: fi_truncated(4), slice_indexed),
     # FI_7: 8 objects, 16,072 morphisms, 81.5M composites
     "fi7": _build(lambda: fi_truncated(7)),
+    # the symmetric group S5: its 14,400 products checked, then read back
+    # from its groupoid twice
+    "group_s5": _build(_group_s5),
     # the poset chain10 x chain10: 100 objects, 3,025 morphisms, each alone
     # in its hom-set
     "chain10x10": _build(lambda: product_category(chain_poset(10), chain_poset(10))),

@@ -357,64 +357,53 @@ def _write_generated(args, out: _Output, name: str, payload: dict, summary: str)
     return EXIT_OK
 
 
+# Each ``gen`` subcommand: its required options beside -o, its default file
+# name and its summary, filled in from the parsed options (``tag`` is the
+# --group with "/" as "_"), and its payload.
+_GENERATORS = {
+    "fi": (("max",), "fi%(max)d.json", "FI truncated at %(max)d", lambda a: category_to_json(fi_truncated(a.max))),
+    "fig": (
+        ("group", "max"),
+        "fig_%(tag)s_%(max)d.json",
+        "group-power indexed category over FI(<=%(max)d)",
+        lambda a: indexed_to_json(indexed_gpow(_resolve_group(a.group), a.max)),
+    ),
+    "direct": (
+        ("group", "max"),
+        "fi_%(tag)s_%(max)d_direct.json",
+        "decorated-injection category",
+        lambda a: category_to_json(fi_g_direct(_resolve_group(a.group), a.max)),
+    ),
+    "delta": (
+        ("x", "y"),
+        "delta.json",
+        "constant indexed category",
+        lambda a: indexed_to_json(delta_const(Loader(".").category(a.x), Loader(".").category(a.y))),
+    ),
+    "blocks": (
+        ("max", "inner"),
+        "blocks_%(max)d_%(inner)d.json",
+        "block-permutation indexed category",
+        lambda a: indexed_to_json(block_perm_indexed(a.max, a.inner)),
+    ),
+    "slice": (
+        ("base",),
+        "slice.json",
+        "slice indexed category",
+        lambda a: indexed_to_json(slice_indexed(Loader(".").category(a.base))),
+    ),
+}
+_COUNTS = ("max", "inner")  # the integer options, which must not be negative
+
+
 def cmd_gen(args, out: _Output) -> int:
-    for flag in ("max", "inner"):
+    for flag in _COUNTS:
         n = getattr(args, flag, 0)
         if n < 0:
             raise InputFormatError("--%s must not be negative, got %d" % (flag, n))
-    if args.what == "fi":
-        C = fi_truncated(args.max)
-        return _write_generated(
-            args,
-            out,
-            "fi%d.json" % args.max,
-            category_to_json(C),
-            "FI truncated at %d" % args.max,
-        )
-    if args.what == "fig":
-        G = _resolve_group(args.group)
-        M = indexed_gpow(G, args.max)
-        return _write_generated(
-            args,
-            out,
-            "fig_%s_%d.json" % (args.group.replace("/", "_"), args.max),
-            indexed_to_json(M),
-            "group-power indexed category over FI(<=%d)" % args.max,
-        )
-    if args.what == "delta":
-        loader = Loader(".")
-        X = loader.category(args.x)
-        Y = loader.category(args.y)
-        M = delta_const(X, Y)
-        return _write_generated(
-            args, out, "delta.json", indexed_to_json(M), "constant indexed category"
-        )
-    if args.what == "blocks":
-        M = block_perm_indexed(args.max, args.inner)
-        return _write_generated(
-            args,
-            out,
-            "blocks_%d_%d.json" % (args.max, args.inner),
-            indexed_to_json(M),
-            "block-permutation indexed category",
-        )
-    if args.what == "slice":
-        C = Loader(".").category(args.base)
-        M = slice_indexed(C)
-        return _write_generated(
-            args, out, "slice.json", indexed_to_json(M), "slice indexed category"
-        )
-    if args.what == "direct":
-        G = _resolve_group(args.group)
-        C = fi_g_direct(G, args.max)
-        return _write_generated(
-            args,
-            out,
-            "fi_%s_%d_direct.json" % (args.group.replace("/", "_"), args.max),
-            category_to_json(C),
-            "decorated-injection category",
-        )
-    raise InputFormatError("unknown generator %r" % args.what)
+    _, name, summary, payload = _GENERATORS[args.what]
+    fields = dict(vars(args), tag=getattr(args, "group", "").replace("/", "_"))
+    return _write_generated(args, out, name % fields, payload(args), summary % fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,28 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate example artifacts")
     gsub = p.add_subparsers(dest="what", required=True)
-    g = gsub.add_parser("fi")
-    g.add_argument("--max", type=int, required=True)
-    g.add_argument("-o", "--output", default=None)
-    g = gsub.add_parser("fig")
-    g.add_argument("--group", required=True)
-    g.add_argument("--max", type=int, required=True)
-    g.add_argument("-o", "--output", default=None)
-    g = gsub.add_parser("direct")
-    g.add_argument("--group", required=True)
-    g.add_argument("--max", type=int, required=True)
-    g.add_argument("-o", "--output", default=None)
-    g = gsub.add_parser("delta")
-    g.add_argument("--x", required=True)
-    g.add_argument("--y", required=True)
-    g.add_argument("-o", "--output", default=None)
-    g = gsub.add_parser("blocks")
-    g.add_argument("--max", type=int, required=True)
-    g.add_argument("--inner", type=int, required=True)
-    g.add_argument("-o", "--output", default=None)
-    g = gsub.add_parser("slice")
-    g.add_argument("--base", required=True)
-    g.add_argument("-o", "--output", default=None)
+    for what, (options, *_) in _GENERATORS.items():
+        g = gsub.add_parser(what)
+        for option in options:
+            g.add_argument("--" + option, type=int if option in _COUNTS else str, required=True)
+        g.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)
 
     return parser

@@ -26,7 +26,8 @@ These builders fill the cells:
   u and v) and relation categories (no parts).
 * ``generators``' injection builders rank the images of whole pairs of
   blocks by lookup; ``subcategory`` gathers its parent's cells.
-* ``groups.group_as_category`` writes the cells from the multiplication.
+* ``groups.validate_group`` writes a group's table into the cells of its
+  one-object groupoid.
 * ``validate_category`` vets raw ids (JSON files, tests) without a Python
   step per composite: it reads the composition triples into one ``int32``
   array in a single C-level pass, checks them with array operations and

@@ -171,15 +171,19 @@ class TransferReport:
     details: dict
 
 
+def _transfer(M: IndexedCat, gr, check, base_key: str, condition=Check(True), **details) -> TransferReport:
+    """``check`` on the total, against its first failure on a fiber joined
+    with the fiber-side ``condition``; ``details`` holds ``check`` on the
+    base under ``base_key``, then ``details``."""
+    total = check(_groth(M, gr).total)
+    fibers = first_failure(M.base.objects, lambda x: check(M.fiber_at(x)))
+    fiber_side = Check(fibers.holds and condition.holds, fibers.counterexample or condition.counterexample)
+    return TransferReport(total, fiber_side, total.holds == fiber_side.holds, {base_key: check(M.base).holds, **details})
+
+
 def check_mono_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """All-mono transfers: total all-mono iff every fiber is all-mono."""
-    gr = _groth(M, gr)
-    base_mono = _all_mono(M.base)
-    total = _all_mono(gr.total)
-    fibers = first_failure(M.base.objects, lambda x: _all_mono(M.fiber_at(x)))
-    return TransferReport(
-        total, fibers, total.holds == fibers.holds, {"base_all_mono": base_mono.holds}
-    )
+    return _transfer(M, gr, _all_mono, "base_all_mono")
 
 
 def endomorphism_invertibility(M: IndexedCat) -> Check:
@@ -205,17 +209,8 @@ def endomorphism_invertibility(M: IndexedCat) -> Check:
 
 def check_ei_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """EI transfers: total EI iff fibers EI and endo-maps are invertible."""
-    gr = _groth(M, gr)
-    total = is_ei(gr.total)
-    fibers = first_failure(M.base.objects, lambda x: is_ei(M.fiber_at(x)))
     endo = endomorphism_invertibility(M)
-    fiber_side = Check(fibers.holds and endo.holds, fibers.counterexample or endo.counterexample)
-    return TransferReport(
-        total,
-        fiber_side,
-        total.holds == fiber_side.holds,
-        {"base_ei": is_ei(M.base).holds, "vacuous_pairs": endo.info.get("vacuous_pairs", 0)},
-    )
+    return _transfer(M, gr, is_ei, "base_ei", endo, vacuous_pairs=endo.info.get("vacuous_pairs", 0))
 
 
 def check_increasing_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
@@ -307,14 +302,4 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
 
 def check_transitivity_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferReport:
     """Transitivity transfers: total transitive iff fibers transitive + ell."""
-    gr = _groth(M, gr)
-    total = is_transitive(gr.total)
-    fibers = first_failure(M.base.objects, lambda x: is_transitive(M.fiber_at(x)))
-    ell = transitivity_ell_condition(M)
-    fiber_side = Check(fibers.holds and ell.holds, fibers.counterexample or ell.counterexample)
-    return TransferReport(
-        total,
-        fiber_side,
-        total.holds == fiber_side.holds,
-        {"base_transitive": is_transitive(M.base).holds},
-    )
+    return _transfer(M, gr, is_transitive, "base_transitive", transitivity_ell_condition(M))

@@ -14,16 +14,16 @@ Every category here is built through ``core.from_cells``, whose checks
 validate it.  FI, FI_G and coloured FI share one numpy builder,
 ``_injection_category``, which composes a whole pair of hom-set blocks at
 once: images by a gather and ranked by lookup, decorations through the
-group's multiplication table.  Every other builder lists each morphism by its parts, the
-codes of its components in factor categories, and ``from_parts`` composes
-them on the factors' cells: products and powers (the entries; a group power
-``gpow_fiber`` is a power of ``group_as_category``), slices (the triangle's
-h), arrow categories (the square's u and v) and relation categories (no
-parts).  The triangles and squares are found on the cells too.  Either way
-a composite that falls outside its target block raises
-``CompositeEndpointViolation``.  The indexed builders hand their arrows to
-``indexed.validate_indexed`` as bare ``FinFunctor`` tables, which it checks
-all at once, so each arrow is checked once.
+cells of the group's one-object groupoid.  Every other builder lists each
+morphism by its parts, the codes of its components in factor categories,
+and ``from_parts`` composes them on the factors' cells: products and powers
+(the entries; a group power ``gpow_fiber`` is a power of the group's
+groupoid), slices (the triangle's h), arrow categories (the square's u and
+v) and relation categories (no parts).  The triangles and squares are found
+on the cells too.  Either way a composite that falls outside its target
+block raises ``CompositeEndpointViolation``.  The indexed builders hand
+their arrows to ``indexed.validate_indexed`` as bare ``FinFunctor`` tables,
+which it checks all at once, so each arrow is checked once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .core import FinCat, CategoryError, CompositeEndpointViolation, from_cells, from_parts
 from .functors import FinFunctor, identity_functor
 from .groth import pair_id
-from .groups import GroupTable, group_as_category, trivial_group
+from .groups import GroupTable, trivial_group
 from .indexed import IndexedCat, validate_indexed
 from .limits import Cospan, pullback
 
@@ -173,7 +173,8 @@ def _injection_category(points: dict, images, mid) -> FinCat:
     element indices, last point fastest.
 
     f: s→t then g: t→u has image g_img[f_img] and decoration
-    ``mul(f_dec[k], g_dec[f_img[k]])`` at k.  The cells are written through
+    ``mul(f_dec[k], g_dec[f_img[k]])`` at k, read off the cells of the
+    group's ``category``.  The cells are written through
     ``core.from_cells`` a pair of blocks (x, y), (y, z) at a time, in sorted
     order: (x, y), then z.  A dense ``int32`` table per block (x, z), held
     while x is composed, maps the base-|z| code Σ_i |z|^(k-1-i)·g[f_i] of
@@ -189,16 +190,14 @@ def _injection_category(points: dict, images, mid) -> FinCat:
     add a cell: whichever counts fewer operations.
     """
     objects = sorted(points)
-    decs, muls, units, img, ids, later, tables, identity = {}, {}, {}, {}, {}, {}, {}, dict.fromkeys(objects)
+    decs, muls, units, img, ids, later, identity = {}, {}, {}, {}, {}, {}, dict.fromkeys(objects)
     for s in objects:
         groups = points[s]
         sizes = [len(G) for G in groups]
         decs[s] = np.array(list(itertools.product(*map(range, sizes))), np.intp).reshape(math.prod(sizes), -1)
         weights = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        for G in set(groups) - tables.keys():
-            pos = {e: i for i, e in enumerate(G.elements)}
-            tables[G] = np.array([[pos[G.mul(a, b)] for b in G.elements] for a in G.elements], np.int32)
-        muls[s] = [tables[G] * w for G, w in zip(groups, weights)]
+        # the code of ab at [a, b]: the cell of b then a in G's groupoid
+        muls[s] = [G.category.coding.cells.reshape(len(G), -1).T * w for G, w in zip(groups, weights)]
         units[s] = sum(G.elements.index(G.unit) * w for G, w in zip(groups, weights))
         elements, unit = [G.elements for G in groups], tuple(range(len(groups)))
         for t in objects:
@@ -279,9 +278,9 @@ def tuple_id(parts) -> str:
 
 
 def gpow_fiber(G: GroupTable, n: int) -> FinCat:
-    """The one-object groupoid G^n, the n-th power of ``group_as_category(G)``;
+    """The one-object groupoid G^n, the n-th power of ``G.category``;
     morphisms are n-tuples of elements."""
-    return _product((group_as_category(G),) * n, lambda t: "*", tuple_id)
+    return _product((G.category,) * n, lambda t: "*", tuple_id)
 
 
 def _selections(entries, N: int, name):
@@ -298,17 +297,26 @@ def _selections(entries, N: int, name):
     return select
 
 
-def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
-    """The strict indexed category n ↦ G^n over truncated FI, arrows by
-    coordinate pullback along the injection."""
-    _check_element_ids(G)
-    base, select = fi_truncated(N), _selections(G.elements, N, tuple_id)
-    fibers = {str(n): gpow_fiber(G, n) for n in range(N + 1)}
+def _power_indexed(inner: FinCat, N: int, ob_id, mor_id) -> IndexedCat:
+    """The strict indexed category n ↦ inner^n over truncated FI, arrows by
+    coordinate pullback along the injection; ``ob_id`` and ``mor_id`` name
+    the tuples of objects and of morphisms of each power."""
+    base = fi_truncated(N)
+    on_objects = _selections(inner.objects, N, ob_id)
+    on_morphisms = _selections(inner.morphisms, N, mor_id)
+    fibers = {str(n): _product((inner,) * n, ob_id, mor_id) for n in range(N + 1)}
     arrows = {}
     for f in base.morphisms:
         m, n, imgs = parse_inj(f)
-        arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], {"*": "*"}, select(n, imgs))
+        arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], on_objects(n, imgs), on_morphisms(n, imgs))
     return validate_indexed(base, fibers, arrows)
+
+
+def indexed_gpow(G: GroupTable, N: int) -> IndexedCat:
+    """The strict indexed category n ↦ G^n over truncated FI: every fiber is
+    a power of the one groupoid ``G.category``, as in ``gpow_fiber``."""
+    _check_element_ids(G)
+    return _power_indexed(G.category, N, lambda t: "*", tuple_id)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +358,6 @@ def product_category(X: FinCat, Y: FinCat) -> FinCat:
 # ---------------------------------------------------------------------------
 
 
-def _power_fiber(inner: FinCat, n: int) -> FinCat:
-    """n-fold product of a category with itself; objects are named by
-    ``tuple_id``, morphisms by ``_mor_tuple_id``."""
-    return _product((inner,) * n, tuple_id, _mor_tuple_id)
-
-
 def _mor_tuple_id(parts) -> str:
     """The id ``(f;g;...)`` of a morphism of a power fiber, its tuple of
     morphism ids joined with ';'."""
@@ -364,15 +366,7 @@ def _mor_tuple_id(parts) -> str:
 
 def block_perm_indexed(N: int, Q: int) -> IndexedCat:
     """Fibers are powers of truncated FI; arrows select coordinates."""
-    base, inner = fi_truncated(N), fi_truncated(Q)
-    on_objects = _selections(inner.objects, N, tuple_id)
-    on_morphisms = _selections(inner.morphisms, N, _mor_tuple_id)
-    fibers = {str(n): _power_fiber(inner, n) for n in range(N + 1)}
-    arrows = {}
-    for f in base.morphisms:
-        m, n, imgs = parse_inj(f)
-        arrows[f] = FinFunctor(fibers[str(n)], fibers[str(m)], on_objects(n, imgs), on_morphisms(n, imgs))
-    return validate_indexed(base, fibers, arrows)
+    return _power_indexed(fi_truncated(Q), N, tuple_id, _mor_tuple_id)
 
 
 # ---------------------------------------------------------------------------

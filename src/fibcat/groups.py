@@ -1,19 +1,25 @@
 """Finite groups, twisted actions, and group extensions.
 
-Groups double as one-object groupoids; the bridge in both directions lives
-here.  Group multiplication is written in composition order: ``mul(a, b)``
-is "apply b, then a", matching composition of the corresponding one-object
-category.
+A group is its one-object groupoid: ``GroupTable.category``, the category on
+one object whose morphisms are the elements, is all a group keeps, and its
+multiplication and inverses are read off the cells.  Group multiplication
+is written in composition order: ``mul(a, b)`` is "apply b, then a", so a
+then b in the groupoid is ``mul(b, a)``.  ``validate_group`` codes a table
+once and ``core.from_cells`` decides the unit laws and associativity on it,
+like every category's; the bridges from a category that is already checked
+(``category_as_group``, ``automorphism_group``, ``kernel_subgroup``) check
+nothing again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FinCat, CategoryError, automorphisms, from_cells
+from .core import AssociativityViolation, CategoryError, FinCat, automorphisms, from_cells, is_groupoid, subcategory
 from .functors import validate_functor
 from .groth import grothendieck
 from .indexed import validate_indexed
@@ -53,10 +59,26 @@ class NotASection(GroupError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GroupTable:
+    """A finite group as its one-object groupoid ``category``, whose
+    morphisms are the sorted ``elements`` and whose identity is ``unit``;
+    the code of each element is its place in ``elements``.  ``mult``, the
+    map (a, b) -> ab, and ``inv``, each element's inverse, are read off the
+    cells of ``category`` when first used."""
+
     elements: tuple
-    mult: dict  # (a, b) -> ab
     unit: str
-    inv: dict
+    category: FinCat
+
+    @functools.cached_property
+    def mult(self) -> dict:
+        coding = self.category.coding
+        made = coding.cells.reshape(len(self.elements), -1).T  # made[a, b]: b then a
+        products = map(coding.ids.__getitem__, made.ravel().tolist())
+        return dict(zip(itertools.product(self.elements, repeat=2), products))
+
+    @functools.cached_property
+    def inv(self) -> dict:
+        return dict(zip(self.elements, map(self.elements.__getitem__, self.category.coding.inverse.tolist())))
 
     def mul(self, a: str, b: str) -> str:
         return self.mult[(a, b)]
@@ -90,44 +112,50 @@ class GroupTable:
 
 def validate_group(elements, mult, unit=None) -> GroupTable:
     """Check closure, associativity, the unit (found when not given) and
-    inverses of ``mult``, a map (a, b) -> ab.  Elements are strings."""
+    inverses of ``mult``, a map (a, b) -> ab, and raise ``NotAGroup`` for
+    the first that fails, in that order.  Elements are strings.
+
+    Closure is checked pair by pair as the table is coded, and the unit is
+    searched for on the codes; then ``core.from_cells`` decides the unit
+    laws and associativity of the groupoid, and its inverses are read off
+    the coding.  When the groupoid is not associative, or there is no unit,
+    a rescan of the codes names the failure."""
     els = tuple(sorted(elements))
     if len(set(els)) != len(els):
         raise NotAGroup("duplicate elements")
-    table = dict(mult)
+    place, table = {e: i for i, e in enumerate(els)}, dict(mult)
     for a in els:
         for b in els:
             c = table.get((a, b))
             if c is None:
                 raise NotAGroup("product (%r, %r) missing" % (a, b))
-            if c not in set(els):
+            if c not in place:
                 raise NotAGroup("product (%r, %r) leaves the set" % (a, b))
-    for a in els:
-        for b in els:
-            for c in els:
-                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                    raise NotAGroup(("associativity", a, b, c))
-    if unit is None:
-        unit = next(
-            (e for e in els if all(table[(e, a)] == a == table[(a, e)] for a in els)),
-            None,
-        )
-        if unit is None:
-            raise NotAGroup("no two-sided unit")
-    else:
-        if unit not in els:
-            raise NotAGroup("claimed unit %r is not an element" % (unit,))
-        if not all(table[(unit, a)] == a == table[(a, unit)] for a in els):
-            raise NotAGroup("claimed unit fails the unit laws")
-    inv = {}
-    for a in els:
-        for b in els:
-            if table[(a, b)] == unit and table[(b, a)] == unit:
-                inv[a] = b
-                break
+    n = len(els)
+    product = np.array([place[table[(a, b)]] for a in els for b in els], np.int32).reshape(n, n)  # [a, b]: ab
+    units = np.flatnonzero((product == np.arange(n)).all(1) & (product.T == np.arange(n)).all(1))
+    if unit is None and units.size:
+        unit = els[units[0]]
+    if unit in els and place[unit] in units:
+        try:
+            C = from_cells({"*": unit}, {("*", "*"): els}, lambda coding: np.copyto(coding.cells, product.T.ravel()))
+        except AssociativityViolation:
+            pass
         else:
-            raise NotAGroup(("no inverse", a))
-    return GroupTable(els, table, unit, inv)
+            bad = np.flatnonzero(C.coding.inverse < 0)
+            if bad.size:
+                raise NotAGroup(("no inverse", els[bad[0]]))
+            return GroupTable(els, unit, C)
+    for a, row in enumerate(product):
+        bad = product[row] != row[product]  # bad[b, c]: (ab)c differs from a(bc)
+        if bad.any():
+            b, c = np.argwhere(bad)[0].tolist()
+            raise NotAGroup(("associativity", els[a], els[b], els[c]))
+    if unit is None:
+        raise NotAGroup("no two-sided unit")
+    if unit not in els:
+        raise NotAGroup("claimed unit %r is not an element" % (unit,))
+    raise NotAGroup("claimed unit fails the unit laws")
 
 
 def trivial_group() -> GroupTable:
@@ -152,39 +180,20 @@ def symmetric_group(n: int) -> GroupTable:
 
 
 def group_as_category(G: GroupTable) -> FinCat:
-    """The one-object groupoid on the object "*" whose morphisms are the
-    group elements, its cells filled from the multiplication table: a then
-    b is ``G.mul(b, a)``."""
-    els = G.elements  # sorted, so the codes of the elements are their places
-    place = {e: i for i, e in enumerate(els)}
-
-    def fill(coding):
-        coding.cells[:] = [place[G.mul(b, a)] for a in els for b in els]
-
-    return from_cells({"*": G.unit}, {("*", "*"): els}, fill)
-
-
-def _multiplication(C: FinCat, elements) -> dict:
-    """(a, b) -> "apply b, then a" over ``elements``, endomorphisms of one
-    object closed under composition, read from the cells of ``C``."""
-    coding = C.coding
-    k = np.array([coding.code[e] for e in elements], np.int64)
-    made = coding.cells[coding.cell(k, k[:, None])]  # made[i, j]: elements j then i
-    products = map(coding.ids.__getitem__, made.ravel().tolist())
-    return dict(zip(itertools.product(elements, repeat=2), products))
+    """The one-object groupoid of ``G``, which is ``G.category``."""
+    return G.category
 
 
 def category_as_group(C: FinCat) -> GroupTable:
-    """Inverse bridge; requires a one-object groupoid."""
-    if len(C.objects) != 1 or len(C.inverses) != len(C.morphisms):
+    """The group of a one-object groupoid, which is checked already."""
+    if len(C.objects) != 1 or not is_groupoid(C):
         raise NotAGroup("not a one-object groupoid")
-    return validate_group(C.morphisms, _multiplication(C, C.morphisms), C.identity[C.objects[0]])
+    return GroupTable(C.morphisms, C.identity[C.objects[0]], C)
 
 
 def automorphism_group(C: FinCat, x: str) -> GroupTable:
-    """Multiplication table of all isomorphisms x→x under composition."""
-    auts = automorphisms(C, x)
-    return validate_group(auts, _multiplication(C, auts), C.id_of(x))
+    """The isomorphisms x→x under composition, cut out of ``C``."""
+    return category_as_group(subcategory(C, [x], automorphisms(C, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +246,16 @@ def is_surjective_hom(h: GroupHom) -> bool:
 
 
 def kernel_subgroup(h: GroupHom) -> GroupTable:
-    ker = sorted(a for a in h.source.elements if h.mapping[a] == h.target.unit)
-    mult = {(a, b): h.source.mul(a, b) for a in ker for b in ker}
-    return validate_group(ker, mult, h.source.unit)
+    """The elements that ``h`` sends to the unit, cut out of the source's
+    groupoid."""
+    S = h.source.category
+    ker = [a for a in h.source.elements if h.mapping[a] == h.target.unit]
+    return category_as_group(subcategory(S, S.objects, ker))
 
 
 def hom_as_functor(h: GroupHom):
-    return validate_functor(
-        group_as_category(h.source), group_as_category(h.target), {"*": "*"}, dict(h.mapping)
-    )
+    S, T = group_as_category(h.source), group_as_category(h.target)
+    return validate_functor(S, T, {S.objects[0]: T.objects[0]}, dict(h.mapping))
 
 
 def group_isomorphism(G: GroupTable, H: GroupTable):
@@ -473,9 +483,10 @@ def twisted_indexed_data(T: TwistedAction):
     """
     base = group_as_category(T.acting)
     fiber = group_as_category(T.acted)
-    arrows = {g: ({"*": "*"}, dict(T.act[g])) for g in T.acting.elements}
+    (x,) = fiber.objects  # "*" for a group made by ``validate_group``
+    arrows = {g: ({x: x}, dict(T.act[g])) for g in T.acting.elements}
     compositors = {
-        (f, g): {"*": T.phi[(g, f)]}
+        (f, g): {x: T.phi[(g, f)]}
         for f in T.acting.elements
         for g in T.acting.elements
     }
@@ -488,7 +499,7 @@ def twisted_to_indexed(T: TwistedAction):
     arrow_functors = {
         g: validate_functor(fiber, fiber, ob, mor) for g, (ob, mor) in arrows.items()
     }
-    return validate_indexed(base, {"*": fiber}, arrow_functors, compositors)
+    return validate_indexed(base, {base.objects[0]: fiber}, arrow_functors, compositors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,10 +518,8 @@ def extension_from_twisted(T: TwistedAction) -> Extension:
     proj = validate_group_hom(
         E, T.acting, {m: gr.mor_of[m].base_part for m in E.elements}
     )
-    incl_map = {}
-    for h in T.acted.elements:
-        incl_map[h] = gr.mor_id[(T.acting.unit, h, "*")]
-    incl = validate_group_hom(T.acted, E, incl_map)
+    (x,) = group_as_category(T.acted).objects
+    incl = validate_group_hom(T.acted, E, {h: gr.mor_id[(T.acting.unit, h, x)] for h in T.acted.elements})
     if len(set(incl.mapping.values())) != len(T.acted):
         raise GroupError("inclusion not injective")
     ker = {e for e in E.elements if proj.mapping[e] == T.acting.unit}

@@ -469,12 +469,15 @@ def as_pullback(C: FinCat, cospan: Cospan, leg1: str, leg2: str):
     """Package a chosen competitor as a pullback, or None if not terminal.
 
     Unlike ``pullback`` this lets the caller pick a non-canonical
-    representative; the mediator table is rebuilt for that choice.  Legs
-    that do not form a commuting square over the cospan give None.
+    representative; the mediator table is rebuilt for that choice.  An
+    unknown leg raises ``UnknownMorphism``, as an unknown cospan leg does;
+    legs that do not form a commuting square over the cospan give None.
     """
     check_cospan(C, cospan)
+    C.require_morphism(leg1)
+    C.require_morphism(leg2)
     p = C.src[leg1]
-    if leg2 not in C.src or C.src[leg2] != p:
+    if C.src[leg2] != p:
         return None
     if C.tgt[leg1] != C.src[cospan.f1] or C.tgt[leg2] != C.src[cospan.f2]:
         return None

@@ -273,6 +273,8 @@ def construct_weak_pushout_total(
             )
         )
     total = gr.total
+    total.require_morphism(leg1)
+    total.require_morphism(leg2)
     if total.src[leg1] != apex or total.src[leg2] != apex:
         raise CategoryError("legs do not form a span at the given apex")
 

@@ -541,7 +541,8 @@ def checked_assemble(monkeypatch):
     arguments: an injection category ``core_reference.injection_category``,
     a subcategory the reference checks of its parent's table cut down to
     it, ``from_parts`` the reference ``assemble`` with the parts composed by
-    ``componentwise``, ``group_as_category`` the reference one and
+    ``componentwise``, the groupoid of a group that ``validate_group``
+    makes the reference ``group_as_category`` and
     ``core_reference.assemble_blocks`` the reference ``assemble`` with the
     block composer decoded; the fields must agree, and the library's table
     must list the reference's in cell order.  Returns the table sizes of
@@ -550,7 +551,7 @@ def checked_assemble(monkeypatch):
         generators._injection_category,
         core.subcategory,
         core.from_parts,
-        groups.group_as_category,
+        groups.validate_group,
         ref.assemble_blocks,
         [],
     )
@@ -579,8 +580,10 @@ def checked_assemble(monkeypatch):
         C = real_parts(identities, blocks, factors)
         return check(C, ref.assemble(identities, blocks, componentwise(factors)))
 
-    def checked_group(G):
-        return check(real_group(G), ref.group_as_category(G))
+    def checked_group(elements, mult, unit=None):
+        G = real_group(elements, mult, unit)
+        check(G.category, ref.group_as_category(G))
+        return G
 
     def checked_blocks(identities, blocks, compose):
         C = real_blocks(identities, blocks, compose)
@@ -591,8 +594,7 @@ def checked_assemble(monkeypatch):
         monkeypatch.setattr(module, "subcategory", checked_sub)
     for module in (core, generators):
         monkeypatch.setattr(module, "from_parts", checked_parts)
-    for module in (groups, generators):
-        monkeypatch.setattr(module, "group_as_category", checked_group)
+    monkeypatch.setattr(groups, "validate_group", checked_group)
     monkeypatch.setattr(ref, "assemble_blocks", checked_blocks)
     return calls
 

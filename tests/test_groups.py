@@ -34,6 +34,7 @@ from fibcat.groups import (
     trivial_action,
     trivial_group,
     twisted_from_surjection,
+    twisted_to_indexed,
     validate_group,
     validate_group_hom,
     validate_right_action,
@@ -180,6 +181,21 @@ def test_round_trip_reconstruction(z4, z2):
         ext = extension_from_twisted(T)
         assert groups_isomorphic(ext.total, z4)
         assert len(ext.total) == len(z2) * len(kernel_subgroup(p))
+
+
+def test_groups_read_off_a_category_keep_its_object(z4_twisted):
+    """The group of a Grothendieck total is that total, on its own object,
+    and so is the kernel cut out of it; the functor of a homomorphism out
+    of it, and the indexed category of the twisted action on that kernel,
+    are built on that object."""
+    ext = extension_from_twisted(z4_twisted)
+    (x,) = group_as_category(ext.total).objects
+    assert x != "*"
+    assert is_fibration(hom_as_functor(ext.proj)).holds
+    T = twisted_from_surjection(ext.proj, next(sections_of(ext.proj)))
+    assert group_as_category(T.acted).objects == (x,)
+    M = twisted_to_indexed(T)
+    assert groups_isomorphic(extension_from_twisted(T).total, ext.total) and M.fibers["*"] is T.acted.category
 
 
 def test_split_iff_some_section_strictifies(s3, z2, z4):

@@ -153,7 +153,8 @@ def test_validate_category_has_exactly_two_callers():
     which hands a fresh coding to its caller's fill, alone calls
     ``_checked``; ``from_parts``, ``subcategory``, ``validate_category``,
     the injection builder of ``generators``, ``grothendieck`` and
-    ``group_as_category`` build through it; and
+    ``validate_group``, which codes a group's table as its one-object
+    groupoid, build through it; and
     ``ioformats.category_from_json`` alone mentions ``validate_category``."""
     assert _callers("FinCat", True) == ["core._checked"]
     assert _callers("_checked", True) == ["core.from_cells"]
@@ -163,7 +164,7 @@ def test_validate_category_has_exactly_two_callers():
         "core.validate_category",
         "generators._injection_category",
         "groth.grothendieck",
-        "groups.group_as_category",
+        "groups.validate_group",
     ]
     assert _callers("validate_category", False) == ["ioformats.category_from_json"]
 
@@ -454,7 +455,7 @@ def test_no_library_module_composes_one_payload_at_a_time():
     ``core.subcategory`` gathers its parent's cells, the Grothendieck
     construction fills its cells itself, and
     every other builder lists its morphisms' parts for ``core.from_parts``
-    or, for a group, fills the cells from its multiplication: no module
+    or, for a group, is the groupoid that ``validate_group`` coded: no module
     defines or names ``per_composite``, whose per-composite formulas live
     only in the test oracle, and none of these builders calls ``comp`` or
     reads a ``table``."""
@@ -486,6 +487,30 @@ def test_part_builders_and_group_bridges_make_no_table():
     assert category_as_group(S3).mult == symmetric_group(3).mult
     assert len(automorphism_group(C, "3")) == 6
     assert "table" not in vars(S3) and "table" not in vars(C)
+
+
+def test_a_group_is_its_one_object_groupoid(monkeypatch):
+    """A group keeps its groupoid, so ``group_as_category`` hands back the
+    same category each time, and the bridges from a checked category wrap
+    or cut it without checking the group axioms again: they never call
+    ``validate_group``."""
+    S3, Z2, FI3 = symmetric_group(3), cyclic_group(2), fi_truncated(3)
+    assert group_as_category(S3) is group_as_category(S3) is S3.category
+    sign = groups.validate_group_hom(S3, Z2, {g: str(_sign(g)) for g in S3.elements})
+
+    def refuse(*args):
+        raise AssertionError("validate_group called")
+
+    monkeypatch.setattr(groups, "validate_group", refuse)
+    C = group_as_category(S3)
+    assert category_as_group(C).category is C
+    assert groups.groups_isomorphic(automorphism_group(FI3, "3"), S3)
+    assert groups.kernel_subgroup(sign).elements == ("012", "120", "201")
+
+
+def _sign(word):
+    """0 for an even permutation written as an image word, else 1."""
+    return sum(a > b for i, a in enumerate(word) for b in word[i + 1 :]) % 2
 
 
 def test_group_extension_makes_no_table(monkeypatch):
@@ -533,6 +558,12 @@ def test_core_oracle_uses_no_private_library_name():
 def test_functors_oracle_uses_no_private_library_name():
     """Likewise the full-loop functor check and Light's test it checks."""
     assert _private_names("functors_reference.py") == []
+
+
+def test_groups_oracle_uses_no_private_library_name():
+    """Likewise the loop-by-loop group check and the groupoid check it
+    checks."""
+    assert _private_names("groups_reference.py") == []
 
 
 def test_indexed_oracle_uses_no_private_library_name():

@@ -24,6 +24,7 @@ from fibcat import (
 )
 from fibcat import limits
 from fibcat.generators import fi_truncated, inj_id, parse_inj, span_poset
+from fibcat.core import UnknownMorphism
 from fibcat.limits import all_cospans, all_spans, as_pullback
 
 
@@ -125,6 +126,16 @@ def test_as_pullback_accepts_iso_twists_only(fi3):
     assert again is not None and again.apex == pb.apex
     bad = as_pullback(fi3, cospan, inj_id(0, 1, ()), inj_id(0, 1, ()))
     assert bad is None
+
+
+def test_as_pullback_rejects_unknown_legs(fi3):
+    """An unknown leg is an unknown morphism, as an unknown cospan leg is:
+    on either side, never a bare ``KeyError`` or a quiet None."""
+    cospan = Cospan(inj_id(1, 2, (0,)), inj_id(1, 2, (0,)))
+    pb = pullback(fi3, cospan)
+    for legs in (("nope", pb.leg2), (pb.leg1, "nope")):
+        with pytest.raises(UnknownMorphism, match="nope"):
+            as_pullback(fi3, cospan, *legs)
 
 
 def test_as_pullback_rejects_non_commuting_legs(parallel_pair):

@@ -3,6 +3,7 @@ import pytest
 from fibcat import (
     HypothesesNotVerified,
     SearchBudgetExceeded,
+    UnknownMorphism,
     Check,
     Cospan,
     Span,
@@ -174,6 +175,19 @@ def test_construct_weak_pushout_constant_case_is_componentwise(fi2):
     fib_wp = weak_pushout(fi2, Span(k, inj_id(0, 0, ())))
     x, a = gr.obj_of[gr.total.tgt[sq.right]]
     assert x == base_wp.apex and a == fib_wp.apex
+
+
+def test_construct_rejects_unknown_legs(gr_zpow2_3, z2):
+    """An unknown leg of the span is an unknown morphism of the total, on
+    either side."""
+    M, gr = gr_zpow2_3
+    w = gpow_witness(z2, M)
+    hyp = check_hypotheses(M, w, gr=gr)
+    t = gr.obj_id[("1", "*")]
+    idt = gr.total.id_of(t)
+    for legs in (("nope", idt), (idt, "nope")):
+        with pytest.raises(UnknownMorphism, match="nope"):
+            construct_weak_pushout_total(M, w, t, *legs, gr=gr, hypotheses=hyp)
 
 
 def test_construct_requires_verified_hypotheses(gr_zpow2_3):
