@@ -14,7 +14,9 @@ times the seven conditions of ``check_fi_type``, while the peak resident
 set covers both.  A weak-pushout rung makes its category and runs
 ``has_pullbacks`` on it, untimed, and times ``has_weak_pushouts`` alone.  A
 validation rung builds an indexed category, untimed, and times
-``validate_indexed`` on its data alone.  The exit
+``validate_indexed`` on its data alone.  A search rung builds an indexed
+category, untimed, and times ``theorem.search_witness`` at its default
+budget.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -30,6 +32,7 @@ from fibcat.fitype import check_fi_type
 from fibcat.generators import (
     arrow_category,
     chain_poset,
+    delta_const,
     fi_truncated,
     indexed_gpow,
     product_category,
@@ -40,6 +43,7 @@ from fibcat.groups import automorphism_group, category_as_group, cyclic_group, g
 from fibcat.indexed import validate_indexed
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
 from fibcat.limits import has_pullbacks, has_weak_pushouts
+from fibcat.theorem import search_witness
 
 
 def _fi_z2_4_total():
@@ -121,6 +125,10 @@ RUNGS = {
     # condition 7 alone, on the same categories
     "weak_pushouts_fi_z2_4_total": (_with_pullbacks(_fi_z2_4_total), has_weak_pushouts),
     "weak_pushouts_fi6": (_with_pullbacks(lambda: fi_truncated(6)), has_weak_pushouts),
+    # the witness search for h4: FI_Z2 over FI_3, with fibers Z2^0 to Z2^3,
+    # and the constant FI_3 over FI_1
+    "search_fig_z2_3": (lambda: indexed_gpow(cyclic_group(2), 3), search_witness),
+    "search_delta_fi1_fi3": (lambda: delta_const(fi_truncated(1), fi_truncated(3)), search_witness),
 }
 
 

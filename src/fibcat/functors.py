@@ -47,6 +47,12 @@ source's morphism order, as a check of every square would.  The argument
 needs F and G to be functors, which is why ``validate_nat_trans`` takes
 them as ``FinFunctor`` values (or paths of them) and not as bare tables.
 Neither check reads a string ``table``.
+
+``enumerate_functors`` is the one functor search.  It assigns images in a
+fixed order, identities from the object map, and each composite as soon as
+its two factors are assigned, so a partial map is dropped at the first
+composite that disagrees; its complete maps are functors, and each passes
+``validate_functor`` as its certificate.
 """
 
 from __future__ import annotations
@@ -66,6 +72,10 @@ class NotAFunctor(CategoryError):
 
 class NotNatural(CategoryError):
     pass
+
+
+class SearchBudgetExceeded(CategoryError):
+    """A bounded search ran out of budget; see ``enumerate_functors``."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -241,6 +251,84 @@ def _raise_first_failure(F: FinFunctor):
     raise CategoryError("internal error: Light's test failed, the full check held")
 
 
+def enumerate_functors(A: FinCat, B: FinCat, objects=None, allowed=None, budget=None):
+    """Every functor A → B in lexicographic order (see the module
+    docstring): first the images of the objects that the map ``objects``
+    does not fix, in ``A.objects`` order, each over ``B.objects``; then
+    those of ``A.morphisms``, each over its hom-set of B in id order or,
+    where ``allowed[f]`` is given, over those ids alone.  ``budget``, when
+    given, is a one-element list of the units left, which callers may
+    share: each image tried at a morphism that nothing forces costs one, so
+    does each complete map, and ``SearchBudgetExceeded`` is raised below
+    zero."""
+    fixed, K, L = dict(objects or {}), A.coding, B.coding
+    free = [x for x in A.objects if x not in fixed]
+    after, before = [[] for _ in K.ids], [[] for _ in K.ids]  # (g, k;g) and (f, f;k) for each code k
+    for f, g, h in zip(*(a.tolist() for a in (*K.pairs(), K.cells))):
+        after[f].append((g, h))
+        before[g].append((f, h))
+    cells, row, out, src = (a.tolist() for a in (L.cells, L.row, L.out, L.src))
+    order, number = [K.code[f] for f in A.morphisms], dict(zip(B.objects, range(len(B.objects))))
+    allow = {K.code[f]: {L.code.get(m) for m in ms} for f, ms in (allowed or {}).items()}
+    budget = [float("inf")] if budget is None else budget
+    val, trail = [-1] * len(K.ids), []
+
+    def charge():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchBudgetExceeded()
+
+    def settle(k, v) -> bool:
+        """Assign v to k and every composite that follows; False at the
+        first that disagrees."""
+        todo = [(k, v)]
+        while todo:
+            k, v = todo.pop()
+            if val[k] >= 0 or (k in allow and v not in allow[k]):
+                if val[k] != v:
+                    return False
+                continue
+            val[k] = v
+            trail.append(k)
+            todo += [(h, cells[row[v] + val[g] - out[src[val[g]]]]) for g, h in after[k] if val[g] >= 0]
+            todo += [(h, cells[row[val[f]] + v - out[src[v]]]) for f, h in before[k] if val[f] >= 0]
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            val[trail.pop()] = -1
+
+    def next_free(p):
+        while p < len(order) and val[order[p]] >= 0:
+            p += 1
+        return p
+
+    for images in itertools.product(B.objects, repeat=len(free)):
+        ob = {**fixed, **dict(zip(free, images))}
+        ends = [ob[x] for x in A.objects]
+        choices = [B.hom_codes(ends[s], ends[t]).tolist() for s, t in zip(K.src.tolist(), K.tgt.tolist())]
+        choices = [[m for m in c if k not in allow or m in allow[k]] for k, c in enumerate(choices)]
+        units = L.units[[number[y] for y in ends]].tolist()
+        if all(choices) and all(map(settle, K.units.tolist(), units)):
+            frames = [[next_free(0), 0, len(trail)]]  # position, next choice, trail mark
+            while frames:
+                frame = frames[-1]
+                p, i, mark = frame
+                undo(mark)
+                if p == len(order):
+                    frames.pop()
+                    charge()
+                    yield validate_functor(A, B, ob, dict(zip(A.morphisms, (L.ids[val[k]] for k in order))))
+                elif i == len(choices[order[p]]):
+                    frames.pop()
+                else:
+                    frame[1] = i + 1
+                    charge()
+                    if settle(order[p], choices[order[p]][i]):
+                        frames.append([next_free(p + 1), 0, len(trail)])
+        undo(0)
+
+
 def identity_functor(C: FinCat) -> FinFunctor:
     return FinFunctor(C, C, {x: x for x in C.objects}, {f: f for f in C.morphisms})
 
@@ -344,25 +432,19 @@ def functor_properties(F: FinFunctor) -> FunctorProperties:
     S, T = F.source, F.target
     full = Check(True)
     faithful = Check(True)
-    for x in S.objects:
-        for y in S.objects:
-            image = {}
-            for f in S.hom(x, y):
-                g = F.mor(f)
-                if g in image and faithful.holds:
-                    faithful = Check(False, (image[g], f))
-                image.setdefault(g, f)
-            if full.holds:
-                for g in T.hom(F.ob(x), F.ob(y)):
-                    if g not in image:
-                        full = Check(False, (x, y, g))
-                        break
+    for x, y in itertools.product(S.objects, repeat=2):
+        image = {}
+        for f in S.hom(x, y):
+            g = F.mor(f)
+            if g in image and faithful.holds:
+                faithful = Check(False, (image[g], f))
+            image.setdefault(g, f)
+        if full.holds:
+            for g in T.hom(F.ob(x), F.ob(y)):
+                if g not in image:
+                    full = Check(False, (x, y, g))
+                    break
     hit = set(F.on_objects.values())
-    ess = Check(True)
-    for t in T.objects:
-        if t in hit:
-            continue
-        if not any(T.hom(t, h) and any(f in T.inverses for f in T.hom(t, h)) for h in hit):
-            ess = Check(False, t)
-            break
-    return FunctorProperties(full, faithful, ess)
+    lone = (t for t in T.objects if t not in hit and not any(f in T.inverses for h in hit for f in T.hom(t, h)))
+    t = next(lone, None)
+    return FunctorProperties(full, faithful, Check(t is None, t))

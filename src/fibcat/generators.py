@@ -406,27 +406,29 @@ def fi_colored(color_groups: dict, N: int) -> FinCat:
 # ---------------------------------------------------------------------------
 
 
-def _slice_mid(f: str, h: str, g: str) -> str:
-    for part in (f, h, g):
-        if "~" in part:
-            raise CategoryError("morphism id %r clashes with the slice id scheme" % part)
-    return "%s~%s~%s" % (f, h, g)
-
-
 def slice_category(C: FinCat, x: str) -> FinCat:
     """Objects are morphisms into x; maps are commuting triangles h;g = f,
-    whose one part is the code of h."""
+    whose one part is the code of h, kept by id in its ``cache("slice")``.
+    Each id met is checked once for '~'; a clash names the first met, in
+    the order f, h, g of each triangle."""
     C.require_object(x)
     K = C.coding
     objs = [f for f in C.morphisms if C.tgt[f] == x]
-    tris = {}
+    tris, h_of = {}, {}
     for f in objs:
         for g in objs:
             hs = C.hom_codes(C.src[f], C.src[g])
             for h in hs[K.cells[K.cell(hs, K.code[g])] == K.code[f]].tolist():
-                tris.setdefault((f, g), {})[(h,)] = _slice_mid(f, K.ids[h], g)
+                tris.setdefault((f, g), {})[(h,)] = mid = "%s~%s~%s" % (f, K.ids[h], g)
+                h_of[mid] = h
+    clash = {m for m in {*objs, *map(K.ids.__getitem__, set(h_of.values()))} if "~" in m}
+    if clash:
+        met = (p for (f, g), block in tris.items() for (h,) in block for p in (f, K.ids[h], g))
+        raise CategoryError("morphism id %r clashes with the slice id scheme" % next(filter(clash.__contains__, met)))
     units = K.units[K.src].tolist()
-    return from_parts({f: (units[K.code[f]],) for f in objs}, tris, (C,))
+    S = from_parts({f: (units[K.code[f]],) for f in objs}, tris, (C,))
+    S.cache("slice")["h"] = h_of
+    return S
 
 
 def _chosen_pullback(C: FinCat, j: str, f: str, choose=None):
@@ -452,14 +454,14 @@ def slice_indexed(C: FinCat, choose=None) -> IndexedCat:
     chosen = functools.cache(lambda j, f: _chosen_pullback(C, j, f, choose))
 
     def triangles(rows) -> dict:
-        """For each (key, at, s, pb, a, b) of ``rows()``: at [key][at], the
-        triangle (s, w, leg1 of pb), w the mediator of pb at (s, a;b).
-        ``rows()`` is walked twice, first to read every a;b in one gather of
-        the cells."""
-        ab = np.fromiter((K.code[m] for r in rows() for m in r[4:]), np.int64).reshape(-1, 2)
+        """For each (key, at, s, pb, a, b) of ``rows()``, a and b codes: at
+        [key][at], the triangle (s, w, leg1 of pb), w the mediator of pb at
+        (s, a;b).  ``rows()`` is walked twice, first to read every a;b in
+        one gather of the cells."""
+        ab = np.fromiter((c for r in rows() for c in r[4:]), np.int64).reshape(-1, 2)
         made, out = map(K.ids.__getitem__, K.cells[K.cell(ab[:, 0], ab[:, 1])].tolist()), {}
         for (key, at, s, pb, _, _), v in zip(rows(), made):
-            out.setdefault(key, {})[at] = _slice_mid(s, pb.mediators[(C.src[s], s, v)], pb.leg1)
+            out.setdefault(key, {})[at] = "%s~%s~%s" % (s, pb.mediators[(C.src[s], s, v)], pb.leg1)
         return out
 
     # Every cospan the components need is one of these, so the first one
@@ -469,16 +471,17 @@ def slice_indexed(C: FinCat, choose=None) -> IndexedCat:
     def arrow_rows():
         for j in C.morphisms:
             fib_y = fibers[C.tgt[j]]
+            h_of = fib_y.cache("slice")["h"]
             for smid in fib_y.morphisms:
                 pb_f, pb_g = chosen(j, fib_y.src[smid]), chosen(j, fib_y.tgt[smid])
-                yield j, smid, pb_f.leg1, pb_g, pb_f.leg2, smid.split("~")[1]
+                yield j, smid, pb_f.leg1, pb_g, K.code[pb_f.leg2], h_of[smid]
 
     def compositor_rows():
         for f, g, gf in zip(*(map(K.ids.__getitem__, k.tolist()) for k in (*K.pairs(), K.cells))):
             for q in fibers[C.tgt[g]].objects:
                 pb_g = chosen(g, q)
                 pb_fg = chosen(f, pb_g.leg1)
-                yield (f, g), q, pb_fg.leg1, chosen(gf, q), pb_fg.leg2, pb_g.leg2
+                yield (f, g), q, pb_fg.leg1, chosen(gf, q), K.code[pb_fg.leg2], K.code[pb_g.leg2]
 
     on_m = triangles(arrow_rows)
     arrows = {j: FinFunctor(fibers[C.tgt[j]], fibers[C.src[j]], on_o[j], on_m[j]) for j in C.morphisms}
@@ -489,7 +492,7 @@ def slice_indexed(C: FinCat, choose=None) -> IndexedCat:
         for f in fibers[x].objects:
             pb = chosen(C.id_of(x), f)
             w = pb.mediators[(C.src[f], f, C.id_of(C.src[f]))]
-            comps[f] = _slice_mid(f, w, pb.leg1)
+            comps[f] = "%s~%s~%s" % (f, w, pb.leg1)
         unitors[x] = comps
 
     return validate_indexed(C, fibers, arrows, compositors, unitors)

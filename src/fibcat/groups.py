@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AssociativityViolation, CategoryError, FinCat, automorphisms, from_cells, is_groupoid, subcategory
-from .functors import validate_functor
+from .functors import enumerate_functors, validate_functor
 from .groth import grothendieck
 from .indexed import validate_indexed
 
@@ -82,9 +82,6 @@ class GroupTable:
 
     def mul(self, a: str, b: str) -> str:
         return self.mult[(a, b)]
-
-    def inv_of(self, a: str) -> str:
-        return self.inv[a]
 
     def order_of(self, a: str) -> int:
         n, x = 1, a
@@ -259,62 +256,18 @@ def hom_as_functor(h: GroupHom):
 
 
 def group_isomorphism(G: GroupTable, H: GroupTable):
-    """An isomorphism G→H found by backtracking, or None.
-
-    Candidates are pruned by element order, which keeps the search fast for
-    the small groups handled here.
-    """
+    """An isomorphism G→H as a map of elements, or None: the first
+    homomorphism of their groupoids, in ``functors.enumerate_functors``'
+    order, that keeps the order of every element.  Its kernel holds the
+    unit alone, so it is injective, and bijective as |G| = |H|."""
     if len(G) != len(H):
         return None
-    g_order = {a: G.order_of(a) for a in G.elements}
-    h_by_order = {}
-    for b in H.elements:
-        h_by_order.setdefault(H.order_of(b), []).append(b)
-    if sorted(g_order.values()) != sorted(
-        o for o, bs in h_by_order.items() for _ in bs
-    ):
+    g_order, h_order = ({a: K.order_of(a) for a in K.elements} for K in (G, H))
+    if sorted(g_order.values()) != sorted(h_order.values()):
         return None
-    gs = sorted(G.elements)
-
-    def extend(i, mapping, used):
-        if i == len(gs):
-            return dict(mapping)
-        a = gs[i]
-        if a in mapping:
-            return extend(i + 1, mapping, used)
-        for b in h_by_order.get(g_order[a], ()):
-            if b in used:
-                continue
-            new = dict(mapping)
-            new[a] = b
-            ok = True
-            # close under products with everything already assigned
-            frontier = [a]
-            while frontier and ok:
-                x = frontier.pop()
-                for y in list(new):
-                    for p, q in ((x, y), (y, x)):
-                        pq = G.mul(p, q)
-                        img = H.mul(new[p], new[q])
-                        if pq in new:
-                            if new[pq] != img:
-                                ok = False
-                                break
-                        else:
-                            if img in set(new.values()):
-                                ok = False
-                                break
-                            new[pq] = img
-                            frontier.append(pq)
-                    if not ok:
-                        break
-            if ok:
-                res = extend(i + 1, new, set(new.values()))
-                if res is not None:
-                    return res
-        return None
-
-    return extend(0, {G.unit: H.unit}, {H.unit})
+    allowed = {a: [b for b in H.elements if h_order[b] == n] for a, n in g_order.items()}
+    F = next(enumerate_functors(G.category, H.category, allowed=allowed), None)
+    return None if F is None else F.on_morphisms
 
 
 def groups_isomorphic(G: GroupTable, H: GroupTable) -> bool:
@@ -345,11 +298,9 @@ def validate_right_action(G: GroupTable, H: GroupTable, act) -> dict:
         raise NotAnAction(("unknown element acts", next(g for g in act if g not in G.inv)))
     if any(act[G.unit][h] != h for h in H.elements):
         raise NotAnAction("unit must act trivially")
-    for g1 in G.elements:
-        for g2 in G.elements:
-            for h in H.elements:
-                if act[G.mul(g1, g2)][h] != act[g2][act[g1][h]]:
-                    raise NotAnAction(("composition law", g1, g2, h))
+    for g1, g2, h in itertools.product(G.elements, G.elements, H.elements):
+        if act[G.mul(g1, g2)][h] != act[g2][act[g1][h]]:
+            raise NotAnAction(("composition law", g1, g2, h))
     return act
 
 
@@ -421,24 +372,17 @@ def validate_twisted_action(T: TwistedAction) -> TwistedActionReport:
         if T.phi[(g, G.unit)] != H.unit:
             unit_failures.append(("phi", g, G.unit))
     law1 = []
-    for g1 in G.elements:
-        for g2 in G.elements:
-            p = T.phi[(g1, g2)]
-            a12 = T.act[G.mul(g1, g2)]
-            for h in H.elements:
-                lhs = T.act[g2][T.act[g1][h]]
-                rhs = H.mul(H.mul(H.inv[p], a12[h]), p)
-                if lhs != rhs:
-                    law1.append((g1, g2, h))
-                    break
-    law2 = []
-    for g1 in G.elements:
-        for g2 in G.elements:
-            for g3 in G.elements:
-                lhs = H.mul(T.phi[(G.mul(g3, g2), g1)], T.act[g1][T.phi[(g3, g2)]])
-                rhs = H.mul(T.phi[(g3, G.mul(g2, g1))], T.phi[(g2, g1)])
-                if lhs != rhs:
-                    law2.append((g1, g2, g3))
+    for g1, g2 in itertools.product(G.elements, repeat=2):
+        p, a12 = T.phi[(g1, g2)], T.act[G.mul(g1, g2)]
+        h = next((h for h in H.elements if T.act[g2][T.act[g1][h]] != H.conjugate(a12[h], p)), None)
+        if h is not None:
+            law1.append((g1, g2, h))
+    law2 = [
+        (g1, g2, g3)
+        for g1, g2, g3 in itertools.product(G.elements, repeat=3)
+        if H.mul(T.phi[(G.mul(g3, g2), g1)], T.act[g1][T.phi[(g3, g2)]])
+        != H.mul(T.phi[(g3, G.mul(g2, g1))], T.phi[(g2, g1)])
+    ]
     holds = not (unit_failures or law1 or law2)
     return TwistedActionReport(holds, (), tuple(unit_failures), tuple(law1), tuple(law2))
 
@@ -547,52 +491,38 @@ def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
         raise NotASection(("section of unknown element", next(g for g in s if g not in G.inv)))
     if s[G.unit] != E.unit:
         raise NotASection("section must send the unit to the unit")
-    K = kernel_subgroup(p)
-    kset = set(K.elements)
-    act = {}
-    for g in G.elements:
-        m = {}
-        for k in K.elements:
-            v = E.mul(E.mul(E.inv[s[g]], k), s[g])
-            assert v in kset
-            m[k] = v
-        act[g] = m
-    phi = {}
-    for a in G.elements:
-        for b in G.elements:
-            v = E.mul(E.mul(E.inv[s[G.mul(a, b)]], s[a]), s[b])
-            assert v in kset
-            phi[(a, b)] = v
+    K = kernel_subgroup(p)  # normal, and p sends each phi(a, b) to the unit
+    act = {g: {k: E.conjugate(k, s[g]) for k in K.elements} for g in G.elements}
+    phi = {(a, b): E.mul(E.mul(E.inv[s[G.mul(a, b)]], s[a]), s[b]) for a in G.elements for b in G.elements}
     return TwistedAction(G, K, act, phi)
 
 
 def sections_of(p: GroupHom):
     """All set-theoretic sections with s(unit) = unit, in lexicographic order."""
-    G = p.target
-    fibers = {
-        g: sorted(e for e in p.source.elements if p.mapping[e] == g)
-        for g in G.elements
-    }
+    G, fibers = p.target, _fibers(p)
     others = sorted(g for g in G.elements if g != G.unit)
     for choice in itertools.product(*(fibers[g] for g in others)):
-        s = {G.unit: p.source.unit}
-        s.update(dict(zip(others, choice)))
-        yield s
+        yield {G.unit: p.source.unit, **dict(zip(others, choice))}
+
+
+def _fibers(p: GroupHom) -> dict:
+    """The elements that ``p`` sends to each element of its target, sorted."""
+    fibers = {g: [] for g in p.target.elements}
+    for e in p.source.elements:
+        fibers[p.mapping[e]].append(e)
+    return fibers
 
 
 def find_homomorphic_section(p: GroupHom):
-    """First group-homomorphism section in lexicographic order, or None."""
+    """First group-homomorphism section in lexicographic order, or None:
+    the first functor of the groupoids, in ``functors.enumerate_functors``'
+    order, that sends each element into its fiber under ``p``, which is
+    checked already."""
     if not is_surjective_hom(p):
         raise NotSurjective(p.mapping)
     E, G = p.source, p.target
-    for s in sections_of(p):
-        if all(
-            s[G.mul(a, b)] == E.mul(s[a], s[b])
-            for a in G.elements
-            for b in G.elements
-        ):
-            return validate_group_hom(G, E, s)
-    return None
+    F = next(enumerate_functors(G.category, E.category, allowed=_fibers(p)), None)
+    return None if F is None else GroupHom(G, E, F.on_morphisms)
 
 
 def is_split(p: GroupHom) -> bool:

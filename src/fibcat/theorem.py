@@ -10,6 +10,10 @@ audited:
       preserving pushforward f_! with f_!∘f* the identity on objects and a
       unit transformation id ⇒ f*∘f_!
 
+Without a witness, ``search_witness`` finds one per f: the first
+pushforward that ``functors.enumerate_functors`` yields, with f_! fixed on
+the objects that f* hits, that preserves weak pushouts and has a unit.
+
 When they hold, the total category is FI-type and the projection preserves
 pullbacks and weak pushouts; ``verify_main_theorem`` audits that conclusion
 directly and raises an alarm on any discrepancy (which would indicate an
@@ -27,7 +31,9 @@ from dataclasses import dataclass
 from .core import Check, CategoryError, first_failure
 from .functors import (
     FinFunctor,
+    SearchBudgetExceeded,
     compose_functors,
+    enumerate_functors,
     identity_functor,
     validate_functor,
     validate_nat_trans,
@@ -57,10 +63,6 @@ class WitnessInvalid(CategoryError):
     pass
 
 
-class SearchBudgetExceeded(CategoryError):
-    pass
-
-
 class HypothesesNotVerified(CategoryError):
     pass
 
@@ -83,12 +85,9 @@ def gpow_witness(G, M: IndexedCat) -> WeakReversibilityWitness:
     for f in M.base.morphisms:
         m, n, imgs = parse_inj(f)
         fx, fy = M.fiber_at(str(m)), M.fiber_at(str(n))
-        on_m = {}
-        for t in itertools.product(G.elements, repeat=m):
-            w = [G.unit] * n
-            for i, img in enumerate(imgs):
-                w[img] = t[i]
-            on_m[tuple_id(t)] = tuple_id(w)
+        at = dict(zip(imgs, range(m)))  # the entry of t that lands at each place
+        tuples = itertools.product(G.elements, repeat=m)
+        on_m = {tuple_id(t): tuple_id([t[at[i]] if i in at else G.unit for i in range(n)]) for t in tuples}
         pushforwards[f] = validate_functor(fx, fy, {"*": "*"}, on_m)
         units[f] = {"*": fx.id_of("*")}
     return WeakReversibilityWitness(pushforwards, units)
@@ -155,51 +154,39 @@ class HypothesesReport:
 
 
 def _search_pushforward(M: IndexedCat, f: str, budget: list):
-    """Bounded exhaustive search for a valid (pushforward, unit) pair."""
-    base = M.base
-    x, y = base.src[f], base.tgt[f]
-    fib_x, fib_y = M.fiber_at(x), M.fiber_at(y)
-    Mf = M.arrow_at(f)
-    id_x = identity_functor(fib_x)
-    forced = {}
+    """The first pushforward for f, in ``enumerate_functors``' order, that
+    preserves weak pushouts and has a unit, with the first such unit, or
+    None.  f_!∘f* is the identity on objects, so f_! is forced on the
+    objects that M(f) hits, and it cannot exist when M(f) identifies two."""
+    fib_x, fib_y = M.fiber_at(M.base.src[f]), M.fiber_at(M.base.tgt[f])
+    Mf, id_x, forced = M.arrow_at(f), identity_functor(fib_x), {}
     for b in fib_y.objects:
         a = Mf.ob(b)
         if forced.setdefault(a, b) != b:
             return None  # M(f) identifies objects: no pushforward can undo it
-    free = [a for a in fib_x.objects if a not in forced]
-    for images in itertools.product(fib_y.objects, repeat=len(free)):
-        ob = dict(forced)
-        ob.update(zip(free, images))
-        mor_choices = [fib_y.hom(ob[fib_x.src[m]], ob[fib_x.tgt[m]]) for m in fib_x.morphisms]
-        if any(not c for c in mor_choices):
-            continue
-        for assignment in itertools.product(*mor_choices):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBudgetExceeded(f)
-            mor = dict(zip(fib_x.morphisms, assignment))
-            try:
-                push = validate_functor(fib_x, fib_y, ob, mor)
-            except CategoryError:
-                continue
+    try:
+        for push in enumerate_functors(fib_x, fib_y, forced, budget=budget):
             if not preserves_weak_pushouts(push):
                 continue
             comp = compose_functors(push, Mf)
-            unit_choices = [fib_x.hom(a, comp.ob(a)) for a in fib_x.objects]
-            if any(not c for c in unit_choices):
-                continue
-            for unit in itertools.product(*unit_choices):
+            for unit in itertools.product(*(fib_x.hom(a, comp.ob(a)) for a in fib_x.objects)):
                 comps = dict(zip(fib_x.objects, unit))
                 try:
                     validate_nat_trans(id_x, comp, comps)
                 except CategoryError:
                     continue
                 return push, comps
+    except SearchBudgetExceeded:
+        raise SearchBudgetExceeded(f) from None
     return None
 
 
 def search_witness(M: IndexedCat, budget: int = 50_000) -> WeakReversibilityWitness:
-    """Exhaustive fallback when no witness is supplied; heavily size-capped."""
+    """Exhaustive fallback when no witness is supplied: for each base
+    morphism f in order, the first pushforward and unit that
+    ``_search_pushforward`` finds.  One ``budget``, in the units of
+    ``functors.enumerate_functors``, is shared by every f; running out
+    raises ``SearchBudgetExceeded(f)`` at the f being searched."""
     budget_box = [budget]
     pushforwards, units = {}, {}
     for f in M.base.morphisms:
@@ -265,13 +252,7 @@ def construct_weak_pushout_total(
     if hypotheses is None:
         hypotheses = check_hypotheses(M, witness, gr=gr)
     if not hypotheses.holds:
-        raise HypothesesNotVerified(
-            tuple(
-                name
-                for name in ("h1", "h2", "h3", "h4")
-                if not getattr(hypotheses, name).holds
-            )
-        )
+        raise HypothesesNotVerified(tuple(h for h in ("h1", "h2", "h3", "h4") if not getattr(hypotheses, h).holds))
     total = gr.total
     total.require_morphism(leg1)
     total.require_morphism(leg2)
@@ -311,8 +292,9 @@ def construct_weak_pushout_total(
     d = fiber_wp.apex
 
     Mh, Mj = M.arrow_at(h), M.arrow_at(j)
-    m = fib_y.comp(witness.units[h][b], Mh.mor(mbar))
-    n = fib_z.comp(witness.units[j][c], Mj.mor(nbar))
+    Ky, Kz = fib_y.coding, fib_z.coding  # compose on the fibers' cells
+    m = Ky.ids[Ky.cells[Ky.cell(Ky.code[witness.units[h][b]], Ky.code[Mh.mor(mbar)])]]
+    n = Kz.ids[Kz.cells[Kz.cell(Kz.code[witness.units[j][c]], Kz.code[Mj.mor(nbar)])]]
     return Square(leg1, leg2, gr.mor_id[(h, m, d)], gr.mor_id[(j, n, d)])
 
 

@@ -30,8 +30,9 @@ module composes one payload at a time, the builders that list parts call
 no ``comp``, and an arrow category, a product and the group of a
 one-object groupoid or of the automorphisms of an object leave no table,
 which runs confirm.  The library never depends on test
-helpers, the limits, groth, core, functors and indexed oracles never
-depend on the library's private search code, no function imports a
+helpers, the limits, groth, core, functors, groups, indexed and search
+oracles never depend on the library's private search code, no module but
+``core`` composes one pair at a time with ``comp``, no function imports a
 sibling module, no module imports a sibling's underscore name, and no
 module imports a name it does not use.  ``ioformats`` alone decides what
 an id is, so the validators it hands ids to convert none.  No module but
@@ -564,6 +565,18 @@ def test_groups_oracle_uses_no_private_library_name():
     """Likewise the loop-by-loop group check and the groupoid check it
     checks."""
     assert _private_names("groups_reference.py") == []
+
+
+def test_search_oracle_uses_no_private_library_name():
+    """Likewise the product, section and backtrack searches and the functor
+    enumerator that replaced them."""
+    assert _private_names("search_reference.py") == []
+
+
+def test_only_core_composes_by_comp():
+    """``FinCat.comp`` composes one pair at a time for callers outside the
+    library; every library module composes on the cells."""
+    assert [c for c in _callers("comp", True) if not c.startswith("core.")] == []
 
 
 def test_indexed_oracle_uses_no_private_library_name():
