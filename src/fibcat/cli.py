@@ -26,6 +26,7 @@ from .generators import (
 )
 from .groth import NotAFibration, choose_cleaving, grothendieck, is_fibration
 from .groups import (
+    NotAnAction,
     cyclic_group,
     extension_from_twisted,
     find_homomorphic_section,
@@ -275,16 +276,12 @@ def cmd_group(args, out: _Output) -> int:
     rep = _report_skeleton("group %s" % args.mode, args.path, digest)
     if args.mode == "ext":
         T = loader.twisted(data)
-        report = validate_twisted_action(T)
-        if not report.holds:
-            rep["verdict"] = {
-                "twisted_action_valid": False,
-                "law1_failures": [repr(w) for w in report.law1_failures],
-                "law2_failures": [repr(w) for w in report.law2_failures],
-            }
-            out.emit(rep, ["twisted action invalid"])
+        try:
+            ext = extension_from_twisted(T)
+        except NotAnAction as exc:
+            rep["verdict"] = {"twisted_action_valid": False, "counterexample": repr(exc)}
+            out.emit(rep, ["twisted action invalid: %r" % (exc,)])
             return EXIT_CHECK_FAILED
-        ext = extension_from_twisted(T)
         split = find_homomorphic_section(ext.proj) is not None
         rep["verdict"] = {
             "twisted_action_valid": True,

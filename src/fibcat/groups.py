@@ -9,6 +9,17 @@ once and ``core.from_cells`` decides the unit laws and associativity on it,
 like every category's; the bridges from a category that is already checked
 (``category_as_group``, ``automorphism_group``, ``kernel_subgroup``) check
 nothing again.
+
+A homomorphism is a functor of the groupoids: ``validate_group_hom`` is
+one ``functors.validate_functor`` call, and a ``GroupHom`` keeps the
+functor it checked, so ``hom_as_functor`` and ``compose_homs`` check
+nothing again.  A twisted action is a pseudofunctor from the groupoid of
+the acting group to that of the acted one, and a strict action one with
+trivial phi: ``twisted_to_indexed`` is one ``indexed.validate_indexed``
+call on its arrows, left unchecked, and the only check of either, and the
+one place its errors become the group's (``NotAnAction``, with
+``Law1Violation`` and ``Law2Violation`` for the two laws).  So no law is
+checked here with a loop of its own.
 """
 
 from __future__ import annotations
@@ -19,10 +30,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AssociativityViolation, CategoryError, FinCat, automorphisms, from_cells, is_groupoid, subcategory
-from .functors import enumerate_functors, validate_functor
+from .core import (
+    AssociativityViolation,
+    CategoryError,
+    Check,
+    FinCat,
+    automorphisms,
+    from_cells,
+    is_groupoid,
+    subcategory,
+)
+from .functors import (
+    FinFunctor,
+    NotAFunctor,
+    compose_functors,
+    enumerate_functors,
+    identity_functor,
+    validate_functor,
+)
 from .groth import grothendieck
-from .indexed import validate_indexed
+from .indexed import CoherenceViolation, IndexedCat, IndexedError, validate_indexed
 
 
 class GroupError(CategoryError):
@@ -41,11 +68,11 @@ class NotAnAction(GroupError):
     pass
 
 
-class Law1Violation(GroupError):
+class Law1Violation(NotAnAction):
     pass
 
 
-class Law2Violation(GroupError):
+class Law2Violation(NotAnAction):
     pass
 
 
@@ -200,42 +227,40 @@ def automorphism_group(C: FinCat, x: str) -> GroupTable:
 
 @dataclass(frozen=True, eq=False)
 class GroupHom:
+    """A homomorphism as the functor of the groupoids, checked once, and
+    its ``mapping`` of elements, which is that functor's."""
+
     source: GroupTable
     target: GroupTable
-    mapping: dict
+    functor: FinFunctor
+
+    @property
+    def mapping(self) -> dict:
+        return self.functor.on_morphisms
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]
 
 
 def validate_group_hom(source: GroupTable, target: GroupTable, mapping) -> GroupHom:
-    """Check that ``mapping`` sends exactly the source's elements into the
-    target and is multiplicative.  Elements are strings."""
-    m = dict(mapping)
-    for a in source.elements:
-        if a not in m:
-            raise NotAHomomorphism(("element not mapped", a))
-        if m[a] not in set(target.elements):
-            raise NotAHomomorphism(("image unknown", a, m[a]))
-    if len(m) > len(source.elements):
-        unknown = next(a for a in m if a not in source.inv)
-        raise NotAHomomorphism(("unknown element mapped", unknown))
-    for a in source.elements:
-        for b in source.elements:
-            if m[source.mul(a, b)] != target.mul(m[a], m[b]):
-                raise NotAHomomorphism(("multiplicativity", a, b))
-    return GroupHom(source, target, m)
+    """Check that ``mapping`` is a functor of the groupoids, by
+    ``validate_functor``, and raise ``NotAHomomorphism`` with its first
+    failure.  Elements are strings."""
+    S, T = source.category, target.category
+    try:
+        F = validate_functor(S, T, {S.objects[0]: T.objects[0]}, mapping)
+    except NotAFunctor as exc:
+        raise NotAHomomorphism(*exc.args) from exc
+    return GroupHom(source, target, F)
 
 
 def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     """f followed by g."""
-    return validate_group_hom(
-        f.source, g.target, {a: g.mapping[b] for a, b in f.mapping.items()}
-    )
+    return GroupHom(f.source, g.target, compose_functors(f.functor, g.functor))
 
 
 def identity_hom(G: GroupTable) -> GroupHom:
-    return GroupHom(G, G, {a: a for a in G.elements})
+    return GroupHom(G, G, identity_functor(G.category))
 
 
 def is_surjective_hom(h: GroupHom) -> bool:
@@ -250,9 +275,8 @@ def kernel_subgroup(h: GroupHom) -> GroupTable:
     return category_as_group(subcategory(S, S.objects, ker))
 
 
-def hom_as_functor(h: GroupHom):
-    S, T = group_as_category(h.source), group_as_category(h.target)
-    return validate_functor(S, T, {S.objects[0]: T.objects[0]}, dict(h.mapping))
+def hom_as_functor(h: GroupHom) -> FinFunctor:
+    return h.functor
 
 
 def group_isomorphism(G: GroupTable, H: GroupTable):
@@ -279,29 +303,13 @@ def groups_isomorphic(G: GroupTable, H: GroupTable) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_automorphism(H: GroupTable, a: dict) -> bool:
-    if set(a) != set(H.elements) or set(a.values()) != set(H.elements):
-        return False
-    return all(
-        a[H.mul(x, y)] == H.mul(a[x], a[y]) for x in H.elements for y in H.elements
-    )
-
-
 def validate_right_action(G: GroupTable, H: GroupTable, act) -> dict:
-    """A strict right action: act[g1·g2] = act[g2]∘act[g1], act[unit] = id.
-    Elements are strings."""
-    act = {g: dict(m) for g, m in dict(act).items()}
-    for g in G.elements:
-        if g not in act or not _check_automorphism(H, act[g]):
-            raise NotAnAction(("not an automorphism", g))
-    if len(act) > len(G.elements):
-        raise NotAnAction(("unknown element acts", next(g for g in act if g not in G.inv)))
-    if any(act[G.unit][h] != h for h in H.elements):
-        raise NotAnAction("unit must act trivially")
-    for g1, g2, h in itertools.product(G.elements, G.elements, H.elements):
-        if act[G.mul(g1, g2)][h] != act[g2][act[g1][h]]:
-            raise NotAnAction(("composition law", g1, g2, h))
-    return act
+    """A strict right action, act[g1·g2] = act[g2]∘act[g1] and act[unit] =
+    id, checked as the twisted action with trivial phi by
+    ``twisted_to_indexed``.  Elements are strings."""
+    T = strict_twisted(G, H, act)
+    twisted_to_indexed(T)
+    return T.act
 
 
 def semidirect(G: GroupTable, H: GroupTable, act) -> GroupTable:
@@ -323,15 +331,17 @@ def semidirect(G: GroupTable, H: GroupTable, act) -> GroupTable:
 class TwistedAction:
     """A right action of ``acting`` on ``acted`` that holds up to conjugation.
 
-    ``phi[(g1, g2)]`` intertwines act(g2)∘act(g1) with act(g1·g2):
+    ``phi[(g1, g2)]`` intertwines act(g2)∘act(g1) with act(g1·g2) (law 1):
 
         (h.g1).g2 = phi(g1,g2)^-1 · (h.(g1·g2)) · phi(g1,g2)
 
-    and the family phi satisfies the compatibility law on triples
+    and the family phi satisfies the compatibility law on triples (law 2)
 
         phi(g3·g2, g1) · (phi(g3,g2).g1) = phi(g3, g2·g1) · phi(g2, g1)
 
     together with the normalisations phi(e,·) = phi(·,e) = e and act(e) = id.
+    These are the laws of a pseudofunctor from the groupoid of ``acting``
+    to that of ``acted``, and ``twisted_to_indexed`` checks them as such.
     """
 
     acting: GroupTable
@@ -343,65 +353,21 @@ class TwistedAction:
         return self.act[g][h]
 
 
-@dataclass(frozen=True)
-class TwistedActionReport:
-    holds: bool
-    aut_failures: tuple
-    unit_failures: tuple
-    law1_failures: tuple
-    law2_failures: tuple
-
-    def __bool__(self):
-        return self.holds
-
-
-def validate_twisted_action(T: TwistedAction) -> TwistedActionReport:
-    """Exhaustively verify both twisted-action laws; failures carry witnesses."""
-    G, H = T.acting, T.acted
-    aut_failures = tuple(
-        g for g in G.elements if g not in T.act or not _check_automorphism(H, T.act[g])
-    )
-    if aut_failures:
-        return TwistedActionReport(False, aut_failures, (), (), ())
-    unit_failures = []
-    if any(T.act[G.unit][h] != h for h in H.elements):
-        unit_failures.append(("act", G.unit))
-    for g in G.elements:
-        if T.phi[(G.unit, g)] != H.unit:
-            unit_failures.append(("phi", G.unit, g))
-        if T.phi[(g, G.unit)] != H.unit:
-            unit_failures.append(("phi", g, G.unit))
-    law1 = []
-    for g1, g2 in itertools.product(G.elements, repeat=2):
-        p, a12 = T.phi[(g1, g2)], T.act[G.mul(g1, g2)]
-        h = next((h for h in H.elements if T.act[g2][T.act[g1][h]] != H.conjugate(a12[h], p)), None)
-        if h is not None:
-            law1.append((g1, g2, h))
-    law2 = [
-        (g1, g2, g3)
-        for g1, g2, g3 in itertools.product(G.elements, repeat=3)
-        if H.mul(T.phi[(G.mul(g3, g2), g1)], T.act[g1][T.phi[(g3, g2)]])
-        != H.mul(T.phi[(g3, G.mul(g2, g1))], T.phi[(g2, g1)])
-    ]
-    holds = not (unit_failures or law1 or law2)
-    return TwistedActionReport(holds, (), tuple(unit_failures), tuple(law1), tuple(law2))
-
-
-def require_twisted_action(T: TwistedAction) -> None:
-    report = validate_twisted_action(T)
-    if report.law1_failures:
-        raise Law1Violation(report.law1_failures[0])
-    if report.law2_failures:
-        raise Law2Violation(report.law2_failures[0])
-    if not report.holds:
-        raise NotAnAction((report.aut_failures, report.unit_failures))
+def validate_twisted_action(T: TwistedAction) -> Check:
+    """Whether ``T`` is a twisted action, by ``twisted_to_indexed``; the
+    counterexample of a failure is the ``NotAnAction`` it raises."""
+    try:
+        twisted_to_indexed(T)
+    except NotAnAction as exc:
+        return Check(False, exc)
+    return Check(True)
 
 
 def strict_twisted(G: GroupTable, H: GroupTable, act) -> TwistedAction:
-    """A strict action packaged as a twisted action with trivial phi."""
-    act = validate_right_action(G, H, act)
-    phi = {(a, b): H.unit for a in G.elements for b in G.elements}
-    return TwistedAction(G, H, act, phi)
+    """A strict action packaged as a twisted action with trivial phi,
+    checked, like every ``TwistedAction``, where it is used."""
+    act = {g: dict(m) for g, m in dict(act).items()}
+    return TwistedAction(G, H, act, dict.fromkeys(itertools.product(G.elements, repeat=2), H.unit))
 
 
 def trivial_action(G: GroupTable, H: GroupTable) -> dict:
@@ -428,22 +394,26 @@ def twisted_indexed_data(T: TwistedAction):
     base = group_as_category(T.acting)
     fiber = group_as_category(T.acted)
     (x,) = fiber.objects  # "*" for a group made by ``validate_group``
-    arrows = {g: ({x: x}, dict(T.act[g])) for g in T.acting.elements}
-    compositors = {
-        (f, g): {x: T.phi[(g, f)]}
-        for f in T.acting.elements
-        for g in T.acting.elements
-    }
+    arrows = {g: ({x: x}, dict(m)) for g, m in T.act.items()}
+    compositors = {(f, g): {x: p} for (g, f), p in T.phi.items()}
     return base, fiber, arrows, compositors
 
 
-def twisted_to_indexed(T: TwistedAction):
-    require_twisted_action(T)
+def twisted_to_indexed(T: TwistedAction) -> IndexedCat:
+    """The pseudofunctor of ``T``, by one ``validate_indexed`` call on its
+    arrows as bare functors, the only check of a twisted action.  Its
+    errors become the group's: a compositor that is no natural
+    transformation breaks law 1 (``Law1Violation``), a coherence square law
+    2 (``Law2Violation``), and any other failure, of an arrow, of a unit
+    law or of an unknown key, raises ``NotAnAction``."""
     base, fiber, arrows, compositors = twisted_indexed_data(T)
-    arrow_functors = {
-        g: validate_functor(fiber, fiber, ob, mor) for g, (ob, mor) in arrows.items()
-    }
-    return validate_indexed(base, {base.objects[0]: fiber}, arrow_functors, compositors)
+    functors = {g: FinFunctor(fiber, fiber, ob, mor) for g, (ob, mor) in arrows.items()}
+    try:
+        return validate_indexed(base, {base.objects[0]: fiber}, functors, compositors)
+    except CoherenceViolation as exc:
+        raise (Law1Violation if exc.args[0][0] == "compositor" else Law2Violation)(*exc.args) from exc
+    except IndexedError as exc:
+        raise NotAnAction(*exc.args) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,12 +426,11 @@ class Extension:
 
 
 def extension_from_twisted(T: TwistedAction) -> Extension:
-    """Total group of the one-object Grothendieck construction of T."""
+    """Total group of the one-object Grothendieck construction of T, whose
+    projection functor is the homomorphism onto the acting group."""
     gr = grothendieck(twisted_to_indexed(T))
     E = category_as_group(gr.total)
-    proj = validate_group_hom(
-        E, T.acting, {m: gr.mor_of[m].base_part for m in E.elements}
-    )
+    proj = GroupHom(E, T.acting, gr.proj)
     (x,) = group_as_category(T.acted).objects
     incl = validate_group_hom(T.acted, E, {h: gr.mor_id[(T.acting.unit, h, x)] for h in T.acted.elements})
     if len(set(incl.mapping.values())) != len(T.acted):
@@ -497,14 +466,6 @@ def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
     return TwistedAction(G, K, act, phi)
 
 
-def sections_of(p: GroupHom):
-    """All set-theoretic sections with s(unit) = unit, in lexicographic order."""
-    G, fibers = p.target, _fibers(p)
-    others = sorted(g for g in G.elements if g != G.unit)
-    for choice in itertools.product(*(fibers[g] for g in others)):
-        yield {G.unit: p.source.unit, **dict(zip(others, choice))}
-
-
 def _fibers(p: GroupHom) -> dict:
     """The elements that ``p`` sends to each element of its target, sorted."""
     fibers = {g: [] for g in p.target.elements}
@@ -522,32 +483,8 @@ def find_homomorphic_section(p: GroupHom):
         raise NotSurjective(p.mapping)
     E, G = p.source, p.target
     F = next(enumerate_functors(G.category, E.category, allowed=_fibers(p)), None)
-    return None if F is None else GroupHom(G, E, F.on_morphisms)
+    return None if F is None else GroupHom(G, E, F)
 
 
 def is_split(p: GroupHom) -> bool:
     return find_homomorphic_section(p) is not None
-
-
-# ---------------------------------------------------------------------------
-# Intertwining elements (natural transformations between homomorphisms)
-# ---------------------------------------------------------------------------
-
-
-def intertwiner_check(alpha: str, f: GroupHom, k: GroupHom) -> bool:
-    """alpha·f(g) = k(g)·alpha for every g."""
-    H = f.target
-    return all(
-        H.mul(alpha, f.mapping[g]) == H.mul(k.mapping[g], alpha)
-        for g in f.source.elements
-    )
-
-
-def intertwiner_hcompose(alpha2: str, alpha1: str, k2: GroupHom) -> str:
-    """Horizontal composite k2(alpha1)·alpha2, intertwining the composites."""
-    return k2.target.mul(k2.mapping[alpha1], alpha2)
-
-
-def intertwiner_vcompose(beta: str, alpha: str, H: GroupTable) -> str:
-    """Vertical composite is just the product beta·alpha."""
-    return H.mul(beta, alpha)

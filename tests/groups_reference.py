@@ -1,17 +1,26 @@
-"""Reference group check: ``validate_group`` as it was before the group
-became its one-object groupoid, checking closure, associativity, the unit
-and inverses with its own loops over the string table.
+"""Reference group checks, with their own loops over the string tables:
 
-It is kept only as the oracle for the differential in
-``test_groups_reference.py`` and imports nothing private from ``fibcat``,
-so it shares no code with the check it tests.  It returns the elements,
-the table, the unit and the inverses that the library's ``GroupTable``
-held then.
+* ``validate_group`` as it was before the group became its one-object
+  groupoid, checking closure, associativity, the unit and inverses; it
+  returns the elements, the table, the unit and the inverses that the
+  library's ``GroupTable`` held then.
+* ``validate_group_hom``, the element and multiplicativity loops that
+  checked a homomorphism before ``functors.validate_functor`` did.
+* ``validate_right_action`` and ``validate_twisted_action``, the action,
+  unit and law loops that checked an action before
+  ``indexed.validate_indexed`` did; the second lists every failure.
+
+They are kept only as the oracles for the differentials in
+``test_groups_reference.py`` and import nothing private from ``fibcat``,
+so they share no code with the checks they test.
 """
 
 from __future__ import annotations
 
-from fibcat.groups import NotAGroup
+import itertools
+from dataclasses import dataclass
+
+from fibcat.groups import NotAGroup, NotAHomomorphism, NotAnAction
 
 
 def validate_group(elements, mult, unit=None):
@@ -54,3 +63,85 @@ def validate_group(elements, mult, unit=None):
         else:
             raise NotAGroup(("no inverse", a))
     return els, table, unit, inv
+
+
+def validate_group_hom(source, target, mapping) -> dict:
+    """The mapping, if it sends exactly the source's elements into the
+    target and is multiplicative; else ``NotAHomomorphism``."""
+    m = dict(mapping)
+    for a in source.elements:
+        if a not in m:
+            raise NotAHomomorphism(("element not mapped", a))
+        if m[a] not in set(target.elements):
+            raise NotAHomomorphism(("image unknown", a, m[a]))
+    if len(m) > len(source.elements):
+        unknown = next(a for a in m if a not in source.inv)
+        raise NotAHomomorphism(("unknown element mapped", unknown))
+    for a in source.elements:
+        for b in source.elements:
+            if m[source.mul(a, b)] != target.mul(m[a], m[b]):
+                raise NotAHomomorphism(("multiplicativity", a, b))
+    return m
+
+
+def is_automorphism(H, a: dict) -> bool:
+    if set(a) != set(H.elements) or set(a.values()) != set(H.elements):
+        return False
+    return all(a[H.mul(x, y)] == H.mul(a[x], a[y]) for x in H.elements for y in H.elements)
+
+
+def validate_right_action(G, H, act) -> dict:
+    """A strict right action: act[g1·g2] = act[g2]∘act[g1], act[unit] = id;
+    else ``NotAnAction``."""
+    act = {g: dict(m) for g, m in dict(act).items()}
+    for g in G.elements:
+        if g not in act or not is_automorphism(H, act[g]):
+            raise NotAnAction(("not an automorphism", g))
+    if len(act) > len(G.elements):
+        raise NotAnAction(("unknown element acts", next(g for g in act if g not in G.inv)))
+    if any(act[G.unit][h] != h for h in H.elements):
+        raise NotAnAction("unit must act trivially")
+    for g1, g2, h in itertools.product(G.elements, G.elements, H.elements):
+        if act[G.mul(g1, g2)][h] != act[g2][act[g1][h]]:
+            raise NotAnAction(("composition law", g1, g2, h))
+    return act
+
+
+@dataclass(frozen=True)
+class TwistedActionReport:
+    holds: bool
+    aut_failures: tuple
+    unit_failures: tuple
+    law1_failures: tuple
+    law2_failures: tuple
+
+
+def validate_twisted_action(T) -> TwistedActionReport:
+    """Every failure of both twisted-action laws, with witnesses; when an
+    element acts by no automorphism, only those."""
+    G, H = T.acting, T.acted
+    aut_failures = tuple(g for g in G.elements if g not in T.act or not is_automorphism(H, T.act[g]))
+    if aut_failures:
+        return TwistedActionReport(False, aut_failures, (), (), ())
+    unit_failures = []
+    if any(T.act[G.unit][h] != h for h in H.elements):
+        unit_failures.append(("act", G.unit))
+    for g in G.elements:
+        if T.phi[(G.unit, g)] != H.unit:
+            unit_failures.append(("phi", G.unit, g))
+        if T.phi[(g, G.unit)] != H.unit:
+            unit_failures.append(("phi", g, G.unit))
+    law1 = []
+    for g1, g2 in itertools.product(G.elements, repeat=2):
+        p, a12 = T.phi[(g1, g2)], T.act[G.mul(g1, g2)]
+        h = next((h for h in H.elements if T.act[g2][T.act[g1][h]] != H.conjugate(a12[h], p)), None)
+        if h is not None:
+            law1.append((g1, g2, h))
+    law2 = [
+        (g1, g2, g3)
+        for g1, g2, g3 in itertools.product(G.elements, repeat=3)
+        if H.mul(T.phi[(G.mul(g3, g2), g1)], T.act[g1][T.phi[(g3, g2)]])
+        != H.mul(T.phi[(g3, G.mul(g2, g1))], T.phi[(g2, g1)])
+    ]
+    holds = not (unit_failures or law1 or law2)
+    return TwistedActionReport(holds, (), tuple(unit_failures), tuple(law1), tuple(law2))

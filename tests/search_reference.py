@@ -7,7 +7,8 @@ bodies as they were.
   fiber's morphisms and ran ``validate_functor`` on every candidate, one
   budget unit per candidate.
 * ``find_homomorphic_section``: every set section of ``sections_of``, each
-  checked with a |G|² loop.
+  checked with a |G|² loop.  ``sections_of`` lists them in lexicographic
+  order; the library no longer has it.
 * ``group_isomorphism``: a backtrack over elements sorted by id, pruned by
   element order and closed under products.
 
@@ -22,7 +23,7 @@ import itertools
 
 from fibcat.core import CategoryError
 from fibcat.functors import compose_functors, identity_functor, validate_functor, validate_nat_trans
-from fibcat.groups import NotSurjective, is_surjective_hom, sections_of, validate_group_hom
+from fibcat.groups import NotSurjective, is_surjective_hom, validate_group_hom
 from fibcat.limits import preserves_weak_pushouts
 from fibcat.theorem import SearchBudgetExceeded, WeakReversibilityWitness, WitnessInvalid
 
@@ -81,6 +82,15 @@ def search_witness(M, budget: int = 50_000) -> WeakReversibilityWitness:
             raise WitnessInvalid(("no pushforward found by search", f))
         pushforwards[f], units[f] = found
     return WeakReversibilityWitness(pushforwards, units)
+
+
+def sections_of(p):
+    """All set-theoretic sections with s(unit) = unit, in lexicographic order."""
+    G = p.target
+    fibers = {g: sorted(e for e in p.source.elements if p.mapping[e] == g) for g in G.elements}
+    others = sorted(g for g in G.elements if g != G.unit)
+    for choice in itertools.product(*(fibers[g] for g in others)):
+        yield {G.unit: p.source.unit, **dict(zip(others, choice))}
 
 
 def find_homomorphic_section(p):

@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fibcat.generators import (
     slice_indexed,
     terminal_category,
 )
-from fibcat.groups import cyclic_group
+from fibcat.groups import TwistedAction, cyclic_group, twisted_from_surjection, validate_group_hom
 from fibcat.ioformats import (
     Loader,
     category_from_json,
@@ -711,6 +712,58 @@ def test_group_entries_for_unknown_elements_are_input_errors(
     open("g.json", "w").write(stable_dumps(_edited(data, lambda t: {**t, entry: value}, key)))
     code, out, err = run(capsys, "group", mode, "g.json")
     assert code == 2 and out == "" and repr(entry) in err
+
+
+def _ext_file(T):
+    """The ``group ext`` file of the twisted action ``T``."""
+    return {
+        "acting": group_to_json(T.acting),
+        "acted": group_to_json(T.acted),
+        "act": T.act,
+        "phi": {"%s|%s" % key: value for key, value in T.phi.items()},
+    }
+
+
+def _law1_file():
+    """Z3 acting on Z3 with 1 by inversion and 2 trivially: act(2)∘act(1)
+    is no conjugate of act(1·2) = id."""
+    Z3 = cyclic_group(3)
+    act = {g: {h: Z3.inv[h] if g == "1" else h for h in Z3.elements} for g in Z3.elements}
+    return _ext_file(TwistedAction(Z3, Z3, act, dict.fromkeys(product(Z3.elements, repeat=2), "0")))
+
+
+def _law2_file():
+    """The twisted action of Z8 → Z4 with phi(1, 1) changed."""
+    Z8, Z4 = cyclic_group(8), cyclic_group(4)
+    p = validate_group_hom(Z8, Z4, {str(i): str(i % 4) for i in range(8)})
+    T = twisted_from_surjection(p, {str(i): str(i) for i in range(4)})
+    phi = {**T.phi, ("1", "1"): "4" if T.phi[("1", "1")] == "0" else "0"}
+    return _ext_file(TwistedAction(T.acting, T.acted, T.act, phi))
+
+
+@pytest.mark.parametrize(
+    "edit, counterexample",
+    [
+        (lambda ext: _edited(ext, lambda t: {**t, "1": {"0": "0", "2": "0"}}, "act"),
+         "Law1Violation(('compositor', '1', '1', (('square', '2'),)))"),
+        (lambda ext: _edited(ext, lambda t: {**t, "1": {"0": "2", "2": "0"}}, "act"),
+         "NotAnAction(('not a functor', '1', (('identity not preserved', '*'),)))"),
+        (lambda ext: _edited(ext, lambda t: {**t, "0|1": "2"}, "phi"), "NotAnAction(('right unit', '1', '*'))"),
+        (lambda ext: _law1_file(), "Law1Violation(('compositor', '1', '2', (('square', '1'),)))"),
+        (lambda ext: _law2_file(), "Law2Violation((('1', '1', '2'), '*'))"),
+    ],
+    ids=["no-automorphism", "no-functor", "unit", "law-1", "law-2"],
+)
+def test_invalid_twisted_action_names_its_first_failure(workdir, capsys, z4, z2, edit, counterexample):
+    """``group ext`` on a file that is no twisted action reports the first
+    failure of the indexed check, its kind and witness: the action of an
+    element that is no automorphism, a unit law, law 1 or law 2."""
+    open("g.json", "w").write(stable_dumps(edit(_group_files(z4, z2)[1])))
+    code, out, _ = run(capsys, "--json", "group", "ext", "g.json")
+    assert code == 1
+    assert json.loads(out)["verdict"] == {"twisted_action_valid": False, "counterexample": counterexample}
+    code, out, _ = run(capsys, "group", "ext", "g.json")
+    assert (code, out) == (1, "twisted action invalid: %s\n" % counterexample)
 
 
 # One object a with endomorphisms e and ia, e;e = e: with e as the identity

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcat import grothendieck, is_fibration
+from fibcat.functors import compose_functors, functors_equal
 from fibcat.groups import (
+    Law1Violation,
     Law2Violation,
     NotAGroup,
     NotAHomomorphism,
@@ -12,6 +14,7 @@ from fibcat.groups import (
     TwistedAction,
     automorphism_group,
     category_as_group,
+    compose_homs,
     cyclic_group,
     extension_from_twisted,
     find_homomorphic_section,
@@ -20,15 +23,10 @@ from fibcat.groups import (
     groups_isomorphic,
     hom_as_functor,
     identity_hom,
-    intertwiner_check,
-    intertwiner_hcompose,
-    intertwiner_vcompose,
     inversion_action,
     is_split,
     is_surjective_hom,
     kernel_subgroup,
-    require_twisted_action,
-    sections_of,
     semidirect,
     strict_twisted,
     trivial_action,
@@ -40,6 +38,7 @@ from fibcat.groups import (
     validate_right_action,
     validate_twisted_action,
 )
+from search_reference import sections_of
 
 
 def test_validate_group_rejects_broken_tables():
@@ -103,7 +102,7 @@ def test_z4_twisted_action_values(z4_twisted):
     T = z4_twisted
     assert T.phi[("1", "1")] == "2"
     assert validate_twisted_action(T).holds
-    require_twisted_action(T)
+    assert not twisted_to_indexed(T).strict
 
 
 def test_law_violation_witnesses():
@@ -114,14 +113,18 @@ def test_law_violation_witnesses():
     phi[("1", "1")] = "4" if T.phi[("1", "1")] == "0" else "0"
     T2 = TwistedAction(T.acting, T.acted, T.act, phi)
     rep = validate_twisted_action(T2)
-    assert not rep.holds and rep.law2_failures
-    with pytest.raises(Law2Violation):
-        require_twisted_action(T2)
-    # breaking the action table instead trips law 1
+    assert not rep.holds and isinstance(rep.counterexample, Law2Violation)
+    with pytest.raises(Law2Violation, match=r"\('1', '1', '2'\)"):
+        twisted_to_indexed(T2)
+    # an action table that moves the unit is no functor
     act = {g: dict(m) for g, m in T.act.items()}
     act["1"] = {k: z8.mul(k, "4") for k in T.acted.elements}
     rep1 = validate_twisted_action(TwistedAction(T.acting, T.acted, act, T.phi))
-    assert not rep1.holds
+    assert not rep1.holds and rep1.counterexample.args[0][:2] == ("not a functor", "1")
+    # one that is a functor but no bijection breaks law 1 at (1, 1)
+    act["1"] = {k: "0" for k in T.acted.elements}
+    rep2 = validate_twisted_action(TwistedAction(T.acting, T.acted, act, T.phi))
+    assert isinstance(rep2.counterexample, Law1Violation)
 
 
 def test_extension_from_twisted_z4(z4_twisted, z4):
@@ -228,52 +231,23 @@ def test_surjection_iff_fibration_on_corpus_homs(z2, z3, z4, s3):
         assert is_fibration(hom_as_functor(h)).holds == is_surjective_hom(h)
 
 
-def test_intertwiners(s3, z3):
-    idh = identity_hom(s3)
-    assert intertwiner_check(s3.unit, idh, idh)
-    # only central elements intertwine the identity with itself
-    assert [a for a in s3.elements if intertwiner_check(a, idh, idh)] == [s3.unit]
-    transposition = "102"
-    assert not intertwiner_check(transposition, idh, idh)
-    # alpha intertwines id with conjugation by alpha on the left
-    for alpha in s3.elements:
-        conj = validate_group_hom(
-            s3, s3, {g: s3.conjugate(g, s3.inv[alpha]) for g in s3.elements}
-        )
-        assert intertwiner_check(alpha, idh, conj)
-
-
-def test_intertwiner_composites_repass_check(z3, s3):
-    from fibcat.groups import compose_homs
-
+def test_homomorphisms_keep_their_functor(z3, s3):
+    """A homomorphism keeps the functor ``validate_functor`` checked, so its
+    functor and the composite of two are read off it, not checked again; a
+    map that is no functor fails with ``validate_functor``'s first failure."""
     inc = validate_group_hom(z3, s3, {"0": "012", "1": "120", "2": "201"})
-    # cells inc => inc are exactly the centralizer of the image
-    for a1 in ("012", "120", "201"):
-        assert intertwiner_check(a1, inc, inc)
-        # horizontally compose with a genuinely twisting cell on the right
-        for a2 in s3.elements:
-            k2 = validate_group_hom(
-                s3, s3, {g: s3.conjugate(g, s3.inv[a2]) for g in s3.elements}
-            )
-            assert intertwiner_check(a2, identity_hom(s3), k2)
-            h = intertwiner_hcompose(a2, a1, k2)
-            # composite intertwines id∘inc with k2∘inc
-            assert intertwiner_check(h, inc, compose_homs(inc, k2))
-
-
-def test_intertwiner_vertical_composite(s3):
-    idh = identity_hom(s3)
-    for a in s3.elements:
-        k = validate_group_hom(s3, s3, {g: s3.conjugate(g, s3.inv[a]) for g in s3.elements})
-        for b in s3.elements:
-            l = validate_group_hom(
-                s3,
-                s3,
-                {g: s3.conjugate(k.mapping[g], s3.inv[b]) for g in s3.elements},
-            )
-            ba = intertwiner_vcompose(b, a, s3)
-            assert intertwiner_check(a, idh, k)
-            assert intertwiner_check(ba, idh, l)
+    conj = validate_group_hom(s3, s3, {g: s3.conjugate(g, "102") for g in s3.elements})
+    assert hom_as_functor(inc) is inc.functor and inc.functor.source is z3.category
+    both = compose_homs(inc, conj)
+    assert functors_equal(both.functor, compose_functors(inc.functor, conj.functor))
+    assert both.mapping == {a: s3.conjugate(b, "102") for a, b in inc.mapping.items()}
+    assert compose_homs(identity_hom(z3), inc).mapping == inc.mapping
+    with pytest.raises(NotAHomomorphism) as exc:
+        validate_group_hom(z3, s3, {"0": "102", "1": "120", "2": "201"})
+    assert exc.value.args == (("identity not preserved", "*"),)
+    with pytest.raises(NotAHomomorphism) as exc:
+        validate_group_hom(z3, s3, {"0": "012", "1": "102", "2": "201"})
+    assert exc.value.args == (("composite not preserved", "1", "1"),)
 
 
 def test_automorphism_group_is_wreath_sized(gr_zpow2_3):

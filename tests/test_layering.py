@@ -40,11 +40,16 @@ an id is, so the validators it hands ids to convert none.  No module but
 and Light's S are read off the coding, never coded back from the string
 views: slices indexed by chosen pullbacks, ``comp`` and the fiberwise
 weak pushout construction leave no table, which one run confirms.
+``groups`` checks no law with a loop over products of elements: a
+homomorphism is checked by ``validate_functor`` and an action by
+``validate_indexed``, which ``fibcat group ext`` on a valid file calls
+exactly once, as one run confirms.
 """
 
 import ast
 import json
 import pathlib
+import sys
 
 from fibcat import cli, groups, indexed
 from fibcat.fitype import check_fi_type
@@ -72,6 +77,7 @@ from fibcat.ioformats import (
     Loader,
     category_to_json,
     functor_to_json,
+    group_to_json,
     indexed_to_json,
     stable_dumps,
 )
@@ -524,6 +530,41 @@ def test_group_extension_makes_no_table(monkeypatch):
     ext = groups.extension_from_twisted(groups.strict_twisted(Z2, Z2, groups.trivial_action(Z2, Z2)))
     (gr,) = made
     assert len(ext.total) == 4 and "table" not in vars(gr.total)
+
+
+def test_groups_checks_no_law_by_a_loop():
+    """``groups`` checks a homomorphism by ``validate_functor`` on the
+    groupoids and an action by ``validate_indexed``: no loop or
+    comprehension of it runs over ``itertools.product`` of elements, as the
+    law checks those replaced did."""
+    tree = dict(_modules())["groups"]
+    loops = [ast.unparse(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]
+    assert [it for it in loops if "product(" in it and ".elements" in it] == []
+
+
+def test_group_ext_checks_the_action_once(tmp_path, monkeypatch, capsys):
+    """``fibcat group ext`` on a valid twisted action calls
+    ``validate_indexed``, its one check of the action, exactly once, and so
+    does the extension of a strict action."""
+    Z4, Z2 = cyclic_group(4), cyclic_group(2)
+    T = groups.twisted_from_surjection(
+        groups.validate_group_hom(Z4, Z2, {"0": "0", "1": "1", "2": "0", "3": "1"}), {"0": "0", "1": "1"}
+    )
+    data = {
+        "acting": group_to_json(T.acting),
+        "acted": group_to_json(T.acted),
+        "act": T.act,
+        "phi": {"%s|%s" % key: value for key, value in T.phi.items()},
+    }
+    (tmp_path / "tw.json").write_text(stable_dumps(data), encoding="utf-8")
+    calls, check = [], indexed.validate_indexed
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fibcat"]:
+        if getattr(module, "validate_indexed", None) is check:
+            monkeypatch.setattr(module, "validate_indexed", lambda *a: calls.append(a) or check(*a))
+    assert cli.main(["group", "ext", str(tmp_path / "tw.json")]) == 0
+    assert "order 4" in capsys.readouterr().out and len(calls) == 1
+    groups.extension_from_twisted(groups.strict_twisted(Z2, Z2, groups.trivial_action(Z2, Z2)))
+    assert len(calls) == 2
 
 
 def _private_names(oracle):
