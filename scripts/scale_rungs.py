@@ -16,7 +16,9 @@ set covers both.  A weak-pushout rung makes its category and runs
 validation rung builds an indexed category, untimed, and times
 ``validate_indexed`` on its data alone.  A search rung builds an indexed
 category, untimed, and times ``theorem.search_witness`` at its default
-budget.  The exit
+budget.  A straightening rung builds the projection of a Grothendieck
+total, untimed, and times ``groth.straighten`` with the cleaving it
+chooses.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -38,7 +40,7 @@ from fibcat.generators import (
     product_category,
     slice_indexed,
 )
-from fibcat.groth import grothendieck
+from fibcat.groth import grothendieck, straighten
 from fibcat.groups import automorphism_group, category_as_group, cyclic_group, group_as_category, symmetric_group
 from fibcat.indexed import validate_indexed
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
@@ -129,6 +131,11 @@ RUNGS = {
     # and the constant FI_3 over FI_1
     "search_fig_z2_3": (lambda: indexed_gpow(cyclic_group(2), 3), search_witness),
     "search_delta_fi1_fi3": (lambda: delta_const(fi_truncated(1), fi_truncated(3)), search_witness),
+    # straightening: the projection of the FI_Z2 total category for N=4
+    # (729 morphisms) and of the total of the slices of FI_4 (67,857
+    # morphisms), back to indexed categories over FI_4
+    "straighten_fig_z2_4": (lambda: grothendieck(indexed_gpow(cyclic_group(2), 4)).proj, straighten),
+    "straighten_slice_fi4_total": (lambda: grothendieck(slice_indexed(fi_truncated(4))).proj, straighten),
 }
 
 

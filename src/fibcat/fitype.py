@@ -255,7 +255,7 @@ def check_increasing_lemma(M: IndexedCat, gr: GrothResult = None) -> TransferRep
     )
 
 
-def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
+def transitivity_ell_condition(M: IndexedCat) -> Check:
     """The factorisation condition that makes transitivity transfer.
 
     For parallel pairs f1, f2: x→y and maps k1: a → M(f1)(b),
@@ -264,8 +264,7 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
 
         mu[f2,g](b) ∘ M(f2)(l) ∘ k2 = k1.
 
-    With ``all_g`` every factorisation g must admit such an l; by default one
-    witnessing g suffices.  Decided on the cells of the base and of the
+    One witnessing g suffices.  Decided on the cells of the base and of the
     fiber over x, with mu from ``M.coding``: the g of f1, f2 are found
     among the codes of y's endomorphisms, and the maps u = M(f2)(l);mu[f2,
     g](b) of each g once per b; the first failing (k1, k2) is the first in
@@ -293,7 +292,7 @@ def transitivity_ell_condition(M: IndexedCat, all_g: bool = False) -> Check:
                         hits = np.zeros((len(us), len(k1), len(k2)), bool)
                         for hit, u in zip(hits, us):
                             hit[:] = (K.cells[K.cell(k2[:, None], u)] == k1[:, None, None]).any(-1)
-                        ok = hits.all(0) if all_g else hits.any(0)
+                        ok = hits.any(0)
                         if not ok.all():
                             r, c = divmod(int(np.argmin(ok)), len(k2))
                             return Check(False, (f1, f2, a, b, K.ids[k1[r]], K.ids[k2[c]]))

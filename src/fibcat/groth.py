@@ -38,6 +38,18 @@ For any functor P, phi: a→b over f: x→y is cartesian when, for every object
 t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
 (g: P(t)→x, theta: t→b) with P(theta) = g;f: each hom-square is a pullback
 of sets, the per-object form ``limits`` uses for pullback terminality.
+
+``straighten`` is the converse (Gray, "Fibred and cofibred categories",
+1966; Streicher, arXiv:1801.02927): a fibration P and a cleaving, a
+cartesian lift(f, b) of each f: x→y to each b over y, give the indexed
+category with fibers ``fiber(P, x)``.  Each theta: a→b over f is w;lift(f,
+b) for exactly one w over id_x, its vertical part, so the composites
+w;lift(f, b), over every lift and every w over an identity into its
+source, are every morphism once: one search writes each w at the code of
+w;lift(f, b).  M(f) sends b to the source of lift(f, b) and psi: b→b2 to
+the vertical part of lift(f, b);psi, mu[f, g](c) is the vertical part of
+lift(f, M(g)(c));lift(g, c) and eta[x](a) that of id_a.  Then (f, k, b) ↦
+k;lift(f, b) is an isomorphism from the total back to the source of P.
 """
 
 from __future__ import annotations
@@ -53,10 +65,11 @@ from .core import (
     CompositeEndpointViolation,
     UnknownMorphism,
     from_cells,
+    runs,
     subcategory,
 )
 from .functors import FinFunctor, NatTrans, validate_functor
-from .indexed import IndexedCat
+from .indexed import IndexedCat, validate_indexed
 
 
 class FibrationError(CategoryError):
@@ -322,9 +335,6 @@ class Cleaving:
     def lift(self, f: str, b: str) -> str:
         return self.entries[(f, b)]
 
-    def reindexed_object(self, f: str, b: str) -> str:
-        return self.P.source.src[self.entries[(f, b)]]
-
 
 def choose_cleaving(P: FinFunctor) -> Cleaving:
     """Deterministic cleaving: the least cartesian lift, identities for identities."""
@@ -334,46 +344,48 @@ def choose_cleaving(P: FinFunctor) -> Cleaving:
     return Cleaving(P, lifts)
 
 
-def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
-    """Fiber-to-fiber functor induced by the cleaving along f: x→y.
+def straighten(P: FinFunctor, cleaving: Cleaving = None) -> IndexedCat:
+    """The indexed category of P and a cleaving, ``choose_cleaving(P)`` if
+    none is given (see the module docstring), checked by ``validate_indexed``
+    on its arrows as bare functors.  The first (f, b), by f and then b, whose
+    lift is missing, not over f into b or not cartesian raises
+    ``NotAFibration((f, b))``, as ``choose_cleaving`` does."""
+    X, A, cleaving = P.target, P.source, choose_cleaving(P) if cleaving is None else cleaving
+    ac, xc, m = A.coding, X.coding, P.code_map
+    number, fibers = dict(zip(A.objects, range(len(A.objects)))), {x: fiber(P, x) for x in X.objects}
+    obs = {y: np.array([number[b] for b in F.objects], np.int64) for y, F in fibers.items()}  # numbers over y
+    lift = np.full((len(xc.ids), len(A.objects)), -1, np.int64)  # [code of f, number of b]
+    for f in X.morphisms:
+        for b in fibers[X.tgt[f]].objects:
+            phi = cleaving.entries.get((f, b))
+            if phi not in A.src or P.mor(phi) != f or A.tgt[phi] != b or not is_cartesian(P, phi):
+                raise NotAFibration((f, b))
+            lift[xc.code[f], number[b]] = ac.code[phi]
 
-    It sends psi: b→b2 over y to the unique w over id_x with w;lift(f, b2) =
-    lift(f, b);psi, found on the cells of ``P.source.coding``: the
-    composites w;lift(f, b2) of the w over id_x into the source of lift(f,
-    b2), for every b2, have the target b2, so one sorted list of them all
-    finds each w.  A psi with no such w, or more than one, raises
-    ``NotAFibration((f, b2))`` for the first in the fiber's morphism order."""
-    A, X = P.source, P.target
-    x, y = X.src[f], X.tgt[f]
-    fib_y, fib_x = fiber(P, y), fiber(P, x)
-    ac, m = A.coding, P.code_map
-    lift = {b: ac.code[cleaving.lift(f, b)] for b in fib_y.objects}
-    over_x = m == X.coding.code[X.id_of(x)]
-    ws = [ac.into[ac.src[lift[b2]]] for b2 in fib_y.objects]
-    ws = [w[over_x[w]] for w in ws]
-    made = [ac.cells[ac.cell(w, lift[b2])] for w, b2 in zip(ws, fib_y.objects)]
-    made, ws = (np.concatenate([np.empty(0, np.int64), *v]) for v in (made, ws))
-    order = np.argsort(made, kind="stable")
-    made, ws = made[order], ws[order]
+    # vertical[theta]: the w over an identity with w;lift(P(theta), tgt
+    # theta) = theta, written at the cell of every w into the source of a lift.
+    ws = np.flatnonzero(np.isin(m, xc.units))
+    ws = ws[np.argsort(ac.tgt[ws], kind="stable")]
+    ends, ls = np.bincount(ac.tgt[ws], minlength=len(A.objects)), lift[lift >= 0]
+    i, j = runs((np.cumsum(ends) - ends)[ac.src[ls]], ends[ac.src[ls]])
+    vertical = np.empty(len(ac.ids), np.int64)
+    vertical[ac.cells[ac.cell(ws[j], ls[i])]] = ws[j]
 
-    psis = np.array([ac.code[psi] for psi in fib_y.morphisms], np.int64)
-    firsts = np.array([lift[fib_y.src[psi]] for psi in fib_y.morphisms], np.int64)
-    thetas = ac.cells[ac.cell(firsts, psis)]
-    lo, hi = np.searchsorted(made, thetas), np.searchsorted(made, thetas, "right")
-    bad = np.flatnonzero(hi - lo != 1)
-    if bad.size:
-        raise NotAFibration((f, fib_y.tgt[fib_y.morphisms[bad[0]]]))
-    on_morphisms = dict(zip(fib_y.morphisms, map(ac.ids.__getitem__, ws[lo].tolist())))
-    on_objects = {b: cleaving.reindexed_object(f, b) for b in fib_y.objects}
-    return validate_functor(fib_y, fib_x, on_objects, on_morphisms)
+    def parts(k, l):
+        """The vertical parts of the composites k;l, as ids."""
+        return map(ac.ids.__getitem__, vertical[ac.cells[ac.cell(k, l)]].tolist())
 
-
-def canonical_lift(gr: GrothResult, f: str, b: str) -> str:
-    """The lift (f, id) of f to the total object b over tgt(f)."""
-    M = gr.indexed
-    x = M.base.src[f]
-    _, b_fib = gr.obj_of[b]
-    return gr.mor_id[(f, M.fiber_at(x).id_of(M.arrow_at(f).ob(b_fib)), b_fib)]
+    arrows, compositors = {}, {}
+    for f in X.morphisms:
+        y, ls = X.tgt[f], lift[xc.code[f]]
+        F, ks = fibers[y], np.flatnonzero(m == xc.code[X.id_of(y)])  # the codes of fiber(y)
+        on_objects = dict(zip(F.objects, map(A.objects.__getitem__, ac.src[ls[obs[y]]].tolist())))
+        arrows[f] = FinFunctor(F, fibers[X.src[f]], on_objects, dict(zip(F.coding.ids, parts(ls[ac.src[ks]], ks))))
+    for f, g in zip(*(map(xc.ids.__getitem__, k.tolist()) for k in xc.pairs())):
+        lg = lift[xc.code[g], obs[X.tgt[g]]]
+        compositors[(f, g)] = dict(zip(fibers[X.tgt[g]].objects, parts(lift[xc.code[f], ac.src[lg]], lg)))
+    unitors = {x: dict(zip(F.objects, parts(ac.units[obs[x]], ac.units[obs[x]]))) for x, F in fibers.items()}  # id_a;id_a
+    return validate_indexed(X, fibers, arrows, compositors, unitors)
 
 
 def check_fibred_functor(H: FinFunctor, P: FinFunctor, Q: FinFunctor) -> Check:
@@ -401,18 +413,3 @@ def check_fibred_nat_trans(beta: NatTrans, H: FinFunctor, K: FinFunctor, P: FinF
         if Q.mor(comp) != P.target.id_of(P.ob(a)):
             return Check(False, (a, comp))
     return Check(True)
-
-
-def fiber_iso_to_indexed_fiber(gr: GrothResult, x: str) -> FinFunctor:
-    """The canonical isomorphism M(x) → fiber of the projection over x."""
-    M = gr.indexed
-    fib_x = M.fiber_at(x)
-    fib_total = fiber(gr.proj, x)
-    idx, c, C, i = M.base.id_of(x), fib_x.coding, M.coding, M.base.objects.index(x)
-    etas = C.eta[C.obj0[i] : C.obj0[i + 1]] - C.code0[i]
-    made = c.cells[c.cell(np.arange(len(c.ids)), etas[c.tgt])]  # k;eta(tgt k)
-    on_objects = {a: gr.obj_id[(x, a)] for a in fib_x.objects}
-    on_morphisms = {
-        k: gr.mor_id[(idx, c.ids[made[c.code[k]]], fib_x.tgt[k])] for k in fib_x.morphisms
-    }
-    return validate_functor(fib_x, fib_total, on_objects, on_morphisms)

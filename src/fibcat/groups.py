@@ -19,7 +19,11 @@ trivial phi: ``twisted_to_indexed`` is one ``indexed.validate_indexed``
 call on its arrows, left unchecked, and the only check of either, and the
 one place its errors become the group's (``NotAnAction``, with
 ``Law1Violation`` and ``Law2Violation`` for the two laws).  So no law is
-checked here with a loop of its own.
+checked here with a loop of its own.  Conversely, in a groupoid every
+morphism is cartesian, so a section s of a surjection p with s(e) = e is a
+cleaving of p's functor: ``twisted_from_surjection`` is ``groth.straighten``
+with it, the kernel is the fiber, and nothing here multiplies elements to
+build the action or phi.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .functors import (
     identity_functor,
     validate_functor,
 )
-from .groth import grothendieck
+from .groth import Cleaving, fiber, grothendieck, straighten
 from .indexed import CoherenceViolation, IndexedCat, IndexedError, validate_indexed
 
 
@@ -182,7 +186,9 @@ def validate_group(elements, mult, unit=None) -> GroupTable:
     raise NotAGroup("claimed unit fails the unit laws")
 
 
+@functools.cache
 def trivial_group() -> GroupTable:
+    """The group of order one, built once per process."""
     return validate_group(["e"], {("e", "e"): "e"}, "e")
 
 
@@ -268,11 +274,8 @@ def is_surjective_hom(h: GroupHom) -> bool:
 
 
 def kernel_subgroup(h: GroupHom) -> GroupTable:
-    """The elements that ``h`` sends to the unit, cut out of the source's
-    groupoid."""
-    S = h.source.category
-    ker = [a for a in h.source.elements if h.mapping[a] == h.target.unit]
-    return category_as_group(subcategory(S, S.objects, ker))
+    """The fiber of ``h``'s functor: the elements it sends to the unit."""
+    return category_as_group(fiber(h.functor, h.target.category.objects[0]))
 
 
 def hom_as_functor(h: GroupHom) -> FinFunctor:
@@ -444,10 +447,10 @@ def extension_from_twisted(T: TwistedAction) -> Extension:
 
 
 def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
-    """Twisted action of the quotient on the kernel induced by a section.
-
-    The action is conjugation through the section, A_g(k) = s(g)^-1·k·s(g),
-    and phi(a, b) = s(a·b)^-1·s(a)·s(b).  Elements are strings.
+    """The twisted action of the quotient on the kernel that the section s
+    induces: ``groth.straighten`` of ``p``'s functor with the cleaving s,
+    whose arrow at g is conjugation by s(g), A_g(k) = s(g)^-1·k·s(g), and
+    whose mu[b, a] is phi(a, b) = s(a·b)^-1·s(a)·s(b).  Elements are strings.
     """
     if not is_surjective_hom(p):
         raise NotSurjective(p.mapping)
@@ -460,10 +463,11 @@ def twisted_from_surjection(p: GroupHom, s) -> TwistedAction:
         raise NotASection(("section of unknown element", next(g for g in s if g not in G.inv)))
     if s[G.unit] != E.unit:
         raise NotASection("section must send the unit to the unit")
-    K = kernel_subgroup(p)  # normal, and p sends each phi(a, b) to the unit
-    act = {g: {k: E.conjugate(k, s[g]) for k in K.elements} for g in G.elements}
-    phi = {(a, b): E.mul(E.mul(E.inv[s[G.mul(a, b)]], s[a]), s[b]) for a in G.elements for b in G.elements}
-    return TwistedAction(G, K, act, phi)
+    (e,) = E.category.objects
+    M = straighten(p.functor, Cleaving(p.functor, {(g, e): s[g] for g in G.elements}))
+    act = {g: M.arrow_at(g).on_morphisms for g in G.elements}
+    phi = {(a, b): M.mu(b, a).at(e) for a in G.elements for b in G.elements}
+    return TwistedAction(G, kernel_subgroup(p), act, phi)  # the fiber of M
 
 
 def _fibers(p: GroupHom) -> dict:

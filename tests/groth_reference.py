@@ -5,7 +5,8 @@ before ``is_cartesian`` became a per-object hom-set bijection and one scan
 began to serve ``is_fibration`` and ``choose_cleaving``: every pair
 (g, theta) with P(theta) = g;f is factored on its own, both functions walk
 the lifts themselves, and ``choose_cleaving`` checks its entries once more.
-It is kept only as the oracle for ``test_groth_reference.py`` and imports
+``reindexing`` factors each fiber morphism on its own, as the library did
+before ``straighten`` found every factor in one search.  It is kept only as the oracle for ``test_groth_reference.py`` and imports
 nothing private from ``fibcat``.  Its caches live under ``reference_*`` keys
 so they never share results with the library.
 """
@@ -108,7 +109,7 @@ def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
     X, A = P.target, P.source
     x, y = X.src[f], X.tgt[f]
     fib_y, fib_x = fiber(P, y), fiber(P, x)
-    on_objects = {b: cleaving.reindexed_object(f, b) for b in fib_y.objects}
+    on_objects = {b: A.src[cleaving.lift(f, b)] for b in fib_y.objects}
     on_morphisms = {}
     for psi in fib_y.morphisms:
         b, b2 = fib_y.src[psi], fib_y.tgt[psi]

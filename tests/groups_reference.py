@@ -9,6 +9,8 @@
 * ``validate_right_action`` and ``validate_twisted_action``, the action,
   unit and law loops that checked an action before
   ``indexed.validate_indexed`` did; the second lists every failure.
+* ``twisted_from_surjection``, the kernel, action and phi that a section
+  gives, by the products that built them before ``groth.straighten`` did.
 
 They are kept only as the oracles for the differentials in
 ``test_groups_reference.py`` and import nothing private from ``fibcat``,
@@ -145,3 +147,14 @@ def validate_twisted_action(T) -> TwistedActionReport:
     ]
     holds = not (unit_failures or law1 or law2)
     return TwistedActionReport(holds, (), tuple(unit_failures), tuple(law1), tuple(law2))
+
+
+def twisted_from_surjection(p, s):
+    """The kernel of ``p``, and the action and phi of the twisted action that
+    the section ``s`` induces: conjugation through the section, act[g](k) =
+    s(g)^-1·k·s(g), and phi(a, b) = s(a·b)^-1·s(a)·s(b)."""
+    E, G = p.source, p.target
+    kernel = tuple(e for e in E.elements if p.mapping[e] == G.unit)
+    act = {g: {k: E.conjugate(k, s[g]) for k in kernel} for g in G.elements}
+    phi = {(a, b): E.mul(E.mul(E.inv[s[G.mul(a, b)]], s[a]), s[b]) for a in G.elements for b in G.elements}
+    return kernel, act, phi

@@ -18,7 +18,6 @@ import pytest
 from comparisons import fi_g_comparison
 from fibcat import (
     automorphisms,
-    canonical_lift,
     check_ei_lemma,
     check_fi_type,
     check_gray_pullbacks,
@@ -110,7 +109,7 @@ def test_acceptance_2_fibration_lemma(groth_corpus):
         for f in M.base.morphisms:
             y = M.base.tgt[f]
             for b in M.fiber_at(y).objects:
-                lift = canonical_lift(gr, f, gr.obj_id[(y, b)])
+                lift = gr.mor_id[(f, M.fiber_at(M.base.src[f]).id_of(M.arrow_at(f).ob(b)), b)]
                 assert is_cartesian(gr.proj, lift), (name, f, b)
     _report(2, True, "projection is a fibration + (f, id) lifts cartesian on %d instances" % len(groth_corpus))
 

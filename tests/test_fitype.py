@@ -146,10 +146,9 @@ def test_vacuous_endomorphism_condition(swap_indexed):
     assert rep.holds and rep.info["vacuous_pairs"] == 2
 
 
-def test_ell_condition_strictness_flag(gr_zpow2_3):
+def test_ell_condition_holds_on_a_group_power(gr_zpow2_3):
     M, _ = gr_zpow2_3
-    assert transitivity_ell_condition(M, all_g=False).holds
-    assert transitivity_ell_condition(M, all_g=True).holds
+    assert transitivity_ell_condition(M).holds
 
 
 def test_ell_condition_failure_detected():

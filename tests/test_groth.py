@@ -8,7 +8,6 @@ from fibcat import (
     CategoryError,
     NotAFibration,
     UnknownMorphism,
-    canonical_lift,
     check_fibred_functor,
     check_fibred_nat_trans,
     choose_cleaving,
@@ -21,12 +20,12 @@ from fibcat import (
     is_cartesian,
     is_iso,
     is_fibration,
-    reindexing,
+    straighten,
     validate_category,
     validate_functor,
     validate_nat_trans,
 )
-from fibcat.groth import fiber_iso_to_indexed_fiber
+from fibcat.groth import Cleaving
 from groth_reference import cartesian_factor
 from fibcat.generators import (
     delta_const,
@@ -45,6 +44,29 @@ from fibcat.groups import (
 
 def perm_count(n, m):
     return math.factorial(n) // math.factorial(n - m)
+
+
+def canonical_lift(gr, f, b):
+    """The lift (f, id, b) of f to the fiber object b over tgt f."""
+    M = gr.indexed
+    return gr.mor_id[(f, M.fiber_at(M.base.src[f]).id_of(M.arrow_at(f).ob(b)), b)]
+
+
+def fiber_iso(gr, x):
+    """The isomorphism k ↦ (id_x, k, tgt k) from M(x) onto the fiber of the
+    projection over x, for an indexed category whose unitor at x is the
+    identity."""
+    fib_x = gr.indexed.fiber_at(x)
+    on_morphisms = {k: gr.mor_id[(gr.indexed.base.id_of(x), k, fib_x.tgt[k])] for k in fib_x.morphisms}
+    return validate_functor(fib_x, fiber(gr.proj, x), {a: gr.obj_id[(x, a)] for a in fib_x.objects}, on_morphisms)
+
+
+def comparison(P, cleaving):
+    """The functor (f, k, b) ↦ k;lift(f, b) from the total of
+    ``straighten(P, cleaving)`` back to the source of P."""
+    gr, A = grothendieck(straighten(P, cleaving)), P.source
+    on_morphisms = {t: A.comp(k, cleaving.lift(f, b)) for (f, k, b), t in gr.mor_id.items()}
+    return validate_functor(gr.total, A, {t: a for t, (_, a) in gr.obj_of.items()}, on_morphisms)
 
 
 def test_hom_set_cardinalities(gr_zpow2_3):
@@ -90,7 +112,7 @@ def test_canonical_lifts_are_cartesian(gr_zpow2_3):
     for f in M.base.morphisms:
         y = M.base.tgt[f]
         for b in M.fiber_at(y).objects:
-            assert is_cartesian(gr.proj, canonical_lift(gr, f, gr.obj_id[(y, b)]))
+            assert is_cartesian(gr.proj, canonical_lift(gr, f, b))
 
 
 def test_noncartesian_witness_in_two_level_fiber(fi2):
@@ -149,59 +171,37 @@ def test_fiber_of_group_hom_is_kernel(z4, z2):
     assert set(fib.morphisms) == {"0", "2"}
 
 
-def test_fiber_iso_to_indexed_fiber(gr_zpow2_3):
-    M, gr = gr_zpow2_3
-    for x in M.base.objects:
-        iso = fiber_iso_to_indexed_fiber(gr, x)
-        props = functor_properties(iso)
-        assert props.equivalence
-        assert len(iso.source.morphisms) == len(iso.target.morphisms)
-
-
 def test_reindexing_identity_is_identity(gr_zpow2_3):
     M, gr = gr_zpow2_3
-    cleaving = choose_cleaving(gr.proj)
-    f = M.base.id_of("2")
-    F = reindexing(gr.proj, cleaving, f)
+    F = straighten(gr.proj).arrow_at(M.base.id_of("2"))
     assert functors_equal(F, validate_functor(F.source, F.source, {o: o for o in F.source.objects}, {m: m for m in F.source.morphisms}))
 
 
 def test_reindexing_matches_stored_arrow(gr_zpow2_3):
     # transport the reindexing along the canonical fiber isos and compare
     M, gr = gr_zpow2_3
-    cleaving = choose_cleaving(gr.proj)
+    S = straighten(gr.proj)
     for f in M.base.morphisms:
         x, y = M.base.src[f], M.base.tgt[f]
-        star = reindexing(gr.proj, cleaving, f)
-        iso_x = fiber_iso_to_indexed_fiber(gr, x)
-        iso_y = fiber_iso_to_indexed_fiber(gr, y)
+        star = S.arrow_at(f)
+        iso_x, iso_y = fiber_iso(gr, x), fiber_iso(gr, y)
         transported = compose_functors(iso_y, star)
         direct = compose_functors(M.arrow_at(f), iso_x)
         assert functors_equal(transported, direct)
 
 
 def test_reindexing_composite_iso(gr_zpow2_3):
-    # f* ∘ g* is isomorphic to (g∘f)* via a transformation from the cleaving
+    # mu[f, g](c): (f* ∘ g*)(c) → (g∘f)*(c) is the factor of lift(f, g*c);lift(g, c)
+    # through lift(g∘f, c), a vertical iso
     M, gr = gr_zpow2_3
     cleaving = choose_cleaving(gr.proj)
-    base = M.base
+    S, base = straighten(gr.proj, cleaving), M.base
     pairs = [(f, g) for (f, g) in base.table if not base.is_identity(f)][:6]
     for f, g in pairs:
-        gf = base.comp(f, g)
-        star_f = reindexing(gr.proj, cleaving, f)
-        star_g = reindexing(gr.proj, cleaving, g)
-        star_gf = reindexing(gr.proj, cleaving, gf)
-        both = compose_functors(star_g, star_f)
-        comps = {}
-        for c in star_g.source.objects:
-            composite = gr.total.comp(
-                cleaving.lift(f, star_g.ob(c)), cleaving.lift(g, c)
-            )
-            w = cartesian_factor(gr.proj, cleaving.lift(gf, c), base.id_of(base.src[f]), composite)
-            assert w is not None
-            comps[c] = w
-        validate_nat_trans(both, star_gf, comps)
-        assert all(w in gr.total.inverses for w in comps.values())
+        for c, w in S.mu(f, g).components.items():
+            composite = gr.total.comp(cleaving.lift(f, S.arrow_at(g).ob(c)), cleaving.lift(g, c))
+            assert w == cartesian_factor(gr.proj, cleaving.lift(base.comp(f, g), c), base.id_of(base.src[f]), composite)
+            assert w in gr.total.inverses
 
 
 def test_invert_total_cases(gr_zpow2_3):
@@ -331,7 +331,7 @@ def test_slice_projection_is_fibration(fi2):
 def test_fiber_of_constant_projection_is_the_fiber_category(fi2):
     gr = grothendieck(delta_const(fi2, fi2))
     for x in fi2.objects:
-        iso = fiber_iso_to_indexed_fiber(gr, x)
+        iso = fiber_iso(gr, x)
         assert functor_properties(iso).equivalence
         assert len(iso.target.morphisms) == len(fi2.morphisms)
 
@@ -396,33 +396,48 @@ def test_total_iso_classes_at_small_truncation(z2):
 
 
 def test_round_trip_fibers_and_reindexing_across_corpus(groth_corpus):
-    # fibers of the projection recover the given fibers, and the cleaving
-    # reindexing recovers each arrow functor up to a canonical vertical iso
-    from fibcat import NatTrans
-
+    """Straightening each projection, with the chosen cleaving and with the
+    greatest cartesian lift of each (f, b), which need not be the identity
+    over an identity, and taking the Grothendieck construction again gives
+    the total back: (f, k, b) ↦ k;lift(f, b) is a functor, bijective on
+    objects and on morphisms."""
+    unnormalized = 0
     for name, M, gr in groth_corpus:
-        cleaving = choose_cleaving(gr.proj)
-        for x in M.base.objects:
-            iso = fiber_iso_to_indexed_fiber(gr, x)
-            assert functor_properties(iso).equivalence, (name, x)
-        for f in M.base.morphisms:
-            x, y = M.base.src[f], M.base.tgt[f]
-            star = reindexing(gr.proj, cleaving, f)
-            iso_x = fiber_iso_to_indexed_fiber(gr, x)
-            iso_y = fiber_iso_to_indexed_fiber(gr, y)
-            transported = compose_functors(iso_y, star)
-            direct = compose_functors(M.arrow_at(f), iso_x)
-            # canonical components: factor the chosen lift through (f, id)
-            comps = {}
-            for b in M.fiber_at(y).objects:
-                t = gr.obj_id[(y, b)]
-                w = cartesian_factor(
-                    gr.proj,
-                    canonical_lift(gr, f, t),
-                    M.base.id_of(x),
-                    cleaving.lift(f, t),
-                )
-                assert w is not None, (name, f, b)
-                comps[b] = w
-            nt = validate_nat_trans(transported, direct, comps)
-            assert all(c in gr.total.inverses for c in nt.components.values())
+        P, A = gr.proj, gr.total
+        last = {(P.mor(phi), A.tgt[phi]): phi for phi in A.morphisms if is_cartesian(P, phi)}
+        for cleaving in (choose_cleaving(P), Cleaving(P, last)):
+            F = comparison(P, cleaving)
+            assert sorted(F.on_objects.values()) == sorted(A.objects), name
+            assert sorted(F.on_morphisms.values()) == sorted(A.morphisms), name
+        unnormalized += sum(not A.is_identity(last[(P.mor(i), a)]) for a, i in A.identity.items())
+    assert unnormalized > 0
+
+
+def test_straighten_refuses_a_non_fibration_as_choose_cleaving_does(z2):
+    P = hom_as_functor(validate_group_hom(trivial_group(), z2, {"e": "0"}))
+    with pytest.raises(NotAFibration) as chosen:
+        choose_cleaving(P)
+    with pytest.raises(NotAFibration) as straightened:
+        straighten(P)
+    assert straightened.value.args == chosen.value.args == (("1", "*"),)
+
+
+def test_straighten_refuses_what_is_no_cleaving(fi2):
+    """A missing lift, a lift over another f, a lift into another b and a
+    lift that is not cartesian each raise ``NotAFibration((f, b))``."""
+    P = grothendieck(delta_const(fi2, fi2)).proj
+    X, entries = P.target, choose_cleaving(P).entries
+    f, b = next(fb for fb in entries if not X.is_identity(fb[0]))
+    g = next(h for h in X.morphisms if h != f and X.tgt[h] == X.tgt[f])
+    c = next(d for h, d in entries if h == f and d != b)
+    missing = {fb: phi for fb, phi in entries.items() if fb != (f, b)}
+    for bad in (missing, {**entries, (f, b): entries[(g, b)]}, {**entries, (f, b): entries[(f, c)]}):
+        with pytest.raises(NotAFibration) as refused:
+            straighten(P, Cleaving(P, bad))
+        assert refused.value.args == ((f, b),)
+    Q = six_morphism_functors()[1]
+    lifts = {("f", "bp"): "theta0", ("ix", "a0"): "i0", ("ix", "a1"): "i1", ("iy", "bp"): "ibp"}
+    assert straighten(Q, Cleaving(Q, {**lifts, ("f", "bp"): "theta1"})).arrow_at("f").ob("bp") == "a1"
+    with pytest.raises(NotAFibration) as refused:
+        straighten(Q, Cleaving(Q, lifts))
+    assert refused.value.args == (("f", "bp"),)

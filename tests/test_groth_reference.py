@@ -4,18 +4,20 @@ For every morphism of a set of functors, the hom-set bijection in
 ``is_cartesian`` must give what ``groth_reference`` gives by factoring each
 (g, theta) on its own; ``is_fibration`` must give the same ``Check`` and
 ``choose_cleaving`` the same entries, or raise ``NotAFibration`` with the
-same (f, b).  ``reindexing`` must give the same functor as the reference
-that factors each fiber morphism on its own, or the same error, along every
-base morphism, for the chosen cleaving and for lifts that need not be
-cartesian.  The functors cover fibrations with several cartesian lifts
-per (f, b), functors that are not fibrations, and morphisms that fail the
-bijection by size alone or by injectivity alone.
+same (f, b).  ``straighten`` must refuse a cleaving at the (f, b) the
+reference refuses, for the chosen cleaving and for lifts that need not be
+cartesian, and otherwise give along every base morphism the functor of the
+reference that factors each fiber morphism on its own, and the compositors
+and unitors that ``cartesian_factor`` finds one at a time.  The functors
+cover fibrations with several cartesian lifts per (f, b), functors that are
+not fibrations, and morphisms that fail the bijection by size alone or by
+injectivity alone.
 """
 
 import pytest
 
 import groth_reference as ref
-from fibcat import CategoryError, NotAFibration, fiber_inclusion, generators, groth, grothendieck, validate_functor
+from fibcat import NotAFibration, fiber_inclusion, generators, groth, grothendieck, validate_functor
 from fibcat.groups import hom_as_functor, validate_group_hom
 from test_groth import six_morphism_functors
 
@@ -90,32 +92,54 @@ def test_fibrations_match_reference(functors, case):
             assert groth.is_cartesian(P, phi) == ref.is_cartesian(P, phi), phi
 
 
-def _reindexed(reindexing, P, cleaving, f):
-    try:
-        F = reindexing(P, cleaving, f)
-    except CategoryError as exc:
-        return type(exc), exc.args
-    return F.on_objects, list(F.on_morphisms.items())
+def _first_refused(P, cleaving):
+    """The first (f, b), by f and then b, whose lift the reference finds
+    missing, not over f into b or not cartesian; None if there is none."""
+    X, A = P.target, P.source
+    for f in X.morphisms:
+        for b in groth.fiber_objects(P, X.tgt[f]):
+            phi = cleaving.entries.get((f, b))
+            if phi is None or P.mor(phi) != f or A.tgt[phi] != b or not ref.is_cartesian(P, phi):
+                return (f, b)
+    return None
 
 
 def test_reindexing_matches_reference(functors):
-    """Along every base morphism f whose every (f, b) has a lift: with the
-    chosen cleaving of a fibration, and with the least and with the greatest
-    morphism over each (f, b), cartesian or not, as its lift; one of those
-    has a fiber morphism that does not factor uniquely."""
-    outcomes = []
+    """With the chosen cleaving of each fibration, and with the least and the
+    greatest morphism over each (f, b), cartesian or not, as its lift:
+    ``straighten`` refuses the cleaving with ``NotAFibration`` at the first
+    (f, b) the reference refuses, and otherwise its arrow at every base
+    morphism f is the reference's reindexing along f, each compositor
+    mu[f, g](c) the factor of lift(f, M(g)(c));lift(g, c) through lift(f;g,
+    c) and each unitor eta[x](a) the factor of id_a through lift(id_x, a)."""
+    arrows, refused = 0, 0
     for P in (P for Ps in functors.values() for P in Ps):
-        over = ref.over_map(P)
+        X, A, over = P.target, P.source, ref.over_map(P)
         cleavings = [groth.Cleaving(P, {fb: phis[i] for fb, phis in over.items()}) for i in (0, -1)]
         if ref.is_fibration(P):
             cleavings.append(groth.choose_cleaving(P))
         for cleaving in cleavings:
-            for f in P.target.morphisms:
-                if all((f, b) in cleaving.entries for b in groth.fiber_objects(P, P.target.tgt[f])):
-                    got = _reindexed(groth.reindexing, P, cleaving, f)
-                    assert got == _reindexed(ref.reindexing, P, cleaving, f), f
-                    outcomes.append(got[0])
-    assert outcomes.count(NotAFibration) == 1 and len(outcomes) > 3000
+            first = _first_refused(P, cleaving)
+            try:
+                M = groth.straighten(P, cleaving)
+            except NotAFibration as exc:
+                assert exc.args == (first,)
+                refused += 1
+                continue
+            assert first is None
+            for f in X.morphisms:
+                want = ref.reindexing(P, cleaving, f)
+                assert (M.arrow_at(f).on_objects, M.arrow_at(f).on_morphisms) == (want.on_objects, want.on_morphisms), f
+                arrows += 1
+            for (f, g), mu in M.compositors.items():
+                x, lift = X.src[f], cleaving.lift
+                for c, w in mu.components.items():
+                    theta = A.comp(lift(f, M.arrow_at(g).ob(c)), lift(g, c))
+                    assert w == ref.cartesian_factor(P, lift(X.comp(f, g), c), X.id_of(x), theta), (f, g, c)
+            for x, eta in M.unitors.items():
+                for a, w in eta.components.items():
+                    assert w == ref.cartesian_factor(P, cleaving.lift(X.id_of(x), a), X.id_of(x), A.id_of(a)), a
+    assert (arrows, refused) == (1558, 60)
 
 
 def test_functors_to_a_point_match_reference(seeded_categories):

@@ -17,6 +17,11 @@ mutations of homomorphisms, of the twisted actions that sections of Z8 → Z4,
 Z4 → Z2 and S3 → Z2 give (their ``act`` and ``phi``) and of four strict
 actions, each check gives the loops' verdict, and where the indexed check
 names a failing triple (``Law2Violation``), it is the loops' first.
+
+``twisted_from_surjection`` reads the kernel, the action and phi off
+``groth.straighten``; over seeded sections of Z8 → Z4, Z4 → Z2, S3 → Z2
+and S4 → Z2 they are those that the conjugation and phi formulas of
+``groups_reference`` give.
 """
 
 import itertools
@@ -161,6 +166,24 @@ def _surjections():
         "Z4->Z2": (validate_group_hom(Z4, Z2, {"0": "0", "1": "1", "2": "0", "3": "1"}), {"0": "0", "1": "1"}),
         "S3->Z2": (validate_group_hom(S3, Z2, parity), {"0": "012", "1": "102"}),
     }
+
+
+def test_twisted_from_surjection_matches_reference():
+    """Eight seeded sections with s(e) = e of each surjection, S4 → Z2 as
+    well: the kernel, act and phi are those of the formulas."""
+    S4 = symmetric_group(4)
+    sign = {e: str(sum(a > b for i, a in enumerate(e) for b in e[i + 1 :]) % 2) for e in S4.elements}
+    cases = {**_surjections(), "S4->Z2": (validate_group_hom(S4, cyclic_group(2), sign), None)}
+    twisted = 0
+    for name, (p, _) in sorted(cases.items()):
+        E, G, rng = p.source, p.target, random.Random(name)
+        for _ in range(8):
+            s = {g: rng.choice([e for e in E.elements if p.mapping[e] == g]) for g in G.elements}
+            s[G.unit] = E.unit
+            T = twisted_from_surjection(p, s)
+            assert (T.acted.elements, T.act, T.phi) == ref.twisted_from_surjection(p, s), (name, s)
+            twisted += any(v != T.acted.unit for v in T.phi.values())
+    assert twisted > 8
 
 
 def _verdict(check, *args):

@@ -7,9 +7,9 @@ once by the stage all three share, the one caller of the ``FinCat``
 constructor, which reads the cells of the coding and never the string
 table; in the library only the JSON reader calls ``validate_category``, and
 no module but ``core`` codes a category.  Functors are checked, cartesian
-morphisms found and fibers reindexed on the codings too, which one run
-confirms: a Grothendieck construction, a functor load, a fibration check, a
-cleaving and its reindexing functors leave no string table behind, and
+morphisms found and fibrations straightened on the codings too, which one
+run confirms: a Grothendieck construction, a functor load, a fibration
+check, a cleaving and its straightening leave no string table behind, and
 so do conditions 6 and 7, both square tests, the preservation of pullbacks
 and of weak pushouts and the whole FI-type audit, which read the codings as
 well.
@@ -43,7 +43,10 @@ weak pushout construction leave no table, which one run confirms.
 ``groups`` checks no law with a loop over products of elements: a
 homomorphism is checked by ``validate_functor`` and an action by
 ``validate_indexed``, which ``fibcat group ext`` on a valid file calls
-exactly once, as one run confirms.
+exactly once, as one run confirms.  ``groth.straighten`` is the one way
+back from a cleaving to an indexed category: ``groth`` finds the factors
+through the lifts by one search, and ``twisted_from_surjection`` is one
+call of it, with no product of elements of its own.
 """
 
 import ast
@@ -51,6 +54,7 @@ import json
 import pathlib
 import sys
 
+import fibcat
 from fibcat import cli, groups, indexed
 from fibcat.fitype import check_fi_type
 from fibcat.functors import NatTrans, identity_functor
@@ -65,7 +69,7 @@ from fibcat.generators import (
     product_category,
     slice_indexed,
 )
-from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, reindexing
+from fibcat.groth import choose_cleaving, fiber, grothendieck, is_fibration, straighten
 from fibcat.groups import (
     automorphism_group,
     category_as_group,
@@ -294,8 +298,8 @@ def test_no_functor_check_makes_a_table():
     data = json.loads(stable_dumps(functor_to_json(gr.proj)))
     P = Loader().functor(data)
     assert is_fibration(P)
-    cleaving = choose_cleaving(P)
-    assert all(reindexing(P, cleaving, f).on_morphisms for f in P.target.morphisms)
+    M = straighten(P, choose_cleaving(P))
+    assert all(M.arrow_at(f).on_morphisms for f in P.target.morphisms)
     assert "table" not in vars(P.source) and "table" not in vars(P.target)
     assert len(P.source.table) == len(gr.total.table)
 
@@ -565,6 +569,37 @@ def test_group_ext_checks_the_action_once(tmp_path, monkeypatch, capsys):
     assert "order 4" in capsys.readouterr().out and len(calls) == 1
     groups.extension_from_twisted(groups.strict_twisted(Z2, Z2, groups.trivial_action(Z2, Z2)))
     assert len(calls) == 2
+
+
+def test_twisted_from_surjection_is_one_straightening():
+    """``twisted_from_surjection`` reads the kernel, act and phi off one
+    ``straighten`` call, the library's only one: it multiplies, conjugates
+    and inverts no elements to build them."""
+    assert _callers("straighten", True) == ["groups.twisted_from_surjection"]
+    read, called = _reads("groups", "twisted_from_surjection")
+    assert not (read | called) & {"mul", "mult", "conjugate"}
+
+
+def test_groth_has_one_factoring_search():
+    """Every factor w with w;lift = theta is read off one table, which
+    ``straighten`` fills by writing each w at the code of its composite
+    with a lift: no other function of ``groth`` writes at composites, and
+    the four partial straightenings are gone from the library."""
+    groth = dict(_modules())["groth"]
+    writers = sorted(
+        {
+            fn.name
+            for fn in groth.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Subscript) and "cells" in ast.unparse(t.slice) for t in node.targets)
+        }
+    )
+    assert writers == ["straighten"]
+    gone = {"reindexing", "canonical_lift", "fiber_iso_to_indexed_fiber", "reindexed_object"}
+    defined = {n.name for _, t in _modules() for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert not defined & gone and not gone & set(dir(fibcat))
 
 
 def _private_names(oracle):
