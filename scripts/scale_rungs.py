@@ -18,7 +18,8 @@ validation rung builds an indexed category, untimed, and times
 category, untimed, and times ``theorem.search_witness`` at its default
 budget.  A straightening rung builds the projection of a Grothendieck
 total, untimed, and times ``groth.straighten`` with the cleaving it
-chooses.  The exit
+chooses; a fibration rung builds the same projection and times
+``groth.is_fibration`` alone.  The exit
 code is 0 when every rung finished, 1 when one timed out or failed, 2 for
 an unknown rung.
 """
@@ -40,7 +41,7 @@ from fibcat.generators import (
     product_category,
     slice_indexed,
 )
-from fibcat.groth import grothendieck, straighten
+from fibcat.groth import grothendieck, is_fibration, straighten
 from fibcat.groups import automorphism_group, category_as_group, cyclic_group, group_as_category, symmetric_group
 from fibcat.indexed import validate_indexed
 from fibcat.ioformats import category_from_json, category_to_json, stable_dumps
@@ -136,6 +137,8 @@ RUNGS = {
     # morphisms), back to indexed categories over FI_4
     "straighten_fig_z2_4": (lambda: grothendieck(indexed_gpow(cyclic_group(2), 4)).proj, straighten),
     "straighten_slice_fi4_total": (lambda: grothendieck(slice_indexed(fi_truncated(4))).proj, straighten),
+    # the fibration check alone, on the same projection of the slice total
+    "fibration_slice_fi4_total": (lambda: grothendieck(slice_indexed(fi_truncated(4))).proj, is_fibration),
 }
 
 

@@ -293,24 +293,29 @@ class Coding:
             rank[us] = np.arange(len(us))
         return rank
 
-    @functools.cached_property
-    def monos(self) -> np.ndarray:
-        """The mask of the mono codes.  f is mono exactly when the cells (u,
-        f), over the codes u into src f, are pairwise distinct: a composite
-        u;f fixes the source of u, so two u with one composite are parallel.
-        One sort per object, over the rows of the codes into it, a round of
-        at most ``_SWEEP_CELLS`` cells at a time."""
-        mono = np.ones(len(self.ids), bool)
+    def distinct(self, labels=None) -> np.ndarray:
+        """The mask of the codes f whose composites u;f, over the codes u
+        into src f, are pairwise distinct, each taken with ``labels[u]`` if
+        given: one sort per object of the keys label * n + u;f over its
+        non-isos, a round of at most ``_SWEEP_CELLS`` cells at a time."""
+        n, mask = len(self.ids), np.ones(len(self.ids), bool)
         for x, us in enumerate(self.into):
             if len(us) < 2:
                 continue
-            fs = np.arange(self.out[x], self.out[x + 1])
+            fs = self.out[x] + np.flatnonzero(self.inverse[self.out[x] : self.out[x + 1]] < 0)
             step = max(1, _SWEEP_CELLS // len(us))
             for lo in range(0, len(fs), step):
                 f = fs[lo : lo + step]
-                made = np.sort(self.cells[self.cell(us[:, None], f)], axis=0)
-                mono[f] = (made[1:] != made[:-1]).all(0)
-        return mono
+                made = self.cells[self.cell(us[:, None], f)]
+                made = np.sort(made if labels is None else made + labels[us][:, None] * n, axis=0)
+                mask[f] = (made[1:] != made[:-1]).all(0)
+        return mask
+
+    @functools.cached_property
+    def monos(self) -> np.ndarray:
+        """The mask of the mono codes, ``distinct`` with one label: two u
+        into src f with one composite u;f are parallel, as u;f fixes src u."""
+        return self.distinct()
 
 
 def _coding(objects, homs) -> Coding:

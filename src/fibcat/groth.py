@@ -38,6 +38,16 @@ For any functor P, phi: a→b over f: x→y is cartesian when, for every object
 t, psi ↦ (P(psi), psi;phi) is a bijection from hom(t, a) onto the pairs
 (g: P(t)→x, theta: t→b) with P(theta) = g;f: each hom-square is a pullback
 of sets, the per-object form ``limits`` uses for pullback terminality.
+``_cartesian`` decides every phi of P at once, once per functor, by two
+tests on into(a), the morphisms into a: psi ↦ (P(psi), psi;phi) is
+injective there (``Coding.distinct`` labelled by P, the mono scan with a
+label per row), and |into(a)| = N(b, f), the sum over g into x of the
+theta into b with P(theta) = g;f, which depends on (b, f) alone.  Each psi
+gives one pair at its own source t, as psi;phi starts at t, so injectivity
+bounds |hom(t, a)| by the pairs at t; the bounds sum to |into(a)| ≤ N(b,
+f), so equal totals make every one tight, and conversely bijections at
+every t pass both tests.  ``is_cartesian``, ``is_fibration``,
+``choose_cleaving``, ``straighten`` and ``check_fibred_functor`` read it.
 
 ``straighten`` is the converse (Gray, "Fibred and cofibred categories",
 1966; Streicher, arXiv:1801.02927): a fibration P and a cleaving, a
@@ -63,7 +73,6 @@ from .core import (
     FinCat,
     CategoryError,
     CompositeEndpointViolation,
-    UnknownMorphism,
     from_cells,
     runs,
     subcategory,
@@ -139,8 +148,8 @@ def grothendieck(M: IndexedCat) -> GrothResult:
         x, y = base.src[f], base.tgt[f]
         fib_x, Mf, code = fibers[x], arrows[f], base.coding.code[f]
         first[code] = len(firsts)
-        for j, b in enumerate(fibers[y].objects):
-            mfb, Y = Mf.ob(b), obj_id[(y, b)]
+        for j, (b, i) in enumerate(zip(fibers[y].objects, Mf.ob_map.tolist())):
+            mfb, Y = Mf.target.objects[i], obj_id[(y, b)]
             firsts.append(len(mor_id))
             for a in fib_x.objects:
                 ks = fib_x.hom(a, mfb)
@@ -239,59 +248,46 @@ def _fill(T, M: IndexedCat, bs, mor_id: dict, runs, firsts, first) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _over_map(P: FinFunctor) -> dict:
-    """Total morphisms grouped by (base image, total target), cached."""
-    over = P.cache("over")
-    if not over:
-        for phi in P.source.morphisms:
-            over.setdefault((P.mor(phi), P.source.tgt[phi]), []).append(phi)
-    return over
+def _cartesian(P: FinFunctor) -> np.ndarray:
+    """The mask of the cartesian codes of ``P.source``, kept in
+    ``P.cache("cartesian")``, by the two tests of the module docstring, psi
+    labelled by P(psi).  N(b, f) counts the codes keyed (tgt, P) = (b, g;f)
+    over the g into src f."""
+    cache = P.cache("cartesian")
+    if "mask" not in cache:
+        ac, xc, m, n = P.source.coding, P.target.coding, P.code_map, len(P.target.morphisms)
+        keys, which, count = np.unique(ac.tgt.astype(np.int64) * n + m, return_inverse=True, return_counts=True)
+        b, f = np.divmod(keys, n)
+        into = np.bincount(xc.tgt, minlength=len(xc.units))
+        i, g = runs((np.cumsum(into) - into)[xc.src[f]], into[xc.src[f]])
+        want = b[i] * n + xc.cells[xc.cell(np.argsort(xc.tgt, kind="stable")[g], f[i])]
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        pairs = np.bincount(i, np.where(keys[at] == want, count[at], 0), len(keys))
+        sizes = np.bincount(ac.tgt, minlength=len(ac.units))[ac.src]  # |into(a)| for each phi
+        cache["mask"] = ac.distinct(m) & (sizes == pairs[which])
+    return cache["mask"]
 
 
 def is_cartesian(P: FinFunctor, phi: str) -> bool:
-    """Full universal property: the hom-set bijection of the module
-    docstring at every t, as equal sizes and no two psi with one image,
-    counted on the cells of the two codings with ``P.code_map``.
-
-    Per t, |hom(t, a)| must equal the number of pairs: the sum over theta:
-    t→b of the number of g: P(t)→x with g;f = P(theta), read off a count of
-    every g;f, as the source of g;f is that of g.  An object with no map
-    into b has no pair and no map into a either, so the sizes are compared
-    at every object at once.  No two psi may share (P(psi), psi;phi); as
-    psi;phi starts at t, pairs from distinct t never meet, so the pairs of
-    all t are compared at once."""
-    A, X = P.source, P.target
-    if phi not in A.src:
-        raise UnknownMorphism(phi)
-    cache = P.cache("cartesian")
-    if phi in cache:
-        return cache[phi]
-    ac, xc, m = A.coding, X.coding, P.code_map
-    p = ac.code[phi]
-    f, psis, thetas = m[p], ac.into[ac.src[p]], ac.into[ac.tgt[p]]
-    sizes = np.bincount(ac.src[psis], minlength=len(A.objects))
-    over_f = np.bincount(xc.cells[xc.cell(xc.into[xc.src[f]], f)], minlength=len(X.morphisms))
-    pairs = np.bincount(ac.src[thetas], weights=over_f[m[thetas]], minlength=len(A.objects))
-    images = m[psis] * len(A.morphisms) + ac.cells[ac.cell(psis, p)]
-    cache[phi] = result = np.array_equal(sizes, pairs) and len(np.unique(images)) == len(psis)
-    return result
+    """Whether phi is cartesian for P: its entry in ``_cartesian(P)``."""
+    P.source.require_morphism(phi)
+    return bool(_cartesian(P)[P.source.coding.code[phi]])
 
 
 def fiber_objects(P: FinFunctor, x: str) -> tuple:
-    return tuple(t for t in P.source.objects if P.ob(t) == x)
+    """The objects over x, in the order of ``P.source.objects``."""
+    P.target.require_object(x)
+    over = np.flatnonzero(P.ob_map == P.target.coding.src[P.target.coding.code[P.target.id_of(x)]])
+    return tuple(map(P.source.objects.__getitem__, over.tolist()))
 
 
 def fiber(P: FinFunctor, x: str) -> FinCat:
     """Subcategory of everything sitting over x and id_x."""
-    P.target.require_object(x)
     cache = P.cache("fiber")
-    if x in cache:
-        return cache[x]
-    A = P.source
-    idx = P.target.id_of(x)
-    fib = subcategory(A, fiber_objects(P, x), [m for m in A.morphisms if P.mor(m) == idx])
-    cache[x] = fib
-    return fib
+    if x not in cache:
+        objects, over = fiber_objects(P, x), np.flatnonzero(P.code_map == P.target.coding.code[P.target.id_of(x)])
+        cache[x] = subcategory(P.source, objects, [P.source.coding.ids[c] for c in over.tolist()])
+    return cache[x]
 
 
 def fiber_inclusion(P: FinFunctor, x: str) -> FinFunctor:
@@ -305,26 +301,23 @@ def fiber_inclusion(P: FinFunctor, x: str) -> FinFunctor:
 
 
 def _least_lifts(P: FinFunctor):
-    """The least cartesian lift of each (f, b), identities for identities,
-    with f in base order and b in fiber order, and the first (f, b) that has
-    no cartesian lift (None when every one has)."""
-    X, A = P.target, P.source
-    over = _over_map(P)
-    lifts = {}
-    for f in X.morphisms:
-        for b in fiber_objects(P, X.tgt[f]):
-            candidates = (A.id_of(b),) if X.is_identity(f) else over.get((f, b), ())
-            phi = next((phi for phi in candidates if is_cartesian(P, phi)), None)
-            if phi is None:
-                return lifts, (f, b)
-            lifts[(f, b)] = phi
-    return lifts, None
+    """The least cartesian lift of each (f, b) by id, identities for
+    identities, with f in base order and b in fiber order, None where there
+    is none; and the first (f, b) that has none, or None."""
+    X, A, m, ac, n = P.target, P.source, P.code_map, P.source.coding, len(P.source.objects)
+    by_id = np.fromiter(map(ac.code.__getitem__, A.morphisms), np.int64, len(A.morphisms))
+    cart = by_id[_cartesian(P)[by_id]]
+    _, first = np.unique(m[cart] * n + ac.tgt[cart], return_index=True)
+    least = {(X.coding.ids[m[c]], A.objects[ac.tgt[c]]): ac.ids[c] for c in cart[first].tolist()}
+    pairs = [(f, b) for f in X.morphisms for b in fiber_objects(P, X.tgt[f])]
+    lifts = {(f, b): A.id_of(b) if X.is_identity(f) else least.get((f, b)) for f, b in pairs}
+    return lifts, next((fb for fb, phi in lifts.items() if phi is None), None)
 
 
 def is_fibration(P: FinFunctor) -> Check:
     """Every base morphism has a cartesian lift to every object over its target."""
-    _, missing = _least_lifts(P)
-    return Check(True) if missing is None else Check(False, missing)
+    missing = _least_lifts(P)[1]
+    return Check(missing is None, missing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,15 +345,16 @@ def straighten(P: FinFunctor, cleaving: Cleaving = None) -> IndexedCat:
     ``NotAFibration((f, b))``, as ``choose_cleaving`` does."""
     X, A, cleaving = P.target, P.source, choose_cleaving(P) if cleaving is None else cleaving
     ac, xc, m = A.coding, X.coding, P.code_map
-    number, fibers = dict(zip(A.objects, range(len(A.objects)))), {x: fiber(P, x) for x in X.objects}
-    obs = {y: np.array([number[b] for b in F.objects], np.int64) for y, F in fibers.items()}  # numbers over y
+    fibers = {x: fiber(P, x) for x in X.objects}
+    obs = {y: np.flatnonzero(P.ob_map == i) for i, y in enumerate(X.objects)}  # the numbers over y
     lift = np.full((len(xc.ids), len(A.objects)), -1, np.int64)  # [code of f, number of b]
     for f in X.morphisms:
-        for b in fibers[X.tgt[f]].objects:
-            phi = cleaving.entries.get((f, b))
-            if phi not in A.src or P.mor(phi) != f or A.tgt[phi] != b or not is_cartesian(P, phi):
-                raise NotAFibration((f, b))
-            lift[xc.code[f], number[b]] = ac.code[phi]
+        code = xc.code[f]
+        for b in obs[X.tgt[f]].tolist():
+            phi = ac.code.get(cleaving.entries.get((f, A.objects[b])), -1)
+            if phi < 0 or m[phi] != code or ac.tgt[phi] != b or not _cartesian(P)[phi]:
+                raise NotAFibration((f, A.objects[b]))
+            lift[code, b] = phi
 
     # vertical[theta]: the w over an identity with w;lift(P(theta), tgt
     # theta) = theta, written at the cell of every w into the source of a lift.
@@ -389,27 +383,28 @@ def straighten(P: FinFunctor, cleaving: Cleaving = None) -> IndexedCat:
 
 
 def check_fibred_functor(H: FinFunctor, P: FinFunctor, Q: FinFunctor) -> Check:
-    """H commutes with the projections and preserves cartesian morphisms."""
-    if H.source is not P.source or H.target is not Q.source:
+    """H commutes with the projections, over one base, and preserves
+    cartesian morphisms: the first object, then the first morphism by id,
+    where Q∘H and P differ raises ``TriangleDoesNotCommute``, and the first
+    cartesian phi by id whose image is not cartesian is the counterexample."""
+    if H.source is not P.source or H.target is not Q.source or P.target is not Q.target:
         raise TriangleDoesNotCommute("endpoint categories differ")
-    for x in P.source.objects:
-        if Q.ob(H.ob(x)) != P.ob(x):
-            raise TriangleDoesNotCommute(("object", x))
-    for m in P.source.morphisms:
-        if Q.mor(H.mor(m)) != P.mor(m):
-            raise TriangleDoesNotCommute(("morphism", m))
-    for phi in P.source.morphisms:
-        if is_cartesian(P, phi) and not is_cartesian(Q, H.mor(phi)):
-            return Check(False, phi)
-    return Check(True)
+    A, ids = P.source, P.source.coding.ids
+    bad = np.flatnonzero(Q.ob_map[H.ob_map] != P.ob_map)
+    if bad.size:
+        raise TriangleDoesNotCommute(("object", A.objects[bad[0]]))
+    bad = np.flatnonzero(Q.code_map[H.code_map] != P.code_map)
+    if bad.size:
+        raise TriangleDoesNotCommute(("morphism", min(ids[k] for k in bad.tolist())))
+    bad = np.flatnonzero(_cartesian(P) & ~_cartesian(Q)[H.code_map])
+    return Check(False, min(ids[k] for k in bad.tolist())) if bad.size else Check(True)
 
 
 def check_fibred_nat_trans(beta: NatTrans, H: FinFunctor, K: FinFunctor, P: FinFunctor, Q: FinFunctor) -> Check:
-    """All components of beta are vertical (project to identities)."""
+    """All components of beta are vertical (project to identities); else
+    the first object, with its component, where one is not."""
     check_fibred_functor(H, P, Q)
     check_fibred_functor(K, P, Q)
-    for a in P.source.objects:
-        comp = beta.at(a)
-        if Q.mor(comp) != P.target.id_of(P.ob(a)):
-            return Check(False, (a, comp))
-    return Check(True)
+    comps = [beta.at(a) for a in P.source.objects]
+    bad = np.flatnonzero(Q.code_map[[Q.source.coding.code[c] for c in comps]] != P.target.coding.units[P.ob_map])
+    return Check(False, (P.source.objects[bad[0]], comps[bad[0]])) if bad.size else Check(True)

@@ -6,16 +6,29 @@ began to serve ``is_fibration`` and ``choose_cleaving``: every pair
 (g, theta) with P(theta) = g;f is factored on its own, both functions walk
 the lifts themselves, and ``choose_cleaving`` checks its entries once more.
 ``reindexing`` factors each fiber morphism on its own, as the library did
-before ``straighten`` found every factor in one search.  It is kept only as the oracle for ``test_groth_reference.py`` and imports
-nothing private from ``fibcat``.  Its caches live under ``reference_*`` keys
-so they never share results with the library.
+before ``straighten`` found every factor in one search.
+
+Two later library forms are kept as oracles as well.
+``is_cartesian_by_counts`` is the per-object hom-set bijection, decided for
+one phi at a time by ``bincount``s over the codings, as ``is_cartesian`` did
+before ``groth`` decided every phi of a functor at once, by one labelled
+sweep and one total per (b, f); it is fast enough to check that mask on
+functors too large for the per-pair search.  ``check_fibred_functor`` walks
+the objects and the morphisms one id at a time, as the library did before
+it compared the code maps and the cartesian masks.
+
+All of it is kept only as the oracle for ``test_groth_reference.py`` and
+imports nothing private from ``fibcat``.  Its caches live under
+``reference_*`` keys so they never share results with the library.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from fibcat.core import Check, UnknownMorphism
 from fibcat.functors import FinFunctor, validate_functor
-from fibcat.groth import Cleaving, NotAFibration, fiber, fiber_objects
+from fibcat.groth import Cleaving, NotAFibration, TriangleDoesNotCommute, fiber, fiber_objects
 
 
 def cartesian_factor(P: FinFunctor, phi: str, g: str, theta: str):
@@ -119,3 +132,44 @@ def reindexing(P: FinFunctor, cleaving: Cleaving, f: str) -> FinFunctor:
             raise NotAFibration((f, b2))
         on_morphisms[psi] = w
     return validate_functor(fib_y, fib_x, on_objects, on_morphisms)
+
+
+def is_cartesian_by_counts(P: FinFunctor, phi: str) -> bool:
+    """The hom-set bijection at every t for one phi: a→b over f: x→y.
+
+    Per t, |hom(t, a)| must equal the number of pairs: the sum over theta:
+    t→b of the number of g: P(t)→x with g;f = P(theta), read off a count of
+    every g;f, as the source of g;f is that of g.  No two psi into a may
+    share (P(psi), psi;phi); as psi;phi starts at t, pairs from distinct t
+    never meet, so the pairs of all t are compared at once."""
+    A, X = P.source, P.target
+    if phi not in A.src:
+        raise UnknownMorphism(phi)
+    cache = P.cache("reference_counts")
+    if phi not in cache:
+        ac, xc, m = A.coding, X.coding, P.code_map
+        p = ac.code[phi]
+        f, psis, thetas = m[p], ac.into[ac.src[p]], ac.into[ac.tgt[p]]
+        sizes = np.bincount(ac.src[psis], minlength=len(A.objects))
+        over_f = np.bincount(xc.cells[xc.cell(xc.into[xc.src[f]], f)], minlength=len(X.morphisms))
+        pairs = np.bincount(ac.src[thetas], weights=over_f[m[thetas]], minlength=len(A.objects))
+        images = m[psis] * len(A.morphisms) + ac.cells[ac.cell(psis, p)]
+        cache[phi] = np.array_equal(sizes, pairs) and len(np.unique(images)) == len(psis)
+    return cache[phi]
+
+
+def check_fibred_functor(H: FinFunctor, P: FinFunctor, Q: FinFunctor) -> Check:
+    """H commutes with the projections and preserves cartesian morphisms,
+    one object and one morphism at a time, by id."""
+    if H.source is not P.source or H.target is not Q.source:
+        raise TriangleDoesNotCommute("endpoint categories differ")
+    for x in P.source.objects:
+        if Q.ob(H.ob(x)) != P.ob(x):
+            raise TriangleDoesNotCommute(("object", x))
+    for m in P.source.morphisms:
+        if Q.mor(H.mor(m)) != P.mor(m):
+            raise TriangleDoesNotCommute(("morphism", m))
+    for phi in P.source.morphisms:
+        if is_cartesian(P, phi) and not is_cartesian(Q, H.mor(phi)):
+            return Check(False, phi)
+    return Check(True)

@@ -1,10 +1,12 @@
 import json
 import os
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
+from fibcat import indexed
 from fibcat.cli import main
 from fibcat.generators import (
     block_perm_indexed,
@@ -173,6 +175,25 @@ def test_group_commands(workdir, capsys, z4, z2):
     open("tw.json", "w").write(stable_dumps(ext_input))
     code, out, _ = run(capsys, "group", "ext", "tw.json")
     assert code == 0 and "order 4" in out and "split=False" in out
+
+
+def test_group_twist_checks_the_action_once(workdir, capsys, monkeypatch, z4, z2):
+    """``group twist`` checks the action it builds once, by the
+    ``validate_indexed`` inside ``straighten``, which a section always
+    passes: the report's ``valid`` holds without a second check."""
+    surj = {
+        "total": group_to_json(z4),
+        "target": group_to_json(z2),
+        "proj": {"0": "0", "1": "1", "2": "0", "3": "1"},
+        "section": {"0": "0", "1": "1"},
+    }
+    open("surj.json", "w").write(stable_dumps(surj))
+    calls, check = [], indexed.validate_indexed
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fibcat"]:
+        if getattr(module, "validate_indexed", None) is check:
+            monkeypatch.setattr(module, "validate_indexed", lambda *a: calls.append(a) or check(*a))
+    code, out, _ = run(capsys, "--json", "group", "twist", "surj.json")
+    assert code == 0 and json.loads(out)["verdict"]["valid"] is True and len(calls) == 1
 
 
 def test_failing_verdict_reports_are_stable_json(workdir, capsys):

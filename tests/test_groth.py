@@ -25,6 +25,8 @@ from fibcat import (
     validate_functor,
     validate_nat_trans,
 )
+from fibcat.core import Coding
+from fibcat.functors import identity_functor
 from fibcat.groth import Cleaving
 from groth_reference import cartesian_factor
 from fibcat.generators import (
@@ -360,18 +362,25 @@ def test_is_cartesian_refuses_an_unknown_morphism(gr_zpow2_3):
         is_cartesian(gr_zpow2_3[1].proj, "no such morphism")
 
 
-def test_is_cartesian_keeps_each_verdict(z2):
-    """A verdict is found once per phi and kept in the functor's cache,
-    and so is the code map it reads."""
+def test_is_cartesian_keeps_each_verdict(z2, monkeypatch):
+    """The cartesian codes are decided once per functor, by one labelled
+    sweep, and kept as one mask in the functor's cache: every verdict, the
+    fibration check, the cleaving, the straightening and the fibred-functor
+    check read that mask, and so is the code map it reads."""
     P = grothendieck(indexed_gpow(z2, 2)).proj
-    phi, other = P.source.morphisms[:2]
-    verdict = is_cartesian(P, phi)
-    assert P.cache("cartesian") == {phi: verdict}
-    P.cache("cartesian")[phi] = "kept"
-    assert is_cartesian(P, phi) == "kept"
+    sweeps, sweep = [], Coding.distinct
+    monkeypatch.setattr(Coding, "distinct", lambda K, *a: sweeps.append(K) or sweep(K, *a))
+    verdicts = [is_cartesian(P, phi) for phi in P.source.morphisms]
+    (mask,) = P.cache("cartesian").values()
+    assert list(P.cache("cartesian")) == ["mask"] and mask.dtype == bool
+    assert verdicts == [bool(mask[P.source.coding.code[phi]]) for phi in P.source.morphisms]
     codes = P.code_map
-    is_cartesian(P, other)
-    assert P.code_map is codes and sorted(P.cache("cartesian")) == sorted([phi, other])
+    assert is_fibration(P) and straighten(P, choose_cleaving(P)).arrows
+    assert check_fibred_functor(identity_functor(P.source), P, P)
+    assert sweeps == [P.source.coding] and P.code_map is codes
+    assert P.cache("cartesian")["mask"] is mask
+    mask[P.source.coding.code[P.source.morphisms[0]]] ^= True
+    assert is_cartesian(P, P.source.morphisms[0]) != verdicts[0]
 
 
 def test_total_morphism_id_collision_is_rejected():

@@ -46,7 +46,11 @@ homomorphism is checked by ``validate_functor`` and an action by
 exactly once, as one run confirms.  ``groth.straighten`` is the one way
 back from a cleaving to an indexed category: ``groth`` finds the factors
 through the lifts by one search, and ``twisted_from_surjection`` is one
-call of it, with no product of elements of its own.
+call of it, with no product of elements of its own.  The cartesian
+morphisms of a functor are decided once, by ``groth._cartesian``: no
+function of ``groth`` calls ``is_cartesian``, ``.mor`` or ``.ob`` inside a
+loop, and the mono scan ``Coding.monos`` is the unlabelled case of
+``Coding.distinct``, the one sweep that ``_cartesian`` runs with labels.
 """
 
 import ast
@@ -230,6 +234,7 @@ def test_functor_checks_read_only_the_cells():
         ("functors", "validate_functor"),
         ("functors", "code_map"),
         ("groth", "is_cartesian"),
+        ("groth", "_cartesian"),
     ):
         read, called = _reads(module, name)
         assert "coding" in read, name
@@ -600,6 +605,36 @@ def test_groth_has_one_factoring_search():
     gone = {"reindexing", "canonical_lift", "fiber_iso_to_indexed_fiber", "reindexed_object"}
     defined = {n.name for _, t in _modules() for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
     assert not defined & gone and not gone & set(dir(fibcat))
+
+
+def test_groth_decides_cartesian_morphisms_once_per_functor():
+    """``groth._cartesian`` is the one decision of the cartesian morphisms
+    of a functor: the per-(f, b) candidate map ``_over_map`` is gone, and no
+    function of ``groth`` calls ``is_cartesian``, ``.mor`` or ``.ob`` inside
+    a loop, so none decides or looks up one id at a time."""
+    groth = dict(_modules())["groth"]
+    defined = {n.name for n in ast.walk(groth) if isinstance(n, ast.FunctionDef)}
+    assert "_cartesian" in defined and "_over_map" not in defined
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = sorted(
+        "%s:%d" % (ast.unparse(node.func), node.lineno)
+        for loop in ast.walk(groth)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("is_cartesian", "mor", "ob")
+    )
+    assert found == []
+
+
+def test_mono_scan_is_the_unlabelled_sweep():
+    """``Coding.distinct`` is the one sweep for distinct composites into an
+    object: ``Coding.monos`` is it with one label, ``groth._cartesian`` with
+    P's labels, and nothing else in the library calls it."""
+    assert _callers("distinct", True) == ["core.Coding.monos", "groth._cartesian"]
+    (monos,) = [n for n in ast.walk(dict(_modules())["core"]) if isinstance(n, ast.FunctionDef) and n.name == "monos"]
+    (call,) = [n for n in ast.walk(monos) if isinstance(n, ast.Call)]
+    assert ast.unparse(call) == "self.distinct()"
 
 
 def _private_names(oracle):
