@@ -132,6 +132,8 @@ RUNGS = {
     # and the constant FI_3 over FI_1
     "search_fig_z2_3": (lambda: indexed_gpow(cyclic_group(2), 3), search_witness),
     "search_delta_fi1_fi3": (lambda: delta_const(fi_truncated(1), fi_truncated(3)), search_witness),
+    # FI_Z3 over FI_3, with fibers Z3^0 to Z3^3
+    "search_fig_z3_3": (lambda: indexed_gpow(cyclic_group(3), 3), search_witness),
     # straightening: the projection of the FI_Z2 total category for N=4
     # (729 morphisms) and of the total of the slices of FI_4 (67,857
     # morphisms), back to indexed categories over FI_4

@@ -639,7 +639,8 @@ def subcategory(C: FinCat, objects, morphisms) -> FinCat:
     and the first cell in cell order whose composite h = f;g leaves the
     subcategory ``CompositeEndpointViolation((f, g, h))``."""
     K, inside = C.coding, set(objects)
-    keep = np.unique(np.array([K.code[m] for m in morphisms], np.int64))
+    # Asked for counts, np.unique sorts; its hash path would import numpy.ma.
+    keep = np.unique(np.array([K.code[m] for m in morphisms], np.int64), return_counts=True)[0]
     ids = [K.ids[k] for k in keep.tolist()]
     outside = next((m for m in ids if not {C.src[m], C.tgt[m]} <= inside), None)
     if outside is not None:

@@ -40,13 +40,15 @@ does the square of k1;k2:
 using that F preserves k1;k2, then the squares of k2 and k1, then that G
 preserves k1;k2.  So the morphisms whose squares commute are closed under
 composition, and α is natural exactly when the square of every g in the
-source's S commutes.  Only those squares are checked, composed on the
-target's cells with the ``code_map`` of each functor; if one fails, every
-square is checked, and the error names the first failing one in the
-source's morphism order, as a check of every square would.  The argument
-needs F and G to be functors, which is why ``validate_nat_trans`` takes
-them as ``FinFunctor`` values (or paths of them) and not as bare tables.
-Neither check reads a string ``table``.
+source's S commutes; the argument needs F and G to be functors, so
+``validate_nat_trans`` takes them as ``FinFunctor`` values or paths of
+them.  ``unnatural`` is the one array check of naturality, over many
+families of components at once, as ``unfunctorial`` is of functors:
+``validate_nat_trans`` runs it on one family, ``indexed.validate_indexed``
+on every compositor and unitor, ``theorem``'s witness search on many
+candidate units.  In a family it rejects, each square is checked again as
+a family of its own, so the error names the first failing one in the
+source's morphism order.  Neither check reads a string ``table``.
 
 ``enumerate_functors`` is the one functor search.  It assigns images in a
 fixed order, identities from the object map, and each composite as soon as
@@ -350,66 +352,69 @@ def functors_equal(F: FinFunctor, G: FinFunctor) -> bool:
     return F.on_objects == G.on_objects and F.on_morphisms == G.on_morphisms
 
 
-def _path(F) -> tuple:
-    """``F`` as a tuple of functors applied in turn; a ``FinFunctor`` is a
-    path of one."""
-    return F if isinstance(F, tuple) else (F,)
-
-
-def _through(P: tuple, codes):
-    """The codes, in the last target's coding, of the images of ``codes``
-    under the path ``P``."""
-    for F in P:
-        codes = F.code_map[codes]
-    return codes
-
-
 def validate_nat_trans(F, G, components) -> NatTrans:
     """Check that there is exactly one component per source object, its
-    typing, and every naturality square, the squares by Light's test (see
-    the module docstring).  Ids are strings.
-
-    F and G are functors.  Either may be given as a path, a tuple
-    (F1, ..., Fk) of composable functors that stands for F1 followed by ...
-    Fk; the composite is never built, each code is mapped through the
-    ``code_map`` of each functor in turn, and an object through its
-    identity.  The squares are composed on the target's cells.  The
-    ``NatTrans`` keeps F and G as given."""
-    Fs, Gs = _path(F), _path(G)
-    for P in (Fs, Gs):
-        if any(a.target is not b.source for a, b in zip(P, P[1:])):
-            raise NotAFunctor("composition endpoint mismatch")
+    typing, and every naturality square, by ``unnatural`` (see the module
+    docstring).  Ids are strings.  F and G are functors, either given as a
+    path, a tuple (F1, ..., Fk) of composable functors that stands for F1
+    followed by ... Fk, whose composite is never built: each code and
+    object is mapped by each functor in turn.  The ``NatTrans`` keeps F and
+    G as given."""
+    Fs, Gs = (P if isinstance(P, tuple) else (P,) for P in (F, G))  # a functor is a path of one
+    if any(a.target is not b.source for P in (Fs, Gs) for a, b in zip(P, P[1:])):
+        raise NotAFunctor("composition endpoint mismatch")
     S, T = Fs[0].source, Fs[-1].target
     if Gs[0].source is not S or Gs[-1].target is not T:
         raise NotNatural("parallel functors required")
-    comp = dict(components)
-    sc, tc = S.coding, T.coding
-    at = np.array([tc.code.get(comp.get(x), -1) for x in S.objects], np.intp)
-    F_x, G_x = (tc.src[_through(P, sc.units)] for P in (Fs, Gs))
-    typed = (at >= 0) & (tc.src[at] == F_x) & (tc.tgt[at] == G_x)
-    if not typed.all():
-        x = S.objects[int(np.argmin(typed))]
+    comp, sc, tc, k, n = dict(components), S.coding, T.coding, len(S.objects), len(S.coding.ids)
+    zero = np.zeros(max(n, 1), np.intp)  # every family reads the one table of each functor
+    paths = [[(zero, P.code_map, zero, P.ob_map) for P in path] for path in (Fs, Gs)]
+    codes = np.array([tc.code.get(comp.get(x), -1) for x in S.objects], np.intp)
+    items = (zero[:k], np.arange(k)), (zero[: len(sc.gens)], sc.gens)
+    if len(comp) == k and not unnatural(sc, tc, *paths, (zero[:1], codes), items)[0]:
+        return NatTrans(F, G, comp)
+    for x in S.objects:  # the first failure, as a check of one item at a time meets it
         if x not in comp:
             raise NotNatural(("component missing", x))
         if comp[x] not in T.src:
             raise NotNatural(("component unknown", x, comp[x]))
-        raise NotNatural(("component endpoints", x, comp[x]))
-    if len(comp) > len(S.objects):
-        unknown = next(x for x in comp if x not in S.identity)
-        raise NotNatural(("component for unknown object", unknown))
+        if (T.src[comp[x]], T.tgt[comp[x]]) != tuple(functools.reduce(lambda y, P: P.ob(y), p, x) for p in (Fs, Gs)):
+            raise NotNatural(("component endpoints", x, comp[x]))
+    if len(comp) > k:
+        raise NotNatural(("component for unknown object", next(x for x in comp if x not in S.identity)))
+    bad = np.flatnonzero(unnatural(sc, tc, *paths, (zero, codes), ((zero[:0],) * 2, (np.arange(n),) * 2)))
+    if bad.size:  # each square a family of its own
+        raise NotNatural(("square", min(sc.ids[k] for k in bad.tolist())))
+    raise CategoryError("internal error: Light's test failed, the full check held")
 
-    def broken(ks):
-        """Where the two ways round the square of each code k: x→y differ,
-        α_x;G(k) and F(k);α_y."""
-        left = tc.cells[tc.cell(at[sc.src[ks]], _through(Gs, ks))]
-        return left != tc.cells[tc.cell(_through(Fs, ks), at[sc.tgt[ks]])]
 
-    if broken(sc.gens).any():
-        bad = np.flatnonzero(broken(np.arange(len(sc.ids))))
-        if bad.size:
-            raise NotNatural(("square", min(sc.ids[k] for k in bad.tolist())))
-        raise CategoryError("internal error: Light's test failed, the full check held")
-    return NatTrans(F, G, comp)
+def unnatural(S, T, F, G, comps, items) -> np.ndarray:
+    """The mask of the families of components, numbered 0, 1, ... as
+    ``comps`` = (at, codes) lists them, that are no natural transformations
+    F ⇒ G of maps from the coding ``S`` to ``T`` (as in ``unfunctorial``).
+    F and G are paths: lists of maps (at, image, ob_at, image_ob), as in
+    ``unfunctorial``, applied in turn; [] is the identity.  Family i has the
+    component codes[at[i] + o] at the object o.  ``items`` = (objects,
+    squares) lists the (i, o) whose components are typed and the (i, k)
+    whose squares are composed (Light's S suffices).  A family fails at a
+    component that is negative or not typed F(o) → G(o), then, once its
+    listed ones are typed, at a square that does not commute."""
+    at, codes = comps
+
+    def along(path, i, k, ob=False):  # k, a code or an object, through path
+        for on, image, ob_on, image_ob in path:
+            k = image_ob[ob_on[i] + k] if ob else image[on[i] + k]
+        return k
+
+    bad = np.zeros(len(at), bool)
+    (i, o), (j, k) = items
+    m = codes[at[i] + o]
+    bad[i[(m < 0) | (T.src[m] != along(F, i, o, True)) | (T.tgt[m] != along(G, i, o, True))]] = True
+    if bad.any():  # the squares of the families still typed
+        j, k = j[~bad[j]], k[~bad[j]]
+    left = T.cells[T.cell(codes[at[j] + S.src[k]], along(G, j, k))]
+    bad[j[left != T.cells[T.cell(along(F, j, k), codes[at[j] + S.tgt[k]])]]] = True
+    return bad
 
 
 def identity_nat_trans(F: FinFunctor) -> NatTrans:

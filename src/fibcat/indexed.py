@@ -28,8 +28,9 @@ arrays the first time it is read.  The arrows are checked by
 ``functors.unfunctorial``, the array check that ``validate_functor`` runs
 on one functor, here on every arrow at once, so a functor has one
 definition; the first failing arrow, in ``base.morphisms`` order, is then
-checked alone by ``validate_functor`` for its error.  The compositors and
-the unitors share one check too, ``_unnatural``.
+checked alone by ``validate_functor`` for its error.  So are the
+compositors and unitors: all at once by ``functors.unnatural``, the first
+failing one alone by ``validate_nat_trans``.
 
 Write ";" for "then", in the base and in the fibers.  For composable
 f: x→y, g: y→z, h: z→w and an object d of fiber(w), the coherence square
@@ -106,6 +107,7 @@ from .functors import (
     identity_functor,
     light_pairs,
     unfunctorial,
+    unnatural,
     validate_functor,
     validate_nat_trans,
 )
@@ -257,6 +259,26 @@ class IndexedCoding:
         items = (runs(self.obj0[y], obs), runs(self.code0[y], codes), (i, f[j], g[j]))
         maps = (self.at, self.image, self.ob_at, self.image_ob)
         return unfunctorial(self, self, maps, items, whole)
+
+    def unnatural(self, extra) -> np.ndarray:
+        """The mask of the compositors, in base cell order, then the
+        unitors, by base object, that are no natural isos or whose tables
+        have another number of keys (``extra``), by one ``unnatural``:
+        mu[f, g] runs from the path M(g), M(f) to M(f;g), eta[x] from the
+        identity twice (one more block of the arrays, at base code -1)."""
+        B, identity = self.base.coding, np.full(len(self.fibers), -1)  # eta[x]'s source, twice
+        at, ob_at = np.append(self.at, len(self.image)), np.append(self.ob_at, len(self.image_ob))
+        image, image_ob = np.append(self.image, np.arange(len(self.src))), np.append(self.image_ob, np.arange(self.obj0[-1]))
+        (f, g), h = (np.append(k, identity) for k in B.pairs()), np.append(B.cells, B.units)
+        F, G = ([(at[k], image, ob_at[k], image_ob) for k in ks] for ks in ([g, f], [h]))
+        fiber, codes = np.append(self.mu_over, np.arange(len(identity))), np.append(self.mu, self.eta)
+        comps = np.append(self.mu_at, np.full(len(identity), len(self.mu))), codes
+        t, c = runs(self.obj0[fiber], np.diff(self.obj0)[fiber])
+        s, k = runs(self.gen0[fiber], np.diff(self.gen0)[fiber])
+        k = self.gens[k]
+        bad = unnatural(self, self, F, G, comps, ((t, c), (s, k))) | extra
+        bad[t[~self.iso[codes[comps[0][t] + c]]]] = True
+        return bad
 
     def code(self, compositors, unitors):
         """Code the compositors, by composable base pair, and the unitors, by
@@ -447,42 +469,34 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
             raise IndexedError("arrow for unknown morphism %r" % (f,))
 
     compositors, unitors = compositors or {}, unitors or {}
-    extra_mu, extra_eta = C.code(compositors, unitors)
-    F, G = B.pairs()
-    unit = B.units
+    bad = C.unnatural(np.concatenate(C.code(compositors, unitors)))
     # The first failing compositor, then unitor, is checked again alone,
     # on its table as given, or the identities.
-    bad = _unnatural(C, [G, F], B.cells, B.tgt[G], C.mu, C.mu_at, extra_mu)
     if bad.any():
-        t = int(np.argmax(bad))
-        f, g = B.ids[F[t]], B.ids[G[t]]
-        given = compositors.get((f, g))
-        table = C.components(C.mu, C.mu_at[t], C.mu_over[t]) if given is None else _table(given)
+        t, (F, G) = int(np.argmax(bad)), B.pairs()
+        if t < len(F):
+            key = f, g = B.ids[F[t]], B.ids[G[t]]
+            fib, given, table = fibers[base.src[f]], compositors.get(key), C.components(C.mu, C.mu_at[t], C.mu_over[t])
+            source, target = (arrows[g], arrows[f]), arrows[B.ids[B.cells[t]]]
+            not_natural, noniso = lambda args: CoherenceViolation(("compositor", f, g, args)), CompositorNotIso
+        else:
+            x = base.objects[t - len(F)]
+            key, fib, given, table = (x,), fibers[x], unitors.get(x), C.components(C.eta, 0, t - len(F))
+            source, target = identity_functor(fib), arrows[base.id_of(x)]
+            not_natural, noniso = lambda args: UnitorViolation((x, args)), UnitorViolation
         try:
-            mu = validate_nat_trans((arrows[g], arrows[f]), arrows[B.ids[B.cells[t]]], table)
+            alpha = validate_nat_trans(source, target, table if given is None else _table(given))
         except NotNatural as exc:
-            raise CoherenceViolation(("compositor", f, g, exc.args)) from exc
-        fib = fibers[base.src[f]]
-        raise CompositorNotIso((f, g, *next(cm for cm in mu.components.items() if cm[1] not in fib.inverses)))
-    bad = _unnatural(C, [], unit, np.arange(len(unit)), C.eta, np.zeros_like(unit), extra_eta)
-    if bad.any():
-        t = int(np.argmax(bad))
-        x, fib = base.objects[t], fibers[base.objects[t]]
-        given = unitors.get(x)
-        table = C.components(C.eta, 0, t) if given is None else _table(given)
-        try:
-            eta = validate_nat_trans(identity_functor(fib), arrows[base.id_of(x)], table)
-        except NotNatural as exc:
-            raise UnitorViolation((x, exc.args)) from exc
-        raise UnitorViolation((x, *next(am for am in eta.components.items() if am[1] not in fib.inverses)))
+            raise not_natural(exc.args) from exc
+        raise noniso((*key, *next(cm for cm in alpha.components.items() if cm[1] not in fib.inverses)))
 
     # Unit coherence: contracting against an identity is the identity, at
     # each f: x→y in the order of ``base.morphisms`` and b over y.
     order = np.array([B.code[f] for f in base.morphisms], np.int64)
     r, b = runs(C.obj0[B.tgt[order]], np.diff(C.obj0)[B.tgt[order]])
     f, mfb = order[r], C.image_ob[C.ob_at[order[r]] + b]
-    mu_l = C.mu[C.mu_at[B.cell(unit[B.src[f]], f)] + b]
-    mu_r = C.mu[C.mu_at[B.cell(f, unit[B.tgt[f]])] + b]
+    mu_l = C.mu[C.mu_at[B.cell(B.units[B.src[f]], f)] + b]
+    mu_r = C.mu[C.mu_at[B.cell(f, B.units[B.tgt[f]])] + b]
     left = ~C.is_id[C.cells[C.cell(C.eta[mfb], mu_l)]]
     right = ~C.is_id[C.cells[C.cell(C.image[C.at[f] + C.eta[b]], mu_r)]]
     if (left | right).any():
@@ -501,29 +515,6 @@ def validate_indexed(base: FinCat, fibers, arrows, compositors=None, unitors=Non
 def _table(given) -> dict:
     """The component table of a ``NatTrans`` or of a table."""
     return given.components if isinstance(given, NatTrans) else given
-
-
-def _unnatural(C: IndexedCoding, path, target, fiber, comps, at, extra):
-    """The mask of the transformations t from M(path[0][t]), M(path[1][t]),
-    ... in turn (none: the identity) to M(target[t]), out of the fiber over
-    fiber[t], that are no natural isos with the component comps[at[t] + c]
-    at each c, or whose table has another number of keys (``extra[t]``);
-    naturality by Light's test, once typed."""
-    sizes = np.diff(C.obj0)[fiber]
-    bad = extra.copy()
-    t, c = runs(C.obj0[fiber], sizes)
-    m, ob = comps[at[t] + c], c
-    for P in path:
-        ob = C.image_ob[C.ob_at[P[t]] + ob]
-    bad[t[(C.src[m] != ob) | (C.tgt[m] != C.image_ob[C.ob_at[target[t]] + c]) | ~C.iso[m]]] = True
-    t, k = runs(C.gen0[fiber], np.diff(C.gen0)[fiber])
-    t, k = t[~bad[t]], C.gens[k[~bad[t]]]
-    along = k
-    for P in path:
-        along = C.image[C.at[P[t]] + along]
-    left = C.cells[C.cell(comps[at[t] + C.src[k]], C.image[C.at[target[t]] + k])]
-    bad[t[left != C.cells[C.cell(along, comps[at[t] + C.tgt[k]])]]] = True
-    return bad
 
 
 def _check_associativity_coherence(base, fibers, C: IndexedCoding, order) -> None:

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 import functors_reference as ref
@@ -14,6 +16,7 @@ from fibcat import (
     validate_functor,
     validate_nat_trans,
 )
+from fibcat.functors import enumerate_functors, unnatural
 from fibcat.functors import identity_nat_trans  # noqa: F401  (re-export check)
 from fibcat.generators import (
     chain_poset,
@@ -30,6 +33,7 @@ from fibcat.generators import (
 from fibcat.groth import grothendieck
 from fibcat.ioformats import category_from_json, category_to_json
 from fibcat.groups import cyclic_group
+from test_search_reference import small_categories  # noqa: F401  (the fixture of its 21 categories)
 
 
 def test_identity_functor_properties(fi2):
@@ -221,12 +225,15 @@ def test_random_identity_mutants_match_reference(seeded_categories):
 def test_functors_from_categories_without_generators(names):
     """A discrete category has no non-identity, so its generating set is
     empty and Light's test compares no pair; every functor out of it is
-    valid once it preserves endpoints and identities."""
+    valid once it preserves endpoints and identities, and so is its
+    identity transformation, also on the empty category."""
     D, point = discrete_category(names), terminal_category()
     assert D.generators == () and point.generators == ()
     validate_functor(D, D, {x: x for x in D.objects}, {f: f for f in D.morphisms})
     validate_functor(D, point, {x: "*" for x in D.objects}, {f: "id" for f in D.morphisms})
     validate_functor(point, point, {"*": "*"}, {"id": "id"})
+    F = identity_functor(D)
+    assert validate_nat_trans(F, F, {x: D.id_of(x) for x in D.objects}).components.keys() == set(names)
     if names:
         validate_functor(point, D, {"*": "a"}, {"id": "id_a"})
 
@@ -285,3 +292,46 @@ def test_path_must_compose(fi2):
         validate_nat_trans((F, other), F, {x: fi2.id_of(x) for x in fi2.objects})
     alpha = validate_nat_trans((F, F), F, {x: fi2.id_of(x) for x in fi2.objects})
     assert alpha.source == (F, F)
+
+
+def test_unnatural_matches_reference_family_by_family(small_categories):
+    """For every pair of parallel functors F, G: A → B among the small
+    categories of ``test_search_reference`` (at most ``PAIRS`` per A, B,
+    seeded), the families of the product of the hom-sets hom(F(x), G(x))
+    (at most ``FAMILIES``, seeded), each also with one component missing
+    (-1) and one moved out of its hom-set, are decided in one ``unnatural``
+    batch on Light's S, and each verdict is the reference's on the family
+    alone, whose check composes every square."""
+    PAIRS, FAMILIES = 12, 8
+    rng = random.Random(39)
+    seen, batches = {}, 0
+    for A, B in itertools.product(small_categories, repeat=2):
+        functors = list(enumerate_functors(A, B))
+        pairs = list(itertools.product(functors, repeat=2))
+        for F, G in rng.sample(pairs, min(PAIRS, len(pairs))):
+            homs = [B.hom_codes(F.ob(x), G.ob(x)).tolist() for x in A.objects]
+            families = list(itertools.islice(itertools.product(*homs), 10 * FAMILIES))
+            families = [list(c) for c in rng.sample(families, min(FAMILIES, len(families)))]
+            for codes in families[: len(families) // 2]:
+                x = rng.randrange(len(codes))
+                outside = [m for m in range(len(B.morphisms)) if m not in homs[x]]
+                families.append(codes[:x] + [-1] + codes[x + 1 :])
+                if outside:
+                    families.append(codes[:x] + [rng.choice(outside)] + codes[x + 1 :])
+            if not families:
+                continue
+            K, L, n, k = A.coding, B.coding, len(families), len(A.objects)
+            zero = np.zeros(n, np.intp)
+            paths = [[(zero, P.code_map, zero, P.ob_map)] for P in (F, G)]
+            objects = np.repeat(np.arange(n), k), np.tile(np.arange(k), n)
+            squares = np.repeat(np.arange(n), len(K.gens)), np.tile(K.gens, n)
+            comps = np.arange(n) * k, np.array(families, np.intp).reshape(-1)
+            bad = unnatural(K, L, *paths, comps, (objects, squares))
+            batches += 1
+            for codes, got in zip(families, bad.tolist()):
+                table = {x: L.ids[c] for x, c in zip(A.objects, codes) if c >= 0}
+                want = nat_verdict(ref.check_nat_trans, F, G, table)
+                assert got == (want is not None), (A, B, F.on_morphisms, G.on_morphisms, table)
+                seen[want and want[0][0]] = seen.get(want and want[0][0], 0) + 1
+    assert batches > 2000
+    assert {None, "square", "component missing", "component endpoints"} <= set(seen), seen

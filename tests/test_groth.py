@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -450,3 +454,24 @@ def test_straighten_refuses_what_is_no_cleaving(fi2):
     with pytest.raises(NotAFibration) as refused:
         straighten(Q, Cleaving(Q, lifts))
     assert refused.value.args == (("f", "bp"),)
+
+
+def test_straightening_imports_no_masked_arrays():
+    """``core.subcategory`` dedupes its codes on the sort path of
+    ``np.unique``: the hash path of numpy 2 imports ``numpy.ma`` on first
+    use, about 10 ms of every fresh process that straightens, cuts a fiber
+    or twists a group.  A fresh process that straightens the FI_Z2 N=2
+    projection has not imported it."""
+    code = (
+        "import sys\n"
+        "from fibcat.generators import indexed_gpow\n"
+        "from fibcat.groth import grothendieck, straighten\n"
+        "from fibcat.groups import cyclic_group\n"
+        "M = straighten(grothendieck(indexed_gpow(cyclic_group(2), 2)).proj)\n"
+        "print(len(M.base.morphisms), 'numpy.ma' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["8", "False"], done.stderr

@@ -627,6 +627,37 @@ def test_groth_decides_cartesian_morphisms_once_per_functor():
     assert found == []
 
 
+def test_naturality_has_one_array_check():
+    """``functors.unnatural`` is the one array check of naturality, as
+    ``unfunctorial`` is of functors: ``validate_nat_trans`` calls it on one
+    transformation, ``IndexedCoding.unnatural`` on every compositor and
+    unitor that ``validate_indexed`` checks, and the witness search on its
+    candidate units.  ``functors`` maps no path by a helper of its own
+    (``_through`` is gone); ``indexed`` composes no naturality square (its
+    ``_unnatural`` is gone, and its adapter composes nothing); the unit
+    search holds no ``try`` and calls no ``validate_nat_trans``.  The name
+    is public, so ``indexed`` and ``theorem`` import no private name."""
+    assert sorted(set(_callers("unnatural", True))) == [
+        "functors.validate_nat_trans",
+        "indexed.IndexedCoding.unnatural",
+        "indexed.validate_indexed",
+        "theorem._search_pushforward",
+    ]
+    modules = dict(_modules())
+    defined = {n.name for _, t in _modules() for n in ast.walk(t) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_through", "_unnatural"}
+    called = _reads("indexed", "unnatural")[1]
+    assert "unnatural" in called and "cell" not in called
+    (search,) = [
+        n for n in ast.walk(modules["theorem"]) if isinstance(n, ast.FunctionDef) and n.name == "_search_pushforward"
+    ]
+    assert not any(isinstance(n, ast.Try) for n in ast.walk(search))
+    assert "validate_nat_trans" not in _reads("theorem", "_search_pushforward")[1]
+    for name in ("indexed", "theorem"):
+        imports = [n for n in ast.walk(modules[name]) if isinstance(n, ast.ImportFrom) and n.module == "functors"]
+        assert "unnatural" in {a.name for n in imports for a in n.names}, name
+
+
 def test_mono_scan_is_the_unlabelled_sweep():
     """``Coding.distinct`` is the one sweep for distinct composites into an
     object: ``Coding.monos`` is it with one label, ``groth._cartesian`` with

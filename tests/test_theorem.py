@@ -1,5 +1,6 @@
 import pytest
 
+from fibcat import theorem
 from fibcat import (
     HypothesesNotVerified,
     SearchBudgetExceeded,
@@ -35,6 +36,7 @@ from fibcat.generators import (
     terminal_category,
     thin_category,
 )
+from fibcat.functors import unnatural
 from fibcat.theorem import gpow_witness, invertible_arrow_witness
 
 
@@ -261,3 +263,29 @@ def test_gray_scan_stops_at_the_first_failing_fiber(inclusion_first):
         assert rep.inclusions_preserve == Check(True)
     assert rep.total_has_pullbacks == Check(False, cospan)
     assert not rep.left_side and not rep.right_side
+
+
+def _searched(M):
+    """What ``search_witness`` returns on M, as plain tables, or the args of
+    the ``WitnessInvalid`` it raises."""
+    try:
+        w = search_witness(M)
+    except WitnessInvalid as exc:
+        return exc.args
+    return [(w.pushforwards[f].on_objects, w.pushforwards[f].on_morphisms, w.units[f]) for f in M.base.morphisms]
+
+
+@pytest.mark.parametrize("units", [1, 3])
+def test_unit_rounds_do_not_change_the_witness(corpus, monkeypatch, units):
+    """The candidate units of a pushforward are decided ``theorem._UNITS`` at
+    a time, and the unit is the first natural one in product order however
+    the rounds cut the candidates: rounds of one or three find the same
+    pushforwards and units on the indexed corpus, and the same failures, as
+    rounds of the default size, in more rounds."""
+    rounds = []
+    monkeypatch.setattr(theorem, "unnatural", lambda *a: rounds.append(a) or unnatural(*a))
+    default = [_searched(M) for _, M in corpus]
+    monkeypatch.setattr(theorem, "_UNITS", units)
+    counted = len(rounds)
+    assert [_searched(M) for _, M in corpus] == default
+    assert len(rounds) - counted > counted
